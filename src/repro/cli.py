@@ -117,7 +117,10 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spike-backend", choices=SPIKE_BACKENDS, default=None,
                         help="force the spike-train representation "
                              "(default: the coder's preference, overridable "
-                             "via REPRO_SPIKE_BACKEND)")
+                             "via REPRO_SPIKE_BACKEND); ignored by "
+                             "rate/phase/burst when the only noise is "
+                             "deletion and/or dead neurons, which run on "
+                             "per-class spike counts")
     parser.add_argument("--batch-size", type=int, default=None,
                         help="transport-evaluation batch size (default: 16)")
     parser.add_argument("--simulator", choices=SIMULATORS, default=None,

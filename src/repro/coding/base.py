@@ -58,9 +58,10 @@ class NeuralCoder:
     """Base class for neural coding schemes.
 
     Subclasses implement :meth:`encode_dense` (and, for sparse temporal
-    codes, natively :meth:`encode_events`), :meth:`make_neuron` and report
-    their kernel through :attr:`kernel`; kernel-based decoding comes for free
-    from the base :meth:`decode`.
+    codes, natively :meth:`encode_events`; for window-filling codes,
+    :meth:`encode_classes`), :meth:`make_neuron` and report their kernel
+    through :attr:`kernel`; kernel-based decoding comes for free from the
+    base :meth:`decode`.
     """
 
     #: Registry name of the coding scheme ("rate", "phase", ...).
@@ -97,6 +98,13 @@ class NeuralCoder:
         "no budgeted spike-timing perturbation space is defined for this "
         "coding scheme"
     )
+
+    #: Whether :meth:`encode_classes` is implemented.  Decoding is
+    #: ``sum_t w_t * c_t``, so when the window's steps fall into a few
+    #: kernel-weight classes, a train of per-class spike counts decodes to
+    #: the same activation as the time-resolved train at O(K*N) instead of
+    #: O(T*N) cost.
+    has_class_encoding: bool = False
 
     def __init__(self, num_steps: int):
         check_positive("num_steps", num_steps)
@@ -174,6 +182,20 @@ class NeuralCoder:
         """
         return self.encode_dense(values, rng=rng).to_events()
 
+    def encode_classes(self, values: np.ndarray) -> SpikeTrainArray:
+        """Encode into kernel-weight classes instead of time steps.
+
+        Returns a train of shape ``(K, *values.shape)`` whose row ``k``
+        counts the spikes of the whole window that carry the decode weight
+        ``decode_weights()[k]``.  It holds every spike of the time-resolved
+        encoding, so counting, deletion and dead-neuron masks -- which never
+        look at a spike's step -- act on it exactly as on the full train.
+        Implemented by coders with :attr:`has_class_encoding`; the dense
+        encoding of such a coder is the expansion of these counts over the
+        window.
+        """
+        raise NotImplementedError(f"{self.name} coding has no class encoding")
+
     def decode(self, train: SpikeTrain) -> np.ndarray:
         """Decode a spike train back into activation values.
 
@@ -182,16 +204,23 @@ class NeuralCoder:
         """
         return train.weighted_sum(self.decode_weights())
 
+    def decode_classes(self, train: SpikeTrainArray) -> np.ndarray:
+        """Decode a train of :meth:`encode_classes` (the class-domain :meth:`decode`)."""
+        return train.weighted_sum(self.decode_weights()[: train.num_steps])
+
     def roundtrip(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Encode then decode (no noise): exposes the pure quantisation error."""
         return self.decode(self.encode(values, rng=rng))
 
     def expected_spike_count(self, values: np.ndarray) -> float:
-        """Analytic expectation of the number of spikes used to encode ``values``.
+        """Number of spikes used to encode ``values``.
 
-        Subclasses override this with a closed form; the default encodes and
-        counts, which is exact but slower.
+        Counted on the class encoding where there is one; otherwise the
+        default encodes and counts (one realisation for a stochastic code).
+        Sparse temporal coders override this with a closed form.
         """
+        if self.has_class_encoding:
+            return float(self.encode_classes(values).total_spikes())
         return float(self.encode(values).total_spikes())
 
     # -- neurons for the time-stepped simulator --------------------------------
@@ -239,3 +268,54 @@ class NeuralCoder:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(num_steps={self.num_steps})"
+
+
+class PeriodicCoder(NeuralCoder):
+    """Base of the codes that repeat one spike pattern every period.
+
+    Phase and burst coding quantise a value into :meth:`pattern` -- one
+    0/1 flag per kernel-weight class ``k < K`` -- and emit it at steps
+    ``k`` of every complete period.  Class ``k`` therefore carries
+    ``pattern_k * num_periods`` spikes of weight ``decode_weights()[k]``,
+    and decoding divides by ``num_periods`` so the whole window sums to the
+    encoded activation.
+    """
+
+    has_class_encoding = True
+
+    def __init__(self, num_steps: int, period: int):
+        super().__init__(num_steps)
+        check_positive("period", period)
+        if period > num_steps:
+            raise ValueError(
+                f"period ({period}) cannot exceed num_steps ({num_steps})"
+            )
+        self.period = int(period)
+
+    @property
+    def num_periods(self) -> int:
+        """Number of complete periods in the window (trailing steps stay silent)."""
+        return self.num_steps // self.period
+
+    def pattern(self, values: np.ndarray) -> np.ndarray:
+        """Per-period spike flags, shape ``(K, *values.shape)`` (subclass primitive)."""
+        raise NotImplementedError
+
+    def encode_classes(self, values: np.ndarray) -> SpikeTrainArray:
+        counts = self.pattern(values).astype(np.int32) * self.num_periods
+        return SpikeTrainArray(counts, copy=False)
+
+    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
+        classes = self.encode_classes(values).counts
+        train = SpikeTrainArray.zeros(self.num_steps, classes.shape[1:])
+        periods = train.counts[: self.num_periods * self.period].reshape(
+            (self.num_periods, self.period) + classes.shape[1:]
+        )
+        periods[:, : classes.shape[0]] = classes // self.num_periods
+        return train
+
+    def decode(self, train: SpikeTrain) -> np.ndarray:
+        return super().decode(train) / self.num_periods
+
+    def decode_classes(self, train: SpikeTrainArray) -> np.ndarray:
+        return super().decode_classes(train) / self.num_periods

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.base import NeuralCoder
+from repro.coding.base import PeriodicCoder
 from repro.snn.kernels import BurstKernel, PSCKernel
 from repro.snn.neurons import IFNeuron, SpikingNeuron
-from repro.snn.spikes import SpikeTrainArray
-from repro.utils.rng import RngLike
-from repro.utils.validation import check_positive
 
 
-class BurstCoder(NeuralCoder):
+class BurstCoder(PeriodicCoder):
     """Burst coder with geometric intra-burst weights.
 
     Parameters
@@ -69,12 +66,8 @@ class BurstCoder(NeuralCoder):
         burst_length: int = 5,
         ratio: float = 0.5,
     ):
-        super().__init__(num_steps)
-        check_positive("period", period)
-        if period > num_steps:
-            raise ValueError(f"period ({period}) cannot exceed num_steps ({num_steps})")
+        super().__init__(num_steps, period)
         self._kernel = BurstKernel(period=period, burst_length=burst_length, ratio=ratio)
-        self.period = int(period)
         self.burst_length = int(burst_length)
         self.ratio = float(ratio)
 
@@ -83,17 +76,12 @@ class BurstCoder(NeuralCoder):
         return self._kernel
 
     @property
-    def num_periods(self) -> int:
-        """Number of complete burst windows in the time window."""
-        return self.num_steps // self.period
-
-    @property
     def max_value(self) -> float:
         """Largest activation representable by one burst (sum of slot weights)."""
         weights = self.ratio ** (np.arange(self.burst_length) + 1.0)
         return float(weights.sum())
 
-    def _burst_pattern(self, values: np.ndarray) -> np.ndarray:
+    def pattern(self, values: np.ndarray) -> np.ndarray:
         """Greedy per-slot decomposition: shape (burst_length, *values.shape)."""
         values = self._normalise(values)
         slot_weights = self.ratio ** (np.arange(self.burst_length) + 1.0)
@@ -106,24 +94,6 @@ class BurstCoder(NeuralCoder):
             pattern[k] = emit
             residual = residual - emit * slot_weights[k]
         return pattern
-
-    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
-        values = self._normalise(values)
-        pattern = self._burst_pattern(values)
-        train = SpikeTrainArray.zeros(self.num_steps, values.shape)
-        for period_index in range(self.num_periods):
-            start = period_index * self.period
-            train.counts[start:start + self.burst_length] = pattern
-        return train
-
-    def decode(self, train) -> np.ndarray:
-        if self.num_periods == 0:
-            return np.zeros(train.population_shape)
-        return train.weighted_sum(self.decode_weights()) / self.num_periods
-
-    def expected_spike_count(self, values: np.ndarray) -> float:
-        pattern = self._burst_pattern(values)
-        return float(pattern.sum() * self.num_periods)
 
     def make_neuron(self, threshold: float) -> SpikingNeuron:
         return IFNeuron(threshold=threshold, reset="subtract", allow_multiple_spikes=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.base import NeuralCoder
+from repro.coding.base import PeriodicCoder
 from repro.coding.protocol import (
     InterfaceProtocol,
     SimulationProtocol,
@@ -21,12 +21,10 @@ from repro.coding.protocol import (
 )
 from repro.snn.kernels import PhaseKernel, PSCKernel
 from repro.snn.neurons import IFNeuron, SpikingNeuron
-from repro.snn.spikes import SpikeTrainArray
-from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative, check_positive
 
 
-class PhaseCoder(NeuralCoder):
+class PhaseCoder(PeriodicCoder):
     """Phase (weighted-spike) coder.
 
     Parameters
@@ -58,25 +56,14 @@ class PhaseCoder(NeuralCoder):
     )
 
     def __init__(self, num_steps: int = 64, period: int = 8):
-        super().__init__(num_steps)
-        check_positive("period", period)
-        if period > num_steps:
-            raise ValueError(
-                f"period ({period}) cannot exceed num_steps ({num_steps})"
-            )
-        self.period = int(period)
+        super().__init__(num_steps, period)
         self._kernel = PhaseKernel(period=self.period)
 
     @property
     def kernel(self) -> PSCKernel:
         return self._kernel
 
-    @property
-    def num_periods(self) -> int:
-        """Number of complete oscillator periods in the window."""
-        return self.num_steps // self.period
-
-    def _bits(self, values: np.ndarray) -> np.ndarray:
+    def pattern(self, values: np.ndarray) -> np.ndarray:
         """Binary-fraction decomposition of ``values``: shape (K, *values.shape)."""
         values = self._normalise(values)
         # Round to the representable grid first so encode/decode round-trips.
@@ -91,24 +78,6 @@ class PhaseCoder(NeuralCoder):
             remainder = remainder - bit * weight
             bits[k] = bit
         return bits
-
-    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
-        values = self._normalise(values)
-        bits = self._bits(values)
-        train = SpikeTrainArray.zeros(self.num_steps, values.shape)
-        for period_index in range(self.num_periods):
-            start = period_index * self.period
-            train.counts[start:start + self.period] = bits
-        return train
-
-    def decode(self, train) -> np.ndarray:
-        if self.num_periods == 0:
-            return np.zeros(train.population_shape)
-        return train.weighted_sum(self.decode_weights()) / self.num_periods
-
-    def expected_spike_count(self, values: np.ndarray) -> float:
-        bits = self._bits(values)
-        return float(bits.sum() * self.num_periods)
 
     def make_neuron(self, threshold: float) -> SpikingNeuron:
         return IFNeuron(threshold=threshold, reset="subtract")

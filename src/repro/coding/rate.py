@@ -61,10 +61,22 @@ class RateCoder(NeuralCoder):
     def kernel(self) -> PSCKernel:
         return self._kernel
 
+    @property
+    def has_class_encoding(self) -> bool:
+        # A constant kernel is one weight class; a stochastic train's count
+        # is only known once its steps are drawn.
+        return not self.stochastic
+
+    def encode_classes(self, values: np.ndarray) -> SpikeTrainArray:
+        if self.stochastic:
+            return super().encode_classes(values)
+        counts = np.rint(self._normalise(values) * self.num_steps).astype(np.int32)
+        return SpikeTrainArray(counts[None, ...], copy=False)
+
     def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
-        values = self._normalise(values)
         t = self.num_steps
         if self.stochastic:
+            values = self._normalise(values)
             generator = default_rng(rng)
             spikes = (
                 generator.random((t,) + values.shape) < values[None, ...]
@@ -73,16 +85,12 @@ class RateCoder(NeuralCoder):
         # Deterministic, evenly spaced placement: neuron with n target spikes
         # fires at step t whenever floor((t+1) * n / T) increments.  Integer
         # arithmetic keeps the temporaries small for large populations.
-        target = np.rint(values * t).astype(np.int32)
+        target = self.encode_classes(values).counts[0]
         steps = np.arange(t + 1, dtype=np.int64)
-        shape = (t + 1,) + (1,) * values.ndim
+        shape = (t + 1,) + (1,) * target.ndim
         boundaries = (steps.reshape(shape) * target[None, ...]) // t
         spikes = np.diff(boundaries, axis=0).astype(np.int16)
         return SpikeTrainArray(spikes, copy=False)
-
-    def expected_spike_count(self, values: np.ndarray) -> float:
-        values = self._normalise(values)
-        return float(np.rint(values * self.num_steps).sum())
 
     def make_neuron(self, threshold: float) -> SpikingNeuron:
         return IFNeuron(threshold=threshold, reset="subtract")

@@ -19,6 +19,26 @@ staying fast enough to sweep whole figures on one CPU core.  Its fidelity
 against the step-by-step membrane simulation is checked in
 ``tests/test_snn_simulator_timestep.py``.
 
+Window-filling codes take a *class path*.  Decoding is ``sum_t w_t * c_t``,
+and deletion and dead-neuron faults act on each spike or neuron without
+looking at its step.  So when the coder has a class encoding (deterministic
+rate: one class; phase: one per oscillator phase; burst: one per burst
+slot), no input train is injected and every noise model is ``time_free``,
+steps 2-4 run on a ``(K, batch, ...)`` train of per-class spike counts
+instead of the ``(T, batch, ...)`` grid: O(K*N) instead of O(T*N) work and
+memory.  The train goes through the same ``noise.apply``: a dead-neuron
+mask is drawn over the feature axes exactly as for the time grid, and
+deletion thins each class count binomially.  Every decoded activation and
+spike count keeps its distribution, not its realisation: the class path
+derives no encode stream, so its noise streams are not the time-resolved
+path's.  Without noise the class path is bit-identical to the time-resolved
+one for phase, for burst at its default ratio 0.5 and for rate at
+power-of-two windows, where every decode term is exact; otherwise the
+decode differs in the last float32 bits (e.g. rate's ``n * float32(1/T)``
+against the float32 sum of ``T`` terms).  Jitter, burst errors, stuck-at-fire, stochastic rate
+and injected trains keep the time-resolved path, where the
+``spike_backend`` choice applies; it has no effect on the class path.
+
 Two entry points are provided: the :class:`ActivationTransportSimulator`
 class for callers that evaluate one configuration repeatedly, and the pure
 function :func:`evaluate_transport` -- everything passed explicitly, nothing
@@ -98,9 +118,10 @@ class ActivationTransportSimulator:
         noise acts on every spike train, input included).
     spike_backend:
         Force a spike-train representation ("dense" or "events") at every
-        interface; ``None`` (default) lets the coder/env preference decide.
-        On the event backend the encode -> corrupt -> decode chain never
-        materialises the dense ``(T, N)`` grid.
+        interface of the time-resolved path; ``None`` (default) lets the
+        coder/env preference decide.  On the event backend the encode ->
+        corrupt -> decode chain never materialises the dense ``(T, N)``
+        grid.  The class path (see the module docstring) ignores it.
     """
 
     def __init__(
@@ -143,6 +164,10 @@ class ActivationTransportSimulator:
         injection point on both evaluators, so an attack found here transfers
         unchanged to the faithful time-stepped simulation.
 
+        Without ``input_train``, a coder with a class encoding under
+        time-free noise runs every interface on per-class spike counts (the
+        class path of the module docstring).
+
         Returns ``(logits, spikes_per_interface)``.
         """
         if x is None:
@@ -158,6 +183,11 @@ class ActivationTransportSimulator:
         generator = default_rng(rng)
         factor = self.scale_factor
         spikes_per_interface: Dict[int, int] = {}
+        class_path = (
+            input_train is None
+            and self.coder.has_class_encoding
+            and (self.noise is None or self.noise.time_free)
+        )
 
         activations = x
         scale = self.network.input_scale
@@ -173,20 +203,28 @@ class ActivationTransportSimulator:
                     train = supplied
                 else:
                     normalised = activations / scale
-                    train = self.coder.encode(
-                        normalised,
-                        rng=derive_rng(generator, "encode", interface_index),
-                        backend=self.spike_backend,
-                    )
+                    if class_path:
+                        # Class encodings are deterministic: no encode stream.
+                        train = self.coder.encode_classes(normalised)
+                    else:
+                        train = self.coder.encode(
+                            normalised,
+                            rng=derive_rng(generator, "encode", interface_index),
+                            backend=self.spike_backend,
+                        )
                     if self.noise is not None:
                         train = self.noise.apply(
                             train, rng=derive_rng(generator, "noise", interface_index)
                         )
                 spikes_per_interface[interface_index] = train.total_spikes()
-                # Decode is the batched per-timestep weighted sum; the
-                # calibration scale and weight-scaling factor fold into one
-                # multiply instead of two full-tensor passes.
-                psc = self.coder.decode(train) * (scale * factor)
+                # Decode is the batched per-step (or per-class) weighted sum;
+                # the calibration scale and weight-scaling factor fold into
+                # one multiply instead of two full-tensor passes.
+                decoded = (
+                    self.coder.decode_classes(train) if class_path
+                    else self.coder.decode(train)
+                )
+                psc = decoded * (scale * factor)
             activations = segment.forward(np.asarray(psc, dtype=np.float32))
             if segment.ends_with_spikes:
                 scale = segment.activation_scale

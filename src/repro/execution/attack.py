@@ -62,7 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: Version prefix baked into every attack-cell fingerprint; bump after any
 #: semantic change to the search or evaluation path (independent of the
 #: noise-cell schema -- the two cell families never alias).
-ATTACK_FINGERPRINT_SCHEMA = 1
+#: Schema 2: the transport evaluator runs rate/phase/burst on per-class
+#: spike counts -- the deletion realisation changed, and the rate decode
+#: rounds differently at windows that are not a power of two.
+ATTACK_FINGERPRINT_SCHEMA = 2
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: Schema 3: per-batch noise streams are keyed by absolute sample offsets
 #: (sample sharding) -- a different, equally valid realisation, so results
 #: evaluated under the old batch-sequential streams must not be served.
-FINGERPRINT_SCHEMA = 3
+#: Schema 4: rate/phase/burst under deletion run on per-class spike counts
+#: (a different deletion realisation), and the rate decode rounds
+#: differently at windows that are not a power of two.
+FINGERPRINT_SCHEMA = 4
 
 
 @dataclass(frozen=True)

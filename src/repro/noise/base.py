@@ -19,6 +19,13 @@ class SpikeNoise:
     #: Registry-style name used in experiment configs and reports.
     name: str = "noise"
 
+    #: Whether the model acts on each spike or neuron without looking at its
+    #: time step.  Such a model may also be applied to a class-domain train
+    #: (:meth:`~repro.coding.base.NeuralCoder.encode_classes`), whose leading
+    #: axis is a kernel-weight class instead of a step, and corrupts it with
+    #: the same distribution as the time-resolved train.
+    time_free: bool = False
+
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         """Return a noisy version of ``train`` (the input is left untouched)."""
         raise NotImplementedError
@@ -38,6 +45,7 @@ class IdentityNoise(SpikeNoise):
     """The no-noise baseline ("Clean" rows of the paper's tables)."""
 
     name = "clean"
+    time_free = True
 
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         return train.view()

@@ -19,6 +19,7 @@ class DeletionNoise(SpikeNoise):
     """Delete each spike independently with probability ``probability``."""
 
     name = "deletion"
+    time_free = True
 
     def __init__(self, probability: float):
         self.probability = check_probability("probability", probability)

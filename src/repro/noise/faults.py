@@ -60,6 +60,7 @@ class DeadNeuronNoise(SpikeNoise):
     """
 
     name = "dead"
+    time_free = True
 
     def __init__(self, fraction: float):
         check_probability("fraction", fraction)

@@ -60,10 +60,17 @@ class NoiseInjector(SpikeNoise):
         reproducibility contract (see :data:`COMPOSITION_ORDER` for why it
         cannot be permuted silently).  The timing and fault models (jitter,
         burst, dead, stuck) are additionally *backend-invariant* -- dense and
-        event trains realise bit-identical corruptions; deletion draws one
-        variate per dense grid slot but one per event on the event backend
-        (the O(events) thinning optimisation), so its two realisations are
-        identically distributed without being bit-identical.
+        event trains realise bit-identical corruptions.  Deletion draws one
+        variate per dense grid slot, one per event on the event backend (the
+        O(events) thinning optimisation) and one binomial per ``(class,
+        neuron)`` slot on a class-domain train (the transport evaluator's
+        path for window-filling codes, see
+        :meth:`~repro.coding.base.NeuralCoder.encode_classes`).  Each spike
+        survives independently with probability ``1 - p`` in all three, so
+        the realisations are identically distributed without being
+        bit-identical; ``tests/test_class_transport.py`` checks this.  Dead
+        masks are drawn over the feature axes, so a class-domain train gets
+        the same mask as the time grid from the same stream.
         """
         models: List[SpikeNoise] = []
         if deletion_probability > 0:
@@ -79,6 +86,11 @@ class NoiseInjector(SpikeNoise):
         if not models:
             models.append(IdentityNoise())
         return cls(models)
+
+    @property
+    def time_free(self) -> bool:
+        """Time-free when every constituent model is."""
+        return all(model.time_free for model in self.models)
 
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         result = train

@@ -47,6 +47,9 @@ EVENTS_BACKEND = "events"
 #: All valid backend names.
 SPIKE_BACKENDS = (DENSE_BACKEND, EVENTS_BACKEND)
 
+#: Largest count one ``(step, neuron)`` slot of a dense train can hold.
+MAX_SPIKE_COUNT = int(np.iinfo(np.int16).max)
+
 #: Environment variable overriding the per-coder backend preference.
 SPIKE_BACKEND_ENV = "REPRO_SPIKE_BACKEND"
 
@@ -157,15 +160,22 @@ class SpikeTrainArray:
             raise ValueError(
                 f"spike counts need shape (T, *population), got {counts.shape}"
             )
-        if counts.dtype.kind not in "iu":
-            if not np.all(counts == np.round(counts)):
-                raise ValueError("spike counts must be integers")
-            counts = counts.astype(np.int16)
-        elif copy:
-            counts = counts.copy()
-        if np.any(counts < 0):
-            raise ValueError("spike counts cannot be negative")
-        self.counts = counts.astype(np.int16, copy=False)
+        if counts.dtype.kind not in "iu" and not np.all(counts == np.round(counts)):
+            raise ValueError("spike counts must be integers")
+        # Range checks run on the caller's values, before the int16 cast
+        # could wrap them.
+        if counts.size:
+            if counts.min() < 0:
+                raise ValueError("spike counts cannot be negative")
+            if counts.dtype != np.int16 and counts.max() > MAX_SPIKE_COUNT:
+                raise ValueError(
+                    f"spike counts above {MAX_SPIKE_COUNT} do not fit the "
+                    f"int16 count grid"
+                )
+        if counts.dtype == np.int16:
+            self.counts = counts.copy() if copy else counts
+        else:
+            self.counts = counts.astype(np.int16)
 
     # -- constructors --------------------------------------------------------
     @classmethod

@@ -145,13 +145,13 @@ class TestPlans:
 
         pinned = {
             sweep_cell("transport"):
-                "530f8471da5fe294878dd08ab02e8edb6396316810ff63985f6572d532122abf",
+                "9588c2150c6ee33ce4a0babdf8fdf0f6ebfd0fe07d9424796073395d2be4aa0b",
             sweep_cell("timestep"):
-                "3b249a56d96f4e6518b9e4e1676cfec47aeead54851c5d65646857acafa1ef34",
+                "5f588f5d7620cff3f3ebe6a4a6949bac62383cd1a441b166c3e94275e385174f",
             attack_cell("transport"):
-                "e3d464feb3cd330be5d1674c19d3dd87f622ff843d3c821cc1c42f81ca182a29",
+                "7a733b553921d57b41ec102266fe5e65df26121bf3f6bfcdb56e82689606bd7d",
             attack_cell("timestep"):
-                "a3c22fd6d52ae88e9e6861199d9aa86323bbea5b54d8344bdef9de5c47fbd942",
+                "42bf6eb7eb23f15630d54e22e6f14c940ced0be86ae99e0ce759e57d470c81aa",
         }
         for plan, fingerprint in pinned.items():
             assert plan.cell_fingerprint("0" * 64) == fingerprint, plan.cell_id()

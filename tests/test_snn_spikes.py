@@ -39,6 +39,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SpikeTrainArray(np.array([[-1, 0], [0, 0]]))
 
+    def test_rejects_counts_beyond_int16(self):
+        # The range check runs before the int16 cast: a count of 40000 used
+        # to wrap to a negative total.
+        for counts in (np.array([[40000, 3]]), np.array([[40000.0, 3.0]])):
+            with pytest.raises(ValueError, match="32767"):
+                SpikeTrainArray(counts)
+        train = SpikeTrainArray(np.array([[32767, 3]], dtype=np.int64))
+        assert train.total_spikes() == 32770
+
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             SpikeTrainArray(np.array([[0.5, 0.0], [0.0, 0.0]]))
