@@ -517,13 +517,13 @@ def bench_cell_sharding(repeats: int) -> Dict[str, Dict[str, float]]:
         levels=(0.3,),
         scale=TEST_SCALE,
         seed=0,
+        batch_size=SHARD_CELL["batch_size"],
         simulator="timestep",
     )
     workload = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
                                 use_cache=False)
     ref = WorkloadRef.from_sweep_config(config, use_cache=False)
     plans = build_sweep_plans(config, eval_size=SHARD_CELL["eval_size"],
-                              batch_size=SHARD_CELL["batch_size"],
                               use_cache=False)
     # The process backend forks; registering in the parent hands every
     # worker the trained workload through copy-on-write memory.

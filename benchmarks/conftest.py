@@ -21,8 +21,8 @@ from typing import Dict
 
 import pytest
 
+from repro.execution.executors import SWEEP_WORKERS_ENV
 from repro.experiments.config import BENCH_SCALE
-from repro.experiments.runner import SWEEP_WORKERS_ENV
 from repro.experiments.workloads import PreparedWorkload, prepare_workload
 
 #: Evaluation images per noise level used by every benchmark.

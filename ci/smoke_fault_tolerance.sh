@@ -20,10 +20,9 @@ import multiprocessing, os, signal, sys
 
 from repro.core.pipeline import EvaluationResult
 from repro.execution import (
-    ProcessExecutor, ResultStore, WorkloadRef, build_sweep_plans,
-    evaluate_plans,
+    EvaluationPlan, ProcessExecutor, ResultStore, WorkloadRef,
+    build_sweep_plans, evaluate_plans,
 )
-from repro.execution import engine as engine_module
 from repro.execution.plan import evaluate_plan as real_evaluate_plan
 from repro.experiments import prepare_workload
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
@@ -41,7 +40,7 @@ def killer(plan, workload):
         os.kill(os.getpid(), signal.SIGKILL)
     return real_evaluate_plan(plan, workload)
 
-engine_module.evaluate_plan = killer
+EvaluationPlan.evaluate = killer
 config = SweepConfig(
     dataset="mnist",
     methods=(MethodSpec(coding="ttfs"), MethodSpec(coding="rate")),
@@ -62,7 +61,7 @@ assert os.path.exists(SENTINEL), "the worker kill never fired"
 assert evaluation.stats.failed_cells == 0, evaluation.stats
 assert all(isinstance(r, EvaluationResult) for r in evaluation.results)
 
-engine_module.evaluate_plan = real_evaluate_plan
+EvaluationPlan.evaluate = real_evaluate_plan
 resumed = evaluate_plans(plans, store=store, workloads={ref: workload})
 assert resumed.stats.store_hits == len(plans), resumed.stats
 assert resumed.stats.evaluated_cells == 0, resumed.stats

@@ -19,8 +19,9 @@ results are bit-identical at any shard count) and the optional
 ``--result-store DIR`` (also via ``REPRO_RESULT_STORE``), which caches every
 evaluated (dataset, method, level) cell -- and every shard of an in-flight
 sharded cell -- on disk so interrupted sweeps resume
-and re-runs are incremental.  ``--spike-backend``, ``--batch-size`` and
-``--simulator`` select the evaluation backends for all three subcommands;
+and re-runs are incremental.  ``--batch-size`` and ``--simulator`` select
+the evaluation batch size and simulator for all three subcommands (attack
+cells run per sample, so the ``adv-*`` names reject ``--batch-size``);
 ``--simulator timestep`` runs the faithful time-stepped membrane simulation
 (per-layer temporal protocols: rate, phase, TTFS and TTAS; burst has no
 faithful correspondence -- filter it out of a figure with ``--methods``),
@@ -73,7 +74,6 @@ from repro.execution.store import resolve_store
 from repro.experiments.config import BENCH_SCALE, TEST_SCALE, ExperimentScale
 from repro.experiments.workloads import prepare_workload
 from repro.core.pipeline import SIMULATORS, NoiseRobustSNN
-from repro.snn.spikes import SPIKE_BACKENDS
 
 _FIGURES = {
     "fig2": figure2_deletion,
@@ -113,16 +113,11 @@ def _scale_from_name(name: str) -> ExperimentScale:
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """Backend/batch knobs shared by every subcommand."""
-    parser.add_argument("--spike-backend", choices=SPIKE_BACKENDS, default=None,
-                        help="force the spike-train representation "
-                             "(default: the coder's preference, overridable "
-                             "via REPRO_SPIKE_BACKEND); ignored by "
-                             "rate/phase/burst when the only noise is "
-                             "deletion and/or dead neurons, which run on "
-                             "per-class spike counts")
+    """Batch/simulator knobs shared by every subcommand."""
     parser.add_argument("--batch-size", type=int, default=None,
-                        help="transport-evaluation batch size (default: 16)")
+                        help="evaluation batch size (default: 16; not "
+                             "accepted by the adv-* names, whose cells run "
+                             "per sample)")
     parser.add_argument("--simulator", choices=SIMULATORS, default=None,
                         help="evaluation simulator: fast activation "
                              "transport (default) or the faithful "
@@ -233,10 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _adversarial_kwargs(args: argparse.Namespace) -> dict:
-    """Attack knobs for the adv-* names (empty for everything else)."""
+def _sweep_kwargs(args: argparse.Namespace) -> dict:
+    """Per-family knobs: the batch size for noise sweeps, the attack knobs
+    for the adv-* names."""
     if args.name not in _ADVERSARIAL_NAMES:
-        return {}
+        return {"batch_size": args.batch_size}
     kwargs = {"search": args.attack_search}
     if args.budgets is not None:
         kwargs["budgets"] = tuple(args.budgets)
@@ -248,10 +244,9 @@ def _run_figure(args: argparse.Namespace) -> str:
     result = _FIGURES[args.name](
         dataset=args.dataset, scale=scale, seed=args.seed, eval_size=args.eval_size,
         max_workers=args.max_workers, executor=args.executor,
-        store=args.result_store, spike_backend=args.spike_backend,
-        batch_size=args.batch_size,
+        store=args.result_store,
         simulator=args.simulator, method_filter=args.methods,
-        shards=args.shards, **_adversarial_kwargs(args),
+        shards=args.shards, **_sweep_kwargs(args),
     )
     return format_figure_series(result, f"{args.name} ({args.dataset})")
 
@@ -262,10 +257,9 @@ def _run_table(args: argparse.Namespace) -> str:
         datasets=tuple(args.datasets), scale=scale, seed=args.seed,
         eval_size=args.eval_size, max_workers=args.max_workers,
         executor=args.executor, store=args.result_store,
-        spike_backend=args.spike_backend,
-        batch_size=args.batch_size, simulator=args.simulator,
+        simulator=args.simulator,
         method_filter=args.methods, shards=args.shards,
-        **_adversarial_kwargs(args),
+        **_sweep_kwargs(args),
     )
     return format_table_rows(result, args.name)
 
@@ -282,7 +276,6 @@ def _run_evaluate(args: argparse.Namespace) -> str:
         num_steps=scale.time_steps_for(args.coding),
         weight_scaling=args.weight_scaling,
         coder_kwargs=coder_kwargs,
-        spike_backend=args.spike_backend,
         simulator=args.simulator if args.simulator is not None else "transport",
     )
     x, y = workload.evaluation_slice(args.eval_size)
@@ -366,6 +359,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (
+        getattr(args, "name", None) in _ADVERSARIAL_NAMES
+        and args.batch_size is not None
+    ):
+        parser.error(
+            f"--batch-size does not apply to {args.name}: attack cells "
+            "run per sample"
+        )
     handlers = {
         "figure": _run_figure,
         "table": _run_table,

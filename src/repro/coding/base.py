@@ -159,11 +159,9 @@ class NeuralCoder:
         """Encode normalised activations ``values`` into spike trains.
 
         ``values`` may have any shape; the returned train covers
-        ``(num_steps, *values.shape)``.  The representation is chosen by
-        :func:`repro.snn.spikes.resolve_spike_backend`: an explicit
-        ``backend`` argument wins, then the process/env override
-        (``REPRO_SPIKE_BACKEND``), then this coder's
-        :attr:`preferred_backend`.
+        ``(num_steps, *values.shape)``.  The representation is this
+        coder's :attr:`preferred_backend` unless ``backend`` asks for the
+        other one.
         """
         resolved = resolve_spike_backend(backend, self.preferred_backend)
         if resolved == EVENTS_BACKEND:

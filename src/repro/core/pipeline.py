@@ -122,7 +122,6 @@ class NoiseRobustSNN:
         weight_scaling: bool = True,
         scaling_mode: str = "inverse",
         coder_kwargs: Optional[Dict] = None,
-        spike_backend: Optional[str] = None,
         simulator: str = "transport",
     ):
         if simulator not in SIMULATORS:
@@ -138,8 +137,6 @@ class NoiseRobustSNN:
         self.coder_kwargs = dict(coder_kwargs or {})
         self.weight_scaling_enabled = bool(weight_scaling)
         self.scaling_mode = scaling_mode
-        #: Spike-train backend override ("dense"/"events"; None = coder/env).
-        self.spike_backend = spike_backend
         #: Evaluation simulator: fast activation transport (default) or the
         #: faithful time-stepped membrane simulation.
         self.simulator = simulator
@@ -167,7 +164,6 @@ class NoiseRobustSNN:
         weight_scaling: bool = True,
         scaling_mode: str = "inverse",
         percentile: float = 99.9,
-        spike_backend: Optional[str] = None,
         simulator: str = "transport",
         fuse_batch_norm: bool = True,
         **coder_kwargs,
@@ -217,7 +213,6 @@ class NoiseRobustSNN:
             weight_scaling=weight_scaling,
             scaling_mode=scaling_mode,
             coder_kwargs=coder_kwargs,
-            spike_backend=spike_backend,
             simulator=simulator,
         )
 
@@ -225,8 +220,8 @@ class NoiseRobustSNN:
     def from_plan(cls, plan: "EvaluationPlan", network: ConvertedSNN) -> "NoiseRobustSNN":
         """Build the pipeline of one sweep cell from its declarative plan.
 
-        The plan carries the coder / weight-scaling / backend configuration
-        by value; only the converted network -- resolved from the plan's
+        The plan carries the coder / weight-scaling / simulator
+        configuration by value; only the converted network -- resolved from the plan's
         workload reference by the execution engine -- is a live object.
         """
         return cls(
@@ -236,7 +231,6 @@ class NoiseRobustSNN:
             weight_scaling=plan.method.weight_scaling,
             scaling_mode=plan.scaling_mode,
             coder_kwargs=plan.method.coder_kwargs(),
-            spike_backend=plan.spike_backend,
             simulator=plan.simulator,
         )
 
@@ -351,7 +345,6 @@ class NoiseRobustSNN:
             noise=noise,
             weight_scaling=scaling,
             expected_deletion=assumed,
-            spike_backend=self.spike_backend,
             batch_size=batch_size,
             rng=rng,
             sample_offset=sample_offset,

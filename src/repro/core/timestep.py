@@ -232,7 +232,6 @@ def evaluate_timestep(
     noise: Optional[SpikeNoise] = None,
     weight_scaling: Optional[WeightScaling] = None,
     expected_deletion: float = 0.0,
-    spike_backend: Optional[str] = None,
     threshold: Optional[float] = None,
     batch_size: int = 16,
     rng: RngLike = None,
@@ -318,7 +317,6 @@ def evaluate_timestep(
         train = coder.encode(
             normalised,
             rng=derive_rng(generator, "encode", 0),
-            backend=spike_backend,
         )
         if noise is not None:
             train = noise.apply(train, rng=derive_rng(generator, "noise", 0))

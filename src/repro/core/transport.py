@@ -36,8 +36,8 @@ one for phase, for burst at its default ratio 0.5 and for rate at
 power-of-two windows, where every decode term is exact; otherwise the
 decode differs in the last float32 bits (e.g. rate's ``n * float32(1/T)``
 against the float32 sum of ``T`` terms).  Jitter, burst errors, stuck-at-fire, stochastic rate
-and injected trains keep the time-resolved path, where the
-``spike_backend`` choice applies; it has no effect on the class path.
+and injected trains keep the time-resolved path, on the representation the
+coder prefers (dense for rate/phase/burst, events for TTFS/TTAS).
 
 Two entry points are provided: the :class:`ActivationTransportSimulator`
 class for callers that evaluate one configuration repeatedly, and the pure
@@ -119,9 +119,11 @@ class ActivationTransportSimulator:
     spike_backend:
         Force a spike-train representation ("dense" or "events") at every
         interface of the time-resolved path; ``None`` (default) lets the
-        coder/env preference decide.  On the event backend the encode ->
-        corrupt -> decode chain never materialises the dense ``(T, N)``
-        grid.  The class path (see the module docstring) ignores it.
+        coder's ``preferred_backend`` decide.  The attack scorer forces
+        events (its injected trains are event-backed).  On the event
+        backend the encode -> corrupt -> decode chain never materialises
+        the dense ``(T, N)`` grid.  The class path (see the module
+        docstring) ignores it.
     """
 
     def __init__(
@@ -295,7 +297,6 @@ def evaluate_transport(
     weight_scaling: Optional[WeightScaling] = None,
     expected_deletion: float = 0.0,
     encode_input: bool = True,
-    spike_backend: Optional[str] = None,
     batch_size: int = 16,
     rng: RngLike = None,
     keep_logits: bool = False,
@@ -316,7 +317,6 @@ def evaluate_transport(
         weight_scaling=weight_scaling,
         expected_deletion=expected_deletion,
         encode_input=encode_input,
-        spike_backend=spike_backend,
     )
     return simulator.evaluate(
         x, labels, batch_size=batch_size, rng=rng, keep_logits=keep_logits,

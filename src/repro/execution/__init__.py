@@ -2,7 +2,7 @@
 
 The execution subsystem turns one sweep cell -- a (dataset, method, noise
 level) point of a figure or table -- into a declarative, picklable
-:class:`~repro.execution.plan.EvaluationPlan` evaluated by a pure function,
+:class:`~repro.execution.plan.CellPlan` that evaluates itself purely,
 and runs batches of plans through a pluggable :class:`Executor` backend
 (serial / thread / process) with an optional content-addressed on-disk
 :class:`ResultStore` for resumable, incremental sweeps.
@@ -50,6 +50,7 @@ from repro.execution.attack import (
     find_attack_train,
 )
 from repro.execution.plan import (
+    CellPlan,
     EvaluationPlan,
     WorkloadRef,
     build_sweep_plans,
@@ -71,6 +72,7 @@ __all__ = [
     "build_attack_plans",
     "evaluate_attack_plan",
     "find_attack_train",
+    "CellPlan",
     "EvaluationPlan",
     "WorkloadRef",
     "build_sweep_plans",

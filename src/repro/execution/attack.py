@@ -2,10 +2,12 @@
 
 An :class:`AttackPlan` describes one cell of a worst-case robustness sweep --
 (workload, method, attack kind, budget, search driver, evaluator) -- as a
-small frozen picklable value object, exactly like
-:class:`~repro.execution.plan.EvaluationPlan` describes a random-noise cell.
-The execution engine treats the two interchangeably (duck-typed dispatch in
-:func:`~repro.execution.engine.execute_cell`), so attack sweeps inherit the
+small frozen picklable value object.  It is the second family of
+:class:`~repro.execution.plan.CellPlan`, next to the random-noise
+:class:`~repro.execution.plan.EvaluationPlan`, and shares its identity,
+sharding and fingerprint surface.  The execution engine treats the two
+alike (it calls :meth:`CellPlan.evaluate
+<repro.execution.plan.CellPlan.evaluate>`), so attack sweeps inherit the
 whole PR 3-8 machinery for free: serial/thread/process executors,
 content-addressed :class:`~repro.execution.store.ResultStore` persistence
 with resume, per-cell retries/timeouts and fault tolerance, and sample
@@ -31,10 +33,8 @@ gap (the input train is the shared injection point of both evaluators).
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.core.pipeline import SIMULATORS, EvaluationResult
 from repro.core.timestep import build_time_stepped_simulator
 from repro.core.transport import ActivationTransportSimulator
 from repro.core.weight_scaling import WeightScaling
-from repro.execution.plan import WorkloadRef, shard_fingerprint
+from repro.execution.plan import CellPlan, WorkloadRef
 from repro.noise.adversarial import (
     ATTACK_KINDS,
     ATTACK_SEARCHES,
@@ -69,7 +69,7 @@ ATTACK_FINGERPRINT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
-class AttackPlan:
+class AttackPlan(CellPlan):
     """Everything needed to run one attack-sweep cell, by value.
 
     Attributes
@@ -97,9 +97,6 @@ class AttackPlan:
         faithful simulator).
     eval_size:
         Number of attacked samples (``None`` = the scale's default).
-    spike_backend:
-        Spike-backend override for the deeper (non-attacked) interfaces.
-        The attacked input train is always event-backed, independent of it.
     scaling_mode:
         Weight-scaling mode; attacks carry no deletion expectation, so the
         factor is always evaluated at ``expected_deletion=0``.
@@ -109,6 +106,8 @@ class AttackPlan:
         its streams from the sample's absolute index alone, so any
         contiguous split merges bit-identically.
     """
+
+    schema: ClassVar[int] = ATTACK_FINGERPRINT_SCHEMA
 
     workload: WorkloadRef
     method: "MethodSpec"
@@ -122,7 +121,6 @@ class AttackPlan:
     max_candidates: int = 64
     evaluator: str = "transport"
     eval_size: Optional[int] = None
-    spike_backend: Optional[str] = None
     scaling_mode: str = "inverse"
     sample_start: Optional[int] = None
     sample_stop: Optional[int] = None
@@ -149,31 +147,17 @@ class AttackPlan:
                 raise ValueError(
                     f"{knob} must be >= 1, got {getattr(self, knob)}"
                 )
-        if (self.sample_start is None) != (self.sample_stop is None):
-            raise ValueError(
-                "sample_start and sample_stop must be set together "
-                f"(got sample_start={self.sample_start!r}, "
-                f"sample_stop={self.sample_stop!r})"
-            )
-        if self.sample_start is not None:
-            start, stop = int(self.sample_start), int(self.sample_stop)
-            total = self.effective_eval_size()
-            if not 0 <= start < stop <= total:
-                raise ValueError(
-                    f"shard bounds [{start}, {stop}) must satisfy "
-                    f"0 <= start < stop <= {total} (the cell's eval size)"
-                )
-            object.__setattr__(self, "sample_start", start)
-            object.__setattr__(self, "sample_stop", stop)
+        super().__post_init__()
 
-    # -- identity (the engine's duck-typed cell surface) ---------------------------
-    @property
-    def dataset(self) -> str:
-        return self.workload.dataset
+    # -- identity ------------------------------------------------------------------
+    #: Attack shards are per sample: there is no cross-sample batch stream
+    #: to preserve, so any contiguous split merges bit-identically.
+    shard_unit: ClassVar[int] = 1
 
     @property
-    def method_label(self) -> str:
-        return self.method.display_label()
+    def simulator(self) -> str:
+        """The simulator the cell's accuracy is measured on."""
+        return self.evaluator
 
     @property
     def noise_kind(self) -> str:
@@ -185,66 +169,8 @@ class AttackPlan:
         """The budget as the cell's position on the sweep axis."""
         return float(self.budget)
 
-    def cell_id(self) -> str:
-        """Human-readable cell identity used in logs and error messages."""
-        label = (
-            f"{self.dataset}/{self.method_label} "
-            f"{self.noise_kind}={self.budget} [{self.search}/{self.evaluator}]"
-        )
-        if self.is_shard:
-            label += f" samples[{self.sample_start}:{self.sample_stop})"
-        return label
-
-    # -- sample sharding -----------------------------------------------------------
-    @property
-    def is_shard(self) -> bool:
-        return self.sample_start is not None
-
-    def sample_range(self) -> Tuple[int, int]:
-        if self.is_shard:
-            return int(self.sample_start), int(self.sample_stop)
-        return 0, self.effective_eval_size()
-
-    def cell_plan(self) -> "AttackPlan":
-        """The whole-cell plan this shard belongs to (self when unsharded)."""
-        if not self.is_shard:
-            return self
-        return replace(self, sample_start=None, sample_stop=None)
-
-    def shards(self, num_shards: int) -> List["AttackPlan"]:
-        """Split this cell into at most ``num_shards`` contiguous shards.
-
-        Per-sample granularity: attack streams are keyed by absolute sample
-        indices, so -- unlike batch-aligned noise shards -- any contiguous
-        split of the sample range merges bit-identically.
-        """
-        if self.is_shard:
-            raise ValueError(f"cannot re-shard shard plan {self.cell_id()}")
-        count = int(num_shards)
-        if count < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        total = self.effective_eval_size()
-        count = min(count, total)
-        if count <= 1:
-            return [self]
-        base, extra = divmod(total, count)
-        plans: List[AttackPlan] = []
-        cursor = 0
-        for index in range(count):
-            take = base + (1 if index < extra else 0)
-            plans.append(
-                replace(self, sample_start=cursor, sample_stop=cursor + take)
-            )
-            cursor += take
-        return plans
-
-    def effective_eval_size(self) -> int:
-        """Number of attacked samples (normalised against the test split)."""
-        requested = (
-            self.eval_size if self.eval_size is not None
-            else self.workload.scale.eval_size
-        )
-        return int(min(requested, self.workload.scale.test_size))
+    def axis_label(self) -> str:
+        return f"{self.noise_kind}={self.budget} [{self.search}/{self.evaluator}]"
 
     # -- RNG spec ------------------------------------------------------------------
     def encode_root(self) -> int:
@@ -274,58 +200,23 @@ class AttackPlan:
             int(bool(self.method.weight_scaling)),
         ))
 
-    # -- fingerprinting ------------------------------------------------------------
-    def describe(self) -> dict:
-        """Canonical JSON-serialisable description of the attack cell.
+    # -- evaluation / fingerprinting -----------------------------------------------
+    def evaluate(self, workload: "PreparedWorkload") -> EvaluationResult:
+        return evaluate_attack_plan(self, workload)
 
-        Mirrors :meth:`EvaluationPlan.describe`: shard bounds are excluded
-        (shard identity enters through :func:`shard_fingerprint`), the
-        workload collapses to its result-affecting triple, ``eval_size``
-        normalises to its effective value, and the method's cosmetic
-        ``label`` is cleared so relabelled curves share one stored result.
-        The ``cell_kind`` marker plus a family-private schema keep attack
-        cells from ever aliasing noise cells.
+    def describe(self) -> dict:
+        """The cell description of :meth:`CellPlan.describe`, plus:
+
+        the method's cosmetic ``label`` is cleared so relabelled curves
+        share one stored result, and the ``cell_kind`` marker plus the
+        family's own schema keep attack cells from ever aliasing noise
+        cells.
         """
-        payload = asdict(self)
-        del payload["sample_start"], payload["sample_stop"]
-        # Constant engine keys, exactly as in EvaluationPlan.describe.
-        payload["analog_backend"] = None
-        payload["sim_backend"] = "fused" if self.evaluator == "timestep" else None
-        payload["workload"] = {
-            "dataset": self.workload.dataset,
-            "scale": asdict(self.workload.scale),
-            "seed": self.workload.seed,
-        }
+        payload = super().describe()
         payload["method"]["label"] = None
         payload["budget"] = int(self.budget)
-        payload["eval_size"] = self.effective_eval_size()
         payload["cell_kind"] = "attack"
-        payload["schema"] = ATTACK_FINGERPRINT_SCHEMA
         return payload
-
-    def cell_fingerprint(self, network_hash: str) -> str:
-        """Content address of the whole cell's result."""
-        blob = json.dumps(
-            {"plan": self.describe(), "network": network_hash},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def fingerprint(self, network_hash: str) -> str:
-        """Content address of this plan's result (shard-derived if sharded)."""
-        cell = self.cell_fingerprint(network_hash)
-        if not self.is_shard:
-            return cell
-        start, stop = self.sample_range()
-        return shard_fingerprint(cell, start, stop, self.effective_eval_size())
-
-    # -- evaluation ----------------------------------------------------------------
-    def evaluate_with_workload(
-        self, workload: "PreparedWorkload"
-    ) -> EvaluationResult:
-        """Engine hook: evaluate this cell against its resolved workload."""
-        return evaluate_attack_plan(self, workload)
 
 
 class _AttackContext:
@@ -357,7 +248,7 @@ class _AttackContext:
             noise=None,
             weight_scaling=self.scaling,
             expected_deletion=0.0,
-            spike_backend=plan.spike_backend or "events",
+            spike_backend="events",
         )
         self.encode_root = plan.encode_root()
         self.search_root = plan.search_root()
@@ -552,7 +443,6 @@ def build_attack_plans(
             max_candidates=config.max_candidates,
             evaluator=config.evaluator,
             eval_size=eval_size,
-            spike_backend=config.spike_backend,
         )
         for method in config.methods
         for budget in config.budgets

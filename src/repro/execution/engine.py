@@ -2,14 +2,15 @@
 
 :func:`evaluate_plans` is the single entry point every sweep (figures,
 tables, benchmarks, CLI) funnels through.  Given a list of
-:class:`~repro.execution.plan.EvaluationPlan` cells it
+:class:`~repro.execution.plan.CellPlan` cells it
 
 1. resolves each plan's workload (preparing and memoising it per process),
 2. computes the plan fingerprints and serves store hits without evaluating,
-3. optionally splits each pending cell into batch-aligned **sample shards**
-   (explicit ``shards=`` / ``$REPRO_SWEEP_SHARDS``, or automatically when a
-   dispatch has fewer cells than pool workers), so a single cell can use
-   the whole pool,
+3. optionally splits each pending cell into **sample shards** (whole
+   batches for noise cells, single samples for attack cells; explicit
+   ``shards=`` / ``$REPRO_SWEEP_SHARDS``, or automatically when a dispatch
+   has fewer cells than pool workers), so a single cell can use the whole
+   pool,
 4. fans the resulting work items out over the selected executor backend,
 5. persists each freshly evaluated cell -- and each shard of a sharded
    cell -- to the store *as it completes*, so an interrupted run resumes
@@ -41,9 +42,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.pipeline import EvaluationResult
 from repro.execution.executors import Executor, resolve_executor
 from repro.execution.plan import (
-    EvaluationPlan,
+    CellPlan,
     WorkloadRef,
-    evaluate_plan,
     merge_shard_results,
     network_fingerprint,
     shard_fingerprint,
@@ -264,27 +264,18 @@ def network_hash_for(ref: WorkloadRef) -> str:
     return cached
 
 
-def execute_cell(plan: EvaluationPlan) -> EvaluationResult:
+def execute_cell(plan: CellPlan) -> EvaluationResult:
     """Evaluate one plan in the current process (the executor work item).
 
     Module-level (hence picklable by reference) so the process backend can
     ship it; failures are re-raised as :class:`CellEvaluationError` carrying
-    the cell identity, which survives the trip back through the pool.
-
-    Dispatch is duck-typed: a plan that knows how to evaluate itself (e.g.
-    an :class:`~repro.execution.attack.AttackPlan` exposing
-    ``evaluate_with_workload``) is asked to; everything else is a standard
-    sweep cell handled by :func:`~repro.execution.plan.evaluate_plan`.  This
-    keeps the engine -- executors, store, retries, timeouts, sharding --
-    entirely agnostic of what a cell computes.
+    the cell identity, which survives the trip back through the pool.  The
+    plan evaluates itself (:meth:`~repro.execution.plan.CellPlan.evaluate`),
+    which keeps the engine -- executors, store, retries, timeouts, sharding
+    -- agnostic of what a cell computes.
     """
     try:
-        workload = workload_for(plan.workload)
-        evaluate = getattr(plan, "evaluate_with_workload", None)
-        if evaluate is not None:
-            result = evaluate(workload)
-        else:
-            result = evaluate_plan(plan, workload)
+        result = plan.evaluate(workload_for(plan.workload))
     except CellEvaluationError:
         raise
     except Exception as error:
@@ -342,7 +333,7 @@ def resolve_cell_timeout(timeout: Optional[float] = None) -> Optional[float]:
 
 
 def _run_cell_with_timeout(
-    plan: EvaluationPlan, timeout: Optional[float]
+    plan: CellPlan, timeout: Optional[float]
 ) -> EvaluationResult:
     """Run one cell, bounding its wall-clock time.
 
@@ -378,7 +369,7 @@ def _run_cell_with_timeout(
 
 
 def evaluate_cell_tolerant(
-    plan: EvaluationPlan,
+    plan: CellPlan,
     retries: int = 0,
     timeout: Optional[float] = None,
     backoff: float = RETRY_BACKOFF_BASE,
@@ -472,7 +463,7 @@ def _auto_shard_count(backend: Executor, pending: int) -> int:
 class _ShardedCell:
     """In-flight bookkeeping of one cell split into sample shards."""
 
-    plans: List[EvaluationPlan]
+    plans: List[CellPlan]
     results: List[Optional[EvaluationResult]]
     cell_fingerprint: Optional[str] = None
     fingerprints: Optional[List[str]] = None
@@ -483,7 +474,7 @@ class _ShardedCell:
 
 
 def evaluate_plans(
-    plans: Sequence[EvaluationPlan],
+    plans: Sequence[CellPlan],
     executor: Union[str, Executor, None] = None,
     max_workers: Optional[int] = None,
     store: Union[ResultStore, str, None, bool] = None,
@@ -586,7 +577,7 @@ def evaluate_plans(
             # be routed.  Fault tolerance and timeouts wrap whatever the
             # work item is, so a sharded cell retries and fails at shard
             # granularity automatically.
-            work_plans: List[EvaluationPlan] = []
+            work_plans: List[CellPlan] = []
             work_targets: List[Tuple[int, Optional[int]]] = []
             sharded: Dict[int, _ShardedCell] = {}
             for index in pending:
@@ -715,7 +706,7 @@ def _store_result(
     result_store: ResultStore,
     fingerprint: str,
     result: EvaluationResult,
-    plan: EvaluationPlan,
+    plan: CellPlan,
 ) -> bool:
     """Persist one cell; an unwritable store degrades to a warning.
 
@@ -740,7 +731,7 @@ def _store_shard_result(
     cell_fingerprint: str,
     fingerprint: str,
     result: EvaluationResult,
-    plan: EvaluationPlan,
+    plan: CellPlan,
 ) -> bool:
     """Persist one shard result; same degradation contract as cells."""
     start, stop = plan.sample_range()

@@ -1,22 +1,25 @@
-"""Declarative evaluation plans.
+"""Declarative cell plans.
 
-One sweep cell -- a (dataset, method, noise level) point of a figure or
-table -- is described by an :class:`EvaluationPlan`: a small, frozen,
-*picklable* value object holding a workload reference, the coder / noise /
-weight-scaling configuration, the spike backend selection and the derived
-RNG spec.  A plan contains no live objects (no networks, coders or
+One sweep cell -- a (dataset, method, axis position) point of a figure or
+table -- is described by a :class:`CellPlan`: a small, frozen, *picklable*
+value object holding a workload reference, the coder / weight-scaling
+configuration, the cell's position on its sweep axis and the derived RNG
+spec.  A plan contains no live objects (no networks, coders or
 generators), so it can cross process boundaries, be hashed into a stable
-fingerprint for the on-disk result store, and be evaluated by the pure
-function :func:`evaluate_plan` on any worker with bit-identical results.
+fingerprint for the on-disk result store, and be evaluated
+(:meth:`CellPlan.evaluate`) on any worker with bit-identical results.  Two
+families share that surface: :class:`EvaluationPlan` for random-noise
+cells (evaluated by the pure function :func:`evaluate_plan`) and
+:class:`~repro.execution.attack.AttackPlan` for worst-case attack cells.
 
-The RNG contract is the one the parallel sweep engine has relied on since
-PR 1: the noise stream of a cell derives from ``(seed, "noise", method
-label, level)`` alone (see :meth:`EvaluationPlan.noise_rng`), which makes
-the realisation independent of which executor, worker or ordering evaluates
-the cell.  Within a cell, each evaluation batch's stream further derives
-from the batch's *absolute* sample offset (stateless, not
+The RNG contract of a noise cell is the one the parallel sweep engine has
+relied on since PR 1: the noise stream derives from ``(seed, "noise",
+method label, level)`` alone (see :meth:`EvaluationPlan.noise_rng`), which
+makes the realisation independent of which executor, worker or ordering
+evaluates the cell.  Within a cell, each evaluation batch's stream further
+derives from the batch's *absolute* sample offset (stateless, not
 batch-sequential), which is what lets a cell split into sample shards
-(:meth:`EvaluationPlan.shards`) that evaluate anywhere and merge
+(:meth:`CellPlan.shards`) that evaluate anywhere and merge
 (:func:`merge_shard_results`) into a result bit-identical to the unsharded
 cell.
 """
@@ -27,11 +30,12 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.pipeline import EvaluationResult, NoiseRobustSNN
+from repro.noise.injector import NOISE_KINDS
 from repro.utils.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
@@ -81,109 +85,64 @@ class WorkloadRef:
         )
 
 
-@dataclass(frozen=True)
-class EvaluationPlan:
-    """Everything needed to evaluate one sweep cell, by value.
+_Plan = TypeVar("_Plan", bound="CellPlan")
 
-    Attributes
-    ----------
-    workload:
-        Reference to the trained network the cell evaluates on.
-    method:
-        Coding / weight-scaling configuration (one curve of a figure).
-    noise_kind / level:
-        Which noise axis the sweep walks and where this cell sits on it.
-    seed:
-        Sweep seed; the cell's noise stream derives from it (see
-        :meth:`noise_rng`).
-    num_steps:
-        Encoding window length ``T`` (already resolved from the scale and
-        coding, so workers need no scale logic).
-    eval_size:
-        Number of evaluation images (``None`` = the scale's default).
-    batch_size:
-        Transport-evaluation batch size.  Part of the plan identity: the
-        per-interface RNG streams advance per batch, so a different batch
-        size yields a different (equally valid) noise realisation.
-    spike_backend:
-        Spike-train backend selection threaded down from the CLI / sweep
-        config.
-    scaling_mode:
-        Weight-scaling mode ("inverse" or "proportional").
-    simulator:
-        Evaluation simulator of the cell: ``"transport"`` (fast
-        activation-transport, default) or ``"timestep"`` (faithful
-        time-stepped membrane simulation; any coding with a per-layer
-        temporal protocol -- rate, phase, TTFS, TTAS).  Part of the plan
-        identity -- the two simulators measure different quantities, so
-        their results never alias in the store.
-    sample_start / sample_stop:
-        Sample-shard bounds, ``[sample_start, sample_stop)`` over the cell's
-        evaluation slice; both ``None`` (the default) for a whole-cell plan.
-        A shard is the unit of intra-cell parallelism: :func:`evaluate_plan`
-        evaluates only the shard's samples, deriving every batch's noise
-        stream from the *absolute* sample offset, so the per-shard results
-        merge (:func:`merge_shard_results`) into a result bit-identical to
-        the unsharded cell.  ``sample_start`` must be a multiple of
-        ``batch_size`` and ``sample_stop`` batch-aligned or equal to the
-        cell's effective eval size -- misaligned bounds would change the
-        batch boundaries and hence the noise realisation.  Shard bounds are
-        deliberately *excluded* from the cell description
-        (:meth:`describe`); a shard fingerprints as a derivation of its
-        cell's fingerprint (:func:`shard_fingerprint`).
+
+class CellPlan:
+    """The surface every sweep-cell plan shares, by value.
+
+    A cell plan is a frozen, picklable dataclass naming one cell of a sweep
+    grid -- (workload, method, axis position) -- plus optional sample-shard
+    bounds.  The two families, :class:`EvaluationPlan` (random-noise cells)
+    and :class:`~repro.execution.attack.AttackPlan` (worst-case attack
+    cells), differ in their axis fields, RNG roots and evaluation, but share
+    identity, sharding and fingerprinting, which live here.  The engine
+    treats every cell plan alike: it calls :meth:`evaluate`, addresses the
+    result by :meth:`fingerprint` and splits pending cells with
+    :meth:`shards`.
+
+    Subclasses declare the dataclass fields ``workload``, ``method``,
+    ``eval_size``, ``sample_start`` and ``sample_stop``, a ``simulator``
+    (field or property), the fingerprint :attr:`schema`, and
+    :attr:`shard_unit` -- the only sharding difference between families.
     """
 
-    workload: WorkloadRef
-    method: MethodSpec
-    noise_kind: str
-    level: float
-    seed: int
-    num_steps: int
-    eval_size: Optional[int] = None
-    batch_size: int = 16
-    spike_backend: Optional[str] = None
-    scaling_mode: str = "inverse"
-    simulator: str = "transport"
-    sample_start: Optional[int] = None
-    sample_stop: Optional[int] = None
-    #: Finite-precision synapse ablation: quantise every weight tensor of
-    #: the evaluated network to this many bits (``None`` = full precision).
-    #: Deliberately the last field, so existing positional constructions
-    #: keep working; a ``None`` value is dropped from :meth:`describe`, so
-    #: full-precision plans keep their pre-existing fingerprints.
-    quant_bits: Optional[int] = None
+    #: Version prefix baked into every fingerprint of the family.
+    schema: ClassVar[int]
 
     def __post_init__(self) -> None:
-        if self.quant_bits is not None and int(self.quant_bits) < 1:
-            raise ValueError(
-                f"quant_bits must be >= 1 or None, got {self.quant_bits}"
-            )
         if (self.sample_start is None) != (self.sample_stop is None):
             raise ValueError(
                 "sample_start and sample_stop must be set together "
                 f"(got sample_start={self.sample_start!r}, "
                 f"sample_stop={self.sample_stop!r})"
             )
-        if self.sample_start is not None:
-            start, stop = int(self.sample_start), int(self.sample_stop)
-            total = self.effective_eval_size()
-            batch = int(self.batch_size)
-            if not 0 <= start < stop <= total:
-                raise ValueError(
-                    f"shard bounds [{start}, {stop}) must satisfy "
-                    f"0 <= start < stop <= {total} (the cell's eval size)"
-                )
-            if start % batch != 0 or (stop % batch != 0 and stop != total):
-                raise ValueError(
-                    f"shard bounds [{start}, {stop}) must align with "
-                    f"batch_size={batch} (stop may also equal the eval size "
-                    f"{total}): misaligned shards would change the batch "
-                    "boundaries and hence the noise realisation"
-                )
-            object.__setattr__(self, "sample_start", start)
-            object.__setattr__(self, "sample_stop", stop)
+        if self.sample_start is None:
+            return
+        start, stop = int(self.sample_start), int(self.sample_stop)
+        total = self.effective_eval_size()
+        unit = self.shard_unit
+        if not 0 <= start < stop <= total:
+            raise ValueError(
+                f"shard bounds [{start}, {stop}) must satisfy "
+                f"0 <= start < stop <= {total} (the cell's eval size)"
+            )
+        if start % unit != 0 or (stop % unit != 0 and stop != total):
+            raise ValueError(
+                f"shard bounds [{start}, {stop}) must align with the "
+                f"shard unit ({unit} samples; stop may also equal the eval "
+                f"size {total}): misaligned shards would change how the "
+                "cell's samples are grouped and hence its realisation"
+            )
+        object.__setattr__(self, "sample_start", start)
+        object.__setattr__(self, "sample_stop", stop)
 
     # -- identity ------------------------------------------------------------------
+    @property
+    def shard_unit(self) -> int:
+        """Shard alignment in samples: shard bounds are multiples of it."""
+        raise NotImplementedError
+
     @property
     def dataset(self) -> str:
         return self.workload.dataset
@@ -192,12 +151,13 @@ class EvaluationPlan:
     def method_label(self) -> str:
         return self.method.display_label()
 
+    def axis_label(self) -> str:
+        """The cell's position on its sweep axis, as logs render it."""
+        raise NotImplementedError
+
     def cell_id(self) -> str:
         """Human-readable cell identity used in logs and error messages."""
-        label = (
-            f"{self.dataset}/{self.method_label} "
-            f"{self.noise_kind}={self.level:g}"
-        )
+        label = f"{self.dataset}/{self.method_label} {self.axis_label()}"
         if self.is_shard:
             label += f" samples[{self.sample_start}:{self.sample_stop})"
         return label
@@ -214,21 +174,21 @@ class EvaluationPlan:
             return int(self.sample_start), int(self.sample_stop)
         return 0, self.effective_eval_size()
 
-    def cell_plan(self) -> "EvaluationPlan":
+    def cell_plan(self: _Plan) -> _Plan:
         """The whole-cell plan this shard belongs to (self when unsharded)."""
         if not self.is_shard:
             return self
         return replace(self, sample_start=None, sample_stop=None)
 
-    def shards(self, num_shards: int) -> List["EvaluationPlan"]:
+    def shards(self: _Plan, num_shards: int) -> List[_Plan]:
         """Split this cell into at most ``num_shards`` sample-shard plans.
 
-        Shards are contiguous, batch-aligned (whole batches, so per-batch
-        noise streams -- keyed by absolute sample offsets -- match the
-        unsharded run's exactly) and as even as possible.  Cells with fewer
-        batches than requested shards yield one shard per batch; asking for
-        one shard (or sharding a cell with a single batch) returns
-        ``[self]`` unchanged, so callers can shard unconditionally.
+        Shards are contiguous, cover whole :attr:`shard_unit` blocks (so
+        per-unit streams, keyed by absolute sample offsets, match the
+        unsharded run's exactly) and are as even as possible.  Cells with
+        fewer units than requested shards yield one shard per unit; asking
+        for one shard (or sharding a single-unit cell) returns ``[self]``
+        unchanged, so callers can shard unconditionally.
         """
         if self.is_shard:
             raise ValueError(f"cannot re-shard shard plan {self.cell_id()}")
@@ -236,30 +196,21 @@ class EvaluationPlan:
         if count < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         total = self.effective_eval_size()
-        batch = int(self.batch_size)
-        num_batches = math.ceil(total / batch) if total else 0
-        count = min(count, num_batches)
+        unit = self.shard_unit
+        num_units = math.ceil(total / unit) if total else 0
+        count = min(count, num_units)
         if count <= 1:
             return [self]
-        base, extra = divmod(num_batches, count)
-        plans: List[EvaluationPlan] = []
+        base, extra = divmod(num_units, count)
+        plans: List[_Plan] = []
         cursor = 0
         for index in range(count):
             take = base + (1 if index < extra else 0)
-            start = cursor * batch
+            start = cursor * unit
             cursor += take
-            stop = min(cursor * batch, total)
+            stop = min(cursor * unit, total)
             plans.append(replace(self, sample_start=start, sample_stop=stop))
         return plans
-
-    # -- RNG spec ------------------------------------------------------------------
-    def rng_tags(self) -> Tuple[str, str, float]:
-        """Tags of the derived noise stream (stable across processes)."""
-        return ("noise", self.method_label, float(self.level))
-
-    def noise_rng(self) -> np.random.Generator:
-        """Derive the cell's noise generator from the plan alone."""
-        return derive_rng(self.seed, *self.rng_tags())
 
     def effective_eval_size(self) -> int:
         """The number of evaluation images this plan actually uses.
@@ -271,9 +222,14 @@ class EvaluationPlan:
         requested = self.eval_size if self.eval_size is not None else self.workload.scale.eval_size
         return int(min(requested, self.workload.scale.test_size))
 
+    # -- evaluation ----------------------------------------------------------------
+    def evaluate(self, workload: PreparedWorkload) -> EvaluationResult:
+        """Evaluate this cell (or shard) against its resolved workload."""
+        raise NotImplementedError
+
     # -- fingerprinting ------------------------------------------------------------
     def describe(self) -> dict:
-        """Canonical JSON-serialisable description of the plan.
+        """Canonical JSON-serialisable description of the cell.
 
         Only result-affecting fields are included: the workload's cache
         knobs (``use_cache``, ``cache_dir``) change where trained weights
@@ -282,37 +238,34 @@ class EvaluationPlan:
         cache) identically.  Shard bounds are excluded: the description is
         the *cell's* canonical form, shared by every shard of the cell, and
         shard identity enters only through :func:`shard_fingerprint`.
+        Families extend it with their own normalisations.
         """
         payload = asdict(self)
         del payload["sample_start"], payload["sample_stop"]
-        # Engine keys of schema 3, now constants (one analog path, one
-        # simulator engine) at the values default cells were stored under,
-        # so those results stay addressable without a schema bump.
+        # Engine keys of earlier schemas, now constants (one spike
+        # representation per coder, one analog path, one simulator engine)
+        # at the values default cells were stored under, so those results
+        # stay addressable without a schema bump.
+        payload["spike_backend"] = None
         payload["analog_backend"] = None
         payload["sim_backend"] = "fused" if self.simulator == "timestep" else None
-        if payload["quant_bits"] is None:
-            # Full-precision plans keep the exact pre-quantization payload,
-            # so every result stored before the field existed stays valid.
-            del payload["quant_bits"]
         payload["workload"] = {
             "dataset": self.workload.dataset,
             "scale": asdict(self.workload.scale),
             "seed": self.workload.seed,
         }
-        payload["level"] = float(self.level)
         payload["eval_size"] = self.effective_eval_size()
-        payload["schema"] = FINGERPRINT_SCHEMA
+        payload["schema"] = self.schema
         return payload
 
     def cell_fingerprint(self, network_hash: str) -> str:
         """Content address of the whole cell's result.
 
-        The fingerprint covers the canonical plan description (workload
-        reference, scale, seed, method, noise cell, backends, batch/eval
-        sizes) *plus* the hash of the trained network actually evaluated, so
-        a retrained or differently converted network never aliases a stored
-        result.  Identical for every shard of a cell (shard bounds are not
-        part of the description).
+        The fingerprint covers the canonical plan description *plus* the
+        hash of the trained network actually evaluated, so a retrained or
+        differently converted network never aliases a stored result.
+        Identical for every shard of a cell (shard bounds are not part of
+        the description).
         """
         blob = json.dumps(
             {"plan": self.describe(), "network": network_hash},
@@ -334,6 +287,118 @@ class EvaluationPlan:
             return cell
         start, stop = self.sample_range()
         return shard_fingerprint(cell, start, stop, self.effective_eval_size())
+
+
+@dataclass(frozen=True)
+class EvaluationPlan(CellPlan):
+    """Everything needed to evaluate one random-noise sweep cell, by value.
+
+    Attributes
+    ----------
+    workload:
+        Reference to the trained network the cell evaluates on.
+    method:
+        Coding / weight-scaling configuration (one curve of a figure).
+    noise_kind / level:
+        Which noise axis (one of :data:`~repro.noise.injector.NOISE_KINDS`)
+        the sweep walks and where this cell sits on it.
+    seed:
+        Sweep seed; the cell's noise stream derives from it (see
+        :meth:`noise_rng`).
+    num_steps:
+        Encoding window length ``T`` (already resolved from the scale and
+        coding, so workers need no scale logic).
+    eval_size:
+        Number of evaluation images (``None`` = the scale's default).
+    batch_size:
+        Transport-evaluation batch size (>= 1).  Part of the plan identity:
+        the per-interface RNG streams advance per batch, so a different
+        batch size yields a different (equally valid) noise realisation.
+        It is also the shard unit.
+    scaling_mode:
+        Weight-scaling mode ("inverse" or "proportional").
+    simulator:
+        Evaluation simulator of the cell: ``"transport"`` (fast
+        activation-transport, default) or ``"timestep"`` (faithful
+        time-stepped membrane simulation; any coding with a per-layer
+        temporal protocol -- rate, phase, TTFS, TTAS).  Part of the plan
+        identity -- the two simulators measure different quantities, so
+        their results never alias in the store.
+    sample_start / sample_stop:
+        Sample-shard bounds, ``[sample_start, sample_stop)`` over the cell's
+        evaluation slice; both ``None`` (the default) for a whole-cell plan.
+        A shard is the unit of intra-cell parallelism: :func:`evaluate_plan`
+        evaluates only the shard's samples, deriving every batch's noise
+        stream from the *absolute* sample offset, so the per-shard results
+        merge (:func:`merge_shard_results`) into a result bit-identical to
+        the unsharded cell.  ``sample_start`` must be a multiple of
+        ``batch_size`` and ``sample_stop`` batch-aligned or equal to the
+        cell's effective eval size -- misaligned bounds would change the
+        batch boundaries and hence the noise realisation.
+    """
+
+    schema: ClassVar[int] = FINGERPRINT_SCHEMA
+
+    workload: WorkloadRef
+    method: MethodSpec
+    noise_kind: str
+    level: float
+    seed: int
+    num_steps: int
+    eval_size: Optional[int] = None
+    batch_size: int = 16
+    scaling_mode: str = "inverse"
+    simulator: str = "transport"
+    sample_start: Optional[int] = None
+    sample_stop: Optional[int] = None
+    #: Finite-precision synapse ablation: quantise every weight tensor of
+    #: the evaluated network to this many bits (``None`` = full precision).
+    #: A ``None`` value is dropped from :meth:`describe`, so full-precision
+    #: plans keep their pre-existing fingerprints.
+    quant_bits: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.noise_kind not in NOISE_KINDS:
+            raise ValueError(
+                f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
+            )
+        if int(self.batch_size) < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.quant_bits is not None and int(self.quant_bits) < 1:
+            raise ValueError(
+                f"quant_bits must be >= 1 or None, got {self.quant_bits}"
+            )
+        super().__post_init__()
+
+    @property
+    def shard_unit(self) -> int:
+        """Noise shards cover whole batches (see :meth:`shards`)."""
+        return int(self.batch_size)
+
+    def axis_label(self) -> str:
+        return f"{self.noise_kind}={self.level:g}"
+
+    # -- RNG spec ------------------------------------------------------------------
+    def rng_tags(self) -> Tuple[str, str, float]:
+        """Tags of the derived noise stream (stable across processes)."""
+        return ("noise", self.method_label, float(self.level))
+
+    def noise_rng(self) -> np.random.Generator:
+        """Derive the cell's noise generator from the plan alone."""
+        return derive_rng(self.seed, *self.rng_tags())
+
+    # -- evaluation / fingerprinting -----------------------------------------------
+    def evaluate(self, workload: PreparedWorkload) -> EvaluationResult:
+        return evaluate_plan(self, workload)
+
+    def describe(self) -> dict:
+        payload = super().describe()
+        if payload["quant_bits"] is None:
+            # Full-precision plans keep the exact pre-quantization payload,
+            # so every result stored before the field existed stays valid.
+            del payload["quant_bits"]
+        payload["level"] = float(self.level)
+        return payload
 
 
 def shard_fingerprint(
@@ -435,7 +500,6 @@ def network_fingerprint(workload: PreparedWorkload) -> str:
 def build_sweep_plans(
     config: SweepConfig,
     eval_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
 ) -> List[EvaluationPlan]:
@@ -445,7 +509,6 @@ def build_sweep_plans(
     :mod:`repro.experiments.runner`.
     """
     ref = WorkloadRef.from_sweep_config(config, use_cache=use_cache, cache_dir=cache_dir)
-    resolved_batch = config.batch_size if batch_size is None else int(batch_size)
     return [
         EvaluationPlan(
             workload=ref,
@@ -455,8 +518,7 @@ def build_sweep_plans(
             seed=config.seed,
             num_steps=config.scale.time_steps_for(method.coding),
             eval_size=eval_size,
-            batch_size=resolved_batch,
-            spike_backend=config.spike_backend,
+            batch_size=config.batch_size,
             simulator=config.simulator,
         )
         for method in config.methods
@@ -472,8 +534,8 @@ def evaluate_plan(plan: EvaluationPlan, workload: PreparedWorkload) -> Evaluatio
     evaluation slice (cut down to the plan's sample range when the plan is a
     shard), and the noise streams derive from the plan's RNG spec plus the
     absolute sample offsets -- so the shards of a cell merge into exactly
-    the unsharded result.  This is the function every executor backend
-    ultimately runs.
+    the unsharded result.  This is what :meth:`EvaluationPlan.evaluate`
+    runs on every executor backend.
     """
     pipeline = NoiseRobustSNN.from_plan(plan, workload.network)
     x, y = workload.evaluation_slice(plan.eval_size)
@@ -482,8 +544,7 @@ def evaluate_plan(plan: EvaluationPlan, workload: PreparedWorkload) -> Evaluatio
         x, y = x[start:stop], y[start:stop]
     level = float(plan.level)
     noise_levels = {
-        kind: level if plan.noise_kind == kind else 0.0
-        for kind in ("deletion", "jitter", "dead", "stuck", "burst_error")
+        kind: level if plan.noise_kind == kind else 0.0 for kind in NOISE_KINDS
     }
     return pipeline.evaluate(
         x, y,

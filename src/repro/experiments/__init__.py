@@ -33,8 +33,6 @@ from repro.experiments.config import (
 from repro.experiments.workloads import PreparedWorkload, prepare_workload
 from repro.experiments.runner import (
     SweepResult,
-    run_attack_sweep,
-    run_attack_sweeps,
     run_noise_sweep,
     run_sweeps,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "SweepResult",
     "run_noise_sweep",
     "run_sweeps",
-    "run_attack_sweep",
-    "run_attack_sweeps",
     "figure2_deletion",
     "figure3_jitter",
     "figure4_weight_scaling_ttas",

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import SIMULATORS
 from repro.noise.adversarial import ATTACK_KINDS, ATTACK_SEARCHES
-from repro.snn.spikes import SPIKE_BACKENDS
+from repro.noise.injector import NOISE_KINDS
 from repro.utils.config import ConfigError, validate_choice
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -214,9 +214,6 @@ class SweepConfig:
         Experiment scale (paper or bench).
     seed:
         Seed controlling training, conversion calibration and noise draws.
-    spike_backend:
-        Spike-train representation forced at every interface ("dense" or
-        "events"; ``None`` = the coder/env preference).
     batch_size:
         Transport-evaluation batch size of every cell.  Part of the sweep
         identity: each batch derives its noise stream from its absolute
@@ -242,7 +239,6 @@ class SweepConfig:
     levels: Tuple[float, ...]
     scale: ExperimentScale = BENCH_SCALE
     seed: int = 0
-    spike_backend: Optional[str] = None
     batch_size: int = 16
     simulator: str = "transport"
 
@@ -252,8 +248,6 @@ class SweepConfig:
             raise ConfigError("a sweep needs at least one method")
         if not self.levels:
             raise ConfigError("a sweep needs at least one noise level")
-        if self.spike_backend is not None:
-            validate_choice("spike_backend", self.spike_backend, SPIKE_BACKENDS)
         check_positive("batch_size", self.batch_size)
         validate_choice("simulator", self.simulator, SIMULATORS)
         if self.simulator == "timestep":
@@ -273,6 +267,12 @@ class SweepConfig:
                     "drop those method(s) (e.g. restrict the sweep with "
                     "--methods) or use simulator='transport'"
                 )
+
+    def build_plans(self, eval_size: Optional[int] = None, use_cache: bool = True) -> list:
+        """Compile the sweep into its (method x level) noise-cell plans."""
+        from repro.execution.plan import build_sweep_plans
+
+        return build_sweep_plans(self, eval_size=eval_size, use_cache=use_cache)
 
 
 def filter_methods(
@@ -326,10 +326,7 @@ TABLE1_DELETION_LEVELS: Tuple[float, ...] = (0.0, 0.2, 0.5, 0.8)
 TABLE2_JITTER_LEVELS: Tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
 
 #: Hardware-fault noise axes (extension; see :mod:`repro.noise.faults`).
-FAULT_NOISE_KINDS: Tuple[str, ...] = ("dead", "stuck", "burst_error")
-
-#: Every valid ``SweepConfig.noise_kind``.
-NOISE_KINDS: Tuple[str, ...] = ("deletion", "jitter") + FAULT_NOISE_KINDS
+FAULT_NOISE_KINDS: Tuple[str, ...] = NOISE_KINDS[2:]
 
 #: Fault fractions swept by the hardware-fault robustness curves.
 FAULT_LEVELS: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4)
@@ -356,11 +353,12 @@ class AttackSweepConfig:
     The adversarial counterpart of :class:`SweepConfig`: instead of an
     i.i.d. noise axis it walks a *perturbation budget* axis, and every cell
     runs a per-sample attack search (:mod:`repro.noise.adversarial`) instead
-    of a random noise draw.  Duck-types the surface the sweep runner,
+    of a random noise draw.  It exposes the surface the sweep runner,
     reporting and result assembly consume (``dataset`` / ``methods`` /
-    ``noise_kind`` / ``levels`` / ``scale`` / ``seed``), so adversarial
-    sweeps flow through the same executor engine, result store and figure
-    formatting as every other sweep.
+    ``noise_kind`` / ``levels`` / ``scale`` / ``seed`` / ``build_plans``),
+    so one :func:`~repro.experiments.runner.run_sweeps` call runs attack and
+    noise sweeps alike, through the same executor engine, result store and
+    figure formatting.
 
     Attributes
     ----------
@@ -391,9 +389,6 @@ class AttackSweepConfig:
         simulation, measuring the transport->faithful attack gap.  The
         search itself always runs on transport (scoring hundreds of
         candidates per sample is only tractable there).
-    spike_backend:
-        Spike-backend override for the deeper (non-attacked) interfaces;
-        the attacked input train itself is always event-backed.
     """
 
     dataset: str
@@ -407,7 +402,6 @@ class AttackSweepConfig:
     beam_width: int = 4
     max_candidates: int = DEFAULT_MAX_CANDIDATES
     evaluator: str = "transport"
-    spike_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         validate_choice("attack_kind", self.attack_kind, ATTACK_KINDS)
@@ -426,8 +420,6 @@ class AttackSweepConfig:
         check_positive("shift_delta", self.shift_delta)
         check_positive("beam_width", self.beam_width)
         check_positive("max_candidates", self.max_candidates)
-        if self.spike_backend is not None:
-            validate_choice("spike_backend", self.spike_backend, SPIKE_BACKENDS)
         # Per-capability validation, mirroring SweepConfig's timestep check:
         # each coding declares whether the attack engine can search it, and
         # transfer evaluation additionally needs the faithful simulator.
@@ -449,6 +441,12 @@ class AttackSweepConfig:
                 "method(s) (e.g. restrict the sweep with --methods) or use "
                 "evaluator='transport'"
             )
+
+    def build_plans(self, eval_size: Optional[int] = None, use_cache: bool = True) -> list:
+        """Compile the sweep into its (method x budget) attack-cell plans."""
+        from repro.execution.attack import build_attack_plans
+
+        return build_attack_plans(self, eval_size=eval_size, use_cache=use_cache)
 
     @property
     def noise_kind(self) -> str:

@@ -49,8 +49,8 @@ from repro.experiments.config import (
 from repro.experiments.runner import (
     MethodCurve,
     SweepResult,
-    run_attack_sweeps,
     run_noise_sweep,
+    run_sweeps,
 )
 from repro.experiments.workloads import PreparedWorkload
 from repro.noise.deletion import DeletionNoise
@@ -74,7 +74,6 @@ def _sweep(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -91,12 +90,12 @@ def _sweep(
         levels=tuple(levels),
         scale=scale,
         seed=seed,
-        spike_backend=spike_backend,
         simulator=simulator if simulator is not None else "transport",
+        **({} if batch_size is None else {"batch_size": batch_size}),
     )
     return run_noise_sweep(
         config, workload=workload, eval_size=eval_size, max_workers=max_workers,
-        executor=executor, store=store, batch_size=batch_size, shards=shards,
+        executor=executor, store=store, shards=shards,
     )
 
 
@@ -110,7 +109,6 @@ def figure2_deletion(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -120,7 +118,6 @@ def figure2_deletion(
     methods = [MethodSpec(coding=c) for c in BASELINE_CODINGS]
     return _sweep(dataset, methods, "deletion", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -135,7 +132,6 @@ def figure3_jitter(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -145,7 +141,6 @@ def figure3_jitter(
     methods = [MethodSpec(coding=c) for c in BASELINE_CODINGS]
     return _sweep(dataset, methods, "jitter", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -160,7 +155,6 @@ def figure4_weight_scaling_ttas(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -175,7 +169,6 @@ def figure4_weight_scaling_ttas(
     )
     return _sweep(dataset, methods, "deletion", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -222,7 +215,6 @@ def figure6_ttas_jitter(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -236,7 +228,6 @@ def figure6_ttas_jitter(
     )
     return _sweep(dataset, methods, "jitter", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -251,7 +242,6 @@ def figure7_deletion_comparison(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -266,7 +256,6 @@ def figure7_deletion_comparison(
     )
     return _sweep(dataset, methods, "deletion", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -282,7 +271,6 @@ def figure_fault_robustness(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -310,7 +298,6 @@ def figure_fault_robustness(
     )
     return _sweep(dataset, methods, fault_kind, levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)
 
@@ -326,8 +313,6 @@ def figure_adversarial(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
-    batch_size: Optional[int] = None,  # accepted for CLI parity; attacks run per sample
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
     shards: Optional[int] = None,
@@ -352,7 +337,6 @@ def figure_adversarial(
     parallelism, result-store resume and per-sample sharding all apply.
     """
     evaluator = simulator if simulator is not None else "transport"
-    del batch_size  # attack cells evaluate sample-by-sample
     methods = [MethodSpec(coding=c) for c in BASELINE_CODINGS]
     methods.append(MethodSpec(coding="ttas", target_duration=ttas_duration))
     methods = filter_methods(methods, method_filter)
@@ -385,12 +369,11 @@ def figure_adversarial(
         beam_width=beam_width,
         max_candidates=max_candidates,
         evaluator=evaluator,
-        spike_backend=spike_backend,
     )
     adversarial_config = AttackSweepConfig(search=search, **common)
     random_config = AttackSweepConfig(search="random", **common)
     workloads = None if workload is None else {dataset: workload}
-    adversarial, random_baseline = run_attack_sweeps(
+    adversarial, random_baseline = run_sweeps(
         [adversarial_config, random_config],
         workloads=workloads,
         eval_size=eval_size,
@@ -429,7 +412,6 @@ def figure8_jitter_comparison(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -441,6 +423,5 @@ def figure8_jitter_comparison(
     methods.append(MethodSpec(coding="ttas", target_duration=ttas_duration))
     return _sweep(dataset, methods, "jitter", levels, scale, seed, workload, eval_size,
                   max_workers, executor=executor, store=store,
-                  spike_backend=spike_backend,
                   batch_size=batch_size, simulator=simulator,
                   method_filter=method_filter, shards=shards)

@@ -1,12 +1,13 @@
-"""Generic (method x noise level) sweep runner on the plan-execution engine.
+"""Generic (method x level) sweep runner on the plan-execution engine.
 
 Every figure and table of the paper is a sweep of one or more *methods*
 (coding scheme, with or without weight scaling, with a burst duration for
-TTAS) across a range of noise levels on a fixed trained network.  This
-module compiles such sweeps into declarative
-:class:`~repro.execution.plan.EvaluationPlan` cells, runs them through the
-pluggable executor engine (:mod:`repro.execution`) and reassembles the
-structured results the figure/table modules and reporting code consume.
+TTAS) across a range of noise levels on a fixed trained network; the
+worst-case sweeps walk attack budgets instead.  This module compiles such
+sweeps into declarative :class:`~repro.execution.plan.CellPlan` cells
+(noise or attack), runs them through the pluggable executor engine
+(:mod:`repro.execution`) and reassembles the structured results the
+figure/table modules and reporting code consume.
 
 The (method, level) cells of a sweep are statistically independent -- each
 draws its noise from an RNG stream derived solely from ``(seed, method
@@ -31,21 +32,14 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.execution.attack import build_attack_plans
 from repro.execution.engine import (
     CellFailure,
     ExecutionStats,
     evaluate_plans,
     register_workload,
 )
-from repro.execution.executors import (
-    SWEEP_EXECUTOR_ENV,  # noqa: F401 - re-exported for callers/tests
-    SWEEP_WORKERS_ENV,  # noqa: F401 - historical home of this constant
-    Executor,
-    resolve_executor,
-    resolve_worker_count,
-)
-from repro.execution.plan import WorkloadRef, build_sweep_plans
+from repro.execution.executors import Executor, resolve_executor
+from repro.execution.plan import WorkloadRef
 from repro.execution.store import ResultStore, resolve_store
 from repro.experiments.config import AttackSweepConfig, MethodSpec, SweepConfig
 from repro.experiments.workloads import PreparedWorkload, prepare_workload
@@ -54,12 +48,8 @@ from repro.utils.validation import level_index
 
 logger = get_logger("experiments.runner")
 
-
-def resolve_max_workers(max_workers: Optional[int] = None) -> int:
-    """Resolve the sweep worker count (see
-    :func:`repro.execution.executors.resolve_worker_count`); kept under its
-    historical name for callers of the PR-1 thread-pool API."""
-    return resolve_worker_count(max_workers)
+#: A sweep of either cell family: random noise levels or attack budgets.
+AnySweepConfig = Union[SweepConfig, AttackSweepConfig]
 
 
 @dataclass
@@ -114,7 +104,7 @@ class MethodCurve:
 class SweepResult:
     """All curves of one figure/table sweep plus provenance metadata."""
 
-    config: SweepConfig
+    config: AnySweepConfig
     curves: List[MethodCurve]
     dnn_accuracy: float
     dataset_name: str
@@ -135,7 +125,7 @@ class SweepResult:
 
 
 def _assemble_sweep(
-    config: SweepConfig,
+    config: AnySweepConfig,
     workload: PreparedWorkload,
     results: Sequence,
     stats: Optional[ExecutionStats],
@@ -203,7 +193,7 @@ def _workers_cannot_see(backend: Executor) -> bool:
     )
 
 
-def _check_workload_matches(workload: PreparedWorkload, config: SweepConfig) -> None:
+def _check_workload_matches(workload: PreparedWorkload, config: AnySweepConfig) -> None:
     """Refuse a provided workload that cannot evaluate this config.
 
     The provided-workloads mapping is keyed by dataset name for caller
@@ -243,10 +233,9 @@ def _check_workload_matches(workload: PreparedWorkload, config: SweepConfig) -> 
 
 
 def run_sweeps(
-    configs: Sequence[SweepConfig],
+    configs: Sequence[AnySweepConfig],
     workloads: Optional[Dict[str, PreparedWorkload]] = None,
     eval_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     use_cache: bool = True,
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
@@ -259,25 +248,28 @@ def run_sweeps(
     processes: the cells of every config are compiled into one plan list and
     dispatched together, so a process pool interleaves (dataset, method,
     level) cells freely instead of finishing one dataset before starting the
-    next.  Results are reassembled per config, in the order given.
+    next.  Each config compiles its own cells (``config.build_plans``), so
+    one batch may mix noise sweeps (:class:`SweepConfig`) and attack sweeps
+    (:class:`AttackSweepConfig`, whose budgets appear as the level axis) --
+    e.g. a greedy attack sweep with its matched random baseline.  Results
+    are reassembled per config, in the order given.
 
     Parameters
     ----------
     configs:
         The sweep descriptions; one :class:`SweepResult` is returned per
-        entry, in order.
+        entry, in order.  Batch sizes come from the configs.
     workloads:
         Already prepared workloads keyed by dataset name (shared across
         figures in the benchmark harness); prepared on demand otherwise.
     eval_size:
         Override the number of evaluation images (all configs).
-    batch_size:
-        Override the configs' transport-evaluation batch size.
     use_cache:
         Forwarded to :func:`prepare_workload` for workloads built here.
     max_workers:
         Worker count for the pooled executor backends; see
-        :func:`resolve_max_workers` for the ``None``/0 conventions.
+        :func:`~repro.execution.executors.resolve_worker_count` for the
+        ``None``/0 conventions.
     executor:
         Executor backend: an instance, a name ("serial"/"thread"/"process"),
         or ``None`` to honour ``REPRO_SWEEP_EXECUTOR`` and fall back to the
@@ -294,13 +286,6 @@ def run_sweeps(
         scheduling choice: merged results are bit-identical to the
         unsharded run.
     """
-    # Fold a batch-size override into the configs themselves so the
-    # provenance attached to every SweepResult (result.config) describes the
-    # cells as they were actually evaluated.
-    configs = [
-        config if batch_size is None else replace(config, batch_size=int(batch_size))
-        for config in configs
-    ]
     backend = resolve_executor(executor, max_workers)
     # A backend resolved *here* (from a name / env / worker count) cannot be
     # reused by the caller, so its warm pool must be released before
@@ -347,9 +332,7 @@ def run_sweeps(
             register_workload(ref, workload)
         config_plans = [
             replace(plan, workload=ref)
-            for plan in build_sweep_plans(
-                config, eval_size=eval_size, use_cache=use_cache
-            )
+            for plan in config.build_plans(eval_size=eval_size, use_cache=use_cache)
         ]
         spans.append(len(config_plans))
         plans.extend(config_plans)
@@ -383,36 +366,36 @@ def run_sweeps(
 
 
 def run_noise_sweep(
-    config: SweepConfig,
+    config: AnySweepConfig,
     workload: Optional[PreparedWorkload] = None,
     eval_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     use_cache: bool = True,
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     shards: Optional[int] = None,
 ) -> SweepResult:
-    """Run a full (method x noise level) sweep.
+    """Run one full sweep: (method x noise level), or (method x budget) for
+    an :class:`AttackSweepConfig`.
+
+    The name is historical: the function predates attack sweeps and now
+    runs either family through :func:`run_sweeps`.
 
     Parameters
     ----------
     config:
-        The sweep description (dataset, methods, noise kind, levels, scale,
-        backend selections, batch size).
+        The sweep description (dataset, methods, axis and levels, scale,
+        simulator, batch size).
     workload:
         Reuse an already prepared workload (shared across figures in the
         benchmark harness); prepared on demand otherwise.
     eval_size:
         Override the number of evaluation images.
-    batch_size:
-        Override the config's transport-evaluation batch size.
     use_cache:
         Forwarded to :func:`prepare_workload` when the workload is built here.
     max_workers:
-        Worker count for the pooled executor backends; see
-        :func:`resolve_max_workers` for the ``None``/0 conventions.  The
-        result is bit-identical to the serial run regardless of the value.
+        Worker count for the pooled executor backends; the result is
+        bit-identical to the serial run regardless of the value.
     executor:
         Executor backend selection ("serial"/"thread"/"process", an
         :class:`~repro.execution.executors.Executor`, or ``None`` for the
@@ -425,120 +408,6 @@ def run_noise_sweep(
     """
     workloads = None if workload is None else {config.dataset: workload}
     return run_sweeps(
-        [config],
-        workloads=workloads,
-        eval_size=eval_size,
-        batch_size=batch_size,
-        use_cache=use_cache,
-        max_workers=max_workers,
-        executor=executor,
-        store=store,
-        shards=shards,
-    )[0]
-
-
-def run_attack_sweeps(
-    configs: Sequence[AttackSweepConfig],
-    workloads: Optional[Dict[str, PreparedWorkload]] = None,
-    eval_size: Optional[int] = None,
-    use_cache: bool = True,
-    max_workers: Optional[int] = None,
-    executor: Union[str, Executor, None] = None,
-    store: Union[ResultStore, str, None, bool] = None,
-    shards: Optional[int] = None,
-) -> List[SweepResult]:
-    """Run several adversarial attack sweeps as one flat batch of cells.
-
-    The attack analogue of :func:`run_sweeps`: every config's (method x
-    budget) cells compile into :class:`~repro.execution.attack.AttackPlan`
-    values and dispatch through the *same* engine call, so attack sweeps get
-    executor choice, result-store resume, retries/timeouts, fault tolerance
-    and per-sample sharding identically to the noise sweeps -- and a single
-    batch can interleave, say, the greedy sweep with its matched random
-    baseline across all workers.  The returned :class:`SweepResult` objects
-    carry the attack configs in their ``config`` slot (budgets appear as the
-    level axis), so the existing reporting/plotting code renders them
-    unchanged.
-    """
-    backend = resolve_executor(executor, max_workers)
-    owns_backend = not isinstance(executor, Executor)
-    result_store = resolve_store(store)
-    prepared: Dict[WorkloadRef, PreparedWorkload] = {}
-    plans = []
-    spans: List[int] = []
-    refs: List[WorkloadRef] = []
-    for config in configs:
-        ref = WorkloadRef.from_sweep_config(config, use_cache=use_cache)
-        provided = (workloads or {}).get(config.dataset)
-        if provided is not None:
-            _check_workload_matches(provided, config)
-            if provided.seed is None and _workers_cannot_see(backend):
-                raise ValueError(
-                    "a hand-built workload (seed=None) cannot be used with "
-                    "the process executor under a non-fork start method: "
-                    "spawned workers would rebuild a different network from "
-                    "the workload reference; prepare the workload with "
-                    "prepare_workload (which records its seed) or use the "
-                    "serial/thread executor"
-                )
-            if provided.seed is not None and provided.seed != config.seed:
-                ref = replace(ref, seed=provided.seed)
-        refs.append(ref)
-        if ref not in prepared:
-            workload = provided or prepare_workload(
-                config.dataset, scale=config.scale, seed=config.seed,
-                use_cache=use_cache, store=result_store,
-            )
-            prepared[ref] = workload
-            register_workload(ref, workload)
-        config_plans = [
-            replace(plan, workload=ref)
-            for plan in build_attack_plans(
-                config, eval_size=eval_size, use_cache=use_cache
-            )
-        ]
-        spans.append(len(config_plans))
-        plans.extend(config_plans)
-
-    try:
-        evaluation = evaluate_plans(
-            plans, executor=backend, max_workers=max_workers,
-            store=result_store if result_store is not None else False,
-            workloads=prepared,
-            shards=shards,
-        )
-    finally:
-        if owns_backend:
-            backend.close()
-
-    sweeps: List[SweepResult] = []
-    offset = 0
-    for config, ref, span in zip(configs, refs, spans):
-        sweeps.append(
-            _assemble_sweep(
-                config,
-                prepared[ref],
-                evaluation.results[offset:offset + span],
-                evaluation.stats,
-            )
-        )
-        offset += span
-    return sweeps
-
-
-def run_attack_sweep(
-    config: AttackSweepConfig,
-    workload: Optional[PreparedWorkload] = None,
-    eval_size: Optional[int] = None,
-    use_cache: bool = True,
-    max_workers: Optional[int] = None,
-    executor: Union[str, Executor, None] = None,
-    store: Union[ResultStore, str, None, bool] = None,
-    shards: Optional[int] = None,
-) -> SweepResult:
-    """Run one full (method x attack budget) worst-case sweep."""
-    workloads = None if workload is None else {config.dataset: workload}
-    return run_attack_sweeps(
         [config],
         workloads=workloads,
         eval_size=eval_size,

@@ -41,7 +41,6 @@ from repro.experiments.config import (
 from repro.experiments.runner import (
     MethodCurve,
     SweepResult,
-    run_attack_sweeps,
     run_sweeps,
 )
 from repro.experiments.workloads import PreparedWorkload
@@ -138,7 +137,6 @@ def _run_table(
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -152,8 +150,8 @@ def _run_table(
             levels=tuple(levels),
             scale=scale,
             seed=seed,
-            spike_backend=spike_backend,
             simulator=simulator if simulator is not None else "transport",
+            **({} if batch_size is None else {"batch_size": batch_size}),
         )
         for dataset in datasets
     ]
@@ -161,7 +159,6 @@ def _run_table(
         configs,
         workloads=workloads,
         eval_size=eval_size,
-        batch_size=batch_size,
         max_workers=max_workers,
         executor=executor,
         store=store,
@@ -187,7 +184,6 @@ def table1_deletion(
     ttas_duration: int = 5,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -205,7 +201,6 @@ def table1_deletion(
         datasets, methods, "deletion", levels, scale, seed, workloads, eval_size,
         include_spikes=True, name="Table I (spike deletion)",
         max_workers=max_workers, executor=executor, store=store,
-        spike_backend=spike_backend,
         batch_size=batch_size, simulator=simulator, method_filter=method_filter,
         shards=shards,
     )
@@ -222,7 +217,6 @@ def table2_jitter(
     ttas_duration: int = 10,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -239,7 +233,6 @@ def table2_jitter(
         datasets, methods, "jitter", levels, scale, seed, workloads, eval_size,
         include_spikes=False, name="Table II (spike jitter)",
         max_workers=max_workers, executor=executor, store=store,
-        spike_backend=spike_backend,
         batch_size=batch_size, simulator=simulator, method_filter=method_filter,
         shards=shards,
     )
@@ -265,7 +258,6 @@ def table3_faults(
     ttas_duration: int = 5,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
     batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
@@ -296,7 +288,6 @@ def table3_faults(
         datasets, methods, fault_kind, levels, scale, seed, workloads, eval_size,
         include_spikes=True, name=_FAULT_TABLE_NAMES[fault_kind],
         max_workers=max_workers, executor=executor, store=store,
-        spike_backend=spike_backend,
         batch_size=batch_size, simulator=simulator, method_filter=method_filter,
         shards=shards,
     )
@@ -314,8 +305,6 @@ def table_adversarial(
     ttas_duration: int = 5,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
-    spike_backend: Optional[str] = None,
-    batch_size: Optional[int] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
     shards: Optional[int] = None,
@@ -334,7 +323,6 @@ def table_adversarial(
     a temporal protocol are dropped by the config's validation there).
     The cells of all datasets and both searches dispatch as one flat batch.
     """
-    del batch_size  # attack cells evaluate sample-by-sample
     from repro.coding.registry import timestep_support
 
     evaluator = simulator if simulator is not None else "transport"
@@ -365,12 +353,11 @@ def table_adversarial(
             beam_width=beam_width,
             max_candidates=max_candidates,
             evaluator=evaluator,
-            spike_backend=spike_backend,
         )
         for dataset in datasets
         for search_name in (search, "random")
     ]
-    sweeps = run_attack_sweeps(
+    sweeps = run_sweeps(
         configs,
         workloads=workloads,
         eval_size=eval_size,

@@ -11,6 +11,12 @@ from repro.noise.jitter import JitterNoise
 from repro.snn.spikes import SpikeTrain
 from repro.utils.rng import RngLike, derive_rng
 
+#: Every noise axis a sweep can walk: the paper's i.i.d. transmission noise
+#: (deletion, jitter) and the hardware-fault models (dead, stuck-at-fire,
+#: burst errors), each a keyword of :meth:`NoiseRobustSNN.evaluate
+#: <repro.core.pipeline.NoiseRobustSNN.evaluate>`.
+NOISE_KINDS = ("deletion", "jitter", "dead", "stuck", "burst_error")
+
 #: The fixed application order of :meth:`NoiseInjector.from_levels`, by model
 #: name.  Part of the public determinism contract: transmission noise -- the
 #: i.i.d. models (deletion, jitter) then the correlated burst errors -- acts

@@ -22,9 +22,7 @@ from repro.snn.spikes import (
     SpikeEvents,
     SpikeTrain,
     SpikeTrainArray,
-    get_spike_backend,
     resolve_spike_backend,
-    set_spike_backend,
 )
 from repro.snn.kernels import (
     BurstKernel,
@@ -61,8 +59,6 @@ __all__ = [
     "EVENTS_BACKEND",
     "SPIKE_BACKENDS",
     "resolve_spike_backend",
-    "set_spike_backend",
-    "get_spike_backend",
     "PSCKernel",
     "ConstantKernel",
     "ExponentialKernel",

@@ -25,14 +25,14 @@ Trains are immutable by convention: transforms return new containers and never
 modify their input, which lets zero-noise fast paths share buffers through
 :meth:`view` instead of copying.
 
-Backend selection is resolved by :func:`resolve_spike_backend` in this order:
-explicit request > :func:`set_spike_backend` process override >
-``REPRO_SPIKE_BACKEND`` environment variable > the coder's preference.
+Each coder picks its representation (``preferred_backend``: dense for the
+window-filling codes, events for TTFS/TTAS); :func:`resolve_spike_backend`
+validates a per-call request, which only internal callers and parity tests
+make.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -49,12 +49,6 @@ SPIKE_BACKENDS = (DENSE_BACKEND, EVENTS_BACKEND)
 
 #: Largest count one ``(step, neuron)`` slot of a dense train can hold.
 MAX_SPIKE_COUNT = int(np.iinfo(np.int16).max)
-
-#: Environment variable overriding the per-coder backend preference.
-SPIKE_BACKEND_ENV = "REPRO_SPIKE_BACKEND"
-
-_BACKEND_OVERRIDE: Optional[str] = None
-
 
 def _validate_backend(name: str) -> str:
     key = str(name).strip().lower()
@@ -104,39 +98,12 @@ def _resolve_window(
     return start, max(stop, start)
 
 
-def set_spike_backend(backend: Optional[str]) -> None:
-    """Set (or clear, with ``None``) the process-wide spike-backend override.
-
-    The override sits between an explicit per-call request and the
-    ``REPRO_SPIKE_BACKEND`` environment variable.
-    """
-    global _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = None if backend is None else _validate_backend(backend)
-
-
-def get_spike_backend() -> Optional[str]:
-    """The process-wide backend override, or ``None`` when not set."""
-    return _BACKEND_OVERRIDE
-
-
 def resolve_spike_backend(
     requested: Optional[str] = None, preferred: str = DENSE_BACKEND
 ) -> str:
-    """Resolve which spike backend to use.
-
-    Precedence: ``requested`` argument, then the :func:`set_spike_backend`
-    override, then the ``REPRO_SPIKE_BACKEND`` environment variable, then the
-    caller's ``preferred`` default (normally the coder's
-    ``preferred_backend``).
-    """
-    if requested is not None:
-        return _validate_backend(requested)
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    env = os.environ.get(SPIKE_BACKEND_ENV, "").strip()
-    if env:
-        return _validate_backend(env)
-    return _validate_backend(preferred)
+    """The backend to use: ``requested`` when given, else ``preferred``
+    (normally the coder's ``preferred_backend``), validated."""
+    return _validate_backend(preferred if requested is None else requested)
 
 
 class SpikeTrainArray:

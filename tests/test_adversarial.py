@@ -36,9 +36,14 @@ from repro.execution.attack import (
 from repro.execution.engine import network_hash_for
 from repro.execution.plan import shard_fingerprint
 from repro.experiments import prepare_workload
-from repro.experiments.config import TEST_SCALE, AttackSweepConfig, MethodSpec
+from repro.experiments.config import (
+    TEST_SCALE,
+    AttackSweepConfig,
+    MethodSpec,
+    SweepConfig,
+)
 from repro.experiments.figures import figure_adversarial
-from repro.experiments.runner import run_attack_sweep
+from repro.experiments.runner import run_noise_sweep, run_sweeps
 from repro.noise.adversarial import (
     DeleteSpace,
     InsertSpace,
@@ -508,7 +513,7 @@ class TestAttackEngineIntegration:
     def test_sweep_matches_direct_cell_evaluation(self, tiny_workload):
         config = attack_config(budgets=(0, 2))
         ref, plans = _compile_attack(config, eval_size=4)
-        sweep = run_attack_sweep(config, workload=tiny_workload, eval_size=4)
+        sweep = run_noise_sweep(config, workload=tiny_workload, eval_size=4)
         direct = [evaluate_attack_plan(p, tiny_workload) for p in plans]
         assert sweep.curves[0].accuracies == [r.accuracy for r in direct]
         assert sweep.curves[0].levels == [0.0, 2.0]
@@ -516,16 +521,39 @@ class TestAttackEngineIntegration:
             r.spikes_per_sample for r in direct
         ]
 
+    def test_one_batch_mixes_noise_and_attack_sweeps(self, tiny_workload):
+        # Each config compiles its own cells, so one run_sweeps call takes
+        # both families and matches running each alone.
+        noise = SweepConfig(
+            dataset="mnist", methods=(MethodSpec(coding="ttfs"),),
+            noise_kind="deletion", levels=(0.0, 0.5), scale=TEST_SCALE,
+            seed=0, batch_size=4,
+        )
+        attack = attack_config(budgets=(0, 2))
+        workloads = {"mnist": tiny_workload}
+        mixed = run_sweeps([noise, attack], workloads=workloads, eval_size=4)
+        alone = [
+            run_noise_sweep(config, workload=tiny_workload, eval_size=4)
+            for config in (noise, attack)
+        ]
+        assert mixed[0].stats.evaluated_cells == 4
+        for together, single in zip(mixed, alone):
+            assert together.config == single.config
+            for a, b in zip(together.curves, single.curves):
+                assert a.levels == b.levels
+                assert a.accuracies == b.accuracies
+                assert a.spike_counts == b.spike_counts
+
     def test_attack_sweeps_resume_with_zero_researched_cells(
         self, tiny_workload, tmp_path
     ):
         config = attack_config()
         store = ResultStore(str(tmp_path))
-        first = run_attack_sweep(
+        first = run_noise_sweep(
             config, workload=tiny_workload, eval_size=6, store=store
         )
         counting = CountingExecutor()
-        resumed = run_attack_sweep(
+        resumed = run_noise_sweep(
             config, workload=tiny_workload, eval_size=6, store=store,
             executor=counting,
         )
@@ -645,7 +673,7 @@ def _attack_accuracy(workload, coding, budget, search, *, eval_size,
         max_candidates=max_candidates,
         evaluator=evaluator,
     )
-    result = run_attack_sweep(config, workload=workload, eval_size=eval_size)
+    result = run_noise_sweep(config, workload=workload, eval_size=eval_size)
     return result.curves[0].accuracies[0]
 
 

@@ -22,6 +22,7 @@ from repro.core.pipeline import EvaluationResult
 from repro.execution import (
     CellEvaluationError,
     CellFailure,
+    EvaluationPlan,
     ProcessExecutor,
     ResultStore,
     ThreadExecutor,
@@ -31,7 +32,6 @@ from repro.execution import (
     resolve_cell_retries,
     resolve_cell_timeout,
 )
-from repro.execution import engine as engine_module
 from repro.execution.engine import CELL_RETRIES_ENV, CELL_TIMEOUT_ENV
 from repro.execution.plan import evaluate_plan as real_evaluate_plan
 from repro.experiments import prepare_workload
@@ -87,7 +87,7 @@ class TestWorkerKill:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", killer_evaluate_plan)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", killer_evaluate_plan)
         store = ResultStore(str(tmp_path / "store"))
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
@@ -105,7 +105,7 @@ class TestWorkerKill:
         assert len(list(store.fingerprints())) == len(plans)
 
         # Resume: every cell must be served from the store, none re-run.
-        monkeypatch.setattr(engine_module, "evaluate_plan", real_evaluate_plan)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
         resumed = evaluate_plans(
             plans, store=store, workloads={ref: chaos_workload}
         )
@@ -129,13 +129,11 @@ class TestWorkerKill:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", killer_evaluate_plan)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", killer_evaluate_plan)
         store = ResultStore(str(tmp_path / "store"))
-        config = chaos_config()
+        config = chaos_config(batch_size=4)
         ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-        plans = build_sweep_plans(
-            config, eval_size=10, batch_size=4, use_cache=False
-        )
+        plans = build_sweep_plans(config, eval_size=10, use_cache=False)
         executor = ProcessExecutor(2)
         try:
             evaluation = evaluate_plans(
@@ -153,7 +151,7 @@ class TestWorkerKill:
         assert store.shard_stats()["shard_docs"] == 0
 
         # Resume: merged cell documents serve everything, no shard re-runs.
-        monkeypatch.setattr(engine_module, "evaluate_plan", real_evaluate_plan)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
         resumed = evaluate_plans(
             plans, store=store, workloads={ref: chaos_workload}, shards=2,
         )
@@ -180,7 +178,7 @@ class TestWorkerKill:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", always_kill)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", always_kill)
         monkeypatch.setattr(ProcessExecutor, "max_pool_respawns", 1)
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload, eval_size=8)
@@ -213,7 +211,7 @@ class TestTransientFailures:
                     raise RuntimeError("transient glitch")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", flaky)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", flaky)
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
         evaluation = evaluate_plans(
@@ -230,7 +228,7 @@ class TestTransientFailures:
                 raise ValueError("permanently broken cell")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", doomed)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
         evaluation = evaluate_plans(
@@ -262,7 +260,7 @@ class TestTransientFailures:
                 raise ValueError("dead on arrival")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", doomed)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         monkeypatch.setenv(CELL_RETRIES_ENV, "1")
         result = run_noise_sweep(
             chaos_config(), workload=chaos_workload, eval_size=10
@@ -285,7 +283,7 @@ class TestTransientFailures:
                 raise ValueError("doomed")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", doomed)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         store = ResultStore(str(tmp_path))
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
@@ -296,7 +294,7 @@ class TestTransientFailures:
         assert first.stats.failed_cells == 1
         assert len(list(store.fingerprints())) == len(plans) - 1
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", real_evaluate_plan)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
         healed = evaluate_plans(
             plans, store=store, workloads={ref: chaos_workload},
             retries=1, retry_backoff=0.001,
@@ -311,7 +309,7 @@ class TestTransientFailures:
         def doomed(plan, workload):
             raise ValueError("boom")
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", doomed)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
         with pytest.raises(CellEvaluationError):
@@ -328,7 +326,7 @@ class TestHungCells:
                 time.sleep(30.0)
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", hang)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", hang)
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
         started = time.monotonic()
@@ -352,7 +350,7 @@ class TestHungCells:
                     time.sleep(30.0)
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", hang_once)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", hang_once)
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
         evaluation = evaluate_plans(

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,8 +101,8 @@ class TestPlans:
         variants = [
             build_sweep_plans(tiny_config(seed=1))[0],
             build_sweep_plans(tiny_config(levels=(0.1, 0.5)))[0],
-            build_sweep_plans(tiny_config(), batch_size=8)[0],
-            build_sweep_plans(tiny_config(spike_backend="dense"))[0],
+            build_sweep_plans(tiny_config(batch_size=8))[0],
+            build_sweep_plans(tiny_config(simulator="timestep"))[0],
         ]
         fingerprints = {base.fingerprint(network_hash)}
         fingerprints.update(v.fingerprint(network_hash) for v in variants)
@@ -155,6 +156,37 @@ class TestPlans:
         }
         for plan, fingerprint in pinned.items():
             assert plan.cell_fingerprint("0" * 64) == fingerprint, plan.cell_id()
+
+        # Shard addresses: a noise shard covers whole batches (40 samples
+        # in batches of 16 split 2-way at sample 32), an attack shard
+        # single samples (5 samples split 2-way at sample 3).
+        noise_shard = build_sweep_plans(SweepConfig(
+            dataset="mnist", methods=(MethodSpec(coding="rate"),),
+            noise_kind="deletion", levels=(0.5,), scale=TEST_SCALE,
+        ), eval_size=40)[0].shards(2)[1]
+        attack_shard = build_attack_plans(AttackSweepConfig(
+            dataset="mnist", methods=(MethodSpec(coding="ttfs"),),
+            attack_kind="delete", budgets=(4,), scale=TEST_SCALE,
+        ), eval_size=5)[0].shards(2)[1]
+        assert noise_shard.sample_range() == (32, 40)
+        assert attack_shard.sample_range() == (3, 5)
+        assert noise_shard.fingerprint("0" * 64) == (
+            "07cc4a1c6b18ec43ca41d99f09a5999e0c855f4946e6cdff4559a952e34c5b1c"
+        )
+        assert attack_shard.fingerprint("0" * 64) == (
+            "32a297cf57882c129109bd6a144e135f5f94c6245f7ba2f849a014dcad6f53b6"
+        )
+
+    def test_plans_reject_malformed_axes(self):
+        # A typo'd noise kind would otherwise run as a clean cell (every
+        # level falls to 0.0) stored under the typo's fingerprint.
+        plan = build_sweep_plans(tiny_config())[0]
+        with pytest.raises(ValueError, match="noise_kind"):
+            replace(plan, noise_kind="deleton")
+        # batch_size=0 would otherwise only fail in shards() with a
+        # ZeroDivisionError.
+        with pytest.raises(ValueError, match="batch_size"):
+            replace(plan, batch_size=0)
 
     def test_network_fingerprint_covers_conversion(self, tiny_workload):
         # The same trained model converted differently must not alias in
@@ -323,8 +355,8 @@ class TestResultStore:
         # cell must miss and re-evaluate rather than alias the stored rows.
         counting = CountingExecutor()
         rerun = run_noise_sweep(
-            tiny_config(), workload=tiny_workload, eval_size=12, store=store,
-            batch_size=6, executor=counting,
+            tiny_config(batch_size=6), workload=tiny_workload, eval_size=12,
+            store=store, executor=counting,
         )
         assert counting.evaluated == 4
         assert rerun.stats.store_hits == 0
@@ -360,7 +392,6 @@ class TestResultStore:
         # guarantee for killed/failed runs).
         import time
 
-        from repro.execution import engine as engine_module
         from repro.execution.plan import evaluate_plan as real_evaluate_plan
 
         def flaky_evaluate_plan(plan, workload):
@@ -369,7 +400,7 @@ class TestResultStore:
                 raise RuntimeError("injected failure")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", flaky_evaluate_plan)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", flaky_evaluate_plan)
         store = ResultStore(str(tmp_path))
         with pytest.raises(CellEvaluationError, match="TTFS"):
             run_noise_sweep(
@@ -526,9 +557,10 @@ class TestEngine:
 
     def test_batch_size_override_reflected_in_config(self, tiny_workload):
         result = run_noise_sweep(
-            tiny_config(), workload=tiny_workload, eval_size=12, batch_size=4
+            tiny_config(batch_size=4), workload=tiny_workload, eval_size=12
         )
         assert result.config.batch_size == 4
+        assert result.stats.evaluated_cells == 4
 
     def test_batch_workloads_bypass_registry(self, tiny_workload, monkeypatch):
         # A batch's pinned workloads must be used directly -- no registry
@@ -678,11 +710,9 @@ class TestCliPlumbing:
 
         args = build_parser().parse_args([
             "figure", "--name", "fig2", "--executor", "process",
-            "--spike-backend", "events",
             "--batch-size", "8", "--result-store", "/tmp/cells",
         ])
         assert args.executor == "process"
-        assert args.spike_backend == "events"
         assert args.batch_size == 8
         assert args.result_store == "/tmp/cells"
 
@@ -691,18 +721,19 @@ class TestCliPlumbing:
 
         args = build_parser().parse_args([
             "table", "--name", "table1", "--executor", "thread",
-            "--spike-backend", "dense",
             "--batch-size", "4",
         ])
         assert args.executor == "thread"
-        assert args.spike_backend == "dense"
         assert args.batch_size == 4
         assert args.result_store is None
-        # Analog engine selection is not a CLI option.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["table", "--name", "table1", "--analog-backend", "loop"]
-            )
+        # Neither the analog engine nor the spike representation is a CLI
+        # option.
+        for flag, value in (("--analog-backend", "loop"),
+                            ("--spike-backend", "dense")):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["table", "--name", "table1", flag, value]
+                )
 
     def test_evaluate_batch_size_flag(self):
         from repro.cli import build_parser
@@ -713,12 +744,20 @@ class TestCliPlumbing:
         assert args.batch_size == 4
 
     def test_backends_flow_into_sweep_config(self, tiny_workload):
-        config = tiny_config(spike_backend="events")
-        plans = build_sweep_plans(config, batch_size=8)
-        assert all(p.spike_backend == "events" for p in plans)
+        config = tiny_config(batch_size=8)
+        plans = build_sweep_plans(config)
         assert all(p.batch_size == 8 for p in plans)
         result = run_noise_sweep(config, workload=tiny_workload, eval_size=8)
-        assert result.config.spike_backend == "events"
+        assert result.config.batch_size == 8
+
+    @pytest.mark.parametrize("command", ["figure", "table"])
+    def test_adversarial_names_reject_batch_size(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--name", "adv-delete", "--batch-size", "8"])
+        assert raised.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
 
 def _square(value: int) -> int:

@@ -151,15 +151,16 @@ class TestWorkloadAndRunner:
     def test_resolve_max_workers(self, monkeypatch):
         import os
 
-        from repro.experiments.runner import SWEEP_WORKERS_ENV, resolve_max_workers
+        from repro.execution.executors import SWEEP_WORKERS_ENV, resolve_worker_count
 
+        # The ``max_workers`` conventions every sweep entry point follows.
         monkeypatch.delenv(SWEEP_WORKERS_ENV, raising=False)
-        assert resolve_max_workers(None) == 1
-        assert resolve_max_workers(3) == 3
-        assert resolve_max_workers(0) == (os.cpu_count() or 1)
+        assert resolve_worker_count(None) == 1
+        assert resolve_worker_count(3) == 3
+        assert resolve_worker_count(0) == (os.cpu_count() or 1)
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "5")
-        assert resolve_max_workers(None) == 5
-        assert resolve_max_workers(2) == 2
+        assert resolve_worker_count(None) == 5
+        assert resolve_worker_count(2) == 2
 
     def test_table2_on_tiny_workload(self, tiny_workload):
         table = table2_jitter(

@@ -19,12 +19,14 @@ The engine can split one sweep cell across workers along the sample axis
 import logging
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import EvaluationResult
 from repro.execution import (
+    EvaluationPlan,
     ResultStore,
     SerialExecutor,
     WorkloadRef,
@@ -62,10 +64,9 @@ def tiny_config(**overrides):
 
 
 def _compile(config, eval_size=12, batch_size=4):
+    config = replace(config, batch_size=batch_size)
     ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-    plans = build_sweep_plans(
-        config, eval_size=eval_size, batch_size=batch_size, use_cache=False
-    )
+    plans = build_sweep_plans(config, eval_size=eval_size, use_cache=False)
     return ref, plans
 
 
@@ -429,7 +430,7 @@ class TestShardFailures:
                 raise ValueError("bad shard")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", doomed)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         config = tiny_config(levels=(0.5,))
         ref, plans = _compile(config)
         store = ResultStore(str(tmp_path))
@@ -453,7 +454,7 @@ class TestShardFailures:
         }
 
         # Healed re-run: the two surviving shards are hits, one re-runs.
-        monkeypatch.setattr(engine_module, "evaluate_plan", real_evaluate_plan)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
         healed = evaluate_plans(
             plans, store=store, workloads={ref: tiny_workload},
             shards=3, retries=1, retry_backoff=0.001,
@@ -477,7 +478,7 @@ class TestShardFailures:
                 raise ValueError("dead shard")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", doomed)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         monkeypatch.setenv("REPRO_CELL_RETRIES", "1")
         result = run_noise_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, shards=3,
@@ -497,7 +498,7 @@ class TestShardFailures:
                 raise ValueError("bad shard")
             return real_evaluate_plan(plan, workload)
 
-        monkeypatch.setattr(engine_module, "evaluate_plan", doomed)
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         config = tiny_config(methods=(MethodSpec(coding="ttfs"),),
                              levels=(0.5,))
         ref, plans = _compile(config)
@@ -597,14 +598,10 @@ class TestAutoShard:
 
     def test_env_flows_through_run_noise_sweep(self, tiny_workload, monkeypatch):
         config = tiny_config(methods=(MethodSpec(coding="ttfs"),),
-                             levels=(0.5,))
-        reference = run_noise_sweep(
-            config, workload=tiny_workload, eval_size=12, batch_size=4,
-        )
+                             levels=(0.5,), batch_size=4)
+        reference = run_noise_sweep(config, workload=tiny_workload, eval_size=12)
         monkeypatch.setenv(SWEEP_SHARDS_ENV, "3")
-        sharded = run_noise_sweep(
-            config, workload=tiny_workload, eval_size=12, batch_size=4,
-        )
+        sharded = run_noise_sweep(config, workload=tiny_workload, eval_size=12)
         assert sharded.stats.sharded_cells == 1
         assert sharded.stats.evaluated_shards == 3
         for ref_curve, cand_curve in zip(reference.curves, sharded.curves):

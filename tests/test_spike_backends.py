@@ -22,7 +22,6 @@ from repro.snn.spikes import (
     SpikeEvents,
     SpikeTrainArray,
     resolve_spike_backend,
-    set_spike_backend,
 )
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -37,16 +36,6 @@ count_arrays = hnp.arrays(
 def random_train(seed=0, shape=(20, 100), p=0.3):
     counts = (np.random.default_rng(seed).random(shape) < p).astype(np.int16)
     return SpikeTrainArray(counts)
-
-
-@pytest.fixture(autouse=True)
-def _clear_backend_override(monkeypatch):
-    # Backend-selection assertions must not be distorted by an ambient
-    # REPRO_SPIKE_BACKEND or a leftover process override.
-    monkeypatch.delenv("REPRO_SPIKE_BACKEND", raising=False)
-    set_spike_backend(None)
-    yield
-    set_spike_backend(None)
 
 
 class TestConversion:
@@ -277,24 +266,9 @@ class TestCoderBackends:
         assert isinstance(coder.encode(np.array([0.5]), backend="dense"),
                           SpikeTrainArray)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIKE_BACKEND", "events")
-        assert isinstance(RateCoder(16).encode(np.array([0.5])), SpikeEvents)
-        monkeypatch.setenv("REPRO_SPIKE_BACKEND", "dense")
-        assert isinstance(TTFSCoder(16).encode(np.array([0.5])), SpikeTrainArray)
-
-    def test_process_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPIKE_BACKEND", "events")
-        set_spike_backend("dense")
-        assert resolve_spike_backend(None, EVENTS_BACKEND) == DENSE_BACKEND
-        set_spike_backend(None)
-        assert resolve_spike_backend(None, EVENTS_BACKEND) == EVENTS_BACKEND
-
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             resolve_spike_backend("sparse")
-        with pytest.raises(ValueError):
-            set_spike_backend("csc")
         with pytest.raises(ValueError):
             TTFSCoder(16).encode(np.array([0.5]), backend="bitmap")
 
