@@ -19,7 +19,7 @@ import os
 
 from repro.experiments.config import BENCH_SCALE, MethodSpec, SweepConfig
 from repro.experiments.reporting import format_figure_series
-from repro.experiments.runner import run_noise_sweep
+from repro.experiments.runner import run_sweep
 from repro.experiments.workloads import prepare_workload
 
 
@@ -49,7 +49,7 @@ def main() -> None:
     )
     print("Sweeping deletion probabilities; this runs the full spiking "
           "transport evaluation per method and level...")
-    result = run_noise_sweep(config, workload=workload, eval_size=eval_size)
+    result = run_sweep(config, workload=workload, eval_size=eval_size)
     print()
     print(format_figure_series(result, "Deletion robustness study"))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.experiments.config import BENCH_SCALE, MethodSpec, SweepConfig
 from repro.experiments.reporting import format_figure_series, render_markdown_table
-from repro.experiments.runner import run_noise_sweep
+from repro.experiments.runner import run_sweep
 from repro.experiments.workloads import prepare_workload
 
 
@@ -36,7 +36,7 @@ def main() -> None:
         dataset="cifar10", methods=methods, noise_kind="jitter",
         levels=(0.0, 1.0, 2.0, 3.0, 4.0), scale=BENCH_SCALE, seed=0,
     )
-    result = run_noise_sweep(config, workload=workload, eval_size=32)
+    result = run_sweep(config, workload=workload, eval_size=32)
     print()
     print(format_figure_series(result, "Jitter robustness by coding scheme"))
 
@@ -50,7 +50,7 @@ def main() -> None:
         dataset="cifar10", methods=duration_methods, noise_kind="jitter",
         levels=(0.0, 2.0), scale=BENCH_SCALE, seed=0,
     )
-    duration_result = run_noise_sweep(duration_config, workload=workload, eval_size=32)
+    duration_result = run_sweep(duration_config, workload=workload, eval_size=32)
     rows = []
     for curve in duration_result.curves:
         rows.append([

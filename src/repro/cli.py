@@ -1,15 +1,29 @@
 """Command-line interface for the reproduction harness.
 
-Three subcommands cover the common workflows::
+Four subcommands cover the common workflows::
 
     python -m repro figure --name fig2 --dataset cifar10
     python -m repro table  --name table2 --datasets mnist cifar10
     python -m repro evaluate --dataset mnist --coding ttas --duration 5 \
         --deletion 0.5 --weight-scaling
+    python -m repro store gc --result-store DIR
 
-``figure`` and ``table`` regenerate a paper figure/table and print the series
-(the same text the benchmarks write to ``reports/``); ``evaluate`` runs a
-single noise condition through the end-to-end pipeline.
+``figure`` and ``table`` run one entry of the sweep catalogues
+(:data:`repro.experiments.figures.FIGURES` and
+:data:`repro.experiments.tables.TABLES`) and print its series or rows (the
+same text the benchmarks write to ``reports/``): the ``--name`` choices are
+the catalogue names.  Besides the paper's figures and tables they hold the
+hardware-fault sweeps (``fault-dead`` / ``fault-stuck`` / ``fault-burst``,
+``table3-dead`` etc.) and the adversarial worst-case sweeps (``adv-delete``
+/ ``adv-shift`` / ``adv-insert``), where a budgeted attacker searches each
+sample's input spike train for the worst perturbation and the
+matched-budget random baseline rides along.
+
+Each entry belongs to one sweep family, and the family decides which of
+three flags it takes: noise sweeps take ``--batch-size``; the ``adv-*``
+names take ``--budgets`` and ``--attack-search`` (default greedy) and run
+their cells per sample.  A flag the named entry does not take is a usage
+error.
 
 Sweep execution is controlled by ``--executor`` (serial / thread / process;
 also via ``REPRO_SWEEP_EXECUTOR``), ``--max-workers``, ``--shards`` (sample
@@ -18,31 +32,22 @@ auto-sharded only when a pooled dispatch would leave workers idle, and
 results are bit-identical at any shard count) and the optional
 ``--result-store DIR`` (also via ``REPRO_RESULT_STORE``), which caches every
 evaluated (dataset, method, level) cell -- and every shard of an in-flight
-sharded cell -- on disk so interrupted sweeps resume
-and re-runs are incremental.  ``--batch-size`` and ``--simulator`` select
-the evaluation batch size and simulator for all three subcommands (attack
-cells run per sample, so the ``adv-*`` names reject ``--batch-size``);
+sharded cell -- on disk so interrupted sweeps resume and re-runs are
+incremental.  ``--methods`` keeps only the curves with the given labels.
 ``--simulator timestep`` runs the faithful time-stepped membrane simulation
 (per-layer temporal protocols: rate, phase, TTFS and TTAS; burst has no
-faithful correspondence -- filter it out of a figure with ``--methods``),
-with its per-layer fold parallelisable via ``REPRO_SIM_WORKERS``.
+faithful correspondence -- filter it out of a figure with ``--methods``; the
+``adv-*`` names drop it with a warning and transfer-evaluate the found
+attacks there).  Per-cell fault tolerance (retry with backoff, timeouts) is
+controlled by the ``REPRO_CELL_RETRIES`` and ``REPRO_CELL_TIMEOUT``
+environment variables; failed cells render as explicit ``--`` holes instead
+of aborting the sweep.
 
-Hardware-fault sweeps are exposed as extra figure/table names (``fault-dead``,
-``fault-stuck``, ``fault-burst``; ``table3-dead`` etc.), and single-condition
-fault evaluations via ``evaluate --dead/--stuck/--burst-error`` (plus the
-finite-precision synapse ablation via ``evaluate --quant-bits``).  Per-cell
-fault tolerance (retry with backoff, timeouts) is controlled by the
-``REPRO_CELL_RETRIES`` and ``REPRO_CELL_TIMEOUT`` environment variables;
-failed cells render as explicit ``--`` holes instead of aborting the sweep.
-
-Adversarial worst-case sweeps are the ``adv-delete`` / ``adv-shift`` /
-``adv-insert`` figure and table names: a budgeted attacker searches each
-sample's input spike train for the worst perturbation (``--attack-search``,
-``--budgets``) and the matched-budget random baseline rides along for
-comparison; ``--simulator timestep`` transfer-evaluates the found attacks on
-the faithful simulator.  ``store gc`` removes orphaned shard documents left
-behind by killed runs plus unreadable workload conversion documents, and
-reports the bytes reclaimed per section.
+``evaluate`` runs a single noise condition through the end-to-end pipeline,
+including the fault models (``--dead/--stuck/--burst-error``) and the
+finite-precision synapse ablation (``--quant-bits``).  ``store gc`` removes
+orphaned shard documents left behind by killed runs plus unreadable
+workload conversion documents, and reports the bytes reclaimed per section.
 """
 
 from __future__ import annotations
@@ -50,24 +55,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments import (
-    figure2_deletion,
-    figure3_jitter,
-    figure4_weight_scaling_ttas,
-    figure6_ttas_jitter,
-    figure7_deletion_comparison,
-    figure8_jitter_comparison,
-    figure_adversarial,
-    figure_fault_robustness,
+    FIGURES,
+    TABLES,
     format_figure_series,
     format_table_rows,
-    table1_deletion,
-    table2_jitter,
-    table3_faults,
-    table_adversarial,
+    run_figure,
+    run_table,
 )
 from repro.execution.executors import EXECUTOR_NAMES
 from repro.execution.store import resolve_store
@@ -75,37 +71,16 @@ from repro.experiments.config import BENCH_SCALE, TEST_SCALE, ExperimentScale
 from repro.experiments.workloads import prepare_workload
 from repro.core.pipeline import SIMULATORS, NoiseRobustSNN
 
-_FIGURES = {
-    "fig2": figure2_deletion,
-    "fig3": figure3_jitter,
-    "fig4": figure4_weight_scaling_ttas,
-    "fig6": figure6_ttas_jitter,
-    "fig7": figure7_deletion_comparison,
-    "fig8": figure8_jitter_comparison,
-    # Hardware-fault robustness sweeps (beyond the paper's figures).
-    "fault-dead": partial(figure_fault_robustness, fault_kind="dead"),
-    "fault-stuck": partial(figure_fault_robustness, fault_kind="stuck"),
-    "fault-burst": partial(figure_fault_robustness, fault_kind="burst_error"),
-    # Adversarial (worst-case) spike-timing attacks vs the random baseline.
-    "adv-delete": partial(figure_adversarial, attack_kind="delete"),
-    "adv-shift": partial(figure_adversarial, attack_kind="shift"),
-    "adv-insert": partial(figure_adversarial, attack_kind="insert"),
-}
+#: The ``figure`` and ``table`` subcommands' ``--name`` catalogues.
+_CATALOGUES = {"figure": FIGURES, "table": TABLES}
 
-_TABLES = {
-    "table1": table1_deletion,
-    "table2": table2_jitter,
-    "table3-dead": partial(table3_faults, fault_kind="dead"),
-    "table3-stuck": partial(table3_faults, fault_kind="stuck"),
-    "table3-burst": partial(table3_faults, fault_kind="burst_error"),
-    "adv-delete": partial(table_adversarial, attack_kind="delete"),
-    "adv-shift": partial(table_adversarial, attack_kind="shift"),
-    "adv-insert": partial(table_adversarial, attack_kind="insert"),
+#: Flags setting an option only one sweep family takes, by option name (the
+#: argparse dest); a name whose entry does not take the option rejects it.
+_FAMILY_FLAGS = {
+    "batch_size": "--batch-size",
+    "budgets": "--budgets",
+    "search": "--attack-search",
 }
-
-#: Figure/table names that run the adversarial attack engine (and hence
-#: accept the --budgets / --attack-search knobs).
-_ADVERSARIAL_NAMES = ("adv-delete", "adv-shift", "adv-insert")
 
 
 def _scale_from_name(name: str) -> ExperimentScale:
@@ -153,13 +128,13 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                              "--simulator timestep")
     parser.add_argument("--budgets", nargs="+", type=int, default=None,
                         metavar="K",
-                        help="attack budgets (spike moves per sample) for "
-                             "the adv-* names; ignored otherwise")
-    parser.add_argument("--attack-search", choices=("greedy", "beam"),
-                        default="greedy",
-                        help="worst-case search driver for the adv-* names "
-                             "(the matched random baseline always rides "
-                             "along); ignored otherwise")
+                        help="attack budgets (spike moves per sample); "
+                             "adv-* names only")
+    parser.add_argument("--attack-search", dest="search",
+                        choices=("greedy", "beam"), default=None,
+                        help="worst-case search driver (default: greedy; "
+                             "the matched random baseline always rides "
+                             "along); adv-* names only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figure = sub.add_parser("figure", help="regenerate one of the paper's figures")
-    figure.add_argument("--name", choices=sorted(_FIGURES), required=True)
+    figure = sub.add_parser(
+        "figure", help="regenerate a paper figure or a fault/attack sweep"
+    )
+    figure.add_argument("--name", choices=sorted(FIGURES), required=True)
     figure.add_argument("--dataset", default="cifar10")
     figure.add_argument("--scale", choices=("bench", "test"), default="bench")
     figure.add_argument("--eval-size", type=int, default=None)
@@ -179,8 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_arguments(figure)
     _add_backend_arguments(figure)
 
-    table = sub.add_parser("table", help="regenerate Table I/II or the fault table")
-    table.add_argument("--name", choices=sorted(_TABLES), required=True)
+    table = sub.add_parser(
+        "table", help="regenerate Table I/II or a fault/attack table"
+    )
+    table.add_argument("--name", choices=sorted(TABLES), required=True)
     table.add_argument("--datasets", nargs="+", default=["mnist", "cifar10", "cifar100"])
     table.add_argument("--scale", choices=("bench", "test"), default="bench")
     table.add_argument("--eval-size", type=int, default=None)
@@ -228,40 +207,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_kwargs(args: argparse.Namespace) -> dict:
-    """Per-family knobs: the batch size for noise sweeps, the attack knobs
-    for the adv-* names."""
-    if args.name not in _ADVERSARIAL_NAMES:
-        return {"batch_size": args.batch_size}
-    kwargs = {"search": args.attack_search}
-    if args.budgets is not None:
-        kwargs["budgets"] = tuple(args.budgets)
-    return kwargs
+def _family_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The family flags given on the command line, as sweep options.
+
+    A flag whose option the named entry's family does not take (see
+    :attr:`~repro.experiments.runner.SweepSpec.options`) is a usage error.
+    """
+    spec = _CATALOGUES[args.command][args.name]
+    options = {}
+    for option, flag in _FAMILY_FLAGS.items():
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if option not in spec.options:
+            parser.error(f"{flag} does not apply to {args.name}")
+        options[option] = value
+    return options
 
 
-def _run_figure(args: argparse.Namespace) -> str:
-    scale = _scale_from_name(args.scale)
-    result = _FIGURES[args.name](
-        dataset=args.dataset, scale=scale, seed=args.seed, eval_size=args.eval_size,
-        max_workers=args.max_workers, executor=args.executor,
-        store=args.result_store,
-        simulator=args.simulator, method_filter=args.methods,
-        shards=args.shards, **_sweep_kwargs(args),
-    )
-    return format_figure_series(result, f"{args.name} ({args.dataset})")
-
-
-def _run_table(args: argparse.Namespace) -> str:
-    scale = _scale_from_name(args.scale)
-    result = _TABLES[args.name](
-        datasets=tuple(args.datasets), scale=scale, seed=args.seed,
+def _run_sweep(args: argparse.Namespace, options: dict) -> str:
+    """The ``figure`` and ``table`` subcommands."""
+    kwargs = dict(
+        scale=_scale_from_name(args.scale), seed=args.seed,
         eval_size=args.eval_size, max_workers=args.max_workers,
         executor=args.executor, store=args.result_store,
-        simulator=args.simulator,
-        method_filter=args.methods, shards=args.shards,
-        **_sweep_kwargs(args),
+        simulator=args.simulator, method_filter=args.methods,
+        shards=args.shards, **options,
     )
-    return format_table_rows(result, args.name)
+    if args.command == "figure":
+        result = run_figure(args.name, args.dataset, **kwargs)
+        title = f"{args.name} ({args.dataset}): {FIGURES[args.name].title}"
+        return format_figure_series(result, title)
+    return format_table_rows(run_table(args.name, args.datasets, **kwargs), args.name)
 
 
 def _run_evaluate(args: argparse.Namespace) -> str:
@@ -359,21 +336,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        getattr(args, "name", None) in _ADVERSARIAL_NAMES
-        and args.batch_size is not None
-    ):
-        parser.error(
-            f"--batch-size does not apply to {args.name}: attack cells "
-            "run per sample"
-        )
-    handlers = {
-        "figure": _run_figure,
-        "table": _run_table,
-        "evaluate": _run_evaluate,
-        "store": _run_store,
-    }
-    output = handlers[args.command](args)
+    if args.command in _CATALOGUES:
+        output = _run_sweep(args, _family_options(parser, args))
+    else:
+        output = {"evaluate": _run_evaluate, "store": _run_store}[args.command](args)
     print(output)
     return 0
 

@@ -15,7 +15,7 @@ Because every sweep cell derives its RNG stream from the plan alone, all
 three backends produce bit-identical results; the choice is purely a
 throughput/latency decision.  Select one explicitly with the ``--executor``
 CLI flag, the ``REPRO_SWEEP_EXECUTOR`` environment variable, or the
-``executor=`` argument of :func:`repro.experiments.runner.run_noise_sweep`.
+``executor=`` argument of :func:`repro.experiments.runner.run_sweeps`.
 
 The pooled backends keep their worker pool **warm** across dispatches, so
 one executor instance reused over the many ``evaluate_plans`` /

@@ -5,11 +5,14 @@
 * :mod:`repro.experiments.workloads` -- trained-model / converted-network
   preparation and caching,
 * :mod:`repro.experiments.runner`    -- the generic (coding x noise) sweep
-  runner all figures are built from,
-* :mod:`repro.experiments.figures`   -- one entry point per paper figure
-  (Figs. 2, 3, 4, 5B, 6, 7, 8) plus the hardware-fault robustness sweep,
-* :mod:`repro.experiments.tables`    -- Tables I and II plus the
-  hardware-fault table,
+  runner and the catalogue entry type (:class:`SweepSpec`) every figure and
+  table is,
+* :mod:`repro.experiments.figures`   -- the figure catalogue
+  (:data:`FIGURES`: Figs. 2, 3, 4, 6, 7, 8 plus the fault and attack
+  sweeps) and its runner, plus Fig. 5B,
+* :mod:`repro.experiments.tables`    -- the table catalogue
+  (:data:`TABLES`: Tables I and II plus the fault and attack tables) and
+  its runner,
 * :mod:`repro.experiments.reporting` -- plain-text rendering of the series
   and table rows the paper reports.
 """
@@ -33,10 +36,13 @@ from repro.experiments.config import (
 from repro.experiments.workloads import PreparedWorkload, prepare_workload
 from repro.experiments.runner import (
     SweepResult,
-    run_noise_sweep,
+    SweepSpec,
+    run_sweep,
     run_sweeps,
 )
 from repro.experiments.figures import (
+    FIGURES,
+    run_figure,
     figure2_deletion,
     figure3_jitter,
     figure4_weight_scaling_ttas,
@@ -48,6 +54,8 @@ from repro.experiments.figures import (
     figure_fault_robustness,
 )
 from repro.experiments.tables import (
+    TABLES,
+    run_table,
     table1_deletion,
     table2_jitter,
     table3_faults,
@@ -73,8 +81,13 @@ __all__ = [
     "PreparedWorkload",
     "prepare_workload",
     "SweepResult",
-    "run_noise_sweep",
+    "SweepSpec",
+    "run_sweep",
     "run_sweeps",
+    "FIGURES",
+    "run_figure",
+    "TABLES",
+    "run_table",
     "figure2_deletion",
     "figure3_jitter",
     "figure4_weight_scaling_ttas",

@@ -194,6 +194,34 @@ class MethodSpec:
         return {}
 
 
+#: The four baseline codings of Figs. 2/3, in the paper's legend order.
+BASELINE_CODINGS = ("rate", "phase", "burst", "ttfs")
+
+
+def coding_methods(
+    codings: Sequence[str] = BASELINE_CODINGS,
+    ttas_durations: Sequence[int] = (),
+    weight_scaling: bool = False,
+) -> List[MethodSpec]:
+    """One method per coding, then one TTAS(t_a) per burst duration."""
+    methods = [MethodSpec(coding=c, weight_scaling=weight_scaling) for c in codings]
+    methods.extend(
+        MethodSpec(coding="ttas", weight_scaling=weight_scaling, target_duration=t)
+        for t in ttas_durations
+    )
+    return methods
+
+
+def all_codings(ttas_duration: int = 5) -> List[MethodSpec]:
+    """Every coding, TTAS(t_a) last, no weight scaling (Fig. 8, ``adv-*``)."""
+    return coding_methods(ttas_durations=(ttas_duration,))
+
+
+def all_codings_ws(ttas_duration: int = 5) -> List[MethodSpec]:
+    """Every coding with weight scaling (Tables I/III, the fault figure)."""
+    return coding_methods(ttas_durations=(ttas_duration,), weight_scaling=True)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """A full noise sweep: dataset, methods, noise axis and levels.

@@ -7,7 +7,9 @@ worst-case sweeps walk attack budgets instead.  This module compiles such
 sweeps into declarative :class:`~repro.execution.plan.CellPlan` cells
 (noise or attack), runs them through the pluggable executor engine
 (:mod:`repro.execution`) and reassembles the structured results the
-figure/table modules and reporting code consume.
+figure/table modules and reporting code consume.  Those modules declare
+each figure and table as data -- a :class:`SweepSpec` of methods, axis and
+default levels -- and :func:`run_spec` compiles any entry into configs.
 
 The (method, level) cells of a sweep are statistically independent -- each
 draws its noise from an RNG stream derived solely from ``(seed, method
@@ -28,7 +30,8 @@ fingerprint, so the two kinds of results never alias.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +44,16 @@ from repro.execution.engine import (
 from repro.execution.executors import Executor, resolve_executor
 from repro.execution.plan import WorkloadRef
 from repro.execution.store import ResultStore, resolve_store
-from repro.experiments.config import AttackSweepConfig, MethodSpec, SweepConfig
+from repro.coding.registry import timestep_support
+from repro.experiments.config import (
+    BENCH_SCALE,
+    DATASET_NAMES,
+    AttackSweepConfig,
+    ExperimentScale,
+    MethodSpec,
+    SweepConfig,
+    filter_methods,
+)
 from repro.experiments.workloads import PreparedWorkload, prepare_workload
 from repro.utils.logging import get_logger
 from repro.utils.validation import level_index
@@ -365,55 +377,182 @@ def run_sweeps(
     return sweeps
 
 
-def run_noise_sweep(
+def run_sweep(
     config: AnySweepConfig,
     workload: Optional[PreparedWorkload] = None,
+    **kwargs,
+) -> SweepResult:
+    """Run one sweep -- (method x noise level), or (method x budget) for an
+    :class:`AttackSweepConfig` -- through :func:`run_sweeps`.
+
+    ``workload`` reuses an already prepared workload for the config's
+    dataset; every other keyword argument is :func:`run_sweeps`'s.
+    """
+    workloads = None if workload is None else {config.dataset: workload}
+    return run_sweeps([config], workloads=workloads, **kwargs)[0]
+
+
+#: Options only one sweep family takes: noise sweeps set the evaluation
+#: batch size, attack sweeps the budgets and the attack search.
+_NOISE_OPTIONS: Tuple[str, ...] = ("batch_size",)
+_ATTACK_OPTIONS: Tuple[str, ...] = (
+    "budgets", "search", "shift_delta", "beam_width", "max_candidates",
+)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One figure or table of the catalogue: methods swept along one axis.
+
+    Attributes
+    ----------
+    title:
+        Human-readable name (a table's ``{evaluator}`` placeholder is filled
+        with the simulator the cells ran on).
+    methods:
+        Builds the method list; its keyword arguments (``ttas_duration`` or
+        ``ttas_durations``) are the entry's own options.
+    axis:
+        A noise kind, or ``adv-<attack kind>`` for a worst-case sweep, which
+        runs every method twice: under the attack search and under the
+        matched-budget random baseline.
+    levels:
+        Default noise levels (attack budgets on an ``adv-*`` axis).
+    datasets:
+        Default datasets (a figure plots the first).
+    spikes:
+        Whether a table reports spike counts next to the accuracies.
+    """
+
+    title: str
+    methods: Callable[..., List[MethodSpec]]
+    axis: str
+    levels: Tuple[float, ...]
+    datasets: Tuple[str, ...] = DATASET_NAMES
+    spikes: bool = True
+
+    @property
+    def attack_kind(self) -> Optional[str]:
+        return self.axis[len("adv-"):] if self.axis.startswith("adv-") else None
+
+    @property
+    def options(self) -> Tuple[str, ...]:
+        """The family options this entry accepts (see :func:`run_spec`)."""
+        return _ATTACK_OPTIONS if self.attack_kind else _NOISE_OPTIONS
+
+
+def kind_entry(
+    catalogue: Dict[str, SweepSpec], prefix: str, argument: str, kind: str
+) -> str:
+    """The name of the ``prefix``-named catalogue entry sweeping ``kind``
+    (a fault noise kind, or an attack kind for the ``adv-*`` entries)."""
+    names = {
+        spec.attack_kind or spec.axis: name
+        for name, spec in catalogue.items() if name.startswith(prefix)
+    }
+    if kind not in names:
+        raise ValueError(f"{argument} must be one of {tuple(names)}, got {kind!r}")
+    return names[kind]
+
+
+def _run_attack_pairs(
+    run: Callable[[List[AttackSweepConfig]], List[SweepResult]],
+    datasets: Sequence[str],
+    methods: Sequence[MethodSpec],
+    evaluator: str,
+    search: str = "greedy",
+    **fields,
+) -> List[SweepResult]:
+    """Run each dataset's attack search with its matched random baseline.
+
+    Transfer evaluation (``evaluator="timestep"``) first drops, with a
+    warning, the codings the faithful simulator cannot model.  Each
+    dataset's result interleaves every method's worst-case curve with its
+    random baseline; the relabelling is display-only (labels are cleared
+    from attack fingerprints), so re-runs keep hitting the store.
+    """
+    if evaluator == "timestep":
+        kept = []
+        for method in methods:
+            supported, note = timestep_support(method.coding)
+            if supported:
+                kept.append(method)
+            else:
+                logger.warning(
+                    "dropping %s from the adversarial transfer sweep: %s",
+                    method.display_label(), note,
+                )
+        if not kept:
+            raise ValueError(
+                "no requested method supports timestep transfer evaluation"
+            )
+        methods = kept
+    sweeps = run([
+        AttackSweepConfig(
+            dataset=dataset, methods=tuple(methods), search=search_name,
+            evaluator=evaluator, **fields,
+        )
+        for dataset in datasets
+        for search_name in (search, "random")
+    ])
+    paired = []
+    for worst, rand in zip(sweeps[::2], sweeps[1::2]):
+        curves: List[MethodCurve] = []
+        for pair in zip(worst.curves, rand.curves):
+            for curve, sweep in zip(pair, (worst, rand)):
+                label = f"{curve.label} ({sweep.config.search})"
+                curves.append(replace(curve, method=replace(curve.method, label=label)))
+        paired.append(replace(worst, curves=curves))
+    return paired
+
+
+def run_spec(
+    spec: SweepSpec,
+    datasets: Sequence[str],
+    levels: Optional[Sequence[float]] = None,
+    scale: ExperimentScale = BENCH_SCALE,
+    seed: int = 0,
+    workloads: Optional[Dict[str, PreparedWorkload]] = None,
     eval_size: Optional[int] = None,
-    use_cache: bool = True,
     max_workers: Optional[int] = None,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
+    simulator: Optional[str] = None,
+    method_filter: Optional[Sequence[str]] = None,
     shards: Optional[int] = None,
-) -> SweepResult:
-    """Run one full sweep: (method x noise level), or (method x budget) for
-    an :class:`AttackSweepConfig`.
+    **options,
+) -> List[SweepResult]:
+    """Compile a catalogue entry for ``datasets`` and run it as one batch.
 
-    The name is historical: the function predates attack sweeps and now
-    runs either family through :func:`run_sweeps`.
-
-    Parameters
-    ----------
-    config:
-        The sweep description (dataset, methods, axis and levels, scale,
-        simulator, batch size).
-    workload:
-        Reuse an already prepared workload (shared across figures in the
-        benchmark harness); prepared on demand otherwise.
-    eval_size:
-        Override the number of evaluation images.
-    use_cache:
-        Forwarded to :func:`prepare_workload` when the workload is built here.
-    max_workers:
-        Worker count for the pooled executor backends; the result is
-        bit-identical to the serial run regardless of the value.
-    executor:
-        Executor backend selection ("serial"/"thread"/"process", an
-        :class:`~repro.execution.executors.Executor`, or ``None`` for the
-        env/worker-count default).
-    store:
-        Optional result store for resumable/incremental sweeps.
-    shards:
-        Sample shards per cell (``None`` = env/auto; see
-        :func:`repro.execution.engine.evaluate_plans`).
+    Returns one :class:`SweepResult` per dataset, in order; on an ``adv-*``
+    axis each pairs every method's worst-case curve with its random
+    baseline.  ``options`` holds the entry's family options
+    (:attr:`SweepSpec.options`; ``None`` values keep the config defaults)
+    and the keyword arguments of its method builder.  ``levels`` defaults
+    to the entry's; ``budgets`` overrides it on an ``adv-*`` axis.  The
+    execution arguments are :func:`run_sweeps`'s.
     """
-    workloads = None if workload is None else {config.dataset: workload}
-    return run_sweeps(
-        [config],
-        workloads=workloads,
-        eval_size=eval_size,
-        use_cache=use_cache,
-        max_workers=max_workers,
-        executor=executor,
-        store=store,
-        shards=shards,
-    )[0]
+    family = {
+        name: value for name in spec.options
+        if (value := options.pop(name, None)) is not None
+    }
+    methods = filter_methods(spec.methods(**options), method_filter)
+    levels = tuple(spec.levels if levels is None else levels)
+    evaluator = simulator if simulator is not None else "transport"
+    run = partial(
+        run_sweeps, workloads=workloads, eval_size=eval_size,
+        max_workers=max_workers, executor=executor, store=store, shards=shards,
+    )
+    if spec.attack_kind:
+        budgets = tuple(int(b) for b in family.pop("budgets", levels))
+        return _run_attack_pairs(
+            run, datasets, methods, evaluator, attack_kind=spec.attack_kind,
+            budgets=budgets, scale=scale, seed=seed, **family,
+        )
+    return run([
+        SweepConfig(
+            dataset=dataset, methods=methods, noise_kind=spec.axis,
+            levels=levels, scale=scale, seed=seed, simulator=evaluator, **family,
+        )
+        for dataset in datasets
+    ])

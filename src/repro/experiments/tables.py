@@ -1,48 +1,42 @@
-"""Reproduction of Tables I and II, plus the hardware-fault table.
+"""Reproduction of Tables I and II, plus the fault and attack tables.
 
 Table I reports, per dataset (MNIST, CIFAR-10, CIFAR-100) and per method
 (rate/phase/burst/TTFS with weight scaling, TTAS with weight scaling), the
 accuracy and spike counts at deletion probabilities {clean, 0.2, 0.5, 0.8}
 plus their average.  Table II reports accuracy under jitter sigma
-{clean, 1, 2, 3} for phase/burst/TTFS/TTAS without weight scaling.
-:func:`table3_faults` extends the layout to the hardware-fault models
-(dead neurons / stuck-at-firing / burst errors) of :mod:`repro.noise.faults`.
+{clean, 1, 2, 3} for phase/burst/TTFS/TTAS without weight scaling.  The
+``table3-*`` entries extend the layout to the hardware-fault models (dead
+neurons / stuck-at-firing / burst errors) of :mod:`repro.noise.faults`, and
+the ``adv-*`` entries hold two rows per coding: a budgeted attacker's worst
+case and the matched random baseline, over attack-budget columns.
 
-Both tables are built on :func:`repro.experiments.runner.run_sweeps`: the
-cells of *all* datasets are compiled into one flat plan batch and dispatched
-through the executor engine together, so a process pool shards whole
-datasets across workers instead of sweeping them strictly serially.
+Each table is a :class:`~repro.experiments.runner.SweepSpec` of
+:data:`TABLES`, run by :func:`run_table`: the cells of *all* datasets are
+compiled into one flat plan batch and dispatched through the executor
+engine together, so a process pool shards whole datasets across workers
+instead of sweeping them strictly serially.  :func:`table1_deletion`,
+:func:`table2_jitter`, :func:`table3_faults` and :func:`table_adversarial`
+are bindings onto it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.execution.executors import Executor
-from repro.execution.store import ResultStore
 from repro.experiments.config import (
     BENCH_ATTACK_BUDGETS,
-    BENCH_SCALE,
-    DEFAULT_MAX_CANDIDATES,
-    DEFAULT_SHIFT_DELTA,
-    AttackSweepConfig,
-    ExperimentScale,
-    FAULT_NOISE_KINDS,
-    MethodSpec,
-    SweepConfig,
     TABLE1_DELETION_LEVELS,
     TABLE2_JITTER_LEVELS,
     TABLE3_FAULT_LEVELS,
-    filter_methods,
+    all_codings,
+    all_codings_ws,
+    coding_methods,
 )
-from repro.experiments.runner import (
-    MethodCurve,
-    SweepResult,
-    run_sweeps,
-)
+from repro.experiments.runner import MethodCurve, SweepSpec, kind_entry, run_spec
 from repro.experiments.workloads import PreparedWorkload
 
 
@@ -123,263 +117,83 @@ def _curve_to_row(dataset: str, curve: MethodCurve, include_spikes: bool) -> Tab
     return row
 
 
-def _run_table(
-    datasets: Sequence[str],
-    methods: Sequence[MethodSpec],
-    noise_kind: str,
-    levels: Sequence[float],
-    scale: ExperimentScale,
-    seed: int,
-    workloads: Optional[Dict[str, PreparedWorkload]],
-    eval_size: Optional[int],
-    include_spikes: bool,
-    name: str,
-    max_workers: Optional[int] = None,
-    executor: Union[str, Executor, None] = None,
-    store: Union[ResultStore, str, None, bool] = None,
-    batch_size: Optional[int] = None,
-    simulator: Optional[str] = None,
-    method_filter: Optional[Sequence[str]] = None,
-    shards: Optional[int] = None,
-) -> TableResult:
-    configs = [
-        SweepConfig(
-            dataset=dataset,
-            methods=filter_methods(methods, method_filter),
-            noise_kind=noise_kind,
-            levels=tuple(levels),
-            scale=scale,
-            seed=seed,
-            simulator=simulator if simulator is not None else "transport",
-            **({} if batch_size is None else {"batch_size": batch_size}),
+TABLES: Dict[str, SweepSpec] = {
+    "table1": SweepSpec(
+        "Table I (spike deletion)", all_codings_ws, "deletion",
+        TABLE1_DELETION_LEVELS,
+    ),
+    "table2": SweepSpec(
+        "Table II (spike jitter)",
+        lambda ttas_duration=10: coding_methods(
+            ("phase", "burst", "ttfs"), (ttas_duration,)
+        ),
+        "jitter", TABLE2_JITTER_LEVELS, spikes=False,
+    ),
+    **{
+        f"table3-{name}": SweepSpec(
+            f"Table III ({title})", all_codings_ws, kind, TABLE3_FAULT_LEVELS,
         )
-        for dataset in datasets
-    ]
-    sweeps: List[SweepResult] = run_sweeps(
-        configs,
-        workloads=workloads,
-        eval_size=eval_size,
-        max_workers=max_workers,
-        executor=executor,
-        store=store,
-        shards=shards,
-    )
-    rows: List[TableRow] = []
-    for config, sweep in zip(configs, sweeps):
-        rows.extend(
-            _curve_to_row(config.dataset, curve, include_spikes)
-            for curve in sweep.curves
+        for name, kind, title in (
+            ("dead", "dead", "dead neurons"),
+            ("stuck", "stuck", "stuck-at-firing"),
+            ("burst", "burst_error", "burst errors"),
         )
-    return TableResult(name=name, rows=rows, noise_kind=noise_kind, levels=list(levels))
-
-
-def table1_deletion(
-    datasets: Sequence[str] = ("mnist", "cifar10", "cifar100"),
-    levels: Sequence[float] = TABLE1_DELETION_LEVELS,
-    scale: ExperimentScale = BENCH_SCALE,
-    seed: int = 0,
-    workloads: Optional[Dict[str, PreparedWorkload]] = None,
-    eval_size: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    ttas_duration: int = 5,
-    executor: Union[str, Executor, None] = None,
-    store: Union[ResultStore, str, None, bool] = None,
-    batch_size: Optional[int] = None,
-    simulator: Optional[str] = None,
-    method_filter: Optional[Sequence[str]] = None,
-    shards: Optional[int] = None,
-) -> TableResult:
-    """Table I: accuracy and spike counts under deletion, all methods + WS."""
-    methods = [
-        MethodSpec(coding="rate", weight_scaling=True),
-        MethodSpec(coding="phase", weight_scaling=True),
-        MethodSpec(coding="burst", weight_scaling=True),
-        MethodSpec(coding="ttfs", weight_scaling=True),
-        MethodSpec(coding="ttas", weight_scaling=True, target_duration=ttas_duration),
-    ]
-    return _run_table(
-        datasets, methods, "deletion", levels, scale, seed, workloads, eval_size,
-        include_spikes=True, name="Table I (spike deletion)",
-        max_workers=max_workers, executor=executor, store=store,
-        batch_size=batch_size, simulator=simulator, method_filter=method_filter,
-        shards=shards,
-    )
-
-
-def table2_jitter(
-    datasets: Sequence[str] = ("mnist", "cifar10", "cifar100"),
-    levels: Sequence[float] = TABLE2_JITTER_LEVELS,
-    scale: ExperimentScale = BENCH_SCALE,
-    seed: int = 0,
-    workloads: Optional[Dict[str, PreparedWorkload]] = None,
-    eval_size: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    ttas_duration: int = 10,
-    executor: Union[str, Executor, None] = None,
-    store: Union[ResultStore, str, None, bool] = None,
-    batch_size: Optional[int] = None,
-    simulator: Optional[str] = None,
-    method_filter: Optional[Sequence[str]] = None,
-    shards: Optional[int] = None,
-) -> TableResult:
-    """Table II: accuracy under jitter for phase/burst/TTFS/TTAS (no WS)."""
-    methods = [
-        MethodSpec(coding="phase"),
-        MethodSpec(coding="burst"),
-        MethodSpec(coding="ttfs"),
-        MethodSpec(coding="ttas", target_duration=ttas_duration),
-    ]
-    return _run_table(
-        datasets, methods, "jitter", levels, scale, seed, workloads, eval_size,
-        include_spikes=False, name="Table II (spike jitter)",
-        max_workers=max_workers, executor=executor, store=store,
-        batch_size=batch_size, simulator=simulator, method_filter=method_filter,
-        shards=shards,
-    )
-
-
-#: Human-readable names of the hardware-fault table variants.
-_FAULT_TABLE_NAMES = {
-    "dead": "Table III (dead neurons)",
-    "stuck": "Table III (stuck-at-firing)",
-    "burst_error": "Table III (burst errors)",
+    },
+    **{
+        f"adv-{kind}": SweepSpec(
+            f"Adversarial robustness (adv-{kind}, {{evaluator}})", all_codings,
+            f"adv-{kind}", BENCH_ATTACK_BUDGETS, ("mnist",),
+        )
+        for kind in ("delete", "shift", "insert")
+    },
 }
 
 
-def table3_faults(
-    datasets: Sequence[str] = ("mnist", "cifar10", "cifar100"),
-    fault_kind: str = "dead",
-    levels: Sequence[float] = TABLE3_FAULT_LEVELS,
-    scale: ExperimentScale = BENCH_SCALE,
-    seed: int = 0,
+def run_table(
+    name: str,
+    datasets: Optional[Sequence[str]] = None,
+    *,
     workloads: Optional[Dict[str, PreparedWorkload]] = None,
-    eval_size: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    ttas_duration: int = 5,
-    executor: Union[str, Executor, None] = None,
-    store: Union[ResultStore, str, None, bool] = None,
-    batch_size: Optional[int] = None,
-    simulator: Optional[str] = None,
-    method_filter: Optional[Sequence[str]] = None,
-    shards: Optional[int] = None,
+    **kwargs,
 ) -> TableResult:
-    """Hardware-fault robustness table: accuracy and spike counts under one
-    of the circuit-fault models (``fault_kind`` in ``"dead"`` / ``"stuck"``
-    / ``"burst_error"``), all codings with weight scaling.
+    """Run the :data:`TABLES` entry ``name``; one row per (dataset, curve).
 
-    The same table runs on either evaluator: ``simulator="transport"``
-    (default) applies the fault at every layer interface of the fast
-    activation-transport evaluator; ``simulator="timestep"`` applies it to
-    the input train and as persistent per-layer masks inside the faithful
-    membrane simulation, gated by each layer's temporal protocol window.
+    ``datasets`` defaults to the entry's, and all of them dispatch as one
+    flat cell batch.  ``workloads`` reuses already prepared workloads keyed
+    by dataset name.  Every other keyword argument is
+    :func:`~repro.experiments.runner.run_spec`'s.
     """
-    if fault_kind not in FAULT_NOISE_KINDS:
-        raise ValueError(
-            f"fault_kind must be one of {FAULT_NOISE_KINDS}, got {fault_kind!r}"
-        )
-    methods = [
-        MethodSpec(coding="rate", weight_scaling=True),
-        MethodSpec(coding="phase", weight_scaling=True),
-        MethodSpec(coding="burst", weight_scaling=True),
-        MethodSpec(coding="ttfs", weight_scaling=True),
-        MethodSpec(coding="ttas", weight_scaling=True, target_duration=ttas_duration),
+    spec = TABLES[name]
+    datasets = tuple(spec.datasets if datasets is None else datasets)
+    sweeps = run_spec(spec, datasets, workloads=workloads, **kwargs)
+    rows = [
+        _curve_to_row(dataset, curve, spec.spikes)
+        for dataset, sweep in zip(datasets, sweeps)
+        for curve in sweep.curves
     ]
-    return _run_table(
-        datasets, methods, fault_kind, levels, scale, seed, workloads, eval_size,
-        include_spikes=True, name=_FAULT_TABLE_NAMES[fault_kind],
-        max_workers=max_workers, executor=executor, store=store,
-        batch_size=batch_size, simulator=simulator, method_filter=method_filter,
-        shards=shards,
+    return TableResult(
+        name=spec.title.format(evaluator=kwargs.get("simulator") or "transport"),
+        rows=rows,
+        noise_kind=spec.axis,
+        levels=list(sweeps[0].config.levels),
     )
+
+
+table1_deletion = partial(run_table, "table1")
+table2_jitter = partial(run_table, "table2")
+
+
+def table3_faults(
+    datasets: Optional[Sequence[str]] = None, fault_kind: str = "dead", **kwargs
+) -> TableResult:
+    """The ``table3-*`` table of ``fault_kind`` ("dead" / "stuck" / "burst_error")."""
+    name = kind_entry(TABLES, "table3-", "fault_kind", fault_kind)
+    return run_table(name, datasets, **kwargs)
 
 
 def table_adversarial(
-    datasets: Sequence[str] = ("mnist",),
-    attack_kind: str = "delete",
-    budgets: Sequence[int] = BENCH_ATTACK_BUDGETS,
-    scale: ExperimentScale = BENCH_SCALE,
-    seed: int = 0,
-    workloads: Optional[Dict[str, PreparedWorkload]] = None,
-    eval_size: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    ttas_duration: int = 5,
-    executor: Union[str, Executor, None] = None,
-    store: Union[ResultStore, str, None, bool] = None,
-    simulator: Optional[str] = None,
-    method_filter: Optional[Sequence[str]] = None,
-    shards: Optional[int] = None,
-    search: str = "greedy",
-    shift_delta: int = DEFAULT_SHIFT_DELTA,
-    beam_width: int = 4,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    datasets: Optional[Sequence[str]] = None, attack_kind: str = "delete", **kwargs
 ) -> TableResult:
-    """Worst-case robustness table: adversarial vs random, per coding.
-
-    For every dataset and coding the table holds two rows -- the budgeted
-    attacker's worst case (``search``, default greedy) and the
-    matched-budget random baseline -- across the attack-budget columns
-    (budget 0 is the "Clean" column).  ``simulator="timestep"`` transfer-
-    evaluates the found attacks on the faithful simulator (codings without
-    a temporal protocol are dropped by the config's validation there).
-    The cells of all datasets and both searches dispatch as one flat batch.
-    """
-    from repro.coding.registry import timestep_support
-
-    evaluator = simulator if simulator is not None else "transport"
-    methods = [
-        MethodSpec(coding="rate"),
-        MethodSpec(coding="phase"),
-        MethodSpec(coding="burst"),
-        MethodSpec(coding="ttfs"),
-        MethodSpec(coding="ttas", target_duration=ttas_duration),
-    ]
-    methods = filter_methods(methods, method_filter)
-    if evaluator == "timestep":
-        methods = [m for m in methods if timestep_support(m.coding)[0]]
-        if not methods:
-            raise ValueError(
-                "no requested method supports timestep transfer evaluation"
-            )
-    configs = [
-        AttackSweepConfig(
-            dataset=dataset,
-            methods=tuple(methods),
-            attack_kind=attack_kind,
-            budgets=tuple(int(b) for b in budgets),
-            scale=scale,
-            seed=seed,
-            search=search_name,
-            shift_delta=shift_delta,
-            beam_width=beam_width,
-            max_candidates=max_candidates,
-            evaluator=evaluator,
-        )
-        for dataset in datasets
-        for search_name in (search, "random")
-    ]
-    sweeps = run_sweeps(
-        configs,
-        workloads=workloads,
-        eval_size=eval_size,
-        max_workers=max_workers,
-        executor=executor,
-        store=store,
-        shards=shards,
-    )
-    rows: List[TableRow] = []
-    # Pair each dataset's (search, random) sweeps and interleave per method.
-    for pair_index in range(0, len(configs), 2):
-        dataset = configs[pair_index].dataset
-        worst, rand = sweeps[pair_index], sweeps[pair_index + 1]
-        for worst_curve, rand_curve in zip(worst.curves, rand.curves):
-            worst_row = _curve_to_row(dataset, worst_curve, include_spikes=True)
-            worst_row.method = f"{worst_curve.label} ({search})"
-            rand_row = _curve_to_row(dataset, rand_curve, include_spikes=True)
-            rand_row.method = f"{rand_curve.label} (random)"
-            rows.extend([worst_row, rand_row])
-    return TableResult(
-        name=f"Adversarial robustness (adv-{attack_kind}, {evaluator})",
-        rows=rows,
-        noise_kind=f"adv-{attack_kind}",
-        levels=[float(b) for b in budgets],
-    )
+    """The ``adv-*`` table of ``attack_kind`` ("delete" / "shift" / "insert")."""
+    name = kind_entry(TABLES, "adv-", "attack_kind", attack_kind)
+    return run_table(name, datasets, **kwargs)

@@ -47,8 +47,6 @@ from repro.snn.simulator import (
     SimulationRecord,
     SimulatorLayer,
     TimeSteppedSimulator,
-    resolve_sim_workers,
-    set_sim_workers,
 )
 
 __all__ = [
@@ -75,6 +73,4 @@ __all__ = [
     "SimulatorLayer",
     "SimulationRecord",
     "LayerFaultMask",
-    "resolve_sim_workers",
-    "set_sim_workers",
 ]

@@ -38,21 +38,10 @@ of TTFS/TTAS/phase networks out on a shared global time grid.  Layers
 without their own kernel fall back to the simulator-wide
 ``input_kernel``/``hidden_kernel`` pair, which keeps the historical
 rate-coded construction (and its results) bit-identical.
-
-The cache-chunked fold is embarrassingly parallel across chunks; set
-``REPRO_SIM_WORKERS`` (or :func:`set_sim_workers`) to fan the chunk
-transforms of :meth:`TimeSteppedSimulator._fused_layer_drive` out over a
-process-wide warm thread pool (numpy releases the GIL inside the
-GEMM/im2col calls).  The default of 1 keeps the fold serial; results are
-bit-identical at any worker count because every chunk writes a disjoint
-slice of the drive tensor.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -62,68 +51,6 @@ from repro.snn.neurons import SpikingNeuron
 from repro.snn.spikes import SpikeTrain, SpikeTrainArray
 from repro.utils.rng import RngLike, default_rng
 from repro.utils.validation import check_positive
-
-#: Environment variable sizing the fused-fold worker pool (default 1:
-#: serial fold; 0 or negative: one worker per CPU).
-SIM_WORKERS_ENV = "REPRO_SIM_WORKERS"
-
-_SIM_WORKERS_OVERRIDE: Optional[int] = None
-_SIM_POOL: Optional[ThreadPoolExecutor] = None
-_SIM_POOL_WORKERS: int = 0
-_SIM_POOL_LOCK = threading.Lock()
-
-
-def set_sim_workers(workers: Optional[int]) -> None:
-    """Set (or clear, with ``None``) the process-wide fused-fold worker count.
-
-    Sits between the environment variable and the default of 1, mirroring
-    the other backend overrides.  Shrinks/grows take effect on the next
-    fold (the previous pool is drained and released).
-    """
-    global _SIM_WORKERS_OVERRIDE
-    _SIM_WORKERS_OVERRIDE = None if workers is None else int(workers)
-
-
-def resolve_sim_workers() -> int:
-    """Resolve how many threads the fused fold may use.
-
-    Precedence: :func:`set_sim_workers` override, then ``REPRO_SIM_WORKERS``,
-    then 1 (serial).  Values <= 0 mean one worker per CPU.  The fold is
-    CPU-bound numpy, so -- as with the sweep pools -- more workers than
-    physical cores oversubscribes; the single-core-container default is 1.
-    """
-    workers = _SIM_WORKERS_OVERRIDE
-    if workers is None:
-        env = os.environ.get(SIM_WORKERS_ENV, "").strip()
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise ValueError(
-                f"{SIM_WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-    workers = int(workers)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return workers
-
-
-def _fold_pool(workers: int) -> ThreadPoolExecutor:
-    """Process-wide warm thread pool for the fused fold.
-
-    Kept alive across simulator runs (the same amortisation the sweep
-    executors apply to their pools); resized lazily when the requested
-    worker count changes.
-    """
-    global _SIM_POOL, _SIM_POOL_WORKERS
-    with _SIM_POOL_LOCK:
-        if _SIM_POOL is None or _SIM_POOL_WORKERS != workers:
-            if _SIM_POOL is not None:
-                _SIM_POOL.shutdown(wait=True)
-            _SIM_POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-sim-fold"
-            )
-            _SIM_POOL_WORKERS = workers
-        return _SIM_POOL
 
 
 def _kernel_support(kernel: np.ndarray) -> tuple:
@@ -192,9 +119,8 @@ class LayerFaultMask:
     membrane state.  Both masks are drawn over the layer's feature axes
     (the per-step spike tensor is ``(batch, *features)``), once per
     simulator run, on the first application -- so the realisation persists
-    across every timestep, depends only on ``(rng, feature shape)`` and is
-    bit-identical at any ``REPRO_SIM_WORKERS`` count (masks apply to emitted
-    spikes, outside the fold pool).
+    across every timestep and depends only on ``(rng, feature shape)``
+    (masks apply to emitted spikes, after the fold).
 
     Attributes
     ----------
@@ -590,12 +516,6 @@ class TimeSteppedSimulator:
         row sees ``transform(count * kernel[t])`` computed with the same
         dtypes and operation order, and the step bias is added to
         each biased time row exactly once afterwards.
-
-        When ``REPRO_SIM_WORKERS`` (or :func:`set_sim_workers`) asks for
-        more than one worker, the chunk transforms after the probe are
-        dispatched over the process-wide warm fold pool: chunks are
-        embarrassingly parallel (disjoint output slices, GIL-releasing numpy
-        inside), so the results stay bit-identical at any worker count.
         """
         if window is None:
             w_lo, w_hi = 0, counts.shape[0]
@@ -685,17 +605,8 @@ class TimeSteppedSimulator:
                 for start in range(rows_per_chunk, active.size, rows_per_chunk)
             ]
 
-        def fill(rows) -> None:
+        for rows in chunks:
             drive[rows] = transformed(rows)
-
-        workers = resolve_sim_workers()
-        if workers > 1 and len(chunks) > 1:
-            # Disjoint slices: chunks scatter into the preallocated drive
-            # tensor concurrently; list() propagates the first exception.
-            list(_fold_pool(workers).map(fill, chunks))
-        else:
-            for rows in chunks:
-                fill(rows)
         return finish(drive)
 
     def _fused_readout(

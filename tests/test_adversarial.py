@@ -16,6 +16,8 @@ Pins the PR's contracts end to end:
   for every supporting coder on both evaluators.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,9 @@ from repro.experiments.config import (
     MethodSpec,
     SweepConfig,
 )
-from repro.experiments.figures import figure_adversarial
-from repro.experiments.runner import run_noise_sweep, run_sweeps
+from repro.experiments.figures import figure_adversarial, run_figure
+from repro.experiments.runner import run_sweep, run_sweeps
+from repro.experiments.tables import run_table
 from repro.noise.adversarial import (
     DeleteSpace,
     InsertSpace,
@@ -513,7 +516,7 @@ class TestAttackEngineIntegration:
     def test_sweep_matches_direct_cell_evaluation(self, tiny_workload):
         config = attack_config(budgets=(0, 2))
         ref, plans = _compile_attack(config, eval_size=4)
-        sweep = run_noise_sweep(config, workload=tiny_workload, eval_size=4)
+        sweep = run_sweep(config, workload=tiny_workload, eval_size=4)
         direct = [evaluate_attack_plan(p, tiny_workload) for p in plans]
         assert sweep.curves[0].accuracies == [r.accuracy for r in direct]
         assert sweep.curves[0].levels == [0.0, 2.0]
@@ -533,7 +536,7 @@ class TestAttackEngineIntegration:
         workloads = {"mnist": tiny_workload}
         mixed = run_sweeps([noise, attack], workloads=workloads, eval_size=4)
         alone = [
-            run_noise_sweep(config, workload=tiny_workload, eval_size=4)
+            run_sweep(config, workload=tiny_workload, eval_size=4)
             for config in (noise, attack)
         ]
         assert mixed[0].stats.evaluated_cells == 4
@@ -549,11 +552,11 @@ class TestAttackEngineIntegration:
     ):
         config = attack_config()
         store = ResultStore(str(tmp_path))
-        first = run_noise_sweep(
+        first = run_sweep(
             config, workload=tiny_workload, eval_size=6, store=store
         )
         counting = CountingExecutor()
-        resumed = run_noise_sweep(
+        resumed = run_sweep(
             config, workload=tiny_workload, eval_size=6, store=store,
             executor=counting,
         )
@@ -607,22 +610,6 @@ class TestAttackEngineIntegration:
         assert candidate.stats.sharded_cells == len(plans)
         assert _same_results(reference.results, candidate.results)
 
-    def test_transfer_attacks_invariant_to_sim_workers(
-        self, tiny_workload, monkeypatch
-    ):
-        config = attack_config(budgets=(2,), evaluator="timestep")
-        ref, plans = _compile_attack(config, eval_size=4)
-        reference = evaluate_plans(
-            plans, executor="serial", store=False,
-            workloads={ref: tiny_workload},
-        )
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
-        sharded = evaluate_plans(
-            plans, executor="thread", max_workers=2, store=False,
-            workloads={ref: tiny_workload}, shards=2,
-        )
-        assert _same_results(reference.results, sharded.results)
-
     def test_found_train_ignores_shard_bounds(self, tiny_workload):
         config = attack_config(budgets=(2,))
         ref, plans = _compile_attack(config, eval_size=6)
@@ -673,7 +660,7 @@ def _attack_accuracy(workload, coding, budget, search, *, eval_size,
         max_candidates=max_candidates,
         evaluator=evaluator,
     )
-    result = run_noise_sweep(config, workload=workload, eval_size=eval_size)
+    result = run_sweep(config, workload=workload, eval_size=eval_size)
     return result.curves[0].accuracies[0]
 
 
@@ -760,3 +747,30 @@ class TestAdversarialReporting:
         assert all(curve.levels == [0.0, 2.0] for curve in result.curves)
         # Budget 0 degenerates to the same clean cells for both searches.
         assert result.curves[0].accuracies[0] == result.curves[1].accuracies[0]
+
+    @pytest.mark.parametrize("command", ["figure", "table"])
+    def test_transfer_sweeps_warn_about_dropped_codings(
+        self, tiny_workload, command, caplog, monkeypatch
+    ):
+        # Burst has no temporal protocol: figures and tables alike drop it
+        # from timestep transfer evaluation, and say so.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        common = dict(
+            budgets=(0, 1), scale=TEST_SCALE, eval_size=2, max_candidates=4,
+            simulator="timestep", method_filter=("Burst", "TTFS"),
+        )
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            if command == "figure":
+                result = run_figure(
+                    "adv-delete", "mnist", workload=tiny_workload, **common
+                )
+                labels = result.labels()
+            else:
+                result = run_table(
+                    "adv-delete", ("mnist",),
+                    workloads={"mnist": tiny_workload}, **common,
+                )
+                labels = [row.method for row in result.rows]
+        assert labels == ["TTFS (greedy)", "TTFS (random)"]
+        dropped = [r.getMessage() for r in caplog.records if "dropping" in r.getMessage()]
+        assert len(dropped) == 1 and "Burst" in dropped[0]

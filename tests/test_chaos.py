@@ -252,7 +252,7 @@ class TestTransientFailures:
         assert "after 3 attempts" in str(error)
 
     def test_holes_render_explicitly_in_reports(self, chaos_workload, monkeypatch):
-        from repro.experiments import run_noise_sweep
+        from repro.experiments import run_sweep
         from repro.experiments.reporting import format_figure_series
 
         def doomed(plan, workload):
@@ -262,7 +262,7 @@ class TestTransientFailures:
 
         monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         monkeypatch.setenv(CELL_RETRIES_ENV, "1")
-        result = run_noise_sweep(
+        result = run_sweep(
             chaos_config(), workload=chaos_workload, eval_size=10
         )
         curve = result.curve("TTFS")

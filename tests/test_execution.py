@@ -27,7 +27,7 @@ from repro.execution import (
 from repro.execution.attack import build_attack_plans
 from repro.execution.executors import SWEEP_EXECUTOR_ENV, SWEEP_WORKERS_ENV
 from repro.execution.store import RESULT_STORE_ENV
-from repro.experiments import prepare_workload, run_noise_sweep, run_sweeps
+from repro.experiments import prepare_workload, run_sweep, run_sweeps
 from repro.experiments.config import (
     TEST_SCALE,
     AttackSweepConfig,
@@ -220,6 +220,113 @@ class TestPlans:
         assert EvaluationResult.from_dict(payload) == result
 
 
+#: sha256 over the ordered cell fingerprints (network hash ``"0" * 64``) of
+#: every CLI figure and table name, compiled for mnist at TEST_SCALE with
+#: the CLI's defaults.  Stores written by earlier versions must keep
+#: resuming, so these change only with a deliberate fingerprint-schema bump.
+PINNED_CATALOGUE_DIGESTS = {
+    ("figure", "adv-delete"): (
+        "e9d327bd74ec171c1288181d7b50ab067ced52830746eb6c6d9316766a47f0b9"
+    ),
+    ("figure", "adv-insert"): (
+        "d5d889538b62837002d0aa7402afd6e2b19bacd23b53a7f5739e5859c225b95e"
+    ),
+    ("figure", "adv-shift"): (
+        "ea2b0aa1a7349fd9ed2b64030a2fa7d9acda7869463c76d05cc811a036df3799"
+    ),
+    ("figure", "fault-burst"): (
+        "e4e1f4079e117c4575f9b89505c777001a8e794c7f176fcf8d33296f84b07f7f"
+    ),
+    ("figure", "fault-dead"): (
+        "18cf335f8c6b3dd61fde39bbbba8d4b848c6cb24834deb3cd237de4320427ce1"
+    ),
+    ("figure", "fault-stuck"): (
+        "08603ca86ba03ca027c163591e423bce8338e8ac0240d202121252f2e9d18cd9"
+    ),
+    ("figure", "fig2"): (
+        "580159a81bdf8ccb17be2130abfb567d509268d7a12473fb34e65e2f73ae7493"
+    ),
+    ("figure", "fig3"): (
+        "7eeae7d9e36b20cdd5ff2aae1c5df702c13f7ad2234c548df9e0da6ba9ce6dd0"
+    ),
+    ("figure", "fig4"): (
+        "124cc3e98055982f9fc92817ceb578219d671041d5a1669b014ffcbb98b657ca"
+    ),
+    ("figure", "fig6"): (
+        "089562fe557e4c42abcf4b66b20f71f093089d997a6cd532c733082ec5d5c624"
+    ),
+    ("figure", "fig7"): (
+        "66234add43ba2bf47d60df222768211af363d16fac9666d668ee2bb224f40cb1"
+    ),
+    ("figure", "fig8"): (
+        "2b6adfb5c8eb6eaa01f0826a7d6369116065d498a383e9c7a4cc4b4113f92d53"
+    ),
+    ("table", "adv-delete"): (
+        "e9d327bd74ec171c1288181d7b50ab067ced52830746eb6c6d9316766a47f0b9"
+    ),
+    ("table", "adv-insert"): (
+        "d5d889538b62837002d0aa7402afd6e2b19bacd23b53a7f5739e5859c225b95e"
+    ),
+    ("table", "adv-shift"): (
+        "ea2b0aa1a7349fd9ed2b64030a2fa7d9acda7869463c76d05cc811a036df3799"
+    ),
+    ("table", "table1"): (
+        "ba83027817018a806f6884c627fc51246ff6edbb34ef28d30bf941fbf2850f3a"
+    ),
+    ("table", "table2"): (
+        "edfa6bca8bfc62d9f6373869820521a39bfec77a633bce856eb95b81dd59ed4c"
+    ),
+    ("table", "table3-burst"): (
+        "67851d21b9f8cac6fd2663f8bc8f05c82be9ccfe031b6fc450cfabbaadc70d83"
+    ),
+    ("table", "table3-dead"): (
+        "84cfb91bfdead6e48011eff0639a61a36cc925c1ac7ce51a8d7fdd913bdaafaf"
+    ),
+    ("table", "table3-stuck"): (
+        "a7319ff2c5774a7859af50a57360736443fb956c73349d689120107978b1b5d7"
+    ),
+}
+
+
+class _Compiled(Exception):
+    """Raised by the stubbed run_sweeps once it has the compiled configs."""
+
+
+@pytest.mark.parametrize("command,name", sorted(PINNED_CATALOGUE_DIGESTS))
+def test_pinned_catalogue_cell_fingerprints(command, name, monkeypatch):
+    import hashlib
+
+    import repro.experiments.runner as runner_module
+    from repro.cli import main
+
+    configs = []
+
+    def capture(batch, **_):
+        configs.extend(batch)
+        raise _Compiled
+
+    monkeypatch.setattr(runner_module, "run_sweeps", capture)
+    dataset_flag = "--dataset" if command == "figure" else "--datasets"
+    with pytest.raises(_Compiled):
+        main([command, "--name", name, dataset_flag, "mnist", "--scale", "test"])
+    fingerprints = [
+        plan.cell_fingerprint("0" * 64)
+        for config in configs
+        for plan in config.build_plans()
+    ]
+    digest = hashlib.sha256("\n".join(fingerprints).encode()).hexdigest()
+    assert digest == PINNED_CATALOGUE_DIGESTS[(command, name)]
+
+
+def test_catalogue_names_unchanged():
+    # The catalogues are the CLI's --name choices; none may appear or vanish
+    # without its pinned digest.
+    from repro.experiments import FIGURES, TABLES
+
+    names = {("figure", n) for n in FIGURES} | {("table", n) for n in TABLES}
+    assert names == set(PINNED_CATALOGUE_DIGESTS)
+
+
 # ---------------------------------------------------------------------------
 # Executors
 # ---------------------------------------------------------------------------
@@ -272,11 +379,11 @@ class TestExecutors:
                      MethodSpec(coding="rate")),
             levels=(0.0, 0.3, 0.6),
         )
-        reference = run_noise_sweep(
+        reference = run_sweep(
             config, workload=tiny_workload, eval_size=12, executor="serial"
         )
         for executor in ("thread", "process"):
-            candidate = run_noise_sweep(
+            candidate = run_sweep(
                 config, workload=tiny_workload, eval_size=12,
                 executor=executor, max_workers=3,
             )
@@ -289,10 +396,10 @@ class TestExecutors:
 
     def test_jitter_sweep_process_identical(self, tiny_workload):
         config = tiny_config(noise_kind="jitter", levels=(0.0, 2.0))
-        serial = run_noise_sweep(
+        serial = run_sweep(
             config, workload=tiny_workload, eval_size=10, executor="serial"
         )
-        process = run_noise_sweep(
+        process = run_sweep(
             config, workload=tiny_workload, eval_size=10,
             executor="process", max_workers=2,
         )
@@ -307,14 +414,14 @@ class TestResultStore:
     def test_rerun_hits_store_and_evaluates_nothing(self, tiny_workload, tmp_path):
         config = tiny_config()
         store = ResultStore(str(tmp_path))
-        first = run_noise_sweep(
+        first = run_sweep(
             config, workload=tiny_workload, eval_size=12, store=store
         )
         assert first.stats.evaluated_cells == 4
         assert first.stats.store_writes == 4
 
         counting = CountingExecutor()
-        second = run_noise_sweep(
+        second = run_sweep(
             config, workload=tiny_workload, eval_size=12, store=store,
             executor=counting,
         )
@@ -329,7 +436,7 @@ class TestResultStore:
     def test_resume_from_partial_store(self, tiny_workload, tmp_path):
         config = tiny_config()
         store = ResultStore(str(tmp_path))
-        run_noise_sweep(config, workload=tiny_workload, eval_size=12, store=store)
+        run_sweep(config, workload=tiny_workload, eval_size=12, store=store)
         fingerprints = list(store.fingerprints())
         assert len(fingerprints) == 4
 
@@ -337,7 +444,7 @@ class TestResultStore:
         for fingerprint in fingerprints[:2]:
             os.unlink(store.path_for(fingerprint))
         counting = CountingExecutor()
-        resumed = run_noise_sweep(
+        resumed = run_sweep(
             config, workload=tiny_workload, eval_size=12, store=store,
             executor=counting,
         )
@@ -348,13 +455,13 @@ class TestResultStore:
 
     def test_fingerprint_change_invalidates_store(self, tiny_workload, tmp_path):
         store = ResultStore(str(tmp_path))
-        run_noise_sweep(
+        run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, store=store
         )
         # A different batch size is a different noise realisation, so every
         # cell must miss and re-evaluate rather than alias the stored rows.
         counting = CountingExecutor()
-        rerun = run_noise_sweep(
+        rerun = run_sweep(
             tiny_config(batch_size=6), workload=tiny_workload, eval_size=12,
             store=store, executor=counting,
         )
@@ -369,14 +476,14 @@ class TestResultStore:
     ])
     def test_corrupt_document_is_a_miss(self, tiny_workload, tmp_path, payload):
         store = ResultStore(str(tmp_path))
-        run_noise_sweep(
+        run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, store=store
         )
         victim = store.path_for(next(iter(store.fingerprints())))
         with open(victim, "w", encoding="utf-8") as handle:
             handle.write(payload)
         counting = CountingExecutor()
-        rerun = run_noise_sweep(
+        rerun = run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, store=store,
             executor=counting,
         )
@@ -403,7 +510,7 @@ class TestResultStore:
         monkeypatch.setattr(EvaluationPlan, "evaluate", flaky_evaluate_plan)
         store = ResultStore(str(tmp_path))
         with pytest.raises(CellEvaluationError, match="TTFS"):
-            run_noise_sweep(
+            run_sweep(
                 tiny_config(), workload=tiny_workload, eval_size=12,
                 store=store, executor="thread", max_workers=4,
             )
@@ -421,7 +528,7 @@ class TestResultStore:
             noise_kind="jitter",
             levels=(0.0, 2.0),
         )
-        run_noise_sweep(config, workload=tiny_workload, eval_size=10, store=store)
+        run_sweep(config, workload=tiny_workload, eval_size=10, store=store)
         table = table2_jitter(
             datasets=("mnist",), levels=(0.0, 2.0), scale=TEST_SCALE,
             workloads={"mnist": tiny_workload}, eval_size=10, ttas_duration=3,
@@ -511,7 +618,7 @@ class TestEngine:
         # the cell; the engine must say which cell died.
         config = tiny_config(levels=(0.0, 1.5))
         with pytest.raises(CellEvaluationError) as excinfo:
-            run_noise_sweep(config, workload=tiny_workload, eval_size=10)
+            run_sweep(config, workload=tiny_workload, eval_size=10)
         error = excinfo.value
         assert error.dataset == "mnist"
         assert error.method == "TTFS"
@@ -522,7 +629,7 @@ class TestEngine:
     def test_cell_error_survives_process_boundary(self, tiny_workload):
         config = tiny_config(levels=(1.5,))
         with pytest.raises(CellEvaluationError) as excinfo:
-            run_noise_sweep(
+            run_sweep(
                 config, workload=tiny_workload, eval_size=10,
                 executor="process", max_workers=2,
             )
@@ -556,7 +663,7 @@ class TestEngine:
         assert len(_WORKLOAD_REGISTRY) <= WORKLOAD_REGISTRY_LIMIT
 
     def test_batch_size_override_reflected_in_config(self, tiny_workload):
-        result = run_noise_sweep(
+        result = run_sweep(
             tiny_config(batch_size=4), workload=tiny_workload, eval_size=12
         )
         assert result.config.batch_size == 4
@@ -589,7 +696,7 @@ class TestEngine:
             ResultStore, "put",
             lambda self, *a, **k: (_ for _ in ()).throw(OSError("disk full")),
         )
-        result = run_noise_sweep(
+        result = run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, store=store
         )
         assert result.stats.evaluated_cells == 4
@@ -608,17 +715,17 @@ class TestEngine:
 class TestFaultSweepDeterminism:
     """Fault masks draw from per-cell RNG streams keyed exactly like the
     existing noise models, so fault sweeps must be bit-identical across
-    every executor backend and any REPRO_SIM_WORKERS setting."""
+    every executor backend."""
 
     @pytest.mark.parametrize("noise_kind", ["dead", "stuck", "burst_error"])
     def test_fault_sweep_identical_across_executors(self, tiny_workload, noise_kind):
         levels = (0.0, 0.75) if noise_kind == "burst_error" else (0.0, 0.3)
         config = tiny_config(noise_kind=noise_kind, levels=levels)
-        reference = run_noise_sweep(
+        reference = run_sweep(
             config, workload=tiny_workload, eval_size=12, executor="serial"
         )
         for executor in ("thread", "process"):
-            candidate = run_noise_sweep(
+            candidate = run_sweep(
                 config, workload=tiny_workload, eval_size=12,
                 executor=executor, max_workers=2,
             )
@@ -626,31 +733,11 @@ class TestFaultSweepDeterminism:
                 assert cand_curve.accuracies == ref_curve.accuracies
                 assert cand_curve.spike_counts == ref_curve.spike_counts
 
-    def test_timestep_fault_cells_invariant_to_sim_workers(self, tiny_workload):
-        from repro.snn.simulator import set_sim_workers
-
-        config = tiny_config(
-            methods=(MethodSpec(coding="ttfs"),),
-            noise_kind="dead",
-            levels=(0.0, 0.4),
-            simulator="timestep",
-        )
-        set_sim_workers(1)
-        try:
-            one = run_noise_sweep(config, workload=tiny_workload, eval_size=10)
-            set_sim_workers(2)
-            two = run_noise_sweep(config, workload=tiny_workload, eval_size=10)
-        finally:
-            set_sim_workers(None)
-        for a, b in zip(one.curves, two.curves):
-            assert a.accuracies == b.accuracies
-            assert a.spike_counts == b.spike_counts
-
     def test_retries_enabled_bit_identical_when_nothing_fails(self, tiny_workload):
         # The fault-tolerant dispatch path must not perturb results: a sweep
         # with a retry budget (and no failures) matches the plain path.
         config = tiny_config(noise_kind="stuck", levels=(0.0, 0.2))
-        plain = run_noise_sweep(config, workload=tiny_workload, eval_size=12)
+        plain = run_sweep(config, workload=tiny_workload, eval_size=12)
         ref = WorkloadRef.from_sweep_config(config, use_cache=False)
         plans = build_sweep_plans(config, eval_size=12, use_cache=False)
         tolerant = evaluate_plans(
@@ -747,17 +834,28 @@ class TestCliPlumbing:
         config = tiny_config(batch_size=8)
         plans = build_sweep_plans(config)
         assert all(p.batch_size == 8 for p in plans)
-        result = run_noise_sweep(config, workload=tiny_workload, eval_size=8)
+        result = run_sweep(config, workload=tiny_workload, eval_size=8)
         assert result.config.batch_size == 8
 
-    @pytest.mark.parametrize("command", ["figure", "table"])
-    def test_adversarial_names_reject_batch_size(self, command, capsys):
+    @pytest.mark.parametrize("command,name,flag,value", [
+        pytest.param("figure", "adv-delete", "--batch-size", "8", id="figure"),
+        pytest.param("table", "adv-delete", "--batch-size", "8", id="table"),
+        ("figure", "fig2", "--budgets", "2"),
+        ("table", "table1", "--budgets", "2"),
+        ("figure", "fault-dead", "--attack-search", "beam"),
+        ("table", "table2", "--attack-search", "greedy"),
+    ])
+    def test_adversarial_names_reject_batch_size(
+        self, command, name, flag, value, capsys
+    ):
+        # Every family flag is rejected, by name, on an entry of the other
+        # family: attack cells run per sample, noise cells have no attack.
         from repro.cli import main
 
         with pytest.raises(SystemExit) as raised:
-            main([command, "--name", "adv-delete", "--batch-size", "8"])
+            main([command, "--name", name, flag, value])
         assert raised.value.code == 2
-        assert "--batch-size" in capsys.readouterr().err
+        assert f"{flag} does not apply to {name}" in capsys.readouterr().err
 
 
 def _square(value: int) -> int:

@@ -14,7 +14,7 @@ from repro.experiments import (
     format_table_rows,
     prepare_workload,
     render_markdown_table,
-    run_noise_sweep,
+    run_sweep,
 )
 from repro.experiments.config import (
     TABLE1_DELETION_LEVELS,
@@ -106,7 +106,7 @@ class TestWorkloadAndRunner:
             scale=TEST_SCALE,
             seed=0,
         )
-        result = run_noise_sweep(config, workload=tiny_workload, eval_size=12)
+        result = run_sweep(config, workload=tiny_workload, eval_size=12)
         assert result.labels() == ["TTFS", "TTAS(3)+WS"]
         for curve in result.curves:
             assert len(curve.accuracies) == 2
@@ -136,10 +136,10 @@ class TestWorkloadAndRunner:
             scale=TEST_SCALE,
             seed=0,
         )
-        serial = run_noise_sweep(
+        serial = run_sweep(
             config, workload=tiny_workload, eval_size=12, max_workers=1
         )
-        parallel = run_noise_sweep(
+        parallel = run_sweep(
             config, workload=tiny_workload, eval_size=12, max_workers=4
         )
         assert serial.labels() == parallel.labels()
@@ -199,7 +199,7 @@ class TestFiguresAndReporting:
             dataset="mnist", methods=(MethodSpec(coding="ttfs"),),
             noise_kind="jitter", levels=(0.0, 1.0), scale=TEST_SCALE, seed=0,
         )
-        result = run_noise_sweep(config, workload=tiny_workload, eval_size=8)
+        result = run_sweep(config, workload=tiny_workload, eval_size=8)
         text = format_figure_series(result, "demo")
         assert "demo" in text
         assert "TTFS" in text

@@ -289,7 +289,7 @@ class TestFaultCurvesBothEvaluators:
         """Dead-neuron and burst-error curves run end-to-end on the
         transport evaluator *and* the faithful simulator, and both show the
         same qualitative trend: severe faults cost substantial accuracy."""
-        from repro.experiments import run_noise_sweep
+        from repro.experiments import run_sweep
         from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
 
         curves = {}
@@ -303,7 +303,7 @@ class TestFaultCurvesBothEvaluators:
                 seed=0,
                 simulator=simulator,
             )
-            result = run_noise_sweep(config, workload=fault_workload, eval_size=24)
+            result = run_sweep(config, workload=fault_workload, eval_size=24)
             curves[simulator] = result.curves[0]
         for simulator, curve in curves.items():
             clean, faulty = curve.accuracies
@@ -313,7 +313,7 @@ class TestFaultCurvesBothEvaluators:
             )
 
     def test_stuck_at_firing_degrades_transport_and_timestep(self, fault_workload):
-        from repro.experiments import run_noise_sweep
+        from repro.experiments import run_sweep
         from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
 
         for simulator in ("transport", "timestep"):
@@ -326,6 +326,6 @@ class TestFaultCurvesBothEvaluators:
                 seed=0,
                 simulator=simulator,
             )
-            result = run_noise_sweep(config, workload=fault_workload, eval_size=24)
+            result = run_sweep(config, workload=fault_workload, eval_size=24)
             clean, faulty = result.curves[0].accuracies
             assert faulty < clean - 0.2

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import NoiseRobustSNN
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
-from repro.experiments.runner import run_noise_sweep
+from repro.experiments.runner import run_sweep
 from repro.experiments.workloads import prepare_workload
 
 
@@ -132,7 +132,7 @@ class TestConvSweepEndToEnd:
             scale=TEST_SCALE,
             seed=0,
         )
-        result = run_noise_sweep(config, workload=workload, eval_size=16)
+        result = run_sweep(config, workload=workload, eval_size=16)
         assert len(result.curves) == 2
         for curve in result.curves:
             assert all(0.0 <= acc <= 1.0 for acc in curve.accuracies)

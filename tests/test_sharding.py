@@ -40,7 +40,7 @@ from repro.execution import (
 from repro.execution import engine as engine_module
 from repro.execution.engine import SWEEP_SHARDS_ENV, network_hash_for
 from repro.execution.plan import evaluate_plan as real_evaluate_plan
-from repro.experiments import prepare_workload, run_noise_sweep
+from repro.experiments import prepare_workload, run_sweep
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
 
 
@@ -243,23 +243,6 @@ class TestShardBitIdentity:
         )
         assert candidate.stats.sharded_cells == len(plans)
         assert _same_results(reference.results, candidate.results)
-
-    def test_sharding_invariant_to_sim_workers(self, tiny_workload, monkeypatch):
-        config = tiny_config(
-            methods=(MethodSpec(coding="ttfs"),), levels=(0.3,),
-            simulator="timestep",
-        )
-        ref, plans = _compile(config, eval_size=8)
-        reference = evaluate_plans(
-            plans, executor="serial", store=False,
-            workloads={ref: tiny_workload},
-        )
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
-        sharded = evaluate_plans(
-            plans, executor="thread", max_workers=2, store=False,
-            workloads={ref: tiny_workload}, shards=2,
-        )
-        assert _same_results(reference.results, sharded.results)
 
     def test_sharding_composes_with_fault_tolerance(self, tiny_workload):
         config = tiny_config()
@@ -480,7 +463,7 @@ class TestShardFailures:
 
         monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
         monkeypatch.setenv("REPRO_CELL_RETRIES", "1")
-        result = run_noise_sweep(
+        result = run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, shards=3,
         )
         curve = result.curve("TTFS")
@@ -599,9 +582,9 @@ class TestAutoShard:
     def test_env_flows_through_run_noise_sweep(self, tiny_workload, monkeypatch):
         config = tiny_config(methods=(MethodSpec(coding="ttfs"),),
                              levels=(0.5,), batch_size=4)
-        reference = run_noise_sweep(config, workload=tiny_workload, eval_size=12)
+        reference = run_sweep(config, workload=tiny_workload, eval_size=12)
         monkeypatch.setenv(SWEEP_SHARDS_ENV, "3")
-        sharded = run_noise_sweep(config, workload=tiny_workload, eval_size=12)
+        sharded = run_sweep(config, workload=tiny_workload, eval_size=12)
         assert sharded.stats.sharded_cells == 1
         assert sharded.stats.evaluated_shards == 3
         for ref_curve, cand_curve in zip(reference.curves, sharded.curves):

@@ -24,7 +24,7 @@ from repro.core.weight_scaling import WeightScaling
 from repro.execution import ProcessExecutor, ResultStore, ThreadExecutor, evaluate_plans
 from repro.execution.plan import build_sweep_plans, network_fingerprint
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig, filter_methods
-from repro.experiments.runner import run_noise_sweep
+from repro.experiments.runner import run_sweep
 from repro.noise.injector import NoiseInjector
 from repro.snn.neurons import IFNeuron, IntegrateFireOrBurstNeuron, TTFSNeuron
 from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
@@ -426,7 +426,7 @@ class TestSweepIntegration:
         results = {}
         for simulator in ("transport", "timestep"):
             with ProcessExecutor(max_workers=2) as executor:
-                sweep = run_noise_sweep(
+                sweep = run_sweep(
                     rate_sweep_config(simulator),
                     workload=tiny_rate_workload,
                     eval_size=8,
@@ -445,7 +445,7 @@ class TestSweepIntegration:
             assert all(count > 0 for count in curve.spike_counts)
 
         # Re-run: every cell served from the store, nothing evaluated.
-        rerun = run_noise_sweep(
+        rerun = run_sweep(
             rate_sweep_config("timestep"),
             workload=tiny_rate_workload,
             eval_size=8,
@@ -487,7 +487,7 @@ class TestSweepIntegration:
             simulator="timestep",
         )
         store = ResultStore(str(tmp_path))
-        baseline = run_noise_sweep(
+        baseline = run_sweep(
             config, workload=tiny_rate_workload, eval_size=8,
             executor="serial", store=store,
         )
@@ -501,7 +501,7 @@ class TestSweepIntegration:
             lambda: ProcessExecutor(max_workers=2),
         ):
             with executor_factory() as executor:
-                rerun = run_noise_sweep(
+                rerun = run_sweep(
                     config, workload=tiny_rate_workload, eval_size=8,
                     executor=executor, store=store,
                 )
@@ -513,7 +513,7 @@ class TestSweepIntegration:
                 assert base_curve.spike_counts == rerun_curve.spike_counts
         # Without the store the pooled backends recompute identically.
         with ProcessExecutor(max_workers=2) as executor:
-            fresh = run_noise_sweep(
+            fresh = run_sweep(
                 config, workload=tiny_rate_workload, eval_size=8,
                 executor=executor, store=False,
             )

@@ -11,8 +11,7 @@ Covers the coder-aware layer-window refactor end to end:
 * simulator == stepped oracle (:func:`oracles.run_stepped`) for every
   temporal coder the bridge accepts,
 * transport-vs-timestep degradation-trend comparison per method,
-* the multicore fold (``REPRO_SIM_WORKERS``) and the workload conversion
-  store-back.
+* the workload conversion store-back.
 """
 
 import numpy as np
@@ -45,12 +44,7 @@ from repro.snn.neurons import (
     IntegrateFireOrBurstNeuron,
     TTFSNeuron,
 )
-from repro.snn.simulator import (
-    SimulatorLayer,
-    TimeSteppedSimulator,
-    resolve_sim_workers,
-    set_sim_workers,
-)
+from repro.snn.simulator import SimulatorLayer, TimeSteppedSimulator
 
 
 WINDOWED_FACTORIES = {
@@ -458,52 +452,6 @@ class TestTransportVsTimestepTrend:
         assert transport_noisy.accuracy <= transport_clean.accuracy + 0.1
         # Deletion removes input charge, hence spikes, on the faithful path.
         assert faithful_noisy.total_spikes < faithful_clean.total_spikes
-
-
-class TestMulticoreFold:
-    @pytest.fixture(autouse=True)
-    def _reset_workers(self):
-        yield
-        set_sim_workers(None)
-
-    def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_WORKERS", raising=False)
-        assert resolve_sim_workers() == 1
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "3")
-        assert resolve_sim_workers() == 3
-        set_sim_workers(2)
-        assert resolve_sim_workers() == 2
-        set_sim_workers(0)
-        assert resolve_sim_workers() >= 1  # one per CPU
-        set_sim_workers(None)
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "many")
-        with pytest.raises(ValueError):
-            resolve_sim_workers()
-
-    @pytest.mark.parametrize("coder_name", ["rate", "ttfs"])
-    def test_parallel_fold_bit_identical(
-        self, converted_mlp, mnist_split, coder_name
-    ):
-        coder = TEMPORAL_CODERS[coder_name if coder_name != "ttfs" else "ttfs"]()
-        simulator = build_time_stepped_simulator(
-            converted_mlp, coder, batch_input_shape=(8, 1, 28, 28),
-        )
-        # Shrink the chunk size so the fold actually produces several
-        # chunks at this tiny shape.
-        simulator.FUSED_CHUNK_BYTES = 64 << 10
-        train = coder.encode(
-            mnist_split.test.x[:8] / converted_mlp.input_scale
-        )
-        serial = simulator.run(train, record_spikes=True)
-        set_sim_workers(3)
-        parallel = simulator.run(train, record_spikes=True)
-        assert_engines_match(simulator, train)
-        assert np.array_equal(
-            serial.output_potential, parallel.output_potential
-        )
-        assert serial.spike_counts == parallel.spike_counts
-        for name in serial.spike_trains:
-            assert serial.spike_trains[name] == parallel.spike_trains[name]
 
 
 class TestConversionStoreBack:
