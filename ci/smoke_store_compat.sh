@@ -5,12 +5,16 @@
 # with zero re-evaluated cells, unless HEAD bumps a fingerprint schema on
 # purpose.  The parent (HEAD^1; on a pull-request merge commit that is the
 # base branch tip) is checked out in a git worktree, so the job needs the
-# full history (fetch-depth: 0).  There a noise-cell batch (`table1`) and
-# an attack-cell batch (`adv-delete`) are written to a fresh store; both
-# are then re-run at HEAD, and no cell document may be newer than a
-# sentinel touched in between.  When FINGERPRINT_SCHEMA or
-# ATTACK_FINGERPRINT_SCHEMA differs between the two trees the script
-# prints the bump and exits 0: a bump is a deliberate reset.
+# full history (fetch-depth: 0).  There two noise-cell batches (`table1`
+# on class counts, `fig3` Phase/Burst on the dense jitter kernel) and an
+# attack-cell batch (`adv-delete`) are written to a fresh store; all are
+# then re-run at HEAD, and no cell document may be newer than a sentinel
+# touched in between.  The same sweeps then run at HEAD into a second
+# fresh store, and every cell's `result` block must equal the parent's for
+# the same fingerprint: resuming is not enough, the values must match too.
+# When FINGERPRINT_SCHEMA or ATTACK_FINGERPRINT_SCHEMA differs between the
+# two trees the script prints the bump and exits 0: a bump is a deliberate
+# reset.
 #
 # Run from the repository root: bash ci/smoke_store_compat.sh
 set -euo pipefail
@@ -18,6 +22,7 @@ set -euo pipefail
 WORK="$(mktemp -d)"
 BASE="$WORK/base"
 STORE="$WORK/store"
+FRESH="$WORK/fresh"
 # One weight cache for both trees: training is deterministic, so sharing
 # it only saves the second run's training time.
 export REPRO_CACHE_DIR="$WORK/weights"
@@ -38,22 +43,44 @@ if [ "$BASE_SCHEMAS" != "$HEAD_SCHEMAS" ]; then
   exit 0
 fi
 
+# sweeps TREE STORE: run every checked batch of TREE into STORE.
 sweeps() {
   PYTHONPATH="$1/src" python -m repro table --name table1 --datasets mnist \
-    --scale test --eval-size 8 --result-store "$STORE" > /dev/null
+    --scale test --eval-size 8 --result-store "$2" > /dev/null
+  PYTHONPATH="$1/src" python -m repro figure --name fig3 --dataset mnist \
+    --methods Phase Burst --scale test --eval-size 8 \
+    --result-store "$2" > /dev/null
   PYTHONPATH="$1/src" python -m repro figure --name adv-delete --dataset mnist \
     --budgets 0 2 --methods TTFS --scale test --eval-size 8 \
-    --result-store "$STORE" > /dev/null
+    --result-store "$2" > /dev/null
 }
 
-sweeps "$BASE"
+sweeps "$BASE" "$STORE"
 CELLS="$(find "$STORE/cells" -name '*.json' | wc -l)"
 test "$CELLS" -gt 0
 touch "$STORE/sentinel"
 sleep 1  # coarse mtimes must not hide a document written right after
-sweeps "$PWD"
+sweeps "$PWD" "$STORE"
 NEWER="$(find "$STORE/cells" -name '*.json' -newer "$STORE/sentinel" | wc -l)"
-echo "store compat: $CELLS cells written at $(git rev-parse --short HEAD^1)" \
-  "($BASE_SCHEMAS), $NEWER re-evaluated at HEAD"
-test "$NEWER" -eq 0
 test "$(find "$STORE/cells" -name '*.json' | wc -l)" -eq "$CELLS"
+
+sweeps "$PWD" "$FRESH"
+DIFFERING="$(python - "$STORE/cells" "$FRESH/cells" <<'PY'
+import json, pathlib, sys
+
+base, fresh = (pathlib.Path(root) for root in sys.argv[1:])
+names = sorted(path.relative_to(base) for path in base.rglob("*.json"))
+assert names == sorted(path.relative_to(fresh) for path in fresh.rglob("*.json")), \
+    "HEAD wrote a different set of cell fingerprints"
+print(sum(
+    json.loads((base / name).read_text())["result"]
+    != json.loads((fresh / name).read_text())["result"]
+    for name in names
+))
+PY
+)"
+echo "store compat: $CELLS cells written at $(git rev-parse --short HEAD^1)" \
+  "($BASE_SCHEMAS), $NEWER re-evaluated at HEAD, $DIFFERING differing" \
+  "from a fresh HEAD run"
+test "$NEWER" -eq 0
+test "$DIFFERING" -eq 0

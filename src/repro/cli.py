@@ -23,7 +23,9 @@ Each entry belongs to one sweep family, and the family decides which of
 three flags it takes: noise sweeps take ``--batch-size``; the ``adv-*``
 names take ``--budgets`` and ``--attack-search`` (default greedy) and run
 their cells per sample.  A flag the named entry does not take is a usage
-error.
+error.  An entry with a method that does not fit the ``--scale`` window
+(``table2``'s TTAS(10) at ``--scale test``) is refused before anything
+runs, with one ``error:`` line and exit code 2.
 
 Sweep execution is controlled by ``--executor`` (serial / thread / process;
 also via ``REPRO_SWEEP_EXECUTOR``), ``--max-workers``, ``--shards`` (sample
@@ -67,7 +69,12 @@ from repro.experiments import (
 )
 from repro.execution.executors import EXECUTOR_NAMES
 from repro.execution.store import resolve_store
-from repro.experiments.config import BENCH_SCALE, TEST_SCALE, ExperimentScale
+from repro.experiments.config import (
+    BENCH_SCALE,
+    TEST_SCALE,
+    ExperimentScale,
+    ScaleWindowError,
+)
 from repro.experiments.workloads import prepare_workload
 from repro.core.pipeline import SIMULATORS, NoiseRobustSNN
 
@@ -337,7 +344,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in _CATALOGUES:
-        output = _run_sweep(args, _family_options(parser, args))
+        try:
+            output = _run_sweep(args, _family_options(parser, args))
+        except ScaleWindowError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     else:
         output = {"evaluate": _run_evaluate, "store": _run_store}[args.command](args)
     print(output)

@@ -303,6 +303,31 @@ class SweepConfig:
         return build_sweep_plans(self, eval_size=eval_size, use_cache=use_cache)
 
 
+class ScaleWindowError(ConfigError):
+    """A method's coder does not fit the window its experiment scale gives it
+    (e.g. TTAS(10) at the 8-step TTFS window of :data:`TEST_SCALE`)."""
+
+
+def check_scale_windows(methods: Sequence[MethodSpec], scale: ExperimentScale) -> None:
+    """Raise :class:`ScaleWindowError` for the first method ``scale`` cannot code.
+
+    Builds each method's coder at its scale window, so every window
+    constraint a coder has (TTAS duration, phase/burst period) is checked
+    where it is defined.
+    """
+    from repro.coding.registry import create_coder
+
+    for method in methods:
+        window = scale.time_steps_for(method.coding)
+        try:
+            create_coder(method.coding, num_steps=window, **method.coder_kwargs())
+        except ValueError as error:
+            raise ScaleWindowError(
+                f"{method.display_label()} does not fit the {window}-step "
+                f"{method.coding} window of the {scale.name} scale: {error}"
+            ) from None
+
+
 def filter_methods(
     methods: Sequence[MethodSpec], labels: Optional[Sequence[str]]
 ) -> Tuple[MethodSpec, ...]:

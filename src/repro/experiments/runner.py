@@ -30,7 +30,6 @@ fingerprint, so the two kinds of results never alias.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,7 +50,9 @@ from repro.experiments.config import (
     AttackSweepConfig,
     ExperimentScale,
     MethodSpec,
+    ScaleWindowError,
     SweepConfig,
+    check_scale_windows,
     filter_methods,
 )
 from repro.experiments.workloads import PreparedWorkload, prepare_workload
@@ -297,7 +298,13 @@ def run_sweeps(
         :func:`repro.execution.engine.evaluate_plans`).  Sharding is a pure
         scheduling choice: merged results are bit-identical to the
         unsharded run.
+
+    Raises :class:`~repro.experiments.config.ScaleWindowError` before any
+    workload is prepared, cell planned or store opened when a method does
+    not fit its scale's window.
     """
+    for config in configs:
+        check_scale_windows(config.methods, config.scale)
     backend = resolve_executor(executor, max_workers)
     # A backend resolved *here* (from a name / env / worker count) cannot be
     # reused by the caller, so its warm pool must be released before
@@ -530,7 +537,10 @@ def run_spec(
     (:attr:`SweepSpec.options`; ``None`` values keep the config defaults)
     and the keyword arguments of its method builder.  ``levels`` defaults
     to the entry's; ``budgets`` overrides it on an ``adv-*`` axis.  The
-    execution arguments are :func:`run_sweeps`'s.
+    execution arguments are :func:`run_sweeps`'s.  A method (after
+    ``method_filter``) that does not fit its scale's window raises
+    :class:`~repro.experiments.config.ScaleWindowError`, prefixed with the
+    entry's title, before anything is planned.
     """
     family = {
         name: value for name in spec.options
@@ -539,10 +549,18 @@ def run_spec(
     methods = filter_methods(spec.methods(**options), method_filter)
     levels = tuple(spec.levels if levels is None else levels)
     evaluator = simulator if simulator is not None else "transport"
-    run = partial(
-        run_sweeps, workloads=workloads, eval_size=eval_size,
-        max_workers=max_workers, executor=executor, store=store, shards=shards,
-    )
+
+    def run(configs: List[AnySweepConfig]) -> List[SweepResult]:
+        try:
+            return run_sweeps(
+                configs, workloads=workloads, eval_size=eval_size,
+                max_workers=max_workers, executor=executor, store=store,
+                shards=shards,
+            )
+        except ScaleWindowError as error:
+            title = spec.title.format(evaluator=evaluator)
+            raise ScaleWindowError(f"{title}: {error}") from None
+
     if spec.attack_kind:
         budgets = tuple(int(b) for b in family.pop("budgets", levels))
         return _run_attack_pairs(

@@ -67,10 +67,10 @@ class NoiseInjector(SpikeNoise):
         cannot be permuted silently).  The timing and fault models (jitter,
         burst, dead, stuck) are additionally *backend-invariant* -- dense and
         event trains realise bit-identical corruptions.  Deletion draws one
-        variate per dense grid slot, one per event on the event backend (the
-        O(events) thinning optimisation) and one binomial per ``(class,
-        neuron)`` slot on a class-domain train (the transport evaluator's
-        path for window-filling codes, see
+        uniform per slot of a binary dense grid, one per event on the event
+        backend (the O(events) thinning optimisation) and one binomial per
+        occupied ``(class, neuron)`` slot on a class-domain train (the
+        transport evaluator's path for window-filling codes, see
         :meth:`~repro.coding.base.NeuralCoder.encode_classes`).  Each spike
         survives independently with probability ``1 - p`` in all three, so
         the realisations are identically distributed without being

@@ -5,9 +5,10 @@ population over a finite time window are provided:
 
 * :class:`SpikeTrainArray` -- a dense integer array of shape
   ``(T, *population_shape)`` where entry ``[t, ...]`` holds the number of
-  spikes the neuron emits at step ``t``.  Every operation is a vectorised
-  numpy expression over the full ``T x N`` grid, which is simple and fast for
-  *dense* codes (rate, phase, burst).
+  spikes the neuron emits at step ``t``.  Operations are vectorised numpy
+  expressions over the full ``T x N`` grid, which is simple and fast for
+  *dense* codes (rate, phase, burst); the noise kernels draw their random
+  numbers per occupied slot (count-train deletion) or per spike (jitter).
 * :class:`SpikeEvents` -- an event list ``(times, neuron_indices, counts)``
   holding one entry per occupied ``(step, neuron)`` slot.  Temporal codes
   (TTFS emits at most one spike per neuron, TTAS at most ``t_a``) leave the
@@ -49,6 +50,30 @@ SPIKE_BACKENDS = (DENSE_BACKEND, EVENTS_BACKEND)
 
 #: Largest count one ``(step, neuron)`` slot of a dense train can hold.
 MAX_SPIKE_COUNT = int(np.iinfo(np.int16).max)
+
+
+def _nonzero_slots(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat C-order indices and counts of the occupied slots of ``counts``.
+
+    The indices walk the array in C order whatever its memory layout, the
+    same order a 2-D ``np.nonzero`` of the ``(T, N)`` reshape gives, so
+    per-slot random draws pair with the same slots.
+    """
+    flat = counts.reshape(-1)
+    index = np.flatnonzero(flat != 0)
+    return index, flat[index]
+
+
+def _slot_steps(index: np.ndarray, num_steps: int, num_neurons: int) -> np.ndarray:
+    """The time step of each sorted flat slot index of a ``(T, N)`` grid.
+
+    Each step's slots form one contiguous run of the sorted indices, so the
+    steps follow from where the step boundaries fall: O(T log S) searches
+    and one fill instead of a division per slot.
+    """
+    bounds = np.searchsorted(index, np.arange(num_steps + 1) * num_neurons)
+    return np.repeat(np.arange(num_steps), np.diff(bounds))
+
 
 def _validate_backend(name: str) -> str:
     key = str(name).strip().lower()
@@ -300,8 +325,11 @@ class SpikeTrainArray:
     def delete_spikes(self, probability: float, rng: RngLike = None) -> "SpikeTrainArray":
         """Return a train with every spike independently deleted with ``probability``.
 
-        Implemented as binomial thinning of the count array, which is exact
-        for counts > 1 as well.
+        Binary trains draw one uniform per slot.  Count trains (class counts,
+        pile-ups) are thinned binomially, which is exact for counts > 1, with
+        one draw per *occupied* slot: ``binomial(0, q)`` consumes no random
+        numbers, so thinning only the nonzero slots in C order realises the
+        same survivors as thinning the whole array, at O(occupied slots).
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {probability}")
@@ -311,10 +339,15 @@ class SpikeTrainArray:
         if self.counts.max(initial=0) <= 1:
             # Fast path for binary trains: one uniform draw per slot.
             keep = generator.random(self.counts.shape, dtype=np.float32) >= probability
-            survivors = self.counts * keep
+            survivors = (self.counts * keep).astype(np.int16, copy=False)
         else:
-            survivors = generator.binomial(self.counts, 1.0 - probability)
-        return SpikeTrainArray(survivors.astype(np.int16), copy=False)
+            index, counts = _nonzero_slots(self.counts)
+            # A fresh C-ordered buffer: zeros_like would keep a strided
+            # input's layout, and reshape(-1) of that is a copy that would
+            # silently drop the assignment.
+            survivors = np.zeros(self.counts.shape, dtype=np.int16)
+            survivors.reshape(-1)[index] = generator.binomial(counts, 1.0 - probability)
+        return SpikeTrainArray(survivors, copy=False)
 
     def jitter_spikes(
         self,
@@ -327,6 +360,11 @@ class SpikeTrainArray:
         Each individual spike is moved by ``round(N(0, sigma))`` steps.  Spikes
         pushed outside the window are clamped to the window edge when
         ``mode="clip"`` (default) or removed when ``mode="drop"``.
+
+        The normal draws go to the spikes in C order of their ``(step,
+        neuron)`` slots, found with one flat scan of the grid; only the
+        final ``bincount`` touches every slot.  A slot that gathers more than
+        :data:`MAX_SPIKE_COUNT` spikes raises instead of wrapping.
         """
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -335,25 +373,32 @@ class SpikeTrainArray:
         if sigma == 0.0:
             return self.view()
         generator = default_rng(rng)
-        flat = self.counts.reshape(self.num_steps, -1)
-        times, neurons = np.nonzero(flat)
-        if times.size == 0:
+        index, multiplicity = _nonzero_slots(self.counts)
+        if index.size == 0:
             return self.view()
-        multiplicity = flat[times, neurons].astype(np.int64)
-        times = np.repeat(times, multiplicity)
-        neurons = np.repeat(neurons, multiplicity)
-        shifts = np.rint(generator.normal(0.0, sigma, size=times.shape)).astype(np.int64)
-        shifted = times + shifts
+        num_steps, num_neurons = self.num_steps, self.num_neurons
+        times = _slot_steps(index, num_steps, num_neurons)
+        if multiplicity.max() > 1:
+            times = np.repeat(times, multiplicity)
+            index = np.repeat(index, multiplicity)
+        shifts = generator.normal(0.0, sigma, size=index.shape)
+        shifted = np.rint(shifts, out=shifts).astype(np.int64)
+        shifted += times
         if mode == "clip":
-            shifted = np.clip(shifted, 0, self.num_steps - 1)
-            keep = slice(None)
+            np.clip(shifted, 0, num_steps - 1, out=shifted)
         else:
-            keep = (shifted >= 0) & (shifted < self.num_steps)
-        num_neurons = flat.shape[1]
-        linear = shifted[keep] * num_neurons + neurons[keep]
-        new_flat = np.bincount(linear, minlength=self.num_steps * num_neurons)
-        new_flat = new_flat.reshape(self.num_steps, num_neurons).astype(np.int16)
-        return SpikeTrainArray(new_flat.reshape(self.counts.shape), copy=False)
+            keep = (shifted >= 0) & (shifted < num_steps)
+            shifted, times, index = shifted[keep], times[keep], index[keep]
+        # Move each spike's flat slot index by its step shift, in place.
+        shifted -= times
+        shifted *= num_neurons
+        shifted += index
+        new_counts = np.bincount(shifted, minlength=self.counts.size)
+        new_counts = new_counts.reshape(self.counts.shape)
+        if index.size <= MAX_SPIKE_COUNT:
+            # No slot can exceed the spike total, so the cast cannot wrap.
+            return SpikeTrainArray(new_counts.astype(np.int16), copy=False)
+        return SpikeTrainArray(new_counts, copy=False)
 
     def mask_neurons(self, keep: np.ndarray) -> "SpikeTrainArray":
         """Return a train with all spikes of masked-out neurons removed.
@@ -562,14 +607,14 @@ class SpikeEvents:
         """Lossless conversion from the dense backend."""
         if not isinstance(train, SpikeTrainArray):
             train = SpikeTrainArray(train)
-        flat = train.counts.reshape(train.num_steps, -1)
-        times, neurons = np.nonzero(flat)
-        counts = flat[times, neurons].astype(np.int64)
-        # np.nonzero walks the array in C order, so the events arrive already
-        # sorted by (time, neuron) with unique slots: canonical by design.
+        index, counts = _nonzero_slots(train.counts)
+        times = _slot_steps(index, train.num_steps, train.num_neurons)
+        neurons = index - times * train.num_neurons
+        # The slots arrive in C order, so the events are already sorted by
+        # (time, neuron) with unique slots: canonical by design.
         return cls(
-            times.astype(np.int64), neurons.astype(np.int64), counts,
-            train.num_steps, train.population_shape, _canonical=True,
+            times, neurons, counts, train.num_steps, train.population_shape,
+            _canonical=True,
         )
 
     @classmethod

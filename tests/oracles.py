@@ -15,12 +15,18 @@ small enough to check by eye:
   time into the batch and schedules each layer by its protocol window;
   spikes and spike counts must agree bit for bit, readout potentials to
   float-summation order.
+* :func:`delete_spikes` / :func:`jitter_spikes` / :func:`events_from_dense`
+  -- the dense noise kernels and the dense-to-event conversion over the
+  full ``(T, N)`` grid: one binomial per slot, one 2-D ``nonzero``.
+  Production (:class:`repro.snn.spikes.SpikeTrainArray`) visits only the
+  occupied slots; counts (dtype included) and events must agree bit for
+  bit.
 """
 
 import numpy as np
 
 from repro.snn.simulator import SimulationRecord
-from repro.snn.spikes import SpikeTrainArray
+from repro.snn.spikes import SpikeEvents, SpikeTrainArray
 
 
 def im2col(x, kernel_h, kernel_w, stride, padding):
@@ -134,3 +140,42 @@ def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None)
         for name, rows in recorded.items()
     }
     return record
+
+
+def delete_spikes(counts, probability, rng):
+    """Thin a dense count grid with one draw per ``(step, neuron)`` slot."""
+    if counts.max(initial=0) <= 1:
+        keep = rng.random(counts.shape, dtype=np.float32) >= probability
+        return (counts * keep).astype(np.int16)
+    return rng.binomial(counts, 1.0 - probability).astype(np.int16)
+
+
+def jitter_spikes(counts, sigma, rng, mode="clip"):
+    """Shift every spike of a dense count grid, found by a 2-D ``nonzero``."""
+    num_steps = counts.shape[0]
+    flat = counts.reshape(num_steps, -1)
+    times, neurons = np.nonzero(flat)
+    multiplicity = flat[times, neurons].astype(np.int64)
+    times = np.repeat(times, multiplicity)
+    neurons = np.repeat(neurons, multiplicity)
+    shifts = np.rint(rng.normal(0.0, sigma, size=times.shape)).astype(np.int64)
+    shifted = times + shifts
+    if mode == "clip":
+        shifted = np.clip(shifted, 0, num_steps - 1)
+        keep = slice(None)
+    else:
+        keep = (shifted >= 0) & (shifted < num_steps)
+    num_neurons = flat.shape[1]
+    linear = shifted[keep] * num_neurons + neurons[keep]
+    new_flat = np.bincount(linear, minlength=num_steps * num_neurons)
+    return new_flat.reshape(counts.shape).astype(np.int16)
+
+
+def events_from_dense(counts):
+    """The event list of a dense count grid, in 2-D ``nonzero`` order."""
+    flat = counts.reshape(counts.shape[0], -1)
+    times, neurons = np.nonzero(flat)
+    return SpikeEvents(
+        times, neurons, flat[times, neurons].astype(np.int64),
+        counts.shape[0], counts.shape[1:], _canonical=True,
+    )

@@ -327,6 +327,66 @@ def test_catalogue_names_unchanged():
     assert names == set(PINNED_CATALOGUE_DIGESTS)
 
 
+#: The entries whose methods do not fit the TEST_SCALE windows: TTAS(10)
+#: needs 10 steps and the test scale's TTFS/TTAS window has 8.
+TEST_SCALE_REFUSED = {("figure", "fig6"), ("figure", "fig8"), ("table", "table2")}
+
+
+@pytest.mark.parametrize("command,name", sorted(PINNED_CATALOGUE_DIGESTS))
+def test_catalogue_entry_plans_or_refuses_at_test_scale(command, name, monkeypatch):
+    import repro.experiments.runner as runner_module
+    from repro.experiments import FIGURES, TABLES
+    from repro.experiments.config import TEST_SCALE, ScaleWindowError
+
+    def plan_only(batch, **_):
+        # run_sweeps's window check, then every config's plans.
+        for config in batch:
+            runner_module.check_scale_windows(config.methods, config.scale)
+        for config in batch:
+            assert config.build_plans()
+        raise _Compiled
+
+    monkeypatch.setattr(runner_module, "run_sweeps", plan_only)
+    spec = (FIGURES if command == "figure" else TABLES)[name]
+    if (command, name) not in TEST_SCALE_REFUSED:
+        with pytest.raises(_Compiled):
+            runner_module.run_spec(spec, ("mnist",), scale=TEST_SCALE)
+        return
+    with pytest.raises(ScaleWindowError) as raised:
+        runner_module.run_spec(spec, ("mnist",), scale=TEST_SCALE)
+    message = str(raised.value)
+    assert message.startswith(f"{spec.title}: TTAS(10) ")
+    assert "target_duration (10) cannot exceed num_steps (8)" in message
+
+
+def test_cli_refuses_a_method_beyond_the_scale_window(tmp_path, monkeypatch, capsys):
+    import repro.experiments.runner as runner_module
+    from repro.cli import main
+
+    def no_workload(*_, **__):
+        raise AssertionError("a refused sweep must not prepare a workload")
+
+    monkeypatch.setattr(runner_module, "prepare_workload", no_workload)
+    store = tmp_path / "store"
+    code = main([
+        "table", "--name", "table2", "--datasets", "mnist", "--scale", "test",
+        "--result-store", str(store),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: Table II (spike jitter): TTAS(10) ")
+    assert not store.exists()
+    # Filtering the method away lets the same entry through the check.
+    with pytest.raises(AssertionError, match="must not prepare"):
+        main([
+            "table", "--name", "table2", "--datasets", "mnist", "--scale", "test",
+            "--result-store", str(store), "--methods", "Phase",
+        ])
+
+
 # ---------------------------------------------------------------------------
 # Executors
 # ---------------------------------------------------------------------------

@@ -184,3 +184,12 @@ class TestJitter:
     def test_empty_train(self):
         train = SpikeTrainArray.zeros(5, (3,))
         assert train.jitter_spikes(2.0, rng=0).total_spikes() == 0
+
+    @pytest.mark.parametrize("num_steps", [2, 5])
+    def test_pile_up_beyond_int16_raises(self, num_steps):
+        # Clipping piles every spike of a full neuron onto the window edges;
+        # a slot past MAX_SPIKE_COUNT must raise, not wrap through int16 (to
+        # a negative count at T=2, to a plausible positive one at T=5).
+        train = SpikeTrainArray(np.full((num_steps, 1), 32767, np.int16))
+        with pytest.raises(ValueError, match="do not fit the int16 count grid"):
+            train.jitter_spikes(1000.0, rng=np.random.default_rng(0))
