@@ -363,7 +363,7 @@ def bench_timestep_sim(repeats: int) -> Dict[str, Dict[str, float]]:
         results[name] = {"fused": _time(lambda: simulator.run(train), repeats)}
 
     # First conv layer in isolation: the folded synaptic transform and the
-    # vectorised neuron scan.
+    # in-place neuron scan.
     layer = conv_sim.layers[0]
     counts = conv_train.to_dense().counts
     results["layer0_transform"] = {

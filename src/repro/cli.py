@@ -23,9 +23,10 @@ Each entry belongs to one sweep family, and the family decides which of
 three flags it takes: noise sweeps take ``--batch-size``; the ``adv-*``
 names take ``--budgets`` and ``--attack-search`` (default greedy) and run
 their cells per sample.  A flag the named entry does not take is a usage
-error.  An entry with a method that does not fit the ``--scale`` window
-(``table2``'s TTAS(10) at ``--scale test``) is refused before anything
-runs, with one ``error:`` line and exit code 2.
+error.  An entry with a ``--methods`` label it does not have, or with a
+method that does not fit the ``--scale`` window (``table2``'s TTAS(10) at
+``--scale test``), is refused before anything runs, with one ``error:``
+line and exit code 2.
 
 Sweep execution is controlled by ``--executor`` (serial / thread / process;
 also via ``REPRO_SWEEP_EXECUTOR``), ``--max-workers``, ``--shards`` (sample
@@ -73,10 +74,10 @@ from repro.experiments.config import (
     BENCH_SCALE,
     TEST_SCALE,
     ExperimentScale,
-    ScaleWindowError,
 )
 from repro.experiments.workloads import prepare_workload
 from repro.core.pipeline import SIMULATORS, NoiseRobustSNN
+from repro.utils.config import ConfigError
 
 #: The ``figure`` and ``table`` subcommands' ``--name`` catalogues.
 _CATALOGUES = {"figure": FIGURES, "table": TABLES}
@@ -346,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command in _CATALOGUES:
         try:
             output = _run_sweep(args, _family_options(parser, args))
-        except ScaleWindowError as error:
+        except ConfigError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
     else:

@@ -26,30 +26,24 @@ This is what lets one coder lay its layers out in per-layer temporal windows
 (T2FSNN-style layer phases, phase-coding pipeline lags) while the defaults
 -- ``fire_start=0``, ``fire_stop=None`` -- keep every neuron bit-identical
 to its un-windowed behaviour.
+
+``advance`` runs a whole ``(T, *population)`` drive window through one
+in-place scan shared by all three models: a time loop of whole-population
+ufuncs on one float64 membrane and a few preallocated masks, writing each
+step's spikes straight into an int16 window.  It costs ``T`` elementwise
+passes over the population and no ``(T, ...)`` temporary beyond the spike
+window, and it is bit-identical to ``T`` calls of ``step`` -- spikes,
+gates, counters and membrane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_positive
-
-
-def _cumulative_membrane(state: "NeuronState", drive: np.ndarray) -> np.ndarray:
-    """Membrane trajectory of a reset-free integrator over a drive window.
-
-    Seeds the first step with the current membrane before accumulating, so
-    ``result[t]`` equals -- bit for bit -- the membrane a per-step
-    ``membrane += drive[t]`` loop would hold after step ``t`` (float64
-    accumulation in the same order; :func:`np.cumsum` accumulates
-    sequentially along the axis).
-    """
-    trajectory = drive.astype(np.float64)
-    trajectory[0] = trajectory[0] + state.membrane
-    return np.cumsum(trajectory, axis=0, out=trajectory)
 
 
 @dataclass
@@ -118,27 +112,15 @@ class SpikingNeuron:
         Returns the ``(T, *population)`` int16 spike array and leaves
         ``state`` exactly as ``T`` successive :meth:`step` calls would.  The
         default is that step loop (exact by construction, elementwise numpy
-        per iteration -- no synaptic transforms inside); subclasses override
-        it with time-vectorised scans where the per-step recurrence has a
-        provably equivalent closed form.
+        per iteration -- no synaptic transforms inside); the models override
+        it with the same loop done in place on preallocated buffers, which
+        skips the per-step allocations of :meth:`step`.
         """
         drive = np.asarray(drive)
         spikes = np.empty(drive.shape, dtype=np.int16)
         for t in range(drive.shape[0]):
             spikes[t] = self.step(state, drive[t])
         return spikes
-
-    def _window_thresholds(self, start_step: int, num_steps: int) -> np.ndarray:
-        """Dynamic thresholds of the window, one scalar per step.
-
-        Evaluated through :meth:`threshold_at` (the same scalar computation
-        :meth:`step` performs), so a vectorised scan compares against
-        bit-identical threshold values.
-        """
-        return np.array(
-            [self.threshold_at(start_step + t) for t in range(num_steps)],
-            dtype=np.float64,
-        )
 
 
 class IFNeuron(SpikingNeuron):
@@ -238,17 +220,15 @@ class IFNeuron(SpikingNeuron):
         return spikes
 
     def advance(self, state: NeuronState, drive: np.ndarray) -> np.ndarray:
-        """In-window scan of the IF recurrence.
+        """In-place scan of the IF recurrence.
 
-        The subtract/zero reset couples each step's membrane to the previous
-        step's spike decision, so -- unlike TTFS/IFB, whose pre-spike
-        trajectory is reset-free -- there is no closed form that reproduces
-        the per-step float rounding bit for bit.  The scan therefore stays a
-        time loop, but a tight one: spikes are cast into a preallocated
-        window tensor, the threshold subtraction/zeroing is masked in place
-        (``x - theta`` where a spike fired, exactly the value ``step``'s
-        ``x - 1 * theta`` produces), and the ``fired`` flag -- an OR over
-        the window -- is folded into one pass at the end.
+        The time loop all three models share (see the module docstring):
+        spikes are cast into a preallocated window tensor, the threshold
+        subtraction/zeroing is masked in place (``x - theta`` where a spike
+        fired, exactly the value ``step``'s ``x - 1 * theta`` produces), and
+        the ``fired`` flag -- an OR over the window -- is folded into one
+        pass at the end.  ``allow_multiple_spikes`` falls back to the
+        default step loop.
 
         The same loop serves the scheduled / windowed variants: the per-step
         threshold comes from :meth:`threshold_at` (a scalar, exactly the
@@ -321,7 +301,7 @@ class TTFSNeuron(SpikingNeuron):
         """Dynamic threshold value at time step ``step``.
 
         Infinite outside the firing window (no finite membrane can cross, so
-        the same comparison gates both the per-step loop and the vectorised
+        the same comparison gates both the per-step loop and the in-place
         scan); inside, the decay runs from the window start.
         """
         if step < self.fire_start:
@@ -344,30 +324,35 @@ class TTFSNeuron(SpikingNeuron):
         return spikes
 
     def advance(self, state: NeuronState, drive: np.ndarray) -> np.ndarray:
-        """Time-vectorised scan: exact because TTFS never resets.
+        """In-place scan of the single-spike recurrence.
 
-        The membrane before the (single) spike is a plain cumulative sum of
-        the drive, so the whole window reduces to "first step whose running
-        sum crosses the (dynamic) threshold" -- the spikes and the final
-        state are bit-identical to the per-step loop.
+        One float64 membrane accumulates the drive step by step (the same
+        ``membrane += drive[t]`` as :meth:`step`) and a per-neuron
+        ``eligible`` mask is cleared where a neuron fires, so each step costs
+        a handful of whole-population ufuncs and no ``(T, ...)`` temporary
+        exists beyond the int16 spike window.  Every step compares against
+        :meth:`threshold_at`, infinite outside the window included, so
+        spikes and the final state -- membrane too -- are bit-identical to
+        :meth:`step`, even for an overflowed membrane.
         """
         drive = np.asarray(drive)
-        num_steps = drive.shape[0]
-        if num_steps == 0:
-            return np.zeros(drive.shape, dtype=np.int16)
-        trajectory = _cumulative_membrane(state, drive)
-        thetas = self._window_thresholds(state.step_index, num_steps).reshape(
-            (num_steps,) + (1,) * state.membrane.ndim
-        )
-        crossed = trajectory >= thetas
-        eligible = (~state.fired) & (~state.refractory)
-        first_crossing = crossed & (np.cumsum(crossed, axis=0) == 1)
-        spikes = (first_crossing & eligible).astype(np.int16)
-        newly_fired = eligible & crossed.any(axis=0)
-        state.membrane = trajectory[-1].copy()
+        spikes = np.empty(drive.shape, dtype=np.int16)
+        membrane = state.membrane
+        start_step = state.step_index
+        was_eligible = ~(state.fired | state.refractory)
+        eligible = was_eligible.copy()
+        crossed = np.empty(membrane.shape, dtype=bool)
+        for t in range(drive.shape[0]):
+            np.add(membrane, drive[t], out=membrane)
+            np.greater_equal(membrane, self.threshold_at(start_step + t), out=crossed)
+            np.logical_and(crossed, eligible, out=crossed)
+            spikes[t] = crossed
+            # crossed lies inside eligible: xor clears the neurons that fired.
+            np.logical_xor(eligible, crossed, out=eligible)
+        newly_fired = was_eligible ^ eligible
         state.fired |= newly_fired
         state.refractory |= newly_fired
-        state.step_index += num_steps
+        state.step_index += drive.shape[0]
         return spikes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -461,64 +446,49 @@ class IntegrateFireOrBurstNeuron(SpikingNeuron):
         return spikes
 
     def advance(self, state: NeuronState, drive: np.ndarray) -> np.ndarray:
-        """Time-vectorised scan of the burst automaton.
+        """In-place scan of the counter-and-gate automaton.
 
-        Before the first spike the membrane integrates without reset, so the
-        time-to-first-spike ``t1`` falls out of the cumulative drive exactly
-        as in the per-step loop; every spike after ``t1`` is unconditional
-        (the burst fires for ``target_duration`` steps regardless of the
-        membrane), so the whole spike pattern -- including bursts continuing
-        from a previous window and bursts truncated by this one -- is pure
-        index arithmetic on ``t1``.  Spikes, counters and gates are exact
-        w.r.t. :meth:`step`; only the final membrane may differ in the last
-        ulp (the threshold subtractions are summed once instead of
-        interleaved with the integration).
+        The per-step recurrence of :meth:`step`, done on preallocated
+        buffers: one float64 membrane integrates the drive, a first spike is
+        ``eligible & (membrane >= theta(t))`` and is gated off at or past
+        ``fire_stop``, ``burst_remaining`` counts down in place, and
+        ``theta(t)`` is subtracted on every burst step -- including a burst
+        spilling past the window.  No ``(T, ...)`` temporary exists beyond
+        the int16 spike window; spikes, counters, gates and the final
+        membrane are bit-identical to :meth:`step`.
         """
         drive = np.asarray(drive)
-        num_steps = drive.shape[0]
-        if num_steps == 0:
-            return np.zeros(drive.shape, dtype=np.int16)
-        pop_ndim = state.membrane.ndim
-        trajectory = _cumulative_membrane(state, drive)
-        thetas = self._window_thresholds(state.step_index, num_steps)
-        thetas_col = thetas.reshape((num_steps,) + (1,) * pop_ndim)
-        eligible = (~state.fired) & (~state.refractory)
-        crossed = (trajectory >= thetas_col) & eligible
-        if self.fire_stop is not None:
-            # No new burst may start at or past fire_stop (bursts already
-            # running keep spilling; they ride on burst_remaining below).
-            allowed = state.step_index + np.arange(num_steps) < self.fire_stop
-            crossed &= allowed.reshape((num_steps,) + (1,) * pop_ndim)
-        fires = crossed.any(axis=0)
-        first = crossed.argmax(axis=0)
-        step_index = np.arange(num_steps).reshape((num_steps,) + (1,) * pop_ndim)
-        new_burst = fires & (step_index >= first) & (
-            step_index < first + self.target_duration
-        )
-        # Bursts carried over from a previous window keep firing until their
-        # counter runs out (burst_remaining is 0 everywhere else).
-        continued_burst = step_index < state.burst_remaining
-        burst = new_burst | continued_burst
-        spikes = burst.astype(np.int16)
-
-        # eta(t) = theta(t) during every burst step: one summed subtraction.
-        # Steps before the firing window carry an infinite threshold but can
-        # never hold a burst; substitute 0 there so inf * 0 stays out of the
-        # contraction (with no window the values pass through unchanged).
-        finite_thetas = np.where(np.isfinite(thetas), thetas, 0.0)
-        subtracted = (
-            finite_thetas @ burst.reshape(num_steps, -1).astype(np.float64)
-        ).reshape(state.membrane.shape)
-        state.membrane = trajectory[-1] - subtracted
-        state.burst_remaining = np.where(
-            fires,
-            np.maximum(first + self.target_duration - num_steps, 0),
-            np.maximum(state.burst_remaining - num_steps, 0),
-        ).astype(np.int32)
-        state.fired |= fires
-        # eta(t) = -inf for every burst that completed inside this window.
-        state.refractory |= state.fired & (state.burst_remaining == 0)
-        state.step_index += num_steps
+        spikes = np.empty(drive.shape, dtype=np.int16)
+        membrane = state.membrane
+        remaining = state.burst_remaining
+        start_step = state.step_index
+        was_eligible = ~(state.fired | state.refractory)
+        eligible = was_eligible.copy()
+        first = np.zeros(membrane.shape, dtype=bool)
+        bursting = np.empty(membrane.shape, dtype=bool)
+        firing = np.empty(membrane.shape, dtype=bool)
+        for t in range(drive.shape[0]):
+            step = start_step + t
+            np.add(membrane, drive[t], out=membrane)
+            theta = self.threshold_at(step)
+            np.greater(remaining, 0, out=bursting)
+            if self.fire_stop is None or step < self.fire_stop:
+                np.greater_equal(membrane, theta, out=first)
+                np.logical_and(first, eligible, out=first)
+                # first lies inside eligible: xor clears the neurons that fired.
+                np.logical_xor(eligible, first, out=eligible)
+            else:
+                first.fill(False)
+            np.logical_or(first, bursting, out=firing)
+            spikes[t] = firing
+            # eta(t) = theta(t) on every burst step: subtract the threshold.
+            np.subtract(membrane, theta, out=membrane, where=firing)
+            np.subtract(remaining, bursting, out=remaining)
+            np.copyto(remaining, self.target_duration - 1, where=first)
+        state.fired |= was_eligible ^ eligible
+        # eta(t) = -inf for every burst that has run out: silence forever.
+        state.refractory |= state.fired & (remaining == 0)
+        state.step_index += drive.shape[0]
         return spikes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -387,6 +387,29 @@ def test_cli_refuses_a_method_beyond_the_scale_window(tmp_path, monkeypatch, cap
         ])
 
 
+def test_cli_refuses_an_unknown_method_label(tmp_path, monkeypatch, capsys):
+    import repro.experiments.runner as runner_module
+    from repro.cli import main
+
+    def no_workload(*_, **__):
+        raise AssertionError("a refused sweep must not prepare a workload")
+
+    monkeypatch.setattr(runner_module, "prepare_workload", no_workload)
+    store = tmp_path / "store"
+    code = main([
+        "figure", "--name", "fig4", "--dataset", "mnist", "--scale", "test",
+        "--methods", "TTFS", "--result-store", str(store),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: unknown method label(s) ['TTFS']; available: ")
+    assert "'TTFS+WS'" in lines[0]
+    assert not store.exists()
+
+
 # ---------------------------------------------------------------------------
 # Executors
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ non-zero-preserving transforms, plus the sweep-level integration of
 ``simulator="timestep"`` cells through the executor engine and result store.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,53 +43,110 @@ NEURON_FACTORIES = {
     "ifb": lambda: IntegrateFireOrBurstNeuron(0.4, target_duration=3, tau=7.0),
     "ifb-single": lambda: IntegrateFireOrBurstNeuron(0.4, target_duration=1),
     "ifb-long": lambda: IntegrateFireOrBurstNeuron(0.4, target_duration=50),
+    "ttfs-windowed": lambda: TTFSNeuron(0.6, tau=9.0, fire_start=5, fire_stop=12),
+    "ifb-windowed": lambda: IntegrateFireOrBurstNeuron(
+        0.4, target_duration=4, tau=7.0, fire_start=5, fire_stop=12
+    ),
+    "ifb-single-windowed": lambda: IntegrateFireOrBurstNeuron(
+        0.4, target_duration=1, fire_start=5, fire_stop=12
+    ),
+    "if-scheduled-windowed": lambda: IFNeuron(
+        0.8, threshold_schedule=0.8 * 2.0 ** -(1.0 + np.arange(4)),
+        fire_start=5, fire_stop=12,
+    ),
 }
 
 
 # ---------------------------------------------------------------------------
 # Neuron advance scans
 # ---------------------------------------------------------------------------
+def assert_states_equal(expected, actual):
+    assert np.array_equal(expected.fired, actual.fired)
+    assert np.array_equal(expected.refractory, actual.refractory)
+    assert np.array_equal(expected.burst_remaining, actual.burst_remaining)
+    assert expected.step_index == actual.step_index
+    assert np.array_equal(expected.membrane, actual.membrane)
+
+
+def advance_vs_step_loop(make, drive, start):
+    """``advance`` against ``step`` from ``state.step_index == start``."""
+    reference, scanned = make(), make()
+    ref_state = reference.init_state(drive.shape[1:])
+    scan_state = scanned.init_state(drive.shape[1:])
+    ref_state.step_index = scan_state.step_index = start
+    expected = np.stack(
+        [reference.step(ref_state, drive[t]) for t in range(drive.shape[0])]
+    )
+    actual = scanned.advance(scan_state, drive)
+    assert actual.dtype == np.int16
+    assert np.array_equal(expected, actual)
+    assert_states_equal(ref_state, scan_state)
+
+
+def split_vs_whole_advance(make, drive, split, start):
+    """Two chunked ``advance`` calls against one, from ``start``."""
+    whole, chunked = make(), make()
+    whole_state = whole.init_state(drive.shape[1:])
+    chunk_state = chunked.init_state(drive.shape[1:])
+    whole_state.step_index = chunk_state.step_index = start
+    expected = whole.advance(whole_state, drive)
+    actual = np.concatenate(
+        [chunked.advance(chunk_state, drive[:split]),
+         chunked.advance(chunk_state, drive[split:])]
+    )
+    assert np.array_equal(expected, actual)
+    assert_states_equal(whole_state, chunk_state)
+
+
 class TestNeuronAdvance:
+    """``advance`` against the per-step oracle, bit for bit.
+
+    The ``mid_simulation`` cases begin at ``state.step_index == 4``, as the
+    simulator does for a layer whose drive starts late, so the windowed
+    neurons' ``fire_start`` (5), ``fire_stop`` (12) and burst spill fall
+    at different offsets into the window.
+    """
+
     @pytest.mark.parametrize("name", sorted(NEURON_FACTORIES))
     def test_advance_matches_step_loop(self, name, rng):
-        make = NEURON_FACTORIES[name]
         drive = rng.normal(0.08, 0.35, size=(21, 5, 6)).astype(np.float32)
-        reference, scanned = make(), make()
-        ref_state = reference.init_state((5, 6))
-        scan_state = scanned.init_state((5, 6))
-        expected = np.stack(
-            [reference.step(ref_state, drive[t]) for t in range(drive.shape[0])]
-        )
-        actual = scanned.advance(scan_state, drive)
-        assert actual.dtype == np.int16
-        assert np.array_equal(expected, actual)
-        assert np.array_equal(ref_state.fired, scan_state.fired)
-        assert np.array_equal(ref_state.refractory, scan_state.refractory)
-        assert np.array_equal(ref_state.burst_remaining, scan_state.burst_remaining)
-        assert ref_state.step_index == scan_state.step_index
-        np.testing.assert_allclose(
-            ref_state.membrane, scan_state.membrane, atol=1e-12
-        )
+        advance_vs_step_loop(NEURON_FACTORIES[name], drive, start=0)
+
+    @pytest.mark.parametrize("name", sorted(NEURON_FACTORIES))
+    def test_advance_matches_step_loop_mid_simulation(self, name, rng):
+        drive = rng.normal(0.08, 0.35, size=(21, 5, 6)).astype(np.float32)
+        advance_vs_step_loop(NEURON_FACTORIES[name], drive, start=4)
 
     @pytest.mark.parametrize("name", sorted(NEURON_FACTORIES))
     @pytest.mark.parametrize("split", [1, 7, 20])
     def test_advance_split_windows_consistent(self, name, split, rng):
         """Chunked advance == one-shot advance (bursts crossing the seam)."""
-        make = NEURON_FACTORIES[name]
         drive = rng.normal(0.1, 0.3, size=(21, 4)).astype(np.float32)
-        whole, chunked = make(), make()
-        whole_state = whole.init_state((4,))
-        chunk_state = chunked.init_state((4,))
-        expected = whole.advance(whole_state, drive)
-        actual = np.concatenate(
-            [chunked.advance(chunk_state, drive[:split]),
-             chunked.advance(chunk_state, drive[split:])]
-        )
-        assert np.array_equal(expected, actual)
-        assert np.array_equal(whole_state.refractory, chunk_state.refractory)
-        assert np.array_equal(
-            whole_state.burst_remaining, chunk_state.burst_remaining
-        )
+        split_vs_whole_advance(NEURON_FACTORIES[name], drive, split, start=0)
+
+    @pytest.mark.parametrize("name", sorted(NEURON_FACTORIES))
+    @pytest.mark.parametrize("split", [1, 7, 8])
+    def test_advance_split_windows_mid_simulation(self, name, split, rng):
+        """From step 4 the seams fall on steps 5, 11 and 12: ``fire_start``,
+        the last step a windowed burst may start, and ``fire_stop`` with a
+        burst spilling past it."""
+        drive = rng.normal(0.1, 0.3, size=(21, 4)).astype(np.float32)
+        split_vs_whole_advance(NEURON_FACTORIES[name], drive, split, start=4)
+
+    @pytest.mark.parametrize("name", ["if-subtract", "ttfs-windowed", "ifb-windowed"])
+    def test_advance_allocates_little_beyond_the_spike_window(self, name, rng):
+        """The scans keep no ``(T, ...)`` temporary: the int16 spike window
+        alone is 2 bytes per drive element, and the peak stays under 4."""
+        neuron = NEURON_FACTORIES[name]()
+        drive = rng.normal(0.05, 0.3, size=(32, 16, 4096)).astype(np.float32)
+        state = neuron.init_state(drive.shape[1:])
+        tracemalloc.start()
+        try:
+            neuron.advance(state, drive)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * drive.size
 
     def test_advance_empty_window(self):
         neuron = TTFSNeuron(1.0)
