@@ -1,29 +1,40 @@
-"""Benchmark regression gate for CI.
+"""Benchmark regression gate for CI: the parent commit against the change.
 
-Compares a freshly measured ``bench_hot_paths`` JSON report against the
-committed baseline (``BENCH_hot_paths.json`` at the repository root) and
-fails -- exit code 1 -- when any hot-path median regressed by more than the
-tolerance factor (default 1.5x, configurable via the ``REPRO_BENCH_TOLERANCE``
-environment variable or ``--tolerance``).
+``ci/bench_ab.sh`` measures both trees on the same runner and writes one
+directory per side::
 
-Beyond per-leaf slowdowns the gate also fails when a whole baseline section
-disappears from the candidate report (a dropped section whose timings are all
-non-gated would otherwise lose coverage silently), and -- with
-``--min-shard-speedup`` -- when the same-run 4-way sample-sharding speedup
-of a faithful-simulator cell falls below the required factor (skipped, with
-a printed note, on runners with fewer CPUs than shards).
+    <side>/<workload>.<pair>.out   standard output of one perfbench run
+    <side>/hot_paths.json          one bench_hot_paths.py report
 
-Absolute timings are not comparable across machines, so every ratio is
-normalised by the *calibration ratio*: both reports record the median time of
-fixed-size reference ops (a 512x512 GEMM and a 16 MB memcpy, see
-``bench_machine_calibration``), and the candidate/baseline ratio of those ops
-estimates how much faster or slower the measuring machine is overall.  A hot
-path only counts as regressed if it slowed down relative to that estimate.
+Given ``--baseline`` (the parent's directory) and ``--candidate`` (the
+change's), the gate compares them:
+
+* **perfbench.** For each workload and end-to-end metric of
+  ``BENCHMARK.json``, the median and quartiles of each side's runs.  The
+  metric's ``better`` direction and ``bound`` (a fraction of the parent's
+  median) come from ``BENCHMARK.json``.  A metric FAILs when the change's
+  median is worse than the parent's by more than the bound; it is
+  UNRESOLVED (printed, not failed) when the median is within the bound but
+  the parent's own quartile spread is wider than the bound, so the runs
+  cannot tell.  A workload also FAILs when the change has a larger share of
+  failed operations (``failed`` / ``attempted``, averaged over runs); a run
+  that printed no result line counts as all failed.
+* **micro rows.** Every timing leaf of the change's ``hot_paths.json`` must
+  stay within ``--tolerance`` (default 1.5x) of the parent's report from the
+  same job.
+
+``--min-shard-speedup`` and ``--min-serving-speedup`` hold the change's
+same-run speedups (``summary.cell_sharding_speedup`` and
+``summary.serving_speedup`` of its ``hot_paths.json``) to a floor; they need
+no baseline.
 
 Usage::
 
-    python benchmarks/bench_hot_paths.py --output /tmp/bench.json
-    python benchmarks/check_bench_regression.py --candidate /tmp/bench.json
+    bash ci/bench_ab.sh --pairs 5       # runs this gate on its results
+    python benchmarks/check_bench_regression.py \\
+        --baseline bench-ab/parent --candidate bench-ab/head
+    python benchmarks/check_bench_regression.py --candidate bench-ab/head \\
+        --min-shard-speedup 2.5 --min-serving-speedup 3
 
 Exit codes: 0 = no regression, 1 = regression found, 2 = bad input.
 """
@@ -31,46 +42,156 @@ Exit codes: 0 = no regression, 1 = regression found, 2 = bad input.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
+import math
 import os
 import statistics
 import sys
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Default baseline: the committed report at the repository root.
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_hot_paths.json")
+#: Workloads, end-to-end metrics, their directions and bounds.
+BENCHMARK_PATH = os.path.join(REPO_ROOT, "BENCHMARK.json")
 
-#: Environment variable overriding the regression tolerance factor.
-TOLERANCE_ENV = "REPRO_BENCH_TOLERANCE"
+#: The micro report each side's directory holds.
+HOT_PATHS = "hot_paths.json"
 
-#: Default regression tolerance: fail on >1.5x slowdown of any hot path.
+#: Default micro regression tolerance: fail on >1.5x slowdown of a leaf.
 DEFAULT_TOLERANCE = 1.5
 
 #: Shard count of the gated cell-sharding speedup; a runner with fewer CPUs
 #: cannot run the shards in parallel, so the floor does not apply there.
 SHARD_FLOOR_SHARDS = 4
 
-#: Subtrees/keys under ``results`` that are not timings -- or are timings
-#: the gate must not judge: the sweep-orchestration numbers
-#: ("dispatch_per_cell", "store") are scheduler-, fork- and
-#: filesystem-bound micro-latencies, and the GEMM/memcpy machine
-#: calibration tracks CPU speed only, so gating them would flag runner
-#: differences as code regressions, the cell-sharding wall clocks are
-#: core-count-bound (the same-run speedup ratio is gated separately via
-#: ``--min-shard-speedup`` instead), and the adversarial search's
-#: ``candidates_per_sec`` is a higher-is-better throughput that the
-#: lower-is-better timing rule would misread (its seconds-per-sample twin
-#: is gated normally).  They stay in the report for trend tracking.
-_NON_TIMING_KEYS = ("config", "sparsity", "max_abs_diff", "dispatch_per_cell",
-                    "store", "cell_sharding", "candidates_per_sec", "serving")
+#: Subtrees/keys of a micro report's ``results`` that the leaf comparison
+#: skips: configs, the core-count-bound cell-sharding and serving wall
+#: clocks (their same-run ratios have floors instead), and the adversarial
+#: search's higher-is-better ``candidates_per_sec`` (its seconds-per-sample
+#: twin is compared).
+_NON_TIMING_KEYS = ("config", "cell_sharding", "candidates_per_sec", "serving")
 
 
+# -- perfbench A/B -------------------------------------------------------------
+def result_line(text: str) -> Optional[Dict]:
+    """The perfbench result object on the last line of ``text``, or None."""
+    lines = text.strip().splitlines()
+    if not lines:
+        return None
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(result, dict) or "metrics" not in result:
+        return None
+    return result
+
+
+def read_runs(directory: str, workload: str) -> List[Optional[Dict]]:
+    """Every run of ``workload`` in ``directory``: a result, or None."""
+    runs = []
+    for path in sorted(glob.glob(os.path.join(directory, f"{workload}.*.out"))):
+        with open(path, encoding="utf-8") as handle:
+            runs.append(result_line(handle.read()))
+    return runs
+
+
+def failed_share(runs: List[Optional[Dict]]) -> float:
+    """Mean share of failed operations per run; a run with no result is 1."""
+    shares = []
+    for run in runs:
+        if run is None:
+            shares.append(1.0)
+        else:
+            shares.append(run["failed"] / run["attempted"] if run["attempted"] else 0.0)
+    return statistics.fmean(shares) if shares else 1.0
+
+
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)`` of ``values``."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def judge_metric(
+    base: List[float], cand: List[float], better: str, bound: float
+) -> Tuple[str, float]:
+    """``(verdict, change)`` of one metric; ``change`` is the signed
+    relative change of the median, positive when the change is worse."""
+    if not cand:
+        return "FAIL", float("nan")
+    if not base:
+        return "n/a", float("nan")
+    q1, median, q3 = quartiles(base)
+    cand_median = statistics.median(cand)
+    delta = cand_median - median if better == "lower" else median - cand_median
+    if median:
+        worse = delta / abs(median)
+    else:
+        worse = math.copysign(math.inf, delta) if delta else 0.0
+    if worse > bound:
+        return "FAIL", worse
+    if median and (q3 - q1) / abs(median) > bound:
+        return "UNRESOLVED", worse
+    return "ok", worse
+
+
+def compare_perfbench(
+    baseline_dir: str, candidate_dir: str, benchmark: Dict
+) -> Tuple[bool, str]:
+    """Judge every workload and end-to-end metric; ``(ok, table)``."""
+    lines = [f"{'workload':<16}{'metric':<15}{'parent median [q1, q3]':>32}"
+             f"{'change':>12}{'worse':>9}  verdict"]
+    failures = []
+    unresolved = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        base_runs = read_runs(baseline_dir, workload)
+        cand_runs = read_runs(candidate_dir, workload)
+        for metric in benchmark["end_to_end"]:
+            name = metric["name"]
+            base = [r["metrics"][name]["value"] for r in base_runs if r]
+            cand = [r["metrics"][name]["value"] for r in cand_runs if r]
+            verdict, worse = judge_metric(base, cand, metric["better"],
+                                          metric["bound"])
+            parent = "--"
+            if base:
+                q1, median, q3 = quartiles(base)
+                parent = f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+            change = f"{statistics.median(cand):.4g}" if cand else "--"
+            lines.append(f"{workload:<16}{name:<15}{parent:>32}{change:>12}"
+                         f"{worse:>+8.1%}  {verdict}")
+            if verdict == "FAIL":
+                failures.append(f"{workload} {name}")
+            elif verdict == "UNRESOLVED":
+                unresolved.append(f"{workload} {name}")
+        base_share, cand_share = failed_share(base_runs), failed_share(cand_runs)
+        verdict = "FAIL" if cand_share > base_share else "ok"
+        lines.append(f"{workload:<16}{'failed share':<15}{base_share:>32.3f}"
+                     f"{cand_share:>12.3f}{'':>9}  {verdict}"
+                     f"  ({len(base_runs)} vs {len(cand_runs)} runs)")
+        if verdict == "FAIL":
+            failures.append(f"{workload} failed share")
+    lines.append("")
+    if unresolved:
+        lines.append("UNRESOLVED (the parent's quartile spread is wider than "
+                     "the bound): " + ", ".join(unresolved))
+    if failures:
+        lines.append("FAIL: worse than the parent beyond the bound: "
+                     + ", ".join(failures))
+    else:
+        lines.append("OK: no end-to-end metric worse than the parent beyond "
+                     "its bound")
+    return not failures, "\n".join(lines)
+
+
+# -- micro rows ----------------------------------------------------------------
 def iter_timings(results: Dict, prefix: str = "") -> Iterator[Tuple[str, float]]:
     """Yield ``(dotted.path, seconds)`` for every timing leaf in a report."""
     for key, value in results.items():
-        if key in _NON_TIMING_KEYS or key.startswith("speedup"):
+        if key in _NON_TIMING_KEYS:
             continue
         path = f"{prefix}.{key}" if prefix else key
         if isinstance(value, dict):
@@ -79,115 +200,51 @@ def iter_timings(results: Dict, prefix: str = "") -> Iterator[Tuple[str, float]]
             yield path, float(value)
 
 
-def calibration_ratio(baseline: Dict, candidate: Dict) -> float:
-    """Estimate the candidate machine's speed relative to the baseline's.
-
-    Returns the median ratio of the shared calibration ops; 1.0 when either
-    report predates the calibration section.
-    """
-    base_cal = baseline.get("calibration") or {}
-    cand_cal = candidate.get("calibration") or {}
-    ratios = [
-        cand_cal[op] / base_cal[op]
-        for op in base_cal
-        if op in cand_cal and base_cal[op] > 0
-    ]
-    if not ratios:
-        return 1.0
-    return float(statistics.median(ratios))
-
-
-def missing_sections(baseline: Dict, candidate: Dict) -> list:
-    """Top-level ``results`` sections present in the baseline but absent from
-    the candidate, sorted.
-
-    The per-leaf MISSING check below cannot see these when a dropped section
-    contains no gated timings (e.g. ``sweep_orchestration``, whose numbers
-    are all under ``_NON_TIMING_KEYS``), so a candidate that silently stops
-    measuring a whole section must be caught at the section level.
-    """
-    base = baseline.get("results", {})
-    cand = candidate.get("results", {})
-    return sorted(set(base) - set(cand))
-
-
 def compare(
     baseline: Dict, candidate: Dict, tolerance: float
 ) -> Tuple[bool, str]:
-    """Compare two reports; returns ``(ok, human-readable table)``."""
-    lost_sections = missing_sections(baseline, candidate)
-    if lost_sections:
-        return False, (
-            "FAIL: baseline section(s) missing from the candidate report: "
-            + ", ".join(lost_sections)
-            + " -- the candidate no longer measures them; restore the "
-            "benchmark section(s) or regenerate the baseline deliberately"
-        )
+    """Compare two micro reports of one runner; ``(ok, table)``."""
     base_timings = dict(iter_timings(baseline.get("results", {})))
     cand_timings = dict(iter_timings(candidate.get("results", {})))
     if not base_timings:
         return False, "baseline report contains no timings"
-    if not cand_timings:
-        return False, "candidate report contains no timings"
 
-    machine = calibration_ratio(baseline, candidate)
-    rows = []
+    width = max(len(path) for path in base_timings) + 2
+    lines = [f"tolerance: {tolerance:.2f}x slowdown",
+             f"{'micro row':<{width}}{'parent':>12}{'change':>12}{'ratio':>9}  status"]
     regressions = []
     for path, base in sorted(base_timings.items()):
         cand = cand_timings.get(path)
         if cand is None:
-            # A baseline path the candidate no longer measures would silently
-            # lose its regression protection -- fail and force a deliberate
-            # baseline regeneration instead.
-            rows.append((path, base, float("nan"), float("nan"), "MISSING"))
+            lines.append(f"{path:<{width}}{base * 1e3:>10.2f}ms{'--':>12}{'--':>9}  MISSING")
             regressions.append(path)
             continue
-        ratio = (cand / base) / machine if base > 0 else float("inf")
+        ratio = cand / base if base > 0 else float("inf")
         status = "ok"
         if ratio > tolerance:
             status = "REGRESSED"
             regressions.append(path)
-        rows.append((path, base, cand, ratio, status))
-    new_paths = sorted(set(cand_timings) - set(base_timings))
-
-    width = max((len(path) for path, *_ in rows), default=10)
-    lines = [
-        f"machine calibration ratio: {machine:.2f}x "
-        f"(candidate machine vs baseline machine)",
-        f"tolerance: {tolerance:.2f}x normalised slowdown",
-        f"{'hot path':<{width}}{'baseline':>12}{'candidate':>12}"
-        f"{'norm ratio':>12}  status",
-    ]
-    for path, base, cand, ratio, status in rows:
-        lines.append(
-            f"{path:<{width}}{base * 1e3:>10.2f}ms{cand * 1e3:>10.2f}ms"
-            f"{ratio:>11.2f}x  {status}"
-        )
-    for path in new_paths:
-        lines.append(f"{path:<{width}}{'--':>12}"
-                     f"{cand_timings[path] * 1e3:>10.2f}ms{'--':>12}  new")
+        lines.append(f"{path:<{width}}{base * 1e3:>10.2f}ms{cand * 1e3:>10.2f}ms"
+                     f"{ratio:>8.2f}x  {status}")
+    lines.append("")
     if regressions:
-        lines.append("")
-        lines.append(
-            f"FAIL: {len(regressions)} hot path(s) regressed beyond "
-            f"{tolerance:.2f}x or went missing: " + ", ".join(regressions)
-        )
+        lines.append(f"FAIL: {len(regressions)} micro row(s) regressed beyond "
+                     f"{tolerance:.2f}x or went missing: " + ", ".join(regressions))
     else:
-        lines.append("")
-        lines.append("OK: no hot path regressed beyond tolerance")
+        lines.append("OK: no micro row regressed beyond tolerance")
     return not regressions, "\n".join(lines)
 
 
+# -- same-run floors -----------------------------------------------------------
 def check_shard_speedup(candidate: Dict, minimum: float) -> Tuple[bool, str]:
     """Require the candidate's cell-sharding speedup to meet ``minimum``.
 
     The speedup (``summary.cell_sharding_speedup``) is a same-run,
     same-machine ratio -- one faithful-simulator cell unsharded over the
-    same cell split into 4 sample shards on a 4-worker process pool -- so
-    no calibration normalisation applies.  The measuring runner's core
-    count (``results.cell_sharding.config.cpu_count``) bounds that ratio:
-    with fewer CPUs than shards the check passes as skipped, so the verdict
-    does not depend on the runner's size.
+    same cell split into 4 sample shards on a 4-worker process pool.  The
+    measuring runner's core count (``results.cell_sharding.config.cpu_count``)
+    bounds that ratio: with fewer CPUs than shards the check passes as
+    skipped, so the verdict does not depend on the runner's size.
     """
     sharding = (candidate.get("results") or {}).get("cell_sharding") or {}
     cpus = (sharding.get("config") or {}).get("cpu_count")
@@ -218,8 +275,7 @@ def check_serving_speedup(candidate: Dict, minimum: float) -> Tuple[bool, str]:
 
     The speedup (``summary.serving_speedup``) is a same-run, same-machine
     ratio -- micro-batched transport throughput under concurrent clients
-    over a sequential-singles loop on the same requests -- so no
-    calibration normalisation applies.
+    over a sequential-singles loop on the same requests.
     """
     speedup = (candidate.get("summary") or {}).get("serving_speedup")
     if speedup is None:
@@ -239,56 +295,64 @@ def check_serving_speedup(candidate: Dict, minimum: float) -> Tuple[bool, str]:
     )
 
 
+def load_json(path: str) -> Dict:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH,
-                        help=f"baseline JSON (default {BASELINE_PATH})")
+    parser.add_argument("--baseline", default=None,
+                        help="the parent's result directory; when given, the "
+                             "candidate is compared against it")
     parser.add_argument("--candidate", required=True,
-                        help="freshly measured JSON to check")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="regression tolerance factor (default: "
-                             f"${TOLERANCE_ENV} or {DEFAULT_TOLERANCE})")
+                        help="the change's result directory")
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        help="micro row tolerance factor (default "
+                             f"{DEFAULT_TOLERANCE})")
     parser.add_argument("--min-shard-speedup", type=float, default=None,
-                        help="additionally require the candidate's "
+                        help="require the candidate's "
                              "summary.cell_sharding_speedup (same-run "
                              "unsharded/4-shard faithful-simulator cell) "
                              "to be at least this factor; skipped when the "
                              "candidate ran on fewer than 4 cpus")
     parser.add_argument("--min-serving-speedup", type=float, default=None,
-                        help="additionally require the candidate's "
+                        help="require the candidate's "
                              "summary.serving_speedup (same-run "
                              "micro-batched vs sequential-singles transport "
                              "throughput) to be at least this factor")
     args = parser.parse_args(argv)
 
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = float(os.environ.get(TOLERANCE_ENV, DEFAULT_TOLERANCE))
-    if tolerance <= 0:
-        print(f"tolerance must be positive, got {tolerance}", file=sys.stderr)
+    if args.tolerance <= 0:
+        print(f"tolerance must be positive, got {args.tolerance}", file=sys.stderr)
         return 2
-
+    floors = args.min_shard_speedup is not None or args.min_serving_speedup is not None
+    if args.baseline is None and not floors:
+        print("nothing to check: give --baseline or a speedup floor", file=sys.stderr)
+        return 2
     try:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        with open(args.candidate, encoding="utf-8") as handle:
-            candidate = json.load(handle)
+        benchmark = load_json(BENCHMARK_PATH)
+        candidate = load_json(os.path.join(args.candidate, HOT_PATHS))
+        baseline = (load_json(os.path.join(args.baseline, HOT_PATHS))
+                    if args.baseline is not None else None)
     except (OSError, json.JSONDecodeError) as error:
         print(f"cannot load reports: {error}", file=sys.stderr)
         return 2
 
-    ok, table = compare(baseline, candidate, tolerance)
-    print(table)
+    ok = True
+    if baseline is not None:
+        perf_ok, table = compare_perfbench(args.baseline, args.candidate, benchmark)
+        print(table)
+        print()
+        micro_ok, table = compare(baseline, candidate, args.tolerance)
+        print(table)
+        ok = perf_ok and micro_ok
     if args.min_shard_speedup is not None:
-        shard_ok, message = check_shard_speedup(
-            candidate, args.min_shard_speedup
-        )
+        shard_ok, message = check_shard_speedup(candidate, args.min_shard_speedup)
         print(message)
         ok = ok and shard_ok
     if args.min_serving_speedup is not None:
-        serving_ok, message = check_serving_speedup(
-            candidate, args.min_serving_speedup
-        )
+        serving_ok, message = check_serving_speedup(candidate, args.min_serving_speedup)
         print(message)
         ok = ok and serving_ok
     return 0 if ok else 1

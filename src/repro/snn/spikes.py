@@ -286,18 +286,6 @@ class SpikeTrainArray:
         start, stop = _resolve_window((start, stop), self.num_steps)
         return self.counts[start:stop]
 
-    def slice_window(self, start: int, stop: Optional[int] = None) -> "SpikeTrainArray":
-        """A new train holding only steps ``[start, stop)``, re-based to 0.
-
-        The window must be non-empty after clipping to ``[0, num_steps]``.
-        """
-        start, stop = _resolve_window((start, stop), self.num_steps)
-        if start >= stop:
-            raise ValueError(
-                f"slice_window needs a non-empty window, got [{start}, {stop})"
-            )
-        return SpikeTrainArray(self.counts[start:stop])
-
     # -- transformations -----------------------------------------------------
     def weighted_sum(self, weights_per_step: np.ndarray) -> np.ndarray:
         """Sum of per-spike weights for every neuron.
@@ -760,24 +748,6 @@ class SpikeEvents:
                 self.event_counts[sel]
             )
         return flat.reshape((width,) + self._population_shape)
-
-    def slice_window(self, start: int, stop: Optional[int] = None) -> "SpikeEvents":
-        """A new train holding only steps ``[start, stop)``, re-based to 0.
-
-        O(events) filter; the window must be non-empty after clipping to
-        ``[0, num_steps]``.
-        """
-        start, stop = _resolve_window((start, stop), self._num_steps)
-        if start >= stop:
-            raise ValueError(
-                f"slice_window needs a non-empty window, got [{start}, {stop})"
-            )
-        sel = (self.times >= start) & (self.times < stop)
-        return SpikeEvents(
-            self.times[sel] - start, self.neuron_indices[sel],
-            self.event_counts[sel], stop - start, self._population_shape,
-            _canonical=self._canonical,
-        )
 
     # -- transformations -----------------------------------------------------
     def weighted_sum(self, weights_per_step: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Unit tests for the benchmark regression gate.
 
 ``benchmarks/check_bench_regression.py`` is plumbing that only runs in CI,
-so its failure modes -- missing sections, missing leaves, tolerance math,
-the same-run speedup floors -- are pinned down here with synthetic reports
-instead of real measurements.
+so its failure modes -- the A/B rule on perfbench result lines, micro-row
+tolerance math, the same-run speedup floors -- are pinned down here with
+synthetic reports instead of real measurements.
 """
 
 import importlib.util
@@ -23,67 +23,187 @@ sys.modules.setdefault("check_bench_regression", gate)
 _spec.loader.exec_module(gate)
 
 
-def make_report(results, calibration=None, summary=None):
-    report = {
-        "calibration": calibration or {"gemm_512": 0.01, "memcpy_16mb": 0.005},
-        "results": results,
-    }
+def make_report(results, summary=None):
+    report = {"results": results}
     if summary is not None:
         report["summary"] = summary
     return report
 
 
 BASE_RESULTS = {
-    "spikes": {"dense": {"encode": 0.010, "decode": 0.020}},
-    "timestep_sim": {
-        "config": {"note": "not a timing"},
-        "mlp": {"fused": 0.02},
-    },
-    "sweep_orchestration": {
-        "config": {"dispatch_cells": 64},
-        "dispatch_per_cell": {"serial": 1e-6},
-        "store": {"put": 1e-4},
+    "adversarial_search": {
+        "config": {"budget": 8},
+        "ttfs": {"search_seconds_per_sample": 0.040, "candidates_per_sec": 9000.0},
+        "ttas3": {"search_seconds_per_sample": 0.060, "candidates_per_sec": 6000.0},
     },
 }
 
+#: The real workloads and end-to-end metrics the gate reads.
+with open(gate.BENCHMARK_PATH, encoding="utf-8") as _handle:
+    BENCHMARK = json.load(_handle)
+METRICS = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
-class TestMissingSections:
+#: One perfbench run's metric values; every workload reports all four.
+STEADY = {"setup_s": 1.0, "samples_per_s": 500.0, "p50_ms": 60.0,
+          "peak_rss_mb": 200.0}
+
+
+def result_line(values=STEADY, attempted=10, failed=0):
+    return json.dumps({
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
+        "metrics": {name: {"value": value, "unit": METRICS[name]["unit"]}
+                    for name, value in values.items()},
+    })
+
+
+def write_side(directory, runs, workloads=WORKLOADS, hot_paths=BASE_RESULTS):
+    """Write one side of an A/B run: ``runs`` maps pair -> stdout text."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for workload in workloads:
+        for pair, text in enumerate(runs, start=1):
+            (directory / f"{workload}.{pair}.out").write_text(
+                '{"details": {}}\n' + text + "\n" if text else ""
+            )
+    (directory / gate.HOT_PATHS).write_text(json.dumps(make_report(hot_paths)))
+    return str(directory)
+
+
+def scaled(**factors):
+    return dict(STEADY, **{name: STEADY[name] * f for name, f in factors.items()})
+
+
+def ab(tmp_path, parent_runs, change_runs):
+    return gate.compare_perfbench(
+        write_side(tmp_path / "parent", parent_runs),
+        write_side(tmp_path / "head", change_runs),
+        BENCHMARK,
+    )
+
+
+class TestABRule:
+    def test_directions_come_from_benchmark_json(self):
+        assert METRICS["samples_per_s"]["better"] == "higher"
+        assert METRICS["p50_ms"]["better"] == "lower"
+        bound = METRICS["p50_ms"]["bound"]
+        assert gate.judge_metric([60.0] * 5, [60.0 * (1 + 2 * bound)] * 5,
+                                 "lower", bound)[0] == "FAIL"
+        assert gate.judge_metric([60.0] * 5, [60.0 * (1 - 2 * bound)] * 5,
+                                 "lower", bound)[0] == "ok"
+        bound = METRICS["samples_per_s"]["bound"]
+        assert gate.judge_metric([500.0] * 5, [500.0 * (1 - 2 * bound)] * 5,
+                                 "higher", bound)[0] == "FAIL"
+        assert gate.judge_metric([500.0] * 5, [500.0 * (1 + 2 * bound)] * 5,
+                                 "higher", bound)[0] == "ok"
+
+    def test_identical_runs_pass(self, tmp_path):
+        line = result_line()
+        ok, table = ab(tmp_path, [line] * 5, [line] * 5)
+        assert ok, table
+        assert "FAIL" not in table and "UNRESOLVED" not in table
+
+    def test_lower_throughput_beyond_bound_fails_and_names_it(self, tmp_path):
+        ok, table = ab(tmp_path, [result_line()] * 5,
+                       [result_line(scaled(samples_per_s=0.66))] * 5)
+        assert not ok
+        assert "sweep-transport samples_per_s" in table
+        assert "p50_ms" not in table.split("FAIL:")[-1]
+
+    def test_higher_latency_beyond_bound_fails(self, tmp_path):
+        ok, table = ab(tmp_path, [result_line()] * 5,
+                       [result_line(scaled(p50_ms=1.5))] * 5)
+        assert not ok
+        assert "paper-window p50_ms" in table
+
+    def test_improvements_pass(self, tmp_path):
+        faster = scaled(samples_per_s=2.0, p50_ms=0.5, setup_s=0.5, peak_rss_mb=0.5)
+        ok, table = ab(tmp_path, [result_line()] * 5, [result_line(faster)] * 5)
+        assert ok, table
+
+    def test_worse_within_bound_passes(self, tmp_path):
+        # 10% slower on a 0.25 bound; peak RSS 5% up on its 0.1 bound.
+        ok, table = ab(tmp_path, [result_line()] * 5,
+                       [result_line(scaled(samples_per_s=0.9, p50_ms=1.1,
+                                           peak_rss_mb=1.05))] * 5)
+        assert ok, table
+
+    def test_tighter_bound_applies_per_metric(self, tmp_path):
+        # 15% more memory is within the time bounds but not peak_rss_mb's 0.1.
+        ok, table = ab(tmp_path, [result_line()] * 5,
+                       [result_line(scaled(peak_rss_mb=1.15))] * 5)
+        assert not ok
+        assert "peak_rss_mb" in table.split("FAIL:")[-1]
+
+    def test_wide_parent_spread_is_unresolved_not_failed(self, tmp_path):
+        # Parent quartiles 300..700 around a median of 500: a 0.8 spread,
+        # wider than the 0.25 bound, so a 10% drop cannot be told apart.
+        parent = [result_line(dict(STEADY, samples_per_s=v))
+                  for v in (200.0, 300.0, 500.0, 700.0, 800.0)]
+        ok, table = ab(tmp_path, parent,
+                       [result_line(scaled(samples_per_s=0.9))] * 5)
+        assert ok, table
+        assert "UNRESOLVED" in table
+        assert "sweep-timestep samples_per_s" in table.split("UNRESOLVED")[-1]
+
+    def test_wide_spread_does_not_hide_a_large_regression(self, tmp_path):
+        parent = [result_line(dict(STEADY, samples_per_s=v))
+                  for v in (200.0, 300.0, 500.0, 700.0, 800.0)]
+        ok, _ = ab(tmp_path, parent, [result_line(scaled(samples_per_s=0.5))] * 5)
+        assert not ok
+
+    def test_larger_failed_share_fails(self, tmp_path):
+        change = [result_line()] * 4 + [result_line(failed=1)]
+        ok, table = ab(tmp_path, [result_line()] * 5, change)
+        assert not ok
+        assert "serve-mixed failed share" in table
+
+    def test_equal_failed_share_passes(self, tmp_path):
+        runs = [result_line()] * 4 + [result_line(failed=1)]
+        ok, table = ab(tmp_path, runs, runs)
+        assert ok, table
+
+    def test_run_without_result_line_counts_as_all_failed(self, tmp_path):
+        crashed = "Traceback (most recent call last):\nRuntimeError: boom"
+        assert gate.result_line(crashed) is None
+        assert gate.result_line("") is None
+        assert gate.failed_share([None, json.loads(result_line())]) == 0.5
+        ok, table = ab(tmp_path, [result_line()] * 5,
+                       [result_line()] * 4 + [crashed])
+        assert not ok
+        assert "failed share" in table.split("FAIL:")[-1]
+
+    def test_change_with_no_results_fails(self, tmp_path):
+        ok, _ = ab(tmp_path, [result_line()] * 3, ["", "", ""])
+        assert not ok
+
+    def test_quartiles(self):
+        assert gate.quartiles([3.0]) == (3.0, 3.0, 3.0)
+        assert gate.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+class TestLeafRegression:
     def test_identical_reports_pass(self):
         ok, table = gate.compare(make_report(BASE_RESULTS),
                                  make_report(BASE_RESULTS), tolerance=1.5)
         assert ok, table
         assert "OK" in table
 
-    def test_missing_section_fails_and_names_it(self):
-        candidate = {k: v for k, v in BASE_RESULTS.items()
-                     if k != "sweep_orchestration"}
+    def test_regressed_leaf_fails(self):
+        candidate = json.loads(json.dumps(BASE_RESULTS))
+        candidate["adversarial_search"]["ttfs"]["search_seconds_per_sample"] = 0.4
         ok, table = gate.compare(make_report(BASE_RESULTS),
                                  make_report(candidate), tolerance=1.5)
         assert not ok
-        assert "sweep_orchestration" in table
-        assert "missing" in table.lower()
+        assert "adversarial_search.ttfs.search_seconds_per_sample" in table
+        assert "REGRESSED" in table
 
-    def test_non_timing_only_section_is_still_protected(self):
-        # sweep_orchestration has no gated timing leaves (all its numbers
-        # are under _NON_TIMING_KEYS), so only the section-level check can
-        # catch its disappearance.
-        candidate = {k: v for k, v in BASE_RESULTS.items()
-                     if k != "sweep_orchestration"}
-        leaves = dict(gate.iter_timings(
-            {"sweep_orchestration": BASE_RESULTS["sweep_orchestration"]}
-        ))
-        assert not leaves  # precondition: invisible to the per-leaf check
-        ok, _ = gate.compare(make_report(BASE_RESULTS),
-                             make_report(candidate), tolerance=1.5)
+    def test_missing_leaf_fails(self):
+        candidate = json.loads(json.dumps(BASE_RESULTS))
+        del candidate["adversarial_search"]["ttas3"]
+        ok, table = gate.compare(make_report(BASE_RESULTS),
+                                 make_report(candidate), tolerance=1.5)
         assert not ok
-
-    def test_every_missing_section_is_named(self):
-        ok, table = gate.compare(
-            make_report(BASE_RESULTS), make_report({"spikes": BASE_RESULTS["spikes"]}),
-            tolerance=1.5,
-        )
-        assert not ok
-        assert "timestep_sim" in table and "sweep_orchestration" in table
+        assert "MISSING" in table
 
     def test_new_candidate_section_is_allowed(self):
         candidate = dict(BASE_RESULTS, extra={"fast": {"run": 0.001}})
@@ -91,47 +211,13 @@ class TestMissingSections:
                              make_report(candidate), tolerance=1.5)
         assert ok
 
-    def test_missing_sections_helper(self):
-        base = make_report(BASE_RESULTS)
-        cand = make_report({"spikes": BASE_RESULTS["spikes"]})
-        assert gate.missing_sections(base, cand) == [
-            "sweep_orchestration", "timestep_sim",
-        ]
-        assert gate.missing_sections(base, base) == []
-
-
-class TestLeafRegression:
-    def test_regressed_leaf_fails(self):
-        candidate = json.loads(json.dumps(BASE_RESULTS))
-        candidate["spikes"]["dense"]["encode"] = 0.10  # 10x slower
-        ok, table = gate.compare(make_report(BASE_RESULTS),
-                                 make_report(candidate), tolerance=1.5)
-        assert not ok
-        assert "spikes.dense.encode" in table
-        assert "REGRESSED" in table
-
-    def test_missing_leaf_fails(self):
-        candidate = json.loads(json.dumps(BASE_RESULTS))
-        del candidate["spikes"]["dense"]["decode"]
-        ok, table = gate.compare(make_report(BASE_RESULTS),
-                                 make_report(candidate), tolerance=1.5)
-        assert not ok
-        assert "MISSING" in table
-
-    def test_calibration_normalises_slow_machine(self):
-        candidate = json.loads(json.dumps(BASE_RESULTS))
-        for section in candidate.values():
-            for sub in section.values():
-                if isinstance(sub, dict):
-                    for key, value in sub.items():
-                        if isinstance(value, float) and not key.startswith("speedup"):
-                            sub[key] = value * 2
-        slow_cal = {"gemm_512": 0.02, "memcpy_16mb": 0.010}  # 2x slower machine
-        ok, table = gate.compare(
-            make_report(BASE_RESULTS),
-            make_report(candidate, calibration=slow_cal), tolerance=1.5,
-        )
-        assert ok, table
+    def test_rates_are_not_read_as_timings(self):
+        # candidates_per_sec is higher-is-better: halving it is a slowdown
+        # the seconds leaf already shows, not a 2x "speedup" to judge.
+        assert dict(gate.iter_timings(BASE_RESULTS)) == {
+            "adversarial_search.ttfs.search_seconds_per_sample": 0.040,
+            "adversarial_search.ttas3.search_seconds_per_sample": 0.060,
+        }
 
 
 class TestShardSpeedupFloor:
@@ -221,72 +307,67 @@ class TestServingSpeedupFloor:
 
 
 class TestMainExitCodes:
-    def write(self, tmp_path, name, report):
-        path = tmp_path / name
-        path.write_text(json.dumps(report))
-        return str(path)
+    def sides(self, tmp_path, change_runs=None, change_hot_paths=BASE_RESULTS,
+              summary=None):
+        parent = write_side(tmp_path / "parent", [result_line()] * 3)
+        head = write_side(tmp_path / "head", change_runs or [result_line()] * 3,
+                          hot_paths=change_hot_paths)
+        if summary is not None:
+            (tmp_path / "head" / gate.HOT_PATHS).write_text(
+                json.dumps(make_report(change_hot_paths, summary=summary)))
+        return ["--baseline", parent, "--candidate", head]
 
     def test_ok_run_exits_zero(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", make_report(BASE_RESULTS))
-        cand = self.write(tmp_path, "cand.json", make_report(BASE_RESULTS))
-        assert gate.main(["--baseline", base, "--candidate", cand]) == 0
+        assert gate.main(self.sides(tmp_path)) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_missing_section_exits_one(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", make_report(BASE_RESULTS))
-        cand = self.write(
-            tmp_path, "cand.json",
-            make_report({"spikes": BASE_RESULTS["spikes"]}),
-        )
-        assert gate.main(["--baseline", base, "--candidate", cand]) == 1
-        out = capsys.readouterr().out
-        assert "timestep_sim" in out
+    def test_regression_exits_one(self, tmp_path, capsys):
+        slow = [result_line(scaled(samples_per_s=0.5))] * 3
+        assert gate.main(self.sides(tmp_path, change_runs=slow)) == 1
+        assert "samples_per_s" in capsys.readouterr().out
+
+    def test_micro_regression_exits_one(self, tmp_path, capsys):
+        slower = json.loads(json.dumps(BASE_RESULTS))
+        slower["adversarial_search"]["ttas3"]["search_seconds_per_sample"] = 0.6
+        assert gate.main(self.sides(tmp_path, change_hot_paths=slower)) == 1
+        assert "REGRESSED" in capsys.readouterr().out
 
     def test_shard_speedup_floor_gates_main(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", make_report(BASE_RESULTS))
-        cand = self.write(
-            tmp_path, "cand.json",
-            make_report(BASE_RESULTS,
-                        summary={"cell_sharding_speedup": 2.0}),
-        )
-        args = ["--baseline", base, "--candidate", cand]
+        args = self.sides(tmp_path, summary={"cell_sharding_speedup": 2.0})
         assert gate.main(args) == 0  # floor off by default
         assert gate.main(args + ["--min-shard-speedup", "2.5"]) == 1
         assert gate.main(args + ["--min-shard-speedup", "1.5"]) == 0
+        # The floors need no baseline.
+        assert gate.main(args[2:] + ["--min-shard-speedup", "2.5"]) == 1
         capsys.readouterr()
 
     def test_serving_speedup_floor_gates_main(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", make_report(BASE_RESULTS))
-        cand = self.write(
-            tmp_path, "cand.json",
-            make_report(BASE_RESULTS, summary={"serving_speedup": 2.0}),
-        )
-        args = ["--baseline", base, "--candidate", cand]
+        args = self.sides(tmp_path, summary={"serving_speedup": 2.0})
         assert gate.main(args) == 0  # floor off by default
         assert gate.main(args + ["--min-serving-speedup", "3"]) == 1
         assert gate.main(args + ["--min-serving-speedup", "1.5"]) == 0
+        assert gate.main(args[2:] + ["--min-serving-speedup", "1.5"]) == 0
         capsys.readouterr()
 
     def test_bad_tolerance_exits_two(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", make_report(BASE_RESULTS))
-        cand = self.write(tmp_path, "cand.json", make_report(BASE_RESULTS))
-        assert gate.main(
-            ["--baseline", base, "--candidate", cand, "--tolerance", "-1"]
-        ) == 2
+        assert gate.main(self.sides(tmp_path) + ["--tolerance", "-1"]) == 2
+        capsys.readouterr()
+
+    def test_nothing_to_check_exits_two(self, tmp_path, capsys):
+        assert gate.main(self.sides(tmp_path)[2:]) == 2
         capsys.readouterr()
 
     def test_unreadable_report_exits_two(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", make_report(BASE_RESULTS))
-        assert gate.main(
-            ["--baseline", base, "--candidate", str(tmp_path / "absent.json")]
-        ) == 2
+        args = self.sides(tmp_path)
+        assert gate.main(args[:2] + ["--candidate", str(tmp_path / "absent")]) == 2
         capsys.readouterr()
 
 
 @pytest.mark.parametrize("results,expected", [
-    ({"a": {"x": 0.5, "speedup_x": 2.0}}, {"a.x": 0.5}),
+    ({"a": {"x": 0.5}, "serving": {"transport": {"batched_p50": 0.01}}},
+     {"a.x": 0.5}),
     ({"a": {"config": {"x": 0.5}}}, {}),
-    ({"a": {"sparsity": {"dense": 0.1}, "b": {"c": 1.0}}}, {"a.b.c": 1.0}),
+    ({"a": {"candidates_per_sec": 10.0, "b": {"c": 1.0}}}, {"a.b.c": 1.0}),
 ])
 def test_iter_timings_filters(results, expected):
     assert dict(gate.iter_timings(results)) == expected
