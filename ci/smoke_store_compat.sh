@@ -8,11 +8,13 @@
 # full history (fetch-depth: 0).  There three noise-cell batches (`table1`
 # on class counts, `fig3` Phase/Burst on the dense jitter kernel, `fig4`
 # TTFS/TTAS on the faithful simulator's TTFS and IFB neuron scans) and an
-# attack-cell batch (`adv-delete`) are written to a fresh store; all are
-# then re-run at HEAD, and no cell document may be newer than a sentinel
-# touched in between.  The same sweeps then run at HEAD into a second
-# fresh store, and every cell's `result` block must equal the parent's for
-# the same fingerprint: resuming is not enough, the values must match too.
+# attack-cell batch (`adv-delete` on TTFS, whose scorer runs on event
+# lists, and Rate, whose scorer's deeper interfaces run on dense trains)
+# are written to a fresh store; all are then re-run at HEAD, and no cell
+# document may be newer than a sentinel touched in between.  The same
+# sweeps then run at HEAD into a second fresh store, and every cell's
+# `result` block must equal the parent's for the same fingerprint:
+# resuming is not enough, the values must match too.
 # When FINGERPRINT_SCHEMA or ATTACK_FINGERPRINT_SCHEMA differs between the
 # two trees the script prints the bump and exits 0: a bump is a deliberate
 # reset.
@@ -55,7 +57,7 @@ sweeps() {
     --methods TTFS+WS "TTAS(5)+WS" --scale test --eval-size 8 \
     --simulator timestep --result-store "$2" > /dev/null
   PYTHONPATH="$1/src" python -m repro figure --name adv-delete --dataset mnist \
-    --budgets 0 2 --methods TTFS --scale test --eval-size 8 \
+    --budgets 0 2 --methods TTFS Rate --scale test --eval-size 8 \
     --result-store "$2" > /dev/null
 }
 

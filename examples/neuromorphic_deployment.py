@@ -47,7 +47,7 @@ def main() -> None:
         coder = create_coder(name, num_steps=24)
         train = coder.encode(value)
         decoded = float(coder.decode(train)[0])
-        print(f"{name:>8}: {raster(train.counts)}  "
+        print(f"{name:>8}: {raster(train.to_dense().counts)}  "
               f"spikes={train.total_spikes():2d} decoded={decoded:.3f}")
 
     print()

@@ -19,14 +19,7 @@ import numpy as np
 from repro.coding.protocol import SimulationProtocol, UnsupportedCoderError
 from repro.snn.kernels import PSCKernel
 from repro.snn.neurons import SpikingNeuron
-from repro.snn.spikes import (
-    DENSE_BACKEND,
-    EVENTS_BACKEND,
-    SpikeEvents,
-    SpikeTrain,
-    SpikeTrainArray,
-    resolve_spike_backend,
-)
+from repro.snn.spikes import SpikeTrain, SpikeTrainArray
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive
 
@@ -57,19 +50,17 @@ class CoderConfig:
 class NeuralCoder:
     """Base class for neural coding schemes.
 
-    Subclasses implement :meth:`encode_dense` (and, for sparse temporal
-    codes, natively :meth:`encode_events`; for window-filling codes,
-    :meth:`encode_classes`), :meth:`make_neuron` and report their kernel
-    through :attr:`kernel`; kernel-based decoding comes for free from the
-    base :meth:`decode`.
+    Subclasses implement :meth:`encode` in the one representation that
+    suits their code -- a dense :class:`~repro.snn.spikes.SpikeTrainArray`
+    for the window-filling codes (rate, phase, burst, which also implement
+    :meth:`encode_classes`), :class:`~repro.snn.spikes.SpikeEvents` for the
+    sparse temporal codes (TTFS, TTAS) -- plus :meth:`make_neuron`, and
+    report their kernel through :attr:`kernel`; kernel-based decoding comes
+    for free from the base :meth:`decode`, which reads either.
     """
 
     #: Registry name of the coding scheme ("rate", "phase", ...).
     name: str = "abstract"
-
-    #: Spike-train backend this coder emits when the caller does not choose
-    #: one (sparse temporal codes prefer ``"events"``).
-    preferred_backend: str = DENSE_BACKEND
 
     #: Whether the scheme has a faithful per-layer correspondence in the
     #: time-stepped simulator (see :meth:`simulation_protocol`).  Class-level
@@ -86,9 +77,9 @@ class NeuralCoder:
 
     #: Whether the adversarial spike-timing attack engine
     #: (:mod:`repro.noise.adversarial`) can search this coding's input
-    #: trains.  Requires an event-backend encoding whose decode is a pure
-    #: function of the train (every built-in coder qualifies); class-level so
-    #: attack configs can validate methods by name without instantiating.
+    #: trains.  Requires an encoding whose decode is a pure function of the
+    #: train (every built-in coder qualifies); class-level so attack configs
+    #: can validate methods by name without instantiating.
     supports_adversarial: bool = False
 
     #: One-line statement of the attack surface (when supported) or of the
@@ -150,35 +141,14 @@ class NeuralCoder:
         return self._cached_decode_weights
 
     # -- encoding / decoding ---------------------------------------------------
-    def encode(
-        self,
-        values: np.ndarray,
-        rng: RngLike = None,
-        backend: Optional[str] = None,
-    ) -> SpikeTrain:
+    def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrain:
         """Encode normalised activations ``values`` into spike trains.
 
         ``values`` may have any shape; the returned train covers
-        ``(num_steps, *values.shape)``.  The representation is this
-        coder's :attr:`preferred_backend` unless ``backend`` asks for the
-        other one.
+        ``(num_steps, *values.shape)`` in this coder's one representation
+        (subclass primitive; it never calls up to this method).
         """
-        resolved = resolve_spike_backend(backend, self.preferred_backend)
-        if resolved == EVENTS_BACKEND:
-            return self.encode_events(values, rng=rng)
-        return self.encode_dense(values, rng=rng)
-
-    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
-        """Encode into the dense backend (subclass primitive)."""
         raise NotImplementedError
-
-    def encode_events(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
-        """Encode into the event backend.
-
-        Sparse temporal coders override this with a native O(spikes)
-        implementation; the default converts the dense encoding.
-        """
-        return self.encode_dense(values, rng=rng).to_events()
 
     def encode_classes(self, values: np.ndarray) -> SpikeTrainArray:
         """Encode into kernel-weight classes instead of time steps.
@@ -188,7 +158,7 @@ class NeuralCoder:
         ``decode_weights()[k]``.  It holds every spike of the time-resolved
         encoding, so counting, deletion and dead-neuron masks -- which never
         look at a spike's step -- act on it exactly as on the full train.
-        Implemented by coders with :attr:`has_class_encoding`; the dense
+        Implemented by coders with :attr:`has_class_encoding`; the
         encoding of such a coder is the expansion of these counts over the
         window.
         """
@@ -198,7 +168,7 @@ class NeuralCoder:
         """Decode a spike train back into activation values.
 
         The default is the kernel-weighted sum shared by every coder; works
-        on both backends through the common spike-train protocol.
+        on both representations through the common spike-train protocol.
         """
         return train.weighted_sum(self.decode_weights())
 
@@ -209,17 +179,6 @@ class NeuralCoder:
     def roundtrip(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Encode then decode (no noise): exposes the pure quantisation error."""
         return self.decode(self.encode(values, rng=rng))
-
-    def expected_spike_count(self, values: np.ndarray) -> float:
-        """Number of spikes used to encode ``values``.
-
-        Counted on the class encoding where there is one; otherwise the
-        default encodes and counts (one realisation for a stochastic code).
-        Sparse temporal coders override this with a closed form.
-        """
-        if self.has_class_encoding:
-            return float(self.encode_classes(values).total_spikes())
-        return float(self.encode(values).total_spikes())
 
     # -- neurons for the time-stepped simulator --------------------------------
     def make_neuron(self, threshold: float) -> SpikingNeuron:
@@ -303,7 +262,7 @@ class PeriodicCoder(NeuralCoder):
         counts = self.pattern(values).astype(np.int32) * self.num_periods
         return SpikeTrainArray(counts, copy=False)
 
-    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
+    def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
         classes = self.encode_classes(values).counts
         train = SpikeTrainArray.zeros(self.num_steps, classes.shape[1:])
         periods = train.counts[: self.num_periods * self.period].reshape(

@@ -148,24 +148,9 @@ class SimulationProtocol:
                     f"({self.num_steps},), got {kernel.shape}"
                 )
 
-    def layer_windows(self) -> List[Tuple[int, int]]:
-        """Per-interface firing windows ``[start, stop)``, input first."""
-        return [(int(layer.window[0]), int(layer.window[1]))
-                for layer in self.layers]
-
     def active_windows(self) -> List[Tuple[int, int]]:
         """Per-interface active windows (firing window union kernel support)."""
         return [layer.active_window() for layer in self.layers]
-
-    def window_occupancy(self) -> float:
-        """Mean fraction of the global window each interface is active in.
-
-        1.0 for rate-like codes (every layer spans the whole window); small
-        for deep temporal stacks, where it bounds the work the window-aware
-        simulator does relative to integrating the full grid.
-        """
-        widths = [max(hi - lo, 0) for lo, hi in self.active_windows()]
-        return float(np.mean(widths)) / float(self.num_steps)
 
 
 def sequential_window_protocol(

@@ -73,7 +73,7 @@ class RateCoder(NeuralCoder):
         counts = np.rint(self._normalise(values) * self.num_steps).astype(np.int32)
         return SpikeTrainArray(counts[None, ...], copy=False)
 
-    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
+    def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
         t = self.num_steps
         if self.stochastic:
             values = self._normalise(values)

@@ -34,7 +34,7 @@ from repro.coding.protocol import (
 from repro.coding.ttfs import TTFSCoder
 from repro.snn.kernels import ExponentialKernel, PSCKernel
 from repro.snn.neurons import IntegrateFireOrBurstNeuron, SpikingNeuron
-from repro.snn.spikes import EVENTS_BACKEND, SpikeEvents, SpikeTrainArray
+from repro.snn.spikes import SpikeEvents
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -54,9 +54,6 @@ class TTASCoder(NeuralCoder):
     """
 
     name = "ttas"
-
-    #: At most ``t_a`` spikes per neuron: the event backend is the natural fit.
-    preferred_backend = EVENTS_BACKEND
 
     supports_timestep = True
     timestep_note = (
@@ -112,7 +109,7 @@ class TTASCoder(NeuralCoder):
         """Time of the *first* spike of each burst (num_steps means "no spike")."""
         return self._ttfs.spike_times(values)
 
-    def encode_events(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
+    def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
         # The burst is t_a consecutive spikes from the TTFS time; emit the
         # (time, neuron) pairs directly instead of scattering into a dense
         # grid that is >= 95 % zeros for realistic T.
@@ -128,22 +125,9 @@ class TTASCoder(NeuralCoder):
             times[inside], neurons[inside], None, self.num_steps, values.shape
         )
 
-    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
-        return self.encode_events(values, rng=rng).to_dense()
-
     def decode(self, train) -> np.ndarray:
         # C_A * sum over burst spikes of the exponential kernel value.
         return self.scale_factor * train.weighted_sum(self.decode_weights())
-
-    def expected_spike_count(self, values: np.ndarray) -> float:
-        values = self._normalise(values)
-        first_times = self._ttfs.spike_times(values)
-        active = first_times < self.num_steps
-        # Spikes that would fall past the end of the window are not emitted.
-        truncated = np.minimum(
-            self.num_steps - first_times[active], self.target_duration
-        )
-        return float(truncated.sum())
 
     def make_neuron(self, threshold: float) -> SpikingNeuron:
         return IntegrateFireOrBurstNeuron(

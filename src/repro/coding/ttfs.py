@@ -26,7 +26,7 @@ from repro.coding.protocol import (
 )
 from repro.snn.kernels import ExponentialKernel, PSCKernel
 from repro.snn.neurons import SpikingNeuron, TTFSNeuron
-from repro.snn.spikes import EVENTS_BACKEND, SpikeEvents, SpikeTrainArray
+from repro.snn.spikes import SpikeEvents
 from repro.utils.rng import RngLike
 from repro.utils.validation import (
     check_non_negative,
@@ -50,9 +50,6 @@ class TTFSCoder(NeuralCoder):
     """
 
     name = "ttfs"
-
-    #: At most one spike per neuron: the event backend is the natural fit.
-    preferred_backend = EVENTS_BACKEND
 
     supports_timestep = True
     timestep_note = (
@@ -96,7 +93,7 @@ class TTFSCoder(NeuralCoder):
             )
         return np.clip(times, 0, self.num_steps).astype(np.int64)
 
-    def encode_events(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
+    def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeEvents:
         # spike_times already gives one event per active neuron; emitting them
         # directly avoids building (and re-scanning) the dense (T, N) grid.
         values = self._normalise(values)
@@ -105,13 +102,6 @@ class TTFSCoder(NeuralCoder):
         return SpikeEvents(
             times[active], active, None, self.num_steps, values.shape
         )
-
-    def encode_dense(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
-        return self.encode_events(values, rng=rng).to_dense()
-
-    def expected_spike_count(self, values: np.ndarray) -> float:
-        values = self._normalise(values)
-        return float((values >= self.min_value).sum())
 
     def make_neuron(self, threshold: float) -> SpikingNeuron:
         return TTFSNeuron(threshold=threshold, tau=self.tau)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -179,10 +179,6 @@ class ServableModel:
         )
 
     # -- inventory -----------------------------------------------------------------
-    def weight_scales(self) -> List[float]:
-        """Calibration scales of every spiking interface, input first."""
-        return self.network.activation_scales()
-
     def resident_bytes(self) -> int:
         """Approximate resident size: every parameter tensor of the network.
 

@@ -35,9 +35,10 @@ path's.  Without noise the class path is bit-identical to the time-resolved
 one for phase, for burst at its default ratio 0.5 and for rate at
 power-of-two windows, where every decode term is exact; otherwise the
 decode differs in the last float32 bits (e.g. rate's ``n * float32(1/T)``
-against the float32 sum of ``T`` terms).  Jitter, burst errors, stuck-at-fire, stochastic rate
-and injected trains keep the time-resolved path, on the representation the
-coder prefers (dense for rate/phase/burst, events for TTFS/TTAS).
+against the float32 sum of ``T`` terms).  Jitter, burst errors,
+stuck-at-fire, stochastic rate and injected trains keep the time-resolved
+path, on the representation the coder's ``encode`` returns (dense for
+rate/phase/burst, events for TTFS/TTAS).
 
 Two entry points are provided: the :class:`ActivationTransportSimulator`
 class for callers that evaluate one configuration repeatedly, and the pure
@@ -116,14 +117,12 @@ class ActivationTransportSimulator:
     encode_input:
         Also encode the network input as spikes (default True; the paper's
         noise acts on every spike train, input included).
-    spike_backend:
-        Force a spike-train representation ("dense" or "events") at every
-        interface of the time-resolved path; ``None`` (default) lets the
-        coder's ``preferred_backend`` decide.  The attack scorer forces
-        events (its injected trains are event-backed).  On the event
-        backend the encode -> corrupt -> decode chain never materialises
-        the dense ``(T, N)`` grid.  The class path (see the module
-        docstring) ignores it.
+
+    Each interface of the time-resolved path carries the train the coder's
+    ``encode`` returns; for TTFS/TTAS that is an event list, so the encode
+    -> corrupt -> decode chain never materialises the dense ``(T, N)``
+    grid.  An injected ``input_train`` (see :meth:`forward`) may use either
+    representation.
     """
 
     def __init__(
@@ -134,7 +133,6 @@ class ActivationTransportSimulator:
         weight_scaling: Optional[WeightScaling] = None,
         expected_deletion: float = 0.0,
         encode_input: bool = True,
-        spike_backend: Optional[str] = None,
     ):
         self.network = network
         self.coder = coder
@@ -142,7 +140,6 @@ class ActivationTransportSimulator:
         self.weight_scaling = weight_scaling or WeightScaling.disabled()
         self.expected_deletion = float(expected_deletion)
         self.encode_input = bool(encode_input)
-        self.spike_backend = spike_backend
 
     @property
     def scale_factor(self) -> float:
@@ -212,7 +209,6 @@ class ActivationTransportSimulator:
                         train = self.coder.encode(
                             normalised,
                             rng=derive_rng(generator, "encode", interface_index),
-                            backend=self.spike_backend,
                         )
                     if self.noise is not None:
                         train = self.noise.apply(

@@ -248,7 +248,6 @@ class _AttackContext:
             noise=None,
             weight_scaling=self.scaling,
             expected_deletion=0.0,
-            spike_backend="events",
         )
         self.encode_root = plan.encode_root()
         self.search_root = plan.search_root()
@@ -276,7 +275,6 @@ class _AttackContext:
         return self.coder.encode(
             normalised,
             rng=derive_rng_at(self.encode_root, "encode", absolute),
-            backend="events",
         ).to_events()
 
     def margin_scorer(self, absolute: int, label: int):

@@ -166,11 +166,6 @@ class ModelRegistry:
         with self._lock:
             return sum(m.resident_bytes() for m in self._resident.values())
 
-    def known_keys(self) -> list:
-        """Every fingerprint the registry can serve (resident or evicted)."""
-        with self._lock:
-            return sorted(set(self._resident) | set(self._sources))
-
     # -- loading ------------------------------------------------------------------
     def register(
         self,

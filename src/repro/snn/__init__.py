@@ -4,7 +4,7 @@ This package provides the building blocks a converted deep SNN is made of:
 
 * :mod:`repro.snn.spikes` -- the dense :class:`SpikeTrainArray` and
   event-driven :class:`SpikeEvents` containers used by every coder and noise
-  model (plus the backend-selection helpers),
+  model,
 * :mod:`repro.snn.kernels` -- post-synaptic-current kernels (constant,
   phase-weighted, burst-weighted, exponentially decaying),
 * :mod:`repro.snn.neurons` -- integrate-and-fire neurons, the single-spike
@@ -15,15 +15,7 @@ This package provides the building blocks a converted deep SNN is made of:
   simulator used to validate the fast activation-transport evaluator.
 """
 
-from repro.snn.spikes import (
-    DENSE_BACKEND,
-    EVENTS_BACKEND,
-    SPIKE_BACKENDS,
-    SpikeEvents,
-    SpikeTrain,
-    SpikeTrainArray,
-    resolve_spike_backend,
-)
+from repro.snn.spikes import SpikeEvents, SpikeTrain, SpikeTrainArray
 from repro.snn.kernels import (
     BurstKernel,
     ConstantKernel,
@@ -53,10 +45,6 @@ __all__ = [
     "SpikeTrainArray",
     "SpikeEvents",
     "SpikeTrain",
-    "DENSE_BACKEND",
-    "EVENTS_BACKEND",
-    "SPIKE_BACKENDS",
-    "resolve_spike_backend",
     "PSCKernel",
     "ConstantKernel",
     "ExponentialKernel",

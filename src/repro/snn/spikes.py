@@ -1,14 +1,15 @@
-"""Spike-train containers: dense and event-driven backends.
+"""Spike-train containers: one representation per kind of code.
 
-Two interchangeable representations of the spike trains of a neuron
-population over a finite time window are provided:
+Two representations of the spike trains of a neuron population over a
+finite time window are provided:
 
 * :class:`SpikeTrainArray` -- a dense integer array of shape
   ``(T, *population_shape)`` where entry ``[t, ...]`` holds the number of
   spikes the neuron emits at step ``t``.  Operations are vectorised numpy
   expressions over the full ``T x N`` grid, which is simple and fast for
-  *dense* codes (rate, phase, burst); the noise kernels draw their random
-  numbers per occupied slot (count-train deletion) or per spike (jitter).
+  the window-filling codes (rate, phase, burst); the noise kernels draw
+  their random numbers per occupied slot (count-train deletion) or per
+  spike (jitter).
 * :class:`SpikeEvents` -- an event list ``(times, neuron_indices, counts)``
   holding one entry per occupied ``(step, neuron)`` slot.  Temporal codes
   (TTFS emits at most one spike per neuron, TTAS at most ``t_a``) leave the
@@ -16,37 +17,27 @@ population over a finite time window are provided:
   O(spikes) on events instead of O(T*N) on the grid -- the same economy that
   makes event-driven neuromorphic hardware efficient.
 
-Both classes expose the same public surface (``total_spikes``,
-``first_spike_times``, ``weighted_sum``, ``delete_spikes``, ``jitter_spikes``,
-``merge``, ...), so coders, noise models and the transport evaluator operate
-on either backend without branching.  Lossless conversion is available through
-``to_dense()`` / ``to_events()`` on both classes.
+Each coder's ``encode`` returns one of them: a dense train for rate, phase
+and burst, events for TTFS and TTAS.  Both classes expose the same protocol
+(``total_spikes``, ``weighted_sum``, ``window_counts``, ``delete_spikes``,
+``jitter_spikes``, the fault transforms, ...), so noise models, decoders
+and both evaluators work on either without branching.  ``to_dense()`` and
+``to_events()`` convert losslessly where a caller needs the other one (the
+attack engine searches event trains of every code).
 
 Trains are immutable by convention: transforms return new containers and never
 modify their input, which lets zero-noise fast paths share buffers through
 :meth:`view` instead of copying.
-
-Each coder picks its representation (``preferred_backend``: dense for the
-window-filling codes, events for TTFS/TTAS); :func:`resolve_spike_backend`
-validates a per-call request, which only internal callers and parity tests
-make.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.utils.rng import RngLike, default_rng
 from repro.utils.validation import check_positive
-
-#: Name of the dense (T, *population) array backend.
-DENSE_BACKEND = "dense"
-#: Name of the event-list backend.
-EVENTS_BACKEND = "events"
-#: All valid backend names.
-SPIKE_BACKENDS = (DENSE_BACKEND, EVENTS_BACKEND)
 
 #: Largest count one ``(step, neuron)`` slot of a dense train can hold.
 MAX_SPIKE_COUNT = int(np.iinfo(np.int16).max)
@@ -75,13 +66,12 @@ def _slot_steps(index: np.ndarray, num_steps: int, num_neurons: int) -> np.ndarr
     return np.repeat(np.arange(num_steps), np.diff(bounds))
 
 
-def _validate_backend(name: str) -> str:
-    key = str(name).strip().lower()
-    if key not in SPIKE_BACKENDS:
+def _check_fits_grid(counts: np.ndarray) -> None:
+    """Raise where a slot count would wrap in the int16 count grid."""
+    if counts.max(initial=0) > MAX_SPIKE_COUNT:
         raise ValueError(
-            f"unknown spike backend {name!r}; available: {list(SPIKE_BACKENDS)}"
+            f"spike counts above {MAX_SPIKE_COUNT} do not fit the int16 count grid"
         )
-    return key
 
 
 def _broadcast_population_mask(
@@ -123,14 +113,6 @@ def _resolve_window(
     return start, max(stop, start)
 
 
-def resolve_spike_backend(
-    requested: Optional[str] = None, preferred: str = DENSE_BACKEND
-) -> str:
-    """The backend to use: ``requested`` when given, else ``preferred``
-    (normally the coder's ``preferred_backend``), validated."""
-    return _validate_backend(preferred if requested is None else requested)
-
-
 class SpikeTrainArray:
     """Dense spike-count representation of a population over a time window.
 
@@ -159,11 +141,8 @@ class SpikeTrainArray:
         if counts.size:
             if counts.min() < 0:
                 raise ValueError("spike counts cannot be negative")
-            if counts.dtype != np.int16 and counts.max() > MAX_SPIKE_COUNT:
-                raise ValueError(
-                    f"spike counts above {MAX_SPIKE_COUNT} do not fit the "
-                    f"int16 count grid"
-                )
+            if counts.dtype != np.int16:
+                _check_fits_grid(counts)
         if counts.dtype == np.int16:
             self.counts = counts.copy() if copy else counts
         else:
@@ -176,28 +155,6 @@ class SpikeTrainArray:
         check_positive("num_steps", num_steps)
         shape = (int(num_steps),) + tuple(int(s) for s in population_shape)
         return cls(np.zeros(shape, dtype=np.int16), copy=False)
-
-    @classmethod
-    def from_spike_times(
-        cls,
-        times: Iterable[int],
-        neuron_indices: Iterable[int],
-        num_steps: int,
-        num_neurons: int,
-    ) -> "SpikeTrainArray":
-        """Build a single-population (1-D) train from parallel time/index lists."""
-        train = cls.zeros(num_steps, (num_neurons,))
-        times = np.asarray(list(times), dtype=np.int64)
-        neuron_indices = np.asarray(list(neuron_indices), dtype=np.int64)
-        if times.shape != neuron_indices.shape:
-            raise ValueError("times and neuron_indices must have the same length")
-        if times.size:
-            if times.min() < 0 or times.max() >= num_steps:
-                raise ValueError(f"spike times must lie in [0, {num_steps})")
-            if neuron_indices.min() < 0 or neuron_indices.max() >= num_neurons:
-                raise ValueError(f"neuron indices must lie in [0, {num_neurons})")
-            np.add.at(train.counts, (times, neuron_indices), 1)
-        return train
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -219,29 +176,9 @@ class SpikeTrainArray:
         """Total number of spikes in the window."""
         return int(self.counts.sum())
 
-    def spikes_per_neuron(self) -> np.ndarray:
-        """Per-neuron spike counts (shape ``population_shape``)."""
-        return self.counts.sum(axis=0)
-
-    def firing_rates(self) -> np.ndarray:
-        """Per-neuron firing rate (spikes per time step)."""
-        return self.counts.sum(axis=0) / float(self.num_steps)
-
     def occupied_slots(self) -> int:
         """Number of ``(step, neuron)`` slots that carry at least one spike."""
         return int(np.count_nonzero(self.counts))
-
-    def first_spike_times(self, no_spike_value: Optional[int] = None) -> np.ndarray:
-        """Per-neuron time of the first spike.
-
-        Neurons that never fire get ``no_spike_value`` (default: ``num_steps``,
-        i.e. one step past the window).
-        """
-        fired = self.counts > 0
-        has_spike = fired.any(axis=0)
-        first = np.argmax(fired, axis=0)
-        fill = self.num_steps if no_spike_value is None else int(no_spike_value)
-        return np.where(has_spike, first, fill)
 
     def copy(self) -> "SpikeTrainArray":
         """Deep copy."""
@@ -251,14 +188,22 @@ class SpikeTrainArray:
         """New wrapper sharing this train's buffer (trains are immutable)."""
         return SpikeTrainArray(self.counts, copy=False)
 
-    # -- backend conversion --------------------------------------------------
+    # -- conversion ----------------------------------------------------------
     def to_dense(self) -> "SpikeTrainArray":
         """This train (already dense)."""
         return self
 
     def to_events(self) -> "SpikeEvents":
-        """Lossless conversion to the event-driven backend."""
-        return SpikeEvents.from_dense(self)
+        """Lossless conversion to an event list."""
+        index, counts = _nonzero_slots(self.counts)
+        times = _slot_steps(index, self.num_steps, self.num_neurons)
+        neurons = index - times * self.num_neurons
+        # The slots arrive in C order, so the events are already sorted by
+        # (time, neuron) with unique slots: canonical by design.
+        return SpikeEvents(
+            times, neurons, counts, self.num_steps, self.population_shape,
+            _canonical=True,
+        )
 
     # -- window queries ------------------------------------------------------
     def step_support(self) -> Tuple[int, int]:
@@ -280,8 +225,8 @@ class SpikeTrainArray:
         """Dense per-step counts for steps ``[start, stop)`` only.
 
         Returns an array of shape ``(stop - start, *population_shape)``; a
-        view of the underlying buffer on this backend -- treat it as
-        read-only.  ``stop=None`` means "until the end".
+        view of the underlying buffer -- treat it as read-only.
+        ``stop=None`` means "until the end".
         """
         start, stop = _resolve_window((start, stop), self.num_steps)
         return self.counts[start:stop]
@@ -436,17 +381,6 @@ class SpikeTrainArray:
         out[start:stop] = 0
         return SpikeTrainArray(out, copy=False)
 
-    def merge(self, other: "SpikeTrain") -> "SpikeTrainArray":
-        """Superpose two spike trains of identical shape."""
-        if isinstance(other, SpikeEvents):
-            other = other.to_dense()
-        if self.counts.shape != other.counts.shape:
-            raise ValueError(
-                f"cannot merge spike trains of shapes {self.counts.shape} "
-                f"and {other.counts.shape}"
-            )
-        return SpikeTrainArray(self.counts + other.counts, copy=False)
-
     # -- dunder helpers --------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SpikeEvents):
@@ -474,9 +408,8 @@ class SpikeEvents:
     order-independent, so deferring the O(E log E) sort keeps them strictly
     O(events).
 
-    All transforms cost O(events) instead of the dense backend's O(T*N),
-    which is what makes this the preferred backend for sparse temporal codes
-    (TTFS/TTAS).
+    All transforms cost O(events) instead of the dense train's O(T*N),
+    which is why the sparse temporal codes (TTFS/TTAS) encode into it.
 
     Parameters
     ----------
@@ -493,7 +426,7 @@ class SpikeEvents:
     """
 
     __slots__ = ("times", "neuron_indices", "event_counts",
-                 "_num_steps", "_population_shape", "_canonical", "_dense_cache")
+                 "_num_steps", "_population_shape", "_canonical")
 
     def __init__(
         self,
@@ -535,8 +468,8 @@ class SpikeEvents:
                 raise ValueError("spike counts cannot be negative")
             if counts.min() == 0:
                 # Drop zero-count events eagerly: the order-independent fast
-                # paths (jitter, first_spike_times) trust every event to
-                # carry at least one spike.
+                # paths (jitter) trust every event to carry at least one
+                # spike.
                 nonzero = counts > 0
                 times = times[nonzero]
                 neuron_indices = neuron_indices[nonzero]
@@ -545,7 +478,6 @@ class SpikeEvents:
         self.neuron_indices = neuron_indices
         self.event_counts = counts
         self._canonical = bool(_canonical) or times.size == 0
-        self._dense_cache: Optional[np.ndarray] = None
 
     def _ensure_canonical(self) -> None:
         """Bring the event arrays into canonical form (idempotent).
@@ -590,36 +522,6 @@ class SpikeEvents:
         empty = np.empty(0, dtype=np.int64)
         return cls(empty, empty, None, num_steps, population_shape, _canonical=True)
 
-    @classmethod
-    def from_dense(cls, train: Union[SpikeTrainArray, np.ndarray]) -> "SpikeEvents":
-        """Lossless conversion from the dense backend."""
-        if not isinstance(train, SpikeTrainArray):
-            train = SpikeTrainArray(train)
-        index, counts = _nonzero_slots(train.counts)
-        times = _slot_steps(index, train.num_steps, train.num_neurons)
-        neurons = index - times * train.num_neurons
-        # The slots arrive in C order, so the events are already sorted by
-        # (time, neuron) with unique slots: canonical by design.
-        return cls(
-            times, neurons, counts, train.num_steps, train.population_shape,
-            _canonical=True,
-        )
-
-    @classmethod
-    def from_spike_times(
-        cls,
-        times: Iterable[int],
-        neuron_indices: Iterable[int],
-        num_steps: int,
-        num_neurons: int,
-    ) -> "SpikeEvents":
-        """Build a single-population (1-D) train from parallel time/index lists."""
-        times = np.asarray(list(times), dtype=np.int64)
-        neuron_indices = np.asarray(list(neuron_indices), dtype=np.int64)
-        if times.shape != neuron_indices.shape:
-            raise ValueError("times and neuron_indices must have the same length")
-        return cls(times, neuron_indices, None, num_steps, (int(num_neurons),))
-
     # -- basic properties ----------------------------------------------------
     @property
     def num_steps(self) -> int:
@@ -636,53 +538,14 @@ class SpikeEvents:
         """Total number of neurons in the population."""
         return int(np.prod(self._population_shape))
 
-    @property
-    def num_events(self) -> int:
-        """Number of occupied ``(step, neuron)`` slots."""
-        self._ensure_canonical()
-        return int(self.times.size)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Dense ``(T, *population)`` materialisation of this train.
-
-        Provided for interoperability with dense-only consumers (the
-        time-stepped simulator, plotting, tests); event hot paths never touch
-        it.  The materialisation is cached -- treat it as read-only.
-        """
-        if self._dense_cache is None:
-            self._dense_cache = self.to_dense().counts
-        return self._dense_cache
-
     def total_spikes(self) -> int:
         """Total number of spikes in the window."""
         return int(self.event_counts.sum())
 
-    def spikes_per_neuron(self) -> np.ndarray:
-        """Per-neuron spike counts (shape ``population_shape``)."""
-        flat = np.bincount(
-            self.neuron_indices, weights=self.event_counts, minlength=self.num_neurons
-        ).astype(np.int64)
-        return flat.reshape(self._population_shape)
-
-    def firing_rates(self) -> np.ndarray:
-        """Per-neuron firing rate (spikes per time step)."""
-        return self.spikes_per_neuron() / float(self._num_steps)
-
     def occupied_slots(self) -> int:
         """Number of ``(step, neuron)`` slots that carry at least one spike."""
-        return self.num_events
-
-    def first_spike_times(self, no_spike_value: Optional[int] = None) -> np.ndarray:
-        """Per-neuron time of the first spike (see dense counterpart)."""
-        fill = self._num_steps if no_spike_value is None else int(no_spike_value)
-        # Use num_steps as the in-flight sentinel (always > any event time) so
-        # a negative user fill value cannot shadow real spike times.
-        first = np.full(self.num_neurons, self._num_steps, dtype=np.int64)
-        if self.times.size:
-            np.minimum.at(first, self.neuron_indices, self.times)
-        result = np.where(first < self._num_steps, first, fill)
-        return result.reshape(self._population_shape)
+        self._ensure_canonical()
+        return int(self.times.size)
 
     def copy(self) -> "SpikeEvents":
         """Deep copy."""
@@ -698,17 +561,14 @@ class SpikeEvents:
             self._num_steps, self._population_shape, _canonical=self._canonical,
         )
 
-    # -- backend conversion --------------------------------------------------
+    # -- conversion ----------------------------------------------------------
     def to_dense(self) -> SpikeTrainArray:
-        """Lossless conversion to the dense backend."""
-        self._ensure_canonical()
-        flat = np.zeros((self._num_steps, self.num_neurons), dtype=np.int16)
-        if self.times.size:
-            # Canonical events have unique (time, neuron) slots.
-            flat[self.times, self.neuron_indices] = self.event_counts
-        return SpikeTrainArray(
-            flat.reshape((self._num_steps,) + self._population_shape), copy=False
-        )
+        """Lossless conversion to a dense train.
+
+        A slot holding more than :data:`MAX_SPIKE_COUNT` spikes raises
+        instead of wrapping.
+        """
+        return SpikeTrainArray(self.window_counts(0), copy=False)
 
     def to_events(self) -> "SpikeEvents":
         """This train (already event-driven)."""
@@ -733,20 +593,19 @@ class SpikeEvents:
         array: only the requested sub-window is ever densified, which is how
         the window scheduler assembles a layer's drive straight from the
         event lists without materialising the full ``(T, ...)`` grid.
-        ``stop=None`` means "until the end".
+        ``stop=None`` means "until the end".  A slot holding more than
+        :data:`MAX_SPIKE_COUNT` spikes raises instead of wrapping.
         """
         start, stop = _resolve_window((start, stop), self._num_steps)
         width = stop - start
-        if self._dense_cache is not None:
-            return self._dense_cache[start:stop]
         self._ensure_canonical()
         flat = np.zeros((width, self.num_neurons), dtype=np.int16)
         if width and self.times.size:
             sel = (self.times >= start) & (self.times < stop)
+            counts = self.event_counts[sel]
+            _check_fits_grid(counts)
             # Canonical events have unique (time, neuron) slots.
-            flat[self.times[sel] - start, self.neuron_indices[sel]] = (
-                self.event_counts[sel]
-            )
+            flat[self.times[sel] - start, self.neuron_indices[sel]] = counts
         return flat.reshape((width,) + self._population_shape)
 
     # -- transformations -----------------------------------------------------
@@ -754,7 +613,7 @@ class SpikeEvents:
         """Sum of per-spike kernel weights for every neuron (decode primitive).
 
         Implemented as an O(events) scatter-add of ``kernel[t] * count``
-        instead of the dense backend's O(T*N) contraction.
+        instead of the dense train's O(T*N) contraction.
         """
         weights_per_step = np.asarray(weights_per_step)
         if weights_per_step.shape != (self._num_steps,):
@@ -764,7 +623,7 @@ class SpikeEvents:
             )
         if self.times.size == 0:
             return np.zeros(self._population_shape, dtype=np.float64)
-        # Match the dense backend's float32 kernel precision, accumulate in
+        # Match the dense train's float32 kernel precision, accumulate in
         # float64 (bincount's native accumulator).
         contrib = (
             weights_per_step.astype(np.float32, copy=False)[self.times]
@@ -903,24 +762,6 @@ class SpikeEvents:
             self._num_steps, self._population_shape, _canonical=self._canonical,
         )
 
-    def merge(self, other: "SpikeTrain") -> "SpikeEvents":
-        """Superpose two spike trains of identical window and population."""
-        if isinstance(other, SpikeTrainArray):
-            other = other.to_events()
-        if (self._num_steps != other.num_steps
-                or self._population_shape != other.population_shape):
-            raise ValueError(
-                f"cannot merge spike trains of shapes "
-                f"({self._num_steps}, {self._population_shape}) and "
-                f"({other.num_steps}, {other.population_shape})"
-            )
-        return SpikeEvents(
-            np.concatenate([self.times, other.times]),
-            np.concatenate([self.neuron_indices, other.neuron_indices]),
-            np.concatenate([self.event_counts, other.event_counts]),
-            self._num_steps, self._population_shape,
-        )
-
     # -- dunder helpers --------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SpikeTrainArray):
@@ -940,9 +781,9 @@ class SpikeEvents:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SpikeEvents(T={self._num_steps}, population={self._population_shape}, "
-            f"events={self.num_events}, spikes={self.total_spikes()})"
+            f"events={self.occupied_slots()}, spikes={self.total_spikes()})"
         )
 
 
-#: Either spike-train backend; the shared protocol every consumer codes against.
+#: Either spike-train representation; the shared protocol every consumer codes against.
 SpikeTrain = Union[SpikeTrainArray, SpikeEvents]

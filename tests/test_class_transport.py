@@ -9,7 +9,7 @@ instead of the ``(T, batch, ...)`` grid.  This suite checks
   both decode to the same activation;
 * equality in distribution under deletion + dead neurons against the
   dense time-resolved path (chi-square on survivor counts, KS on decoded
-  activations), with the event backend's deletion exception covered by the
+  activations), with the event list's deletion exception covered by the
   same test;
 * routing: which evaluations take the class path, bit-identity where it is
   exact, and that the class path never builds the time grid.
@@ -46,6 +46,11 @@ WINDOW_CODERS = [
 ALPHA = 1e-3
 #: Upper ALPHA-quantile of the standard normal.
 Z_ALPHA = 3.0902323061678132
+
+
+def per_neuron(train):
+    """Spike count of every neuron over the whole window (or all classes)."""
+    return train.to_dense().counts.sum(axis=0)
 
 
 class TimedIdentity(IdentityNoise):
@@ -105,7 +110,7 @@ def ks_rejects(a: np.ndarray, b: np.ndarray) -> bool:
 class TestClassEncoding:
     def test_dense_encoding_expands_class_counts(self, coder):
         values = np.random.default_rng(0).random((4, 30))
-        dense = coder.encode_dense(values).counts
+        dense = coder.encode(values).counts
         classes = coder.encode_classes(values).counts
         weights = coder.decode_weights()
         # Every step's spikes land in the class of its kernel weight.
@@ -117,7 +122,7 @@ class TestClassEncoding:
         values = np.random.default_rng(1).random((4, 30))
         assert np.array_equal(
             coder.decode_classes(coder.encode_classes(values)),
-            coder.decode(coder.encode_dense(values)),
+            coder.decode(coder.encode(values)),
         )
 
 
@@ -128,7 +133,7 @@ def test_rate_decode_at_paper_window_within_float32_sum_bound():
     # T * 2^-24, and the class decode is within 2^-23 of the exact n / T.
     coder = RateCoder(num_steps=1000)
     values = np.random.default_rng(3).random((8, 200))
-    dense = coder.decode(coder.encode_dense(values))
+    dense = coder.decode(coder.encode(values))
     classes = coder.decode_classes(coder.encode_classes(values))
     exact = np.rint(values * 1000) / 1000
     assert np.abs(classes - dense).max() <= 1000 * 2.0**-24
@@ -167,16 +172,16 @@ class TestDistributionalEquivalence:
         return np.random.default_rng(0).random(self.population)
 
     def dense_reference(self, coder):
-        train = self.noise.apply(coder.encode_dense(self.values()), rng=1)
-        return train.spikes_per_neuron(), coder.decode(train)
+        train = self.noise.apply(coder.encode(self.values()), rng=1)
+        return per_neuron(train), coder.decode(train)
 
     def corrupted(self, coder, path, noise=None, seed=2):
         noise = noise or self.noise
         if path == "events":
-            train = noise.apply(coder.encode_dense(self.values()).to_events(), rng=seed)
-            return train.spikes_per_neuron(), coder.decode(train)
+            train = noise.apply(coder.encode(self.values()).to_events(), rng=seed)
+            return per_neuron(train), coder.decode(train)
         train = noise.apply(coder.encode_classes(self.values()), rng=seed)
-        return train.spikes_per_neuron(), coder.decode_classes(train)
+        return per_neuron(train), coder.decode_classes(train)
 
     @pytest.mark.parametrize("path", ["events", "classes"])
     @pytest.mark.parametrize(
@@ -210,14 +215,14 @@ class TestDistributionalEquivalence:
         whole = counts * (generator.random(counts.shape) >= 0.3)
         whole = whole * (generator.random(counts.shape[1:]) >= 0.1)
         train = SpikeTrainArray(whole)
-        assert chi_square_rejects(dense_survivors, train.spikes_per_neuron())
+        assert chi_square_rejects(dense_survivors, per_neuron(train))
         assert ks_rejects(dense_decoded, coder.decode_classes(train))
 
 
 # -- routing and exactness through the evaluator --------------------------------------
 def simulator(network, coder, noise=None):
     return ActivationTransportSimulator(
-        network=network, coder=coder, noise=noise, spike_backend="dense"
+        network=network, coder=coder, noise=noise
     )
 
 
@@ -240,10 +245,10 @@ class TestRouting:
         values = np.random.default_rng(6).random((8, 300))
         noise = NoiseInjector.from_levels(dead_fraction=0.3)
         classes = noise.apply(coder.encode_classes(values), rng=5)
-        dense = noise.apply(coder.encode_dense(values), rng=5)
-        assert np.array_equal(classes.spikes_per_neuron(), dense.spikes_per_neuron())
+        dense = noise.apply(coder.encode(values), rng=5)
+        assert np.array_equal(per_neuron(classes), per_neuron(dense))
         assert np.array_equal(coder.decode_classes(classes), coder.decode(dense))
-        silenced = classes.spikes_per_neuron().sum(axis=0) == 0
+        silenced = per_neuron(classes).sum(axis=0) == 0
         assert 0.2 < silenced.mean() < 0.45
 
     @pytest.mark.parametrize(
@@ -257,8 +262,8 @@ class TestRouting:
         def boom(self, values, rng=None):
             raise AssertionError("class path built the (T, batch, N) grid")
 
-        monkeypatch.setattr(RateCoder, "encode_dense", boom)
-        monkeypatch.setattr(PeriodicCoder, "encode_dense", boom)
+        monkeypatch.setattr(RateCoder, "encode", boom)
+        monkeypatch.setattr(PeriodicCoder, "encode", boom)
         noise = NoiseInjector.from_levels(deletion_probability=0.5, dead_fraction=0.1)
         result = simulator(converted_mlp, coder, noise).evaluate(
             mnist_split.test.x[:16], mnist_split.test.y[:16], rng=0
@@ -303,19 +308,6 @@ class TestRouting:
         )
         assert logits.shape[0] == 8
         assert spikes[0] == train.total_spikes()
-
-    def test_class_path_ignores_spike_backend(self, converted_mlp, mnist_split):
-        x = mnist_split.test.x[:8]
-        coder = PhaseCoder(num_steps=32)
-        noise = DeletionNoise(0.3)
-        runs = [
-            ActivationTransportSimulator(
-                converted_mlp, coder, noise=noise, spike_backend=backend
-            ).forward(x, rng=3)
-            for backend in ("dense", "events")
-        ]
-        assert runs[0][1] == runs[1][1]
-        assert np.array_equal(runs[0][0], runs[1][0])
 
     @staticmethod
     def _forbid_classes(monkeypatch):

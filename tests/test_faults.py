@@ -19,7 +19,7 @@ from repro.noise import (
     quantize_weights,
 )
 from repro.snn.simulator import LayerFaultMask
-from repro.snn.spikes import SpikeEvents, SpikeTrainArray
+from repro.snn.spikes import SpikeTrainArray
 
 
 def dense_train(seed=0, shape=(20, 100), p=0.3):
@@ -68,7 +68,7 @@ class TestDeadNeuronNoise:
     def test_dense_events_bit_identical(self):
         train = dense_train()
         dense = DeadNeuronNoise(0.4).apply(train, rng=3)
-        events = DeadNeuronNoise(0.4).apply(SpikeEvents.from_dense(train), rng=3)
+        events = DeadNeuronNoise(0.4).apply(train.to_events(), rng=3)
         assert events.to_dense() == dense
 
     def test_input_not_mutated(self):
@@ -122,7 +122,7 @@ class TestStuckAtFireNoise:
     def test_dense_events_bit_identical(self):
         train = dense_train()
         dense = StuckAtFireNoise(0.3).apply(train, rng=5)
-        events = StuckAtFireNoise(0.3).apply(SpikeEvents.from_dense(train), rng=5)
+        events = StuckAtFireNoise(0.3).apply(train.to_events(), rng=5)
         assert events.to_dense() == dense
 
 
@@ -150,7 +150,7 @@ class TestBurstErrorNoise:
     def test_dense_events_bit_identical(self):
         train = dense_train()
         dense = BurstErrorNoise(0.4).apply(train, rng=6)
-        events = BurstErrorNoise(0.4).apply(SpikeEvents.from_dense(train), rng=6)
+        events = BurstErrorNoise(0.4).apply(train.to_events(), rng=6)
         assert events.to_dense() == dense
 
 

@@ -1,7 +1,7 @@
 """Dense noise kernels against their full-grid oracles, bit for bit.
 
 :meth:`SpikeTrainArray.delete_spikes`, :meth:`SpikeTrainArray.jitter_spikes`
-and :meth:`SpikeEvents.from_dense` visit only the occupied ``(step, neuron)``
+and :meth:`SpikeTrainArray.to_events` visit only the occupied ``(step, neuron)``
 slots; the oracles in :mod:`oracles` visit the whole grid.  Both must give
 the same counts (dtype included) from the same seed, on every memory layout
 a train's counts can have.
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from repro.snn.spikes import SpikeEvents, SpikeTrainArray
+from repro.snn.spikes import SpikeTrainArray
 
 
 def _binary():
@@ -89,7 +89,7 @@ class TestDenseKernelsMatchOracles:
 
     def test_from_dense(self, kind, layout):
         counts = _counts(kind, layout)
-        actual = SpikeEvents.from_dense(SpikeTrainArray(counts, copy=False))
+        actual = SpikeTrainArray(counts, copy=False).to_events()
         expected = oracles.events_from_dense(counts)
         for name in ("times", "neuron_indices", "event_counts"):
             assert_same_counts(getattr(actual, name), getattr(expected, name))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.snn.spikes import SpikeTrainArray
+from repro.snn.spikes import SpikeEvents, SpikeTrainArray
 
 
 def simple_train():
@@ -22,18 +22,20 @@ class TestConstruction:
         assert train.total_spikes() == 0
 
     def test_from_spike_times(self):
-        train = SpikeTrainArray.from_spike_times([0, 2, 2], [1, 0, 0], 5, 3)
+        # Spike-time lists build an event list; its dense form has the
+        # repeated (2, 0) spike as a count of 2.
+        train = SpikeEvents([0, 2, 2], [1, 0, 0], None, 5, (3,)).to_dense()
         assert train.total_spikes() == 3
         assert train.counts[2, 0] == 2
         assert train.counts[0, 1] == 1
 
     def test_from_spike_times_validates(self):
         with pytest.raises(ValueError):
-            SpikeTrainArray.from_spike_times([5], [0], 5, 2)
+            SpikeEvents([5], [0], None, 5, (2,))
         with pytest.raises(ValueError):
-            SpikeTrainArray.from_spike_times([0], [2], 5, 2)
+            SpikeEvents([0], [2], None, 5, (2,))
         with pytest.raises(ValueError):
-            SpikeTrainArray.from_spike_times([0, 1], [0], 5, 2)
+            SpikeEvents([0, 1], [0], None, 5, (2,))
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -71,14 +73,8 @@ class TestProperties:
     def test_counts_and_rates(self):
         train = simple_train()
         assert train.total_spikes() == 4
-        assert np.array_equal(train.spikes_per_neuron(), [1, 1, 2, 0])
-        assert np.allclose(train.firing_rates(), [1 / 8, 1 / 8, 2 / 8, 0.0])
-
-    def test_first_spike_times(self):
-        train = simple_train()
-        assert np.array_equal(train.first_spike_times(), [0, 3, 7, 8])
-        assert np.array_equal(train.first_spike_times(no_spike_value=-1),
-                              [0, 3, 7, -1])
+        assert train.occupied_slots() == 3
+        assert train.num_neurons == 4
 
     def test_equality_and_copy(self):
         train = simple_train()
@@ -96,13 +92,6 @@ class TestProperties:
     def test_weighted_sum_shape_validation(self):
         with pytest.raises(ValueError):
             simple_train().weighted_sum(np.ones(5))
-
-    def test_merge(self):
-        a = simple_train()
-        merged = a.merge(a)
-        assert merged.total_spikes() == 2 * a.total_spikes()
-        with pytest.raises(ValueError):
-            a.merge(SpikeTrainArray.zeros(8, (5,)))
 
 
 class TestDeletion:

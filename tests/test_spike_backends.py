@@ -1,7 +1,8 @@
-"""Dense <-> event spike-backend equivalence suite.
+"""Dense <-> event spike-train equivalence suite.
 
-The event-driven :class:`SpikeEvents` backend must be indistinguishable from
-the dense :class:`SpikeTrainArray` through the shared spike-train protocol:
+Each coder encodes into one representation (dense :class:`SpikeTrainArray`
+for rate/phase/burst, event-driven :class:`SpikeEvents` for TTFS/TTAS), and
+the two must be indistinguishable through the shared spike-train protocol:
 lossless round-trip conversion, exact agreement of the deterministic
 operations, statistical agreement of the stochastic ones under fixed seeds,
 and matching transport-level logits on the noise-free path.
@@ -13,16 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.coding import PhaseCoder, RateCoder, TTASCoder, TTFSCoder
+from repro.coding import BurstCoder, PhaseCoder, RateCoder, TTASCoder, TTFSCoder
+from repro.coding.base import NeuralCoder
 from repro.core.transport import ActivationTransportSimulator
 from repro.noise import DeletionNoise, IdentityNoise, NoiseInjector
-from repro.snn.spikes import (
-    DENSE_BACKEND,
-    EVENTS_BACKEND,
-    SpikeEvents,
-    SpikeTrainArray,
-    resolve_spike_backend,
-)
+from repro.snn.spikes import MAX_SPIKE_COUNT, SpikeEvents, SpikeTrainArray
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -51,8 +47,8 @@ class TestConversion:
     @SETTINGS
     @given(counts=count_arrays)
     def test_events_roundtrip_canonical(self, counts):
-        events = SpikeEvents.from_dense(counts)
-        again = SpikeEvents.from_dense(events.to_dense())
+        events = SpikeTrainArray(counts).to_events()
+        again = events.to_dense().to_events()
         assert events == again
 
     def test_unsorted_duplicate_events_canonicalise(self):
@@ -62,12 +58,14 @@ class TestConversion:
         b = SpikeEvents([1, 3], [2, 0], [1, 2], 5, (4,))
         assert a == b
         assert a.total_spikes() == 3
-        assert a.num_events == 2
+        assert a.occupied_slots() == 2
 
     def test_dense_counts_property_matches(self):
         dense = random_train()
         events = dense.to_events()
-        assert np.array_equal(events.counts, dense.counts)
+        assert np.array_equal(events.to_dense().counts, dense.counts)
+        assert np.array_equal(events.window_counts(0), dense.counts)
+        assert np.array_equal(events.window_counts(4, 9), dense.window_counts(4, 9))
 
     def test_cross_backend_equality(self):
         dense = random_train()
@@ -77,19 +75,35 @@ class TestConversion:
         assert dense.to_events() != other
 
     def test_from_spike_times(self):
-        events = SpikeEvents.from_spike_times([0, 2, 2], [1, 0, 0], 5, 3)
-        dense = SpikeTrainArray.from_spike_times([0, 2, 2], [1, 0, 0], 5, 3)
-        assert events == dense
+        # One event per spike time; the repeated (2, 0) pair is a count of 2.
+        events = SpikeEvents([0, 2, 2], [1, 0, 0], None, 5, (3,))
+        counts = np.zeros((5, 3), dtype=np.int16)
+        counts[0, 1] = 1
+        counts[2, 0] = 2
+        assert events == SpikeTrainArray(counts)
 
     def test_zero_count_events_dropped_at_construction(self):
         # A count-0 event must not fabricate spikes in the order-independent
-        # fast paths (jitter binary path, first_spike_times).
+        # fast paths (the jitter binary path).
         events = SpikeEvents([2, 1], [0, 1], [0, 1], 5, (3,))
         assert events.total_spikes() == 1
+        assert events.occupied_slots() == 1
         assert events.jitter_spikes(1.0, rng=0).total_spikes() == 1
-        dense = events.to_dense()
-        assert np.array_equal(events.first_spike_times(), dense.first_spike_times())
-        assert np.array_equal(events.first_spike_times(), [5, 1, 5])
+        expected = np.zeros((5, 3), dtype=np.int16)
+        expected[1, 1] = 1
+        assert np.array_equal(events.to_dense().counts, expected)
+
+    def test_to_dense_rejects_counts_beyond_int16(self):
+        events = SpikeEvents([0], [0], [70000], 2, (1,))
+        with pytest.raises(ValueError, match=str(MAX_SPIKE_COUNT)):
+            events.to_dense()
+
+    def test_window_counts_rejects_counts_beyond_int16(self):
+        events = SpikeEvents([0, 1], [0, 0], [40000, 3], 2, (1,))
+        with pytest.raises(ValueError, match=str(MAX_SPIKE_COUNT)):
+            events.window_counts(0, 2)
+        # A window that leaves the overfull slot out still fits the grid.
+        assert events.window_counts(1, 2).tolist() == [[3]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -109,22 +123,9 @@ class TestDeterministicOps:
         dense = SpikeTrainArray(counts)
         events = dense.to_events()
         assert events.total_spikes() == dense.total_spikes()
-        assert np.array_equal(events.spikes_per_neuron(), dense.spikes_per_neuron())
-        assert np.allclose(events.firing_rates(), dense.firing_rates())
         assert events.occupied_slots() == dense.occupied_slots()
         assert events.num_steps == dense.num_steps
         assert events.population_shape == dense.population_shape
-
-    @SETTINGS
-    @given(counts=count_arrays)
-    def test_first_spike_times_agree(self, counts):
-        dense = SpikeTrainArray(counts)
-        events = dense.to_events()
-        assert np.array_equal(events.first_spike_times(), dense.first_spike_times())
-        assert np.array_equal(
-            events.first_spike_times(no_spike_value=-1),
-            dense.first_spike_times(no_spike_value=-1),
-        )
 
     @SETTINGS
     @given(counts=count_arrays)
@@ -145,26 +146,26 @@ class TestDeterministicOps:
     @SETTINGS
     @given(a=count_arrays, b=count_arrays)
     def test_merge_agrees(self, a, b):
+        # Superposing two trains: summed counts on the grid, concatenated
+        # event lists (duplicate slots coalesce) on the events.
         if a.shape != b.shape:
             return
-        dense = SpikeTrainArray(a).merge(SpikeTrainArray(b))
-        events = SpikeEvents.from_dense(a).merge(SpikeEvents.from_dense(b))
+        dense = SpikeTrainArray(a.astype(np.int64) + b)
+        ea, eb = SpikeTrainArray(a).to_events(), SpikeTrainArray(b).to_events()
+        events = SpikeEvents(
+            np.concatenate([ea.times, eb.times]),
+            np.concatenate([ea.neuron_indices, eb.neuron_indices]),
+            np.concatenate([ea.event_counts, eb.event_counts]),
+            dense.num_steps, dense.population_shape,
+        )
         assert events == dense
-
-    def test_merge_mixed_backends(self):
-        dense = random_train()
-        merged = dense.to_events().merge(dense)
-        assert merged.total_spikes() == 2 * dense.total_spikes()
-        with pytest.raises(ValueError):
-            dense.to_events().merge(SpikeEvents.zeros(3, (7,)))
 
     def test_multidimensional_population(self):
         counts = (np.random.default_rng(3).random((6, 2, 3, 4)) < 0.4).astype(np.int16)
         dense = SpikeTrainArray(counts)
         events = dense.to_events()
         assert events.population_shape == (2, 3, 4)
-        assert np.array_equal(events.spikes_per_neuron(), dense.spikes_per_neuron())
-        assert np.array_equal(events.first_spike_times(), dense.first_spike_times())
+        assert np.array_equal(events.window_counts(1, 4), dense.window_counts(1, 4))
         assert events.to_dense() == dense
 
 
@@ -204,14 +205,14 @@ class TestStochasticOps:
     def test_jitter_drop_can_lose_spikes(self):
         counts = np.zeros((4, 100), dtype=np.int16)
         counts[0] = 1
-        events = SpikeEvents.from_dense(counts)
+        events = SpikeTrainArray(counts).to_events()
         jittered = events.jitter_spikes(3.0, rng=0, mode="drop")
         assert jittered.total_spikes() < events.total_spikes()
 
     def test_jitter_mean_shift_is_small(self):
         counts = np.zeros((41, 500), dtype=np.int16)
         counts[20] = 1
-        events = SpikeEvents.from_dense(counts)
+        events = SpikeTrainArray(counts).to_events()
         jittered = events.jitter_spikes(2.0, rng=0)
         times = np.repeat(np.arange(41), jittered.to_dense().counts.sum(axis=1))
         assert abs(times.mean() - 20.0) < 0.3
@@ -219,11 +220,11 @@ class TestStochasticOps:
     def test_jitter_multicount_spreads_independently(self):
         counts = np.zeros((21, 50), dtype=np.int16)
         counts[10] = 4
-        events = SpikeEvents.from_dense(counts)
+        events = SpikeTrainArray(counts).to_events()
         jittered = events.jitter_spikes(2.0, rng=0)
         assert jittered.total_spikes() == events.total_spikes()
         # With sigma=2 the four spikes of one neuron almost surely split.
-        assert jittered.num_events > events.num_events
+        assert jittered.occupied_slots() > events.occupied_slots()
 
     def test_jitter_edge_cases(self):
         events = random_train().to_events()
@@ -237,12 +238,25 @@ class TestStochasticOps:
 
 
 class TestCoderBackends:
-    def test_preferred_backends(self):
-        assert TTFSCoder(16).preferred_backend == EVENTS_BACKEND
-        assert TTASCoder(16).preferred_backend == EVENTS_BACKEND
-        assert RateCoder(16).preferred_backend == DENSE_BACKEND
-        assert isinstance(TTFSCoder(16).encode(np.array([0.5])), SpikeEvents)
-        assert isinstance(RateCoder(16).encode(np.array([0.5])), SpikeTrainArray)
+    @pytest.mark.parametrize("coder, representation", [
+        (RateCoder(num_steps=16), SpikeTrainArray),
+        (PhaseCoder(num_steps=16, period=8), SpikeTrainArray),
+        (BurstCoder(num_steps=16, period=8, burst_length=4), SpikeTrainArray),
+        (TTFSCoder(num_steps=16), SpikeEvents),
+        (TTASCoder(num_steps=16, target_duration=3), SpikeEvents),
+    ], ids=["rate", "phase", "burst", "ttfs", "ttas"])
+    def test_encode_returns_the_coders_representation(
+        self, coder, representation, monkeypatch
+    ):
+        # Each coder's encode is its own: the base method is never reached
+        # (a call up would be counted twice by per-class encode tracing).
+        def boom(self, values, rng=None):
+            raise AssertionError("a coder's encode called NeuralCoder.encode")
+
+        monkeypatch.setattr(NeuralCoder, "encode", boom)
+        train = coder.encode(np.random.default_rng(0).random((3, 4)))
+        assert type(train) is representation
+        assert (train.num_steps, train.population_shape) == (16, (3, 4))
 
     @pytest.mark.parametrize("coder", [
         RateCoder(num_steps=24),
@@ -252,25 +266,14 @@ class TestCoderBackends:
     ], ids=lambda c: c.name)
     def test_backends_encode_identically(self, coder):
         values = np.random.default_rng(0).random((5, 7))
-        dense = coder.encode(values, backend="dense")
-        events = coder.encode(values, backend="events")
+        train = coder.encode(values)
+        dense, events = train.to_dense(), train.to_events()
         assert isinstance(dense, SpikeTrainArray)
         assert isinstance(events, SpikeEvents)
         assert events == dense
         assert np.allclose(
             coder.decode(events), coder.decode(dense), rtol=1e-5, atol=1e-6
         )
-
-    def test_explicit_backend_wins(self):
-        coder = TTASCoder(num_steps=16)
-        assert isinstance(coder.encode(np.array([0.5]), backend="dense"),
-                          SpikeTrainArray)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_spike_backend("sparse")
-        with pytest.raises(ValueError):
-            TTFSCoder(16).encode(np.array([0.5]), backend="bitmap")
 
     def test_step_weights_cached_and_readonly(self):
         coder = TTASCoder(num_steps=16)
@@ -310,31 +313,34 @@ class TestNoiseProtocol:
 
 class TestTransportParity:
     @pytest.fixture()
-    def simulators(self, converted_mlp):
-        def build(backend):
-            return ActivationTransportSimulator(
-                network=converted_mlp,
-                coder=TTASCoder(num_steps=8, target_duration=3),
-                noise=None,
-                spike_backend=backend,
-            )
-        return build
+    def simulator(self, converted_mlp):
+        return ActivationTransportSimulator(
+            network=converted_mlp,
+            coder=TTASCoder(num_steps=8, target_duration=3),
+            noise=None,
+        )
 
     def test_sparse_logits_match_dense_logits_at_noise_zero(
-        self, simulators, mnist_split
+        self, simulator, mnist_split, monkeypatch
     ):
         x = mnist_split.test.x[:16]
-        dense_logits, dense_spikes = simulators("dense").forward(x, rng=0)
-        event_logits, event_spikes = simulators("events").forward(x, rng=0)
+        event_logits, event_spikes = simulator.forward(x, rng=0)
+        encode = TTASCoder.encode
+        monkeypatch.setattr(
+            TTASCoder, "encode",
+            lambda self, values, rng=None: encode(self, values, rng).to_dense(),
+        )
+        dense_logits, dense_spikes = simulator.forward(x, rng=0)
         assert dense_spikes == event_spikes
         assert np.allclose(event_logits, dense_logits, rtol=1e-4, atol=1e-5)
 
     def test_sparse_path_never_densifies(
-        self, simulators, mnist_split, monkeypatch
+        self, simulator, mnist_split, monkeypatch
     ):
-        def boom(self):
+        def boom(self, *window):
             raise AssertionError("sparse transport path densified a train")
 
         monkeypatch.setattr(SpikeEvents, "to_dense", boom)
-        logits, _ = simulators("events").forward(mnist_split.test.x[:8], rng=0)
+        monkeypatch.setattr(SpikeEvents, "window_counts", boom)
+        logits, _ = simulator.forward(mnist_split.test.x[:8], rng=0)
         assert logits.shape[0] == 8
