@@ -5,14 +5,15 @@
 # with zero re-evaluated cells, unless HEAD bumps a fingerprint schema on
 # purpose.  The parent (HEAD^1; on a pull-request merge commit that is the
 # base branch tip) is checked out in a git worktree, so the job needs the
-# full history (fetch-depth: 0).  There three noise-cell batches (`table1`
-# on class counts, `fig3` Phase/Burst on the dense jitter kernel, `fig4`
-# TTFS/TTAS on the faithful simulator's TTFS and IFB neuron scans) and an
-# attack-cell batch (`adv-delete` on TTFS, whose scorer runs on event
-# lists, and Rate, whose scorer's deeper interfaces run on dense trains)
-# are written to a fresh store; all are then re-run at HEAD, and no cell
-# document may be newer than a sentinel touched in between.  The same
-# sweeps then run at HEAD into a second fresh store, and every cell's
+# full history (fetch-depth: 0).  There four noise-cell batches (`table1`
+# on class counts, `fig3` Phase/Burst on the class-count jitter, `fig3`
+# Phase on the faithful simulator, whose input noise runs the dense jitter
+# kernel, `fig4` TTFS/TTAS on the faithful simulator's TTFS and IFB neuron
+# scans) and an attack-cell batch (`adv-delete` on TTFS, whose scorer runs
+# on event lists, and Rate, whose scorer's deeper interfaces run on dense
+# trains) are written to a fresh store; all are then re-run at HEAD, and
+# no cell document may be newer than a sentinel touched in between.  The
+# same sweeps then run at HEAD into a second fresh store, and every cell's
 # `result` block must equal the parent's for the same fingerprint:
 # resuming is not enough, the values must match too.
 # When FINGERPRINT_SCHEMA or ATTACK_FINGERPRINT_SCHEMA differs between the
@@ -53,6 +54,9 @@ sweeps() {
   PYTHONPATH="$1/src" python -m repro figure --name fig3 --dataset mnist \
     --methods Phase Burst --scale test --eval-size 8 \
     --result-store "$2" > /dev/null
+  PYTHONPATH="$1/src" python -m repro figure --name fig3 --dataset mnist \
+    --methods Phase --scale test --eval-size 8 \
+    --simulator timestep --result-store "$2" > /dev/null
   PYTHONPATH="$1/src" python -m repro figure --name fig4 --dataset mnist \
     --methods TTFS+WS "TTAS(5)+WS" --scale test --eval-size 8 \
     --simulator timestep --result-store "$2" > /dev/null

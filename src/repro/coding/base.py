@@ -11,7 +11,9 @@ cannot fire before step 0 -- and it is what turns the weight-scaling
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -20,8 +22,8 @@ from repro.coding.protocol import SimulationProtocol, UnsupportedCoderError
 from repro.snn.kernels import PSCKernel
 from repro.snn.neurons import SpikingNeuron
 from repro.snn.spikes import SpikeTrain, SpikeTrainArray
-from repro.utils.rng import RngLike
-from repro.utils.validation import check_positive
+from repro.utils.rng import RngLike, default_rng
+from repro.utils.validation import check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,33 @@ class CoderConfig:
         check_positive("num_steps", self.num_steps)
         if self.threshold is not None:
             check_positive("threshold", self.threshold)
+
+
+class ClassCounts(SpikeTrainArray):
+    """A clean class encoding that knows the coder it came from.
+
+    Returned by :meth:`NeuralCoder.encode_classes`.  Time-free transforms
+    (deletion, dead-neuron masks) return a plain
+    :class:`~repro.snn.spikes.SpikeTrainArray` as for any train; clip-mode
+    jitter, which moves spikes between steps, is resolved by the coder
+    from the known steps of its uncorrupted encoding
+    (:meth:`NeuralCoder.jitter_classes`).
+    """
+
+    __slots__ = ("coder",)
+
+    def __init__(self, counts: np.ndarray, coder: "NeuralCoder"):
+        super().__init__(counts, copy=False)
+        self.coder = coder
+
+    def jitter_spikes(
+        self, sigma: float, rng: RngLike = None, mode: str = "clip"
+    ) -> SpikeTrainArray:
+        if mode != "clip":
+            raise ValueError(
+                f"{mode!r}-mode jitter needs the time grid, not class counts"
+            )
+        return self.coder.jitter_classes(self, sigma, rng=rng)
 
 
 class NeuralCoder:
@@ -150,17 +179,31 @@ class NeuralCoder:
         """
         raise NotImplementedError
 
-    def encode_classes(self, values: np.ndarray) -> SpikeTrainArray:
+    def encode_classes(self, values: np.ndarray) -> ClassCounts:
         """Encode into kernel-weight classes instead of time steps.
 
         Returns a train of shape ``(K, *values.shape)`` whose row ``k``
         counts the spikes of the whole window that carry the decode weight
         ``decode_weights()[k]``.  It holds every spike of the time-resolved
         encoding, so counting, deletion and dead-neuron masks -- which never
-        look at a spike's step -- act on it exactly as on the full train.
-        Implemented by coders with :attr:`has_class_encoding`; the
-        encoding of such a coder is the expansion of these counts over the
-        window.
+        look at a spike's step -- act on it exactly as on the full train,
+        and clip-mode jitter goes to :meth:`jitter_classes`.  Implemented by
+        coders with :attr:`has_class_encoding`; the encoding of such a
+        coder is the expansion of these counts over the window.
+        """
+        raise NotImplementedError(f"{self.name} coding has no class encoding")
+
+    def jitter_classes(
+        self, train: ClassCounts, sigma: float, rng: RngLike = None
+    ) -> SpikeTrainArray:
+        """Clip-mode spike jitter of this coder's clean class encoding.
+
+        Returns a class-domain train distributed as the per-class counts of
+        ``train.jitter_spikes(sigma, mode="clip")`` on :meth:`encode`'s time
+        grid: every spike moves by ``rint(N(0, sigma))`` steps, is clamped
+        to the window and lands in the class of its new step.  ``train``
+        must be uncorrupted, since each spike's step is read off the
+        encoding.  Implemented by coders with :attr:`has_class_encoding`.
         """
         raise NotImplementedError(f"{self.name} coding has no class encoding")
 
@@ -227,6 +270,38 @@ class NeuralCoder:
         return f"{type(self).__name__}(num_steps={self.num_steps})"
 
 
+@lru_cache(maxsize=32)
+def _landing_class_cdf(num_steps: int, period: int, sigma: float) -> np.ndarray:
+    """Per-origin-step CDF of the class a clip-jittered spike lands in.
+
+    Row ``s`` of the ``(num_steps, period)`` result is the CDF over classes
+    ``j < period`` of ``clip(s + rint(N(0, sigma)), 0, num_steps - 1) mod
+    period``; its last entry is exactly 1.  A spike lands at or before step
+    ``t < num_steps - 1`` with probability ``Phi((t - s + 1/2) / sigma)``
+    and at or before the last step surely, so one vector of normal-CDF
+    values at the half-integer shifts covers every origin and the clipping
+    at both window edges.  Read-only and cached: the evaluator calls it
+    once per interface with the same arguments.
+    """
+    steps = np.arange(num_steps)
+    scale = sigma * math.sqrt(2.0)
+    # normal_cdf[d + num_steps] = P(rint(N(0, sigma)) <= d).
+    normal_cdf = np.array(
+        [0.5 * math.erfc(-(d + 0.5) / scale) for d in range(-num_steps, num_steps)]
+    )
+    # step_cdf[s, t] = P(landing step <= t | origin s).
+    step_cdf = normal_cdf[steps[None, :] - steps[:, None] + num_steps]
+    step_cdf[:, -1] = 1.0
+    step_pmf = np.diff(step_cdf, axis=1, prepend=0.0)
+    padded = -(-num_steps // period) * period
+    step_pmf = np.pad(step_pmf, ((0, 0), (0, padded - num_steps)))
+    class_pmf = step_pmf.reshape(num_steps, padded // period, period).sum(axis=1)
+    cdf = np.cumsum(class_pmf, axis=1)
+    cdf[:, -1] = 1.0
+    cdf.setflags(write=False)
+    return cdf
+
+
 class PeriodicCoder(NeuralCoder):
     """Base of the codes that repeat one spike pattern every period.
 
@@ -258,9 +333,9 @@ class PeriodicCoder(NeuralCoder):
         """Per-period spike flags, shape ``(K, *values.shape)`` (subclass primitive)."""
         raise NotImplementedError
 
-    def encode_classes(self, values: np.ndarray) -> SpikeTrainArray:
+    def encode_classes(self, values: np.ndarray) -> ClassCounts:
         counts = self.pattern(values).astype(np.int32) * self.num_periods
-        return SpikeTrainArray(counts, copy=False)
+        return ClassCounts(counts, self)
 
     def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
         classes = self.encode_classes(values).counts
@@ -270,6 +345,50 @@ class PeriodicCoder(NeuralCoder):
         )
         periods[:, : classes.shape[0]] = classes // self.num_periods
         return train
+
+    def jitter_classes(
+        self, train: ClassCounts, sigma: float, rng: RngLike = None
+    ) -> SpikeTrainArray:
+        """Landing-class draws: one uniform per spike, ``period`` class rows.
+
+        Class ``k``'s spikes sit at steps ``k + p * period`` for ``p <
+        num_periods``, and the kernel weights repeat every period, so a
+        spike shifted to step ``t`` decodes as class ``t mod period`` --
+        trailing steps past the last complete period included.  Each spike
+        draws its landing class by inverting its origin's row of
+        :func:`_landing_class_cdf` with one uniform; spike totals per neuron
+        are kept exactly.  O(spikes * period) work, no time grid.
+        """
+        check_non_negative("sigma", sigma)
+        if sigma == 0.0:
+            return train.view()
+        generator = default_rng(rng)
+        period, num_periods = self.period, self.num_periods
+        cdf = _landing_class_cdf(self.num_steps, period, float(sigma))
+        counts = train.counts.reshape(train.num_steps, -1)
+        num_neurons = counts.shape[1]
+        # Flat (landing class, neuron) slot of every spike, filled class by
+        # class.  Pattern flags are 0/1, so an occupied class slot holds one
+        # spike per period; row p of a class block holds period p's spikes.
+        slots = np.empty(int(counts.sum(dtype=np.int64)), dtype=np.int64)
+        filled = 0
+        for klass in range(counts.shape[0]):
+            neurons = np.flatnonzero(counts[klass])
+            rows = cdf[klass + period * np.arange(num_periods)]
+            uniforms = generator.random((num_periods, neurons.size))
+            # Inverse CDF: the landing class is the number of CDF entries
+            # at or below the spike's uniform (the last entry is 1).
+            landing = np.zeros(uniforms.shape, dtype=np.min_scalar_type(period - 1))
+            for j in range(period - 1):
+                landing += uniforms >= rows[:, j, None]
+            block = slots[filled : filled + landing.size].reshape(landing.shape)
+            np.multiply(landing, num_neurons, out=block, dtype=np.int64)
+            block += neurons
+            filled += landing.size
+        jittered = np.bincount(slots, minlength=period * num_neurons)
+        return SpikeTrainArray(
+            jittered.reshape((period,) + train.population_shape), copy=False
+        )
 
     def decode(self, train: SpikeTrain) -> np.ndarray:
         return super().decode(train) / self.num_periods

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.base import NeuralCoder
+from repro.coding.base import ClassCounts, NeuralCoder
 from repro.coding.protocol import InterfaceProtocol, SimulationProtocol
 from repro.snn.kernels import ConstantKernel, PSCKernel
 from repro.snn.neurons import IFNeuron, SpikingNeuron
@@ -67,11 +67,19 @@ class RateCoder(NeuralCoder):
         # is only known once its steps are drawn.
         return not self.stochastic
 
-    def encode_classes(self, values: np.ndarray) -> SpikeTrainArray:
+    def encode_classes(self, values: np.ndarray) -> ClassCounts:
         if self.stochastic:
             return super().encode_classes(values)
         counts = np.rint(self._normalise(values) * self.num_steps).astype(np.int32)
-        return SpikeTrainArray(counts[None, ...], copy=False)
+        return ClassCounts(counts[None, ...], self)
+
+    def jitter_classes(
+        self, train: ClassCounts, sigma: float, rng: RngLike = None
+    ) -> SpikeTrainArray:
+        # Clipping keeps every spike and the constant kernel ignores its
+        # step: the counts come back unchanged and nothing is drawn.
+        check_non_negative("sigma", sigma)
+        return train.view()
 
     def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
         t = self.num_steps

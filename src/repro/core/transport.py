@@ -23,22 +23,46 @@ Window-filling codes take a *class path*.  Decoding is ``sum_t w_t * c_t``,
 and deletion and dead-neuron faults act on each spike or neuron without
 looking at its step.  So when the coder has a class encoding (deterministic
 rate: one class; phase: one per oscillator phase; burst: one per burst
-slot), no input train is injected and every noise model is ``time_free``,
-steps 2-4 run on a ``(K, batch, ...)`` train of per-class spike counts
-instead of the ``(T, batch, ...)`` grid: O(K*N) instead of O(T*N) work and
-memory.  The train goes through the same ``noise.apply``: a dead-neuron
-mask is drawn over the feature axes exactly as for the time grid, and
-deletion thins each class count binomially.  Every decoded activation and
-spike count keeps its distribution, not its realisation: the class path
-derives no encode stream, so its noise streams are not the time-resolved
-path's.  Without noise the class path is bit-identical to the time-resolved
-one for phase, for burst at its default ratio 0.5 and for rate at
-power-of-two windows, where every decode term is exact; otherwise the
-decode differs in the last float32 bits (e.g. rate's ``n * float32(1/T)``
-against the float32 sum of ``T`` terms).  Jitter, burst errors,
-stuck-at-fire, stochastic rate and injected trains keep the time-resolved
-path, on the representation the coder's ``encode`` returns (dense for
-rate/phase/burst, events for TTFS/TTAS).
+slot), no input train is injected and the noise
+:attr:`~repro.noise.base.SpikeNoise.acts_on_classes`, steps 2-4 run on a
+``(K, batch, ...)`` train of per-class spike counts instead of the
+``(T, batch, ...)`` grid: O(K*N) instead of O(T*N) work and memory.  The
+train goes through the same ``noise.apply``: a dead-neuron mask is drawn
+over the feature axes exactly as for the time grid, and deletion thins each
+class count binomially.  Clip-mode jitter qualifies when it comes first,
+on the coder's clean encoding, whose spike steps are known
+(:meth:`~repro.coding.base.NeuralCoder.jitter_classes`): rate returns the
+counts unchanged and draws nothing, since clipping keeps every spike and
+its decode ignores the step; phase and burst draw each spike's landing
+class ``clip(step + rint(N(0, sigma)), 0, T - 1) mod period`` with one
+uniform from a per-step CDF, into ``period`` class rows.  Every decoded
+activation and spike count keeps its distribution, not its realisation:
+the class path derives no encode stream, so its noise streams are not the
+time-resolved path's.  Without noise the class path is bit-identical to
+the time-resolved one for phase, for burst at its default ratio 0.5 and
+for rate at power-of-two windows, where every decode term is exact;
+otherwise the decode differs in the last float32 bits (e.g. rate's
+``n * float32(1/T)`` against the float32 sum of ``T`` terms).
+
+These cases keep the time-resolved path, on the representation the coder's
+``encode`` returns (dense for rate/phase/burst, events for TTFS/TTAS):
+
+* drop-mode jitter -- ``JitterNoise(mode="drop")`` or ``jitter_mode="drop"``
+  of :meth:`~repro.noise.injector.NoiseInjector.from_levels`; no sweep
+  uses it;
+* deletion before jitter -- ``NoiseRobustSNN.evaluate`` with both
+  ``deletion`` and ``jitter`` set (``repro evaluate --deletion p
+  --jitter s``), since a thinned class count no longer says which periods
+  its survivors sit in;
+* burst errors and stuck-at-fire -- the ``fault-burst``/``fault-stuck``
+  figures and the ``table3-burst``/``table3-stuck`` tables;
+* stochastic rate -- ``RateCoder(stochastic=True)``, whose count is only
+  known once its steps are drawn (library callers only);
+* injected trains -- the attack engine (:mod:`repro.execution.attack`),
+  whose scorer and transfer evaluation pass ``input_train``;
+* the faithful simulator's input noise --
+  :func:`repro.core.timestep.evaluate_timestep` (``--simulator timestep``),
+  which runs neurons over real steps.
 
 Two entry points are provided: the :class:`ActivationTransportSimulator`
 class for callers that evaluate one configuration repeatedly, and the pure
@@ -163,9 +187,10 @@ class ActivationTransportSimulator:
         injection point on both evaluators, so an attack found here transfers
         unchanged to the faithful time-stepped simulation.
 
-        Without ``input_train``, a coder with a class encoding under
-        time-free noise runs every interface on per-class spike counts (the
-        class path of the module docstring).
+        Without ``input_train``, a coder with a class encoding under noise
+        that :attr:`~repro.noise.base.SpikeNoise.acts_on_classes` runs every
+        interface on per-class spike counts (the class path of the module
+        docstring).
 
         Returns ``(logits, spikes_per_interface)``.
         """
@@ -185,7 +210,7 @@ class ActivationTransportSimulator:
         class_path = (
             input_train is None
             and self.coder.has_class_encoding
-            and (self.noise is None or self.noise.time_free)
+            and (self.noise is None or self.noise.acts_on_classes)
         )
 
         activations = x

@@ -51,7 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: Schema 4: rate/phase/burst under deletion run on per-class spike counts
 #: (a different deletion realisation), and the rate decode rounds
 #: differently at windows that are not a power of two.
-FINGERPRINT_SCHEMA = 4
+#: Schema 5: clip-mode jitter on rate, phase and burst runs on per-class
+#: spike counts (landing-class draws; rate draws nothing) -- a different
+#: realisation of the same distribution.
+FINGERPRINT_SCHEMA = 5
 
 
 @dataclass(frozen=True)

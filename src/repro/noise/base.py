@@ -26,6 +26,17 @@ class SpikeNoise:
     #: the same distribution as the time-resolved train.
     time_free: bool = False
 
+    @property
+    def acts_on_classes(self) -> bool:
+        """Whether the model may corrupt a *clean* class encoding.
+
+        The transport evaluator's one routing rule for its class path.  A
+        time-free model qualifies on any class-domain train; clip-mode
+        jitter qualifies on the coder's uncorrupted encoding, whose spike
+        steps are known (see :class:`~repro.coding.base.ClassCounts`).
+        """
+        return self.time_free
+
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         """Return a noisy version of ``train`` (the input is left untouched)."""
         raise NotImplementedError

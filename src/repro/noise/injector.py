@@ -74,9 +74,24 @@ class NoiseInjector(SpikeNoise):
         :meth:`~repro.coding.base.NeuralCoder.encode_classes`).  Each spike
         survives independently with probability ``1 - p`` in all three, so
         the realisations are identically distributed without being
-        bit-identical; ``tests/test_class_transport.py`` checks this.  Dead
-        masks are drawn over the feature axes, so a class-domain train gets
-        the same mask as the time grid from the same stream.
+        bit-identical.  Clip-mode jitter on a clean class encoding draws
+        one uniform per spike for its landing class (phase, burst) or
+        nothing (rate, whose decode ignores the step) instead of one normal
+        per spike on the grid: the same distribution of per-class counts,
+        a different realisation.  ``tests/test_class_transport.py`` checks
+        both against the dense grid.  Dead masks are drawn over the feature
+        axes, so a class-domain train gets the same mask as the time grid
+        from the same stream.
+
+        The class path takes an injector whose first model
+        :attr:`~repro.noise.base.SpikeNoise.acts_on_classes` and whose
+        later models are all time-free.  These keep the time grid: drop-mode
+        jitter (``jitter_mode="drop"``, no sweep uses it), deletion before
+        jitter (``NoiseRobustSNN.evaluate`` with both levels set), burst
+        errors and stuck-at-fire (the ``fault-burst``/``fault-stuck``
+        figures, ``table3-burst``/``table3-stuck``); stochastic rate,
+        injected attack trains and the faithful simulator's input noise
+        (``evaluate_timestep``) never reach it.
         """
         models: List[SpikeNoise] = []
         if deletion_probability > 0:
@@ -97,6 +112,17 @@ class NoiseInjector(SpikeNoise):
     def time_free(self) -> bool:
         """Time-free when every constituent model is."""
         return all(model.time_free for model in self.models)
+
+    @property
+    def acts_on_classes(self) -> bool:
+        """The first model may act on a clean class encoding, the rest are time-free.
+
+        Only the first model sees the coder's uncorrupted encoding: after
+        deletion, a class count no longer says which periods its survivors
+        sit in, so deletion before jitter keeps the time grid.
+        """
+        first, *rest = self.models or [IdentityNoise()]
+        return first.acts_on_classes and all(model.time_free for model in rest)
 
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         result = train

@@ -37,6 +37,12 @@ class JitterNoise(SpikeNoise):
         self.sigma = float(sigma)
         self.mode = mode
 
+    @property
+    def acts_on_classes(self) -> bool:
+        # Clipping keeps every spike, so where a class count's spikes land
+        # follows from their known steps alone; drop mode keeps the grid.
+        return self.mode == "clip"
+
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         return train.jitter_spikes(self.sigma, rng=rng, mode=self.mode)
 

@@ -11,15 +11,21 @@ instead of the ``(T, batch, ...)`` grid.  This suite checks
   dense time-resolved path (chi-square on survivor counts, KS on decoded
   activations), with the event list's deletion exception covered by the
   same test;
+* clip jitter on class counts: phase and burst landing-class draws against
+  the dense jitter kernel folded mod the period (chi-square and KS, with a
+  power check against a sampler that wraps instead of clipping), rate's
+  exact skip, and spike totals kept exactly;
 * routing: which evaluations take the class path, bit-identity where it is
-  exact, and that the class path never builds the time grid.
+  exact, that the class path never builds the time grid, and that every
+  case outside it still does.
 """
 
 import numpy as np
 import pytest
 
 from repro.coding import BurstCoder, PhaseCoder, RateCoder
-from repro.coding.base import NeuralCoder, PeriodicCoder
+from repro.coding.base import ClassCounts, NeuralCoder, PeriodicCoder
+from repro.core.timestep import evaluate_timestep
 from repro.core.transport import ActivationTransportSimulator
 from repro.noise import (
     BurstErrorNoise,
@@ -63,17 +69,27 @@ class TimedIdentity(IdentityNoise):
 def chi_square_rejects(a: np.ndarray, b: np.ndarray) -> bool:
     """Chi-square homogeneity test of two integer samples at level ALPHA.
 
-    Adjacent values are pooled until each bin holds at least 10
-    observations over both samples (expected count >= 5 per sample at equal
-    sizes).  The critical value is the Wilson-Hilferty approximation of the
-    chi-square quantile.  The per-neuron activations are a fixed design,
-    not a random draw from their mixture, which only makes the test
-    conservative.
+    The table's bins are the sample values (see :func:`table_rejects`).
+    The per-neuron activations are a fixed design, not a random draw from
+    their mixture, which only makes the test conservative.
     """
     size = int(max(a.max(), b.max())) + 1
+    return table_rejects(
+        np.stack([np.bincount(a, minlength=size), np.bincount(b, minlength=size)])
+    )
+
+
+def table_rejects(counts: np.ndarray) -> bool:
+    """Chi-square homogeneity test of a ``(2, bins)`` count table at level ALPHA.
+
+    Adjacent bins are pooled until each holds at least 10 observations
+    over both rows (expected count >= 5 per row at equal sizes).  The
+    critical value is the Wilson-Hilferty approximation of the chi-square
+    quantile.
+    """
     table = [[], []]
     pending = np.zeros(2, dtype=np.int64)
-    for pair in zip(np.bincount(a, minlength=size), np.bincount(b, minlength=size)):
+    for pair in np.asarray(counts, dtype=np.int64).T:
         pending += pair
         if pending.sum() >= 10:
             table[0].append(pending[0])
@@ -155,6 +171,127 @@ def test_time_free_declarations():
     assert NoiseInjector.from_levels(deletion_probability=0.3, dead_fraction=0.1).time_free
     assert NoiseInjector.from_levels().time_free
     assert not NoiseInjector.from_levels(deletion_probability=0.3, jitter_sigma=1.0).time_free
+
+
+def test_class_path_routing_rule():
+    # Time-free, or clip jitter first and only time-free models after it.
+    assert JitterNoise(1.0).acts_on_classes
+    assert not JitterNoise(1.0, mode="drop").acts_on_classes
+    assert DeletionNoise(0.2).acts_on_classes and IdentityNoise().acts_on_classes
+    assert not BurstErrorNoise(0.2).acts_on_classes
+    assert not StuckAtFireNoise(0.2).acts_on_classes
+    qualifies = [
+        NoiseInjector.from_levels(),
+        NoiseInjector.from_levels(deletion_probability=0.3, dead_fraction=0.1),
+        NoiseInjector.from_levels(jitter_sigma=1.0),
+        NoiseInjector.from_levels(jitter_sigma=1.0, dead_fraction=0.1),
+    ]
+    keeps_grid = [
+        NoiseInjector.from_levels(jitter_sigma=1.0, jitter_mode="drop"),
+        NoiseInjector.from_levels(deletion_probability=0.3, jitter_sigma=1.0),
+        NoiseInjector.from_levels(jitter_sigma=1.0, burst_error_fraction=0.1),
+        NoiseInjector.from_levels(jitter_sigma=1.0, stuck_fraction=0.1),
+    ]
+    assert all(noise.acts_on_classes for noise in qualifies)
+    assert not any(noise.acts_on_classes for noise in keeps_grid)
+
+
+# -- class jitter --------------------------------------------------------------------
+PERIODIC_CODERS = [
+    PhaseCoder(num_steps=32),
+    BurstCoder(num_steps=32),
+    PhaseCoder(num_steps=36),
+    BurstCoder(num_steps=40),
+]
+
+
+def fold(counts: np.ndarray, period: int) -> np.ndarray:
+    """Sum a ``(T, *population)`` grid's steps by ``step mod period``."""
+    padded = -(-counts.shape[0] // period) * period
+    grid = np.zeros((padded,) + counts.shape[1:], dtype=np.int64)
+    grid[: counts.shape[0]] = counts
+    return grid.reshape((padded // period, period) + counts.shape[1:]).sum(axis=0)
+
+
+class TestClassJitter:
+    """Clip jitter on class counts against the dense jitter kernel folded mod L."""
+
+    population = 16384
+
+    def values(self):
+        return np.random.default_rng(0).random(self.population)
+
+    def dense_folded(self, coder, sigma, seed=1):
+        train = JitterNoise(sigma).apply(coder.encode(self.values()), rng=seed)
+        return fold(train.counts, coder.period)
+
+    def classes(self, coder, sigma, seed=2):
+        return JitterNoise(sigma).apply(coder.encode_classes(self.values()), rng=seed).counts
+
+    def landing_totals(self, coder, counts):
+        """Spikes landing in each class, split by whether the neuron fired
+        in that class before jitter: staying versus arriving spikes."""
+        fired = np.zeros(counts.shape, dtype=bool)
+        clean = coder.encode_classes(self.values()).counts
+        fired[: clean.shape[0]] = clean > 0
+        return np.concatenate([(counts * fired).sum(axis=1), (counts * ~fired).sum(axis=1)])
+
+    def rejects(self, coder, dense, classes):
+        """Chi-square on split landing-class totals, KS on decoded activations.
+
+        Every spike lands independently given its step, and both samples
+        share the steps, so each total of the two paths is a sum of the
+        same independent categorical draws (the test's multinomial variance
+        is an upper bound, which keeps it conservative).
+        """
+        totals = np.stack([
+            self.landing_totals(coder, dense), self.landing_totals(coder, classes)
+        ])
+        decode = coder.decode_classes
+        return (
+            table_rejects(totals),
+            ks_rejects(decode(SpikeTrainArray(dense)), decode(SpikeTrainArray(classes))),
+        )
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    @pytest.mark.parametrize(
+        "coder", PERIODIC_CODERS, ids=lambda c: f"{c.name}-T{c.num_steps}"
+    )
+    def test_landing_classes_match_folded_dense_jitter(self, coder, sigma):
+        dense, classes = self.dense_folded(coder, sigma), self.classes(coder, sigma)
+        assert classes.shape == dense.shape == (coder.period, self.population)
+        assert self.rejects(coder, dense, classes) == (False, False)
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    @pytest.mark.parametrize(
+        "coder", PERIODIC_CODERS, ids=lambda c: f"{c.name}-T{c.num_steps}"
+    )
+    def test_tests_reject_a_sampler_that_wraps_instead_of_clipping(self, coder, sigma):
+        # Shift each spike of the dense encoding without clamping it to the
+        # window, then take the landing step mod L: right away from the
+        # edges, wrong wherever clipping binds.
+        steps, neurons = np.nonzero(coder.encode(self.values()).counts)
+        shifts = np.rint(np.random.default_rng(3).normal(0.0, sigma, steps.size))
+        landing = (steps + shifts.astype(np.int64)) % coder.period
+        wrapped = np.bincount(
+            landing * self.population + neurons, minlength=coder.period * self.population
+        ).reshape(coder.period, self.population)
+        chi_square, _ = self.rejects(coder, self.dense_folded(coder, sigma), wrapped)
+        assert chi_square
+
+    def test_drop_mode_is_refused_on_class_counts(self):
+        clean = PhaseCoder(num_steps=32).encode_classes(self.values()[:10])
+        with pytest.raises(ValueError, match="time grid"):
+            clean.jitter_spikes(1.0, rng=0, mode="drop")
+
+    def test_rate_jitter_returns_the_counts_and_draws_nothing(self):
+        coder = RateCoder(num_steps=32)
+        clean = coder.encode_classes(self.values()[:500])
+        generator = np.random.default_rng(5)
+        state = generator.bit_generator.state
+        jittered = clean.jitter_spikes(3.0, rng=generator)
+        assert np.array_equal(jittered.counts, clean.counts)
+        assert generator.bit_generator.state == state
 
 
 # -- equality in distribution -------------------------------------------------------
@@ -259,12 +396,27 @@ class TestRouting:
     def test_paper_window_never_builds_the_time_grid(
         self, converted_mlp, mnist_split, coder, monkeypatch
     ):
+        noise = NoiseInjector.from_levels(deletion_probability=0.5, dead_fraction=0.1)
+        self._evaluate_without_grid(converted_mlp, mnist_split, coder, noise, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "coder",
+        [RateCoder(num_steps=1000), PhaseCoder(num_steps=1000), BurstCoder(num_steps=1000)],
+        ids=lambda c: c.name,
+    )
+    def test_clip_jitter_at_paper_window_never_builds_the_time_grid(
+        self, converted_mlp, mnist_split, coder, monkeypatch
+    ):
+        noise = NoiseInjector.from_levels(jitter_sigma=2.0, dead_fraction=0.1)
+        self._evaluate_without_grid(converted_mlp, mnist_split, coder, noise, monkeypatch)
+
+    @staticmethod
+    def _evaluate_without_grid(converted_mlp, mnist_split, coder, noise, monkeypatch):
         def boom(self, values, rng=None):
             raise AssertionError("class path built the (T, batch, N) grid")
 
         monkeypatch.setattr(RateCoder, "encode", boom)
         monkeypatch.setattr(PeriodicCoder, "encode", boom)
-        noise = NoiseInjector.from_levels(deletion_probability=0.5, dead_fraction=0.1)
         result = simulator(converted_mlp, coder, noise).evaluate(
             mnist_split.test.x[:16], mnist_split.test.y[:16], rng=0
         )
@@ -276,25 +428,31 @@ class TestRouting:
             NoiseInjector.from_levels(deletion_probability=0.2, jitter_sigma=1.0),
             NoiseInjector.from_levels(burst_error_fraction=0.2),
             NoiseInjector.from_levels(dead_fraction=0.1, stuck_fraction=0.1),
+            NoiseInjector.from_levels(jitter_sigma=1.0, jitter_mode="drop"),
+            NoiseInjector.from_levels(jitter_sigma=1.0, stuck_fraction=0.1),
         ],
-        ids=["jitter", "burst_error", "stuck"],
+        # "jitter" is deletion before jitter: thinned class counts no longer
+        # say which periods their survivors sit in.
+        ids=["jitter", "burst_error", "stuck", "drop_jitter", "jitter_then_stuck"],
     )
     def test_time_dependent_noise_keeps_the_time_grid(
         self, converted_mlp, mnist_split, noise, monkeypatch
     ):
-        self._forbid_classes(monkeypatch)
+        encodes = self._forbid_classes(monkeypatch)
         logits, _ = simulator(converted_mlp, PhaseCoder(num_steps=32), noise).forward(
             mnist_split.test.x[:8], rng=0
         )
         assert logits.shape[0] == 8
+        assert encodes
 
     def test_stochastic_rate_keeps_the_time_grid(self, converted_mlp, mnist_split, monkeypatch):
-        self._forbid_classes(monkeypatch)
+        encodes = self._forbid_classes(monkeypatch)
         coder = RateCoder(num_steps=32, stochastic=True)
         logits, _ = simulator(converted_mlp, coder, DeletionNoise(0.2)).forward(
             mnist_split.test.x[:8], rng=0
         )
         assert logits.shape[0] == 8
+        assert encodes
 
     def test_injected_input_train_keeps_the_time_grid(
         self, converted_mlp, mnist_split, monkeypatch
@@ -302,17 +460,92 @@ class TestRouting:
         coder = PhaseCoder(num_steps=32)
         x = mnist_split.test.x[:8]
         train = coder.encode(x / converted_mlp.input_scale)
-        self._forbid_classes(monkeypatch)
+        encodes = self._forbid_classes(monkeypatch)
         logits, spikes = simulator(converted_mlp, coder, DeletionNoise(0.2)).forward(
             None, rng=0, input_train=train
         )
         assert logits.shape[0] == 8
         assert spikes[0] == train.total_spikes()
+        assert encodes
+
+    def test_faithful_simulator_input_noise_keeps_the_time_grid(
+        self, converted_mlp, mnist_split, monkeypatch
+    ):
+        encodes = self._forbid_classes(monkeypatch)
+        result = evaluate_timestep(
+            converted_mlp, PhaseCoder(num_steps=32), mnist_split.test.x[:8],
+            noise=NoiseInjector.from_levels(jitter_sigma=1.0), rng=0,
+        )
+        assert result.num_samples == 8
+        assert encodes
 
     @staticmethod
     def _forbid_classes(monkeypatch):
-        def boom(self, train):
+        """Make every class-path step fail; return the list of dense encodes."""
+
+        def boom(self, *args, **kwargs):
             raise AssertionError("time-dependent evaluation took the class path")
 
+        for cls in (NeuralCoder, PeriodicCoder, RateCoder):
+            monkeypatch.setattr(cls, "jitter_classes", boom)
         monkeypatch.setattr(NeuralCoder, "decode_classes", boom)
         monkeypatch.setattr(PeriodicCoder, "decode_classes", boom)
+        encodes = []
+        for cls in (PeriodicCoder, RateCoder):
+            def spy(self, values, rng=None, _encode=cls.encode):
+                encodes.append(self.name)
+                return _encode(self, values, rng=rng)
+
+            monkeypatch.setattr(cls, "encode", spy)
+        return encodes
+
+
+class RecordingInjector(NoiseInjector):
+    """A noise injector that logs every train it corrupts."""
+
+    def __init__(self, models):
+        super().__init__(models)
+        self.log = []
+
+    def apply(self, train, rng=None):
+        noisy = super().apply(train, rng=rng)
+        self.log.append((train, noisy))
+        return noisy
+
+
+class TestEvaluatorClassJitter:
+    """Clip jitter through the evaluator: exact properties, no statistics."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_rate_is_flat_under_jitter(self, converted_mlp, mnist_split, sigma):
+        # Fig. 3's claim as a bit-for-bit check: clip jitter keeps every
+        # spike and rate decode ignores spike steps.
+        x, y = mnist_split.test.x[:32], mnist_split.test.y[:32]
+        coder = RateCoder(num_steps=32)
+
+        def run(noise):
+            return simulator(converted_mlp, coder, noise).evaluate(
+                x, y, rng=0, keep_logits=True
+            )
+
+        clean = run(NoiseInjector.from_levels())
+        jittered = run(NoiseInjector.from_levels(jitter_sigma=sigma))
+        assert np.array_equal(jittered.logits, clean.logits)
+        assert jittered.spikes_per_interface == clean.spikes_per_interface
+
+    @pytest.mark.parametrize(
+        "coder", [PhaseCoder(num_steps=32), BurstCoder(num_steps=32)], ids=lambda c: c.name
+    )
+    def test_phase_and_burst_keep_every_interface_total(
+        self, converted_mlp, mnist_split, coder
+    ):
+        x = mnist_split.test.x[:16]
+        noise = RecordingInjector([JitterNoise(2.0)])
+        _, spikes = simulator(converted_mlp, coder, noise).forward(x, rng=0)
+        assert len(noise.log) == len(spikes)
+        for index, (clean, jittered) in enumerate(noise.log):
+            assert isinstance(clean, ClassCounts)
+            assert jittered.num_steps == coder.period
+            assert jittered.total_spikes() == clean.total_spikes() == spikes[index]
+        _, clean_spikes = simulator(converted_mlp, coder).forward(x, rng=0)
+        assert spikes[0] == clean_spikes[0]

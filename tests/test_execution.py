@@ -146,9 +146,9 @@ class TestPlans:
 
         pinned = {
             sweep_cell("transport"):
-                "9588c2150c6ee33ce4a0babdf8fdf0f6ebfd0fe07d9424796073395d2be4aa0b",
+                "8a6e897a9d94ae37e13c1f79e3399b2f73d046134a4faf9074ecf1608b2ac62b",
             sweep_cell("timestep"):
-                "5f588f5d7620cff3f3ebe6a4a6949bac62383cd1a441b166c3e94275e385174f",
+                "6c1b936e8ad6d703845e5ed3bdfec7089bd6ef4824b3f5f63668ac9fd32b28b5",
             attack_cell("transport"):
                 "7a733b553921d57b41ec102266fe5e65df26121bf3f6bfcdb56e82689606bd7d",
             attack_cell("timestep"):
@@ -171,7 +171,7 @@ class TestPlans:
         assert noise_shard.sample_range() == (32, 40)
         assert attack_shard.sample_range() == (3, 5)
         assert noise_shard.fingerprint("0" * 64) == (
-            "07cc4a1c6b18ec43ca41d99f09a5999e0c855f4946e6cdff4559a952e34c5b1c"
+            "2ab43a0333cf793dbe163379018b28e6793b62f7f4341399724f194cc28b7d98"
         )
         assert attack_shard.fingerprint("0" * 64) == (
             "32a297cf57882c129109bd6a144e135f5f94c6245f7ba2f849a014dcad6f53b6"
@@ -235,31 +235,31 @@ PINNED_CATALOGUE_DIGESTS = {
         "ea2b0aa1a7349fd9ed2b64030a2fa7d9acda7869463c76d05cc811a036df3799"
     ),
     ("figure", "fault-burst"): (
-        "e4e1f4079e117c4575f9b89505c777001a8e794c7f176fcf8d33296f84b07f7f"
+        "d95415e911fcf34a4b5d68d113994b94553d392b7cf5cb8516d51a8b49c0ba1b"
     ),
     ("figure", "fault-dead"): (
-        "18cf335f8c6b3dd61fde39bbbba8d4b848c6cb24834deb3cd237de4320427ce1"
+        "cee270a21dede5ea9806a8d14cb324d9b921e60516768a4d79ace3b173a666bb"
     ),
     ("figure", "fault-stuck"): (
-        "08603ca86ba03ca027c163591e423bce8338e8ac0240d202121252f2e9d18cd9"
+        "d2f3936e0d2a6dde33ecb373e9da7f69b02505bcd13ac98428534f529cba8be3"
     ),
     ("figure", "fig2"): (
-        "580159a81bdf8ccb17be2130abfb567d509268d7a12473fb34e65e2f73ae7493"
+        "cc32b9d3ccd6afad0cd5ccadfd5bbae61700fe07d56068650476060025bab048"
     ),
     ("figure", "fig3"): (
-        "7eeae7d9e36b20cdd5ff2aae1c5df702c13f7ad2234c548df9e0da6ba9ce6dd0"
+        "178333f02a66d892cc2b8156613a9b3155a4fdf8fea16ed2a602eee9897899c6"
     ),
     ("figure", "fig4"): (
-        "124cc3e98055982f9fc92817ceb578219d671041d5a1669b014ffcbb98b657ca"
+        "38c74763921f4b3f0f7daa08c594d1dac942412dd911ac4eb388610c6823d9c0"
     ),
     ("figure", "fig6"): (
-        "089562fe557e4c42abcf4b66b20f71f093089d997a6cd532c733082ec5d5c624"
+        "2c124288b8dddd8742e3cefdcf6d3ea130d24c94724c11c97eff98643ae1251d"
     ),
     ("figure", "fig7"): (
-        "66234add43ba2bf47d60df222768211af363d16fac9666d668ee2bb224f40cb1"
+        "faad38965a285a70a9f5b34a884ae8828205fc33296b63a8841c190c5c599c9c"
     ),
     ("figure", "fig8"): (
-        "2b6adfb5c8eb6eaa01f0826a7d6369116065d498a383e9c7a4cc4b4113f92d53"
+        "18804b8e8ca693d8ee67d41366e152dd721d93f3d7000a5b4527c4a619f8ba81"
     ),
     ("table", "adv-delete"): (
         "e9d327bd74ec171c1288181d7b50ab067ced52830746eb6c6d9316766a47f0b9"
@@ -271,19 +271,19 @@ PINNED_CATALOGUE_DIGESTS = {
         "ea2b0aa1a7349fd9ed2b64030a2fa7d9acda7869463c76d05cc811a036df3799"
     ),
     ("table", "table1"): (
-        "ba83027817018a806f6884c627fc51246ff6edbb34ef28d30bf941fbf2850f3a"
+        "6e5ef164a1047d621c8106e82cf3bae823700d3530d2d31fa665b2e0d3f08083"
     ),
     ("table", "table2"): (
-        "edfa6bca8bfc62d9f6373869820521a39bfec77a633bce856eb95b81dd59ed4c"
+        "e757c85ea89fe23670018df096fe4e9f1e21a0f8e665c293f951eadaa42eb7a5"
     ),
     ("table", "table3-burst"): (
-        "67851d21b9f8cac6fd2663f8bc8f05c82be9ccfe031b6fc450cfabbaadc70d83"
+        "3d8052810c3b631973d5e1b4ca4c261aebcd2a4df7b7922b808977f2cd6d728b"
     ),
     ("table", "table3-dead"): (
-        "84cfb91bfdead6e48011eff0639a61a36cc925c1ac7ce51a8d7fdd913bdaafaf"
+        "82539c68f07af0c2457ce07a4d016d25277168c92ed723ff22329cc430c1bc7e"
     ),
     ("table", "table3-stuck"): (
-        "a7319ff2c5774a7859af50a57360736443fb956c73349d689120107978b1b5d7"
+        "d46f83c3ab1bc8b03ce7daec072410cabf11f43fba4c47df36d50eeeec4300e4"
     ),
 }
 

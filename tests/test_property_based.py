@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.coding import BurstCoder, PhaseCoder, RateCoder, TTASCoder, TTFSCoder
 from repro.core.weight_scaling import WeightScaling
 from repro.metrics.robustness import summarize_noise_sweep
-from repro.snn.spikes import SpikeTrainArray
+from repro.snn.spikes import MAX_SPIKE_COUNT, SpikeTrainArray
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -50,6 +50,28 @@ class TestSpikeTrainProperties:
         train = SpikeTrainArray(counts)
         noisy = train.jitter_spikes(sigma, rng=0, mode="clip")
         assert noisy.total_spikes() == train.total_spikes()
+
+    @SETTINGS
+    @given(
+        data=st.data(),
+        period=st.integers(min_value=1, max_value=12),
+        sigma=st.floats(min_value=0.0, max_value=5.0, exclude_min=True),
+    )
+    def test_class_jitter_keeps_totals_in_period_rows(self, data, period, sigma):
+        num_steps = data.draw(st.integers(min_value=period, max_value=4 * period + 7))
+        coder = data.draw(st.sampled_from([
+            PhaseCoder(num_steps=num_steps, period=period),
+            BurstCoder(
+                num_steps=num_steps,
+                period=period,
+                burst_length=data.draw(st.integers(min_value=1, max_value=period)),
+            ),
+        ]))
+        clean = coder.encode_classes(data.draw(values_arrays))
+        jittered = clean.jitter_spikes(sigma, rng=0)
+        assert jittered.num_steps == coder.period
+        assert np.array_equal(jittered.counts.sum(axis=0), clean.counts.sum(axis=0))
+        assert jittered.counts.max(initial=0) <= MAX_SPIKE_COUNT
 
     @SETTINGS
     @given(counts=count_arrays, sigma=st.floats(min_value=0.0, max_value=5.0))
