@@ -5,13 +5,15 @@
 # with zero re-evaluated cells, unless HEAD bumps a fingerprint schema on
 # purpose.  The parent (HEAD^1; on a pull-request merge commit that is the
 # base branch tip) is checked out in a git worktree, so the job needs the
-# full history (fetch-depth: 0).  There four noise-cell batches (`table1`
+# full history (fetch-depth: 0).  There six noise-cell batches (`table1`
 # on class counts, `fig3` Phase/Burst on the class-count jitter, `fig3`
 # Phase on the faithful simulator, whose input noise runs the dense jitter
 # kernel, `fig4` TTFS/TTAS on the faithful simulator's TTFS and IFB neuron
-# scans) and an attack-cell batch (`adv-delete` on TTFS, whose scorer runs
-# on event lists, and Rate, whose scorer's deeper interfaces run on dense
-# trains) are written to a fresh store; all are then re-run at HEAD, and
+# scans, and on cifar10, whose conv net average-pools, `fig2` Phase/TTFS
+# on the faithful simulator and `table1` on the transport evaluator) and an
+# attack-cell batch (`adv-delete` on TTFS, whose scorer runs on event
+# lists, and Rate, whose scorer's deeper interfaces run on dense trains)
+# are written to a fresh store; all are then re-run at HEAD, and
 # no cell document may be newer than a sentinel touched in between.  The
 # same sweeps then run at HEAD into a second fresh store, and every cell's
 # `result` block must equal the parent's for the same fingerprint:
@@ -60,6 +62,11 @@ sweeps() {
   PYTHONPATH="$1/src" python -m repro figure --name fig4 --dataset mnist \
     --methods TTFS+WS "TTAS(5)+WS" --scale test --eval-size 8 \
     --simulator timestep --result-store "$2" > /dev/null
+  PYTHONPATH="$1/src" python -m repro figure --name fig2 --dataset cifar10 \
+    --methods Phase TTFS --scale test --eval-size 8 \
+    --simulator timestep --result-store "$2" > /dev/null
+  PYTHONPATH="$1/src" python -m repro table --name table1 --datasets cifar10 \
+    --scale test --eval-size 8 --result-store "$2" > /dev/null
   PYTHONPATH="$1/src" python -m repro figure --name adv-delete --dataset mnist \
     --budgets 0 2 --methods TTFS Rate --scale test --eval-size 8 \
     --result-store "$2" > /dev/null

@@ -95,10 +95,13 @@ class _SegmentTransform:
         return self._bias_cache[key]
 
     def __call__(self, psc: np.ndarray) -> np.ndarray:
-        psc = np.asarray(psc, dtype=np.float32)
-        raw = self._run(psc * self.input_scale)
-        bias = self.bias_image(psc.shape)
-        return (raw - bias) / self.output_scale
+        scaled = np.multiply(psc, self.input_scale, dtype=np.float32)
+        out = self._run(scaled)
+        # ``out`` is this call's own array (the layers run on the fresh
+        # ``scaled``), so the bias and the output scale come off in place.
+        np.subtract(out, self.bias_image(scaled.shape), out=out)
+        out /= self.output_scale
+        return out
 
     def step_bias(self, input_shape: Tuple[int, ...], num_steps: int) -> np.ndarray:
         """Constant per-step bias current (singleton batch axis, broadcasts)."""

@@ -23,7 +23,7 @@ test suite.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -444,6 +444,34 @@ class Conv2D(Layer):
         )
 
 
+def _pairwise_sum(terms: List[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equally shaped ``terms`` in NumPy's pairwise order.
+
+    ``np.add.reduce`` over a contiguous axis of ``n`` elements adds them left
+    to right below 8 terms; from 8 terms it keeps 8 running sums, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, plus a left-to-right tail.
+    Following that order reproduces the reduction bit for bit without
+    stacking the terms (up to 128 terms, an 11x11 window: NumPy splits
+    longer axes in halves first).  The terms are never written to; the
+    result is a fresh array.
+    """
+    n = len(terms)
+    if n < 8:
+        total = np.add(terms[0], terms[1]) if n > 1 else terms[0].copy()
+        tail = terms[2:]
+    else:
+        block = n - n % 8
+        partial = list(terms[:8])
+        for start in range(8, block, 8):
+            partial = [np.add(p, t) for p, t in zip(partial, terms[start:start + 8])]
+        r0, r1, r2, r3, r4, r5, r6, r7 = partial
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        tail = terms[block:]
+    for term in tail:
+        total += term
+    return total
+
+
 class _Pool2D(Layer):
     """Shared plumbing for max and average pooling."""
 
@@ -467,18 +495,15 @@ class _Pool2D(Layer):
         out_w = (w - self.pool_size) // self.stride + 1
         return (c, out_h, out_w)
 
-    def _unfold(self, x: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        n, c, h, w = x.shape
+    def _fit(self, h: int, w: int) -> Tuple[int, int]:
+        """``(out_h, out_w)`` of an ``h x w`` map; refuses a pool that does not fit."""
         out_h = (h - self.pool_size) // self.stride + 1
         out_w = (w - self.pool_size) // self.stride + 1
         if out_h <= 0 or out_w <= 0:
             raise ValueError(
                 f"{self.name}: pool size {self.pool_size} does not fit input {h}x{w}"
             )
-        columns, _, _ = im2col(x, self.pool_size, self.pool_size, self.stride, 0)
-        # columns: (N*out_h*out_w, C*k*k) -> (N*out_h*out_w, C, k*k)
-        columns = columns.reshape(-1, c, self.pool_size * self.pool_size)
-        return columns, out_h, out_w
+        return out_h, out_w
 
 
 class MaxPool2D(_Pool2D):
@@ -487,8 +512,10 @@ class MaxPool2D(_Pool2D):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
-        columns, out_h, out_w = self._unfold(x)
-        # columns: (N*out_h*out_w, C, k*k)
+        out_h, out_w = self._fit(h, w)
+        columns, _, _ = im2col(x, self.pool_size, self.pool_size, self.stride, 0)
+        # columns: (N*out_h*out_w, C*k*k) -> (N*out_h*out_w, C, k*k)
+        columns = columns.reshape(-1, c, self.pool_size * self.pool_size)
         max_idx = columns.argmax(axis=2)
         out = columns.max(axis=2)
         out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
@@ -513,13 +540,23 @@ class MaxPool2D(_Pool2D):
 
 
 class AvgPool2D(_Pool2D):
-    """Average pooling -- the pooling used by the conversion-friendly VGG variants."""
+    """Average pooling -- the pooling used by the conversion-friendly VGG variants.
+
+    The forward pass sums the ``k*k`` strided views ``x[:, :, ky::s, kx::s]``
+    (no patch matrix) in NumPy's pairwise order, then divides by ``k*k``:
+    bit for bit the mean over an unfolded ``k*k`` axis.
+    """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        columns, out_h, out_w = self._unfold(x)
-        out = columns.mean(axis=2)
-        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+        _, _, h, w = x.shape
+        out_h, out_w = self._fit(h, w)
+        k, s = self.pool_size, self.stride
+        out = _pairwise_sum([
+            x[:, :, ky:ky + s * (out_h - 1) + 1:s, kx:kx + s * (out_w - 1) + 1:s]
+            for ky in range(k)
+            for kx in range(k)
+        ])
+        out /= k * k
         self._cache = (x.shape, out_h, out_w) if training else None
         return out
 

@@ -497,9 +497,11 @@ class TimeSteppedSimulator:
         independently.  Three fusions keep the fold off DRAM:
 
         * the per-step PSC kernel weights are applied as one broadcast
-          multiply -- per chunk, so the float64 PSC tensor never materialises
-          at window size (the full-window arrays are the int16 spike counts
-          coming in and the float32 drive going out),
+          ``np.multiply(counts, kernel, dtype=float64)`` -- a single pass
+          that casts the int16 counts inside the ufunc instead of copying
+          them to float64 first -- per chunk, so the float64 PSC tensor
+          never materialises at window size (the full-window arrays are the
+          int16 spike counts coming in and the float32 drive going out),
         * rows are processed in cache-sized blocks
           (:data:`FUSED_CHUNK_BYTES`): conv im2col patch buffers are ~k*k
           times their input, and a whole-window fold would spill them out of
@@ -556,7 +558,7 @@ class TimeSteppedSimulator:
         rows_per_chunk = max(1, self.FUSED_CHUNK_BYTES // row_bytes)
 
         def transformed(rows) -> np.ndarray:
-            psc = flat_counts[rows].astype(np.float64) * row_kernel[rows]
+            psc = np.multiply(flat_counts[rows], row_kernel[rows], dtype=np.float64)
             return np.asarray(layer.transform(psc))
 
         def finish(drive: np.ndarray) -> np.ndarray:

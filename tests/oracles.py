@@ -9,6 +9,10 @@ small enough to check by eye:
   over those columns.  Production (:mod:`repro.nn.layers`) packs patches
   through a zero-copy window view and convolves channels-last; columns and
   folds must agree bit for bit, conv outputs to float rounding.
+* :func:`avg_pool2d` -- average pooling as ``mean`` over the unfolded
+  window axis.  Production (:class:`repro.nn.layers.AvgPool2D`) sums
+  strided views in NumPy's pairwise order without unfolding; outputs must
+  agree bit for bit.
 * :func:`run_stepped` -- the time-outer/layer-inner simulator loop: one
   synaptic transform call per layer per time step over the full grid.
   Production (:meth:`repro.snn.simulator.TimeSteppedSimulator.run`) folds
@@ -84,6 +88,17 @@ def conv2d_backward(layer, x, grad_output):
     grad_input = col2im(grad_matrix @ weight_matrix, x.shape, k, k,
                         layer.stride, layer.padding)
     return grad_input, grad_weight, grad_matrix.sum(axis=0)
+
+
+def avg_pool2d(x, pool_size, stride):
+    """Average pooling as the mean over each unfolded ``pool_size**2`` window."""
+    n, c, _, _ = x.shape
+    columns, out_h, out_w = im2col(x, pool_size, pool_size, stride, 0)
+    # Made contiguous: for one image the columns above are a strided view,
+    # whose mean NumPy sums left to right instead of pairwise.
+    columns = np.ascontiguousarray(columns).reshape(-1, c, pool_size * pool_size)
+    out = columns.mean(axis=2)
+    return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
 
 def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None):

@@ -130,11 +130,27 @@ class TestConv2DEquivalence:
 
 
 class TestPoolingEquivalence:
-    @pytest.mark.parametrize("pool_cls", [AvgPool2D, MaxPool2D])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [(9, 9), (16, 16), (13, 10)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize(
+        "pool,stride", [(2, 2), (2, 1), (3, 2), (3, 3), (4, 4), (5, 5)]
+    )
+    def test_avg_pool_forward_bitwise(self, pool, stride, batch, size, dtype, rng):
+        """Strided-view sums in NumPy's pairwise order equal the unfolded
+        mean bit for bit: plain left to right below 8 window terms, 8 running
+        sums from the 3x3 window on."""
+        x = rng.standard_normal((batch, 4) + size)
+        x = (x * 10.0 ** rng.uniform(-3, 3, x.shape)).astype(dtype)
+        out = AvgPool2D(pool, stride=stride).forward(x)
+        expected = oracles.avg_pool2d(x, pool, stride)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
     @pytest.mark.parametrize("pool,stride", [(2, None), (3, 2), (2, 2)])
-    def test_forward_backward_identical(self, pool_cls, pool, stride, rng,
-                                        monkeypatch):
-        layer = pool_cls(pool, stride=stride)
+    def test_max_pool_forward_backward_identical(self, pool, stride, rng,
+                                                 monkeypatch):
+        layer = MaxPool2D(pool, stride=stride)
         x = rng.random((2, 3, 9, 9)).astype(np.float32)
         results = []
         for unfold in (None, oracles):
@@ -145,6 +161,18 @@ class TestPoolingEquivalence:
             results.append((out, layer.backward(np.ones_like(out))))
         assert np.array_equal(results[0][0], results[1][0])
         assert np.array_equal(results[0][1], results[1][1])
+
+    @pytest.mark.parametrize("pool,stride", [(2, None), (3, 2), (2, 2)])
+    def test_avg_pool_backward_identical(self, pool, stride, rng, monkeypatch):
+        layer = AvgPool2D(pool, stride=stride)
+        x = rng.random((2, 3, 9, 9)).astype(np.float32)
+        grads = []
+        for fold in (None, oracles):
+            if fold is not None:
+                monkeypatch.setattr(nn_layers, "col2im", fold.col2im)
+            out = layer.forward(x, training=True)
+            grads.append(layer.backward(np.ones_like(out)))
+        assert np.array_equal(grads[0], grads[1])
 
 
 class TestFusedBatchNorm:

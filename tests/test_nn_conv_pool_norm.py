@@ -143,6 +143,14 @@ class TestPooling:
         numeric = numeric_gradient(loss, x)
         assert np.allclose(grad_in, numeric, atol=5e-2)
 
+    @pytest.mark.parametrize("pool_cls", [AvgPool2D, MaxPool2D])
+    def test_pool_larger_than_input_refused(self, pool_cls):
+        x = np.zeros((1, 2, 2, 2), dtype=np.float32)
+        with pytest.raises(
+            ValueError, match=f"{pool_cls.__name__}: pool size 3 does not fit input 2x2"
+        ):
+            pool_cls(3).forward(x)
+
     def test_pool_output_shape_helper(self):
         assert AvgPool2D(2).output_shape((8, 16, 16)) == (8, 8, 8)
 

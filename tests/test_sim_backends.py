@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 from oracles import run_stepped
 
-from repro.coding import RateCoder
+from repro.coding import PhaseCoder, RateCoder, TTASCoder, TTFSCoder
 from repro.core import build_time_stepped_simulator, evaluate_timestep
 from repro.core.pipeline import NoiseRobustSNN
 from repro.core.timestep import _SegmentTransform
@@ -27,6 +27,8 @@ from repro.execution import ProcessExecutor, ResultStore, ThreadExecutor, evalua
 from repro.execution.plan import build_sweep_plans, network_fingerprint
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig, filter_methods
 from repro.experiments.runner import run_sweep
+from repro.nn.layers import AvgPool2D
+from repro.noise.faults import quantize_network
 from repro.noise.injector import NoiseInjector
 from repro.snn.neurons import IFNeuron, IntegrateFireOrBurstNeuron, TTFSNeuron
 from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
@@ -223,15 +225,30 @@ class TestEngineEquivalence:
         assert_records_match(stepped, fused, atol=1e-5)
         assert stepped.total_spikes() > 0
 
-    def test_converted_cnn_conv_stack(self, converted_cnn, cifar_split):
-        coder = RateCoder(num_steps=16)
+    @pytest.mark.parametrize("make_coder", [
+        lambda: RateCoder(num_steps=16),
+        lambda: PhaseCoder(num_steps=16),
+        lambda: TTFSCoder(num_steps=16),
+        lambda: TTASCoder(num_steps=16, target_duration=5),
+    ], ids=["rate", "phase", "ttfs", "ttas5"])
+    def test_converted_cnn_conv_stack(self, converted_cnn, cifar_split, make_coder):
+        coder = make_coder()
         simulator = build_time_stepped_simulator(
             converted_cnn, coder, batch_input_shape=(4, 3, 16, 16), threshold=0.1
         )
         encoded = coder.encode(cifar_split.test.x[:4] / converted_cnn.input_scale)
-        stepped = run_stepped(simulator, encoded)
-        fused = simulator.run(encoded)
+        stepped = run_stepped(simulator, encoded, record_spikes=True)
+        fused = simulator.run(encoded, record_spikes=True)
         assert_records_match(stepped, fused, atol=1e-5)
+        # The pooled conv path must actually carry spikes under the protocol.
+        pooled = [
+            f"segment{segment.index}"
+            for segment in converted_cnn.segments
+            if segment.ends_with_spikes
+            and any(isinstance(layer, AvgPool2D) for layer in segment.layers)
+        ]
+        assert pooled
+        assert all(fused.spike_counts[name] > 0 for name in pooled)
 
     def test_all_zero_input_window(self):
         simulator = hand_built_simulator(
@@ -292,6 +309,33 @@ class TestSegmentTransformBiasCache:
         assert transform.zero_preserving
         out = transform(np.zeros((4, 1, 28, 28), dtype=np.float32))
         np.testing.assert_array_equal(out, np.zeros_like(out))
+
+
+class TestSegmentTransformInPlace:
+    @pytest.mark.parametrize("dtype,quant_bits", [
+        (np.float32, None), (np.float64, None), (np.float64, 3),
+    ])
+    def test_matches_out_of_place_form(self, converted_cnn, dtype, quant_bits, rng):
+        network = (
+            converted_cnn if quant_bits is None
+            else quantize_network(converted_cnn, quant_bits)
+        )
+        # AvgPool2D -> Conv2D: the pooled conv drive of the faithful simulator.
+        first, pooled = network.segments[:2]
+        shape = (5,) + first.layers[0].output_shape((3, 16, 16))
+        transform = _SegmentTransform(list(pooled.inference_layers()), 0.7, 1.3)
+        psc = (rng.integers(0, 3, shape) * rng.random(shape)).astype(dtype)
+        psc_before = psc.copy()
+        outputs = [transform(psc), transform(psc)]
+        bias = transform.bias_image(shape)
+        fresh_bias = transform._run(np.zeros((1,) + shape[1:], dtype=np.float32))
+        expected = (transform._run(psc.astype(np.float32) * 0.7) - bias) / 1.3
+        assert np.array_equal(psc, psc_before)
+        assert bias.dtype == fresh_bias.dtype
+        assert np.array_equal(bias, fresh_bias)
+        for out in outputs:
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------------
