@@ -7,7 +7,7 @@ for p > 0.4), TTFS degrades most gracefully among the unscaled codings, and
 TTFS uses orders of magnitude fewer spikes.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import figure2_deletion, format_figure_series
 
 
@@ -17,7 +17,8 @@ def test_fig2_deletion_sweep(benchmark, workloads):
 
     def run():
         return figure2_deletion(
-            dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE
+            dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE,
+            max_workers=MAX_WORKERS,
         )
 
     result = run_once(benchmark, run)

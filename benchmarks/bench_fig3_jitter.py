@@ -6,7 +6,7 @@ rate coding is essentially unaffected, the temporal codings degrade strongly,
 TTFS is the most susceptible, and spike counts barely change with jitter.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import figure3_jitter, format_figure_series
 
 
@@ -16,7 +16,8 @@ def test_fig3_jitter_sweep(benchmark, workloads):
 
     def run():
         return figure3_jitter(
-            dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE
+            dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE,
+            max_workers=MAX_WORKERS,
         )
 
     result = run_once(benchmark, run)

@@ -7,7 +7,7 @@ activation from its all-or-none failures), and TTAS+WS improves monotonically
 with t_a until it saturates.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import figure4_weight_scaling_ttas, format_figure_series
 from repro.metrics import area_under_accuracy_curve
 
@@ -19,7 +19,7 @@ def test_fig4_weight_scaling_and_ttas(benchmark, workloads):
     def run():
         return figure4_weight_scaling_ttas(
             dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE,
-            ttas_durations=(1, 2, 3, 5),
+            ttas_durations=(1, 2, 3, 5), max_workers=MAX_WORKERS,
         )
 
     result = run_once(benchmark, run)

@@ -5,7 +5,7 @@ TTAS for burst durations 1..5 and 10 (no weight scaling).  Reported shape:
 TTAS overtakes TTFS as the burst duration grows, with diminishing returns.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import figure6_ttas_jitter, format_figure_series
 from repro.metrics import area_under_accuracy_curve
 
@@ -17,7 +17,7 @@ def test_fig6_ttas_vs_ttfs_jitter(benchmark, workloads):
     def run():
         return figure6_ttas_jitter(
             dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE,
-            ttas_durations=(1, 3, 5, 10),
+            ttas_durations=(1, 3, 5, 10), max_workers=MAX_WORKERS,
         )
 
     result = run_once(benchmark, run)

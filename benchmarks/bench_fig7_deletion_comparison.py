@@ -5,7 +5,7 @@ every coding against deletion; TTFS shows the smallest improvement; the
 proposed TTAS(5)+WS is the most robust overall.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import figure7_deletion_comparison, format_figure_series
 from repro.metrics import area_under_accuracy_curve
 
@@ -17,7 +17,7 @@ def test_fig7_full_deletion_comparison(benchmark, workloads):
     def run():
         return figure7_deletion_comparison(
             dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE,
-            ttas_duration=5,
+            ttas_duration=5, max_workers=MAX_WORKERS,
         )
 
     result = run_once(benchmark, run)

@@ -5,7 +5,7 @@ coding is unaffected, TTFS is the most susceptible temporal coding, and
 TTAS(10) recovers robustness comparable to burst coding.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import figure8_jitter_comparison, format_figure_series
 from repro.metrics import area_under_accuracy_curve
 
@@ -17,7 +17,7 @@ def test_fig8_full_jitter_comparison(benchmark, workloads):
     def run():
         return figure8_jitter_comparison(
             dataset="cifar10", workload=workload, seed=SEED, eval_size=EVAL_SIZE,
-            ttas_duration=10,
+            ttas_duration=10, max_workers=MAX_WORKERS,
         )
 
     result = run_once(benchmark, run)

@@ -8,7 +8,7 @@ temporal codings on every dataset while using ~2 orders of magnitude fewer
 spikes than the rate-like codings.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import format_table_rows, table1_deletion
 
 
@@ -20,7 +20,7 @@ def test_table1_deletion(benchmark, workloads):
     def run():
         return table1_deletion(
             datasets=datasets, workloads=pool, seed=SEED, eval_size=EVAL_SIZE,
-            ttas_duration=5,
+            ttas_duration=5, max_workers=MAX_WORKERS,
         )
 
     table = run_once(benchmark, run)

@@ -6,7 +6,7 @@ TTAS has the best noisy average of the temporal codings on every dataset
 (the burst averages the jitter out), while TTFS collapses fastest.
 """
 
-from benchmarks.conftest import EVAL_SIZE, SEED, emit_report, run_once
+from benchmarks.conftest import EVAL_SIZE, MAX_WORKERS, SEED, emit_report, run_once
 from repro.experiments import format_table_rows, table2_jitter
 
 
@@ -18,7 +18,7 @@ def test_table2_jitter(benchmark, workloads):
     def run():
         return table2_jitter(
             datasets=datasets, workloads=pool, seed=SEED, eval_size=EVAL_SIZE,
-            ttas_duration=10,
+            ttas_duration=10, max_workers=MAX_WORKERS,
         )
 
     table = run_once(benchmark, run)

@@ -21,7 +21,6 @@ from typing import Dict
 
 import pytest
 
-from repro.execution.executors import SWEEP_WORKERS_ENV
 from repro.experiments.config import BENCH_SCALE
 from repro.experiments.workloads import PreparedWorkload, prepare_workload
 
@@ -29,11 +28,9 @@ from repro.experiments.workloads import PreparedWorkload, prepare_workload
 EVAL_SIZE = int(os.environ.get("REPRO_BENCH_EVAL", "32"))
 #: Seed shared by every benchmark.
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
-#: Sweep worker threads per benchmark (surfaced to the runner's env default,
-#: so every figure/table sweep in the harness picks it up automatically).
-MAX_WORKERS = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
-if MAX_WORKERS:
-    os.environ.setdefault(SWEEP_WORKERS_ENV, MAX_WORKERS)
+#: Sweep worker threads per benchmark, passed as ``max_workers=`` to every
+#: figure/table sweep in the harness.
+MAX_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "").strip() or 1)
 
 
 class WorkloadPool:

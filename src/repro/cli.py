@@ -28,12 +28,11 @@ method that does not fit the ``--scale`` window (``table2``'s TTAS(10) at
 ``--scale test``), is refused before anything runs, with one ``error:``
 line and exit code 2.
 
-Sweep execution is controlled by ``--executor`` (serial / thread / process;
-also via ``REPRO_SWEEP_EXECUTOR``), ``--max-workers``, ``--shards`` (sample
-shards per sweep cell, also via ``REPRO_SWEEP_SHARDS``; by default cells are
-auto-sharded only when a pooled dispatch would leave workers idle, and
-results are bit-identical at any shard count) and the optional
-``--result-store DIR`` (also via ``REPRO_RESULT_STORE``), which caches every
+Sweep execution is controlled by ``--executor`` (serial / thread /
+process), ``--max-workers``, ``--shards`` (sample shards per sweep cell; by
+default cells are auto-sharded only when a pooled dispatch would leave
+workers idle, and results are bit-identical at any shard count),
+``--retries`` and the optional ``--result-store DIR``, which caches every
 evaluated (dataset, method, level) cell -- and every shard of an in-flight
 sharded cell -- on disk so interrupted sweeps resume and re-runs are
 incremental.  ``--methods`` keeps only the curves with the given labels.
@@ -41,10 +40,10 @@ incremental.  ``--methods`` keeps only the curves with the given labels.
 (per-layer temporal protocols: rate, phase, TTFS and TTAS; burst has no
 faithful correspondence -- filter it out of a figure with ``--methods``; the
 ``adv-*`` names drop it with a warning and transfer-evaluate the found
-attacks there).  Per-cell fault tolerance (retry with backoff, timeouts) is
-controlled by the ``REPRO_CELL_RETRIES`` and ``REPRO_CELL_TIMEOUT``
-environment variables; failed cells render as explicit ``--`` holes instead
-of aborting the sweep.
+attacks there).  ``--retries N`` retries a failing cell up to N times with
+backoff; a cell that still fails renders as an explicit ``--`` hole instead
+of aborting the sweep.  ``--shards`` below 1 and ``--retries`` below 0 are
+usage errors.
 
 ``evaluate`` runs a single noise condition through the end-to-end pipeline,
 including the fault models (``--dead/--stuck/--burst-error``) and the
@@ -69,7 +68,7 @@ from repro.experiments import (
     run_table,
 )
 from repro.execution.executors import EXECUTOR_NAMES
-from repro.execution.store import resolve_store
+from repro.execution.store import ResultStore
 from repro.experiments.config import (
     BENCH_SCALE,
     TEST_SCALE,
@@ -114,20 +113,23 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                         help="parallel (method x level) sweep cells; "
                              "0 = one worker per CPU (default: serial)")
     parser.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
-                        help="sweep executor backend (default: "
-                             "REPRO_SWEEP_EXECUTOR, else thread when "
-                             "--max-workers > 1, else serial); results are "
-                             "bit-identical across backends")
+                        help="sweep executor backend (default: thread "
+                             "when --max-workers > 1, else serial); results "
+                             "are bit-identical across backends")
     parser.add_argument("--result-store", default=None, metavar="DIR",
                         help="content-addressed on-disk cell cache; resumes "
                              "interrupted sweeps and skips already evaluated "
-                             "cells (default: REPRO_RESULT_STORE, else off)")
+                             "cells (default: off)")
     parser.add_argument("--shards", type=int, default=None,
                         help="sample shards per sweep cell (1 = off; "
-                             "default: REPRO_SWEEP_SHARDS, else automatic -- "
-                             "shard only when a pooled dispatch has fewer "
-                             "cells than workers); results are bit-identical "
-                             "at any shard count")
+                             "default: automatic -- shard only when a pooled "
+                             "dispatch has fewer cells than workers); "
+                             "results are bit-identical at any shard count")
+    parser.add_argument("--retries", type=int, default=0,
+                        help="retry a failing cell up to this many times; "
+                             "a cell that still fails becomes a -- hole "
+                             "instead of aborting the sweep (default: 0, "
+                             "errors abort)")
     parser.add_argument("--methods", nargs="+", default=None, metavar="LABEL",
                         help="run only the curves with these display labels "
                              "(e.g. Rate Phase 'TTAS(5)+WS'); labels that "
@@ -210,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "orphaned workload conversion documents "
                             "(truncated/corrupt beyond serving), reporting "
                             "the bytes reclaimed per section")
-    store.add_argument("--result-store", default=None, metavar="DIR",
-                       help="store directory (default: REPRO_RESULT_STORE)")
+    store.add_argument("--result-store", required=True, metavar="DIR",
+                       help="store directory")
     return parser
 
 
@@ -240,7 +242,7 @@ def _run_sweep(args: argparse.Namespace, options: dict) -> str:
         eval_size=args.eval_size, max_workers=args.max_workers,
         executor=args.executor, store=args.result_store,
         simulator=args.simulator, method_filter=args.methods,
-        shards=args.shards, **options,
+        shards=args.shards, retries=args.retries, **options,
     )
     if args.command == "figure":
         result = run_figure(args.name, args.dataset, **kwargs)
@@ -296,12 +298,7 @@ def _run_store(args: argparse.Namespace) -> str:
     truncated/corrupt beyond serving (serving leftovers), reporting
     reclaimed bytes per section.
     """
-    store = resolve_store(args.result_store)
-    if store is None:
-        raise SystemExit(
-            "no result store configured: pass --result-store DIR or set "
-            "REPRO_RESULT_STORE"
-        )
+    store = ResultStore(args.result_store)
     stats = store.shard_stats()
     # Sum the orphaned documents' sizes *before* collecting them -- the
     # bytes are unaccountable afterwards.
@@ -345,6 +342,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in _CATALOGUES:
+        if args.shards is not None and args.shards < 1:
+            parser.error(f"--shards must be >= 1, got {args.shards}")
+        if args.retries < 0:
+            parser.error(f"--retries must be >= 0, got {args.retries}")
         try:
             output = _run_sweep(args, _family_options(parser, args))
         except ConfigError as error:

@@ -54,8 +54,8 @@ class ClassCounts(SpikeTrainArray):
 
     Returned by :meth:`NeuralCoder.encode_classes`.  Time-free transforms
     (deletion, dead-neuron masks) return a plain
-    :class:`~repro.snn.spikes.SpikeTrainArray` as for any train; clip-mode
-    jitter, which moves spikes between steps, is resolved by the coder
+    :class:`~repro.snn.spikes.SpikeTrainArray` as for any train; jitter,
+    which moves spikes between steps, is resolved by the coder
     from the known steps of its uncorrupted encoding
     (:meth:`NeuralCoder.jitter_classes`).
     """
@@ -66,13 +66,7 @@ class ClassCounts(SpikeTrainArray):
         super().__init__(counts, copy=False)
         self.coder = coder
 
-    def jitter_spikes(
-        self, sigma: float, rng: RngLike = None, mode: str = "clip"
-    ) -> SpikeTrainArray:
-        if mode != "clip":
-            raise ValueError(
-                f"{mode!r}-mode jitter needs the time grid, not class counts"
-            )
+    def jitter_spikes(self, sigma: float, rng: RngLike = None) -> SpikeTrainArray:
         return self.coder.jitter_classes(self, sigma, rng=rng)
 
 
@@ -187,7 +181,7 @@ class NeuralCoder:
         ``decode_weights()[k]``.  It holds every spike of the time-resolved
         encoding, so counting, deletion and dead-neuron masks -- which never
         look at a spike's step -- act on it exactly as on the full train,
-        and clip-mode jitter goes to :meth:`jitter_classes`.  Implemented by
+        and jitter goes to :meth:`jitter_classes`.  Implemented by
         coders with :attr:`has_class_encoding`; the encoding of such a
         coder is the expansion of these counts over the window.
         """
@@ -196,14 +190,14 @@ class NeuralCoder:
     def jitter_classes(
         self, train: ClassCounts, sigma: float, rng: RngLike = None
     ) -> SpikeTrainArray:
-        """Clip-mode spike jitter of this coder's clean class encoding.
+        """Spike jitter of this coder's clean class encoding.
 
         Returns a class-domain train distributed as the per-class counts of
-        ``train.jitter_spikes(sigma, mode="clip")`` on :meth:`encode`'s time
-        grid: every spike moves by ``rint(N(0, sigma))`` steps, is clamped
-        to the window and lands in the class of its new step.  ``train``
-        must be uncorrupted, since each spike's step is read off the
-        encoding.  Implemented by coders with :attr:`has_class_encoding`.
+        ``train.jitter_spikes(sigma)`` on :meth:`encode`'s time grid: every
+        spike moves by ``rint(N(0, sigma))`` steps, is clamped to the window
+        and lands in the class of its new step.  ``train`` must be
+        uncorrupted, since each spike's step is read off the encoding.
+        Implemented by coders with :attr:`has_class_encoding`.
         """
         raise NotImplementedError(f"{self.name} coding has no class encoding")
 

@@ -18,7 +18,7 @@ from repro.coding.protocol import InterfaceProtocol, SimulationProtocol
 from repro.snn.kernels import ConstantKernel, PSCKernel
 from repro.snn.neurons import IFNeuron, SpikingNeuron
 from repro.snn.spikes import SpikeTrainArray
-from repro.utils.rng import RngLike, default_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -29,11 +29,6 @@ class RateCoder(NeuralCoder):
     ----------
     num_steps:
         Time-window length ``T``; the rate resolution is ``1/T``.
-    stochastic:
-        When True spikes are drawn as independent Bernoulli events with
-        probability ``a`` per step (Poisson-like input coding); the default is
-        the deterministic, evenly spaced placement that converted SNNs
-        produce.
     """
 
     name = "rate"
@@ -52,24 +47,18 @@ class RateCoder(NeuralCoder):
         "are decode-neutral (they matter only on the faithful simulator)"
     )
 
-    def __init__(self, num_steps: int = 64, stochastic: bool = False):
+    #: A constant kernel is one weight class.
+    has_class_encoding = True
+
+    def __init__(self, num_steps: int = 64):
         super().__init__(num_steps)
-        self.stochastic = bool(stochastic)
         self._kernel = ConstantKernel(amplitude=1.0 / self.num_steps)
 
     @property
     def kernel(self) -> PSCKernel:
         return self._kernel
 
-    @property
-    def has_class_encoding(self) -> bool:
-        # A constant kernel is one weight class; a stochastic train's count
-        # is only known once its steps are drawn.
-        return not self.stochastic
-
     def encode_classes(self, values: np.ndarray) -> ClassCounts:
-        if self.stochastic:
-            return super().encode_classes(values)
         counts = np.rint(self._normalise(values) * self.num_steps).astype(np.int32)
         return ClassCounts(counts[None, ...], self)
 
@@ -83,13 +72,6 @@ class RateCoder(NeuralCoder):
 
     def encode(self, values: np.ndarray, rng: RngLike = None) -> SpikeTrainArray:
         t = self.num_steps
-        if self.stochastic:
-            values = self._normalise(values)
-            generator = default_rng(rng)
-            spikes = (
-                generator.random((t,) + values.shape) < values[None, ...]
-            ).astype(np.int16)
-            return SpikeTrainArray(spikes, copy=False)
         # Deterministic, evenly spaced placement: neuron with n target spikes
         # fires at step t whenever floor((t+1) * n / T) increments.  Integer
         # arithmetic keeps the temporaries small for large populations.

@@ -172,7 +172,6 @@ def convert_dnn_to_snn(
     model: Sequential,
     calibration_inputs: np.ndarray,
     percentile: float = 99.9,
-    allow_max_pooling: bool = False,
     input_scale: Optional[float] = None,
     fuse_batch_norm: bool = True,
     statistics: Optional[ActivationStatistics] = None,
@@ -184,15 +183,12 @@ def convert_dnn_to_snn(
     model:
         Trained network.  Supported layers: Conv2D, Dense, ReLU, AvgPool2D,
         Flatten, Dropout (ignored at inference), BatchNorm2D (folded), and
-        Identity.  MaxPool2D is rejected unless ``allow_max_pooling`` is set,
-        because max pooling has no faithful spiking equivalent.
+        Identity.  MaxPool2D is rejected, because max pooling has no
+        faithful spiking equivalent.
     calibration_inputs:
         Non-negative input batch used for activation-scale calibration.
     percentile:
         Robust-maximum percentile for the activation scales.
-    allow_max_pooling:
-        Accept max-pooling layers anyway (they are treated as analog ops
-        inside a segment, a common approximation).
     input_scale:
         Override for the input scale; by default the robust maximum of the
         calibration inputs (at least 1.0 for [0, 1] images).
@@ -221,10 +217,10 @@ def convert_dnn_to_snn(
 
     folded = fold_batch_norm(model) if fuse_batch_norm else model.copy()
     for layer in folded.layers:
-        if isinstance(layer, MaxPool2D) and not allow_max_pooling:
+        if isinstance(layer, MaxPool2D):
             raise ConversionError(
                 "max pooling cannot be converted to a spiking layer; "
-                "rebuild the model with average pooling or pass allow_max_pooling=True"
+                "rebuild the model with average pooling"
             )
 
     relu_indices = spiking_point_indices(folded)

@@ -36,7 +36,7 @@ from repro.coding.base import NeuralCoder
 from repro.conversion.converter import ConvertedSNN, NetworkSegment
 from repro.core.transport import TransportResult
 from repro.core.weight_scaling import WeightScaling
-from repro.nn.layers import Layer, MaxPool2D, ReLU
+from repro.nn.layers import Layer, ReLU
 from repro.noise.base import SpikeNoise
 from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
 from repro.utils.rng import RngLike, derive_rng, derive_rng_at, stream_root
@@ -209,20 +209,11 @@ def build_time_stepped_simulator(
         if segment.ends_with_spikes:
             interface += 1
 
-    # The batched readout collapses the per-step readout GEMMs into one; it
-    # is exact only for linear readout transforms.  Max pooling (allowed into
-    # segments via allow_max_pooling) is the one non-linear analog op that
-    # can appear there, so fall back to per-step evaluation in that case.
-    readout_layers = _strip_trailing_relu(network.segments[-1])
-    readout_is_linear = not any(
-        isinstance(layer, MaxPool2D) for layer in readout_layers
-    )
     return TimeSteppedSimulator(
         layers=layers,
         num_steps=protocol.num_steps,
         input_kernel=protocol.layers[0].kernel,
         hidden_kernel=protocol.layers[-1].kernel,
-        readout_mode="batched" if readout_is_linear else "per-step",
         input_steps=protocol.encode_steps,
     )
 

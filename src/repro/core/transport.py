@@ -21,15 +21,15 @@ against the step-by-step membrane simulation is checked in
 
 Window-filling codes take a *class path*.  Decoding is ``sum_t w_t * c_t``,
 and deletion and dead-neuron faults act on each spike or neuron without
-looking at its step.  So when the coder has a class encoding (deterministic
-rate: one class; phase: one per oscillator phase; burst: one per burst
-slot), no input train is injected and the noise
+looking at its step.  So when the coder has a class encoding (rate: one
+class; phase: one per oscillator phase; burst: one per burst slot), no
+input train is injected and the noise
 :attr:`~repro.noise.base.SpikeNoise.acts_on_classes`, steps 2-4 run on a
 ``(K, batch, ...)`` train of per-class spike counts instead of the
 ``(T, batch, ...)`` grid: O(K*N) instead of O(T*N) work and memory.  The
 train goes through the same ``noise.apply``: a dead-neuron mask is drawn
 over the feature axes exactly as for the time grid, and deletion thins each
-class count binomially.  Clip-mode jitter qualifies when it comes first,
+class count binomially.  Jitter qualifies when it comes first,
 on the coder's clean encoding, whose spike steps are known
 (:meth:`~repro.coding.base.NeuralCoder.jitter_classes`): rate returns the
 counts unchanged and draws nothing, since clipping keeps every spike and
@@ -47,17 +47,12 @@ otherwise the decode differs in the last float32 bits (e.g. rate's
 These cases keep the time-resolved path, on the representation the coder's
 ``encode`` returns (dense for rate/phase/burst, events for TTFS/TTAS):
 
-* drop-mode jitter -- ``JitterNoise(mode="drop")`` or ``jitter_mode="drop"``
-  of :meth:`~repro.noise.injector.NoiseInjector.from_levels`; no sweep
-  uses it;
 * deletion before jitter -- ``NoiseRobustSNN.evaluate`` with both
   ``deletion`` and ``jitter`` set (``repro evaluate --deletion p
   --jitter s``), since a thinned class count no longer says which periods
   its survivors sit in;
 * burst errors and stuck-at-fire -- the ``fault-burst``/``fault-stuck``
   figures and the ``table3-burst``/``table3-stuck`` tables;
-* stochastic rate -- ``RateCoder(stochastic=True)``, whose count is only
-  known once its steps are drawn (library callers only);
 * injected trains -- the attack engine (:mod:`repro.execution.attack`),
   whose scorer and transfer evaluation pass ``input_train``;
 * the faithful simulator's input noise --

@@ -14,9 +14,6 @@ and runs batches of plans through a pluggable :class:`Executor` backend
 """
 
 from repro.execution.engine import (
-    CELL_RETRIES_ENV,
-    CELL_TIMEOUT_ENV,
-    SWEEP_SHARDS_ENV,
     CellEvaluationError,
     CellFailure,
     ExecutionStats,
@@ -26,15 +23,10 @@ from repro.execution.engine import (
     execute_cell,
     network_hash_for,
     register_workload,
-    resolve_cell_retries,
-    resolve_cell_timeout,
-    resolve_sweep_shards,
     workload_for,
 )
 from repro.execution.executors import (
     EXECUTOR_NAMES,
-    SWEEP_EXECUTOR_ENV,
-    SWEEP_WORKERS_ENV,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -60,7 +52,6 @@ from repro.execution.plan import (
     shard_fingerprint,
 )
 from repro.execution.store import (
-    RESULT_STORE_ENV,
     ResultStore,
     StoreStats,
     resolve_store,
@@ -87,20 +78,11 @@ __all__ = [
     "resolve_executor",
     "resolve_worker_count",
     "EXECUTOR_NAMES",
-    "SWEEP_EXECUTOR_ENV",
-    "SWEEP_WORKERS_ENV",
     "ResultStore",
     "StoreStats",
     "resolve_store",
-    "RESULT_STORE_ENV",
     "CellEvaluationError",
     "CellFailure",
-    "CELL_RETRIES_ENV",
-    "CELL_TIMEOUT_ENV",
-    "SWEEP_SHARDS_ENV",
-    "resolve_cell_retries",
-    "resolve_cell_timeout",
-    "resolve_sweep_shards",
     "ExecutionStats",
     "PlanEvaluation",
     "evaluate_plans",

@@ -178,7 +178,7 @@ class AttackPlan(CellPlan):
 
         Keyed by the seed and the *coder* identity only -- not the search --
         so the greedy curve and its matched-budget random baseline attack
-        the exact same clean trains, even for stochastic encoders.
+        the exact same clean trains.
         """
         return stream_root(derive_rng(
             self.seed, "attack-encode", self.method.coding,
@@ -282,14 +282,9 @@ class _AttackContext:
 
         The forward-pass streams derive from ``(search_root, "score",
         absolute, call_index)``: keyed by the sample's absolute index so
-        executors and shards agree, and by the call's ordinal so every
-        scoring round draws a *fresh* realisation of any stochastic
-        interface re-encoding.  The per-call key matters for stochastic
-        coders: reusing one stream would freeze each batch slot's encoding
-        noise across rounds, and an incumbent that drew a lucky slot would
-        stall the greedy search.  The search drivers call the scorer in a
-        deterministic sequence, so per-call keying preserves the
-        bit-identical-across-executors contract.
+        executors and shards agree, and by the call's ordinal.  The search
+        drivers call the scorer in a deterministic sequence, so per-call
+        keying preserves the bit-identical-across-executors contract.
         """
         calls = iter(range(1 << 62))
 

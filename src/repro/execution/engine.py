@@ -8,9 +8,8 @@ tables, benchmarks, CLI) funnels through.  Given a list of
 2. computes the plan fingerprints and serves store hits without evaluating,
 3. optionally splits each pending cell into **sample shards** (whole
    batches for noise cells, single samples for attack cells; explicit
-   ``shards=`` / ``$REPRO_SWEEP_SHARDS``, or automatically when a dispatch
-   has fewer cells than pool workers), so a single cell can use the whole
-   pool,
+   ``shards=``, or automatically when a dispatch has fewer cells than pool
+   workers), so a single cell can use the whole pool,
 4. fans the resulting work items out over the selected executor backend,
 5. persists each freshly evaluated cell -- and each shard of a sharded
    cell -- to the store *as it completes*, so an interrupted run resumes
@@ -31,7 +30,6 @@ workloads already known then.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 import traceback
@@ -271,8 +269,8 @@ def execute_cell(plan: CellPlan) -> EvaluationResult:
     ship it; failures are re-raised as :class:`CellEvaluationError` carrying
     the cell identity, which survives the trip back through the pool.  The
     plan evaluates itself (:meth:`~repro.execution.plan.CellPlan.evaluate`),
-    which keeps the engine -- executors, store, retries, timeouts, sharding
-    -- agnostic of what a cell computes.
+    which keeps the engine -- executors, store, retries, sharding --
+    agnostic of what a cell computes.
     """
     try:
         result = plan.evaluate(workload_for(plan.workload))
@@ -291,95 +289,22 @@ def execute_cell(plan: CellPlan) -> EvaluationResult:
     return result
 
 
-#: Environment variable: per-cell retry budget under fault-tolerant
-#: execution (0 = disabled, the default -- errors propagate like before).
-CELL_RETRIES_ENV = "REPRO_CELL_RETRIES"
-
-#: Environment variable: per-cell timeout in seconds (unset/<= 0 = no
-#: timeout).
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-
 #: First retry delay in seconds; doubles per attempt up to the cap.
 RETRY_BACKOFF_BASE = 0.1
 RETRY_BACKOFF_CAP = 5.0
 
 
-def resolve_cell_retries(retries: Optional[int] = None) -> int:
-    """Resolve the per-cell retry budget (argument > env > 0)."""
-    if retries is None:
-        env = os.environ.get(CELL_RETRIES_ENV, "").strip()
-        try:
-            retries = int(env) if env else 0
-        except ValueError:
-            raise ValueError(
-                f"{CELL_RETRIES_ENV} must be an integer, got {env!r}"
-            ) from None
-    return max(int(retries), 0)
-
-
-def resolve_cell_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Resolve the per-cell timeout in seconds (argument > env > off)."""
-    if timeout is None:
-        env = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-        try:
-            timeout = float(env) if env else None
-        except ValueError:
-            raise ValueError(
-                f"{CELL_TIMEOUT_ENV} must be a number of seconds, got {env!r}"
-            ) from None
-    if timeout is None or timeout <= 0:
-        return None
-    return float(timeout)
-
-
-def _run_cell_with_timeout(
-    plan: CellPlan, timeout: Optional[float]
-) -> EvaluationResult:
-    """Run one cell, bounding its wall-clock time.
-
-    The evaluation runs on a daemon thread: numpy has no safe preemption
-    point, so on timeout the computation is *abandoned*, not cancelled --
-    its thread keeps running to completion in the background while the
-    worker moves on.  The timeout therefore bounds how long a hung cell can
-    stall the sweep, not the worker's total CPU use.
-    """
-    if timeout is None:
-        return execute_cell(plan)
-    outcome: Dict[str, object] = {}
-
-    def _target() -> None:
-        try:
-            outcome["result"] = execute_cell(plan)
-        except BaseException as error:  # noqa: BLE001 - relayed to caller
-            outcome["error"] = error
-
-    worker = threading.Thread(
-        target=_target, name=f"repro-cell-{plan.cell_id()}", daemon=True
-    )
-    worker.start()
-    worker.join(timeout)
-    if worker.is_alive():
-        raise CellEvaluationError(
-            plan.dataset, plan.method_label, plan.noise_kind, float(plan.level),
-            f"timed out after {timeout:g}s (computation abandoned)",
-        )
-    if "error" in outcome:
-        raise outcome["error"]  # type: ignore[misc]
-    return outcome["result"]  # type: ignore[return-value]
-
-
 def evaluate_cell_tolerant(
     plan: CellPlan,
     retries: int = 0,
-    timeout: Optional[float] = None,
     backoff: float = RETRY_BACKOFF_BASE,
 ) -> Union[EvaluationResult, CellFailure]:
     """Fault-tolerant work item: retry with capped exponential backoff.
 
-    Transient failures (and timeouts) are retried up to ``retries`` times;
-    a cell that exhausts the budget returns a :class:`CellFailure` instead
-    of raising, so one bad cell degrades the sweep to an explicit hole
-    rather than aborting the whole run.  Module-level and configured via
+    Transient failures are retried up to ``retries`` times; a cell that
+    exhausts the budget returns a :class:`CellFailure` instead of raising,
+    so one bad cell degrades the sweep to an explicit hole rather than
+    aborting the whole run.  Module-level and configured via
     :func:`functools.partial`, hence picklable for the process backend.
     """
     attempts = max(int(retries), 0) + 1
@@ -387,7 +312,7 @@ def evaluate_cell_tolerant(
     last: Optional[CellEvaluationError] = None
     for attempt in range(1, attempts + 1):
         try:
-            return _run_cell_with_timeout(plan, timeout)
+            return execute_cell(plan)
         except CellEvaluationError as error:
             last = error
             if attempt < attempts:
@@ -407,35 +332,6 @@ def evaluate_cell_tolerant(
         remote_traceback=last.remote_traceback,
         attempts=attempts,
     )
-
-
-#: Environment variable: sample shards per cell (unset = automatic; 1 =
-#: sharding off; >= 2 = split every pending cell into that many shards).
-SWEEP_SHARDS_ENV = "REPRO_SWEEP_SHARDS"
-
-
-def resolve_sweep_shards(shards: Optional[int] = None) -> Optional[int]:
-    """Resolve the shards-per-cell setting (argument > env > auto).
-
-    ``None`` means *automatic*: :func:`evaluate_plans` shards only when a
-    dispatch would otherwise leave pool workers idle (fewer pending cells
-    than workers).  An explicit count applies to every pending cell --
-    ``1`` forces sharding off.
-    """
-    if shards is None:
-        env = os.environ.get(SWEEP_SHARDS_ENV, "").strip()
-        if not env:
-            return None
-        try:
-            shards = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{SWEEP_SHARDS_ENV} must be an integer, got {env!r}"
-            ) from None
-    shards = int(shards)
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    return shards
 
 
 def _auto_shard_count(backend: Executor, pending: int) -> int:
@@ -476,11 +372,10 @@ class _ShardedCell:
 def evaluate_plans(
     plans: Sequence[CellPlan],
     executor: Union[str, Executor, None] = None,
-    max_workers: Optional[int] = None,
+    max_workers: Optional[int] = 1,
     store: Union[ResultStore, str, None, bool] = None,
     workloads: Optional[Dict[WorkloadRef, "PreparedWorkload"]] = None,
-    retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
+    retries: Optional[int] = 0,
     retry_backoff: float = RETRY_BACKOFF_BASE,
     shards: Optional[int] = None,
 ) -> PlanEvaluation:
@@ -491,34 +386,32 @@ def evaluate_plans(
     plans:
         The cells to evaluate; results come back in the same order.
     executor:
-        Executor instance, backend name, or ``None`` for the
-        ``REPRO_SWEEP_EXECUTOR`` / ``max_workers`` defaults (see
-        :func:`repro.execution.executors.resolve_executor`).
+        Executor instance, backend name, or ``None`` to pick one from
+        ``max_workers`` (see :func:`repro.execution.executors.resolve_executor`).
     max_workers:
         Worker count for the pooled backends.
     store:
-        Result store (instance, directory path, ``None`` = honour
-        ``$REPRO_RESULT_STORE``, ``False`` = force off).  Cells whose
-        fingerprint is already stored are served from disk without being
-        evaluated; fresh results are persisted as they complete.
+        Result store (instance, directory path, or ``None`` / ``False``
+        for off).  Cells whose fingerprint is already stored are served
+        from disk without being evaluated; fresh results are persisted as
+        they complete.
     workloads:
         Already prepared workloads for (some of) the plans' references,
         pinned for the duration of this call -- exact regardless of the
         bounded registry, so arbitrarily large batches never re-prepare
         workloads the caller is still holding.
-    retries / cell_timeout:
-        Fault-tolerance knobs (``None`` = honour ``REPRO_CELL_RETRIES`` /
-        ``REPRO_CELL_TIMEOUT``).  With both off -- the default -- cell
-        errors propagate exactly as before.  With either on, failing cells
-        are retried with capped exponential backoff and a cell exhausting
-        the budget comes back as a :class:`CellFailure` slot (counted in
-        ``stats.failed_cells``) instead of aborting the batch.
+    retries:
+        Per-cell retry budget (``None`` = 0).  At 0 -- the default -- cell
+        errors propagate.  Above 0, failing cells are retried with capped
+        exponential backoff and a cell exhausting the budget comes back as
+        a :class:`CellFailure` slot (counted in ``stats.failed_cells``)
+        instead of aborting the batch.
     retry_backoff:
         First retry delay in seconds (doubles per attempt; tests shrink it).
     shards:
-        Sample shards per pending cell (``None`` = honour
-        ``$REPRO_SWEEP_SHARDS``, falling back to the automatic heuristic:
-        shard only when a pooled dispatch has fewer cells than workers).
+        Sample shards per pending cell (``None`` = the automatic
+        heuristic: shard only when a pooled dispatch has fewer cells than
+        workers; an explicit count must be >= 1, and 1 turns sharding off).
         Sharded cells evaluate their batch-aligned sample ranges as
         independent work items -- per-batch noise streams are keyed by
         absolute sample offsets, so the merged result is bit-identical to
@@ -531,10 +424,9 @@ def evaluate_plans(
         persisted for resume.
     """
     plans = list(plans)
-    retries = resolve_cell_retries(retries)
-    cell_timeout = resolve_cell_timeout(cell_timeout)
-    shards = resolve_sweep_shards(shards)
-    fault_tolerant = retries > 0 or cell_timeout is not None
+    retries = max(int(retries or 0), 0)
+    if shards is not None and int(shards) < 1:
+        raise ValueError(f"shard count must be >= 1, got {shards}")
     backend = resolve_executor(executor, max_workers)
     # Close a backend resolved here (the caller cannot reuse it); leave a
     # caller-provided instance warm for its next dispatch.
@@ -568,15 +460,15 @@ def evaluate_plans(
 
         if pending:
             shard_count = (
-                shards if shards is not None
+                int(shards) if shards is not None
                 else _auto_shard_count(backend, len(pending))
             )
             # Work items are cells, or -- for cells split into sample
             # shards -- the individual shards; ``work_targets`` maps each
             # item back to its (plan index, shard slot) so completions can
-            # be routed.  Fault tolerance and timeouts wrap whatever the
-            # work item is, so a sharded cell retries and fails at shard
-            # granularity automatically.
+            # be routed.  Fault tolerance wraps whatever the work item is,
+            # so a sharded cell retries and fails at shard granularity
+            # automatically.
             work_plans: List[CellPlan] = []
             work_targets: List[Tuple[int, Optional[int]]] = []
             sharded: Dict[int, _ShardedCell] = {}
@@ -630,10 +522,9 @@ def evaluate_plans(
             # (or shard) is persisted the moment it exists, so a run killed
             # while a slow item is in flight never loses faster items that
             # already finished.
-            if fault_tolerant:
+            if retries:
                 work = partial(
-                    evaluate_cell_tolerant,
-                    retries=retries, timeout=cell_timeout, backoff=retry_backoff,
+                    evaluate_cell_tolerant, retries=retries, backoff=retry_backoff,
                 )
             else:
                 work = execute_cell

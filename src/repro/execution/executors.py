@@ -14,8 +14,8 @@ yields the results *in submission order*.  Three backends are provided:
 Because every sweep cell derives its RNG stream from the plan alone, all
 three backends produce bit-identical results; the choice is purely a
 throughput/latency decision.  Select one explicitly with the ``--executor``
-CLI flag, the ``REPRO_SWEEP_EXECUTOR`` environment variable, or the
-``executor=`` argument of :func:`repro.experiments.runner.run_sweeps`.
+CLI flag or the ``executor=`` argument of
+:func:`repro.experiments.runner.run_sweeps`.
 
 The pooled backends keep their worker pool **warm** across dispatches, so
 one executor instance reused over the many ``evaluate_plans`` /
@@ -44,34 +44,19 @@ R = TypeVar("R")
 
 logger = get_logger("execution.executors")
 
-#: Environment variable selecting the default executor backend.
-SWEEP_EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
-
-#: Environment variable providing the default worker count for sweeps.
-SWEEP_WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-
 #: Names accepted by :func:`resolve_executor`.
 EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
-def resolve_worker_count(max_workers: Optional[int] = None) -> int:
+def resolve_worker_count(max_workers: Optional[int] = 1) -> int:
     """Resolve a worker count for the pooled executors.
 
-    ``None`` falls back to the ``REPRO_SWEEP_WORKERS`` environment variable
-    (default 1, i.e. serial); 0 or a negative value means "one worker per
+    ``None`` means 1 (serial); 0 or a negative value means "one worker per
     CPU".  Explicit values are honoured as given -- note that the sweep is
     CPU-bound numpy, so more workers than physical cores oversubscribes and
     can *slow the sweep down*; prefer 0 over guessing a count.
     """
-    if max_workers is None:
-        env = os.environ.get(SWEEP_WORKERS_ENV, "").strip()
-        try:
-            max_workers = int(env) if env else 1
-        except ValueError:
-            raise ValueError(
-                f"{SWEEP_WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-    max_workers = int(max_workers)
+    max_workers = 1 if max_workers is None else int(max_workers)
     if max_workers <= 0:
         max_workers = os.cpu_count() or 1
     return max_workers
@@ -181,7 +166,7 @@ class _PoolExecutor(Executor):
     #: before giving up and propagating the break.
     max_pool_respawns = 3
 
-    def __init__(self, max_workers: Optional[int] = None):
+    def __init__(self, max_workers: Optional[int] = 1):
         self.max_workers = resolve_worker_count(max_workers)
         self._pool = None
 
@@ -325,7 +310,7 @@ class ProcessExecutor(_PoolExecutor):
 
 def resolve_executor(
     executor: Union[str, Executor, None] = None,
-    max_workers: Optional[int] = None,
+    max_workers: Optional[int] = 1,
 ) -> Executor:
     """Resolve an executor selection into a backend instance.
 
@@ -333,26 +318,22 @@ def resolve_executor(
     ----------
     executor:
         A ready :class:`Executor` (returned unchanged), a backend name
-        ("serial", "thread", "process"), or ``None`` to fall back to the
-        ``REPRO_SWEEP_EXECUTOR`` environment variable.  When neither is set
-        the worker count decides: >1 workers selects the thread backend
-        (the pre-existing ``max_workers`` behaviour), otherwise serial.
+        ("serial", "thread", "process"), or ``None`` to let the worker
+        count decide: >1 workers selects the thread backend, otherwise
+        serial.
     max_workers:
         Worker count for the pooled backends; see
         :func:`resolve_worker_count` for the ``None``/0 conventions.
     """
     if isinstance(executor, Executor):
         return executor
-    name = executor
-    if name is None:
-        name = os.environ.get(SWEEP_EXECUTOR_ENV, "").strip().lower() or None
-    if name is None:
+    if executor is None:
         return (
             ThreadExecutor(max_workers)
             if resolve_worker_count(max_workers) > 1
             else SerialExecutor()
         )
-    name = str(name).strip().lower()
+    name = str(executor).strip().lower()
     if name == "serial":
         return SerialExecutor()
     if name == "thread":
@@ -360,6 +341,5 @@ def resolve_executor(
     if name == "process":
         return ProcessExecutor(max_workers)
     raise ValueError(
-        f"unknown executor {executor!r}; choose from {EXECUTOR_NAMES} "
-        f"(or set {SWEEP_EXECUTOR_ENV})"
+        f"unknown executor {executor!r}; choose from {EXECUTOR_NAMES}"
     )

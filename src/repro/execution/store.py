@@ -61,9 +61,6 @@ from repro.utils.serialization import load_json, save_json
 
 logger = get_logger("execution.store")
 
-#: Environment variable providing the default result-store directory.
-RESULT_STORE_ENV = "REPRO_RESULT_STORE"
-
 #: Store format version, embedded in every document; bump on layout changes.
 STORE_VERSION = 1
 
@@ -91,12 +88,6 @@ class ResultStore:
 
     root: str
     stats: StoreStats = field(default_factory=StoreStats)
-
-    @classmethod
-    def from_env(cls) -> Optional["ResultStore"]:
-        """Build a store from ``$REPRO_RESULT_STORE``; ``None`` when unset."""
-        root = os.environ.get(RESULT_STORE_ENV, "").strip()
-        return cls(root) if root else None
 
     # -- layout --------------------------------------------------------------------
     def path_for(self, fingerprint: str) -> str:
@@ -475,14 +466,11 @@ class ResultStore:
 def resolve_store(store) -> Optional[ResultStore]:
     """Normalise a store selection.
 
-    Accepts a ready :class:`ResultStore`, a directory path (string), ``None``
-    (fall back to ``$REPRO_RESULT_STORE``; store disabled when unset) or
-    ``False`` to force the store off regardless of the environment.
+    Accepts a ready :class:`ResultStore`, a directory path (string), or
+    ``None`` / ``False`` for no store.
     """
-    if store is False:
+    if store is None or store is False:
         return None
-    if store is None:
-        return ResultStore.from_env()
     if isinstance(store, ResultStore):
         return store
     if isinstance(store, (str, os.PathLike)):

@@ -250,10 +250,11 @@ def run_sweeps(
     workloads: Optional[Dict[str, PreparedWorkload]] = None,
     eval_size: Optional[int] = None,
     use_cache: bool = True,
-    max_workers: Optional[int] = None,
+    max_workers: Optional[int] = 1,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     shards: Optional[int] = None,
+    retries: Optional[int] = 0,
 ) -> List[SweepResult]:
     """Run several sweeps as one flat batch of cells on the engine.
 
@@ -285,19 +286,20 @@ def run_sweeps(
         ``None``/0 conventions.
     executor:
         Executor backend: an instance, a name ("serial"/"thread"/"process"),
-        or ``None`` to honour ``REPRO_SWEEP_EXECUTOR`` and fall back to the
-        thread pool when ``max_workers`` > 1.  Results are bit-identical
-        across backends.
+        or ``None`` for the thread pool when ``max_workers`` > 1, else
+        serial.  Results are bit-identical across backends.
     store:
         Optional content-addressed result store (instance, directory path,
-        ``None`` = honour ``$REPRO_RESULT_STORE``, ``False`` = off).  Cells
-        already stored are served from disk without evaluation.
+        or ``None`` / ``False`` for off).  Cells already stored are served
+        from disk without evaluation.
     shards:
-        Sample shards per cell (``None`` = honour ``$REPRO_SWEEP_SHARDS``
-        with an automatic fallback; see
+        Sample shards per cell (``None`` = automatic; see
         :func:`repro.execution.engine.evaluate_plans`).  Sharding is a pure
         scheduling choice: merged results are bit-identical to the
         unsharded run.
+    retries:
+        Per-cell retry budget (``None`` = 0); above 0 a cell that keeps
+        failing becomes an explicit hole instead of aborting the batch.
 
     Raises :class:`~repro.experiments.config.ScaleWindowError` before any
     workload is prepared, cell planned or store opened when a method does
@@ -306,7 +308,7 @@ def run_sweeps(
     for config in configs:
         check_scale_windows(config.methods, config.scale)
     backend = resolve_executor(executor, max_workers)
-    # A backend resolved *here* (from a name / env / worker count) cannot be
+    # A backend resolved *here* (from a name or worker count) cannot be
     # reused by the caller, so its warm pool must be released before
     # returning; a caller-provided Executor instance keeps its pool warm
     # across calls and stays the caller's responsibility to close.
@@ -359,11 +361,8 @@ def run_sweeps(
     try:
         evaluation = evaluate_plans(
             plans, executor=backend, max_workers=max_workers,
-            # Already resolved; False keeps a disabled selection disabled
-            # (None would re-consult the environment).
-            store=result_store if result_store is not None else False,
-            workloads=prepared,
-            shards=shards,
+            store=result_store, workloads=prepared, shards=shards,
+            retries=retries,
         )
     finally:
         if owns_backend:
@@ -521,12 +520,13 @@ def run_spec(
     seed: int = 0,
     workloads: Optional[Dict[str, PreparedWorkload]] = None,
     eval_size: Optional[int] = None,
-    max_workers: Optional[int] = None,
+    max_workers: Optional[int] = 1,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
     simulator: Optional[str] = None,
     method_filter: Optional[Sequence[str]] = None,
     shards: Optional[int] = None,
+    retries: Optional[int] = 0,
     **options,
 ) -> List[SweepResult]:
     """Compile a catalogue entry for ``datasets`` and run it as one batch.
@@ -555,7 +555,7 @@ def run_spec(
             return run_sweeps(
                 configs, workloads=workloads, eval_size=eval_size,
                 max_workers=max_workers, executor=executor, store=store,
-                shards=shards,
+                shards=shards, retries=retries,
             )
         except ScaleWindowError as error:
             title = spec.title.format(evaluator=evaluator)

@@ -31,8 +31,8 @@ class SpikeNoise:
         """Whether the model may corrupt a *clean* class encoding.
 
         The transport evaluator's one routing rule for its class path.  A
-        time-free model qualifies on any class-domain train; clip-mode
-        jitter qualifies on the coder's uncorrupted encoding, whose spike
+        time-free model qualifies on any class-domain train; jitter
+        qualifies on the coder's uncorrupted encoding, whose spike
         steps are known (see :class:`~repro.coding.base.ClassCounts`).
         """
         return self.time_free

@@ -50,7 +50,6 @@ class NoiseInjector(SpikeNoise):
         cls,
         deletion_probability: float = 0.0,
         jitter_sigma: float = 0.0,
-        jitter_mode: str = "clip",
         burst_error_fraction: float = 0.0,
         dead_fraction: float = 0.0,
         stuck_fraction: float = 0.0,
@@ -74,7 +73,7 @@ class NoiseInjector(SpikeNoise):
         :meth:`~repro.coding.base.NeuralCoder.encode_classes`).  Each spike
         survives independently with probability ``1 - p`` in all three, so
         the realisations are identically distributed without being
-        bit-identical.  Clip-mode jitter on a clean class encoding draws
+        bit-identical.  Jitter on a clean class encoding draws
         one uniform per spike for its landing class (phase, burst) or
         nothing (rate, whose decode ignores the step) instead of one normal
         per spike on the grid: the same distribution of per-class counts,
@@ -85,19 +84,18 @@ class NoiseInjector(SpikeNoise):
 
         The class path takes an injector whose first model
         :attr:`~repro.noise.base.SpikeNoise.acts_on_classes` and whose
-        later models are all time-free.  These keep the time grid: drop-mode
-        jitter (``jitter_mode="drop"``, no sweep uses it), deletion before
-        jitter (``NoiseRobustSNN.evaluate`` with both levels set), burst
-        errors and stuck-at-fire (the ``fault-burst``/``fault-stuck``
-        figures, ``table3-burst``/``table3-stuck``); stochastic rate,
-        injected attack trains and the faithful simulator's input noise
-        (``evaluate_timestep``) never reach it.
+        later models are all time-free.  These keep the time grid: deletion
+        before jitter (``NoiseRobustSNN.evaluate`` with both levels set),
+        burst errors and stuck-at-fire (the ``fault-burst``/``fault-stuck``
+        figures, ``table3-burst``/``table3-stuck``); injected attack trains
+        and the faithful simulator's input noise (``evaluate_timestep``)
+        never reach it.
         """
         models: List[SpikeNoise] = []
         if deletion_probability > 0:
             models.append(DeletionNoise(deletion_probability))
         if jitter_sigma > 0:
-            models.append(JitterNoise(jitter_sigma, mode=jitter_mode))
+            models.append(JitterNoise(jitter_sigma))
         if burst_error_fraction > 0:
             models.append(BurstErrorNoise(burst_error_fraction))
         if dead_fraction > 0:

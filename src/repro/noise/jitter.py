@@ -3,8 +3,7 @@
 Each spike time is shifted by Gaussian noise with zero mean and standard
 deviation ``sigma``, quantised to an integer number of time steps before
 being added to the spike time (Sec. III of the paper).  Spikes pushed outside
-the window are clamped to the window edge by default; ``mode="drop"`` removes
-them instead.
+the window are clamped to the window edge.
 """
 
 from __future__ import annotations
@@ -23,31 +22,23 @@ class JitterNoise(SpikeNoise):
     sigma:
         Standard deviation of the Gaussian time shift (in time steps); the
         paper sweeps 0.5 to 4.0.
-    mode:
-        ``"clip"`` (default) clamps shifted spikes to the window;
-        ``"drop"`` discards spikes that leave the window.
     """
 
     name = "jitter"
 
-    def __init__(self, sigma: float, mode: str = "clip"):
-        check_non_negative("sigma", sigma)
-        if mode not in ("clip", "drop"):
-            raise ValueError(f"mode must be 'clip' or 'drop', got {mode!r}")
-        self.sigma = float(sigma)
-        self.mode = mode
+    #: Clipping keeps every spike, so where a class count's spikes land
+    #: follows from their known steps alone.
+    acts_on_classes = True
 
-    @property
-    def acts_on_classes(self) -> bool:
-        # Clipping keeps every spike, so where a class count's spikes land
-        # follows from their known steps alone; drop mode keeps the grid.
-        return self.mode == "clip"
+    def __init__(self, sigma: float):
+        check_non_negative("sigma", sigma)
+        self.sigma = float(sigma)
 
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
-        return train.jitter_spikes(self.sigma, rng=rng, mode=self.mode)
+        return train.jitter_spikes(self.sigma, rng=rng)
 
     def describe(self) -> str:
         return f"jitter(sigma={self.sigma:g})"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"JitterNoise(sigma={self.sigma}, mode={self.mode!r})"
+        return f"JitterNoise(sigma={self.sigma})"

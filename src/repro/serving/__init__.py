@@ -35,16 +35,11 @@ from repro.serving.inference import (
     serve_single,
 )
 from repro.serving.registry import (
-    SERVE_MAX_BYTES_ENV,
     ModelRegistry,
     ModelSource,
     RegistryStats,
 )
 from repro.serving.scheduler import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_MS,
-    SERVE_MAX_BATCH_ENV,
-    SERVE_MAX_DELAY_ENV,
     MicroBatchScheduler,
     SchedulerStats,
 )
@@ -60,9 +55,4 @@ __all__ = [
     "RegistryStats",
     "MicroBatchScheduler",
     "SchedulerStats",
-    "SERVE_MAX_BYTES_ENV",
-    "SERVE_MAX_BATCH_ENV",
-    "SERVE_MAX_DELAY_ENV",
-    "DEFAULT_MAX_BATCH",
-    "DEFAULT_MAX_DELAY_MS",
 ]

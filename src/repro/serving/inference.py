@@ -182,10 +182,8 @@ def _evaluate_lane(
         record = simulator.run(coder.encode(normalised))
         return np.asarray(record.output_potential)
     evaluator = _transport_evaluator(servable, spec)
-    # Clean inference with a fixed stream root: the deterministic default
-    # coders ignore the rng entirely, and pinning it keeps even stochastic
-    # coders reproducible run to run (though those cannot promise
-    # batched-vs-single bit-identity).
+    # Clean inference: every coder is deterministic and ignores the rng, so
+    # a fixed stream root only keeps the call self-contained.
     logits, _ = evaluator.forward(chunk, rng=0)
     return logits
 

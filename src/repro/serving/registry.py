@@ -24,7 +24,6 @@ Concurrency contract (exercised by ``tests/test_serving.py``):
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -37,10 +36,6 @@ from repro.experiments.workloads import prepare_workload
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.registry")
-
-#: Environment variable bounding resident model bytes (default: unbounded).
-SERVE_MAX_BYTES_ENV = "REPRO_SERVE_MAX_BYTES"
-
 
 @dataclass(frozen=True)
 class ModelSource:
@@ -124,19 +119,16 @@ class ModelRegistry:
     ----------
     store:
         Conversion load-through target (a :class:`ResultStore`, a path,
-        ``None`` for ``$REPRO_RESULT_STORE``, or ``False`` for off) --
-        the same convention as every other store consumer.
+        or ``None`` / ``False`` for off) -- the same convention as every
+        other store consumer.
     max_bytes:
         Resident budget over :meth:`ServableModel.resident_bytes`;
-        ``None`` falls back to ``$REPRO_SERVE_MAX_BYTES`` (unbounded when
-        unset).  The most recently used model is always spared.
+        ``None`` means unbounded.  The most recently used model is always
+        spared.
     """
 
     def __init__(self, store=None, max_bytes: Optional[int] = None):
         self._store = resolve_store(store)
-        if max_bytes is None:
-            env = os.environ.get(SERVE_MAX_BYTES_ENV, "").strip()
-            max_bytes = int(env) if env else None
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.stats = RegistryStats()
         self._lock = threading.RLock()

@@ -11,9 +11,9 @@ tier; the numpy encode/GEMM hot paths release the GIL), evaluated via
 :func:`~repro.serving.inference.serve_batch`, and the per-sample results
 are demultiplexed back onto each request's future.
 
-Defaults come from ``REPRO_SERVE_MAX_BATCH`` (8) and
-``REPRO_SERVE_MAX_DELAY_MS`` (2.0): the batch cap bounds tail latency under
-load, the deadline bounds latency when traffic is sparse.  Because serving
+The defaults are ``max_batch=8`` and ``max_delay_ms=2.0``: the batch cap
+bounds tail latency under load, the deadline bounds latency when traffic
+is sparse.  Because serving
 is clean deterministic inference (see :mod:`repro.serving.inference`),
 batching is invisible in the results -- a coalesced request returns exactly
 the bits a solo evaluation would.
@@ -21,7 +21,6 @@ the bits a solo evaluation would.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import Future
@@ -36,27 +35,6 @@ from repro.serving.registry import ModelRegistry
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.scheduler")
-
-#: Environment variable for the default micro-batch size cap.
-SERVE_MAX_BATCH_ENV = "REPRO_SERVE_MAX_BATCH"
-
-#: Environment variable for the default deadline flush (milliseconds).
-SERVE_MAX_DELAY_ENV = "REPRO_SERVE_MAX_DELAY_MS"
-
-#: Built-in defaults behind the environment variables.
-DEFAULT_MAX_BATCH = 8
-DEFAULT_MAX_DELAY_MS = 2.0
-
-
-def _env_number(name: str, fallback, cast):
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return fallback
-    try:
-        return cast(value)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-
 
 @dataclass
 class SchedulerStats:
@@ -110,13 +88,12 @@ class MicroBatchScheduler:
         resolved from at dispatch time (keeping a hot model's LRU slot
         warm with every batch).
     max_batch:
-        Samples per batch cap; default ``$REPRO_SERVE_MAX_BATCH`` or 8.
+        Samples per batch cap (default 8).
         ``max_batch=1`` disables coalescing -- the sequential-singles
         baseline of the serving benchmark.
     max_delay_ms:
         Deadline flush: the oldest request of a queue waits at most this
-        long before its (possibly partial) batch dispatches; default
-        ``$REPRO_SERVE_MAX_DELAY_MS`` or 2.0.
+        long before its (possibly partial) batch dispatches (default 2.0).
     executor:
         Worker tier for batch evaluation; default a warm
         :class:`ThreadExecutor` owned (and closed) by the scheduler.
@@ -130,17 +107,11 @@ class MicroBatchScheduler:
     def __init__(
         self,
         registry: ModelRegistry,
-        max_batch: Optional[int] = None,
-        max_delay_ms: Optional[float] = None,
+        max_batch: int = 8,
+        max_delay_ms: float = 2.0,
         executor: Optional[Executor] = None,
         max_workers: Optional[int] = 0,
     ):
-        if max_batch is None:
-            max_batch = _env_number(SERVE_MAX_BATCH_ENV, DEFAULT_MAX_BATCH, int)
-        if max_delay_ms is None:
-            max_delay_ms = _env_number(
-                SERVE_MAX_DELAY_ENV, DEFAULT_MAX_DELAY_MS, float
-            )
         if int(max_batch) < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if float(max_delay_ms) < 0:

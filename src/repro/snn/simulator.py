@@ -214,24 +214,18 @@ class TimeSteppedSimulator:
         Per-step PSC weights (length ``num_steps``) applied to input spikes
         and to hidden-layer spikes respectively.  They come from the coder's
         :class:`repro.snn.kernels.PSCKernel`.
-    readout_mode:
-        ``"batched"`` (default) accumulates the readout layer's input PSC
-        over the whole window and applies its synaptic transform **once** per
-        run -- one GEMM per batch instead of one per time step.  This is
-        exact whenever the readout transform is linear (true for every
-        transform built by :mod:`repro.core.timestep`, where the bias is
-        injected separately via ``step_bias``).  ``"per-step"`` keeps the
-        step-by-step evaluation for non-linear custom transforms (folded
-        into one transform call over the time-folded batch, which is exact
-        for any per-sample transform), accumulated over time.
     input_steps:
         Length of the input spike trains handed to :meth:`run` (default:
         ``num_steps``).  Per-layer temporal protocols simulate a global
         window longer than the encode window; input trains are zero-padded
         up to ``num_steps`` (no spikes arrive outside the encode window).
-    """
 
-    READOUT_MODES = ("batched", "per-step")
+    The readout layer's input PSC is accumulated over the whole window and
+    its synaptic transform applied **once** per run -- one GEMM per batch
+    instead of one per time step.  This is exact because the readout
+    transform is linear: every transform built by :mod:`repro.core.timestep`
+    is, with the bias injected separately via ``step_bias``.
+    """
 
     def __init__(
         self,
@@ -239,7 +233,6 @@ class TimeSteppedSimulator:
         num_steps: int,
         input_kernel: np.ndarray,
         hidden_kernel: Optional[np.ndarray] = None,
-        readout_mode: str = "batched",
         input_steps: Optional[int] = None,
     ):
         check_positive("num_steps", num_steps)
@@ -247,14 +240,8 @@ class TimeSteppedSimulator:
             raise ValueError("the simulator needs at least one layer")
         if layers[-1].neuron is not None:
             raise ValueError("the last layer must be a readout layer (neuron=None)")
-        if readout_mode not in self.READOUT_MODES:
-            raise ValueError(
-                f"readout_mode must be one of {self.READOUT_MODES}, "
-                f"got {readout_mode!r}"
-            )
         self.layers = list(layers)
         self.num_steps = int(num_steps)
-        self.readout_mode = readout_mode
         self.input_kernel = self._check_kernel(input_kernel)
         self.hidden_kernel = (
             self._check_kernel(hidden_kernel)
@@ -617,25 +604,22 @@ class TimeSteppedSimulator:
         kernel: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
-        """Readout potential from the last hidden layer's full spike window."""
-        if self.readout_mode == "batched":
-            # Linear readout: the per-step weighted sums collapse into one
-            # kernel-weighted time contraction (no window-sized float64 PSC
-            # temporary) and one GEMM.
-            psc = np.einsum("t,t...->...", kernel, counts)
-            output_potential = np.asarray(layer.transform(psc))
-            if layer.step_bias is not None:
-                bias_steps = (
-                    self.num_steps
-                    if layer.bias_stop is None
-                    else min(int(layer.bias_stop), self.num_steps)
-                )
-                output_potential = output_potential + bias_steps * layer.step_bias
-            return output_potential
-        # Non-linear readout: transform every (step, sample) row
-        # independently (folded), then accumulate over time.
-        drive = self._fused_layer_drive(layer, counts, kernel)
-        return drive.sum(axis=0)
+        """Readout potential from the last hidden layer's full spike window.
+
+        The readout is linear, so the per-step weighted sums collapse into
+        one kernel-weighted time contraction (no window-sized float64 PSC
+        temporary) and one GEMM.
+        """
+        psc = np.einsum("t,t...->...", kernel, counts)
+        output_potential = np.asarray(layer.transform(psc))
+        if layer.step_bias is not None:
+            bias_steps = (
+                self.num_steps
+                if layer.bias_stop is None
+                else min(int(layer.bias_stop), self.num_steps)
+            )
+            output_potential = output_potential + bias_steps * layer.step_bias
+        return output_potential
 
     def _pad_window(self, window: np.ndarray, offset: int) -> np.ndarray:
         """Zero-pad a ``(w, B, ...)`` step window onto the full global grid."""

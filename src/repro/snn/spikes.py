@@ -286,13 +286,11 @@ class SpikeTrainArray:
         self,
         sigma: float,
         rng: RngLike = None,
-        mode: str = "clip",
     ) -> "SpikeTrainArray":
         """Return a train with every spike time shifted by quantised Gaussian noise.
 
         Each individual spike is moved by ``round(N(0, sigma))`` steps.  Spikes
-        pushed outside the window are clamped to the window edge when
-        ``mode="clip"`` (default) or removed when ``mode="drop"``.
+        pushed outside the window are clamped to the window edge.
 
         The normal draws go to the spikes in C order of their ``(step,
         neuron)`` slots, found with one flat scan of the grid; only the
@@ -301,8 +299,6 @@ class SpikeTrainArray:
         """
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
-        if mode not in ("clip", "drop"):
-            raise ValueError(f"mode must be 'clip' or 'drop', got {mode!r}")
         if sigma == 0.0:
             return self.view()
         generator = default_rng(rng)
@@ -317,11 +313,7 @@ class SpikeTrainArray:
         shifts = generator.normal(0.0, sigma, size=index.shape)
         shifted = np.rint(shifts, out=shifts).astype(np.int64)
         shifted += times
-        if mode == "clip":
-            np.clip(shifted, 0, num_steps - 1, out=shifted)
-        else:
-            keep = (shifted >= 0) & (shifted < num_steps)
-            shifted, times, index = shifted[keep], times[keep], index[keep]
+        np.clip(shifted, 0, num_steps - 1, out=shifted)
         # Move each spike's flat slot index by its step shift, in place.
         shifted -= times
         shifted *= num_neurons
@@ -666,7 +658,6 @@ class SpikeEvents:
         self,
         sigma: float,
         rng: RngLike = None,
-        mode: str = "clip",
     ) -> "SpikeEvents":
         """Return a train with every spike time shifted by quantised Gaussian noise.
 
@@ -675,8 +666,6 @@ class SpikeEvents:
         """
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
-        if mode not in ("clip", "drop"):
-            raise ValueError(f"mode must be 'clip' or 'drop', got {mode!r}")
         if sigma == 0.0 or self.times.size == 0:
             return self.view()
         generator = default_rng(rng)
@@ -687,13 +676,7 @@ class SpikeEvents:
             times = np.repeat(self.times, self.event_counts)
             neurons = np.repeat(self.neuron_indices, self.event_counts)
         shifts = np.rint(generator.normal(0.0, sigma, size=times.shape)).astype(np.int64)
-        shifted = times + shifts
-        if mode == "clip":
-            shifted = np.clip(shifted, 0, self._num_steps - 1)
-        else:
-            keep = (shifted >= 0) & (shifted < self._num_steps)
-            shifted = shifted[keep]
-            neurons = neurons[keep]
+        shifted = np.clip(times + shifts, 0, self._num_steps - 1)
         return SpikeEvents(
             shifted, neurons, None, self._num_steps, self._population_shape
         )

@@ -14,7 +14,8 @@ small enough to check by eye:
   strided views in NumPy's pairwise order without unfolding; outputs must
   agree bit for bit.
 * :func:`run_stepped` -- the time-outer/layer-inner simulator loop: one
-  synaptic transform call per layer per time step over the full grid.
+  synaptic transform call per hidden layer per time step over the full
+  grid, and one call of the linear readout on the window's summed PSC.
   Production (:meth:`repro.snn.simulator.TimeSteppedSimulator.run`) folds
   time into the batch and schedules each layer by its protocol window;
   spikes and spike counts must agree bit for bit, readout potentials to
@@ -108,14 +109,13 @@ def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None)
     grid[:counts.shape[0]] = counts
     kernels = simulator.layer_kernels
     readout = simulator.layers[-1]
-    batched = simulator.readout_mode == "batched"
     states, recorded = {}, {}
     spike_counts = {layer.name: 0 for layer in simulator.layers}
-    potential = readout_psc = None
+    readout_psc = None
     for step in range(simulator.num_steps):
         psc = grid[step].astype(np.float64) * kernels[0][step]
         for index, layer in enumerate(simulator.layers):
-            if layer.neuron is None and batched:
+            if layer.neuron is None:
                 # Linear readout: sum the PSC, transform once after the loop.
                 readout_psc = psc if readout_psc is None else readout_psc + psc
                 break
@@ -124,9 +124,6 @@ def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None)
                 layer.bias_stop is None or step < layer.bias_stop
             ):
                 drive = drive + layer.step_bias
-            if layer.neuron is None:
-                potential = drive if potential is None else potential + drive
-                break
             if index not in states:
                 states[index] = layer.neuron.init_state(drive.shape)
             spikes = layer.neuron.step(states[index], drive)
@@ -143,12 +140,11 @@ def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None)
             if record_spikes:
                 recorded.setdefault(layer.name, []).append(spikes.copy())
             psc = spikes.astype(np.float64) * kernels[index + 1][step]
-    if batched:
-        potential = np.asarray(readout.transform(readout_psc))
-        if readout.step_bias is not None:
-            bias_steps = simulator.num_steps if readout.bias_stop is None else min(
-                simulator.num_steps, int(readout.bias_stop))
-            potential = potential + bias_steps * readout.step_bias
+    potential = np.asarray(readout.transform(readout_psc))
+    if readout.step_bias is not None:
+        bias_steps = simulator.num_steps if readout.bias_stop is None else min(
+            simulator.num_steps, int(readout.bias_stop))
+        potential = potential + bias_steps * readout.step_bias
     record = SimulationRecord(potential, spike_counts, num_steps=simulator.num_steps)
     record.spike_trains = {
         name: SpikeTrainArray(np.stack(rows), copy=False)
@@ -165,7 +161,7 @@ def delete_spikes(counts, probability, rng):
     return rng.binomial(counts, 1.0 - probability).astype(np.int16)
 
 
-def jitter_spikes(counts, sigma, rng, mode="clip"):
+def jitter_spikes(counts, sigma, rng):
     """Shift every spike of a dense count grid, found by a 2-D ``nonzero``."""
     num_steps = counts.shape[0]
     flat = counts.reshape(num_steps, -1)
@@ -174,14 +170,9 @@ def jitter_spikes(counts, sigma, rng, mode="clip"):
     times = np.repeat(times, multiplicity)
     neurons = np.repeat(neurons, multiplicity)
     shifts = np.rint(rng.normal(0.0, sigma, size=times.shape)).astype(np.int64)
-    shifted = times + shifts
-    if mode == "clip":
-        shifted = np.clip(shifted, 0, num_steps - 1)
-        keep = slice(None)
-    else:
-        keep = (shifted >= 0) & (shifted < num_steps)
+    shifted = np.clip(times + shifts, 0, num_steps - 1)
     num_neurons = flat.shape[1]
-    linear = shifted[keep] * num_neurons + neurons[keep]
+    linear = shifted * num_neurons + neurons
     new_flat = np.bincount(linear, minlength=num_steps * num_neurons)
     return new_flat.reshape(counts.shape).astype(np.int16)
 

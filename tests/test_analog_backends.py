@@ -266,72 +266,32 @@ class TestFusedBatchNorm:
 
 
 class TestBatchedReadout:
-    @staticmethod
-    def _simulator(readout_mode, num_steps=24):
+    def test_batched_readout_matches_per_step_sum(self, rng):
+        # The readout transform runs once on the window's summed PSC; for a
+        # linear readout that equals summing its per-step drives.
+        from repro.coding import RateCoder
+        from repro.snn.neurons import IFNeuron
+
+        num_steps = 24
         w1 = np.array([[1.0, 0.5], [0.0, 1.0], [0.5, 0.0]])
         w2 = np.array([[1.0, -0.5], [-1.0, 0.75]])
         step_bias = np.array([0.01, -0.02]) / num_steps
-        from repro.snn.neurons import IFNeuron
-
         layers = [
             SimulatorLayer(transform=lambda psc: psc @ w1,
                            neuron=IFNeuron(0.25), name="hidden"),
             SimulatorLayer(transform=lambda psc: psc @ w2, neuron=None,
                            name="readout", step_bias=step_bias),
         ]
-        kernel = np.full(num_steps, 1.0 / num_steps)
-        hidden_kernel = np.full(num_steps, 0.25)
-        return TimeSteppedSimulator(layers, num_steps, kernel, hidden_kernel,
-                                    readout_mode=readout_mode)
-
-    def test_batched_matches_per_step(self, rng):
-        x = rng.random((3, 3))
-        from repro.coding import RateCoder
-
-        coder = RateCoder(num_steps=24)
-        train = coder.encode(x)
-        batched = self._simulator("batched").run(train)
-        per_step = self._simulator("per-step").run(train)
-        assert np.allclose(batched.output_potential, per_step.output_potential,
+        simulator = TimeSteppedSimulator(
+            layers, num_steps, np.full(num_steps, 1.0 / num_steps),
+            np.full(num_steps, 0.25),
+        )
+        train = RateCoder(num_steps=num_steps).encode(rng.random((3, 3)))
+        record = simulator.run(train, record_spikes=True)
+        hidden = record.spike_trains["hidden"].to_dense().counts
+        per_step = sum((hidden[t] * 0.25) @ w2 + step_bias for t in range(num_steps))
+        assert np.allclose(record.output_potential, per_step,
                            rtol=1e-9, atol=1e-12)
-        assert batched.spike_counts == per_step.spike_counts
-
-    def test_invalid_mode_rejected(self):
-        layer = SimulatorLayer(transform=lambda x: x, neuron=None)
-        with pytest.raises(ValueError):
-            TimeSteppedSimulator([layer], 8, np.ones(8), readout_mode="fused")
-
-    def test_builder_falls_back_for_max_pool_readout(self, rng):
-        # Max pooling in the readout segment is non-linear: the builder must
-        # keep the exact per-step readout there (and batch everywhere else).
-        from repro.coding import RateCoder
-        from repro.core import build_time_stepped_simulator
-        from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
-
-        model = Sequential([
-            Conv2D(1, 2, kernel_size=3, stride=1, padding=1, rng=0),
-            ReLU(),
-            MaxPool2D(2),
-            Flatten(),
-            Dense(2 * 3 * 3, 4, rng=1),
-        ])
-        calibration = rng.random((8, 1, 6, 6)).astype(np.float32)
-        converted = convert_dnn_to_snn(model, calibration,
-                                       allow_max_pooling=True)
-        simulator = build_time_stepped_simulator(
-            converted, RateCoder(num_steps=16), batch_input_shape=(2, 1, 6, 6)
-        )
-        assert simulator.readout_mode == "per-step"
-
-        linear_model = Sequential([
-            Dense(4, 8, rng=0), ReLU(), Dense(8, 3, rng=1),
-        ])
-        flat_calibration = rng.random((8, 4)).astype(np.float32)
-        linear_converted = convert_dnn_to_snn(linear_model, flat_calibration)
-        linear_simulator = build_time_stepped_simulator(
-            linear_converted, RateCoder(num_steps=16), batch_input_shape=(2, 4)
-        )
-        assert linear_simulator.readout_mode == "batched"
 
 
 class TestTransportAcrossBackends:

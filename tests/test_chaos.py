@@ -1,11 +1,10 @@
 """Chaos harness: fault-tolerant sweep execution under injected failures.
 
 Injects the failure modes a long sweep actually meets -- worker processes
-killed mid-cell, transiently failing cells, hung cells, corrupt store
-documents -- and asserts the engine's recovery guarantees: completed cells
-are never lost or re-run, transient failures succeed within the retry
-budget, hangs trip the per-cell timeout, and exhausted cells degrade to
-explicit holes instead of aborting the sweep.
+killed mid-cell, transiently failing cells, corrupt store documents -- and
+asserts the engine's recovery guarantees: completed cells are never lost or
+re-run, transient failures succeed within the retry budget, and exhausted
+cells degrade to explicit holes instead of aborting the sweep.
 """
 
 import logging
@@ -13,7 +12,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -29,10 +27,7 @@ from repro.execution import (
     WorkloadRef,
     build_sweep_plans,
     evaluate_plans,
-    resolve_cell_retries,
-    resolve_cell_timeout,
 )
-from repro.execution.engine import CELL_RETRIES_ENV, CELL_TIMEOUT_ENV
 from repro.execution.plan import evaluate_plan as real_evaluate_plan
 from repro.experiments import prepare_workload
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
@@ -261,9 +256,8 @@ class TestTransientFailures:
             return real_evaluate_plan(plan, workload)
 
         monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
-        monkeypatch.setenv(CELL_RETRIES_ENV, "1")
         result = run_sweep(
-            chaos_config(), workload=chaos_workload, eval_size=10
+            chaos_config(), workload=chaos_workload, eval_size=10, retries=1
         )
         curve = result.curve("TTFS")
         assert np.isnan(curve.accuracy_at(0.3))
@@ -317,51 +311,6 @@ class TestTransientFailures:
 
 
 # ---------------------------------------------------------------------------
-# Hangs: per-cell timeout
-# ---------------------------------------------------------------------------
-class TestHungCells:
-    def test_hung_cell_trips_the_timeout(self, chaos_workload, monkeypatch):
-        def hang(plan, workload):
-            if plan.method_label == "TTFS" and plan.level == 0.3:
-                time.sleep(30.0)
-            return real_evaluate_plan(plan, workload)
-
-        monkeypatch.setattr(EvaluationPlan, "evaluate", hang)
-        config = chaos_config()
-        ref, plans = _compile(config, chaos_workload)
-        started = time.monotonic()
-        evaluation = evaluate_plans(
-            plans, workloads={ref: chaos_workload}, cell_timeout=0.3
-        )
-        assert time.monotonic() - started < 15.0
-        assert evaluation.stats.failed_cells == 1
-        (_, failure), = evaluation.failures
-        assert "timed out" in failure.message
-
-    def test_timeout_plus_retries_gives_hangs_a_second_chance(
-        self, chaos_workload, monkeypatch
-    ):
-        hangs = {"count": 0}
-
-        def hang_once(plan, workload):
-            if plan.method_label == "TTFS" and plan.level == 0.3:
-                hangs["count"] += 1
-                if hangs["count"] == 1:
-                    time.sleep(30.0)
-            return real_evaluate_plan(plan, workload)
-
-        monkeypatch.setattr(EvaluationPlan, "evaluate", hang_once)
-        config = chaos_config()
-        ref, plans = _compile(config, chaos_workload)
-        evaluation = evaluate_plans(
-            plans, workloads={ref: chaos_workload},
-            retries=1, cell_timeout=0.3, retry_backoff=0.001,
-        )
-        assert evaluation.stats.failed_cells == 0
-        assert all(isinstance(r, EvaluationResult) for r in evaluation.results)
-
-
-# ---------------------------------------------------------------------------
 # Corrupt store documents degrade to misses (satellite verification)
 # ---------------------------------------------------------------------------
 class TestCorruptStore:
@@ -399,24 +348,22 @@ class TestCorruptStore:
 # Knob resolution + failure-object plumbing
 # ---------------------------------------------------------------------------
 class TestFaultToleranceKnobs:
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.delenv(CELL_RETRIES_ENV, raising=False)
-        monkeypatch.delenv(CELL_TIMEOUT_ENV, raising=False)
-        assert resolve_cell_retries() == 0
-        assert resolve_cell_timeout() is None
-        monkeypatch.setenv(CELL_RETRIES_ENV, "3")
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "2.5")
-        assert resolve_cell_retries() == 3
-        assert resolve_cell_timeout() == 2.5
-        assert resolve_cell_retries(1) == 1  # explicit beats env
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "0")
-        assert resolve_cell_timeout() is None  # <= 0 disables
-        monkeypatch.setenv(CELL_RETRIES_ENV, "many")
-        with pytest.raises(ValueError, match=CELL_RETRIES_ENV):
-            resolve_cell_retries()
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "soon")
-        with pytest.raises(ValueError, match=CELL_TIMEOUT_ENV):
-            resolve_cell_timeout()
+    def test_retry_budget_comes_from_the_argument(self, chaos_workload, monkeypatch):
+        def doomed(plan, workload):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
+        config = chaos_config(methods=(MethodSpec(coding="ttfs"),), levels=(0.3,))
+        ref, plans = _compile(config, chaos_workload)
+        # None, 0 and a negative budget all mean "no retries": errors propagate.
+        for retries in (None, 0, -2):
+            with pytest.raises(CellEvaluationError):
+                evaluate_plans(plans, workloads={ref: chaos_workload}, retries=retries)
+        evaluation = evaluate_plans(
+            plans, workloads={ref: chaos_workload}, retries=3, retry_backoff=0.001,
+        )
+        (_, failure), = evaluation.failures
+        assert failure.attempts == 4
 
     def test_cell_failure_is_picklable(self):
         failure = CellFailure(

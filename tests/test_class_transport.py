@@ -156,13 +156,6 @@ def test_rate_decode_at_paper_window_within_float32_sum_bound():
     assert np.abs(classes - exact).max() <= 2.0**-23
 
 
-def test_stochastic_rate_has_no_class_encoding():
-    coder = RateCoder(num_steps=32, stochastic=True)
-    assert not coder.has_class_encoding
-    with pytest.raises(NotImplementedError):
-        coder.encode_classes(np.zeros(3))
-
-
 def test_time_free_declarations():
     assert DeletionNoise(0.2).time_free and DeadNeuronNoise(0.2).time_free
     assert IdentityNoise().time_free
@@ -174,9 +167,8 @@ def test_time_free_declarations():
 
 
 def test_class_path_routing_rule():
-    # Time-free, or clip jitter first and only time-free models after it.
+    # Time-free, or jitter first and only time-free models after it.
     assert JitterNoise(1.0).acts_on_classes
-    assert not JitterNoise(1.0, mode="drop").acts_on_classes
     assert DeletionNoise(0.2).acts_on_classes and IdentityNoise().acts_on_classes
     assert not BurstErrorNoise(0.2).acts_on_classes
     assert not StuckAtFireNoise(0.2).acts_on_classes
@@ -187,7 +179,6 @@ def test_class_path_routing_rule():
         NoiseInjector.from_levels(jitter_sigma=1.0, dead_fraction=0.1),
     ]
     keeps_grid = [
-        NoiseInjector.from_levels(jitter_sigma=1.0, jitter_mode="drop"),
         NoiseInjector.from_levels(deletion_probability=0.3, jitter_sigma=1.0),
         NoiseInjector.from_levels(jitter_sigma=1.0, burst_error_fraction=0.1),
         NoiseInjector.from_levels(jitter_sigma=1.0, stuck_fraction=0.1),
@@ -278,11 +269,6 @@ class TestClassJitter:
         ).reshape(coder.period, self.population)
         chi_square, _ = self.rejects(coder, self.dense_folded(coder, sigma), wrapped)
         assert chi_square
-
-    def test_drop_mode_is_refused_on_class_counts(self):
-        clean = PhaseCoder(num_steps=32).encode_classes(self.values()[:10])
-        with pytest.raises(ValueError, match="time grid"):
-            clean.jitter_spikes(1.0, rng=0, mode="drop")
 
     def test_rate_jitter_returns_the_counts_and_draws_nothing(self):
         coder = RateCoder(num_steps=32)
@@ -428,27 +414,17 @@ class TestRouting:
             NoiseInjector.from_levels(deletion_probability=0.2, jitter_sigma=1.0),
             NoiseInjector.from_levels(burst_error_fraction=0.2),
             NoiseInjector.from_levels(dead_fraction=0.1, stuck_fraction=0.1),
-            NoiseInjector.from_levels(jitter_sigma=1.0, jitter_mode="drop"),
             NoiseInjector.from_levels(jitter_sigma=1.0, stuck_fraction=0.1),
         ],
         # "jitter" is deletion before jitter: thinned class counts no longer
         # say which periods their survivors sit in.
-        ids=["jitter", "burst_error", "stuck", "drop_jitter", "jitter_then_stuck"],
+        ids=["jitter", "burst_error", "stuck", "jitter_then_stuck"],
     )
     def test_time_dependent_noise_keeps_the_time_grid(
         self, converted_mlp, mnist_split, noise, monkeypatch
     ):
         encodes = self._forbid_classes(monkeypatch)
         logits, _ = simulator(converted_mlp, PhaseCoder(num_steps=32), noise).forward(
-            mnist_split.test.x[:8], rng=0
-        )
-        assert logits.shape[0] == 8
-        assert encodes
-
-    def test_stochastic_rate_keeps_the_time_grid(self, converted_mlp, mnist_split, monkeypatch):
-        encodes = self._forbid_classes(monkeypatch)
-        coder = RateCoder(num_steps=32, stochastic=True)
-        logits, _ = simulator(converted_mlp, coder, DeletionNoise(0.2)).forward(
             mnist_split.test.x[:8], rng=0
         )
         assert logits.shape[0] == 8

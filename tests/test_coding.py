@@ -80,17 +80,11 @@ class TestRateCoder:
         gaps = np.diff(np.flatnonzero(train.counts[:, 0]))
         assert np.all(gaps == 2)
 
-    def test_stochastic_mode_mean(self):
-        coder = RateCoder(num_steps=64, stochastic=True)
-        values = np.full(200, 0.3)
-        decoded = coder.decode(coder.encode(values, rng=0))
-        assert abs(decoded.mean() - 0.3) < 0.03
-
     def test_jitter_invariance(self):
         coder = RateCoder(num_steps=32)
         values = np.random.default_rng(0).random(50)
         train = coder.encode(values)
-        jittered = train.jitter_spikes(3.0, rng=1, mode="clip")
+        jittered = train.jitter_spikes(3.0, rng=1)
         assert np.allclose(coder.decode(jittered), coder.decode(train))
 
     def test_neuron_type(self):

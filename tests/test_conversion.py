@@ -122,13 +122,6 @@ class TestConvertDnnToSnn:
         with pytest.raises(ConversionError):
             convert_dnn_to_snn(model, cifar_split.train.x[:8])
 
-    def test_max_pooling_allowed_with_flag(self, cifar_split):
-        model = build_vgg("vgg_micro", cifar_split.image_shape, 10, pooling="max", rng=0)
-        converted = convert_dnn_to_snn(
-            model, cifar_split.train.x[:8], allow_max_pooling=True
-        )
-        assert converted.num_spiking_populations >= 2
-
     def test_network_without_relu_rejected(self):
         model = Sequential([Flatten(), Dense(16, 4, rng=0)])
         with pytest.raises(ConversionError):

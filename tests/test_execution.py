@@ -25,8 +25,6 @@ from repro.execution import (
     resolve_store,
 )
 from repro.execution.attack import build_attack_plans
-from repro.execution.executors import SWEEP_EXECUTOR_ENV, SWEEP_WORKERS_ENV
-from repro.execution.store import RESULT_STORE_ENV
 from repro.experiments import prepare_workload, run_sweep, run_sweeps
 from repro.experiments.config import (
     TEST_SCALE,
@@ -410,24 +408,125 @@ def test_cli_refuses_an_unknown_method_label(tmp_path, monkeypatch, capsys):
     assert not store.exists()
 
 
+def test_cli_refuses_bad_counts_before_preparing_a_workload(monkeypatch, capsys):
+    import repro.experiments.runner as runner_module
+    from repro.cli import main
+
+    def no_workload(*_, **__):
+        raise AssertionError("a refused sweep must not prepare a workload")
+
+    monkeypatch.setattr(runner_module, "prepare_workload", no_workload)
+    entries = (
+        ["table", "--name", "table1", "--datasets", "mnist"],
+        ["figure", "--name", "fig2", "--dataset", "mnist"],
+    )
+    counts = (
+        (["--shards", "0"], "--shards must be >= 1, got 0"),
+        (["--retries", "-1"], "--retries must be >= 0, got -1"),
+    )
+    for entry in entries:
+        for flags, message in counts:
+            with pytest.raises(SystemExit) as raised:
+                main([*entry, "--scale", "test", *flags])
+            assert raised.value.code == 2
+            assert message in capsys.readouterr().err
+
+
+def test_cli_retries_fill_a_cell_that_fails_once(tiny_workload, monkeypatch, capsys):
+    import repro.experiments.runner as runner_module
+    from repro.cli import main
+
+    monkeypatch.setattr(runner_module, "prepare_workload", lambda *_, **__: tiny_workload)
+
+    def fail_first(times):
+        # The deletion-0.5 cell raises on its first ``times`` evaluations.
+        calls = {"count": 0}
+
+        def evaluate(plan, workload):
+            if plan.level == 0.5:
+                calls["count"] += 1
+                if calls["count"] <= times:
+                    raise ValueError("transient failure")
+            return evaluate_plan(plan, workload)
+
+        return evaluate
+
+    def ttfs_accuracies(output):
+        row = next(line for line in output.splitlines() if line.startswith("| TTFS"))
+        return [cell.strip() for cell in row.strip("|").split("|")][1:]
+
+    argv = [
+        "figure", "--name", "fig2", "--dataset", "mnist", "--scale", "test",
+        "--eval-size", "8", "--methods", "TTFS",
+    ]
+    monkeypatch.setattr(EvaluationPlan, "evaluate", fail_first(1))
+    assert main(argv + ["--retries", "1"]) == 0
+    filled = ttfs_accuracies(capsys.readouterr().out)
+    assert "--" not in filled
+    # Without a retry budget the same failure aborts the sweep ...
+    monkeypatch.setattr(EvaluationPlan, "evaluate", fail_first(1))
+    with pytest.raises(CellEvaluationError, match="transient failure"):
+        main(argv)
+    # ... and a cell that outlasts the budget becomes a hole.
+    monkeypatch.setattr(EvaluationPlan, "evaluate", fail_first(2))
+    assert main(argv + ["--retries", "1"]) == 0
+    holed = ttfs_accuracies(capsys.readouterr().out)
+    assert holed[2] == "--"
+    assert holed[:2] + holed[3:] == filled[:2] + filled[3:]
+
+
+#: The run settings that used to fall back to an environment variable.
+FORMER_ENV_SETTINGS = (
+    "REPRO_SWEEP_EXECUTOR", "REPRO_SWEEP_WORKERS", "REPRO_CELL_RETRIES",
+    "REPRO_CELL_TIMEOUT", "REPRO_SWEEP_SHARDS", "REPRO_RESULT_STORE",
+    "REPRO_SERVE_MAX_BYTES", "REPRO_SERVE_MAX_BATCH", "REPRO_SERVE_MAX_DELAY_MS",
+)
+
+
+def test_run_settings_ignore_the_environment(tiny_workload, tmp_path, monkeypatch):
+    from repro.serving import MicroBatchScheduler, ModelRegistry
+
+    for name in FORMER_ENV_SETTINGS:
+        monkeypatch.setenv(name, "banana")
+    bogus_store = tmp_path / "bogus-store"
+    monkeypatch.setenv("REPRO_RESULT_STORE", str(bogus_store))
+
+    assert resolve_executor().name == "serial"
+    assert resolve_store(None) is None
+    config = tiny_config(methods=(MethodSpec(coding="ttfs"),))
+    ref = WorkloadRef.from_sweep_config(config, use_cache=False)
+    plans = build_sweep_plans(config, eval_size=8, use_cache=False)
+    evaluation = evaluate_plans(plans, workloads={ref: tiny_workload})
+    assert evaluation.stats.executor == "serial"
+    assert evaluation.stats.evaluated_cells == len(plans)
+    assert evaluation.stats.store_writes == 0
+    assert evaluation.stats.sharded_cells == 0
+    registry = ModelRegistry()
+    assert registry.store is None
+    assert registry.max_bytes is None
+    with MicroBatchScheduler(registry, max_workers=1) as scheduler:
+        assert scheduler.max_batch == 8
+        assert scheduler.max_delay == pytest.approx(0.002)
+    assert not bogus_store.exists()
+
+
 # ---------------------------------------------------------------------------
 # Executors
 # ---------------------------------------------------------------------------
 class TestExecutors:
-    def test_resolve_executor_defaults(self, monkeypatch):
-        monkeypatch.delenv(SWEEP_EXECUTOR_ENV, raising=False)
-        monkeypatch.delenv(SWEEP_WORKERS_ENV, raising=False)
+    def test_resolve_executor_defaults(self):
+        assert resolve_executor().name == "serial"
         assert resolve_executor(None, None).name == "serial"
         assert resolve_executor(None, 4).name == "thread"
         assert resolve_executor("process", 2).name == "process"
         existing = ThreadExecutor(2)
         assert resolve_executor(executor=existing) is existing
 
-    def test_resolve_executor_env(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "process")
-        assert resolve_executor(None, None).name == "process"
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "serial")
-        assert resolve_executor(None, 8).name == "serial"
+    def test_resolve_executor_by_name(self):
+        # A named backend wins over the worker-count heuristic.
+        assert resolve_executor("process").name == "process"
+        assert resolve_executor(" Thread ", 1).name == "thread"
+        assert resolve_executor("serial", 8).name == "serial"
 
     def test_resolve_executor_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -620,16 +719,12 @@ class TestResultStore:
         assert len(table.rows_for("mnist")) == 4
         assert len(list(store.fingerprints())) == 8  # nothing re-stored twice
 
-    def test_resolve_store(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(RESULT_STORE_ENV, raising=False)
+    def test_resolve_store(self, tmp_path):
         assert resolve_store(None) is None
         assert resolve_store(False) is None
         assert resolve_store(str(tmp_path)).root == str(tmp_path)
         store = ResultStore(str(tmp_path))
         assert resolve_store(store) is store
-        monkeypatch.setenv(RESULT_STORE_ENV, str(tmp_path / "env"))
-        assert resolve_store(None).root == str(tmp_path / "env")
-        assert resolve_store(False) is None
         with pytest.raises(TypeError):
             resolve_store(123)
 
@@ -824,7 +919,7 @@ class TestFaultSweepDeterminism:
         ref = WorkloadRef.from_sweep_config(config, use_cache=False)
         plans = build_sweep_plans(config, eval_size=12, use_cache=False)
         tolerant = evaluate_plans(
-            plans, workloads={ref: tiny_workload}, retries=2, cell_timeout=60.0
+            plans, workloads={ref: tiny_workload}, retries=2
         )
         assert tolerant.stats.failed_cells == 0
         accuracies = [r.accuracy for r in tolerant.results]
@@ -904,6 +999,14 @@ class TestCliPlumbing:
                 build_parser().parse_args(
                     ["table", "--name", "table1", flag, value]
                 )
+
+    def test_store_gc_requires_a_result_store(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as raised:
+            main(["store", "gc"])
+        assert raised.value.code == 2
+        assert "--result-store" in capsys.readouterr().err
 
     def test_evaluate_batch_size_flag(self):
         from repro.cli import build_parser

@@ -148,19 +148,18 @@ class TestWorkloadAndRunner:
             assert s.spike_counts == p.spike_counts
             assert s.spikes_per_sample == p.spikes_per_sample
 
-    def test_resolve_max_workers(self, monkeypatch):
+    def test_resolve_max_workers(self):
         import os
 
-        from repro.execution.executors import SWEEP_WORKERS_ENV, resolve_worker_count
+        from repro.execution.executors import resolve_worker_count
 
         # The ``max_workers`` conventions every sweep entry point follows.
-        monkeypatch.delenv(SWEEP_WORKERS_ENV, raising=False)
+        assert resolve_worker_count() == 1
         assert resolve_worker_count(None) == 1
         assert resolve_worker_count(3) == 3
-        assert resolve_worker_count(0) == (os.cpu_count() or 1)
-        monkeypatch.setenv(SWEEP_WORKERS_ENV, "5")
-        assert resolve_worker_count(None) == 5
         assert resolve_worker_count(2) == 2
+        assert resolve_worker_count(0) == (os.cpu_count() or 1)
+        assert resolve_worker_count(-1) == (os.cpu_count() or 1)
 
     def test_table2_on_tiny_workload(self, tiny_workload):
         table = table2_jitter(

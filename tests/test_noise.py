@@ -70,11 +70,6 @@ class TestJitterNoise:
         noisy = JitterNoise(2.0).apply(train, rng=0)
         assert noisy.total_spikes() == train.total_spikes()
 
-    def test_drop_mode(self):
-        train = dense_train()
-        noisy = JitterNoise(5.0, mode="drop").apply(train, rng=0)
-        assert noisy.total_spikes() <= train.total_spikes()
-
     def test_zero_sigma_is_identity(self):
         train = dense_train()
         assert JitterNoise(0.0).apply(train, rng=0) == train
@@ -82,8 +77,6 @@ class TestJitterNoise:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             JitterNoise(-1.0)
-        with pytest.raises(ValueError):
-            JitterNoise(1.0, mode="reflect")
 
     def test_ttfs_value_perturbed(self):
         coder = TTFSCoder(num_steps=16)

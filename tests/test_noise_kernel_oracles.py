@@ -1,17 +1,19 @@
-"""Dense noise kernels against their full-grid oracles, bit for bit.
+"""Noise kernels against their full-grid oracles, bit for bit.
 
 :meth:`SpikeTrainArray.delete_spikes`, :meth:`SpikeTrainArray.jitter_spikes`
 and :meth:`SpikeTrainArray.to_events` visit only the occupied ``(step, neuron)``
 slots; the oracles in :mod:`oracles` visit the whole grid.  Both must give
 the same counts (dtype included) from the same seed, on every memory layout
-a train's counts can have.
+a train's counts can have.  :meth:`SpikeEvents.jitter_spikes` walks the
+canonical event list, which is the same C order, so it must land every
+spike where the oracle does too.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from repro.snn.spikes import SpikeTrainArray
+from repro.snn.spikes import SpikeEvents, SpikeTrainArray
 
 
 def _binary():
@@ -75,15 +77,14 @@ class TestDenseKernelsMatchOracles:
             )
             assert_same_counts(actual.counts, expected)
 
-    @pytest.mark.parametrize("mode", ["clip", "drop"])
     @pytest.mark.parametrize("sigma", [0.0, 0.7, 3.0])
-    def test_jitter_spikes(self, kind, layout, mode, sigma):
+    def test_jitter_spikes(self, kind, layout, sigma):
         counts = _counts(kind, layout)
         train = SpikeTrainArray(counts, copy=False)
         for seed in range(3):
-            actual = train.jitter_spikes(sigma, rng=np.random.default_rng(seed), mode=mode)
+            actual = train.jitter_spikes(sigma, rng=np.random.default_rng(seed))
             expected = oracles.jitter_spikes(
-                counts, sigma, np.random.default_rng(seed), mode=mode
+                counts, sigma, np.random.default_rng(seed)
             )
             assert_same_counts(actual.counts, expected)
 
@@ -94,6 +95,22 @@ class TestDenseKernelsMatchOracles:
         for name in ("times", "neuron_indices", "event_counts"):
             assert_same_counts(getattr(actual, name), getattr(expected, name))
         assert actual.population_shape == expected.population_shape
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(TRAINS))
+class TestEventKernelsMatchOracles:
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 3.0])
+    def test_jitter_spikes(self, kind, layout, sigma):
+        counts = _counts(kind, layout)
+        events = SpikeTrainArray(counts, copy=False).to_events()
+        for seed in range(3):
+            actual = events.jitter_spikes(sigma, rng=np.random.default_rng(seed))
+            assert isinstance(actual, SpikeEvents)
+            expected = oracles.jitter_spikes(
+                counts, sigma, np.random.default_rng(seed)
+            )
+            assert_same_counts(actual.to_dense().counts, expected)
 
 
 def test_binomial_of_zero_draws_nothing():

@@ -48,7 +48,7 @@ class TestSpikeTrainProperties:
     @given(counts=count_arrays, sigma=st.floats(min_value=0.0, max_value=5.0))
     def test_jitter_with_clip_preserves_spike_count(self, counts, sigma):
         train = SpikeTrainArray(counts)
-        noisy = train.jitter_spikes(sigma, rng=0, mode="clip")
+        noisy = train.jitter_spikes(sigma, rng=0)
         assert noisy.total_spikes() == train.total_spikes()
 
     @SETTINGS
@@ -72,13 +72,6 @@ class TestSpikeTrainProperties:
         assert jittered.num_steps == coder.period
         assert np.array_equal(jittered.counts.sum(axis=0), clean.counts.sum(axis=0))
         assert jittered.counts.max(initial=0) <= MAX_SPIKE_COUNT
-
-    @SETTINGS
-    @given(counts=count_arrays, sigma=st.floats(min_value=0.0, max_value=5.0))
-    def test_jitter_with_drop_never_adds_spikes(self, counts, sigma):
-        train = SpikeTrainArray(counts)
-        noisy = train.jitter_spikes(sigma, rng=0, mode="drop")
-        assert noisy.total_spikes() <= train.total_spikes()
 
     @SETTINGS
     @given(counts=count_arrays)

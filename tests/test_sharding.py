@@ -34,11 +34,10 @@ from repro.execution import (
     evaluate_plan,
     evaluate_plans,
     merge_shard_results,
-    resolve_sweep_shards,
     shard_fingerprint,
 )
 from repro.execution import engine as engine_module
-from repro.execution.engine import SWEEP_SHARDS_ENV, network_hash_for
+from repro.execution.engine import network_hash_for
 from repro.execution.plan import evaluate_plan as real_evaluate_plan
 from repro.experiments import prepare_workload, run_sweep
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
@@ -462,9 +461,9 @@ class TestShardFailures:
             return real_evaluate_plan(plan, workload)
 
         monkeypatch.setattr(EvaluationPlan, "evaluate", doomed)
-        monkeypatch.setenv("REPRO_CELL_RETRIES", "1")
         result = run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, shards=3,
+            retries=1,
         )
         curve = result.curve("TTFS")
         assert np.isnan(curve.accuracy_at(0.5))
@@ -565,26 +564,21 @@ class TestAutoShard:
         assert forced_off.stats.sharded_cells == 0
         assert forced_off.stats.evaluated_shards == 0
 
-    def test_resolve_sweep_shards(self, monkeypatch):
-        monkeypatch.delenv(SWEEP_SHARDS_ENV, raising=False)
-        assert resolve_sweep_shards() is None
-        assert resolve_sweep_shards(4) == 4
-        monkeypatch.setenv(SWEEP_SHARDS_ENV, "6")
-        assert resolve_sweep_shards() == 6
-        assert resolve_sweep_shards(2) == 2  # argument beats env
-        monkeypatch.setenv(SWEEP_SHARDS_ENV, "banana")
-        with pytest.raises(ValueError, match=SWEEP_SHARDS_ENV):
-            resolve_sweep_shards()
-        monkeypatch.delenv(SWEEP_SHARDS_ENV, raising=False)
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_sweep_shards(0)
+    def test_shard_count_below_one_is_refused(self, tiny_workload):
+        config = tiny_config(methods=(MethodSpec(coding="ttfs"),), levels=(0.5,))
+        ref, plans = _compile(config)
+        for shards in (0, -2):
+            with pytest.raises(ValueError, match=">= 1"):
+                evaluate_plans(
+                    plans, store=False, workloads={ref: tiny_workload},
+                    shards=shards,
+                )
 
-    def test_env_flows_through_run_noise_sweep(self, tiny_workload, monkeypatch):
+    def test_shards_flow_through_run_sweep(self, tiny_workload):
         config = tiny_config(methods=(MethodSpec(coding="ttfs"),),
                              levels=(0.5,), batch_size=4)
         reference = run_sweep(config, workload=tiny_workload, eval_size=12)
-        monkeypatch.setenv(SWEEP_SHARDS_ENV, "3")
-        sharded = run_sweep(config, workload=tiny_workload, eval_size=12)
+        sharded = run_sweep(config, workload=tiny_workload, eval_size=12, shards=3)
         assert sharded.stats.sharded_cells == 1
         assert sharded.stats.evaluated_shards == 3
         for ref_curve, cand_curve in zip(reference.curves, sharded.curves):

@@ -3,10 +3,11 @@
 The simulator's contract is exactness against the time-outer reference loop
 (:func:`oracles.run_stepped`): identical spike trains and spike counts,
 readout potentials equal up to float summation order.  The matrix below
-exercises all three neuron models, both readout modes, spike recording
-on/off, several batch shapes (including partial batches), zero- and
-non-zero-preserving transforms, plus the sweep-level integration of
-``simulator="timestep"`` cells through the executor engine and result store.
+exercises all three neuron models, a readout with no, full-window or
+stopped bias, spike recording on/off, several batch shapes (including
+partial batches), zero- and non-zero-preserving transforms, plus the
+sweep-level integration of ``simulator="timestep"`` cells through the
+executor engine and result store.
 """
 
 import tracemalloc
@@ -161,24 +162,36 @@ class TestNeuronAdvance:
 # ---------------------------------------------------------------------------
 # Simulator vs the stepped oracle
 # ---------------------------------------------------------------------------
-def hand_built_simulator(neuron_factory, num_steps, readout_mode, rng):
+#: Readout bias cases as ``(has_bias, bias_stop)``: none, injected on every
+#: step, or only on the first ``bias_stop`` steps of the window.
+READOUT_BIASES = {
+    "no-bias": (False, None),
+    "full-bias": (True, None),
+    "stopped-bias": (True, 10),
+}
+
+
+def hand_built_simulator(neuron_factory, num_steps, rng, readout_bias="no-bias"):
     """Two spiking layers + readout with random dense transforms."""
     w1 = rng.normal(0.0, 0.6, size=(6, 5))
     w2 = rng.normal(0.0, 0.6, size=(5, 4))
     w3 = rng.normal(0.0, 0.6, size=(4, 3))
+    has_bias, readout_stop = READOUT_BIASES[readout_bias]
+    readout_bias_row = rng.normal(0.0, 0.05, size=(1, 3)) if has_bias else None
     layers = [
         SimulatorLayer(transform=lambda psc: psc @ w1,
                        neuron=neuron_factory(), name="hidden0"),
         SimulatorLayer(transform=lambda psc: psc @ w2,
                        neuron=neuron_factory(), name="hidden1",
                        step_bias=rng.normal(0.0, 0.01, size=(1, 4))),
-        SimulatorLayer(transform=lambda psc: psc @ w3, neuron=None, name="readout"),
+        SimulatorLayer(transform=lambda psc: psc @ w3, neuron=None, name="readout",
+                       step_bias=readout_bias_row,
+                       bias_stop=readout_stop),
     ]
     return TimeSteppedSimulator(
         layers, num_steps,
         input_kernel=np.full(num_steps, 1.0 / num_steps),
         hidden_kernel=np.full(num_steps, 0.3),
-        readout_mode=readout_mode,
     )
 
 
@@ -195,13 +208,13 @@ def assert_records_match(stepped, fused, atol=1e-6):
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("neuron", ["if-subtract", "ttfs", "ifb"])
-    @pytest.mark.parametrize("readout_mode", ["batched", "per-step"])
+    @pytest.mark.parametrize("readout_bias", sorted(READOUT_BIASES))
     @pytest.mark.parametrize("record_spikes", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_matrix_hand_built(self, neuron, readout_mode, record_spikes, batch, rng):
+    def test_matrix_hand_built(self, neuron, readout_bias, record_spikes, batch, rng):
         simulator = hand_built_simulator(
-            NEURON_FACTORIES[neuron], num_steps=24, readout_mode=readout_mode,
-            rng=rng,
+            NEURON_FACTORIES[neuron], num_steps=24, rng=rng,
+            readout_bias=readout_bias,
         )
         coder = RateCoder(num_steps=24)
         values = rng.random((batch, 6))
@@ -253,7 +266,7 @@ class TestEngineEquivalence:
     def test_all_zero_input_window(self):
         simulator = hand_built_simulator(
             NEURON_FACTORIES["if-subtract"], num_steps=8,
-            readout_mode="batched", rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0),
         )
         train = SpikeTrainArray.zeros(8, (2, 6))
         stepped = run_stepped(simulator, train)
@@ -722,7 +735,7 @@ class _AffineTransform(_LinearTransform):
         return psc @ self.weight + self.offset
 
 
-def _windowed_simulator(draw_seed, num_steps, num_hidden, readout_mode):
+def _windowed_simulator(draw_seed, num_steps, num_hidden):
     """Random simulator whose layers carry explicit protocol windows.
 
     Windows are drawn adversarially: possibly empty (off-grid), a single
@@ -794,7 +807,6 @@ def _windowed_simulator(draw_seed, num_steps, num_hidden, readout_mode):
     simulator = TimeSteppedSimulator(
         layers, num_steps,
         input_kernel=np.full(num_steps, 1.0 / num_steps),
-        readout_mode=readout_mode,
     )
     batch = int(rng.integers(1, 4))
     counts = rng.integers(0, 3, size=(num_steps, batch, 5)).astype(np.int16)
@@ -816,15 +828,10 @@ class TestWindowedEquivalence:
         seed=hyp_st.integers(min_value=0, max_value=2**32 - 1),
         num_steps=hyp_st.integers(min_value=4, max_value=28),
         num_hidden=hyp_st.integers(min_value=1, max_value=3),
-        readout_mode=hyp_st.sampled_from(["batched", "per-step"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_windows_bit_identical(
-        self, seed, num_steps, num_hidden, readout_mode
-    ):
-        simulator, train = _windowed_simulator(
-            seed, num_steps, num_hidden, readout_mode
-        )
+    def test_random_windows_bit_identical(self, seed, num_steps, num_hidden):
+        simulator, train = _windowed_simulator(seed, num_steps, num_hidden)
 
         def faults():
             # Half the draws run with fresh, identically seeded fault masks.
@@ -853,7 +860,7 @@ class TestWindowedEquivalence:
     @given(seed=hyp_st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_events_input_matches_dense_input(self, seed):
-        simulator, train = _windowed_simulator(seed, 16, 2, "batched")
+        simulator, train = _windowed_simulator(seed, 16, 2)
         from_dense = simulator.run(train, record_spikes=True)
         from_events = simulator.run(train.to_events(), record_spikes=True)
         assert from_dense.spike_counts == from_events.spike_counts

@@ -138,15 +138,8 @@ class TestJitter:
     def test_spike_count_preserved_with_clip(self):
         counts = (np.random.default_rng(0).random((20, 30)) < 0.3).astype(np.int16)
         train = SpikeTrainArray(counts)
-        jittered = train.jitter_spikes(2.0, rng=1, mode="clip")
+        jittered = train.jitter_spikes(2.0, rng=1)
         assert jittered.total_spikes() == train.total_spikes()
-
-    def test_drop_mode_can_lose_spikes(self):
-        counts = np.zeros((4, 100), dtype=np.int16)
-        counts[0] = 1  # all spikes at the very first step
-        train = SpikeTrainArray(counts)
-        jittered = train.jitter_spikes(3.0, rng=0, mode="drop")
-        assert jittered.total_spikes() < train.total_spikes()
 
     def test_spikes_actually_move(self):
         counts = np.zeros((20, 200), dtype=np.int16)
@@ -167,8 +160,6 @@ class TestJitter:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             simple_train().jitter_spikes(-1.0)
-        with pytest.raises(ValueError):
-            simple_train().jitter_spikes(1.0, mode="wrap")
 
     def test_empty_train(self):
         train = SpikeTrainArray.zeros(5, (3,))

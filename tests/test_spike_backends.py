@@ -199,15 +199,8 @@ class TestStochasticOps:
 
     def test_jitter_clip_preserves_spike_count(self):
         events = random_train(seed=1).to_events()
-        jittered = events.jitter_spikes(2.0, rng=1, mode="clip")
+        jittered = events.jitter_spikes(2.0, rng=1)
         assert jittered.total_spikes() == events.total_spikes()
-
-    def test_jitter_drop_can_lose_spikes(self):
-        counts = np.zeros((4, 100), dtype=np.int16)
-        counts[0] = 1
-        events = SpikeTrainArray(counts).to_events()
-        jittered = events.jitter_spikes(3.0, rng=0, mode="drop")
-        assert jittered.total_spikes() < events.total_spikes()
 
     def test_jitter_mean_shift_is_small(self):
         counts = np.zeros((41, 500), dtype=np.int16)
@@ -231,8 +224,6 @@ class TestStochasticOps:
         assert events.jitter_spikes(0.0, rng=0) == events
         with pytest.raises(ValueError):
             events.jitter_spikes(-1.0)
-        with pytest.raises(ValueError):
-            events.jitter_spikes(1.0, mode="wrap")
         empty = SpikeEvents.zeros(5, (3,))
         assert empty.jitter_spikes(2.0, rng=0).total_spikes() == 0
 

@@ -314,7 +314,6 @@ def old_style_rate_simulator(network, coder, batch_input_shape, threshold,
         num_steps=coder.num_steps,
         input_kernel=coder.step_weights() * float(kernel_scale),
         hidden_kernel=np.full(coder.num_steps, threshold * float(kernel_scale)),
-        readout_mode="batched",
     )
 
 
