@@ -10,10 +10,12 @@
 # Phase on the faithful simulator, whose input noise runs the dense jitter
 # kernel, `fig4` TTFS/TTAS on the faithful simulator's TTFS and IFB neuron
 # scans, and on cifar10, whose conv net average-pools, `fig2` Phase/TTFS
-# on the faithful simulator and `table1` on the transport evaluator) and an
-# attack-cell batch (`adv-delete` on TTFS, whose scorer runs on event
-# lists, and Rate, whose scorer's deeper interfaces run on dense trains)
-# are written to a fresh store; all are then re-run at HEAD, and
+# on the faithful simulator and `table1` on the transport evaluator), a
+# faithful `fault-stuck` batch (per-layer dead/stuck masks on the
+# `("fault", i)` streams) and two attack-cell batches (`adv-delete` on TTFS,
+# whose scorer runs on event lists, and Rate, whose scorer's deeper
+# interfaces run on dense trains; and `adv-delete` transfer-evaluated on the
+# faithful simulator) are written to a fresh store; all are then re-run at HEAD, and
 # no cell document may be newer than a sentinel touched in between.  The
 # same sweeps then run at HEAD into a second fresh store, and every cell's
 # `result` block must equal the parent's for the same fingerprint:
@@ -70,6 +72,12 @@ sweeps() {
   PYTHONPATH="$1/src" python -m repro figure --name adv-delete --dataset mnist \
     --budgets 0 2 --methods TTFS Rate --scale test --eval-size 8 \
     --result-store "$2" > /dev/null
+  PYTHONPATH="$1/src" python -m repro figure --name fault-stuck --dataset mnist \
+    --methods Rate+WS Phase+WS TTFS+WS "TTAS(5)+WS" --scale test --eval-size 8 \
+    --simulator timestep --result-store "$2" > /dev/null
+  PYTHONPATH="$1/src" python -m repro figure --name adv-delete --dataset mnist \
+    --budgets 0 2 --methods Rate Phase TTFS "TTAS(5)" --scale test \
+    --eval-size 8 --simulator timestep --result-store "$2" > /dev/null
 }
 
 sweeps "$BASE" "$STORE"

@@ -35,7 +35,7 @@ __version__ = "1.0.0"
 
 from repro.core.pipeline import EvaluationResult, NoiseRobustSNN
 from repro.core.weight_scaling import WeightScaling
-from repro.coding.registry import create_coder, get_coder
+from repro.coding.registry import create_coder
 
 __all__ = [
     "__version__",
@@ -43,5 +43,4 @@ __all__ = [
     "EvaluationResult",
     "WeightScaling",
     "create_coder",
-    "get_coder",
 ]

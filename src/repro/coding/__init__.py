@@ -11,8 +11,7 @@ fifth:
 * :class:`TTFSCoder`   -- time-to-first-spike code (Park et al. DAC 2020),
 * :class:`TTASCoder`   -- time-to-average-spike code, the paper's contribution.
 
-Use :func:`get_coder` / :func:`repro.coding.registry.create_coder` to build a
-coder by name.
+Use :func:`create_coder` to build a coder by name.
 
 Each coder also publishes its faithful-simulator contract -- the per-layer
 temporal protocol of :mod:`repro.coding.protocol` -- through
@@ -20,7 +19,7 @@ temporal protocol of :mod:`repro.coding.protocol` -- through
 correspondence raise :class:`UnsupportedCoderError` there.
 """
 
-from repro.coding.base import CoderConfig, NeuralCoder
+from repro.coding.base import NeuralCoder
 from repro.coding.protocol import (
     InterfaceProtocol,
     SimulationProtocol,
@@ -36,14 +35,11 @@ from repro.coding.registry import (
     CODER_NAMES,
     available_coders,
     create_coder,
-    get_coder,
-    register_coder,
     timestep_support,
 )
 
 __all__ = [
     "NeuralCoder",
-    "CoderConfig",
     "InterfaceProtocol",
     "SimulationProtocol",
     "UnsupportedCoderError",
@@ -57,6 +53,4 @@ __all__ = [
     "CODER_NAMES",
     "available_coders",
     "create_coder",
-    "get_coder",
-    "register_coder",
 ]

@@ -12,7 +12,6 @@ cannot fire before step 0 -- and it is what turns the weight-scaling
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -24,29 +23,6 @@ from repro.snn.neurons import SpikingNeuron
 from repro.snn.spikes import SpikeTrain, SpikeTrainArray
 from repro.utils.rng import RngLike, default_rng
 from repro.utils.validation import check_non_negative, check_positive
-
-
-@dataclass(frozen=True)
-class CoderConfig:
-    """Common configuration shared by every coder.
-
-    Attributes
-    ----------
-    num_steps:
-        Length of the encoding time window ``T``.
-    threshold:
-        Firing threshold used when the coder instantiates spiking neurons for
-        the time-stepped simulator; defaults to the paper's empirical value
-        for the coding scheme.
-    """
-
-    num_steps: int
-    threshold: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        check_positive("num_steps", self.num_steps)
-        if self.threshold is not None:
-            check_positive("threshold", self.threshold)
 
 
 class ClassCounts(SpikeTrainArray):
@@ -95,21 +71,6 @@ class NeuralCoder:
     #: matrix.
     timestep_note: str = (
         "no faithful per-layer neuron correspondence is defined for this "
-        "coding scheme"
-    )
-
-    #: Whether the adversarial spike-timing attack engine
-    #: (:mod:`repro.noise.adversarial`) can search this coding's input
-    #: trains.  Requires an encoding whose decode is a pure function of the
-    #: train (every built-in coder qualifies); class-level so attack configs
-    #: can validate methods by name without instantiating.
-    supports_adversarial: bool = False
-
-    #: One-line statement of the attack surface (when supported) or of the
-    #: capability gap (when not) -- surfaced in errors and the README
-    #: support matrix.
-    adversarial_note: str = (
-        "no budgeted spike-timing perturbation space is defined for this "
         "coding scheme"
     )
 

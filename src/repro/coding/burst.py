@@ -51,14 +51,6 @@ class BurstCoder(PeriodicCoder):
         "different code, so the bridge refuses rather than approximating"
     )
 
-    supports_adversarial = True
-    adversarial_note = (
-        "geometric kernel: intra-burst position sets a spike's decoded "
-        "weight, so shifting or deleting the leading spikes of a burst is "
-        "disproportionately damaging (transport evaluator only -- burst has "
-        "no faithful simulator, so no transfer evaluation exists)"
-    )
-
     def __init__(
         self,
         num_steps: int = 64,

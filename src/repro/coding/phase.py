@@ -48,13 +48,6 @@ class PhaseCoder(PeriodicCoder):
         "fill), sharing the global oscillator"
     )
 
-    supports_adversarial = True
-    adversarial_note = (
-        "binary-weighted phases: a spike's decoded weight is 2^-(1 + t mod "
-        "K), so shifting a spike across phase slots re-weights it by powers "
-        "of two -- the most-significant slots are the natural targets"
-    )
-
     def __init__(self, num_steps: int = 64, period: int = 8):
         super().__init__(num_steps, period)
         self._kernel = PhaseKernel(period=self.period)

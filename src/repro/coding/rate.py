@@ -40,13 +40,6 @@ class RateCoder(NeuralCoder):
         "shared window transport activations faithfully"
     )
 
-    supports_adversarial = True
-    adversarial_note = (
-        "constant kernel: every spike carries weight 1/T, so deletions and "
-        "insertions shift the decoded rate by exactly 1/T and time shifts "
-        "are decode-neutral (they matter only on the faithful simulator)"
-    )
-
     #: A constant kernel is one weight class.
     has_class_encoding = True
 

@@ -34,18 +34,6 @@ CODER_NAMES: List[str] = ["rate", "phase", "burst", "ttfs", "ttas"]
 _TTAS_PATTERN = re.compile(r"^ttas\((\d+)\)$")
 
 
-def register_coder(name: str, factory: CoderFactory, overwrite: bool = False) -> None:
-    """Register a new coder factory under ``name``.
-
-    Raises ``ValueError`` when the name is already taken and ``overwrite`` is
-    False.
-    """
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise ValueError(f"coder {name!r} is already registered")
-    _REGISTRY[key] = factory
-
-
 def available_coders() -> List[str]:
     """Names of every registered coder."""
     return sorted(_REGISTRY)
@@ -87,27 +75,3 @@ def timestep_support(name: str) -> Tuple[bool, str]:
         bool(getattr(factory, "supports_timestep", False)),
         str(getattr(factory, "timestep_note", "")),
     )
-
-
-def adversarial_support(name: str) -> Tuple[bool, str]:
-    """Whether the adversarial attack engine can search a coding's trains.
-
-    Returns ``(supported, note)`` resolved from the coder class's
-    ``supports_adversarial`` / ``adversarial_note`` attributes, mirroring
-    :func:`timestep_support`: attack configs validate their methods by name,
-    without instantiating coders.  Accepts the ``"ttas(k)"`` shorthand.
-    """
-    key = name.lower().strip()
-    if _TTAS_PATTERN.match(key):
-        key = "ttas"
-    if key not in _REGISTRY:
-        raise ValueError(f"unknown coder {name!r}; available: {available_coders()}")
-    factory = _REGISTRY[key]
-    return (
-        bool(getattr(factory, "supports_adversarial", False)),
-        str(getattr(factory, "adversarial_note", "")),
-    )
-
-
-# ``get_coder`` is the name used throughout the examples; keep both spellings.
-get_coder = create_coder

@@ -63,13 +63,6 @@ class TTASCoder(NeuralCoder):
         "emission kernels exactly as the paper folds it into the weights"
     )
 
-    supports_adversarial = True
-    adversarial_note = (
-        "t_a spikes share each neuron's value: the per-spike damage of a "
-        "deletion is 1/t_a of the TTFS case, which is exactly the "
-        "redundancy-vs-latency trade the worst-case curves quantify"
-    )
-
     def __init__(
         self,
         num_steps: int = 64,

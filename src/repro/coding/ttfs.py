@@ -59,13 +59,6 @@ class TTFSCoder(NeuralCoder):
         "kernel weight theta * exp(-dt/tau) decodes the membrane it crossed"
     )
 
-    supports_adversarial = True
-    adversarial_note = (
-        "one spike per neuron with exponential significance: deleting a "
-        "spike erases the neuron's whole value and shifting it later decays "
-        "the decoded activation exponentially -- small budgets go far"
-    )
-
     def __init__(self, num_steps: int = 64, min_value: float = 0.02):
         super().__init__(num_steps)
         check_probability("min_value", min_value)

@@ -24,10 +24,12 @@ import numpy as np
 from repro.coding.base import NeuralCoder
 from repro.conversion.converter import ConvertedSNN, convert_dnn_to_snn
 from repro.core.servable import ServableModel
-from repro.core.timestep import evaluate_timestep
-from repro.core.transport import TransportResult, evaluate_transport
+from repro.core.timestep import TimestepEvaluator
+from repro.core.transport import ActivationTransportSimulator, BatchEvaluator
 from repro.core.weight_scaling import WeightScaling
 from repro.nn.model import Sequential
+from repro.noise.base import SpikeNoise
+from repro.noise.faults import quantize_network
 from repro.noise.injector import NoiseInjector
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative, check_probability
@@ -40,6 +42,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (execution -> pipelin
 #: membrane simulation (any coding with a per-layer temporal protocol --
 #: rate, phase, TTFS, TTAS).
 SIMULATORS = ("transport", "timestep")
+
+
+def make_evaluator(
+    simulator: str,
+    network: ConvertedSNN,
+    coder: NeuralCoder,
+    noise: Optional[SpikeNoise] = None,
+    weight_scaling: Optional[WeightScaling] = None,
+    expected_deletion: float = 0.0,
+    threshold: Optional[float] = None,
+    dead: float = 0.0,
+    stuck: float = 0.0,
+) -> BatchEvaluator:
+    """The evaluator of one simulator name -- the only place that picks one.
+
+    ``threshold``, ``dead`` and ``stuck`` configure the faithful
+    simulator's hidden neurons; the transport evaluator has no neurons and
+    sees dead/stuck faults through ``noise`` alone.
+    """
+    if simulator == "timestep":
+        return TimestepEvaluator(
+            network, coder, noise, weight_scaling, expected_deletion,
+            threshold=threshold, dead=dead, stuck=stuck,
+        )
+    if simulator == "transport":
+        return ActivationTransportSimulator(
+            network, coder, noise, weight_scaling, expected_deletion
+        )
+    raise ValueError(f"simulator must be one of {SIMULATORS}, got {simulator!r}")
 
 
 @dataclass
@@ -128,8 +159,8 @@ class NoiseRobustSNN:
             raise ValueError(
                 f"simulator must be one of {SIMULATORS}, got {simulator!r}"
             )
-        #: The frozen conversion-time artifact (network + memoised coders /
-        #: protocols) shared with the serving layer; a bare ConvertedSNN is
+        #: The frozen conversion-time artifact (network + memoised coders)
+        #: shared with the serving layer; a bare ConvertedSNN is
         #: wrapped on the way in.
         self.servable = ServableModel.wrap(network)
         self.coding = coding
@@ -148,8 +179,8 @@ class NoiseRobustSNN:
 
     @network.setter
     def network(self, value) -> None:
-        # Swapping the network swaps the artifact: the memoised coders and
-        # protocols of the old network must not leak onto the new one.
+        # Swapping the network swaps the artifact: the memoised coders of
+        # the old network must not leak onto the new one.
         self.servable = ServableModel.wrap(value)
 
     # -- construction -------------------------------------------------------------
@@ -288,7 +319,7 @@ class NoiseRobustSNN:
             actual ``deletion`` (the paper scales for the noise level it
             evaluates).
         batch_size:
-            Transport-evaluation batch size.
+            Evaluation batch size (both simulators).
         rng:
             Seed or generator for the stochastic noise.
         dead / stuck / burst_error:
@@ -322,14 +353,7 @@ class NoiseRobustSNN:
         check_probability("burst_error", burst_error)
         network = self.network
         if quant_bits is not None:
-            from repro.noise.faults import quantize_network
-
-            # Quantise here for the transport path; the timestep path defers
-            # to evaluate_timestep's own quant_bits hook (same helper) so its
-            # direct callers get the ablation too.
-            if self.simulator != "timestep":
-                network = quantize_network(network, int(quant_bits))
-        coder = self.make_coder()
+            network = quantize_network(network, int(quant_bits))
         noise = NoiseInjector.from_levels(
             deletion_probability=deletion, jitter_sigma=jitter,
             burst_error_fraction=burst_error,
@@ -337,24 +361,13 @@ class NoiseRobustSNN:
         )
         scaling = self.make_weight_scaling()
         assumed = deletion if expected_deletion is None else expected_deletion
-        kwargs = dict(
-            network=network,
-            coder=coder,
-            x=x,
-            labels=labels,
-            noise=noise,
-            weight_scaling=scaling,
-            expected_deletion=assumed,
-            batch_size=batch_size,
-            rng=rng,
-            sample_offset=sample_offset,
+        evaluator = make_evaluator(
+            self.simulator, network, self.make_coder(), noise, scaling, assumed,
+            dead=dead, stuck=stuck,
         )
-        if self.simulator == "timestep":
-            result: TransportResult = evaluate_timestep(
-                dead=dead, stuck=stuck, quant_bits=quant_bits, **kwargs
-            )
-        else:
-            result = evaluate_transport(**kwargs)
+        result = evaluator.evaluate(
+            x, labels, batch_size=batch_size, rng=rng, sample_offset=sample_offset
+        )
         return EvaluationResult(
             accuracy=result.accuracy,
             total_spikes=result.total_spikes,

@@ -3,8 +3,7 @@
 A :class:`ServableModel` freezes everything that is fixed at conversion time
 -- the converted network, its calibration scales, the conversion fingerprint
 and the analog reference accuracy -- and memoises the derived objects that
-are expensive to rebuild per request (coders, per-layer simulation
-protocols, evaluator instances).  One instance can be shared by any number
+are expensive to rebuild per request (coders and evaluator instances).  One instance can be shared by any number
 of threads:
 
 * the frozen fields never change after construction,
@@ -87,7 +86,7 @@ class ServableModel:
 
         The pass-through matters: it keeps one memo cache per artifact alive
         across the pipeline facade, the registry and the scheduler instead
-        of rebuilding coders and protocols at every layer boundary.
+        of rebuilding coders and evaluators at every layer boundary.
         """
         if isinstance(network, ServableModel):
             return network
@@ -145,37 +144,6 @@ class ServableModel:
         return self.cached(
             cache_key,
             lambda: create_coder(coding, num_steps=int(num_steps), **coder_kwargs),
-        )
-
-    def simulation_protocol(
-        self,
-        coding: str,
-        num_steps: int,
-        threshold: Optional[float] = None,
-        kernel_scale: float = 1.0,
-        **coder_kwargs,
-    ):
-        """The memoised per-layer simulation protocol of a coder spec.
-
-        The protocol (:class:`repro.coding.protocol.SimulationProtocol`) is
-        pure layout data -- windows, kernels, neuron factories -- derived
-        from the coder and the network's spiking-population count, so one
-        instance serves every simulator build of the spec.
-        """
-        coder = self.coder(coding, num_steps, **coder_kwargs)
-        theta = float(threshold) if threshold is not None else coder.default_threshold()
-        cache_key = (
-            "protocol", coding, int(num_steps), _freeze_kwargs(coder_kwargs),
-            theta, float(kernel_scale),
-        )
-        num_hidden = sum(
-            1 for segment in self.network.segments if segment.ends_with_spikes
-        )
-        return self.cached(
-            cache_key,
-            lambda: coder.simulation_protocol(
-                num_hidden, threshold=theta, kernel_scale=float(kernel_scale)
-            ),
         )
 
     # -- inventory -----------------------------------------------------------------

@@ -24,6 +24,9 @@ whose bounded-burst constraint lives in the encoder, not in a neuron model
 ``TypeError``) from their protocol hook.  The refusal is per capability,
 stated in the error message, which keeps the faithful simulator honest
 without blanket-rejecting every non-rate scheme.
+
+:class:`TimestepEvaluator` runs the built simulator behind the evaluator
+contract both simulators share (:class:`repro.core.transport.BatchEvaluator`).
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ import numpy as np
 
 from repro.coding.base import NeuralCoder
 from repro.conversion.converter import ConvertedSNN, NetworkSegment
-from repro.core.transport import TransportResult
+from repro.core.transport import BatchEvaluator, TransportResult
 from repro.core.weight_scaling import WeightScaling
 from repro.nn.layers import Layer, ReLU
 from repro.noise.base import SpikeNoise
 from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
-from repro.utils.rng import RngLike, derive_rng, derive_rng_at, stream_root
-from repro.utils.validation import check_non_negative, check_positive
+from repro.snn.spikes import SpikeTrain
+from repro.utils.rng import RngLike, default_rng, derive_rng
+from repro.utils.validation import check_positive
 
 
 class _SegmentTransform:
@@ -218,31 +222,17 @@ def build_time_stepped_simulator(
     )
 
 
-def evaluate_timestep(
-    network: ConvertedSNN,
-    coder: NeuralCoder,
-    x: np.ndarray,
-    labels: Optional[np.ndarray] = None,
-    noise: Optional[SpikeNoise] = None,
-    weight_scaling: Optional[WeightScaling] = None,
-    expected_deletion: float = 0.0,
-    threshold: Optional[float] = None,
-    batch_size: int = 16,
-    rng: RngLike = None,
-    dead: float = 0.0,
-    stuck: float = 0.0,
-    sample_offset: int = 0,
-    quant_bits: Optional[int] = None,
-) -> TransportResult:
-    """Evaluate a converted network with the faithful time-stepped simulator.
+class TimestepEvaluator(BatchEvaluator):
+    """The faithful time-stepped simulator behind the evaluator contract.
 
     The step-by-step counterpart of
-    :func:`repro.core.transport.evaluate_transport`, with the same pure
-    function shape so the plan-execution engine can dispatch faithful sweep
-    cells to any worker: every hidden layer is a population of spiking
-    neurons (IF, phase-scheduled IF, TTFS or IFB, per the coder's protocol)
-    advanced through real membrane/threshold/reset dynamics, not an
-    activation transport.
+    :class:`~repro.core.transport.ActivationTransportSimulator`: every
+    hidden layer is a population of spiking neurons (IF, phase-scheduled
+    IF, TTFS or IFB, per the coder's protocol) advanced through real
+    membrane/threshold/reset dynamics, not an activation transport.
+    ``threshold`` overrides the hidden neurons' firing threshold (default:
+    the coder's empirical one); ``dead`` / ``stuck`` are the fractions of
+    broken neuron circuits in every spiking layer.
 
     Faithfulness caveats, stated rather than hidden:
 
@@ -262,87 +252,120 @@ def evaluate_timestep(
       window (one window per layer for TTFS/TTAS, one oscillator period of
       pipeline lag per layer for phase) -- the honest latency cost of
       layer-sequential temporal codes.
+
+    The simulator is built once per per-sample input shape, on the first
+    batch of that shape and before its encode; its bias images carry a
+    singleton batch axis, so one instance runs every batch size.  A
+    simulator holds membrane state during a run: one evaluator must not
+    run two batches at once.
     """
-    check_positive("batch_size", batch_size)
-    check_non_negative("sample_offset", sample_offset)
-    batch_size = int(batch_size)
-    sample_offset = int(sample_offset)
-    x = np.asarray(x, dtype=np.float32)
-    labels = None if labels is None else np.asarray(labels)
-    if np.any(x < 0):
-        raise ValueError(
-            "time-stepped simulation requires non-negative inputs "
-            "(images in [0, 1]); got negative values"
-        )
-    scaling = weight_scaling or WeightScaling.disabled()
-    factor = scaling.factor(float(expected_deletion))
-    num_samples = int(x.shape[0])
-    if quant_bits is not None:
-        # Finite-precision synapses: quantise a *copy* of the network before
-        # the simulator is built, so every per-step transform (and bias
-        # image) runs on the fixed-point weights.  Deterministic -- no RNG
-        # stream is consumed, so all noise realisations match the
-        # full-precision run exactly.
-        from repro.noise.faults import quantize_network
 
-        network = quantize_network(network, int(quant_bits))
-    simulator = build_time_stepped_simulator(
-        network,
-        coder,
-        batch_input_shape=(min(batch_size, max(num_samples, 1)),) + x.shape[1:],
-        threshold=threshold,
-        kernel_scale=factor,
-    )
-    spiking_layers = [layer.name for layer in simulator.layers if layer.neuron is not None]
-    # Per-batch noise streams derive statelessly from the cell root and the
-    # batch's *absolute* sample offset (see
-    # :meth:`ActivationTransportSimulator.evaluate` for the sharding
-    # contract): a shard starting at a batch-aligned offset ``s0`` passes
-    # ``sample_offset=s0`` and reproduces the unsharded run's streams.
-    root = stream_root(rng)
+    def __init__(
+        self,
+        network: ConvertedSNN,
+        coder: NeuralCoder,
+        noise: Optional[SpikeNoise] = None,
+        weight_scaling: Optional[WeightScaling] = None,
+        expected_deletion: float = 0.0,
+        threshold: Optional[float] = None,
+        dead: float = 0.0,
+        stuck: float = 0.0,
+    ):
+        super().__init__(network, coder, noise, weight_scaling, expected_deletion)
+        self.threshold = threshold
+        self.dead = float(dead)
+        self.stuck = float(stuck)
+        self._simulators: Dict[Tuple[int, ...], TimeSteppedSimulator] = {}
 
-    correct = 0
-    total_spikes: Dict[int, int] = {}
-    for start in range(0, num_samples, batch_size):
-        stop = start + batch_size
-        batch = x[start:stop]
-        normalised = batch / network.input_scale
-        generator = derive_rng_at(root, "batch", sample_offset + start)
-        train = coder.encode(
-            normalised,
-            rng=derive_rng(generator, "encode", 0),
-        )
-        if noise is not None:
-            train = noise.apply(train, rng=derive_rng(generator, "noise", 0))
+    def _simulator(self, sample_shape: Tuple[int, ...]) -> TimeSteppedSimulator:
+        """The simulator of one per-sample input shape (built on first use)."""
+        key = tuple(int(s) for s in sample_shape)
+        if key not in self._simulators:
+            self._simulators[key] = build_time_stepped_simulator(
+                self.network,
+                self.coder,
+                batch_input_shape=(1,) + key,
+                threshold=self.threshold,
+                kernel_scale=self.scale_factor,
+            )
+        return self._simulators[key]
+
+    def forward(
+        self,
+        x: Optional[np.ndarray],
+        rng: RngLike = None,
+        input_train: Optional[SpikeTrain] = None,
+    ) -> "tuple[np.ndarray, Dict[int, int]]":
+        """Simulate one batch; returns ``(logits, spikes_per_interface)``.
+
+        Draws from ``rng`` in a fixed order: the input encode
+        (``("encode", 0)``), the input noise (``("noise", 0)``, when a
+        noise model is set), then one dead/stuck mask per spiking layer
+        (``("fault", i)``, when a fault fraction is set).  An injected
+        ``input_train`` skips the encode and the input noise.  The logits
+        are the readout's output potentials; interface ``i`` counts the
+        spikes layer ``i`` emitted (0 = the input train).
+        """
+        x = self._check_batch(x, input_train)
+        generator = default_rng(rng)
+        if input_train is None:
+            simulator = self._simulator(x.shape[1:])
+            train = self.coder.encode(
+                x / self.network.input_scale,
+                rng=derive_rng(generator, "encode", 0),
+            )
+            if self.noise is not None:
+                train = self.noise.apply(train, rng=derive_rng(generator, "noise", 0))
+        else:
+            simulator = self._simulator(input_train.population_shape[1:])
+            train = input_train
+        spiking_layers = [
+            layer.name for layer in simulator.layers if layer.neuron is not None
+        ]
         layer_faults = None
-        if dead > 0.0 or stuck > 0.0:
+        if self.dead > 0.0 or self.stuck > 0.0:
             # One persistent mask per spiking layer per batch, on streams
             # keyed like the transport evaluator's per-interface noise.
-            # The derivations only happen when a fault is enabled, so the
-            # clean path consumes the exact same RNG sequence as before.
             layer_faults = {
                 name: LayerFaultMask(
-                    dead_fraction=dead,
-                    stuck_fraction=stuck,
+                    dead_fraction=self.dead,
+                    stuck_fraction=self.stuck,
                     rng=derive_rng(generator, "fault", interface),
                 )
                 for interface, name in enumerate(spiking_layers, start=1)
             }
         record = simulator.run(train, layer_faults=layer_faults)
-        if labels is not None:
-            correct += int((record.predictions == labels[start:stop]).sum())
-        total_spikes[0] = total_spikes.get(0, 0) + train.total_spikes()
+        spikes_per_interface = {0: train.total_spikes()}
         for interface, name in enumerate(spiking_layers, start=1):
-            total_spikes[interface] = (
-                total_spikes.get(interface, 0) + record.spike_counts[name]
-            )
+            spikes_per_interface[interface] = record.spike_counts[name]
+        return np.asarray(record.output_potential), spikes_per_interface
 
-    accuracy = (
-        correct / num_samples if labels is not None and num_samples else float("nan")
-    )
-    return TransportResult(
-        accuracy=accuracy,
-        total_spikes=int(sum(total_spikes.values())),
-        spikes_per_interface=total_spikes,
-        num_samples=num_samples,
-    )
+
+def evaluate_timestep(
+    network: ConvertedSNN,
+    coder: NeuralCoder,
+    x: np.ndarray,
+    labels: Optional[np.ndarray] = None,
+    noise: Optional[SpikeNoise] = None,
+    weight_scaling: Optional[WeightScaling] = None,
+    expected_deletion: float = 0.0,
+    threshold: Optional[float] = None,
+    batch_size: int = 16,
+    rng: RngLike = None,
+    dead: float = 0.0,
+    stuck: float = 0.0,
+    sample_offset: int = 0,
+) -> TransportResult:
+    """Evaluate a converted network with the faithful time-stepped simulator.
+
+    Constructs a :class:`TimestepEvaluator` and runs the batch loop it
+    shares with :func:`repro.core.transport.evaluate_transport`, so the
+    per-batch streams, the sharding contract (``sample_offset``) and the
+    spike accounting are those of the transport evaluator.  Quantised
+    synapses are the caller's copy of the network
+    (:func:`repro.noise.faults.quantize_network`).
+    """
+    return TimestepEvaluator(
+        network, coder, noise, weight_scaling, expected_deletion,
+        threshold=threshold, dead=dead, stuck=stuck,
+    ).evaluate(x, labels, batch_size=batch_size, rng=rng, sample_offset=sample_offset)

@@ -59,11 +59,16 @@ These cases keep the time-resolved path, on the representation the coder's
   :func:`repro.core.timestep.evaluate_timestep` (``--simulator timestep``),
   which runs neurons over real steps.
 
-Two entry points are provided: the :class:`ActivationTransportSimulator`
-class for callers that evaluate one configuration repeatedly, and the pure
-function :func:`evaluate_transport` -- everything passed explicitly, nothing
-closure-captured -- which is what the plan-execution engine
-(:mod:`repro.execution`) runs inside worker processes.
+Both simulators sit behind one contract, :class:`BatchEvaluator`:
+``forward(x, rng, input_train=None) -> (logits, spikes_per_interface)``
+runs one batch on the generator it is handed, and the shared
+:meth:`BatchEvaluator.evaluate` loop derives each batch's generator from
+its absolute sample offset and sums accuracy and spike counts.
+:class:`ActivationTransportSimulator` is this module's implementation and
+:class:`repro.core.timestep.TimestepEvaluator` the faithful one;
+:func:`repro.core.pipeline.make_evaluator` is the one place that picks
+between them by name.  :func:`evaluate_transport` constructs and evaluates
+in one pure call -- everything passed explicitly, nothing closure-captured.
 """
 
 from __future__ import annotations
@@ -115,8 +120,16 @@ class TransportResult:
         return self.total_spikes / self.num_samples
 
 
-class ActivationTransportSimulator:
-    """Fast evaluator of a converted SNN under a coder + noise model.
+class BatchEvaluator:
+    """The evaluator contract both simulators share, and its one batch loop.
+
+    A subclass implements :meth:`forward` -- one batch in, ``(logits,
+    spikes_per_interface)`` out -- drawing every random choice from the
+    generator it is handed; :meth:`evaluate` derives that generator per
+    batch and accumulates accuracy and spike counts.  The two subclasses are
+    :class:`ActivationTransportSimulator` and the faithful
+    :class:`~repro.core.timestep.TimestepEvaluator`;
+    :func:`repro.core.pipeline.make_evaluator` picks one by simulator name.
 
     Parameters
     ----------
@@ -125,7 +138,7 @@ class ActivationTransportSimulator:
     coder:
         Neural coder used at every spiking interface.
     noise:
-        Optional spike-train noise model applied at every interface.
+        Optional spike-train noise model.
     weight_scaling:
         Optional weight-scaling policy; its factor is computed from
         ``expected_deletion`` (the deployment-time estimate of the deletion
@@ -133,15 +146,6 @@ class ActivationTransportSimulator:
         paper).
     expected_deletion:
         Deletion probability the weight scaling should compensate for.
-    encode_input:
-        Also encode the network input as spikes (default True; the paper's
-        noise acts on every spike train, input included).
-
-    Each interface of the time-resolved path carries the train the coder's
-    ``encode`` returns; for TTFS/TTAS that is an event list, so the encode
-    -> corrupt -> decode chain never materialises the dense ``(T, N)``
-    grid.  An injected ``input_train`` (see :meth:`forward`) may use either
-    representation.
     """
 
     def __init__(
@@ -151,102 +155,50 @@ class ActivationTransportSimulator:
         noise: Optional[SpikeNoise] = None,
         weight_scaling: Optional[WeightScaling] = None,
         expected_deletion: float = 0.0,
-        encode_input: bool = True,
     ):
         self.network = network
         self.coder = coder
         self.noise = noise
         self.weight_scaling = weight_scaling or WeightScaling.disabled()
         self.expected_deletion = float(expected_deletion)
-        self.encode_input = bool(encode_input)
 
     @property
     def scale_factor(self) -> float:
         """Weight-scaling factor ``C`` in effect for this evaluator."""
         return self.weight_scaling.factor(self.expected_deletion)
 
-    # -- forward -----------------------------------------------------------------
+    @staticmethod
+    def _check_batch(
+        x: Optional[np.ndarray], input_train: Optional[SpikeTrain]
+    ) -> Optional[np.ndarray]:
+        """``x`` as float32; refuses a batch with no input or negative values."""
+        if x is None:
+            if input_train is None:
+                raise ValueError("forward needs either x or input_train")
+            return None
+        x = np.asarray(x, dtype=np.float32)
+        if np.any(x < 0):
+            raise ValueError(
+                "spiking simulation requires non-negative inputs "
+                "(images in [0, 1]); got negative values"
+            )
+        return x
+
     def forward(
         self,
         x: Optional[np.ndarray],
         rng: RngLike = None,
-        input_train: Optional["SpikeTrain"] = None,
+        input_train: Optional[SpikeTrain] = None,
     ) -> "tuple[np.ndarray, Dict[int, int]]":
-        """Run one batch through the noisy spiking network.
+        """Run one batch; returns ``(logits, spikes_per_interface)``.
 
         When ``input_train`` is given it is used verbatim as the interface-0
-        spike train: the normalise/encode/noise chain is skipped for the
-        input interface (deeper interfaces behave as usual) and ``x`` may be
-        ``None``.  This is the injection point of the adversarial attack
-        engine, which hands the evaluator a pre-perturbed train -- the same
-        injection point on both evaluators, so an attack found here transfers
-        unchanged to the faithful time-stepped simulation.
-
-        Without ``input_train``, a coder with a class encoding under noise
-        that :attr:`~repro.noise.base.SpikeNoise.acts_on_classes` runs every
-        interface on per-class spike counts (the class path of the module
-        docstring).
-
-        Returns ``(logits, spikes_per_interface)``.
+        spike train (no encode and no input noise) and ``x`` may be
+        ``None``: the injection point of the adversarial attack engine,
+        shared by both simulators so an attack found on one transfers
+        unchanged to the other.
         """
-        if x is None:
-            if input_train is None:
-                raise ValueError("forward needs either x or input_train")
-        else:
-            x = np.asarray(x, dtype=np.float32)
-            if np.any(x < 0):
-                raise ValueError(
-                    "transport simulation requires non-negative inputs "
-                    "(images in [0, 1]); got negative values"
-                )
-        generator = default_rng(rng)
-        factor = self.scale_factor
-        spikes_per_interface: Dict[int, int] = {}
-        class_path = (
-            input_train is None
-            and self.coder.has_class_encoding
-            and (self.noise is None or self.noise.acts_on_classes)
-        )
-
-        activations = x
-        scale = self.network.input_scale
-        for interface_index, segment in enumerate(self.network.segments):
-            supplied = input_train if interface_index == 0 else None
-            skip_encoding = (
-                interface_index == 0 and not self.encode_input and supplied is None
-            )
-            if skip_encoding:
-                psc = activations if factor == 1.0 else activations * factor
-            else:
-                if supplied is not None:
-                    train = supplied
-                else:
-                    normalised = activations / scale
-                    if class_path:
-                        # Class encodings are deterministic: no encode stream.
-                        train = self.coder.encode_classes(normalised)
-                    else:
-                        train = self.coder.encode(
-                            normalised,
-                            rng=derive_rng(generator, "encode", interface_index),
-                        )
-                    if self.noise is not None:
-                        train = self.noise.apply(
-                            train, rng=derive_rng(generator, "noise", interface_index)
-                        )
-                spikes_per_interface[interface_index] = train.total_spikes()
-                # Decode is the batched per-step (or per-class) weighted sum;
-                # the calibration scale and weight-scaling factor fold into
-                # one multiply instead of two full-tensor passes.
-                decoded = (
-                    self.coder.decode_classes(train) if class_path
-                    else self.coder.decode(train)
-                )
-                psc = decoded * (scale * factor)
-            activations = segment.forward(np.asarray(psc, dtype=np.float32))
-            if segment.ends_with_spikes:
-                scale = segment.activation_scale
-        return activations, spikes_per_interface
+        raise NotImplementedError
 
     # -- evaluation ----------------------------------------------------------------
     def evaluate(
@@ -304,6 +256,80 @@ class ActivationTransportSimulator:
         )
 
 
+
+class ActivationTransportSimulator(BatchEvaluator):
+    """Fast evaluator of a converted SNN under a coder + noise model.
+
+    The noise model corrupts every interface train, input included (the
+    paper's noise acts on every spike transmission).  Each interface of the
+    time-resolved path carries the train the coder's ``encode`` returns;
+    for TTFS/TTAS that is an event list, so the encode -> corrupt -> decode
+    chain never materialises the dense ``(T, N)`` grid.  An injected
+    ``input_train`` (see :meth:`BatchEvaluator.forward`) may use either
+    representation.
+    """
+
+    def forward(
+        self,
+        x: Optional[np.ndarray],
+        rng: RngLike = None,
+        input_train: Optional[SpikeTrain] = None,
+    ) -> "tuple[np.ndarray, Dict[int, int]]":
+        """Run one batch through the noisy spiking network.
+
+        An injected ``input_train`` replaces the normalise/encode/noise
+        chain of the input interface only; deeper interfaces behave as
+        usual.  Without it, a coder with a class encoding under noise that
+        :attr:`~repro.noise.base.SpikeNoise.acts_on_classes` runs every
+        interface on per-class spike counts (the class path of the module
+        docstring).
+
+        Returns ``(logits, spikes_per_interface)``.
+        """
+        x = self._check_batch(x, input_train)
+        generator = default_rng(rng)
+        factor = self.scale_factor
+        spikes_per_interface: Dict[int, int] = {}
+        class_path = (
+            input_train is None
+            and self.coder.has_class_encoding
+            and (self.noise is None or self.noise.acts_on_classes)
+        )
+
+        activations = x
+        scale = self.network.input_scale
+        for interface_index, segment in enumerate(self.network.segments):
+            if interface_index == 0 and input_train is not None:
+                train = input_train
+            else:
+                normalised = activations / scale
+                if class_path:
+                    # Class encodings are deterministic: no encode stream.
+                    train = self.coder.encode_classes(normalised)
+                else:
+                    train = self.coder.encode(
+                        normalised,
+                        rng=derive_rng(generator, "encode", interface_index),
+                    )
+                if self.noise is not None:
+                    train = self.noise.apply(
+                        train, rng=derive_rng(generator, "noise", interface_index)
+                    )
+            spikes_per_interface[interface_index] = train.total_spikes()
+            # Decode is the batched per-step (or per-class) weighted sum;
+            # the calibration scale and weight-scaling factor fold into
+            # one multiply instead of two full-tensor passes.
+            decoded = (
+                self.coder.decode_classes(train) if class_path
+                else self.coder.decode(train)
+            )
+            psc = decoded * (scale * factor)
+            activations = segment.forward(np.asarray(psc, dtype=np.float32))
+            if segment.ends_with_spikes:
+                scale = segment.activation_scale
+        return activations, spikes_per_interface
+
+
 def evaluate_transport(
     network: ConvertedSNN,
     coder: NeuralCoder,
@@ -312,7 +338,6 @@ def evaluate_transport(
     noise: Optional[SpikeNoise] = None,
     weight_scaling: Optional[WeightScaling] = None,
     expected_deletion: float = 0.0,
-    encode_input: bool = True,
     batch_size: int = 16,
     rng: RngLike = None,
     keep_logits: bool = False,
@@ -320,21 +345,13 @@ def evaluate_transport(
 ) -> TransportResult:
     """Evaluate a converted network under a coder + noise model, purely.
 
-    A function-shaped façade over :class:`ActivationTransportSimulator`:
-    every input is an explicit argument and the return value depends on
-    nothing else, which is what lets the execution engine run one sweep cell
-    per worker from a declarative plan instead of shipping closure-captured
-    simulator objects across threads or processes.
+    Constructs an :class:`ActivationTransportSimulator` and runs its batch
+    loop: every input is an explicit argument and the return value depends
+    on nothing else.
     """
-    simulator = ActivationTransportSimulator(
-        network=network,
-        coder=coder,
-        noise=noise,
-        weight_scaling=weight_scaling,
-        expected_deletion=expected_deletion,
-        encode_input=encode_input,
-    )
-    return simulator.evaluate(
+    return ActivationTransportSimulator(
+        network, coder, noise, weight_scaling, expected_deletion
+    ).evaluate(
         x, labels, batch_size=batch_size, rng=rng, keep_logits=keep_logits,
         sample_offset=sample_offset,
     )

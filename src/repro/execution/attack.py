@@ -39,8 +39,7 @@ from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coding.registry import create_coder
-from repro.core.pipeline import SIMULATORS, EvaluationResult
-from repro.core.timestep import build_time_stepped_simulator
+from repro.core.pipeline import SIMULATORS, EvaluationResult, make_evaluator
 from repro.core.transport import ActivationTransportSimulator
 from repro.core.weight_scaling import WeightScaling
 from repro.execution.plan import CellPlan, WorkloadRef
@@ -222,10 +221,10 @@ class AttackPlan(CellPlan):
 class _AttackContext:
     """Per-cell live objects of one attack evaluation (built in the worker).
 
-    Holds the coder, the transport scorer and -- for transfer evaluation --
-    the faithful simulator, built once per cell and reused across the cell's
-    samples.  Never crosses process boundaries; workers rebuild it from the
-    (picklable) plan.
+    Holds the coder, the transport scorer of the search and the plan's
+    evaluator of the found trains, built once per cell and reused across
+    the cell's samples.  Never crosses process boundaries; workers rebuild
+    it from the (picklable) plan.
     """
 
     def __init__(self, plan: AttackPlan, workload: "PreparedWorkload"):
@@ -235,37 +234,20 @@ class _AttackContext:
             plan.method.coding, num_steps=plan.num_steps,
             **plan.method.coder_kwargs(),
         )
-        self.scaling = (
+        # Attacks carry no deletion expectation: the scaling factor
+        # compensates at the clean operating point.
+        scaling = (
             WeightScaling(mode=plan.scaling_mode)
             if plan.method.weight_scaling else WeightScaling.disabled()
         )
-        #: Attacks carry no deletion expectation: the factor compensates at
-        #: the clean operating point.
-        self.factor = self.scaling.factor(0.0)
         self.scorer = ActivationTransportSimulator(
-            network=self.network,
-            coder=self.coder,
-            noise=None,
-            weight_scaling=self.scaling,
-            expected_deletion=0.0,
+            self.network, self.coder, weight_scaling=scaling
+        )
+        self.evaluator = make_evaluator(
+            plan.evaluator, self.network, self.coder, weight_scaling=scaling
         )
         self.encode_root = plan.encode_root()
         self.search_root = plan.search_root()
-        self.timestep = None
-        self.spiking_layers: List[str] = []
-
-    def build_timestep(self, sample_shape: Tuple[int, ...]) -> None:
-        """Build the faithful simulator for transfer evaluation, once."""
-        self.timestep = build_time_stepped_simulator(
-            self.network,
-            self.coder,
-            batch_input_shape=(1,) + tuple(sample_shape),
-            kernel_scale=self.factor,
-        )
-        self.spiking_layers = [
-            layer.name for layer in self.timestep.layers
-            if layer.neuron is not None
-        ]
 
     def clean_train(self, image: np.ndarray, absolute: int) -> SpikeEvents:
         """The sample's clean input train (event-backed, canonical)."""
@@ -322,27 +304,18 @@ class _AttackContext:
     ) -> Tuple[int, int]:
         """Final (prediction, spike count) of one perturbed train.
 
-        On transport this re-runs the scorer's forward with a dedicated
-        stream; on timestep it runs the faithful membrane simulation --
-        the transfer evaluation.  Spike counts include the (attacked) input
-        train plus every deeper interface, matching the noise sweeps'
-        accounting.
+        Runs the plan's evaluator on the train with a dedicated stream: on
+        transport a re-run of the scorer's forward, on timestep the
+        faithful membrane simulation -- the transfer evaluation.  Spike
+        counts include the (attacked) input train plus every deeper
+        interface, matching the noise sweeps' accounting.
         """
-        batched = stack_trains([train])
-        if self.timestep is not None:
-            record = self.timestep.run(batched)
-            prediction = int(record.predictions[0])
-            spikes = batched.total_spikes() + sum(
-                int(record.spike_counts[name]) for name in self.spiking_layers
-            )
-            return prediction, spikes
-        logits, spikes_per_interface = self.scorer.forward(
+        logits, spikes_per_interface = self.evaluator.forward(
             None,
             rng=derive_rng_at(self.search_root, "final", absolute),
-            input_train=batched,
+            input_train=stack_trains([train]),
         )
-        prediction = int(np.argmax(logits[0]))
-        return prediction, int(sum(spikes_per_interface.values()))
+        return int(np.argmax(logits[0])), int(sum(spikes_per_interface.values()))
 
 
 def find_attack_train(
@@ -378,8 +351,6 @@ def evaluate_attack_plan(
     x, y = workload.evaluation_slice(plan.eval_size)
     start, stop = plan.sample_range()
     x, y = x[start:stop], y[start:stop]
-    if plan.evaluator == "timestep" and x.shape[0]:
-        context.build_timestep(x.shape[1:])
 
     correct = 0
     total_spikes = 0
@@ -402,7 +373,7 @@ def evaluate_attack_plan(
         coding=plan.method.coding,
         deletion=0.0,
         jitter=0.0,
-        weight_scaling_factor=context.factor,
+        weight_scaling_factor=context.evaluator.scale_factor,
         num_samples=num_samples,
     )
 

@@ -473,27 +473,23 @@ class AttackSweepConfig:
         check_positive("shift_delta", self.shift_delta)
         check_positive("beam_width", self.beam_width)
         check_positive("max_candidates", self.max_candidates)
-        # Per-capability validation, mirroring SweepConfig's timestep check:
-        # each coding declares whether the attack engine can search it, and
-        # transfer evaluation additionally needs the faithful simulator.
-        from repro.coding.registry import adversarial_support, timestep_support
+        if self.evaluator == "timestep":
+            # Transfer evaluation needs the faithful simulator, whose
+            # per-capability check each coding declares by name.
+            from repro.coding.registry import timestep_support
 
-        problems = []
-        for coding in sorted({m.coding for m in self.methods}):
-            supported, note = adversarial_support(coding)
-            if not supported:
-                problems.append(f"{coding}: {note}")
-            elif self.evaluator == "timestep":
+            problems = []
+            for coding in sorted({m.coding for m in self.methods}):
                 supported, note = timestep_support(coding)
                 if not supported:
                     problems.append(f"{coding} (transfer evaluation): {note}")
-        if problems:
-            raise ConfigError(
-                "the adversarial attack engine cannot handle every requested "
-                "method -- " + "; ".join(problems) + " -- drop those "
-                "method(s) (e.g. restrict the sweep with --methods) or use "
-                "evaluator='transport'"
-            )
+            if problems:
+                raise ConfigError(
+                    "the adversarial attack engine cannot handle every "
+                    "requested method -- " + "; ".join(problems) + " -- drop "
+                    "those method(s) (e.g. restrict the sweep with --methods) "
+                    "or use evaluator='transport'"
+                )
 
     def build_plans(self, eval_size: Optional[int] = None, use_cache: bool = True) -> list:
         """Compile the sweep into its (method x budget) attack-cell plans."""

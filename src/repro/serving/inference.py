@@ -3,9 +3,12 @@
 A :class:`RequestSpec` pins everything that must match for two requests to
 share one batch: the evaluator (``transport`` for latency, ``timestep`` for
 fidelity), the coding scheme, the window length and the coder parameters.
-:func:`serve_batch` then runs one homogeneous batch through the memoised
-evaluator of a :class:`~repro.core.servable.ServableModel` and splits the
-outputs back into per-request :class:`ServeResult` rows.
+Each spec gets one evaluator, memoised on the
+:class:`~repro.core.servable.ServableModel` and built by
+:func:`repro.core.pipeline.make_evaluator`, and :func:`serve_batch` runs
+one homogeneous batch through its ``forward`` -- the same call for both
+simulators -- and splits the logits back into per-request
+:class:`ServeResult` rows.
 
 Serving requests are *clean* inference -- no noise injection, no weight
 scaling -- so with the deterministic default coders (e.g. the rate coder's
@@ -33,10 +36,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import SIMULATORS
+from repro.core.pipeline import SIMULATORS, make_evaluator
 from repro.core.servable import ServableModel, _freeze_kwargs
-from repro.core.timestep import build_time_stepped_simulator
-from repro.core.transport import ActivationTransportSimulator
+from repro.core.transport import BatchEvaluator
 
 
 @dataclass(frozen=True)
@@ -117,42 +119,15 @@ class ServeResult:
     latency: Optional[float] = field(default=None, compare=False)
 
 
-def _transport_evaluator(
-    servable: ServableModel, spec: RequestSpec
-) -> ActivationTransportSimulator:
-    """The memoised clean-inference transport evaluator of a spec."""
-    def build() -> ActivationTransportSimulator:
+def _evaluator(servable: ServableModel, spec: RequestSpec) -> BatchEvaluator:
+    """The memoised clean-inference evaluator of a spec (no noise, no scaling)."""
+    def build() -> BatchEvaluator:
         coder = servable.coder(spec.coding, spec.num_steps, **spec.kwargs_dict())
-        return ActivationTransportSimulator(network=servable.network, coder=coder)
-
-    return servable.cached(("serving", "transport", spec), build)
-
-
-def _timestep_simulator(servable: ServableModel, spec: RequestSpec, input_shape):
-    """The memoised time-stepped simulator of a spec.
-
-    Keyed by the per-sample input shape only -- the simulator's bias images
-    carry a singleton batch axis and broadcast over any batch size, so one
-    instance serves every batch of the queue.  The simulation protocol is
-    memoised separately on the artifact and shared with any other consumer
-    of the same coder spec.
-    """
-    def build():
-        coder = servable.coder(spec.coding, spec.num_steps, **spec.kwargs_dict())
-        # Warm the shared protocol memo; build_time_stepped_simulator derives
-        # the same (pure) protocol from the coder.
-        servable.simulation_protocol(
-            spec.coding, spec.num_steps, threshold=spec.threshold,
-            **spec.kwargs_dict(),
-        )
-        return build_time_stepped_simulator(
-            servable.network,
-            coder,
-            batch_input_shape=(spec.lanes,) + tuple(input_shape),
-            threshold=spec.threshold,
+        return make_evaluator(
+            spec.evaluator, servable.network, coder, threshold=spec.threshold
         )
 
-    return servable.cached(("serving", "timestep", spec, tuple(input_shape)), build)
+    return servable.cached(("serving", spec), build)
 
 
 def _lane_chunks(batch: np.ndarray, lanes: int):
@@ -169,23 +144,6 @@ def _lane_chunks(batch: np.ndarray, lanes: int):
             padded[:occupancy] = chunk
             chunk = padded
         yield chunk, occupancy
-
-
-def _evaluate_lane(
-    servable: ServableModel, spec: RequestSpec, chunk: np.ndarray
-) -> np.ndarray:
-    """Logits of one lane-width chunk (caller holds the spec lock)."""
-    if spec.evaluator == "timestep":
-        simulator = _timestep_simulator(servable, spec, chunk.shape[1:])
-        coder = servable.coder(spec.coding, spec.num_steps, **spec.kwargs_dict())
-        normalised = chunk / servable.network.input_scale
-        record = simulator.run(coder.encode(normalised))
-        return np.asarray(record.output_potential)
-    evaluator = _transport_evaluator(servable, spec)
-    # Clean inference: every coder is deterministic and ignores the rng, so
-    # a fixed stream root only keeps the call self-contained.
-    logits, _ = evaluator.forward(chunk, rng=0)
-    return logits
 
 
 def serve_batch(
@@ -206,10 +164,13 @@ def serve_batch(
         raise ValueError(
             f"serve_batch expects a (batch, ...) array, got shape {batch.shape}"
         )
+    evaluator = _evaluator(servable, spec)
     rows: List[np.ndarray] = []
     with servable.spec_lock(("serving", spec)):
         for chunk, occupancy in _lane_chunks(batch, spec.lanes):
-            logits = _evaluate_lane(servable, spec, chunk)
+            # Clean inference: every coder is deterministic and ignores the
+            # rng, so a fixed stream root only keeps the call self-contained.
+            logits, _ = evaluator.forward(chunk, rng=0)
             rows.extend(logits[:occupancy])
     size = int(batch.shape[0])
     return [

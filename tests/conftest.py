@@ -82,3 +82,24 @@ def converted_cnn(trained_cnn, cifar_split):
 def rng():
     """Fresh deterministic generator for a single test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def simulator_builds(monkeypatch):
+    """Per-sample input shapes of every faithful-simulator build, in order.
+
+    Wraps ``build_time_stepped_simulator`` where the evaluator looks it up,
+    so a test can assert that one evaluation builds one simulator per input
+    shape rather than one per batch.
+    """
+    import repro.core.timestep as timestep
+
+    shapes = []
+    original = timestep.build_time_stepped_simulator
+
+    def counting(network, coder, batch_input_shape, **kwargs):
+        shapes.append(tuple(batch_input_shape[1:]))
+        return original(network, coder, batch_input_shape, **kwargs)
+
+    monkeypatch.setattr(timestep, "build_time_stepped_simulator", counting)
+    return shapes

@@ -524,6 +524,15 @@ class TestAttackEngineIntegration:
             r.spikes_per_sample for r in direct
         ]
 
+    def test_transfer_builds_one_simulator_per_cell(
+        self, tiny_workload, simulator_builds
+    ):
+        config = attack_config(budgets=(0, 2), evaluator="timestep")
+        sweep = run_sweep(config, workload=tiny_workload, eval_size=4)
+        assert sweep.curves[0].levels == [0.0, 2.0]
+        sample_shape = tiny_workload.evaluation_slice(4)[0].shape[1:]
+        assert simulator_builds == [sample_shape, sample_shape]
+
     def test_one_batch_mixes_noise_and_attack_sweeps(self, tiny_workload):
         # Each config compiles its own cells, so one run_sweeps call takes
         # both families and matches running each alone.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coding import (
+    CODER_NAMES,
     BurstCoder,
     PhaseCoder,
     RateCoder,
@@ -11,7 +12,6 @@ from repro.coding import (
     TTFSCoder,
     available_coders,
     create_coder,
-    register_coder,
 )
 from repro.coding.base import NeuralCoder
 from repro.snn.neurons import IFNeuron, IntegrateFireOrBurstNeuron, TTFSNeuron
@@ -287,14 +287,5 @@ class TestRegistry:
         with pytest.raises(ValueError):
             create_coder("morse")
 
-    def test_register_custom_coder(self):
-        class DummyCoder(RateCoder):
-            name = "dummy"
-
-        register_coder("dummy", DummyCoder, overwrite=True)
-        assert "dummy" in available_coders()
-        assert isinstance(create_coder("dummy", num_steps=8), DummyCoder)
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            register_coder("rate", RateCoder)
+    def test_available_coders_are_the_built_ins(self):
+        assert available_coders() == sorted(CODER_NAMES)

@@ -24,7 +24,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.coding import create_coder
 from repro.core.servable import ServableModel
+from repro.core.timestep import TimestepEvaluator
 from repro.conversion.converter import CONVERSION_COUNTERS
 from repro.execution.store import ResultStore
 from repro.metrics import LatencySummary, latency_summary, pool_latencies
@@ -141,6 +143,24 @@ class TestBitIdentity:
     def test_rejects_unbatched_input(self, servable, samples):
         with pytest.raises(ValueError):
             serve_batch(servable, TRANSPORT, samples[0].reshape(-1))
+
+    def test_timestep_builds_one_simulator_across_requests(
+        self, servable, samples, simulator_builds
+    ):
+        for _ in range(3):
+            serve_batch(servable, TIMESTEP, samples)
+        serve_single(servable, TIMESTEP, samples[0])
+        assert simulator_builds == [samples.shape[1:]]
+
+    def test_timestep_lane_is_the_evaluator_forward(self, servable, samples):
+        lane = samples[:TIMESTEP.lanes]
+        served = serve_batch(servable, TIMESTEP, lane)
+        evaluator = TimestepEvaluator(
+            servable.network, create_coder("rate", num_steps=16),
+            threshold=TIMESTEP.threshold,
+        )
+        logits, _ = evaluator.forward(lane, rng=0)
+        assert np.array_equal(np.stack([row.logits for row in served]), logits)
 
     def test_batch_size_recorded(self, servable, samples):
         results = serve_batch(servable, TRANSPORT, samples[:5])

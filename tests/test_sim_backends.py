@@ -20,9 +20,9 @@ from oracles import run_stepped
 
 from repro.coding import PhaseCoder, RateCoder, TTASCoder, TTFSCoder
 from repro.core import build_time_stepped_simulator, evaluate_timestep
-from repro.core.pipeline import NoiseRobustSNN
-from repro.core.timestep import _SegmentTransform
-from repro.core.transport import evaluate_transport
+from repro.core.pipeline import NoiseRobustSNN, make_evaluator
+from repro.core.timestep import TimestepEvaluator, _SegmentTransform
+from repro.core.transport import ActivationTransportSimulator, evaluate_transport
 from repro.core.weight_scaling import WeightScaling
 from repro.execution import ProcessExecutor, ResultStore, ThreadExecutor, evaluate_plans
 from repro.execution.plan import build_sweep_plans, network_fingerprint
@@ -440,6 +440,46 @@ class TestEvaluateTimestep:
         assert result.total_spikes > 0
         with pytest.raises(ValueError):
             NoiseRobustSNN(converted_mlp, simulator="quantum")
+
+    def test_builds_one_simulator_per_input_shape(
+        self, converted_mlp, mnist_split, simulator_builds
+    ):
+        # Three batches (4, 4 and a partial 2) share one simulator.
+        x, y = mnist_split.test.x[:10], mnist_split.test.y[:10]
+        evaluate_timestep(
+            converted_mlp, RateCoder(num_steps=8), x, y,
+            threshold=0.1, batch_size=4, rng=0,
+        )
+        assert simulator_builds == [x.shape[1:]]
+
+    def test_make_evaluator_picks_by_name(self, converted_mlp):
+        coder = RateCoder(num_steps=8)
+        assert isinstance(
+            make_evaluator("transport", converted_mlp, coder),
+            ActivationTransportSimulator,
+        )
+        assert isinstance(
+            make_evaluator("timestep", converted_mlp, coder), TimestepEvaluator
+        )
+        with pytest.raises(ValueError, match="quantum"):
+            make_evaluator("quantum", converted_mlp, coder)
+
+    def test_pipeline_quantises_for_the_faithful_simulator(
+        self, converted_mlp, mnist_split
+    ):
+        x, y = mnist_split.test.x[:8], mnist_split.test.y[:8]
+        pipeline = NoiseRobustSNN(
+            converted_mlp, coding="phase", num_steps=16,
+            weight_scaling=False, simulator="timestep",
+        )
+        result = pipeline.evaluate(x, y, deletion=0.2, rng=0, quant_bits=3)
+        direct = evaluate_timestep(
+            quantize_network(converted_mlp, 3), PhaseCoder(num_steps=16), x, y,
+            noise=NoiseInjector.from_levels(deletion_probability=0.2), rng=0,
+            expected_deletion=0.2,
+        )
+        assert result.accuracy == direct.accuracy
+        assert result.total_spikes == direct.total_spikes
 
 
 # ---------------------------------------------------------------------------
