@@ -2,11 +2,13 @@
 # Fused-simulator smoke run.
 #
 # Faithful (time-stepped) sweep cells through the process executor + result
-# store, covering a rate and two temporal methods (Phase on the IF scan,
-# TTFS on the single-spike scan) via the per-layer temporal protocols: the
-# first run evaluates and persists every cell, the re-run must be served
-# entirely from the store (0 cells evaluated) -- proven by the sentinel
-# mtime check.  A burst attempt must fail with the per-capability refusal.
+# store, covering a rate and three temporal methods (Phase on the IF scan,
+# TTFS on the single-spike scan, TTAS(5)+WS on the IFB burst scan, whose
+# drive spills into the layer's own window) via the per-layer temporal
+# protocols: the first runs evaluate and persist every cell, the re-runs
+# must be served entirely from the store (0 cells evaluated) -- proven by
+# the sentinel mtime check.  A burst attempt must fail with the
+# per-capability refusal.
 #
 # Run from the repository root: bash ci/smoke_fused_simulator.sh
 set -euo pipefail
@@ -19,11 +21,19 @@ python -m repro figure --name fig2 --dataset mnist \
   --scale test --eval-size 8 --simulator timestep \
   --methods Rate Phase TTFS --executor process --max-workers 2 \
   --result-store "$STORE"
-test "$(find "$STORE/cells" -name '*.json' | wc -l)" -eq 15
+python -m repro figure --name fig4 --dataset mnist \
+  --scale test --eval-size 8 --simulator timestep \
+  --methods "TTAS(5)+WS" --executor process --max-workers 2 \
+  --result-store "$STORE"
+test "$(find "$STORE/cells" -name '*.json' | wc -l)" -eq 20
 touch "$STORE/sentinel"
 python -m repro figure --name fig2 --dataset mnist \
   --scale test --eval-size 8 --simulator timestep \
   --methods Rate Phase TTFS --executor serial \
+  --result-store "$STORE"
+python -m repro figure --name fig4 --dataset mnist \
+  --scale test --eval-size 8 --simulator timestep \
+  --methods "TTAS(5)+WS" --executor serial \
   --result-store "$STORE"
 test "$(find "$STORE/cells" -name '*.json' -newer "$STORE/sentinel" | wc -l)" -eq 0
 if python -m repro evaluate --dataset mnist \

@@ -61,9 +61,9 @@ class _SegmentTransform:
     analog layer treats rows independently.
     """
 
-    #: ``transform(0) == 0`` exactly: the zero-input output *is* the bias
-    #: image that gets subtracted, so whole-silent time rows can be skipped.
-    zero_preserving = True
+    #: Conv, dense and average pooling minus the bias are linear, and the
+    #: zero-input output *is* the subtracted bias image: ``transform(0) == 0``.
+    linear = True
 
     def __init__(
         self,

@@ -64,7 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: Schema 2: the transport evaluator runs rate/phase/burst on per-class
 #: spike counts -- the deletion realisation changed, and the rate decode
 #: rounds differently at windows that are not a power of two.
-ATTACK_FINGERPRINT_SCHEMA = 2
+#: Schema 3: transfer evaluation runs on the faithful simulator, whose
+#: integrate-then-fire membrane seed moves results by float rounding.
+ATTACK_FINGERPRINT_SCHEMA = 3
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guard (experiments -> execution)
 #: Schema 5: clip-mode jitter on rate, phase and burst runs on per-class
 #: spike counts (landing-class draws; rate draws nothing) -- a different
 #: realisation of the same distribution.
-FINGERPRINT_SCHEMA = 5
+#: Schema 6: the faithful simulator transforms a layer's summed PSC once
+#: before its firing window (integrate, then fire) -- results move by
+#: float rounding.
+FINGERPRINT_SCHEMA = 6
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,18 @@ time step independently, the time loop hoists *inside* each layer.  The
 layer's ``(T, batch, ...)`` drive tensor comes out of a handful of wide
 transform calls (time folded into the batch axis), the neurons advance over
 the window with a vectorised :meth:`~repro.snn.neurons.SpikingNeuron.advance`
-scan, and all-zero time rows are skipped before zero-preserving transforms.
+scan, and all-zero time rows are skipped before linear transforms.
 
-The engine schedules every layer by its **protocol window**: under a
-per-layer temporal protocol a layer is provably silent outside its firing
-window and its incoming kernel's support, so drive is materialised and
-neurons advanced only over that active sub-window -- assembled straight from
-the upstream train's occupied steps (event lists densify just the
-sub-window) -- and the constant bias-only prefix is replayed as a
-closed-form membrane seed.  Skipping the prefix rests on ``transform(0) ==
-0``; a layer whose transform does not declare ``zero_preserving`` is
-integrated from step 0.  The reference time-outer loop the engine is tested
-against lives in the test suite.
+The engine schedules every layer by its **protocol window**: a layer cannot
+spike before its firing window opens, so for a ``linear`` transform every
+step before ``fire_start`` collapses into one call -- the PSC of those steps
+is summed, transformed once and seeds the membrane (integrate, then fire).
+Drive is materialised and neurons advanced only from ``fire_start`` to the
+end of the firing window (plus burst spill), assembled straight from the
+upstream train's occupied steps (event lists densify just that window).  A
+layer whose transform does not declare ``linear`` is integrated step by
+step from step 0.  The reference time-outer loop the engine is tested
+against, with the same collapse, lives in the test suite.
 
 Layers may carry **per-layer incoming kernels** and **firing/bias windows**
 (:class:`SimulatorLayer.in_kernel` / ``bias_stop``): this is how the
@@ -68,6 +68,8 @@ def _kernel_support(kernel: np.ndarray) -> tuple:
 #: A synaptic transform maps an instantaneous post-synaptic-current vector of
 #: the previous layer to the input current of this layer (i.e. applies
 #: ``W x + b_step`` for dense layers, the convolution for conv layers, ...).
+#: ``linear = True`` on a transform promises linearity up to float rounding
+#: and ``transform(0) == 0`` exactly (see :meth:`TimeSteppedSimulator.run`).
 SynapticTransform = Callable[[np.ndarray], np.ndarray]
 
 
@@ -220,11 +222,9 @@ class TimeSteppedSimulator:
         window longer than the encode window; input trains are zero-padded
         up to ``num_steps`` (no spikes arrive outside the encode window).
 
-    The readout layer's input PSC is accumulated over the whole window and
-    its synaptic transform applied **once** per run -- one GEMM per batch
-    instead of one per time step.  This is exact because the readout
-    transform is linear: every transform built by :mod:`repro.core.timestep`
-    is, with the bias injected separately via ``step_bias``.
+    The readout layer integrates and never fires, so its synaptic transform
+    is applied **once** per run to the window's summed PSC, as for the
+    steps before any layer's firing window (see :meth:`run`).
     """
 
     def __init__(
@@ -304,24 +304,20 @@ class TimeSteppedSimulator:
             layer's mask corrupts its emitted spikes (gated by the layer
             neuron's firing window).
 
-        Every layer is scheduled by its **active window** ``[a_lo, a_hi)``.
-        Under a per-layer temporal protocol a layer can only be driven
-        inside its incoming kernel's support intersected with the upstream
-        spikes' occupied window, and can only emit inside its neuron's
-        firing window (plus the burst spill of ``target_duration - 1``
-        steps).  For a ``zero_preserving`` transform everything before the
-        active window is a constant bias-only prefix: the transform maps the
-        silent PSC to exactly zero, no spike can start before
-        ``fire_start``, and the membrane after the prefix is just ``n``
-        accumulated bias rows -- replayed here as a cheap sequential seed
-        over a single bias row, with the same dtype chain and addition order
-        as integrating the full grid, so the result is bit-identical to it.
-        A transform without that guarantee starts its window at step 0.
-        The layer's drive is assembled and its neuron advanced over the
-        active window only; the upstream spikes arrive as a compact window
-        straight from the input train's occupied steps or the previous
-        layer's firing window, and the readout consumes the zero-padded
-        full-grid spike window.
+        Every layer is advanced over its **active window** ``[a_lo,
+        a_hi)``, up to the end of its firing window plus the burst spill of
+        ``target_duration - 1`` steps.  No neuron model spikes or subtracts
+        before ``fire_start`` (IF is not fireable, the TTFS/IFB thresholds
+        are infinite), so a ``linear`` layer integrates, then fires:
+        ``a_lo = fire_start`` and :meth:`_integrated_membrane` seeds the
+        membrane with one transform call per sample.  A transform that is
+        not ``linear`` is integrated step by step from ``a_lo = 0``.  Past
+        the last step with kernel support or bias the neuron advances on a
+        read-only zero drive with no transform call: all of a TTFS layer's
+        own window, all but the burst spill of a TTAS layer's.  Upstream
+        spikes arrive as a compact window (the input train's occupied steps
+        or the previous layer's firing window).  The readout never fires:
+        its potential is :meth:`_integrated_membrane` over the whole window.
         """
         if input_spikes.num_steps != self.input_steps:
             raise ValueError(
@@ -345,75 +341,60 @@ class TimeSteppedSimulator:
 
         for index, layer in enumerate(self.layers):
             kernel = self.layer_kernels[index]
+            k_lo, k_hi = self.layer_kernel_supports[index]
+            # Steps at which upstream spikes can drive the layer at all.
+            drive_lo = max(k_lo, win_lo)
+            drive_hi = min(k_hi, win_lo + counts.shape[0])
+            bias_hi = self._bias_rows(layer)
             if layer.neuron is None:
-                output_potential = self._fused_readout(
-                    layer, kernel, self._pad_window(counts, win_lo)
+                # The readout never fires: it integrates the whole window.
+                output_potential = self._integrated_membrane(
+                    layer, counts, kernel, win_lo, (drive_lo, drive_hi), bias_hi
                 )
                 break
             fire_start = int(getattr(layer.neuron, "fire_start", 0))
             fire_stop = getattr(layer.neuron, "fire_stop", None)
-            fire_hi = (
-                self.num_steps
-                if fire_stop is None
-                else min(int(fire_stop), self.num_steps)
-            )
+            fire_hi = self.num_steps if fire_stop is None else int(fire_stop)
             # A burst started on the window's last step keeps spilling.
             spill = max(int(getattr(layer.neuron, "target_duration", 1)) - 1, 0)
             a_hi = min(fire_hi + spill, self.num_steps)
-            k_lo, k_hi = self.layer_kernel_supports[index]
-            drive_lo = max(k_lo, win_lo)
-            drive_hi = min(k_hi, win_lo + counts.shape[0])
-            a_lo = min(drive_lo, fire_start) if drive_lo < drive_hi else fire_start
-            if not getattr(layer.transform, "zero_preserving", False):
-                # Only transform(0) == 0 makes the skipped prefix bias-only.
-                a_lo = 0
-            a_lo = min(a_lo, a_hi)
+            linear = getattr(layer.transform, "linear", False)
+            a_lo = min(fire_start if linear else 0, a_hi)
+            # A linear layer's drive is exactly zero past its last kernel
+            # support and bias row: from live_hi on it needs no transform.
+            live_hi = a_hi
+            if linear:
+                last = max(drive_hi if drive_lo < drive_hi else 0, bias_hi)
+                live_hi = min(max(last, a_lo), a_hi)
 
-            if a_hi > a_lo:
+            membrane = drive = None
+            if 0 < a_lo < a_hi:
+                membrane = self._integrated_membrane(
+                    layer, counts, kernel, win_lo,
+                    steps=(drive_lo, min(drive_hi, a_lo)),
+                    bias_steps=min(bias_hi, a_lo),
+                )
+            if live_hi > a_lo:
                 drive = self._fused_layer_drive(
-                    layer, counts, kernel,
-                    window=(a_lo, a_hi), counts_offset=win_lo,
+                    layer, counts, kernel, (a_lo, live_hi), win_lo
                 )
-                state = layer.neuron.init_state(drive.shape[1:])
-                bias_hi = 0
-                if layer.step_bias is not None:
-                    bias_hi = (
-                        self.num_steps
-                        if layer.bias_stop is None
-                        else min(int(layer.bias_stop), self.num_steps)
-                    )
-                prefix = min(bias_hi, a_lo)
-                if prefix > 0:
-                    # The skipped steps [0, a_lo) carry zero transform drive
-                    # plus the step bias on their first `prefix` rows.
-                    # Replay those rows on one bias row: same float32 bias
-                    # add as finish(), same sequential float64 accumulation
-                    # as the neuron's integration -- bit-identical membrane.
-                    row_shape = (1,) + tuple(drive.shape[2:])
-                    if np.broadcast_shapes(
-                        row_shape, np.shape(layer.step_bias)
-                    ) != row_shape:
-                        # A per-sample bias needs the full batch row.
-                        row_shape = tuple(drive.shape[1:])
-                    bias_row = np.zeros(row_shape, dtype=drive.dtype)
-                    bias_row += layer.step_bias
-                    seed = np.zeros(bias_row.shape, dtype=np.float64)
-                    for _ in range(prefix):
-                        np.add(seed, bias_row, out=seed)
-                    state.membrane[...] = seed
-                state.step_index = a_lo
-                spikes = layer.neuron.advance(state, drive)
-            else:
-                # The layer's windows lie entirely outside the grid: it is
-                # silent everywhere; probe one zero row for the shape.
-                probe = np.asarray(
-                    layer.transform(
-                        np.zeros((1,) + counts.shape[2:], dtype=np.float64)
-                    )
-                )
-                spikes = np.zeros(
-                    (0, counts.shape[1]) + probe.shape[1:], dtype=np.int16
-                )
+            if drive is not None:
+                shape = drive.shape[1:]
+            elif membrane is not None:
+                shape = membrane.shape
+            else:  # probe one zero row for the shape
+                probe = layer.transform(np.zeros((1,) + counts.shape[2:]))
+                shape = (counts.shape[1],) + np.shape(probe)[1:]
+            state = layer.neuron.init_state(shape)
+            if membrane is not None:
+                state.membrane[...] = membrane
+            state.step_index = a_lo
+            spikes = None if drive is None else layer.neuron.advance(state, drive)
+            if spikes is None or a_hi > live_hi:
+                # Nothing arrives: advance on a read-only zero view.
+                zero = np.broadcast_to(np.float32(0.0), (a_hi - live_hi,) + shape)
+                tail = layer.neuron.advance(state, zero)
+                spikes = tail if spikes is None else np.concatenate([spikes, tail])
             fault = layer_faults.get(layer.name) if layer_faults else None
             if fault is not None:
                 spikes = fault.apply_window(
@@ -467,21 +448,17 @@ class TimeSteppedSimulator:
         layer: SimulatorLayer,
         counts: np.ndarray,
         kernel: np.ndarray,
-        window: Optional[tuple] = None,
-        counts_offset: int = 0,
+        window: tuple,
+        counts_offset: int,
     ) -> np.ndarray:
-        """One layer's ``(T, B, ...)`` drive tensor from spike counts.
+        """One layer's drive over the global steps ``[w_lo, w_hi) = window``.
 
-        By default the whole window of ``counts`` is materialised.
-        :meth:`run` instead passes a layer's active window ``window =
-        (w_lo, w_hi)`` plus the global step of ``counts[0]``
-        (``counts_offset``): only those ``w_hi - w_lo`` time rows are
-        assembled and transformed, with steps outside the supplied counts
-        treated as silent.  ``kernel`` is always indexed by global step.
-
-        Time is folded into the batch axis, so T per-step transform calls
-        collapse into a handful of wide calls -- exact because every transform acts on each (step, sample) row
-        independently.  Three fusions keep the fold off DRAM:
+        ``counts[0]`` is global step ``counts_offset``; steps outside the
+        supplied counts are silent.  ``kernel`` is indexed by global step.
+        Time is folded into the batch axis, so per-step transform calls
+        collapse into a handful of wide calls -- exact because every
+        transform acts on each (step, sample) row independently.  Three
+        fusions keep the fold off DRAM:
 
         * the per-step PSC kernel weights are applied as one broadcast
           ``np.multiply(counts, kernel, dtype=float64)`` -- a single pass
@@ -493,23 +470,18 @@ class TimeSteppedSimulator:
           (:data:`FUSED_CHUNK_BYTES`): conv im2col patch buffers are ~k*k
           times their input, and a whole-window fold would spill them out of
           cache and go memory-bound,
-        * when the transform maps zero to zero exactly (``zero_preserving``,
-          true by construction for the bias-separated
-          :class:`repro.core.timestep._SegmentTransform`), silent
-          (step, sample) rows are dropped before the transform and receive
-          the bare bias current after -- at the >90 % spike sparsities the
-          codes produce, most of the window costs nothing beyond the
-          occupancy scan.
+        * when the transform is ``linear`` (maps zero to exactly zero),
+          silent (step, sample) rows are dropped before the transform and
+          receive the bare bias current after -- at the >90 % spike
+          sparsities the codes produce, most of the window costs nothing
+          beyond the occupancy scan.
 
         The values are exact w.r.t. a time-outer per-step loop: each chunk
         row sees ``transform(count * kernel[t])`` computed with the same
         dtypes and operation order, and the step bias is added to
         each biased time row exactly once afterwards.
         """
-        if window is None:
-            w_lo, w_hi = 0, counts.shape[0]
-        else:
-            w_lo, w_hi = int(window[0]), int(window[1])
+        w_lo, w_hi = window
         batch = counts.shape[1]
         population = counts.shape[2:]
         num_steps = w_hi - w_lo
@@ -534,7 +506,7 @@ class TimeSteppedSimulator:
         )
 
         active = None
-        if getattr(layer.transform, "zero_preserving", False):
+        if getattr(layer.transform, "linear", False):
             occupied = flat_counts.reshape(total, -1).any(axis=1)
             silent_fraction = 1.0 - (np.count_nonzero(occupied) / total)
             if silent_fraction >= self.FUSED_SKIP_THRESHOLD:
@@ -550,17 +522,10 @@ class TimeSteppedSimulator:
 
         def finish(drive: np.ndarray) -> np.ndarray:
             rows = drive.reshape((num_steps, batch) + drive.shape[1:])
-            if layer.step_bias is not None:
-                # One bias addition per biased time row -- the same single
-                # ``transform + bias`` float add a per-step loop performs,
-                # restricted to the layer's bias window (a global step
-                # horizon, re-based onto this window's rows).
-                stop = (
-                    w_hi
-                    if layer.bias_stop is None
-                    else min(int(layer.bias_stop), w_hi)
-                )
-                stop = max(stop - w_lo, 0)
+            # One bias addition per biased time row -- the same single
+            # ``transform + bias`` float add a per-step loop performs.
+            stop = max(min(self._bias_rows(layer), w_hi) - w_lo, 0)
+            if stop:
                 rows[:stop] += layer.step_bias
             return rows
 
@@ -598,28 +563,44 @@ class TimeSteppedSimulator:
             drive[rows] = transformed(rows)
         return finish(drive)
 
-    def _fused_readout(
+    def _integrated_membrane(
         self,
         layer: SimulatorLayer,
-        kernel: np.ndarray,
         counts: np.ndarray,
+        kernel: np.ndarray,
+        counts_offset: int,
+        steps: tuple,
+        bias_steps: int,
     ) -> np.ndarray:
-        """Readout potential from the last hidden layer's full spike window.
+        """Membrane of a layer that has integrated without spiking so far
+        (the readout: over the whole window).
 
-        The readout is linear, so the per-step weighted sums collapse into
-        one kernel-weighted time contraction (no window-sized float64 PSC
-        temporary) and one GEMM.
+        ``float64(transform(psc)) + bias_steps * float64(step_bias)`` with
+        ``psc`` the float64 sum, in step order, of ``kernel[t] * counts[t]``
+        over the global steps ``[lo, hi) = steps`` (``counts[0]`` is step
+        ``counts_offset``).  Steps outside ``steps`` or with a zero kernel
+        weight contribute exact zeros and are skipped: adding ``0.0`` to a
+        sum that starts at ``+0.0`` changes no bit.
         """
-        psc = np.einsum("t,t...->...", kernel, counts)
-        output_potential = np.asarray(layer.transform(psc))
-        if layer.step_bias is not None:
-            bias_steps = (
-                self.num_steps
-                if layer.bias_stop is None
-                else min(int(layer.bias_stop), self.num_steps)
+        psc = np.zeros(counts.shape[1:], dtype=np.float64)
+        term = np.empty_like(psc)
+        for step in range(*steps):
+            if kernel[step]:
+                np.multiply(counts[step - counts_offset], kernel[step], out=term)
+                psc += term
+        membrane = np.asarray(layer.transform(psc), dtype=np.float64)
+        if bias_steps > 0:
+            membrane = membrane + bias_steps * np.asarray(
+                layer.step_bias, dtype=np.float64
             )
-            output_potential = output_potential + bias_steps * layer.step_bias
-        return output_potential
+        return membrane
+
+    def _bias_rows(self, layer: SimulatorLayer) -> int:
+        """Number of leading global steps that carry ``layer.step_bias``."""
+        if layer.step_bias is None:
+            return 0
+        stop = self.num_steps if layer.bias_stop is None else int(layer.bias_stop)
+        return max(min(stop, self.num_steps), 0)
 
     def _pad_window(self, window: np.ndarray, offset: int) -> np.ndarray:
         """Zero-pad a ``(w, B, ...)`` step window onto the full global grid."""

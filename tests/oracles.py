@@ -14,12 +14,13 @@ small enough to check by eye:
   strided views in NumPy's pairwise order without unfolding; outputs must
   agree bit for bit.
 * :func:`run_stepped` -- the time-outer/layer-inner simulator loop: one
-  synaptic transform call per hidden layer per time step over the full
-  grid, and one call of the linear readout on the window's summed PSC.
+  synaptic transform call per hidden layer per time step from its firing
+  window on, and one call on the summed PSC of the steps before it (a
+  linear layer integrates, then fires; the readout only integrates).
   Production (:meth:`repro.snn.simulator.TimeSteppedSimulator.run`) folds
   time into the batch and schedules each layer by its protocol window;
-  spikes and spike counts must agree bit for bit, readout potentials to
-  float-summation order.
+  with the same membrane formula and the same float64 step-order PSC sum,
+  spikes, spike counts and readout potentials must agree bit for bit.
 * :func:`delete_spikes` / :func:`jitter_spikes` / :func:`events_from_dense`
   -- the dense noise kernels and the dense-to-event conversion over the
   full ``(T, N)`` grid: one binomial per slot, one 2-D ``nonzero``.
@@ -102,31 +103,65 @@ def avg_pool2d(x, pool_size, stride):
     return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
 
 
+def _integrated(layer, psc_sum, steps):
+    """The membrane of ``layer`` after ``steps`` steps without a spike:
+    ``float64(transform(psc_sum)) + n_b * float64(step_bias)``, with
+    ``n_b`` the biased steps among them."""
+    membrane = np.asarray(layer.transform(psc_sum), dtype=np.float64)
+    if layer.step_bias is not None:
+        n_b = steps if layer.bias_stop is None else min(steps, layer.bias_stop)
+        if n_b > 0:
+            membrane = membrane + n_b * np.asarray(layer.step_bias, dtype=np.float64)
+    return membrane
+
+
 def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None):
-    """Simulate ``simulator``'s layers one time step at a time."""
+    """Simulate ``simulator``'s layers one time step at a time.
+
+    A layer integrates, then fires.  The readout never fires, and a hidden
+    layer with a ``linear`` transform cannot spike before its
+    ``fire_start``.  Until then its PSC rows are summed in float64 in step
+    order; at ``fire_start`` (the readout: at the end of the window) its
+    membrane is :func:`_integrated` over that sum.  Every later step adds
+    ``transform(psc) + step_bias``.  A hidden transform that is not
+    ``linear`` is stepped from step 0.
+    """
+    num_steps = simulator.num_steps
     counts = input_spikes.to_dense().counts
-    grid = np.zeros((simulator.num_steps,) + counts.shape[1:], dtype=counts.dtype)
+    grid = np.zeros((num_steps,) + counts.shape[1:], dtype=counts.dtype)
     grid[:counts.shape[0]] = counts
     kernels = simulator.layer_kernels
-    readout = simulator.layers[-1]
-    states, recorded = {}, {}
+    # Every hidden layer's output shape, from one zero row per transform.
+    shapes, shape = [], grid.shape[1:]
+    for layer in simulator.layers[:-1]:
+        shape = np.shape(layer.transform(np.zeros(shape)))
+        shapes.append(shape)
+    states, recorded, psc_sums = {}, {}, {}
     spike_counts = {layer.name: 0 for layer in simulator.layers}
-    readout_psc = None
-    for step in range(simulator.num_steps):
+    for step in range(num_steps):
         psc = grid[step].astype(np.float64) * kernels[0][step]
         for index, layer in enumerate(simulator.layers):
-            if layer.neuron is None:
-                # Linear readout: sum the PSC, transform once after the loop.
-                readout_psc = psc if readout_psc is None else readout_psc + psc
-                break
-            drive = layer.transform(psc)
-            if layer.step_bias is not None and (
-                layer.bias_stop is None or step < layer.bias_stop
-            ):
-                drive = drive + layer.step_bias
-            if index not in states:
-                states[index] = layer.neuron.init_state(drive.shape)
-            spikes = layer.neuron.step(states[index], drive)
+            start = num_steps if layer.neuron is None else 0
+            if layer.neuron is not None and getattr(layer.transform, "linear", False):
+                start = getattr(layer.neuron, "fire_start", 0)
+            if step < start:
+                psc_sums[index] = psc_sums.get(index, 0.0) + psc
+                if layer.neuron is None:
+                    break
+                spikes = np.zeros(shapes[index], dtype=np.int16)
+            else:
+                if index not in states:
+                    states[index] = layer.neuron.init_state(shapes[index])
+                    if start > 0:
+                        states[index].membrane[...] = _integrated(
+                            layer, psc_sums[index], start)
+                        states[index].step_index = start
+                drive = layer.transform(psc)
+                if layer.step_bias is not None and (
+                    layer.bias_stop is None or step < layer.bias_stop
+                ):
+                    drive = drive + layer.step_bias
+                spikes = layer.neuron.step(states[index], drive)
             fault = (layer_faults or {}).get(layer.name)
             if fault is not None:
                 # A one-step window, re-based so the stuck gate sees `step`.
@@ -140,12 +175,9 @@ def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None)
             if record_spikes:
                 recorded.setdefault(layer.name, []).append(spikes.copy())
             psc = spikes.astype(np.float64) * kernels[index + 1][step]
-    potential = np.asarray(readout.transform(readout_psc))
-    if readout.step_bias is not None:
-        bias_steps = simulator.num_steps if readout.bias_stop is None else min(
-            simulator.num_steps, int(readout.bias_stop))
-        potential = potential + bias_steps * readout.step_bias
-    record = SimulationRecord(potential, spike_counts, num_steps=simulator.num_steps)
+    readout = len(simulator.layers) - 1
+    potential = _integrated(simulator.layers[readout], psc_sums[readout], num_steps)
+    record = SimulationRecord(potential, spike_counts, num_steps=num_steps)
     record.spike_trains = {
         name: SpikeTrainArray(np.stack(rows), copy=False)
         for name, rows in recorded.items()

@@ -144,13 +144,13 @@ class TestPlans:
 
         pinned = {
             sweep_cell("transport"):
-                "8a6e897a9d94ae37e13c1f79e3399b2f73d046134a4faf9074ecf1608b2ac62b",
+                "851927ea13432069c1a389f7b55b356e9bac73e91e29a49d9c7bc0a35e60d9e0",
             sweep_cell("timestep"):
-                "6c1b936e8ad6d703845e5ed3bdfec7089bd6ef4824b3f5f63668ac9fd32b28b5",
+                "0122dc4ef347301aefd92a252b74d359b7bf9a9d2a1afc4853b2bf337391f00d",
             attack_cell("transport"):
-                "7a733b553921d57b41ec102266fe5e65df26121bf3f6bfcdb56e82689606bd7d",
+                "937a5cbb69797c081ed7bde84c981e1ae32476e288e82a2f0964ab9b8ba180e4",
             attack_cell("timestep"):
-                "42bf6eb7eb23f15630d54e22e6f14c940ced0be86ae99e0ce759e57d470c81aa",
+                "e2e47404d80d341a4b1c7f6a0ea4b50e5c5e71e05c2ab4f1c9eb0d0f80704d47",
         }
         for plan, fingerprint in pinned.items():
             assert plan.cell_fingerprint("0" * 64) == fingerprint, plan.cell_id()
@@ -169,10 +169,10 @@ class TestPlans:
         assert noise_shard.sample_range() == (32, 40)
         assert attack_shard.sample_range() == (3, 5)
         assert noise_shard.fingerprint("0" * 64) == (
-            "2ab43a0333cf793dbe163379018b28e6793b62f7f4341399724f194cc28b7d98"
+            "2f07c9dbac121a7899a344679d21b75f91196eba3581c01bdbcb3e532a89c575"
         )
         assert attack_shard.fingerprint("0" * 64) == (
-            "32a297cf57882c129109bd6a144e135f5f94c6245f7ba2f849a014dcad6f53b6"
+            "e5b8e81aaaeda2e53981873edb39ce2ea3d4eb5c5018b157cfcecadd8ff9f7ae"
         )
 
     def test_plans_reject_malformed_axes(self):
@@ -224,64 +224,64 @@ class TestPlans:
 #: resuming, so these change only with a deliberate fingerprint-schema bump.
 PINNED_CATALOGUE_DIGESTS = {
     ("figure", "adv-delete"): (
-        "e9d327bd74ec171c1288181d7b50ab067ced52830746eb6c6d9316766a47f0b9"
+        "56ec8171df8d601dd1047ca013e3c8ae889ebf786a780c03fcfe8f271541bb3e"
     ),
     ("figure", "adv-insert"): (
-        "d5d889538b62837002d0aa7402afd6e2b19bacd23b53a7f5739e5859c225b95e"
+        "5445c4c5bb988b6e40647850bc07288e379fcaefc5681baf808561a345a79e8e"
     ),
     ("figure", "adv-shift"): (
-        "ea2b0aa1a7349fd9ed2b64030a2fa7d9acda7869463c76d05cc811a036df3799"
+        "2c2f31a393abb31245aa0379087de01bb683ccc8e4847403aff45b58b2e8ebdd"
     ),
     ("figure", "fault-burst"): (
-        "d95415e911fcf34a4b5d68d113994b94553d392b7cf5cb8516d51a8b49c0ba1b"
+        "e8e63de455ca2af49dde58d1a0c60090814a37849b5a7f969f0000a331de7351"
     ),
     ("figure", "fault-dead"): (
-        "cee270a21dede5ea9806a8d14cb324d9b921e60516768a4d79ace3b173a666bb"
+        "46de34dded54846c379df1e348c1d84ae2d776aa2884c55a34bda965f7172cc6"
     ),
     ("figure", "fault-stuck"): (
-        "d2f3936e0d2a6dde33ecb373e9da7f69b02505bcd13ac98428534f529cba8be3"
+        "402c750ed01375bc4eb7f199c969b79430fd331d5eb9aadfa371346d149f7eb2"
     ),
     ("figure", "fig2"): (
-        "cc32b9d3ccd6afad0cd5ccadfd5bbae61700fe07d56068650476060025bab048"
+        "a7af2e5251b0c5caccfe73a9f89193f61551b3e931887c952dffb3862715721d"
     ),
     ("figure", "fig3"): (
-        "178333f02a66d892cc2b8156613a9b3155a4fdf8fea16ed2a602eee9897899c6"
+        "48e9bd16cd80bcae7ad1367e1f79f5ba84d327073e5ca233023e2569661c08c5"
     ),
     ("figure", "fig4"): (
-        "38c74763921f4b3f0f7daa08c594d1dac942412dd911ac4eb388610c6823d9c0"
+        "d17701e32693fd1b011f4fc954e27bef0d4b4c3e41e9482b54749de7a26cb765"
     ),
     ("figure", "fig6"): (
-        "2c124288b8dddd8742e3cefdcf6d3ea130d24c94724c11c97eff98643ae1251d"
+        "607c286c7486fc2d61f4534fb3c463b97df18fa102c5ddb1c59d3b66dae52dd8"
     ),
     ("figure", "fig7"): (
-        "faad38965a285a70a9f5b34a884ae8828205fc33296b63a8841c190c5c599c9c"
+        "c50cec3176a8c05d78b082f44b8527ad5a24d81d0ba4e33ee90c5cc5da7ea748"
     ),
     ("figure", "fig8"): (
-        "18804b8e8ca693d8ee67d41366e152dd721d93f3d7000a5b4527c4a619f8ba81"
+        "59c6b285fb8106d4b34af996cbe11dd2942a31c255d2eedf539adf3a7212e0fd"
     ),
     ("table", "adv-delete"): (
-        "e9d327bd74ec171c1288181d7b50ab067ced52830746eb6c6d9316766a47f0b9"
+        "56ec8171df8d601dd1047ca013e3c8ae889ebf786a780c03fcfe8f271541bb3e"
     ),
     ("table", "adv-insert"): (
-        "d5d889538b62837002d0aa7402afd6e2b19bacd23b53a7f5739e5859c225b95e"
+        "5445c4c5bb988b6e40647850bc07288e379fcaefc5681baf808561a345a79e8e"
     ),
     ("table", "adv-shift"): (
-        "ea2b0aa1a7349fd9ed2b64030a2fa7d9acda7869463c76d05cc811a036df3799"
+        "2c2f31a393abb31245aa0379087de01bb683ccc8e4847403aff45b58b2e8ebdd"
     ),
     ("table", "table1"): (
-        "6e5ef164a1047d621c8106e82cf3bae823700d3530d2d31fa665b2e0d3f08083"
+        "4b7c16e7effa8d53e0f7221157204db172bae48798206f0669a8afdb95aae880"
     ),
     ("table", "table2"): (
-        "e757c85ea89fe23670018df096fe4e9f1e21a0f8e665c293f951eadaa42eb7a5"
+        "6c78e5e2884ea06f6d429edd1529e11a04d9b78cc8cd64ec884242515e60c330"
     ),
     ("table", "table3-burst"): (
-        "3d8052810c3b631973d5e1b4ca4c261aebcd2a4df7b7922b808977f2cd6d728b"
+        "d20becc38c9f5140f843ad4f28e7111d7b06eec4f8f3ce4b5f6a59615ed334b4"
     ),
     ("table", "table3-dead"): (
-        "82539c68f07af0c2457ce07a4d016d25277168c92ed723ff22329cc430c1bc7e"
+        "6ce91152e35bec1a824a2862f0690132216f48f6beff5e7deb159680455b4ea0"
     ),
     ("table", "table3-stuck"): (
-        "d46f83c3ab1bc8b03ce7daec072410cabf11f43fba4c47df36d50eeeec4300e4"
+        "4aedbb5defb7d416b85ab448ba9cad1b90b7ada87376eccc92dfc3d8fc4dc052"
     ),
 }
 

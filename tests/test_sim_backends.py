@@ -1,11 +1,11 @@
 """Simulator-vs-oracle equivalence and integration tests.
 
 The simulator's contract is exactness against the time-outer reference loop
-(:func:`oracles.run_stepped`): identical spike trains and spike counts,
-readout potentials equal up to float summation order.  The matrix below
+(:func:`oracles.run_stepped`): identical spike trains, spike counts and
+readout potentials.  The matrix below
 exercises all three neuron models, a readout with no, full-window or
 stopped bias, spike recording on/off, several batch shapes (including
-partial batches), zero- and non-zero-preserving transforms, plus the
+partial batches), linear and affine transforms, plus the
 sweep-level integration of ``simulator="timestep"`` cells through the
 executor engine and result store.
 """
@@ -195,12 +195,10 @@ def hand_built_simulator(neuron_factory, num_steps, rng, readout_bias="no-bias")
     )
 
 
-def assert_records_match(stepped, fused, atol=1e-6):
+def assert_records_match(stepped, fused):
     assert stepped.spike_counts == fused.spike_counts
     assert stepped.num_steps == fused.num_steps
-    np.testing.assert_allclose(
-        stepped.output_potential, fused.output_potential, atol=atol
-    )
+    np.testing.assert_array_equal(stepped.output_potential, fused.output_potential)
     assert set(stepped.spike_trains) == set(fused.spike_trains)
     for name in stepped.spike_trains:
         assert stepped.spike_trains[name] == fused.spike_trains[name]
@@ -235,7 +233,7 @@ class TestEngineEquivalence:
         )
         stepped = run_stepped(simulator, encoded, record_spikes=True)
         fused = simulator.run(encoded, record_spikes=True)
-        assert_records_match(stepped, fused, atol=1e-5)
+        assert_records_match(stepped, fused)
         assert stepped.total_spikes() > 0
 
     @pytest.mark.parametrize("make_coder", [
@@ -252,7 +250,7 @@ class TestEngineEquivalence:
         encoded = coder.encode(cifar_split.test.x[:4] / converted_cnn.input_scale)
         stepped = run_stepped(simulator, encoded, record_spikes=True)
         fused = simulator.run(encoded, record_spikes=True)
-        assert_records_match(stepped, fused, atol=1e-5)
+        assert_records_match(stepped, fused)
         # The pooled conv path must actually carry spikes under the protocol.
         pooled = [
             f"segment{segment.index}"
@@ -287,7 +285,87 @@ class TestEngineEquivalence:
         assert not occupied.all(), "test needs at least one silent time row"
         stepped = run_stepped(simulator, train)
         fused = simulator.run(train)
-        assert_records_match(stepped, fused, atol=1e-5)
+        assert_records_match(stepped, fused)
+
+
+# ---------------------------------------------------------------------------
+# Integrate-then-fire: the steps before a firing window in one transform
+# ---------------------------------------------------------------------------
+TEMPORAL_CODERS = {
+    "phase": lambda: PhaseCoder(num_steps=16),
+    "ttfs": lambda: TTFSCoder(num_steps=16),
+    "ttas5": lambda: TTASCoder(num_steps=16, target_duration=5),
+}
+
+
+class TestIntegrateThenFire:
+    """Both the simulator and the oracle transform the summed pre-window PSC
+    once instead of summing one transformed row per step.  That changes the
+    float32 rounding of the membrane at ``fire_start``, not its value."""
+
+    @pytest.mark.parametrize("coding", sorted(TEMPORAL_CODERS))
+    def test_collapsed_membrane_matches_per_step_sum(
+        self, converted_cnn, cifar_split, coding
+    ):
+        coder = TEMPORAL_CODERS[coding]()
+        simulator = build_time_stepped_simulator(
+            converted_cnn, coder, batch_input_shape=(4, 3, 16, 16), threshold=0.1
+        )
+        train = coder.encode(cifar_split.test.x[:4] / converted_cnn.input_scale)
+        record = run_stepped(simulator, train, record_spikes=True)
+        grid = np.zeros((simulator.num_steps, 4, 3, 16, 16), dtype=np.int16)
+        grid[:coder.num_steps] = train.to_dense().counts
+        checked = 0
+        for index, layer in enumerate(simulator.layers[:-1]):
+            if index > 0:
+                grid = record.spike_trains[simulator.layers[index - 1].name]
+                grid = grid.to_dense().counts
+            start = layer.neuron.fire_start
+            kernel = simulator.layer_kernels[index]
+            stop = start if layer.bias_stop is None else min(start, layer.bias_stop)
+            # The old order: transform every step's PSC row, sum the rows.
+            per_step = 0.0
+            for step in range(start):
+                row = layer.transform(grid[step].astype(np.float64) * kernel[step])
+                if step < stop:
+                    row = row + layer.step_bias
+                per_step = per_step + row.astype(np.float64)
+            collapsed = simulator._integrated_membrane(
+                layer, grid, kernel, 0, (0, start), bias_steps=stop
+            )
+            # Each of the `start` float32 rows is rounded once, relative to
+            # the rows' magnitude; the collapsed call rounds once.
+            magnitude = np.abs(per_step).max()
+            assert magnitude > 0
+            np.testing.assert_allclose(
+                collapsed, per_step, rtol=0,
+                atol=(start + 1) * np.finfo(np.float32).eps * magnitude,
+            )
+            checked += 1
+        assert checked == len(simulator.layers) - 1
+
+    def test_ttfs_layer_transforms_batch_rows_before_its_window(
+        self, converted_cnn, cifar_split, monkeypatch
+    ):
+        """One row per sample per layer, not one per (step, sample): the
+        integration collapses, and the layer's own window -- no kernel
+        support, no bias -- gets no transform call at all."""
+        coder = TTFSCoder(num_steps=16)
+        simulator = build_time_stepped_simulator(
+            converted_cnn, coder, batch_input_shape=(4, 3, 16, 16), threshold=0.1
+        )
+        train = coder.encode(cifar_split.test.x[:4] / converted_cnn.input_scale)
+        rows = {}
+        original = _SegmentTransform.__call__
+
+        def counting_call(transform, psc):
+            rows[id(transform)] = rows.get(id(transform), 0) + psc.shape[0]
+            return original(transform, psc)
+
+        monkeypatch.setattr(_SegmentTransform, "__call__", counting_call)
+        record = simulator.run(train)
+        assert record.total_spikes() > 0
+        assert rows == {id(layer.transform): 4 for layer in simulator.layers}
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +394,10 @@ class TestSegmentTransformBiasCache:
         assert out_partial.shape[0] == 3
         np.testing.assert_allclose(out_full, 0.0, atol=1e-6)
 
-    def test_zero_preserving_contract(self, converted_mlp):
+    def test_linear_contract(self, converted_mlp):
         segment = converted_mlp.segments[0]
         transform = _SegmentTransform(list(segment.inference_layers()), 1.0, 2.0)
-        assert transform.zero_preserving
+        assert transform.linear
         out = transform(np.zeros((4, 1, 28, 28), dtype=np.float32))
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -746,14 +824,14 @@ class TestCliPlumbing:
 # Protocol-window scheduling: property-based equivalence
 # ---------------------------------------------------------------------------
 class _LinearTransform:
-    """Dense matmul transform that advertises zero-preservation.
+    """Dense matmul transform that advertises linearity.
 
     Plain lambdas -- as in :func:`hand_built_simulator` -- lack the
-    attribute, so the simulator integrates them from step 0; these tests
-    declare it explicitly to engage the bias-only prefix skip.
+    attribute, so the simulator integrates them step by step from step 0;
+    these tests declare it explicitly to engage the pre-window collapse.
     """
 
-    zero_preserving = True
+    linear = True
 
     def __init__(self, weight):
         self.weight = weight
@@ -765,7 +843,7 @@ class _LinearTransform:
 class _AffineTransform(_LinearTransform):
     """``psc @ W + c``: drives the layer even on silent steps."""
 
-    zero_preserving = False
+    linear = False
 
     def __init__(self, weight, offset):
         super().__init__(weight)
@@ -826,7 +904,7 @@ def _windowed_simulator(draw_seed, num_steps, num_hidden):
         weight = rng.normal(0.0, 0.6, size=(features[index], features[index + 1]))
         transform = _LinearTransform(weight)
         if rng.integers(0, 4) == 0:
-            # Not zero-preserving: no silent prefix may be skipped.
+            # Not linear: no step before the window may be collapsed.
             transform = _AffineTransform(
                 weight, rng.uniform(0.02, 0.2, size=features[index + 1])
             )
@@ -892,9 +970,8 @@ class TestWindowedEquivalence:
                 windowed.spike_trains[name].to_dense().counts,
                 stepped.spike_trains[name].to_dense().counts,
             ), name
-        # Spikes are exact; the readout is summation-order-close only.
-        np.testing.assert_allclose(
-            windowed.output_potential, stepped.output_potential, atol=1e-6
+        np.testing.assert_array_equal(
+            windowed.output_potential, stepped.output_potential
         )
 
     @given(seed=hyp_st.integers(min_value=0, max_value=2**32 - 1))
@@ -942,9 +1019,9 @@ class TestWindowedEquivalence:
             spikes, stepped.spike_trains["hidden0"].to_dense().counts
         )
 
-    def test_non_zero_preserving_starts_at_step_zero(self):
-        # A transform that drives silent steps must not have its prefix
-        # skipped: the membrane charges from step 0, not from fire_start.
+    def test_non_linear_starts_at_step_zero(self):
+        # A transform that drives silent steps must not have its steps
+        # before the window collapsed: the membrane charges from step 0.
         num_steps = 12
         layers = [
             SimulatorLayer(
@@ -968,8 +1045,8 @@ class TestWindowedEquivalence:
         assert np.array_equal(
             spikes, stepped.spike_trains["hidden0"].to_dense().counts
         )
-        np.testing.assert_allclose(
-            record.output_potential, stepped.output_potential, atol=1e-12
+        np.testing.assert_array_equal(
+            record.output_potential, stepped.output_potential
         )
 
     def test_off_grid_window_is_empty(self):

@@ -356,9 +356,7 @@ def assert_engines_match(simulator, train):
     stepped = run_stepped(simulator, train, record_spikes=True)
     fused = simulator.run(train, record_spikes=True)
     assert stepped.spike_counts == fused.spike_counts
-    np.testing.assert_allclose(
-        stepped.output_potential, fused.output_potential, atol=1e-5
-    )
+    np.testing.assert_array_equal(stepped.output_potential, fused.output_potential)
     assert set(stepped.spike_trains) == set(fused.spike_trains)
     for name in stepped.spike_trains:
         # Spike trains must be *bit-identical* to the oracle's.
