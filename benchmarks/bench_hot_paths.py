@@ -67,7 +67,7 @@ ADVERSARIAL_SHAPE = {"budget": 8, "max_candidates": 48, "samples": 4}
 #: requests.  ``requests`` counts per measurement pass and evaluator
 #: (timestep runs the slower faithful simulator, so it gets fewer).
 SERVING_SHAPE = {
-    "clients": 32, "max_batch": 8, "max_delay_ms": 2.0,
+    "clients": 32, "max_batch": 8,
     "transport_requests": 64, "timestep_requests": 32, "num_steps": 16,
 }
 
@@ -258,7 +258,7 @@ def bench_serving(repeats: int) -> Dict[str, Dict[str, float]]:
     * **sequential singles** -- one client thread calling ``serve_single``
       request after request, the no-scheduler baseline,
     * **micro-batched** -- ``clients`` concurrent threads submitting through
-      the :class:`MicroBatchScheduler` at ``max_batch``/``max_delay_ms``,
+      the :class:`MicroBatchScheduler` at ``max_batch``,
       per-request latency measured submit-to-result.
 
     Both paths produce bit-identical logits (asserted below), so the only
@@ -327,8 +327,7 @@ def bench_serving(repeats: int) -> Dict[str, Dict[str, float]]:
         per_client = count // cfg["clients"] or 1
         for _ in range(passes):
             with MicroBatchScheduler(
-                registry, max_batch=cfg["max_batch"],
-                max_delay_ms=cfg["max_delay_ms"],
+                registry, max_batch=cfg["max_batch"]
             ) as scheduler:
                 pass_latencies = []
                 outcomes: Dict[int, object] = {}
@@ -381,7 +380,7 @@ def bench_serving(repeats: int) -> Dict[str, Dict[str, float]]:
 
     print(f"\nserving (mnist {TEST_SCALE.name}-scale, {cfg['clients']} "
           f"clients, max_batch {cfg['max_batch']}, "
-          f"max_delay {cfg['max_delay_ms']}ms, {os.cpu_count() or 1} cpu(s))")
+          f"{os.cpu_count() or 1} cpu(s))")
     print(f"  {'evaluator':<12}{'seq p50':>10}{'bat p50':>10}"
           f"{'seq rps':>10}{'bat rps':>10}{'speedup':>9}")
     for name in specs:

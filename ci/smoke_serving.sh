@@ -71,7 +71,7 @@ references = [
 results = [None] * REQUESTS
 latencies = [None] * REQUESTS
 errors = []
-with MicroBatchScheduler(registry, max_batch=8, max_delay_ms=2.0) as scheduler:
+with MicroBatchScheduler(registry, max_batch=8) as scheduler:
     def client(indices):
         try:
             for i in indices:

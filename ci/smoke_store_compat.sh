@@ -19,7 +19,9 @@
 # no cell document may be newer than a sentinel touched in between.  The
 # same sweeps then run at HEAD into a second fresh store, and every cell's
 # `result` block must equal the parent's for the same fingerprint:
-# resuming is not enough, the values must match too.
+# resuming is not enough, the values must match too.  Each differing cell
+# is printed to stderr (its plan description, then the parent's and HEAD's
+# `result`) before the count.
 # When FINGERPRINT_SCHEMA or ATTACK_FINGERPRINT_SCHEMA differs between the
 # two trees the script prints the bump and exits 0: a bump is a deliberate
 # reset.
@@ -97,11 +99,15 @@ base, fresh = (pathlib.Path(root) for root in sys.argv[1:])
 names = sorted(path.relative_to(base) for path in base.rglob("*.json"))
 assert names == sorted(path.relative_to(fresh) for path in fresh.rglob("*.json")), \
     "HEAD wrote a different set of cell fingerprints"
-print(sum(
-    json.loads((base / name).read_text())["result"]
-    != json.loads((fresh / name).read_text())["result"]
-    for name in names
-))
+differing = 0
+for name in names:
+    old, new = (json.loads((root / name).read_text()) for root in (base, fresh))
+    if old["result"] != new["result"]:
+        differing += 1
+        print(f"differing cell {name}: {json.dumps(old.get('plan'), sort_keys=True)}\n"
+              f"  parent: {json.dumps(old['result'], sort_keys=True)}\n"
+              f"  HEAD:   {json.dumps(new['result'], sort_keys=True)}", file=sys.stderr)
+print(differing)
 PY
 )"
 echo "store compat: $CELLS cells written at $(git rev-parse --short HEAD^1)" \

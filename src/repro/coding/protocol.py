@@ -73,34 +73,6 @@ class InterfaceProtocol:
     window: Tuple[int, int] = (0, 0)
     bias_steps: Optional[int] = None
 
-    def kernel_support(self) -> Tuple[int, int]:
-        """Smallest step window ``[lo, hi)`` containing every nonzero kernel
-        weight, ``(0, 0)`` when the kernel is all-zero.
-
-        This is the window in which spikes emitted at this interface can
-        drive the next layer at all -- the window scheduler restricts each
-        layer's drive assembly to it.
-        """
-        nonzero = np.flatnonzero(np.asarray(self.kernel))
-        if nonzero.size == 0:
-            return 0, 0
-        return int(nonzero[0]), int(nonzero[-1]) + 1
-
-    def active_window(self) -> Tuple[int, int]:
-        """Union of the firing window and the kernel support.
-
-        Everything this interface does -- emit spikes, drive downstream
-        integrators -- happens inside this window; outside it the interface
-        is provably silent.
-        """
-        k_lo, k_hi = self.kernel_support()
-        w_lo, w_hi = int(self.window[0]), int(self.window[1])
-        if k_lo >= k_hi:
-            return w_lo, w_hi
-        if w_lo >= w_hi:
-            return k_lo, k_hi
-        return min(w_lo, k_lo), max(w_hi, k_hi)
-
 
 @dataclass(frozen=True)
 class SimulationProtocol:
@@ -147,10 +119,6 @@ class SimulationProtocol:
                     f"interface {index} kernel must have shape "
                     f"({self.num_steps},), got {kernel.shape}"
                 )
-
-    def active_windows(self) -> List[Tuple[int, int]]:
-        """Per-interface active windows (firing window union kernel support)."""
-        return [layer.active_window() for layer in self.layers]
 
 
 def sequential_window_protocol(

@@ -11,8 +11,9 @@ inference service in three layers:
   fingerprint -> artifact cache with result-store load-through and a
   resident-bytes LRU,
 * :mod:`repro.serving.scheduler` -- :class:`MicroBatchScheduler`, which
-  coalesces concurrent single-sample submissions into homogeneous batches
-  on the warm executor tier.
+  dispatches a single-sample submission at once when a worker of its warm
+  thread tier is idle, and coalesces requests that arrive while every
+  worker is busy into homogeneous batches.
 
 Quick start::
 

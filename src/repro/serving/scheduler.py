@@ -1,40 +1,44 @@
-"""Async micro-batching scheduler over the warm executor tier.
+"""Work-conserving micro-batching scheduler over the warm executor tier.
 
-Concurrent single-sample :meth:`MicroBatchScheduler.submit` calls coalesce
-into batches before they touch an evaluator: requests land in one queue per
-``(model fingerprint, RequestSpec)`` -- so every batch is homogeneous in
-model, evaluator and temporal protocol -- and a queue flushes when it
-reaches ``max_batch`` samples or when its oldest request has waited
-``max_delay_ms``.  Flushed batches are dispatched onto the warm
-:class:`~repro.execution.executors.ThreadExecutor` pool (the PR-4 worker
-tier; the numpy encode/GEMM hot paths release the GIL), evaluated via
-:func:`~repro.serving.inference.serve_batch`, and the per-sample results
-are demultiplexed back onto each request's future.
+Concurrent single-sample :meth:`MicroBatchScheduler.submit` calls are
+served by a fixed number of workers on a warm
+:class:`~repro.execution.executors.ThreadExecutor` pool (the numpy
+encode/GEMM hot paths release the GIL), and batches form only while
+every worker is busy (pull batching):
 
-The defaults are ``max_batch=8`` and ``max_delay_ms=2.0``: the batch cap
-bounds tail latency under load, the deadline bounds latency when traffic
-is sparse.  Because serving
-is clean deterministic inference (see :mod:`repro.serving.inference`),
-batching is invisible in the results -- a coalesced request returns exactly
-the bits a solo evaluation would.
+* **on submit**, if a worker is idle the request is dispatched at once as
+  a batch of one -- no timer, no waiting for company;
+* **while every worker is busy**, requests pile up in one queue per
+  ``(model fingerprint, RequestSpec)`` -- so every batch is homogeneous in
+  model, evaluator and temporal protocol;
+* **when a worker finishes a batch**, it takes up to ``max_batch``
+  requests from the queue whose first request is oldest, and marks itself
+  idle only once every queue is empty.  An emptied queue is dropped.
+
+Each batch is evaluated via :func:`~repro.serving.inference.serve_batch`
+and its per-sample results are demultiplexed back onto each request's
+future.  A request therefore waits only while it would have waited anyway,
+and the batch cap (``max_batch=8``) bounds how much one dispatch takes
+under load.  Because serving is clean deterministic inference at fixed
+compute lanes (see :mod:`repro.serving.inference`), batching is invisible
+in the results -- a coalesced request returns exactly the bits a solo
+evaluation would.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.execution.executors import Executor, ThreadExecutor
+from repro.execution.executors import ThreadExecutor
 from repro.serving.inference import RequestSpec, ServeResult, serve_batch
 from repro.serving.registry import ModelRegistry
-from repro.utils.logging import get_logger
 
-logger = get_logger("serving.scheduler")
 
 @dataclass
 class SchedulerStats:
@@ -43,9 +47,6 @@ class SchedulerStats:
     requests: int = 0
     batches: int = 0
     batched_samples: int = 0
-    full_flushes: int = 0
-    deadline_flushes: int = 0
-    drain_flushes: int = 0
 
     @property
     def mean_batch_size(self) -> float:
@@ -59,27 +60,28 @@ class SchedulerStats:
             "requests": self.requests,
             "batches": self.batches,
             "batched_samples": self.batched_samples,
-            "full_flushes": self.full_flushes,
-            "deadline_flushes": self.deadline_flushes,
-            "drain_flushes": self.drain_flushes,
             "mean_batch_size": self.mean_batch_size,
         }
 
 
 class _Queue:
-    """Pending requests of one (model fingerprint, spec) pair."""
+    """Requests of one (model fingerprint, spec) pair, in arrival order.
 
-    __slots__ = ("key", "spec", "items", "deadline")
+    Each item is ``(ticket, sample, future)``; tickets increase with
+    arrival, so the queue whose head has the smallest ticket is the one
+    whose first request is oldest.
+    """
 
-    def __init__(self, key: str, spec: RequestSpec):
+    __slots__ = ("key", "spec", "items")
+
+    def __init__(self, key: str, spec: RequestSpec, items=None):
         self.key = key
         self.spec = spec
-        self.items: List[Tuple[np.ndarray, Future]] = []
-        self.deadline: Optional[float] = None
+        self.items: List[Tuple[int, np.ndarray, Future]] = items or []
 
 
 class MicroBatchScheduler:
-    """Coalesce concurrent single-sample submissions into homogeneous batches.
+    """Serve single-sample submissions, batching them while workers are busy.
 
     Parameters
     ----------
@@ -91,44 +93,29 @@ class MicroBatchScheduler:
         Samples per batch cap (default 8).
         ``max_batch=1`` disables coalescing -- the sequential-singles
         baseline of the serving benchmark.
-    max_delay_ms:
-        Deadline flush: the oldest request of a queue waits at most this
-        long before its (possibly partial) batch dispatches (default 2.0).
-    executor:
-        Worker tier for batch evaluation; default a warm
-        :class:`ThreadExecutor` owned (and closed) by the scheduler.
-        Thread-based tiers share the resident artifacts zero-copy; a
-        process tier would have to re-pickle models per batch.
     max_workers:
-        Worker count when the scheduler builds its own executor
-        (0 = one per CPU, the default).
+        Worker count of the scheduler's own warm thread tier (0 = one per
+        CPU, the default).
     """
 
     def __init__(
         self,
         registry: ModelRegistry,
         max_batch: int = 8,
-        max_delay_ms: float = 2.0,
-        executor: Optional[Executor] = None,
         max_workers: Optional[int] = 0,
     ):
         if int(max_batch) < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if float(max_delay_ms) < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
         self.registry = registry
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay_ms) / 1000.0
-        self._owns_executor = executor is None
-        self._executor = executor or ThreadExecutor(max_workers)
+        self._executor = ThreadExecutor(max_workers)
+        self.max_workers = self._executor.max_workers
         self.stats = SchedulerStats()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._queues: Dict[Tuple[str, RequestSpec], _Queue] = {}
+        self._tickets = itertools.count()
+        self._idle = self.max_workers
         self._closed = False
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="serve-flusher", daemon=True
-        )
-        self._flusher.start()
 
     # -- submission ----------------------------------------------------------------
     def submit(
@@ -139,7 +126,7 @@ class MicroBatchScheduler:
         evaluator: str = "transport",
         **spec_kwargs,
     ) -> "Future[ServeResult]":
-        """Enqueue one sample; returns a future resolving to its result.
+        """Submit one sample; returns a future resolving to its result.
 
         ``spec`` pins the batch-compatibility axes explicitly; without one,
         a spec is built from ``evaluator`` plus any :meth:`RequestSpec.create`
@@ -151,116 +138,83 @@ class MicroBatchScheduler:
             spec = RequestSpec.create(evaluator=evaluator, **spec_kwargs)
         sample = np.asarray(sample, dtype=np.float32)
         future: "Future[ServeResult]" = Future()
-        ready: Optional[_Queue] = None
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
             self.stats.requests += 1
-            queue_key = (key, spec)
-            queue = self._queues.get(queue_key)
-            if queue is None:
-                queue = self._queues[queue_key] = _Queue(key, spec)
-            queue.items.append((sample, future))
-            if len(queue.items) == 1:
-                queue.deadline = time.monotonic() + self.max_delay
-                self._cond.notify_all()
-            if len(queue.items) >= self.max_batch:
-                # Full batch: dispatch from the submitting thread instead of
-                # waking the flusher -- one less context switch on the hot
-                # path, and the deadline timer never fires for full batches.
-                ready = self._take(queue)
-                self.stats.full_flushes += 1
-        if ready is not None:
-            self._dispatch(ready)
+            item = (next(self._tickets), sample, future)
+            if self._idle:
+                # An idle worker means every queue is empty: run this one now.
+                self._idle -= 1
+                self._executor.submit(self._work, self._count(_Queue(key, spec, [item])))
+            else:
+                queue = self._queues.get((key, spec))
+                if queue is None:
+                    queue = self._queues[(key, spec)] = _Queue(key, spec)
+                queue.items.append(item)
         return future
 
-    # -- flushing ------------------------------------------------------------------
-    def _take(self, queue: _Queue) -> _Queue:
-        """Detach a queue's pending items for dispatch (caller holds lock)."""
-        taken = _Queue(queue.key, queue.spec)
-        taken.items = queue.items[: self.max_batch]
-        queue.items = queue.items[self.max_batch:]
-        if queue.items:
-            # Leftovers (burst larger than max_batch) restart the clock.
-            queue.deadline = time.monotonic() + self.max_delay
-        else:
-            queue.deadline = None
-        return taken
+    # -- workers -------------------------------------------------------------------
+    def _count(self, batch: _Queue) -> _Queue:
+        """Record one dispatched batch (caller holds the lock)."""
+        self.stats.batches += 1
+        self.stats.batched_samples += len(batch.items)
+        return batch
 
-    def _flush_loop(self) -> None:
-        """Deadline watcher: dispatch queues whose oldest request expired."""
-        while True:
-            batches: List[_Queue] = []
-            with self._cond:
-                if self._closed and not any(
-                    q.items for q in self._queues.values()
-                ):
-                    return
-                now = time.monotonic()
-                deadlines = [
-                    q.deadline for q in self._queues.values()
-                    if q.items and q.deadline is not None
-                ]
-                if not deadlines:
-                    self._cond.wait(timeout=0.5)
-                    continue
-                soonest = min(deadlines)
-                if soonest > now:
-                    self._cond.wait(timeout=soonest - now)
-                    continue
-                for queue in self._queues.values():
-                    if queue.items and queue.deadline is not None \
-                            and queue.deadline <= now:
-                        batches.append(self._take(queue))
-                        self.stats.deadline_flushes += 1
-            for batch in batches:
-                self._dispatch(batch)
+    def _next_batch(self) -> Optional[_Queue]:
+        """Up to ``max_batch`` requests of the oldest queue, or ``None``
+        after marking the calling worker idle when every queue is empty."""
+        with self._lock:
+            if not self._queues:
+                self._idle += 1
+                return None
+            queue = min(self._queues.values(), key=lambda q: q.items[0][0])
+            batch = _Queue(queue.key, queue.spec, queue.items[: self.max_batch])
+            queue.items = queue.items[self.max_batch:]
+            if not queue.items:
+                del self._queues[(queue.key, queue.spec)]
+            return self._count(batch)
 
-    def _dispatch(self, batch: _Queue) -> None:
-        """Hand one detached batch to the worker tier."""
-        with self._cond:
-            self.stats.batches += 1
-            self.stats.batched_samples += len(batch.items)
-        self._executor.submit(self._run_batch, batch)
+    def _work(self, batch: _Queue) -> None:
+        """One worker: run batches until every queue is empty."""
+        while batch is not None:
+            self._run_batch(batch)
+            batch = self._next_batch()
 
     def _run_batch(self, batch: _Queue) -> None:
-        """Evaluate one batch and demultiplex results onto the futures."""
-        futures = [future for _, future in batch.items]
+        """Evaluate one batch and demultiplex results onto the futures.
+
+        Never raises: an error is delivered on every unresolved future of
+        the batch, so the worker always goes on to the next one.  Futures
+        cancelled while queued are left out.
+        """
+        items = [
+            (sample, future) for _, sample, future in batch.items
+            if future.set_running_or_notify_cancel()
+        ]
+        if not items:
+            return
         try:
             servable = self.registry.get(batch.key)
-            stacked = np.stack([sample for sample, _ in batch.items])
+            stacked = np.stack([sample for sample, _ in items])
             results = serve_batch(servable, batch.spec, stacked)
-            for future, result in zip(futures, results):
+            for (_, future), result in zip(items, results):
                 future.set_result(result)
         except BaseException as error:  # noqa: BLE001 - delivered per future
-            for future in futures:
+            for _, future in items:
                 if not future.done():
                     future.set_exception(error)
 
     # -- lifecycle -----------------------------------------------------------------
-    def drain(self) -> None:
-        """Dispatch every pending queue immediately (partial batches too)."""
-        batches: List[_Queue] = []
-        with self._cond:
-            for queue in self._queues.values():
-                while queue.items:
-                    batches.append(self._take(queue))
-                    self.stats.drain_flushes += 1
-            self._cond.notify_all()
-        for batch in batches:
-            self._dispatch(batch)
-
     def close(self) -> None:
-        """Drain pending requests, stop the flusher, release owned workers."""
-        with self._cond:
+        """Refuse new work, let the workers empty the queues, shut the tier down."""
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._cond.notify_all()
-        self.drain()
-        self._flusher.join(timeout=5.0)
-        if self._owns_executor:
-            self._executor.close()
+        # Every busy worker is a running pool task that only returns once
+        # the queues are empty, so shutting the pool down waits for them.
+        self._executor.close()
 
     def __enter__(self) -> "MicroBatchScheduler":
         return self
@@ -271,6 +225,6 @@ class MicroBatchScheduler:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MicroBatchScheduler(max_batch={self.max_batch}, "
-            f"max_delay_ms={self.max_delay * 1000:.1f}, "
+            f"max_workers={self.max_workers}, "
             f"stats={self.stats.as_dict()})"
         )

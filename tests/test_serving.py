@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import threading
 
 import numpy as np
@@ -332,9 +333,7 @@ class TestScheduler:
         key = fake_registry.register("mnist", seed=0)
         servable = fake_registry.get(key)
         references = [serve_single(servable, TRANSPORT, x) for x in samples]
-        with MicroBatchScheduler(
-            fake_registry, max_batch=8, max_delay_ms=20.0
-        ) as scheduler:
+        with MicroBatchScheduler(fake_registry, max_batch=8) as scheduler:
             futures = [
                 scheduler.submit(key, sample, spec=TRANSPORT)
                 for sample in samples
@@ -347,38 +346,9 @@ class TestScheduler:
         assert scheduler.stats.batches >= 1
         assert scheduler.stats.batched_samples == len(samples)
 
-    def test_coalescing_under_load(self, fake_registry, samples):
-        key = fake_registry.register("mnist", seed=0)
-        with MicroBatchScheduler(
-            fake_registry, max_batch=8, max_delay_ms=50.0
-        ) as scheduler:
-            futures = [
-                scheduler.submit(key, samples[i % len(samples)], spec=TRANSPORT)
-                for i in range(16)
-            ]
-            results = [future.result(timeout=30) for future in futures]
-        assert all(r.batch_size >= 1 for r in results)
-        # 16 aligned requests at max_batch=8 form exactly 2 full batches.
-        assert scheduler.stats.full_flushes == 2
-        assert scheduler.stats.mean_batch_size == 8.0
-
-    def test_deadline_flush_partial_batch(self, fake_registry, samples):
-        key = fake_registry.register("mnist", seed=0)
-        with MicroBatchScheduler(
-            fake_registry, max_batch=64, max_delay_ms=5.0
-        ) as scheduler:
-            future = scheduler.submit(key, samples[0], spec=TRANSPORT)
-            result = future.result(timeout=30)
-        assert result.prediction == serve_single(
-            fake_registry.get(key), TRANSPORT, samples[0]
-        ).prediction
-        assert scheduler.stats.deadline_flushes + scheduler.stats.drain_flushes >= 1
-
     def test_max_batch_one_is_sequential_singles(self, fake_registry, samples):
         key = fake_registry.register("mnist", seed=0)
-        with MicroBatchScheduler(
-            fake_registry, max_batch=1, max_delay_ms=0.0
-        ) as scheduler:
+        with MicroBatchScheduler(fake_registry, max_batch=1) as scheduler:
             futures = [
                 scheduler.submit(key, sample, spec=TRANSPORT)
                 for sample in samples[:4]
@@ -390,9 +360,7 @@ class TestScheduler:
     def test_mixed_evaluator_queues_stay_homogeneous(self, fake_registry, samples):
         key = fake_registry.register("mnist", seed=0)
         servable = fake_registry.get(key)
-        with MicroBatchScheduler(
-            fake_registry, max_batch=4, max_delay_ms=20.0
-        ) as scheduler:
+        with MicroBatchScheduler(fake_registry, max_batch=4) as scheduler:
             transport_futures = [
                 scheduler.submit(key, x, spec=TRANSPORT) for x in samples[:4]
             ]
@@ -421,12 +389,246 @@ class TestScheduler:
 
     def test_bad_key_delivered_as_future_exception(self, fake_registry, samples):
         fake_registry.register("mnist", seed=0)
-        with MicroBatchScheduler(
-            fake_registry, max_batch=1, max_delay_ms=0.0
-        ) as scheduler:
+        with MicroBatchScheduler(fake_registry, max_batch=1) as scheduler:
             future = scheduler.submit("bogus-key", samples[0], spec=TRANSPORT)
             with pytest.raises(KeyError):
                 future.result(timeout=30)
+
+
+class _Gate:
+    """A model that blocks on a :class:`threading.Event` before serving.
+
+    Stands in for the scheduler's ``serve_batch``: each call records its
+    ``(spec, rows)``, signals ``entered``, waits until ``release`` is set,
+    then serves through the real ``serve_batch`` -- or raises ``fail`` once
+    when it is set.
+    """
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.batches: list = []
+        self.fail = None
+
+    def __call__(self, servable, spec, batch):
+        self.batches.append((spec, len(batch)))
+        self.entered.set()
+        assert self.release.wait(timeout=30), "gate never released"
+        error, self.fail = self.fail, None
+        if error is not None:
+            raise error
+        return serve_batch(servable, spec, batch)
+
+    def hold(self, scheduler, key, sample):
+        """Occupy the scheduler's one worker with a blocked request."""
+        future = scheduler.submit(key, sample, spec=TRANSPORT)
+        assert self.entered.wait(timeout=30)
+        return future
+
+
+@pytest.fixture()
+def gate(monkeypatch):
+    gate = _Gate()
+    monkeypatch.setattr("repro.serving.scheduler.serve_batch", gate)
+    return gate
+
+
+def _assert_served_solo(fake_registry, key, requests, futures):
+    """Every ``(sample, spec)`` request got the bits ``serve_single`` gives."""
+    servable = fake_registry.get(key)
+    for (sample, spec), future in zip(requests, futures):
+        result = future.result(timeout=60)
+        assert np.array_equal(
+            result.logits, serve_single(servable, spec, sample).logits
+        )
+
+
+class TestIdleDispatch:
+    """Pull batching on a one-worker scheduler, with no timer involved."""
+
+    def test_lone_request_dispatches_on_submit(self, fake_registry, samples, gate):
+        key = fake_registry.register("mnist", seed=0)
+        with MicroBatchScheduler(fake_registry, max_workers=1) as scheduler:
+            future = scheduler.submit(key, samples[0], spec=TRANSPORT)
+            # Dispatched inside submit: the batch exists before any later
+            # submit, and the worker reaches the model while nothing else
+            # has arrived.
+            assert scheduler.stats.batches == 1
+            assert gate.entered.wait(timeout=30)
+            assert gate.batches == [(TRANSPORT, 1)]
+            gate.release.set()
+            _assert_served_solo(fake_registry, key, [(samples[0], TRANSPORT)], [future])
+        assert future.result().batch_size == 1
+
+    def test_arrivals_behind_a_busy_worker_batch_up(self, fake_registry, samples, gate):
+        key = fake_registry.register("mnist", seed=0)
+        with MicroBatchScheduler(fake_registry, max_batch=8, max_workers=1) as scheduler:
+            futures = [gate.hold(scheduler, key, samples[0])]
+            futures += [scheduler.submit(key, x, spec=TRANSPORT) for x in samples[1:12]]
+            assert scheduler.stats.batches == 1
+            gate.release.set()
+            _assert_served_solo(
+                fake_registry, key, [(x, TRANSPORT) for x in samples[:12]], futures
+            )
+        assert [rows for _, rows in gate.batches] == [1, 8, 3]
+        assert [f.result().batch_size for f in futures] == [1] + [8] * 8 + [3] * 3
+        assert scheduler.stats.as_dict() == {
+            "requests": 12, "batches": 3, "batched_samples": 12,
+            "mean_batch_size": 4.0,
+        }
+
+    def test_oldest_queue_is_served_first(self, fake_registry, samples, gate):
+        key = fake_registry.register("mnist", seed=0)
+        order = [TIMESTEP, TRANSPORT, TIMESTEP, TIMESTEP, TRANSPORT]
+        requests = list(zip(samples[1:], order))
+        with MicroBatchScheduler(fake_registry, max_batch=2, max_workers=1) as scheduler:
+            futures = [gate.hold(scheduler, key, samples[0])]
+            futures += [scheduler.submit(key, x, spec=spec) for x, spec in requests]
+            gate.release.set()
+            _assert_served_solo(
+                fake_registry, key, [(samples[0], TRANSPORT)] + requests, futures
+            )
+        # Timestep's head is oldest; its leftover then arrived after
+        # transport's head, so transport goes before it.
+        assert gate.batches == [
+            (TRANSPORT, 1), (TIMESTEP, 2), (TRANSPORT, 2), (TIMESTEP, 1),
+        ]
+
+    def test_emptied_queues_are_dropped(self, fake_registry, samples, gate):
+        key = fake_registry.register("mnist", seed=0)
+        specs = [
+            RequestSpec.create(evaluator="transport", coding="rate", num_steps=steps)
+            for steps in range(4, 24)
+        ]
+        with MicroBatchScheduler(fake_registry, max_workers=1) as scheduler:
+            futures = [gate.hold(scheduler, key, samples[0])]
+            futures += [scheduler.submit(key, samples[1], spec=spec) for spec in specs]
+            assert len(scheduler._queues) == len(specs)
+            gate.release.set()
+            for future in futures:
+                future.result(timeout=60)
+            assert not scheduler._queues
+        assert scheduler.stats.batches == 1 + len(specs)
+
+    def test_racing_clients_on_more_workers_than_cores(self, fake_registry, samples):
+        """Idle counting and queue takes under forced thread switches: no
+        request is lost or served twice, and every worker ends idle."""
+        key = fake_registry.register("mnist", seed=0)
+        servable = fake_registry.get(key)
+        specs = [TRANSPORT, RequestSpec.create(evaluator="transport", num_steps=8)]
+        references = {
+            (i, s): serve_single(servable, spec, x).logits
+            for i, x in enumerate(samples) for s, spec in enumerate(specs)
+        }
+        workers = (os.cpu_count() or 1) + 2
+        results: dict = {}
+        errors: list = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MicroBatchScheduler(
+                fake_registry, max_batch=3, max_workers=workers
+            ) as scheduler:
+                def client(c):
+                    try:
+                        futures = [
+                            ((i, (c + i) % 2), scheduler.submit(
+                                key, samples[i], spec=specs[(c + i) % 2]))
+                            for i in range(len(samples))
+                        ]
+                        for name, future in futures:
+                            results[(c,) + name] = future.result(timeout=60).logits
+                    except BaseException as error:  # pragma: no cover - surfaced below
+                        errors.append(error)
+
+                clients = [threading.Thread(target=client, args=(c,)) for c in range(8)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
+        assert len(results) == 8 * len(samples)
+        for (_, i, s), logits in results.items():
+            assert np.array_equal(logits, references[(i, s)])
+        assert scheduler.stats.requests == scheduler.stats.batched_samples == len(results)
+        assert scheduler._idle == workers and not scheduler._queues
+
+
+class TestPullLoopFailures:
+    """A failed batch or a close() never strands a worker or a future."""
+
+    def test_bad_key_returns_its_worker(self, fake_registry, samples, gate):
+        key = fake_registry.register("mnist", seed=0)
+        with MicroBatchScheduler(fake_registry, max_workers=1) as scheduler:
+            held = gate.hold(scheduler, key, samples[0])
+            bogus = scheduler.submit("bogus-key", samples[1], spec=TRANSPORT)
+            queued = [scheduler.submit(key, x, spec=TRANSPORT) for x in samples[2:5]]
+            gate.release.set()
+            with pytest.raises(KeyError):
+                bogus.result(timeout=30)
+            later = scheduler.submit(key, samples[5], spec=TRANSPORT)
+            _assert_served_solo(
+                fake_registry, key, [(x, TRANSPORT) for x in samples[[0, 2, 3, 4, 5]]],
+                [held] + queued + [later],
+            )
+
+    def test_model_raising_mid_batch_returns_its_worker(
+        self, fake_registry, samples, gate
+    ):
+        key = fake_registry.register("mnist", seed=0)
+        gate.fail = RuntimeError("model crashed")
+        with MicroBatchScheduler(fake_registry, max_workers=1) as scheduler:
+            held = gate.hold(scheduler, key, samples[0])
+            queued = [scheduler.submit(key, x, spec=TRANSPORT) for x in samples[1:4]]
+            gate.release.set()
+            with pytest.raises(RuntimeError, match="model crashed"):
+                held.result(timeout=30)
+            _assert_served_solo(
+                fake_registry, key, [(x, TRANSPORT) for x in samples[1:4]], queued
+            )
+            later = scheduler.submit(key, samples[4], spec=TRANSPORT)
+            _assert_served_solo(fake_registry, key, [(samples[4], TRANSPORT)], [later])
+        assert [rows for _, rows in gate.batches] == [1, 3, 1]
+
+    def test_close_resolves_requests_queued_behind_a_busy_worker(
+        self, fake_registry, samples, gate
+    ):
+        key = fake_registry.register("mnist", seed=0)
+        scheduler = MicroBatchScheduler(fake_registry, max_workers=1)
+        futures = [gate.hold(scheduler, key, samples[0])]
+        futures += [scheduler.submit(key, x, spec=TRANSPORT) for x in samples[1:6]]
+        closer = threading.Thread(target=scheduler.close)
+        closer.start()
+        closer.join(timeout=0.1)
+        assert closer.is_alive(), "close() returned while its worker was busy"
+        gate.release.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert all(future.done() for future in futures)
+        _assert_served_solo(
+            fake_registry, key, [(x, TRANSPORT) for x in samples[:6]], futures
+        )
+        with pytest.raises(RuntimeError):
+            scheduler.submit(key, samples[0], spec=TRANSPORT)
+
+    def test_cancelled_request_leaves_its_batch_intact(
+        self, fake_registry, samples, gate
+    ):
+        key = fake_registry.register("mnist", seed=0)
+        with MicroBatchScheduler(fake_registry, max_workers=1) as scheduler:
+            held = gate.hold(scheduler, key, samples[0])
+            queued = [scheduler.submit(key, x, spec=TRANSPORT) for x in samples[1:4]]
+            assert queued[1].cancel()
+            gate.release.set()
+            kept = [held, queued[0], queued[2]]
+            _assert_served_solo(
+                fake_registry, key, [(x, TRANSPORT) for x in samples[[0, 1, 3]]], kept
+            )
+        assert queued[1].cancelled()
+        assert [rows for _, rows in gate.batches] == [1, 2]
 
 
 class TestLatencySummary:
