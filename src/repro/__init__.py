@@ -11,17 +11,17 @@ contribution:
 * :mod:`repro.noise`       -- spike deletion and jitter noise models,
 * :mod:`repro.conversion`  -- DNN-to-SNN conversion,
 * :mod:`repro.core`        -- weight scaling, TTAS pipeline, noise analysis,
-* :mod:`repro.metrics`     -- accuracy / spike-count / robustness metrics,
+* :mod:`repro.metrics`     -- energy proxy, robustness summary, latencies,
 * :mod:`repro.experiments` -- figure and table reproduction harness.
 
 Quick start::
 
     from repro.data import synthetic_cifar10
-    from repro.nn import vgg7, train_classifier
+    from repro.nn import build_vgg, train_classifier
     from repro.core import NoiseRobustSNN
 
     data = synthetic_cifar10(train_size=800, test_size=200, rng=0)
-    model = vgg7(input_shape=data.image_shape, num_classes=data.num_classes, rng=0)
+    model = build_vgg("vgg7", data.image_shape, data.num_classes, rng=0)
     train_classifier(model, data.train, data.test, epochs=5)
 
     snn = NoiseRobustSNN.from_dnn(model, data.train.x[:128],

@@ -26,21 +26,10 @@ from repro.core.transport import (
 )
 from repro.core.pipeline import EvaluationResult, NoiseRobustSNN, make_evaluator
 from repro.core.servable import ServableModel
-from repro.core.analysis import (
-    activation_distribution,
-    all_or_none_fraction,
-    expected_activation_ratio,
-)
-from repro.core.timestep import (
-    TimestepEvaluator,
-    build_time_stepped_simulator,
-    evaluate_timestep,
-)
-from repro.core.calibration import BurstDurationChoice, select_burst_duration
+from repro.core.analysis import activation_distribution
+from repro.core.timestep import TimestepEvaluator, build_time_stepped_simulator
 
 __all__ = [
-    "BurstDurationChoice",
-    "select_burst_duration",
     "WeightScaling",
     "ActivationTransportSimulator",
     "BatchEvaluator",
@@ -51,8 +40,5 @@ __all__ = [
     "make_evaluator",
     "ServableModel",
     "activation_distribution",
-    "all_or_none_fraction",
-    "expected_activation_ratio",
     "build_time_stepped_simulator",
-    "evaluate_timestep",
 ]

@@ -1,29 +1,21 @@
 """Noise-effect analysis (Sec. III and Fig. 5B of the paper).
 
 These helpers quantify *why* the coding schemes react differently to noise:
-
-* :func:`expected_activation_ratio` verifies the analytic claim that deletion
-  with probability ``p`` shrinks the expected activation to ``(1 - p) A`` for
-  every coding scheme,
-* :func:`activation_distribution` reproduces Fig. 5B -- the distribution of
-  the noisy activation ``A'``: continuous around ``(1 - p) A`` for
-  rate/phase/burst, all-or-none (two spikes at 0 and ``A``) for TTFS, and
-  bimodal-with-mass-near-the-ends for TTAS,
-* :func:`all_or_none_fraction` measures how much probability mass sits at the
-  two extremes, the quantity that governs how well weight scaling works.
+:func:`activation_distribution` reproduces Fig. 5B -- the distribution of the
+noisy activation ``A'``: continuous around ``(1 - p) A`` for rate/phase/burst,
+all-or-none (two spikes at 0 and ``A``) for TTFS, and bimodal-with-mass-near-
+the-ends for TTAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.coding.base import NeuralCoder
 from repro.noise.base import SpikeNoise
 from repro.utils.rng import RngLike, default_rng, derive_rng
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -93,64 +85,3 @@ def activation_distribution(
         mean=float(samples.mean()),
         std=float(samples.std()),
     )
-
-
-def expected_activation_ratio(
-    coder: NeuralCoder,
-    values: np.ndarray,
-    deletion_probability: float,
-    trials: int = 20,
-    rng: RngLike = None,
-) -> float:
-    """Empirical ratio ``E[A'] / A`` under deletion noise.
-
-    Section III of the paper argues this ratio equals ``1 - p`` for every
-    coding scheme; ``tests/test_core_analysis_metrics.py`` checks it.
-    """
-    from repro.noise.deletion import DeletionNoise
-
-    check_probability("deletion_probability", deletion_probability)
-    check_positive("trials", trials)
-    values = np.asarray(values, dtype=np.float64)
-    generator = default_rng(rng)
-    noise = DeletionNoise(deletion_probability)
-    clean_sum = float(coder.roundtrip(values).sum())
-    if clean_sum == 0.0:
-        return 1.0
-    clean_train = coder.encode(values)
-    totals = []
-    for trial in range(int(trials)):
-        noisy_train = noise.apply(clean_train, rng=derive_rng(generator, "trial", trial))
-        totals.append(float(coder.decode(noisy_train).sum()))
-    return float(np.mean(totals) / clean_sum)
-
-
-def all_or_none_fraction(
-    coder: NeuralCoder,
-    value: float,
-    deletion_probability: float,
-    trials: int = 300,
-    tolerance: float = 0.1,
-    rng: RngLike = None,
-) -> Tuple[float, float]:
-    """Fractions of noisy activations that collapse to ~0 or stay at ~A.
-
-    Returns ``(fraction_zero, fraction_full)``.  For TTFS coding these two
-    fractions sum to ~1 (all-or-none behaviour); for rate-like codes most
-    mass lies strictly between the extremes.
-    """
-    from repro.noise.deletion import DeletionNoise
-
-    check_probability("deletion_probability", deletion_probability)
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance}")
-    samples = decoded_samples(
-        coder, value, DeletionNoise(deletion_probability), trials=trials, rng=rng
-    )
-    clean = float(np.asarray(coder.roundtrip(np.array([value]))).reshape(-1)[0])
-    if clean <= 0.0:
-        return 1.0, 0.0
-    relative = samples / clean
-    fraction_zero = float(np.mean(relative <= tolerance))
-    fraction_full = float(np.mean(relative >= 1.0 - tolerance))
-    return fraction_zero, fraction_full

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.coding.base import NeuralCoder
 from repro.conversion.converter import ConvertedSNN, NetworkSegment
-from repro.core.transport import BatchEvaluator, TransportResult
+from repro.core.transport import BatchEvaluator
 from repro.core.weight_scaling import WeightScaling
 from repro.nn.layers import Layer, ReLU
 from repro.noise.base import SpikeNoise
@@ -339,33 +339,3 @@ class TimestepEvaluator(BatchEvaluator):
         for interface, name in enumerate(spiking_layers, start=1):
             spikes_per_interface[interface] = record.spike_counts[name]
         return np.asarray(record.output_potential), spikes_per_interface
-
-
-def evaluate_timestep(
-    network: ConvertedSNN,
-    coder: NeuralCoder,
-    x: np.ndarray,
-    labels: Optional[np.ndarray] = None,
-    noise: Optional[SpikeNoise] = None,
-    weight_scaling: Optional[WeightScaling] = None,
-    expected_deletion: float = 0.0,
-    threshold: Optional[float] = None,
-    batch_size: int = 16,
-    rng: RngLike = None,
-    dead: float = 0.0,
-    stuck: float = 0.0,
-    sample_offset: int = 0,
-) -> TransportResult:
-    """Evaluate a converted network with the faithful time-stepped simulator.
-
-    Constructs a :class:`TimestepEvaluator` and runs the batch loop it
-    shares with :func:`repro.core.transport.evaluate_transport`, so the
-    per-batch streams, the sharding contract (``sample_offset``) and the
-    spike accounting are those of the transport evaluator.  Quantised
-    synapses are the caller's copy of the network
-    (:func:`repro.noise.faults.quantize_network`).
-    """
-    return TimestepEvaluator(
-        network, coder, noise, weight_scaling, expected_deletion,
-        threshold=threshold, dead=dead, stuck=stuck,
-    ).evaluate(x, labels, batch_size=batch_size, rng=rng, sample_offset=sample_offset)

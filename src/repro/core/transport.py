@@ -56,7 +56,7 @@ These cases keep the time-resolved path, on the representation the coder's
 * injected trains -- the attack engine (:mod:`repro.execution.attack`),
   whose scorer and transfer evaluation pass ``input_train``;
 * the faithful simulator's input noise --
-  :func:`repro.core.timestep.evaluate_timestep` (``--simulator timestep``),
+  :class:`repro.core.timestep.TimestepEvaluator` (``--simulator timestep``),
   which runs neurons over real steps.
 
 Both simulators sit behind one contract, :class:`BatchEvaluator`:

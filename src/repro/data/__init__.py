@@ -15,7 +15,7 @@ All generators are deterministic for a given seed, so experiments are exactly
 reproducible.
 """
 
-from repro.data.datasets import Dataset, DatasetSplit, train_test_split
+from repro.data.datasets import Dataset, DatasetSplit
 from repro.data.synthetic import (
     SyntheticImageConfig,
     load_dataset,
@@ -24,29 +24,14 @@ from repro.data.synthetic import (
     synthetic_mnist,
 )
 from repro.data.loaders import BatchLoader
-from repro.data.transforms import (
-    Normalize,
-    OneHot,
-    RandomCrop,
-    RandomHorizontalFlip,
-    Compose,
-    compute_channel_stats,
-)
 
 __all__ = [
     "Dataset",
     "DatasetSplit",
-    "train_test_split",
     "SyntheticImageConfig",
     "load_dataset",
     "synthetic_cifar10",
     "synthetic_cifar100",
     "synthetic_mnist",
     "BatchLoader",
-    "Normalize",
-    "OneHot",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "Compose",
-    "compute_channel_stats",
 ]

@@ -9,7 +9,7 @@ metadata (name, number of classes, image shape).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -132,48 +132,3 @@ class DatasetSplit:
     def image_shape(self) -> Tuple[int, int, int]:
         """Image shape ``(C, H, W)`` shared by both splits."""
         return self.train.image_shape
-
-
-def train_test_split(
-    dataset: Dataset,
-    test_fraction: float = 0.2,
-    rng: RngLike = None,
-    stratified: bool = True,
-) -> DatasetSplit:
-    """Split a dataset into train and test subsets.
-
-    Parameters
-    ----------
-    dataset:
-        The dataset to split.
-    test_fraction:
-        Fraction of samples assigned to the test split (0 < f < 1).
-    rng:
-        Seed or generator controlling the split.
-    stratified:
-        When True (default), the split preserves per-class proportions.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    generator = default_rng(rng)
-    n = len(dataset)
-    if stratified:
-        test_indices = []
-        for cls in range(dataset.num_classes):
-            cls_idx = np.flatnonzero(dataset.y == cls)
-            cls_idx = generator.permutation(cls_idx)
-            # round-half-up keeps the overall test fraction close to the target
-            n_test = int(np.floor(len(cls_idx) * test_fraction + 0.5))
-            test_indices.append(cls_idx[:n_test])
-        test_idx = np.sort(np.concatenate(test_indices)) if test_indices else np.array([], dtype=np.int64)
-    else:
-        order = generator.permutation(n)
-        test_idx = np.sort(order[: int(round(n * test_fraction))])
-    mask = np.zeros(n, dtype=bool)
-    mask[test_idx] = True
-    train_idx = np.flatnonzero(~mask)
-    return DatasetSplit(
-        train=dataset.subset(train_idx),
-        test=dataset.subset(test_idx),
-        name=dataset.name,
-    )

@@ -1,13 +1,12 @@
 """Batch loading utilities.
 
 :class:`BatchLoader` wraps a :class:`repro.data.datasets.Dataset` and yields
-mini-batches, optionally shuffled per epoch and passed through a transform
-pipeline (see :mod:`repro.data.transforms`).
+mini-batches, optionally shuffled per epoch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from repro.utils.rng import RngLike, default_rng
 from repro.utils.validation import check_positive
 
 Batch = Tuple[np.ndarray, np.ndarray]
-Transform = Callable[[np.ndarray, np.ndarray], Batch]
 
 
 class BatchLoader:
@@ -27,15 +25,9 @@ class BatchLoader:
     dataset:
         Source dataset.
     batch_size:
-        Number of samples per batch; the final batch may be smaller unless
-        ``drop_last`` is set.
+        Number of samples per batch; the final batch may be smaller.
     shuffle:
         Reshuffle sample order at the start of every epoch.
-    transform:
-        Optional callable ``(x, y) -> (x, y)`` applied to every batch, e.g. a
-        :class:`repro.data.transforms.Compose` pipeline.
-    drop_last:
-        Drop the final incomplete batch.
     rng:
         Seed or generator controlling shuffling.
     """
@@ -45,24 +37,17 @@ class BatchLoader:
         dataset: Dataset,
         batch_size: int = 32,
         shuffle: bool = False,
-        transform: Optional[Transform] = None,
-        drop_last: bool = False,
         rng: RngLike = None,
     ):
         check_positive("batch_size", batch_size)
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
-        self.transform = transform
-        self.drop_last = bool(drop_last)
         self._rng = default_rng(rng)
         self._epoch = 0
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     @property
     def epoch(self) -> int:
@@ -76,11 +61,5 @@ class BatchLoader:
             order = self._rng.permutation(order)
         for start in range(0, n, self.batch_size):
             idx = order[start:start + self.batch_size]
-            if self.drop_last and idx.shape[0] < self.batch_size:
-                break
-            x = self.dataset.x[idx]
-            y = self.dataset.y[idx]
-            if self.transform is not None:
-                x, y = self.transform(x, y)
-            yield x, y
+            yield self.dataset.x[idx], self.dataset.y[idx]
         self._epoch += 1

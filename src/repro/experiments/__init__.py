@@ -50,16 +50,12 @@ from repro.experiments.figures import (
     figure6_ttas_jitter,
     figure7_deletion_comparison,
     figure8_jitter_comparison,
-    figure_adversarial,
-    figure_fault_robustness,
 )
 from repro.experiments.tables import (
     TABLES,
     run_table,
     table1_deletion,
     table2_jitter,
-    table3_faults,
-    table_adversarial,
 )
 from repro.experiments.reporting import (
     format_activation_distributions,
@@ -95,12 +91,8 @@ __all__ = [
     "figure6_ttas_jitter",
     "figure7_deletion_comparison",
     "figure8_jitter_comparison",
-    "figure_adversarial",
-    "figure_fault_robustness",
     "table1_deletion",
     "table2_jitter",
-    "table3_faults",
-    "table_adversarial",
     "FAULT_NOISE_KINDS",
     "NOISE_KINDS",
     "FAULT_LEVELS",

@@ -18,12 +18,11 @@ Figure inventory (paper -> catalogue name -> bound function):
 * Fig. 7  all codings with/without WS + TTAS(5)+WS vs deletion  -> ``fig7`` -> :func:`figure7_deletion_comparison`
 * Fig. 8  rate/phase/burst/TTFS/TTAS(10) vs jitter              -> ``fig8`` -> :func:`figure8_jitter_comparison`
 
-Beyond the paper, ``fault-dead`` / ``fault-stuck`` / ``fault-burst``
-(:func:`figure_fault_robustness`) sweep the hardware-fault models of
-:mod:`repro.noise.faults`, and ``adv-delete`` / ``adv-shift`` /
-``adv-insert`` (:func:`figure_adversarial`) pair a budgeted attacker's
-worst case with the matched random baseline per coding.  Fig. 5B is not a
-sweep and keeps its own function.
+Beyond the paper, ``fault-dead`` / ``fault-stuck`` / ``fault-burst`` sweep
+the hardware-fault models of :mod:`repro.noise.faults`, and ``adv-delete`` /
+``adv-shift`` / ``adv-insert`` pair a budgeted attacker's worst case with the
+matched random baseline per coding; :func:`run_figure` runs them by name.
+Fig. 5B is not a sweep and keeps its own function.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.experiments.config import (
     all_codings_ws,
     coding_methods,
 )
-from repro.experiments.runner import SweepResult, SweepSpec, kind_entry, run_spec
+from repro.experiments.runner import SweepResult, SweepSpec, run_spec
 from repro.experiments.workloads import PreparedWorkload
 from repro.noise.deletion import DeletionNoise
 
@@ -129,22 +128,6 @@ figure4_weight_scaling_ttas = partial(run_figure, "fig4")
 figure6_ttas_jitter = partial(run_figure, "fig6")
 figure7_deletion_comparison = partial(run_figure, "fig7")
 figure8_jitter_comparison = partial(run_figure, "fig8")
-
-
-def figure_fault_robustness(
-    dataset: Optional[str] = None, fault_kind: str = "dead", **kwargs
-) -> SweepResult:
-    """The ``fault-*`` figure of ``fault_kind`` ("dead" / "stuck" / "burst_error")."""
-    name = kind_entry(FIGURES, "fault-", "fault_kind", fault_kind)
-    return run_figure(name, dataset, **kwargs)
-
-
-def figure_adversarial(
-    dataset: Optional[str] = None, attack_kind: str = "delete", **kwargs
-) -> SweepResult:
-    """The ``adv-*`` figure of ``attack_kind`` ("delete" / "shift" / "insert")."""
-    name = kind_entry(FIGURES, "adv-", "attack_kind", attack_kind)
-    return run_figure(name, dataset, **kwargs)
 
 
 def figure5_activation_distribution(

@@ -447,20 +447,6 @@ class SweepSpec:
         return _ATTACK_OPTIONS if self.attack_kind else _NOISE_OPTIONS
 
 
-def kind_entry(
-    catalogue: Dict[str, SweepSpec], prefix: str, argument: str, kind: str
-) -> str:
-    """The name of the ``prefix``-named catalogue entry sweeping ``kind``
-    (a fault noise kind, or an attack kind for the ``adv-*`` entries)."""
-    names = {
-        spec.attack_kind or spec.axis: name
-        for name, spec in catalogue.items() if name.startswith(prefix)
-    }
-    if kind not in names:
-        raise ValueError(f"{argument} must be one of {tuple(names)}, got {kind!r}")
-    return names[kind]
-
-
 def _run_attack_pairs(
     run: Callable[[List[AttackSweepConfig]], List[SweepResult]],
     datasets: Sequence[str],

@@ -14,9 +14,8 @@ Each table is a :class:`~repro.experiments.runner.SweepSpec` of
 :data:`TABLES`, run by :func:`run_table`: the cells of *all* datasets are
 compiled into one flat plan batch and dispatched through the executor
 engine together, so a process pool shards whole datasets across workers
-instead of sweeping them strictly serially.  :func:`table1_deletion`,
-:func:`table2_jitter`, :func:`table3_faults` and :func:`table_adversarial`
-are bindings onto it.
+instead of sweeping them strictly serially.  :func:`table1_deletion` and
+:func:`table2_jitter` are bindings onto it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.experiments.config import (
     all_codings_ws,
     coding_methods,
 )
-from repro.experiments.runner import MethodCurve, SweepSpec, kind_entry, run_spec
+from repro.experiments.runner import MethodCurve, SweepSpec, run_spec
 from repro.experiments.workloads import PreparedWorkload
 
 
@@ -181,19 +180,3 @@ def run_table(
 
 table1_deletion = partial(run_table, "table1")
 table2_jitter = partial(run_table, "table2")
-
-
-def table3_faults(
-    datasets: Optional[Sequence[str]] = None, fault_kind: str = "dead", **kwargs
-) -> TableResult:
-    """The ``table3-*`` table of ``fault_kind`` ("dead" / "stuck" / "burst_error")."""
-    name = kind_entry(TABLES, "table3-", "fault_kind", fault_kind)
-    return run_table(name, datasets, **kwargs)
-
-
-def table_adversarial(
-    datasets: Optional[Sequence[str]] = None, attack_kind: str = "delete", **kwargs
-) -> TableResult:
-    """The ``adv-*`` table of ``attack_kind`` ("delete" / "shift" / "insert")."""
-    name = kind_entry(TABLES, "adv-", "attack_kind", attack_kind)
-    return run_table(name, datasets, **kwargs)

@@ -1,17 +1,7 @@
-"""Evaluation metrics and robustness summaries."""
+"""Evaluation metrics: the energy proxy, a robustness summary and latencies."""
 
-from repro.metrics.accuracy import accuracy_score, confusion_matrix, top_k_accuracy
-from repro.metrics.spikes import (
-    SpikeStatistics,
-    energy_proxy,
-    spike_statistics,
-)
-from repro.metrics.robustness import (
-    RobustnessSummary,
-    area_under_accuracy_curve,
-    relative_degradation,
-    summarize_noise_sweep,
-)
+from repro.metrics.spikes import energy_proxy
+from repro.metrics.robustness import area_under_accuracy_curve
 from repro.metrics.latency import (
     LatencySummary,
     latency_summary,
@@ -22,14 +12,6 @@ __all__ = [
     "LatencySummary",
     "latency_summary",
     "pool_latencies",
-    "accuracy_score",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "SpikeStatistics",
-    "spike_statistics",
     "energy_proxy",
-    "RobustnessSummary",
-    "summarize_noise_sweep",
-    "relative_degradation",
     "area_under_accuracy_curve",
 ]

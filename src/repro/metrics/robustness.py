@@ -1,87 +1,14 @@
-"""Robustness summaries over noise sweeps.
+"""Robustness figure of merit over a noise sweep.
 
-Tables I and II of the paper summarise each (dataset, coding) pair with the
-accuracy at a handful of noise levels plus their average ("Avg." column).
-These helpers compute the same summaries from sweep results, plus a couple of
-standard robustness figures of merit (area under the accuracy-vs-noise curve,
-relative degradation).
+:func:`area_under_accuracy_curve` summarises an accuracy-vs-noise curve in
+one scalar, which the ablation benches use to rank variants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.utils.validation import level_index
-
-
-@dataclass(frozen=True)
-class RobustnessSummary:
-    """Accuracy of one configuration across a noise sweep.
-
-    Attributes
-    ----------
-    levels:
-        The swept noise levels (deletion probabilities or jitter sigmas).
-    accuracies:
-        Accuracy at each level (same order as ``levels``).
-    average:
-        Mean accuracy over the listed levels (the paper's "Avg." column).
-    clean_accuracy:
-        Accuracy without noise, when it was part of the sweep (else nan).
-    """
-
-    levels: Sequence[float]
-    accuracies: Sequence[float]
-    average: float
-    clean_accuracy: float = float("nan")
-
-    def degradation_at(self, level: float) -> float:
-        """Accuracy drop (clean - noisy) at the given noise level.
-
-        The level is matched with a float tolerance, so levels produced by
-        arithmetic (``np.linspace``, ``0.1 * i``) resolve to the intended
-        sweep entry instead of raising on a ULP mismatch.
-        """
-        return self.clean_accuracy - self.accuracies[level_index(self.levels, level)]
-
-
-def summarize_noise_sweep(
-    results: Mapping[float, float], clean_level: float = 0.0
-) -> RobustnessSummary:
-    """Summarise an accuracy-vs-noise mapping into a :class:`RobustnessSummary`.
-
-    ``results`` maps noise level to accuracy; the entry at ``clean_level`` (if
-    present) is reported as clean accuracy but still included in the average
-    only if the paper's corresponding table does so (it does not -- the "Avg."
-    column in Tables I/II averages the *noisy* columns), so the clean level is
-    excluded from the average here as well.
-    """
-    if not results:
-        raise ValueError("results must contain at least one noise level")
-    levels = sorted(results)
-    accuracies = [float(results[level]) for level in levels]
-    clean = float(results.get(clean_level, float("nan")))
-    noisy_levels = [level for level in levels if level != clean_level]
-    if noisy_levels:
-        average = float(np.mean([results[level] for level in noisy_levels]))
-    else:
-        average = clean
-    return RobustnessSummary(
-        levels=levels,
-        accuracies=accuracies,
-        average=average,
-        clean_accuracy=clean,
-    )
-
-
-def relative_degradation(clean_accuracy: float, noisy_accuracy: float) -> float:
-    """Relative accuracy loss in [0, 1] (0 = no loss, 1 = total collapse)."""
-    if clean_accuracy <= 0:
-        return 0.0
-    return float(max(0.0, (clean_accuracy - noisy_accuracy) / clean_accuracy))
 
 
 def area_under_accuracy_curve(

@@ -1,4 +1,4 @@
-"""Spike-count statistics and energy proxies.
+"""Energy proxy for spike counts.
 
 The right-hand axes of Figs. 2 and 3 and the spike-count columns of Table I
 report the number of spikes an inference uses -- the quantity that determines
@@ -8,58 +8,6 @@ turns spike counts into a relative energy estimate using the standard
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
-
-import numpy as np
-
-from repro.snn.spikes import SpikeTrain
-from repro.utils.validation import check_positive
-
-
-@dataclass(frozen=True)
-class SpikeStatistics:
-    """Summary of spiking activity for one evaluation.
-
-    Attributes
-    ----------
-    total_spikes:
-        Number of spikes over all interfaces and samples.
-    spikes_per_sample:
-        Average spikes per classified sample.
-    spikes_per_interface:
-        Breakdown by spiking interface (0 = input encoding).
-    num_samples:
-        Number of samples the counts were accumulated over.
-    """
-
-    total_spikes: int
-    spikes_per_sample: float
-    spikes_per_interface: Dict[int, int]
-    num_samples: int
-
-
-def spike_statistics(
-    spikes_per_interface: Mapping[int, int], num_samples: int
-) -> SpikeStatistics:
-    """Build a :class:`SpikeStatistics` from per-interface totals."""
-    check_positive("num_samples", num_samples)
-    total = int(sum(spikes_per_interface.values()))
-    return SpikeStatistics(
-        total_spikes=total,
-        spikes_per_sample=total / int(num_samples),
-        spikes_per_interface=dict(spikes_per_interface),
-        num_samples=int(num_samples),
-    )
-
-
-def spike_train_sparsity(train: SpikeTrain) -> float:
-    """Fraction of (step, neuron) slots that carry no spike."""
-    total_slots = train.num_steps * train.num_neurons
-    if total_slots == 0:
-        return 1.0
-    return 1.0 - train.occupied_slots() / float(total_slots)
 
 
 def energy_proxy(

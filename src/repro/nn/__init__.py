@@ -12,7 +12,7 @@ each piece is fully functional (training actually converges) rather than a
 stub.
 """
 
-from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
+from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layers import (
     AvgPool2D,
     Conv2D,
@@ -25,19 +25,10 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.norm import BatchNorm2D
-from repro.nn.losses import CrossEntropyLoss, MSELoss, softmax
-from repro.nn.optimizers import SGD, Adam, Optimizer
-from repro.nn.schedules import ConstantSchedule, CosineSchedule, StepSchedule
+from repro.nn.losses import CrossEntropyLoss, softmax
+from repro.nn.optimizers import SGD, Optimizer
 from repro.nn.model import Sequential
-from repro.nn.vgg import (
-    VGG_CONFIGS,
-    build_mlp,
-    build_vgg,
-    vgg7,
-    vgg9,
-    vgg16,
-    vgg_micro,
-)
+from repro.nn.vgg import VGG_CONFIGS, build_mlp, build_vgg
 from repro.nn.training import (
     TrainingResult,
     Trainer,
@@ -47,7 +38,6 @@ from repro.nn.training import (
 
 __all__ = [
     "he_normal",
-    "xavier_uniform",
     "zeros_init",
     "Layer",
     "Identity",
@@ -60,22 +50,13 @@ __all__ = [
     "Dropout",
     "BatchNorm2D",
     "CrossEntropyLoss",
-    "MSELoss",
     "softmax",
     "Optimizer",
     "SGD",
-    "Adam",
-    "ConstantSchedule",
-    "StepSchedule",
-    "CosineSchedule",
     "Sequential",
     "VGG_CONFIGS",
     "build_vgg",
     "build_mlp",
-    "vgg7",
-    "vgg9",
-    "vgg16",
-    "vgg_micro",
     "Trainer",
     "TrainingResult",
     "evaluate_accuracy",

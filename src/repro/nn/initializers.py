@@ -39,14 +39,6 @@ def he_normal(shape: Sequence[int], rng: RngLike = None) -> np.ndarray:
     return generator.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def xavier_uniform(shape: Sequence[int], rng: RngLike = None) -> np.ndarray:
-    """Xavier/Glorot uniform initialisation."""
-    generator = default_rng(rng)
-    fan_in, fan_out = _fan_in_out(shape)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return generator.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
 def zeros_init(shape: Sequence[int], rng: RngLike = None) -> np.ndarray:
     """All-zero initialisation (biases)."""
     return np.zeros(shape, dtype=np.float32)

@@ -62,31 +62,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
-
-
-class MSELoss:
-    """Mean squared error, used in a couple of regression-style unit tests."""
-
-    def __init__(self):
-        self._cache: Tuple[np.ndarray, np.ndarray] = None  # type: ignore[assignment]
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        """Mean of squared differences."""
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
-            )
-        self._cache = (predictions, targets)
-        return float(np.mean((predictions - targets) ** 2))
-
-    def backward(self) -> np.ndarray:
-        """Gradient of the mean loss with respect to the predictions."""
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        predictions, targets = self._cache
-        return (2.0 * (predictions - targets) / predictions.size).astype(np.float32)
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)

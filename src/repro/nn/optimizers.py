@@ -1,14 +1,14 @@
 """Gradient-descent optimisers.
 
 Optimisers operate on a list of layers: each step reads ``layer.grads`` and
-updates ``layer.params`` in place.  State (momentum buffers, Adam moments) is
-keyed by ``(layer index, parameter name)`` so the same optimiser instance can
-be reused across epochs.
+updates ``layer.params`` in place.  Momentum buffers are keyed by
+``(layer index, parameter name)`` so the same optimiser instance can be reused
+across epochs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.utils.validation import check_non_negative, check_positive
 
 
 class Optimizer:
-    """Base class: tracks the step count and the (schedulable) learning rate."""
+    """Base class: tracks the step count and the learning rate."""
 
     def __init__(self, learning_rate: float = 0.01, weight_decay: float = 0.0):
         check_positive("learning_rate", learning_rate)
@@ -44,11 +44,6 @@ class Optimizer:
         self, layer_index: int, name: str, param: np.ndarray, grad: np.ndarray
     ) -> None:
         raise NotImplementedError
-
-    def set_learning_rate(self, learning_rate: float) -> None:
-        """Update the learning rate (used by schedules)."""
-        check_positive("learning_rate", learning_rate)
-        self.learning_rate = float(learning_rate)
 
 
 class SGD(Optimizer):
@@ -87,43 +82,3 @@ class SGD(Optimizer):
                 param += velocity
         else:
             param -= self.learning_rate * grad
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(learning_rate, weight_decay)
-        for label, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{label} must lie in [0, 1), got {beta}")
-        check_positive("eps", eps)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self._m: Dict[Tuple[int, str], np.ndarray] = {}
-        self._v: Dict[Tuple[int, str], np.ndarray] = {}
-
-    def _update(
-        self, layer_index: int, name: str, param: np.ndarray, grad: np.ndarray
-    ) -> None:
-        key = (layer_index, name)
-        m = self._m.get(key)
-        v = self._v.get(key)
-        if m is None:
-            m = np.zeros_like(param)
-            v = np.zeros_like(param)
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * (grad * grad)
-        self._m[key] = m
-        self._v[key] = v
-        m_hat = m / (1 - self.beta1**self.step_count)
-        v_hat = v / (1 - self.beta2**self.step_count)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -1,17 +1,14 @@
 """Training loop for the DNN substrate.
 
-The trainer is intentionally small: mini-batch SGD/Adam over a
-:class:`repro.data.loaders.BatchLoader`, optional learning-rate schedule,
-per-epoch evaluation, and a history record that examples and tests can
-inspect.
+The trainer is intentionally small: mini-batch SGD with cross-entropy over
+a :class:`repro.data.loaders.BatchLoader`, per-epoch evaluation, and a
+history record that examples and tests can inspect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.data.datasets import Dataset
 from repro.data.loaders import BatchLoader
@@ -75,23 +72,12 @@ class Trainer:
     optimizer:
         Any :class:`repro.nn.optimizers.Optimizer`; defaults to SGD with
         momentum 0.9.
-    loss:
-        Loss object with ``forward(logits, labels)`` / ``backward()``.
-    schedule:
-        Optional callable ``epoch -> learning_rate``.
     """
 
-    def __init__(
-        self,
-        model: Sequential,
-        optimizer: Optional[Optimizer] = None,
-        loss: Optional[CrossEntropyLoss] = None,
-        schedule: Optional[Callable[[int], float]] = None,
-    ):
+    def __init__(self, model: Sequential, optimizer: Optional[Optimizer] = None):
         self.model = model
         self.optimizer = optimizer or SGD(learning_rate=0.05, momentum=0.9)
-        self.loss = loss or CrossEntropyLoss()
-        self.schedule = schedule
+        self.loss = CrossEntropyLoss()
 
     def fit(
         self,
@@ -107,8 +93,6 @@ class Trainer:
         check_positive("epochs", epochs)
         result = TrainingResult()
         for epoch in range(int(epochs)):
-            if self.schedule is not None:
-                self.optimizer.set_learning_rate(self.schedule(epoch))
             epoch_loss = 0.0
             epoch_correct = 0
             epoch_samples = 0

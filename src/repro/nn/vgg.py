@@ -1,14 +1,14 @@
 """VGG-style model builders.
 
 The paper uses VGG16.  Training VGG16 on a single CPU core is not practical,
-so this module exposes a family of conversion-friendly VGG variants sharing
-the same structure (3x3 convolutions, pooling between stages, a small dense
-head, ReLU everywhere, dropout in the head):
+so :func:`build_vgg` builds a family of conversion-friendly VGG variants
+(:data:`VGG_CONFIGS`) sharing the same structure (3x3 convolutions, pooling
+between stages, a small dense head, ReLU everywhere, dropout in the head):
 
-* ``vgg16``   -- the full paper architecture (available, but heavy),
-* ``vgg9``    -- the default "deep" network used in the reproduction benches,
-* ``vgg7``    -- a lighter variant,
-* ``vgg_micro`` -- tiny network used by unit/integration tests.
+* ``"vgg16"``   -- the full paper architecture (available, but heavy),
+* ``"vgg9"``    -- the default "deep" network used in the reproduction benches,
+* ``"vgg7"``    -- a lighter variant,
+* ``"vgg_micro"`` -- a tiny network used by unit/integration tests.
 
 Conversion-friendliness means: ReLU activations only, average pooling by
 default (max pooling is hard to express with spiking neurons), biases kept,
@@ -131,44 +131,6 @@ def build_vgg(
         features = int(units)
     layers.append(Dense(features, int(num_classes), rng=layer_rng))
     return Sequential(layers, name=model_name)
-
-
-def vgg16(
-    input_shape: Tuple[int, int, int] = (3, 32, 32),
-    num_classes: int = 10,
-    **kwargs,
-) -> Sequential:
-    """Full VGG16 as used in the paper (heavy on CPU; prefer ``vgg9`` for sweeps)."""
-    kwargs.setdefault("dense_units", (512, 256))
-    return build_vgg("vgg16", input_shape, num_classes, **kwargs)
-
-
-def vgg9(
-    input_shape: Tuple[int, int, int] = (3, 32, 32),
-    num_classes: int = 10,
-    **kwargs,
-) -> Sequential:
-    """Default deep network of the reproduction benches."""
-    return build_vgg("vgg9", input_shape, num_classes, **kwargs)
-
-
-def vgg7(
-    input_shape: Tuple[int, int, int] = (3, 32, 32),
-    num_classes: int = 10,
-    **kwargs,
-) -> Sequential:
-    """Lighter VGG variant for quicker sweeps."""
-    return build_vgg("vgg7", input_shape, num_classes, **kwargs)
-
-
-def vgg_micro(
-    input_shape: Tuple[int, int, int] = (1, 28, 28),
-    num_classes: int = 10,
-    **kwargs,
-) -> Sequential:
-    """Tiny network used by unit and integration tests."""
-    kwargs.setdefault("dense_units", (64,))
-    return build_vgg("vgg_micro", input_shape, num_classes, **kwargs)
 
 
 def build_mlp(

@@ -36,11 +36,10 @@ from repro.noise.faults import (
     StuckAtFireNoise,
     WeightQuantizationNoise,
     quantize_network,
-    quantize_weights,
 )
 from repro.noise.jitter import JitterNoise
 from repro.noise.injector import NoiseInjector
-from repro.noise.weights import GaussianWeightNoise, apply_weight_noise
+from repro.noise.weights import GaussianWeightNoise
 
 __all__ = [
     "SpikeNoise",
@@ -52,10 +51,8 @@ __all__ = [
     "StuckAtFireNoise",
     "WeightQuantizationNoise",
     "quantize_network",
-    "quantize_weights",
     "NoiseInjector",
     "GaussianWeightNoise",
-    "apply_weight_noise",
     "ATTACK_KINDS",
     "ATTACK_SEARCHES",
     "AttackOutcome",

@@ -26,7 +26,7 @@ event backends produce bit-identical corrupted trains.
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -164,12 +164,6 @@ class WeightQuantizationNoise:
 
     def describe(self) -> str:
         return f"quantization(bits={self.bits})"
-
-
-def quantize_weights(weight_list: List[np.ndarray], bits: int) -> List[np.ndarray]:
-    """Quantise a list of weight tensors (mirrors ``apply_weight_noise``)."""
-    model = WeightQuantizationNoise(bits)
-    return [model.perturb(w, key=i) for i, w in enumerate(weight_list)]
 
 
 def quantize_network(network: "ConvertedSNN", bits: int) -> "ConvertedSNN":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.noise.base import IdentityNoise, SpikeNoise
 from repro.noise.deletion import DeletionNoise
@@ -88,7 +88,7 @@ class NoiseInjector(SpikeNoise):
         before jitter (``NoiseRobustSNN.evaluate`` with both levels set),
         burst errors and stuck-at-fire (the ``fault-burst``/``fault-stuck``
         figures, ``table3-burst``/``table3-stuck``); injected attack trains
-        and the faithful simulator's input noise (``evaluate_timestep``)
+        and the faithful simulator's input noise (``TimestepEvaluator``)
         never reach it.
         """
         models: List[SpikeNoise] = []

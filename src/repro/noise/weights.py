@@ -11,7 +11,7 @@ inference.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -66,17 +66,3 @@ class GaussianWeightNoise:
     def describe(self) -> str:
         kind = "static" if self.static else "dynamic"
         return f"weight-noise(std={self.relative_std:g}, {kind})"
-
-
-def apply_weight_noise(
-    weight_list: List[np.ndarray],
-    relative_std: float,
-    static: bool = True,
-    rng: RngLike = None,
-) -> List[np.ndarray]:
-    """Perturb a list of weight tensors with one shared noise model."""
-    model = GaussianWeightNoise(relative_std, static=static)
-    generator = default_rng(rng)
-    return [
-        model.perturb(w, key=i, rng=generator) for i, w in enumerate(weight_list)
-    ]

@@ -9,8 +9,9 @@ every worker is busy (pull batching):
 * **on submit**, if a worker is idle the request is dispatched at once as
   a batch of one -- no timer, no waiting for company;
 * **while every worker is busy**, requests pile up in one queue per
-  ``(model fingerprint, RequestSpec)`` -- so every batch is homogeneous in
-  model, evaluator and temporal protocol;
+  ``(model fingerprint, RequestSpec, sample shape)`` -- so every batch is
+  homogeneous in model, evaluator, temporal protocol and input shape, and
+  a malformed sample fails only the batch of its own shape;
 * **when a worker finishes a batch**, it takes up to ``max_batch``
   requests from the queue whose first request is oldest, and marks itself
   idle only once every queue is empty.  An emptied queue is dropped.
@@ -65,7 +66,7 @@ class SchedulerStats:
 
 
 class _Queue:
-    """Requests of one (model fingerprint, spec) pair, in arrival order.
+    """Requests of one (model fingerprint, spec, sample shape), in arrival order.
 
     Each item is ``(ticket, sample, future)``; tickets increase with
     arrival, so the queue whose head has the smallest ticket is the one
@@ -112,7 +113,7 @@ class MicroBatchScheduler:
         self.max_workers = self._executor.max_workers
         self.stats = SchedulerStats()
         self._lock = threading.Lock()
-        self._queues: Dict[Tuple[str, RequestSpec], _Queue] = {}
+        self._queues: Dict[Tuple[str, RequestSpec, Tuple[int, ...]], _Queue] = {}
         self._tickets = itertools.count()
         self._idle = self.max_workers
         self._closed = False
@@ -148,9 +149,10 @@ class MicroBatchScheduler:
                 self._idle -= 1
                 self._executor.submit(self._work, self._count(_Queue(key, spec, [item])))
             else:
-                queue = self._queues.get((key, spec))
+                queue_key = (key, spec, sample.shape)
+                queue = self._queues.get(queue_key)
                 if queue is None:
-                    queue = self._queues[(key, spec)] = _Queue(key, spec)
+                    queue = self._queues[queue_key] = _Queue(key, spec)
                 queue.items.append(item)
         return future
 
@@ -168,11 +170,13 @@ class MicroBatchScheduler:
             if not self._queues:
                 self._idle += 1
                 return None
-            queue = min(self._queues.values(), key=lambda q: q.items[0][0])
+            queue_key, queue = min(
+                self._queues.items(), key=lambda entry: entry[1].items[0][0]
+            )
             batch = _Queue(queue.key, queue.spec, queue.items[: self.max_batch])
             queue.items = queue.items[self.max_batch:]
             if not queue.items:
-                del self._queues[(queue.key, queue.spec)]
+                del self._queues[queue_key]
             return self._count(batch)
 
     def _work(self, batch: _Queue) -> None:

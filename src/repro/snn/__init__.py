@@ -29,11 +29,7 @@ from repro.snn.neurons import (
     NeuronState,
     TTFSNeuron,
 )
-from repro.snn.thresholds import (
-    EMPIRICAL_THRESHOLDS,
-    balance_thresholds,
-    empirical_threshold,
-)
+from repro.snn.thresholds import EMPIRICAL_THRESHOLDS, empirical_threshold
 from repro.snn.simulator import (
     LayerFaultMask,
     SimulationRecord,
@@ -56,7 +52,6 @@ __all__ = [
     "IntegrateFireOrBurstNeuron",
     "EMPIRICAL_THRESHOLDS",
     "empirical_threshold",
-    "balance_thresholds",
     "TimeSteppedSimulator",
     "SimulatorLayer",
     "SimulationRecord",

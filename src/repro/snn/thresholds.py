@@ -4,19 +4,12 @@ Conversion-based deep SNNs need per-layer firing thresholds that trade off
 latency (high thresholds fire late) against accuracy (low thresholds saturate
 early).  The paper obtains them "empirically ... to reduce inference latency
 and improve the efficiency" (Sec. V) and reports the resulting per-coding
-values; :data:`EMPIRICAL_THRESHOLDS` reproduces that table.  For new networks
-:func:`balance_thresholds` offers the standard data-based alternative: set
-each layer's threshold to a percentile of its maximum activation observed on
-training data (Rueckauer et al. / Han et al. style threshold balancing).
+values; :data:`EMPIRICAL_THRESHOLDS` reproduces that table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
-
-from repro.utils.validation import check_positive, check_probability
+from typing import Dict
 
 #: Per-coding thresholds reported in Sec. V of the paper
 #: ("we set theta to 0.4, 0.4, 1.2, and 0.8 for rate, burst, phase, and TTFS").
@@ -40,55 +33,3 @@ def empirical_threshold(coding: str) -> float:
             f"known: {sorted(EMPIRICAL_THRESHOLDS)}"
         )
     return EMPIRICAL_THRESHOLDS[key]
-
-
-def balance_thresholds(
-    layer_activations: Sequence[np.ndarray],
-    percentile: float = 99.9,
-    minimum: float = 1e-3,
-) -> List[float]:
-    """Data-based threshold balancing.
-
-    Parameters
-    ----------
-    layer_activations:
-        One array of observed (post-ReLU) activations per spiking layer,
-        typically collected by running the trained DNN on a batch of training
-        images.
-    percentile:
-        Robust-maximum percentile (99.9 by default); using the raw maximum is
-        overly sensitive to outliers.
-    minimum:
-        Lower bound applied to every threshold so dead layers cannot produce
-        a zero threshold.
-
-    Returns
-    -------
-    list of float
-        One threshold per layer, equal to the percentile activation.
-    """
-    check_probability("percentile/100", percentile / 100.0)
-    check_positive("minimum", minimum)
-    thresholds: List[float] = []
-    for index, activations in enumerate(layer_activations):
-        activations = np.asarray(activations)
-        if activations.size == 0:
-            raise ValueError(f"layer {index}: empty activation sample")
-        value = float(np.percentile(activations, percentile))
-        thresholds.append(max(value, minimum))
-    return thresholds
-
-
-def scale_threshold_for_coding(
-    base_threshold: float, coding: str, reference: str = "rate"
-) -> float:
-    """Rescale a balanced threshold to a different coding scheme.
-
-    The per-coding empirical thresholds of the paper encode a relative
-    latency/efficiency trade-off (e.g. phase coding wants a threshold three
-    times higher than rate coding).  This helper transfers that ratio onto a
-    data-balanced threshold.
-    """
-    check_positive("base_threshold", base_threshold)
-    ratio = empirical_threshold(coding) / empirical_threshold(reference)
-    return float(base_threshold * ratio)

@@ -9,15 +9,9 @@ The :mod:`repro.utils` package bundles small, dependency-free helpers:
 * :mod:`repro.utils.validation` -- argument validation helpers.
 """
 
-from repro.utils.rng import (
-    RngRegistry,
-    default_rng,
-    derive_rng,
-    set_global_seed,
-    spawn_rngs,
-)
+from repro.utils.rng import default_rng, derive_rng
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.config import ConfigError, freeze_dict, validate_choice
+from repro.utils.config import ConfigError, validate_choice
 from repro.utils.serialization import (
     load_arrays,
     load_json,
@@ -27,20 +21,15 @@ from repro.utils.serialization import (
 from repro.utils.validation import (
     check_positive,
     check_probability,
-    check_shape,
     check_non_negative,
 )
 
 __all__ = [
-    "RngRegistry",
     "default_rng",
     "derive_rng",
-    "set_global_seed",
-    "spawn_rngs",
     "get_logger",
     "set_verbosity",
     "ConfigError",
-    "freeze_dict",
     "validate_choice",
     "load_arrays",
     "load_json",
@@ -48,6 +37,5 @@ __all__ = [
     "save_json",
     "check_positive",
     "check_probability",
-    "check_shape",
     "check_non_negative",
 ]

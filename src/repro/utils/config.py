@@ -2,12 +2,11 @@
 
 Experiment and model configuration throughout the library is expressed with
 plain dataclasses; this module provides the small amount of shared machinery
-those dataclasses need (choice validation, immutable views, error type).
+those dataclasses need (choice validation, dict views, error type).
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 
@@ -27,15 +26,6 @@ def validate_choice(name: str, value: Any, choices: Iterable[Any]) -> Any:
     if value not in choices:
         raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
     return value
-
-
-def freeze_dict(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
-    """Return a read-only view of ``mapping``.
-
-    Used for exposing internal configuration dictionaries without allowing
-    callers to mutate them in place.
-    """
-    return MappingProxyType(dict(mapping))
 
 
 def as_dict(obj: Any) -> dict:

@@ -11,7 +11,7 @@ the same table rows.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,41 +25,21 @@ def stable_hash(value: Union[str, int]) -> int:
     """
     return zlib.crc32(str(value).encode("utf-8")) & 0x7FFFFFFF
 
+
 #: Seed used when the caller does not specify one.
 DEFAULT_SEED = 20210422  # arXiv submission date of the paper (2021-04-22).
 
-_GLOBAL_SEED = DEFAULT_SEED
-
 RngLike = Union[int, np.random.Generator, None]
-
-
-def set_global_seed(seed: int) -> None:
-    """Set the process-wide default seed used by :func:`default_rng`.
-
-    Parameters
-    ----------
-    seed:
-        Non-negative integer seed.
-    """
-    global _GLOBAL_SEED
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    _GLOBAL_SEED = int(seed)
-
-
-def get_global_seed() -> int:
-    """Return the process-wide default seed."""
-    return _GLOBAL_SEED
 
 
 def default_rng(rng: RngLike = None) -> np.random.Generator:
     """Normalise ``rng`` into a :class:`numpy.random.Generator`.
 
-    Accepts ``None`` (use the global seed), an integer seed, or an existing
-    generator (returned unchanged).
+    Accepts ``None`` (seeded from :data:`DEFAULT_SEED`), an integer seed, or
+    an existing generator (returned unchanged).
     """
     if rng is None:
-        return np.random.default_rng(_GLOBAL_SEED)
+        return np.random.default_rng(DEFAULT_SEED)
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, (int, np.integer)):
@@ -106,54 +86,3 @@ def derive_rng(rng: RngLike, *tags: Union[str, int]) -> np.random.Generator:
     exactly one draw.
     """
     return derive_rng_at(stream_root(rng), *tags)
-
-
-def spawn_rngs(rng: RngLike, count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` statistically independent generators from ``rng``."""
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
-    base = default_rng(rng)
-    seeds = base.integers(0, 2**31, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-class RngRegistry:
-    """Named registry of independent random streams.
-
-    Examples
-    --------
-    >>> registry = RngRegistry(seed=7)
-    >>> a = registry.get("noise")
-    >>> b = registry.get("init")
-    >>> a is registry.get("noise")
-    True
-    """
-
-    def __init__(self, seed: Optional[int] = None):
-        self._seed = int(seed) if seed is not None else _GLOBAL_SEED
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    @property
-    def seed(self) -> int:
-        """Base seed of this registry."""
-        return self._seed
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return (creating if needed) the generator for stream ``name``."""
-        if name not in self._streams:
-            stream_seed = (self._seed * 1000003 + stable_hash(name)) % (2**31)
-            self._streams[name] = np.random.default_rng(stream_seed)
-        return self._streams[name]
-
-    def reset(self, names: Optional[Iterable[str]] = None) -> None:
-        """Re-seed the given streams (all streams when ``names`` is None)."""
-        if names is None:
-            names = list(self._streams)
-        for name in names:
-            self._streams.pop(name, None)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RngRegistry(seed={self._seed}, streams={sorted(self._streams)})"

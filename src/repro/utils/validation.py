@@ -1,13 +1,13 @@
 """Argument validation helpers used across the library.
 
 These helpers centralise the error messages for the most common kinds of
-invalid input (negative sizes, out-of-range probabilities, mismatched
-shapes) so that user-facing errors stay consistent.
+invalid input (negative sizes, out-of-range probabilities, unknown noise
+levels) so that user-facing errors stay consistent.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -36,30 +36,6 @@ def check_probability(name: str, value: Number) -> float:
     return value
 
 
-def check_shape(
-    name: str, array: np.ndarray, expected: Sequence[Union[int, None]]
-) -> np.ndarray:
-    """Validate the shape of ``array``.
-
-    ``expected`` may contain ``None`` entries as wildcards, e.g.
-    ``check_shape("x", x, (None, 3, 32, 32))`` accepts any batch size.
-    """
-    array = np.asarray(array)
-    expected_tuple: Tuple[Union[int, None], ...] = tuple(expected)
-    if array.ndim != len(expected_tuple):
-        raise ValueError(
-            f"{name} must have {len(expected_tuple)} dimensions "
-            f"(expected shape {expected_tuple}), got shape {array.shape}"
-        )
-    for axis, (actual, wanted) in enumerate(zip(array.shape, expected_tuple)):
-        if wanted is not None and actual != wanted:
-            raise ValueError(
-                f"{name} has size {actual} on axis {axis}, expected {wanted} "
-                f"(full expected shape {expected_tuple}, got {array.shape})"
-            )
-    return array
-
-
 def level_index(
     levels: Sequence[Number], level: Number,
     rtol: float = 1e-9, atol: float = 1e-9,
@@ -83,11 +59,3 @@ def level_index(
             f"(levels: {[float(v) for v in values]})"
         )
     return index
-
-
-def check_index(name: str, value: int, size: int) -> int:
-    """Validate that ``value`` is a valid index into a container of ``size``."""
-    value = int(value)
-    if value < 0 or value >= size:
-        raise ValueError(f"{name} must lie in [0, {size}), got {value}")
-    return value

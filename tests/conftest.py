@@ -12,7 +12,7 @@ import pytest
 
 from repro.conversion import convert_dnn_to_snn
 from repro.data import synthetic_cifar10, synthetic_mnist
-from repro.nn import build_mlp, train_classifier, vgg_micro
+from repro.nn import build_mlp, build_vgg, train_classifier
 
 
 def numeric_gradient(func, array, epsilon=1e-4):
@@ -57,8 +57,8 @@ def trained_mlp(mnist_split):
 @pytest.fixture(scope="session")
 def trained_cnn(cifar_split):
     """A tiny CNN trained briefly on the CIFAR stand-in (for conversion tests)."""
-    model = vgg_micro(input_shape=cifar_split.image_shape,
-                      num_classes=cifar_split.num_classes, rng=0)
+    model = build_vgg("vgg_micro", cifar_split.image_shape, cifar_split.num_classes,
+                      dense_units=(64,), rng=0)
     train_classifier(
         model, cifar_split.train, cifar_split.test,
         epochs=2, batch_size=32, learning_rate=0.05, rng=1,

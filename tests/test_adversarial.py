@@ -44,7 +44,7 @@ from repro.experiments.config import (
     MethodSpec,
     SweepConfig,
 )
-from repro.experiments.figures import figure_adversarial, run_figure
+from repro.experiments.figures import run_figure
 from repro.experiments.runner import run_sweep, run_sweeps
 from repro.experiments.tables import run_table
 from repro.noise.adversarial import (
@@ -512,6 +512,32 @@ def _compile_attack(config, eval_size=6):
     return plans[0].workload, plans
 
 
+class TestAttackSweepConfigValidation:
+    def test_needs_a_method(self):
+        with pytest.raises(ValueError, match="at least one method"):
+            attack_config(methods=())
+
+    def test_needs_a_budget(self):
+        with pytest.raises(ValueError, match="at least one budget"):
+            attack_config(budgets=())
+
+    def test_budgets_are_integer_move_counts(self):
+        with pytest.raises(ValueError, match="integers"):
+            attack_config(budgets=(0, 1.5))
+
+    def test_transfer_evaluation_refuses_codings_without_a_timestep_model(self):
+        with pytest.raises(ValueError, match="burst \\(transfer evaluation\\)"):
+            attack_config(
+                methods=(MethodSpec(coding="burst"), MethodSpec(coding="ttfs")),
+                evaluator="timestep",
+            )
+
+    def test_axis_name_and_levels(self):
+        config = attack_config(attack_kind="shift", budgets=(0, 3))
+        assert config.noise_kind == "adv-shift"
+        assert config.levels == (0.0, 3.0)
+
+
 class TestAttackEngineIntegration:
     def test_sweep_matches_direct_cell_evaluation(self, tiny_workload):
         config = attack_config(budgets=(0, 2))
@@ -746,8 +772,8 @@ class TestAdversarialReporting:
     def test_figure_pairs_each_coder_with_its_random_baseline(
         self, tiny_workload
     ):
-        result = figure_adversarial(
-            dataset="mnist", budgets=(0, 2), scale=TEST_SCALE, seed=0,
+        result = run_figure(
+            "adv-delete", "mnist", budgets=(0, 2), scale=TEST_SCALE, seed=0,
             workload=tiny_workload, eval_size=4, max_candidates=8,
             method_filter=("ttfs",),
         )
@@ -783,3 +809,13 @@ class TestAdversarialReporting:
         assert labels == ["TTFS (greedy)", "TTFS (random)"]
         dropped = [r.getMessage() for r in caplog.records if "dropping" in r.getMessage()]
         assert len(dropped) == 1 and "Burst" in dropped[0]
+
+    def test_transfer_sweep_of_only_unsupported_codings_is_refused(
+        self, tiny_workload
+    ):
+        with pytest.raises(ValueError, match="no requested method supports"):
+            run_figure(
+                "adv-delete", "mnist", workload=tiny_workload, budgets=(0, 1),
+                scale=TEST_SCALE, eval_size=2, max_candidates=4,
+                simulator="timestep", method_filter=("Burst",),
+            )

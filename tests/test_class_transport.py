@@ -25,7 +25,7 @@ import pytest
 
 from repro.coding import BurstCoder, PhaseCoder, RateCoder
 from repro.coding.base import ClassCounts, NeuralCoder, PeriodicCoder
-from repro.core.timestep import evaluate_timestep
+from repro.core.timestep import TimestepEvaluator
 from repro.core.transport import ActivationTransportSimulator
 from repro.noise import (
     BurstErrorNoise,
@@ -448,10 +448,10 @@ class TestRouting:
         self, converted_mlp, mnist_split, monkeypatch
     ):
         encodes = self._forbid_classes(monkeypatch)
-        result = evaluate_timestep(
-            converted_mlp, PhaseCoder(num_steps=32), mnist_split.test.x[:8],
-            noise=NoiseInjector.from_levels(jitter_sigma=1.0), rng=0,
-        )
+        result = TimestepEvaluator(
+            converted_mlp, PhaseCoder(num_steps=32),
+            NoiseInjector.from_levels(jitter_sigma=1.0),
+        ).evaluate(mnist_split.test.x[:8], rng=0)
         assert result.num_samples == 8
         assert encodes
 

@@ -1,10 +1,8 @@
-"""Tests for the command-line interface and the TTAS burst-duration calibration."""
+"""Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import BurstDurationChoice, select_burst_duration
 
 
 class TestCliParser:
@@ -49,53 +47,3 @@ class TestCliParser:
         assert exit_code == 0
         assert "SNN accuracy" in captured.out
         assert "spikes per sample" in captured.out
-
-
-class TestBurstDurationCalibration:
-    def test_returns_choice_with_all_candidates(self, converted_mlp, mnist_split):
-        choice = select_burst_duration(
-            converted_mlp,
-            mnist_split.test.x[:24],
-            mnist_split.test.y[:24],
-            candidate_durations=(1, 3, 5),
-            num_steps=16,
-            deletion=0.5,
-            rng=0,
-        )
-        assert isinstance(choice, BurstDurationChoice)
-        assert set(choice.accuracies) == {1, 3, 5}
-        assert set(choice.spikes_per_sample) == {1, 3, 5}
-        assert choice.target_duration in (1, 3, 5)
-        assert choice.best_duration in (1, 3, 5)
-
-    def test_selected_duration_is_within_tolerance_of_best(self, converted_mlp, mnist_split):
-        choice = select_burst_duration(
-            converted_mlp,
-            mnist_split.test.x[:24],
-            mnist_split.test.y[:24],
-            candidate_durations=(1, 5),
-            num_steps=16,
-            deletion=0.6,
-            tolerance=0.05,
-            rng=0,
-        )
-        best = choice.accuracies[choice.best_duration]
-        assert choice.accuracies[choice.target_duration] >= best - 0.05
-
-    def test_spike_cost_grows_with_duration(self, converted_mlp, mnist_split):
-        choice = select_burst_duration(
-            converted_mlp,
-            mnist_split.test.x[:16],
-            mnist_split.test.y[:16],
-            candidate_durations=(1, 5),
-            num_steps=16,
-            rng=0,
-        )
-        assert choice.spikes_per_sample[5] > choice.spikes_per_sample[1]
-
-    def test_invalid_candidates_rejected(self, converted_mlp, mnist_split):
-        with pytest.raises(ValueError):
-            select_burst_duration(
-                converted_mlp, mnist_split.test.x[:8], mnist_split.test.y[:8],
-                candidate_durations=(0,),
-            )

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.conversion import (
+    ActivationStatistics,
     ConversionError,
     collect_activation_statistics,
     convert_dnn_to_snn,
     fold_batch_norm,
 )
+from repro.conversion.converter import CONVERSION_COUNTERS
 from repro.nn import Sequential, build_mlp, build_vgg
 from repro.nn.layers import Dense, Flatten, Identity, ReLU
 from repro.nn.norm import BatchNorm2D
@@ -52,8 +54,17 @@ class TestFoldBatchNorm:
         with pytest.raises(ValueError):
             fold_batch_norm(model)
 
+    def test_leading_bn_raises(self):
+        model = Sequential([BatchNorm2D(1), Flatten(), Dense(16, 4, rng=0)])
+        with pytest.raises(ValueError, match="first layer"):
+            fold_batch_norm(model)
+
 
 class TestActivationStatistics:
+    def test_unbatched_calibration_rejected(self, trained_mlp):
+        with pytest.raises(ValueError, match="batch of samples"):
+            collect_activation_statistics(trained_mlp, np.ones(784, dtype=np.float32))
+
     def test_one_scale_per_relu(self, trained_mlp, mnist_split):
         stats = collect_activation_statistics(trained_mlp, mnist_split.train.x[:64])
         relu_count = sum(isinstance(l, ReLU) for l in trained_mlp.layers)
@@ -139,3 +150,24 @@ class TestConvertDnnToSnn:
         after = trained_mlp.state_dict()
         for key in before:
             assert np.allclose(before[key], after[key])
+
+    def test_provided_statistics_skip_calibration(self, trained_mlp, converted_mlp,
+                                                  mnist_split):
+        calibrations = CONVERSION_COUNTERS["calibrations"]
+        reused = convert_dnn_to_snn(
+            trained_mlp, mnist_split.train.x[:16],
+            statistics=converted_mlp.statistics,
+        )
+        assert CONVERSION_COUNTERS["calibrations"] == calibrations
+        assert [s.activation_scale for s in reused.segments] == [
+            s.activation_scale for s in converted_mlp.segments
+        ]
+
+    def test_provided_statistics_must_cover_every_spiking_point(
+        self, trained_mlp, mnist_split
+    ):
+        statistics = ActivationStatistics(scales=[1.0] * 5, percentile=99.9)
+        with pytest.raises(ConversionError, match="cover 5 spiking points"):
+            convert_dnn_to_snn(
+                trained_mlp, mnist_split.train.x[:16], statistics=statistics
+            )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.coding import RateCoder, TTASCoder, TTFSCoder
 from repro.core import ActivationTransportSimulator, NoiseRobustSNN, WeightScaling
+from repro.core.transport import TransportResult
 from repro.noise import DeletionNoise, JitterNoise, NoiseInjector
 
 
@@ -60,6 +61,17 @@ class TestTransportSimulator:
         simulator = ActivationTransportSimulator(converted_mlp, RateCoder(16))
         with pytest.raises(ValueError):
             simulator.forward(-np.ones((2, 1, 28, 28), dtype=np.float32))
+
+    def test_forward_needs_an_input(self, converted_mlp):
+        simulator = ActivationTransportSimulator(converted_mlp, RateCoder(16))
+        with pytest.raises(ValueError, match="either x or input_train"):
+            simulator.forward(None)
+
+    def test_empty_result_has_zero_spikes_per_sample(self):
+        assert TransportResult(accuracy=0.0, total_spikes=0).spikes_per_sample == 0.0
+        assert TransportResult(
+            accuracy=1.0, total_spikes=30, num_samples=4
+        ).spikes_per_sample == 7.5
 
     def test_rate_insensitive_to_jitter(self, converted_mlp, mnist_split):
         x, y = mnist_split.test.x[:40], mnist_split.test.y[:40]

@@ -5,18 +5,12 @@ import pytest
 
 from repro.data import (
     BatchLoader,
-    Compose,
     Dataset,
-    Normalize,
-    OneHot,
-    RandomCrop,
-    RandomHorizontalFlip,
-    compute_channel_stats,
+    DatasetSplit,
     load_dataset,
     synthetic_cifar10,
     synthetic_cifar100,
     synthetic_mnist,
-    train_test_split,
 )
 
 
@@ -44,6 +38,24 @@ class TestDataset:
     def test_sample_count_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((3, 1, 4, 4)), y=np.array([0, 1]), num_classes=2)
+
+    def test_labels_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="1-D label vector"):
+            Dataset(x=np.zeros((2, 1, 4, 4)), y=np.array([[0], [1]]), num_classes=2)
+
+    def test_split_shares_num_classes(self):
+        split = DatasetSplit(train=make_dataset(n=8), test=make_dataset(n=4))
+        assert split.num_classes == 4
+
+    def test_split_rejects_class_count_mismatch(self):
+        with pytest.raises(ValueError, match="num_classes"):
+            DatasetSplit(train=make_dataset(num_classes=4),
+                         test=make_dataset(num_classes=5))
+
+    def test_split_rejects_image_shape_mismatch(self):
+        test = Dataset(x=np.zeros((2, 1, 4, 4)), y=np.array([0, 1]), num_classes=4)
+        with pytest.raises(ValueError, match="image shape"):
+            DatasetSplit(train=make_dataset(), test=test)
 
     def test_subset_and_take(self):
         ds = make_dataset()
@@ -78,31 +90,6 @@ class TestDataset:
         ys1 = np.concatenate([y for _, y in ds.iter_batches(8, shuffle=True, rng=3)])
         ys2 = np.concatenate([y for _, y in ds.iter_batches(8, shuffle=True, rng=3)])
         assert np.array_equal(ys1, ys2)
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        ds = make_dataset(n=40)
-        split = train_test_split(ds, test_fraction=0.25, rng=0, stratified=False)
-        assert len(split.test) == 10
-        assert len(split.train) == 30
-
-    def test_stratified_sizes_close_to_fraction(self):
-        ds = make_dataset(n=40, num_classes=4)
-        split = train_test_split(ds, test_fraction=0.2, rng=0)
-        assert len(split.test) == 8
-        assert len(split.train) == 32
-
-    def test_stratified_keeps_class_balance(self):
-        ds = make_dataset(n=40, num_classes=4)
-        split = train_test_split(ds, test_fraction=0.25, rng=0, stratified=True)
-        counts = split.test.class_counts()
-        assert counts.min() >= 1
-        assert counts.max() - counts.min() <= 1
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split(make_dataset(), test_fraction=1.5)
 
 
 class TestSyntheticGenerators:
@@ -160,58 +147,10 @@ class TestSyntheticGenerators:
             load_dataset("imagenet")
 
 
-class TestTransformsAndLoader:
-    def test_normalize(self):
-        x = np.ones((2, 3, 4, 4), dtype=np.float32)
-        norm = Normalize(mean=[1, 1, 1], std=[2, 2, 2])
-        out, _ = norm(x, np.zeros(2))
-        assert np.allclose(out, 0.0)
-
-    def test_normalize_rejects_zero_std(self):
-        with pytest.raises(ValueError):
-            Normalize(mean=[0], std=[0])
-
-    def test_one_hot(self):
-        onehot = OneHot(num_classes=4)
-        _, y = onehot(np.zeros((3, 1, 2, 2)), np.array([0, 3, 1]))
-        assert y.shape == (3, 4)
-        assert np.array_equal(y.argmax(axis=1), [0, 3, 1])
-
-    def test_random_flip_probability_one(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        flip = RandomHorizontalFlip(p=1.0, rng=0)
-        out, _ = flip(x, np.zeros(1))
-        assert np.allclose(out, x[:, :, :, ::-1])
-
-    def test_random_crop_preserves_shape(self):
-        x = np.random.default_rng(0).random((4, 3, 8, 8)).astype(np.float32)
-        crop = RandomCrop(padding=2, rng=0)
-        out, _ = crop(x, np.zeros(4))
-        assert out.shape == x.shape
-
-    def test_compose_order(self):
-        x = np.ones((1, 1, 2, 2), dtype=np.float32)
-        pipeline = Compose([Normalize([0.5], [0.5]), OneHot(3)])
-        out_x, out_y = pipeline(x, np.array([2]))
-        assert np.allclose(out_x, 1.0)
-        assert out_y.shape == (1, 3)
-
-    def test_channel_stats(self):
-        x = np.random.default_rng(0).random((10, 3, 5, 5)).astype(np.float32)
-        mean, std = compute_channel_stats(x)
-        assert mean.shape == (3,)
-        assert np.all(std > 0)
-
-    def test_batch_loader_length_and_drop_last(self):
+class TestBatchLoader:
+    def test_batch_loader_length(self):
         ds = make_dataset(n=23)
         assert len(BatchLoader(ds, batch_size=5)) == 5
-        assert len(BatchLoader(ds, batch_size=5, drop_last=True)) == 4
-
-    def test_batch_loader_transform_applied(self):
-        ds = make_dataset(n=8, num_classes=4)
-        loader = BatchLoader(ds, batch_size=4, transform=OneHot(4))
-        _, y = next(iter(loader))
-        assert y.shape == (4, 4)
 
     def test_batch_loader_epoch_counter(self):
         ds = make_dataset(n=6)
@@ -219,3 +158,33 @@ class TestTransformsAndLoader:
         list(loader)
         list(loader)
         assert loader.epoch == 2
+
+    def test_unshuffled_batches_follow_dataset_order(self):
+        ds = make_dataset(n=7)
+        batches = list(BatchLoader(ds, batch_size=3))
+        assert [len(y) for _, y in batches] == [3, 3, 1]
+        assert np.array_equal(np.concatenate([x for x, _ in batches]), ds.x)
+        assert np.array_equal(np.concatenate([y for _, y in batches]), ds.y)
+
+    def test_shuffle_reorders_each_epoch_and_keeps_pairs(self):
+        ds = make_dataset(n=20)
+        loader = BatchLoader(ds, batch_size=20, shuffle=True, rng=0)
+        (x1, y1), = list(loader)
+        (x2, y2), = list(loader)
+        assert not np.array_equal(y1, y2)
+        for x, y in ((x1, y1), (x2, y2)):
+            order = [int(np.flatnonzero(np.all(ds.x == xi, axis=(1, 2, 3)))[0])
+                     for xi in x]
+            assert sorted(order) == list(range(20))
+            assert np.array_equal(ds.y[order], y)
+
+    def test_shuffle_is_deterministic_per_seed(self):
+        ds = make_dataset(n=12)
+        first = [y for _, y in BatchLoader(ds, batch_size=5, shuffle=True, rng=3)]
+        again = [y for _, y in BatchLoader(ds, batch_size=5, shuffle=True, rng=3)]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_validated(self, batch_size):
+        with pytest.raises(ValueError):
+            BatchLoader(make_dataset(), batch_size=batch_size)

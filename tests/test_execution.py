@@ -34,7 +34,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import MethodCurve
 from repro.experiments.tables import table2_jitter
-from repro.metrics.robustness import RobustnessSummary
 from repro.utils.validation import level_index
 
 
@@ -951,19 +950,6 @@ class TestLevelLookups:
         assert curve.accuracy_at(0.3) == pytest.approx(0.7)
         with pytest.raises(KeyError):
             curve.accuracy_at(0.33)
-
-    def test_degradation_at_linspace_levels(self):
-        levels = list(np.linspace(0.0, 2.0, 5))  # includes 0.5000000000000001-style
-        summary = RobustnessSummary(
-            levels=levels,
-            accuracies=[0.9, 0.8, 0.6, 0.4, 0.2],
-            average=0.5,
-            clean_accuracy=0.9,
-        )
-        assert summary.degradation_at(0.5) == pytest.approx(0.1)
-        assert summary.degradation_at(2.0) == pytest.approx(0.7)
-        with pytest.raises(KeyError):
-            summary.degradation_at(0.75)
 
 
 # ---------------------------------------------------------------------------

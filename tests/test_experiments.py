@@ -68,6 +68,11 @@ class TestConfig:
             SweepConfig(dataset="cifar10", methods=(MethodSpec(coding="rate"),),
                         noise_kind="dropout", levels=(0.1,))
 
+    def test_sweep_config_needs_a_level(self):
+        with pytest.raises(ConfigError, match="noise level"):
+            SweepConfig(dataset="mnist", methods=(MethodSpec(coding="rate"),),
+                        noise_kind="deletion", levels=())
+
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             ExperimentScale(name="x", rate_time_steps=0, ttfs_time_steps=1,

@@ -16,7 +16,6 @@ from repro.noise import (
     NoiseInjector,
     StuckAtFireNoise,
     WeightQuantizationNoise,
-    quantize_weights,
 )
 from repro.snn.simulator import LayerFaultMask
 from repro.snn.spikes import SpikeTrainArray
@@ -186,12 +185,6 @@ class TestWeightQuantization:
     def test_zero_tensor(self):
         zeros = np.zeros((4, 4))
         assert np.array_equal(WeightQuantizationNoise(4).perturb(zeros), zeros)
-
-    def test_quantize_weights_list(self):
-        tensors = [np.ones((2, 2)), np.zeros(3)]
-        out = quantize_weights(tensors, bits=2)
-        assert len(out) == 2
-        assert np.array_equal(out[0], tensors[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):

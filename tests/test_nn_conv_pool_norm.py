@@ -43,6 +43,13 @@ class TestIm2Col:
             im2col(np.zeros((1, 1, 3, 3)), 5, 5, 1, 0)
 
 
+@pytest.mark.parametrize("padding", [-1, -3])
+def test_im2col_rejects_negative_padding(padding):
+    x = np.zeros((1, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(ValueError, match="padding must be >= 0"):
+        im2col(x, 2, 2, 1, padding)
+
+
 class TestConv2D:
     def test_matches_reference_convolution(self):
         rng = np.random.default_rng(0)
@@ -70,6 +77,16 @@ class TestConv2D:
         layer = Conv2D(3, 4, rng=0)
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 2, 8, 8), dtype=np.float32))
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ValueError, match="padding must be >= 0"):
+            Conv2D(1, 2, 3, padding=-1, rng=0)
+
+    def test_backward_requires_training_forward(self):
+        layer = Conv2D(1, 2, 3, padding=1, rng=0)
+        layer.forward(np.zeros((1, 1, 4, 4), dtype=np.float32), training=False)
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(np.zeros((1, 2, 4, 4), dtype=np.float32))
 
     def test_weight_gradient_numeric(self):
         rng = np.random.default_rng(2)
@@ -154,6 +171,13 @@ class TestPooling:
     def test_pool_output_shape_helper(self):
         assert AvgPool2D(2).output_shape((8, 16, 16)) == (8, 8, 8)
 
+    @pytest.mark.parametrize("pool_cls", [AvgPool2D, MaxPool2D])
+    def test_backward_requires_training_forward(self, pool_cls):
+        layer = pool_cls(2)
+        layer.forward(np.zeros((1, 1, 4, 4), dtype=np.float32), training=False)
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(np.zeros((1, 1, 2, 2), dtype=np.float32))
+
 
 class TestBatchNorm2D:
     def test_training_normalises_batch(self):
@@ -198,3 +222,10 @@ class TestBatchNorm2D:
     def test_invalid_momentum(self):
         with pytest.raises(ValueError):
             BatchNorm2D(3, momentum=0.0)
+
+    def test_backward_requires_training_forward(self):
+        layer = BatchNorm2D(2)
+        x = np.ones((2, 2, 3, 3), dtype=np.float32)
+        layer.forward(x, training=False)
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(np.ones_like(x))

@@ -103,6 +103,14 @@ class TestFlatten:
         assert restored.shape == x.shape
         assert np.allclose(restored, x)
 
+    def test_backward_requires_forward(self):
+        with pytest.raises(RuntimeError, match="before forward"):
+            Flatten().backward(np.zeros((2, 12), dtype=np.float32))
+
+    def test_call_is_forward(self):
+        x = np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2)
+        assert np.array_equal(Flatten()(x), Flatten().forward(x))
+
 
 class TestIdentity:
     def test_passthrough(self):
@@ -142,6 +150,13 @@ class TestDropout:
     def test_zero_probability_is_identity(self):
         x = np.random.default_rng(0).random((5, 5)).astype(np.float32)
         assert np.allclose(Dropout(0.0).forward(x, training=True), x)
+
+    def test_backward_after_inference_passes_gradient_through(self):
+        layer = Dropout(0.5, rng=0)
+        x = np.ones((4, 4), dtype=np.float32)
+        layer.forward(x, training=False)
+        grad = np.arange(16, dtype=np.float32).reshape(4, 4)
+        assert layer.backward(grad) is grad
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):

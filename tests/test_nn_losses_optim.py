@@ -1,13 +1,12 @@
-"""Tests for losses, optimisers, schedules and initialisers."""
+"""Tests for losses, optimisers and initialisers."""
 
 import numpy as np
 import pytest
 
-from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
+from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layers import Dense
-from repro.nn.losses import CrossEntropyLoss, MSELoss, softmax
-from repro.nn.optimizers import SGD, Adam
-from repro.nn.schedules import ConstantSchedule, CosineSchedule, StepSchedule
+from repro.nn.losses import CrossEntropyLoss, softmax
+from repro.nn.optimizers import SGD
 from tests.conftest import numeric_gradient
 
 
@@ -58,21 +57,25 @@ class TestSoftmaxAndLosses:
         with pytest.raises(ValueError):
             loss.forward(np.zeros((3, 4)), np.array([0, 1]))
 
-    def test_mse_value_and_gradient(self):
-        loss = MSELoss()
-        pred = np.array([1.0, 2.0, 3.0])
-        target = np.array([1.0, 1.0, 1.0])
-        assert abs(loss.forward(pred, target) - 5.0 / 3.0) < 1e-9
-        grad = loss.backward()
-        assert np.allclose(grad, 2 * (pred - target) / 3)
-
-    def test_mse_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros(3), np.zeros(4))
-
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             CrossEntropyLoss().backward()
+
+    @pytest.mark.parametrize("smoothing", [-0.1, 1.0, 1.5])
+    def test_label_smoothing_range_validated(self, smoothing):
+        with pytest.raises(ValueError, match="label_smoothing"):
+            CrossEntropyLoss(label_smoothing=smoothing)
+
+    def test_logits_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            CrossEntropyLoss().forward(np.zeros(4), np.array([0]))
+
+    def test_call_is_forward(self):
+        logits = np.random.default_rng(0).normal(size=(5, 3))
+        labels = np.array([0, 1, 2, 1, 0])
+        assert CrossEntropyLoss()(logits, labels) == CrossEntropyLoss().forward(
+            logits, labels
+        )
 
 
 class QuadraticProblem:
@@ -98,7 +101,6 @@ class TestOptimizers:
         SGD(learning_rate=0.5),
         SGD(learning_rate=0.2, momentum=0.9),
         SGD(learning_rate=0.2, momentum=0.9, nesterov=True),
-        Adam(learning_rate=0.05),
     ])
     def test_optimizers_reduce_loss(self, optimizer):
         problem = QuadraticProblem()
@@ -119,6 +121,26 @@ class TestOptimizers:
         after = np.abs(layer.params["weight"]).sum()
         assert after < before
 
+    def test_plain_sgd_step_is_gradient_descent(self):
+        layer = Dense(3, 2, rng=0)
+        before = {key: value.copy() for key, value in layer.params.items()}
+        layer.grads = {
+            key: np.full_like(value, 0.5) for key, value in layer.params.items()
+        }
+        SGD(learning_rate=0.1).step([layer])
+        for key, value in layer.params.items():
+            assert np.allclose(value, before[key] - 0.05)
+
+    def test_step_skips_parameters_without_gradients(self):
+        layer = Dense(3, 2, rng=0)
+        before = {key: value.copy() for key, value in layer.params.items()}
+        layer.grads = {"bias": np.ones_like(layer.params["bias"])}
+        optimizer = SGD(learning_rate=0.1)
+        optimizer.step([layer])
+        assert optimizer.step_count == 1
+        assert np.array_equal(layer.params["weight"], before["weight"])
+        assert np.allclose(layer.params["bias"], before["bias"] - 0.1)
+
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
             SGD(learning_rate=0.0)
@@ -126,44 +148,12 @@ class TestOptimizers:
             SGD(learning_rate=0.1, momentum=1.5)
         with pytest.raises(ValueError):
             SGD(learning_rate=0.1, nesterov=True)
-        with pytest.raises(ValueError):
-            Adam(learning_rate=0.1, beta1=1.0)
-
-    def test_set_learning_rate(self):
-        optimizer = SGD(learning_rate=0.1)
-        optimizer.set_learning_rate(0.01)
-        assert optimizer.learning_rate == 0.01
-        with pytest.raises(ValueError):
-            optimizer.set_learning_rate(0.0)
-
-
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.1)
-        assert schedule(0) == schedule(100) == 0.1
-
-    def test_step_schedule(self):
-        schedule = StepSchedule(1.0, milestones=[2, 4], gamma=0.1)
-        assert schedule(0) == 1.0
-        assert abs(schedule(2) - 0.1) < 1e-12
-        assert abs(schedule(4) - 0.01) < 1e-12
-
-    def test_cosine_schedule_endpoints(self):
-        schedule = CosineSchedule(1.0, total_epochs=10, min_learning_rate=0.01)
-        assert abs(schedule(0) - 1.0) < 1e-9
-        assert abs(schedule(10) - 0.01) < 1e-9
-        assert schedule(5) < schedule(1)
 
 
 class TestInitializers:
     def test_he_normal_scale(self):
         w = he_normal((1000, 100), rng=0)
         assert abs(w.std() - np.sqrt(2.0 / 1000)) < 5e-3
-
-    def test_xavier_uniform_bounds(self):
-        w = xavier_uniform((50, 60), rng=0)
-        limit = np.sqrt(6.0 / 110)
-        assert w.min() >= -limit and w.max() <= limit
 
     def test_conv_fan_in(self):
         w = he_normal((8, 4, 3, 3), rng=0)

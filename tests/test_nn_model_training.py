@@ -11,13 +11,9 @@ from repro.nn import (
     build_vgg,
     evaluate_accuracy,
     train_classifier,
-    vgg16,
-    vgg_micro,
 )
-from repro.nn.layers import Dense, Dropout, MaxPool2D, ReLU
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optimizers import SGD
-from repro.nn.schedules import StepSchedule
+from repro.nn.layers import Conv2D, Dense, Dropout, MaxPool2D, ReLU
+from repro.nn.norm import BatchNorm2D
 from repro.data.loaders import BatchLoader
 
 
@@ -66,6 +62,37 @@ class TestSequential:
         with pytest.raises((ValueError, KeyError)):
             model_b.load_state_dict(model_a.state_dict())
 
+    def test_load_state_dict_missing_parameter(self):
+        model = build_mlp(6, [4], 2, rng=0)
+        state = model.state_dict()
+        del state["layer1.bias"]
+        with pytest.raises(KeyError, match="layer1.bias"):
+            build_mlp(6, [4], 2, rng=1).load_state_dict(state)
+
+    def test_state_dict_carries_batch_norm_running_stats(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(2.0, 1.0, size=(8, 2, 4, 4)).astype(np.float32)
+
+        def model(seed):
+            return Sequential([Conv2D(2, 3, 3, rng=seed), BatchNorm2D(3), ReLU()])
+
+        trained = model(0)
+        trained.forward(x, training=True)
+        state = trained.state_dict()
+        bn_index = 1
+        assert np.array_equal(
+            state[f"layer{bn_index}.running_mean"], trained[bn_index].running_mean
+        )
+        clone = model(1)
+        clone.load_state_dict(state)
+        assert np.array_equal(clone[bn_index].running_var, trained[bn_index].running_var)
+        assert np.allclose(clone.forward(x), trained.forward(x))
+
+    def test_call_is_inference_forward(self):
+        model = build_mlp(6, [4], 2, rng=0)
+        x = np.random.default_rng(0).random((3, 1, 1, 6)).astype(np.float32)
+        assert np.array_equal(model(x), model.forward(x, training=False))
+
     def test_save_and_load(self, tmp_path):
         model = build_mlp(6, [4], 2, rng=0)
         path = model.save(str(tmp_path / "weights"))
@@ -90,12 +117,12 @@ class TestSequential:
 
 class TestVGGBuilders:
     def test_vgg_micro_output_shape(self):
-        model = vgg_micro(input_shape=(1, 28, 28), num_classes=10, rng=0)
+        model = build_vgg("vgg_micro", (1, 28, 28), 10, dense_units=(64,), rng=0)
         x = np.random.default_rng(0).random((2, 1, 28, 28)).astype(np.float32)
         assert model.forward(x).shape == (2, 10)
 
     def test_vgg16_builds_with_16_weight_layers(self):
-        model = vgg16(input_shape=(3, 32, 32), num_classes=10, rng=0)
+        model = build_vgg("vgg16", (3, 32, 32), 10, dense_units=(512, 256), rng=0)
         conv_dense = [l for l in model.layers if isinstance(l, Dense) or type(l).__name__ == "Conv2D"]
         assert len(conv_dense) == 16  # 13 conv + 3 dense
 
@@ -148,16 +175,6 @@ class TestTrainer:
         )
         assert result.train_loss[-1] < result.train_loss[0]
         assert result.epochs == 3
-
-    def test_schedule_applied(self, mnist_split):
-        model = build_mlp(28 * 28, [16], 10, rng=0)
-        optimizer = SGD(learning_rate=1.0)
-        trainer = Trainer(
-            model, optimizer=optimizer, schedule=StepSchedule(1.0, [1], gamma=0.1)
-        )
-        loader = BatchLoader(mnist_split.train.take(64), batch_size=32)
-        trainer.fit(loader, epochs=2)
-        assert abs(optimizer.learning_rate - 0.1) < 1e-9
 
     def test_evaluate_accuracy_empty_dataset(self, mnist_split):
         model = build_mlp(28 * 28, [16], 10, rng=0)

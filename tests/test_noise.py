@@ -10,7 +10,6 @@ from repro.noise import (
     IdentityNoise,
     JitterNoise,
     NoiseInjector,
-    apply_weight_noise,
 )
 from repro.snn.spikes import SpikeTrainArray
 
@@ -245,12 +244,6 @@ class TestWeightNoise:
         model.perturb(np.ones((2, 2)), key=0, rng=0)
         with pytest.raises(ValueError):
             model.perturb(np.ones((3, 3)), key=0, rng=0)
-
-    def test_apply_weight_noise_list(self):
-        weights = [np.ones((2, 2)), np.ones((3,))]
-        noisy = apply_weight_noise(weights, 0.1, rng=0)
-        assert len(noisy) == 2
-        assert noisy[0].shape == (2, 2)
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.coding import BurstCoder, PhaseCoder, RateCoder, TTASCoder, TTFSCoder
 from repro.core.weight_scaling import WeightScaling
-from repro.metrics.robustness import summarize_noise_sweep
 from repro.snn.spikes import MAX_SPIKE_COUNT, SpikeTrainArray
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -146,16 +145,3 @@ class TestWeightScalingProperties:
         ordered = sorted(ps)
         factors = scaling.factors(ordered)
         assert all(b >= a - 1e-12 for a, b in zip(factors, factors[1:]))
-
-
-class TestMetricsProperties:
-    @SETTINGS
-    @given(accs=st.dictionaries(
-        keys=st.floats(min_value=0.0, max_value=1.0),
-        values=st.floats(min_value=0.0, max_value=1.0),
-        min_size=1, max_size=8,
-    ))
-    def test_summary_average_within_bounds(self, accs):
-        summary = summarize_noise_sweep(accs)
-        assert -1e-9 <= summary.average <= 1.0 + 1e-9
-        assert len(summary.levels) == len(accs)

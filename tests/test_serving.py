@@ -21,11 +21,13 @@ import logging
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.coding import create_coder
+from repro.core.pipeline import EvaluationResult
 from repro.core.servable import ServableModel
 from repro.core.timestep import TimestepEvaluator
 from repro.conversion.converter import CONVERSION_COUNTERS
@@ -92,6 +94,11 @@ class TestServableModel:
             assert field in payload
         assert payload["dataset"] == "mnist"
         assert payload["seed"] == 0
+
+    def test_conversion_payload_needs_statistics(self, converted_mlp):
+        hand_built = ServableModel(network=replace(converted_mlp, statistics=None))
+        with pytest.raises(ValueError, match="activation statistics"):
+            hand_built.conversion_payload()
 
     def test_coder_memoised_per_spec(self, servable):
         coder_a = servable.coder("rate", 16)
@@ -226,6 +233,39 @@ class TestRegistry:
     def test_unknown_key_raises(self, fake_registry):
         with pytest.raises(KeyError):
             fake_registry.get("not-a-fingerprint")
+
+    def test_stats_as_dict(self, fake_registry):
+        key = fake_registry.register("mnist", seed=0)
+        fake_registry.get(key)
+        assert fake_registry.stats.as_dict() == {
+            "hits": 1, "misses": 0, "loads": 1, "evictions": 0,
+        }
+
+    def test_resident_bytes_sums_resident_models(self, fake_registry):
+        assert fake_registry.resident_bytes() == 0
+        keys = [fake_registry.register("mnist", seed=seed) for seed in (0, 1)]
+        assert fake_registry.resident_bytes() == sum(
+            fake_registry.get(key).resident_bytes() for key in keys
+        )
+
+    def test_failed_load_is_raised_and_not_cached(self, monkeypatch, converted_mlp):
+        loads = []
+        lock = threading.Lock()
+        failures = [RuntimeError("disk full")]
+
+        def flaky(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+            if failures:
+                raise failures.pop()
+            return _fake_prepare(dataset, scale, seed, converted_mlp, loads, lock)
+
+        monkeypatch.setattr("repro.serving.registry.prepare_workload", flaky)
+        registry = ModelRegistry(store=False)
+        with pytest.raises(RuntimeError, match="disk full"):
+            registry.register("mnist", seed=0)
+        assert len(registry) == 0 and registry.stats.loads == 0
+        key = registry.register("mnist", seed=0)
+        assert registry.resident_keys() == [key]
+        assert registry.stats.loads == 1
 
     def test_concurrent_registration_loads_once_per_model(self, fake_registry):
         seeds = [0, 1, 2]
@@ -386,6 +426,36 @@ class TestScheduler:
         scheduler.close()
         with pytest.raises(RuntimeError):
             scheduler.submit(key, samples[0], spec=TRANSPORT)
+
+    def test_close_is_idempotent(self, fake_registry, samples):
+        key = fake_registry.register("mnist", seed=0)
+        scheduler = MicroBatchScheduler(fake_registry)
+        scheduler.close()
+        scheduler.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            scheduler.submit(key, samples[0], spec=TRANSPORT)
+
+    def test_max_batch_validated(self, fake_registry):
+        with pytest.raises(ValueError, match="max_batch"):
+            MicroBatchScheduler(fake_registry, max_batch=0)
+
+    def test_fresh_stats_report_no_batches(self, fake_registry):
+        with MicroBatchScheduler(fake_registry) as scheduler:
+            assert scheduler.stats.as_dict() == {
+                "requests": 0, "batches": 0, "batched_samples": 0,
+                "mean_batch_size": 0.0,
+            }
+
+    def test_submit_builds_the_spec_from_keywords(self, fake_registry, samples):
+        key = fake_registry.register("mnist", seed=0)
+        servable = fake_registry.get(key)
+        with MicroBatchScheduler(fake_registry, max_batch=1) as scheduler:
+            result = scheduler.submit(
+                key, samples[0], coding="rate", num_steps=16
+            ).result(timeout=30)
+        reference = serve_single(servable, TRANSPORT, samples[0])
+        assert result.evaluator == "transport"
+        assert np.array_equal(result.logits, reference.logits)
 
     def test_bad_key_delivered_as_future_exception(self, fake_registry, samples):
         fake_registry.register("mnist", seed=0)
@@ -630,6 +700,53 @@ class TestPullLoopFailures:
         assert queued[1].cancelled()
         assert [rows for _, rows in gate.batches] == [1, 2]
 
+    def test_malformed_sample_fails_alone(self, fake_registry, samples, gate):
+        # Queues key on sample shape: the 28x5 slice never shares a batch
+        # (and its stack) with the well-formed image queued next to it.
+        key = fake_registry.register("mnist", seed=0)
+        with MicroBatchScheduler(fake_registry, max_workers=1) as scheduler:
+            held = gate.hold(scheduler, key, samples[0])
+            good = scheduler.submit(key, samples[1], spec=TRANSPORT)
+            bad = scheduler.submit(key, samples[2][..., :5], spec=TRANSPORT)
+            gate.release.set()
+            with pytest.raises(ValueError):
+                bad.result(timeout=30)
+            _assert_served_solo(
+                fake_registry, key, [(x, TRANSPORT) for x in samples[:2]], [held, good]
+            )
+        assert [rows for _, rows in gate.batches] == [1, 1, 1]
+
+    def test_eviction_racing_dispatch(self, fake_registry, samples):
+        # A one-model byte budget over three keys: every dispatch of a key
+        # that is not resident reloads it, evicting the model another
+        # worker may be serving from.
+        fake_registry.max_bytes = 1
+        keys = [fake_registry.register("mnist", seed=seed) for seed in range(3)]
+        references = {}
+        for key in keys:
+            servable = fake_registry.get(key)
+            for i, x in enumerate(samples):
+                references[(key, i)] = serve_single(servable, TRANSPORT, x).logits
+        evictions = fake_registry.stats.evictions
+        futures: dict = {}
+        with MicroBatchScheduler(fake_registry, max_workers=2) as scheduler:
+            def client(c):
+                for i in range(len(samples)):
+                    key = keys[(c + i) % len(keys)]
+                    futures[(c, key, i)] = scheduler.submit(key, samples[i], spec=TRANSPORT)
+
+            clients = [threading.Thread(target=client, args=(c,)) for c in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+            for (_, key, i), future in futures.items():
+                result = future.result(timeout=60)
+                assert np.array_equal(result.logits, references[(key, i)])
+        assert len(futures) == 4 * len(samples)
+        assert fake_registry.stats.evictions > evictions
+
 
 class TestLatencySummary:
     def test_percentiles_of_known_pool(self):
@@ -730,3 +847,105 @@ class TestWorkloadDocuments:
         # The healthy document survives.
         assert store.get_workload_conversion("cd" + "0" * 62) is not None
         assert store.workload_stats()["orphaned_workload_docs"] == 0
+
+
+def _result(accuracy=0.5, samples=4):
+    return EvaluationResult(
+        accuracy=accuracy, total_spikes=10 * samples, spikes_per_sample=10.0,
+        coding="ttfs", deletion=0.0, jitter=0.0, weight_scaling_factor=1.0,
+        num_samples=samples,
+    )
+
+
+class TestShardDocuments:
+    CELL = "ab" + "1" * 62
+    SHARD = "cd" + "2" * 62
+
+    def _write(self, store, content):
+        path = store.shard_path_for(self.CELL, self.SHARD)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        return path
+
+    def test_round_trip(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        store.put_shard(self.CELL, self.SHARD, _result(0.75))
+        assert store.get_shard(self.CELL, self.SHARD) == _result(0.75)
+        assert store.stats.as_dict() == {"hits": 1, "misses": 0, "writes": 1}
+
+    def test_unreadable_document_degrades_to_miss(self, tmp_path, store_warnings):
+        store = ResultStore(str(tmp_path / "store"))
+        path = self._write(store, '{"result": {"accur')
+        assert store.get_shard(self.CELL, self.SHARD) is None
+        assert store.stats.misses == 1
+        assert any(path in record.getMessage() for record in store_warnings)
+
+    def test_malformed_document_degrades_to_miss(self, tmp_path, store_warnings):
+        store = ResultStore(str(tmp_path / "store"))
+        path = self._write(store, json.dumps({"plan": {}}))
+        assert store.get_shard(self.CELL, self.SHARD) is None
+        assert store.stats.misses == 1
+        assert any(path in record.getMessage() for record in store_warnings)
+
+    def test_fingerprints_skip_stray_files(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(self.CELL, _result())
+        cells = os.path.join(store.root, "cells")
+        with open(os.path.join(cells, "README"), "w", encoding="utf-8") as handle:
+            handle.write("not a prefix directory")
+        with open(os.path.join(cells, "ab", "notes.txt"), "w", encoding="utf-8") as handle:
+            handle.write("not a cell document")
+        assert list(store.fingerprints()) == [self.CELL]
+        assert len(store) == 1
+
+
+class TestStoreGcCommand:
+    MERGED = "ab" + "1" * 62
+    LIVE = "ef" + "3" * 62
+
+    def _gc(self, store_dir, capsys):
+        """Run ``store gc``; returns the report's values after the store root."""
+        from repro.cli import main
+
+        assert main(["store", "gc", "--result-store", store_dir]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line.split(":", 1)[1].strip() for line in lines[1:]]
+
+    def test_empty_store_has_nothing_to_collect(self, tmp_path, capsys):
+        assert self._gc(str(tmp_path / "store"), capsys) == [
+            "0", "0 (0 orphaned)", "0 document(s)", "0 bytes",
+            "0 (0 orphaned)", "0 document(s)", "0 bytes",
+        ]
+
+    def test_collects_orphans_and_keeps_live_documents(self, tmp_path, capsys):
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(self.MERGED, _result())
+        for prefix in ("01", "02"):
+            store.put_shard(self.MERGED, prefix + "0" * 62, _result(samples=2))
+        store.put_shard(self.LIVE, "03" + "0" * 62, _result(samples=2))
+        corrupt = store.workload_path_for("aa" + "0" * 62)
+        os.makedirs(os.path.dirname(corrupt), exist_ok=True)
+        with open(corrupt, "w", encoding="utf-8") as handle:
+            handle.write("{truncated")
+        store.put_workload_conversion("bb" + "0" * 62, {
+            "scales": [1.0], "percentile": 99.9,
+            "input_scale": 1.0, "dnn_accuracy": 0.5,
+        })
+        shard_bytes = sum(
+            os.path.getsize(store.shard_path_for(self.MERGED, prefix + "0" * 62))
+            for prefix in ("01", "02")
+        )
+        corrupt_bytes = os.path.getsize(corrupt)
+
+        assert self._gc(store.root, capsys) == [
+            "2", "3 (2 orphaned)", "2 document(s)", f"{shard_bytes:,} bytes",
+            "2 (1 orphaned)", "1 document(s)", f"{corrupt_bytes:,} bytes",
+        ]
+        assert self.MERGED in store
+        assert store.get_shard(self.LIVE, "03" + "0" * 62) == _result(samples=2)
+        assert not os.path.exists(corrupt)
+        assert store.get_workload_conversion("bb" + "0" * 62) is not None
+        # Nothing is left to collect on a second run.
+        again = self._gc(store.root, capsys)
+        assert again[2] == again[5] == "0 document(s)"

@@ -19,7 +19,7 @@ from hypothesis import strategies as hyp_st
 from oracles import run_stepped
 
 from repro.coding import PhaseCoder, RateCoder, TTASCoder, TTFSCoder
-from repro.core import build_time_stepped_simulator, evaluate_timestep
+from repro.core import build_time_stepped_simulator
 from repro.core.pipeline import NoiseRobustSNN, make_evaluator
 from repro.core.timestep import TimestepEvaluator, _SegmentTransform
 from repro.core.transport import ActivationTransportSimulator, evaluate_transport
@@ -436,8 +436,8 @@ class TestEvaluateTimestep:
     def test_agrees_with_transport_clean(self, converted_mlp, mnist_split):
         coder = RateCoder(num_steps=64)
         x, y = mnist_split.test.x[:32], mnist_split.test.y[:32]
-        faithful = evaluate_timestep(
-            converted_mlp, coder, x, y, threshold=0.1, rng=0
+        faithful = TimestepEvaluator(converted_mlp, coder, threshold=0.1).evaluate(
+            x, y, rng=0
         )
         transport = evaluate_transport(converted_mlp, coder, x, y, rng=0)
         assert abs(faithful.accuracy - transport.accuracy) <= 0.15
@@ -459,10 +459,13 @@ class TestEvaluateTimestep:
 
         coder = create_coder(coding, num_steps=num_steps)
         x, y = mnist_split.test.x[:12], mnist_split.test.y[:12]
-        kwargs = dict(threshold=threshold, batch_size=8, rng=0)
-        fused = evaluate_timestep(converted_mlp, coder, x, y, **kwargs)
+        fused = TimestepEvaluator(converted_mlp, coder, threshold=threshold).evaluate(
+            x, y, batch_size=8, rng=0
+        )
         monkeypatch.setattr(TimeSteppedSimulator, "run", run_stepped)
-        stepped = evaluate_timestep(converted_mlp, coder, x, y, **kwargs)
+        stepped = TimestepEvaluator(converted_mlp, coder, threshold=threshold).evaluate(
+            x, y, batch_size=8, rng=0
+        )
         assert fused.accuracy == stepped.accuracy
         assert fused.total_spikes == stepped.total_spikes
         assert fused.spikes_per_interface == stepped.spikes_per_interface
@@ -470,28 +473,28 @@ class TestEvaluateTimestep:
     def test_deletion_removes_spikes(self, converted_mlp, mnist_split):
         coder = RateCoder(num_steps=32)
         x = mnist_split.test.x[:8]
-        clean = evaluate_timestep(converted_mlp, coder, x, threshold=0.1, rng=0)
-        noisy = evaluate_timestep(
-            converted_mlp, coder, x,
+        clean = TimestepEvaluator(converted_mlp, coder, threshold=0.1).evaluate(x, rng=0)
+        noisy = TimestepEvaluator(
+            converted_mlp, coder,
             noise=NoiseInjector.from_levels(deletion_probability=0.5),
-            threshold=0.1, rng=0,
-        )
+            threshold=0.1,
+        ).evaluate(x, rng=0)
         assert noisy.total_spikes < clean.total_spikes
 
     def test_weight_scaling_enters_as_kernel_scale(self, converted_mlp, mnist_split):
         coder = RateCoder(num_steps=32)
         x = mnist_split.test.x[:8]
-        scaled = evaluate_timestep(
-            converted_mlp, coder, x,
+        scaled = TimestepEvaluator(
+            converted_mlp, coder,
             noise=NoiseInjector.from_levels(deletion_probability=0.5),
             weight_scaling=WeightScaling(mode="inverse"),
-            expected_deletion=0.5, threshold=0.1, rng=0,
-        )
-        unscaled = evaluate_timestep(
-            converted_mlp, coder, x,
+            expected_deletion=0.5, threshold=0.1,
+        ).evaluate(x, rng=0)
+        unscaled = TimestepEvaluator(
+            converted_mlp, coder,
             noise=NoiseInjector.from_levels(deletion_probability=0.5),
-            threshold=0.1, rng=0,
-        )
+            threshold=0.1,
+        ).evaluate(x, rng=0)
         # C > 1 compensates the deleted charge: more hidden spikes survive.
         assert scaled.total_spikes > unscaled.total_spikes
 
@@ -499,8 +502,8 @@ class TestEvaluateTimestep:
         from repro.coding import BurstCoder, UnsupportedCoderError
 
         with pytest.raises(UnsupportedCoderError):
-            evaluate_timestep(
-                converted_mlp, BurstCoder(num_steps=16), mnist_split.test.x[:4]
+            TimestepEvaluator(converted_mlp, BurstCoder(num_steps=16)).evaluate(
+                mnist_split.test.x[:4]
             )
         # The refusal is a TypeError subclass: pre-protocol callers that
         # guarded the rate-only bridge keep working.
@@ -524,9 +527,8 @@ class TestEvaluateTimestep:
     ):
         # Three batches (4, 4 and a partial 2) share one simulator.
         x, y = mnist_split.test.x[:10], mnist_split.test.y[:10]
-        evaluate_timestep(
-            converted_mlp, RateCoder(num_steps=8), x, y,
-            threshold=0.1, batch_size=4, rng=0,
+        TimestepEvaluator(converted_mlp, RateCoder(num_steps=8), threshold=0.1).evaluate(
+            x, y, batch_size=4, rng=0
         )
         assert simulator_builds == [x.shape[1:]]
 
@@ -551,11 +553,11 @@ class TestEvaluateTimestep:
             weight_scaling=False, simulator="timestep",
         )
         result = pipeline.evaluate(x, y, deletion=0.2, rng=0, quant_bits=3)
-        direct = evaluate_timestep(
-            quantize_network(converted_mlp, 3), PhaseCoder(num_steps=16), x, y,
-            noise=NoiseInjector.from_levels(deletion_probability=0.2), rng=0,
+        direct = TimestepEvaluator(
+            quantize_network(converted_mlp, 3), PhaseCoder(num_steps=16),
+            noise=NoiseInjector.from_levels(deletion_probability=0.2),
             expected_deletion=0.2,
-        )
+        ).evaluate(x, y, rng=0)
         assert result.accuracy == direct.accuracy
         assert result.total_spikes == direct.total_spikes
 

@@ -10,12 +10,7 @@ from repro.snn.neurons import (
     NeuronState,
     TTFSNeuron,
 )
-from repro.snn.thresholds import (
-    EMPIRICAL_THRESHOLDS,
-    balance_thresholds,
-    empirical_threshold,
-    scale_threshold_for_coding,
-)
+from repro.snn.thresholds import EMPIRICAL_THRESHOLDS, empirical_threshold
 
 
 class TestKernels:
@@ -195,21 +190,3 @@ class TestThresholds:
         assert empirical_threshold("RATE") == 0.4
         with pytest.raises(ValueError):
             empirical_threshold("morse")
-
-    def test_balance_thresholds_percentile(self):
-        activations = [np.linspace(0, 1, 1001), np.linspace(0, 2, 1001)]
-        thresholds = balance_thresholds(activations, percentile=99.0)
-        assert abs(thresholds[0] - 0.99) < 0.01
-        assert abs(thresholds[1] - 1.98) < 0.02
-
-    def test_balance_thresholds_minimum(self):
-        thresholds = balance_thresholds([np.zeros(10)], minimum=0.05)
-        assert thresholds[0] == 0.05
-
-    def test_balance_thresholds_empty_layer(self):
-        with pytest.raises(ValueError):
-            balance_thresholds([np.array([])])
-
-    def test_scale_threshold_for_coding(self):
-        scaled = scale_threshold_for_coding(1.0, "phase", reference="rate")
-        assert abs(scaled - 3.0) < 1e-9

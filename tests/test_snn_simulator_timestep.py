@@ -43,6 +43,25 @@ class TestTimeSteppedSimulator:
         with pytest.raises(ValueError):
             simulator.run(train)
 
+    def test_input_steps_cannot_exceed_window(self):
+        layer = SimulatorLayer(transform=lambda x: x, neuron=None)
+        with pytest.raises(ValueError, match="cannot exceed"):
+            TimeSteppedSimulator([layer], 8, np.ones(8), input_steps=12)
+
+    def test_short_input_window_is_zero_padded(self):
+        full, _ = two_layer_simulator(num_steps=16)
+        short = TimeSteppedSimulator(
+            full.layers, 16, full.input_kernel, full.hidden_kernel, input_steps=10
+        )
+        train = RateCoder(num_steps=10).encode(np.array([[0.9, 0.3, 0.6]]))
+        padded = SpikeTrainArray(
+            np.concatenate([train.counts, np.zeros((6, 1, 3), dtype=np.int16)])
+        )
+        expected = full.run(padded)
+        actual = short.run(train)
+        assert np.array_equal(actual.output_potential, expected.output_potential)
+        assert actual.spike_counts == expected.spike_counts
+
     def test_output_approximates_analog_network(self):
         # Quantisation error per hidden neuron is bounded by the threshold,
         # so the readout error is bounded by ~2 * threshold here.

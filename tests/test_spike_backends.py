@@ -169,6 +169,69 @@ class TestDeterministicOps:
         assert events.to_dense() == dense
 
 
+def _as_backend(train, backend):
+    return train if backend == "dense" else train.to_events()
+
+
+NOOP_FAULTS = {
+    "mask_keeps_everyone": lambda t: t.mask_neurons(np.ones(t.population_shape, bool)),
+    "force_nobody": lambda t: t.force_firing(np.zeros(t.population_shape, bool)),
+    "force_in_empty_window": lambda t: t.force_firing(
+        np.ones(t.population_shape, bool), window=(3, 3)
+    ),
+    "drop_empty_window": lambda t: t.drop_window(4, 4),
+}
+
+
+class TestFaultOpsBothBackends:
+    @pytest.mark.parametrize("backend", ["dense", "events"])
+    @pytest.mark.parametrize("fault", sorted(NOOP_FAULTS))
+    def test_noop_fault_returns_an_equal_view(self, backend, fault):
+        train = _as_backend(random_train(shape=(10, 2, 6)), backend)
+        out = NOOP_FAULTS[fault](train)
+        assert type(out) is type(train)
+        assert out == train
+        assert out is not train
+
+    @pytest.mark.parametrize("backend", ["dense", "events"])
+    def test_mask_must_broadcast_over_population(self, backend):
+        train = _as_backend(random_train(shape=(10, 2, 6)), backend)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            train.mask_neurons(np.ones(4, bool))
+        with pytest.raises(ValueError, match="does not broadcast"):
+            train.force_firing(np.ones((6, 2), bool))
+
+    @pytest.mark.parametrize("backend", ["dense", "events"])
+    def test_other_types_never_compare_equal(self, backend):
+        train = _as_backend(random_train(shape=(4, 3)), backend)
+        assert not train == 3
+        assert train != "spikes"
+
+
+class TestEventsConstruction:
+    def test_copy_is_deep_and_equal(self):
+        events = random_train(seed=4, shape=(8, 5)).to_events()
+        clone = events.copy()
+        assert clone == events
+        for name in ("times", "neuron_indices", "event_counts"):
+            assert not np.shares_memory(getattr(clone, name), getattr(events, name))
+
+    def test_population_shape_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            SpikeEvents([0], [0], None, 4, ())
+
+    def test_float_counts_must_be_integral(self):
+        with pytest.raises(ValueError, match="integers"):
+            SpikeEvents([0], [0], [1.5], 4, (2,))
+        assert SpikeEvents([0], [0], [2.0], 4, (2,)).total_spikes() == 2
+
+    def test_empty_train_is_canonical_and_silent(self):
+        empty = SpikeEvents([], [], None, 4, (3,))
+        assert empty.occupied_slots() == 0
+        assert empty.total_spikes() == 0
+        assert empty == SpikeTrainArray(np.zeros((4, 3), dtype=np.int16))
+
+
 class TestStochasticOps:
     def test_deletion_survival_rate_matches(self):
         dense = SpikeTrainArray(np.ones((50, 200), dtype=np.int16))

@@ -31,10 +31,10 @@ from repro.coding import (
     windowed_kernel,
 )
 from repro.core.timestep import (
+    TimestepEvaluator,
     _SegmentTransform,
     _strip_trailing_relu,
     build_time_stepped_simulator,
-    evaluate_timestep,
 )
 from repro.core.transport import evaluate_transport
 from repro.execution.store import ResultStore
@@ -426,13 +426,12 @@ class TestTransportVsTimestepTrend:
         x, y = mnist_split.test.x[:32], mnist_split.test.y[:32]
         heavy = NoiseInjector.from_levels(deletion_probability=0.8)
 
-        faithful_clean = evaluate_timestep(
-            converted_mlp, coder, x, y, threshold=threshold, rng=0
-        )
-        faithful_noisy = evaluate_timestep(
-            converted_mlp, coder, x, y, threshold=threshold, noise=heavy,
-            rng=0,
-        )
+        faithful_clean = TimestepEvaluator(
+            converted_mlp, coder, threshold=threshold
+        ).evaluate(x, y, rng=0)
+        faithful_noisy = TimestepEvaluator(
+            converted_mlp, coder, noise=heavy, threshold=threshold
+        ).evaluate(x, y, rng=0)
         transport_clean = evaluate_transport(converted_mlp, coder, x, y, rng=0)
         transport_noisy = evaluate_transport(
             converted_mlp, coder, x, y, noise=heavy, rng=0

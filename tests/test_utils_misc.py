@@ -6,15 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.utils.config import ConfigError, as_dict, freeze_dict, validate_choice
+from repro.utils.config import ConfigError, as_dict, validate_choice
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 from repro.utils.validation import (
-    check_index,
     check_non_negative,
     check_positive,
     check_probability,
-    check_shape,
 )
 
 
@@ -43,25 +41,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_probability("p", value)
 
-    def test_check_shape_wildcards(self):
-        x = np.zeros((4, 3, 8, 8))
-        assert check_shape("x", x, (None, 3, 8, 8)) is not None
-
-    def test_check_shape_wrong_rank(self):
-        with pytest.raises(ValueError):
-            check_shape("x", np.zeros((2, 2)), (None, 2, 2))
-
-    def test_check_shape_wrong_size(self):
-        with pytest.raises(ValueError):
-            check_shape("x", np.zeros((2, 5)), (None, 4))
-
-    def test_check_index(self):
-        assert check_index("i", 2, 5) == 2
-        with pytest.raises(ValueError):
-            check_index("i", 5, 5)
-        with pytest.raises(ValueError):
-            check_index("i", -1, 5)
-
 
 class TestConfigHelpers:
     def test_validate_choice_accepts(self):
@@ -71,12 +50,6 @@ class TestConfigHelpers:
         with pytest.raises(ConfigError):
             validate_choice("mode", "c", ["a", "b"])
 
-    def test_freeze_dict_read_only(self):
-        frozen = freeze_dict({"a": 1})
-        assert frozen["a"] == 1
-        with pytest.raises(TypeError):
-            frozen["a"] = 2  # type: ignore[index]
-
     def test_as_dict_on_dataclass(self):
         from repro.experiments.config import MethodSpec
 
@@ -85,6 +58,14 @@ class TestConfigHelpers:
 
     def test_as_dict_on_mapping(self):
         assert as_dict({"k": 1}) == {"k": 1}
+
+    def test_as_dict_on_plain_object(self):
+        class Settings:
+            def __init__(self):
+                self.steps = 8
+                self.coding = "ttfs"
+
+        assert as_dict(Settings()) == {"steps": 8, "coding": "ttfs"}
 
 
 class TestSerialization:
@@ -115,6 +96,37 @@ class TestSerialization:
         save_json(path, {"ok": True})
         assert load_json(path) == {"ok": True}
 
+    def test_load_arrays_accepts_path_without_suffix(self, tmp_path):
+        path = os.path.join(tmp_path, "weights")
+        save_arrays(path, {"w": np.arange(4)})
+        assert np.array_equal(load_arrays(path)["w"], np.arange(4))
+
+    def test_json_encodes_numpy_float32_and_bool(self, tmp_path):
+        path = os.path.join(tmp_path, "flags.json")
+        save_json(path, {"x": np.float32(0.25), "ok": np.bool_(True)})
+        loaded = load_json(path)
+        assert loaded == {"x": 0.25, "ok": True}
+        assert type(loaded["ok"]) is bool
+
+    def test_json_rejects_unserialisable_values(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_json(os.path.join(tmp_path, "bad.json"), {"x": object()})
+
+    def test_atomic_write_replaces_document(self, tmp_path):
+        path = os.path.join(tmp_path, "doc.json")
+        save_json(path, {"v": 1}, atomic=True)
+        save_json(path, {"v": 2}, atomic=True)
+        assert load_json(path) == {"v": 2}
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_failed_atomic_write_keeps_old_document_and_no_temp_file(self, tmp_path):
+        path = os.path.join(tmp_path, "doc.json")
+        save_json(path, {"v": 1}, atomic=True)
+        with pytest.raises(TypeError):
+            save_json(path, {"v": object()}, atomic=True)
+        assert load_json(path) == {"v": 1}
+        assert os.listdir(tmp_path) == ["doc.json"]
+
 
 class TestLogging:
     def test_get_logger_namespacing(self):
@@ -131,3 +143,10 @@ class TestLogging:
     def test_unknown_verbosity(self):
         with pytest.raises(ValueError):
             set_verbosity("loud")
+
+    def test_one_shared_handler_without_propagation(self):
+        get_logger("nn")
+        get_logger("snn")
+        root = logging.getLogger("repro")
+        assert len(root.handlers) == 1
+        assert root.propagate is False

@@ -3,22 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    DEFAULT_SEED,
-    RngRegistry,
-    default_rng,
-    derive_rng,
-    get_global_seed,
-    set_global_seed,
-    spawn_rngs,
-)
+from repro.utils.rng import DEFAULT_SEED, default_rng, derive_rng
 
 
 class TestDefaultRng:
-    def test_none_uses_global_seed(self):
+    def test_none_uses_default_seed(self):
         a = default_rng(None).random(5)
-        b = default_rng(None).random(5)
-        assert np.allclose(a, b)
+        b = np.random.default_rng(DEFAULT_SEED).random(5)
+        assert np.array_equal(a, b)
+
+    def test_default_seed_constant(self):
+        assert DEFAULT_SEED == 20210422
 
     def test_integer_seed_is_deterministic(self):
         assert np.allclose(default_rng(7).random(3), default_rng(7).random(3))
@@ -33,26 +28,6 @@ class TestDefaultRng:
     def test_invalid_type_raises(self):
         with pytest.raises(TypeError):
             default_rng("not-a-seed")
-
-
-class TestGlobalSeed:
-    def test_set_and_get(self):
-        original = get_global_seed()
-        try:
-            set_global_seed(99)
-            assert get_global_seed() == 99
-            a = default_rng(None).random(4)
-            set_global_seed(99)
-            assert np.allclose(a, default_rng(None).random(4))
-        finally:
-            set_global_seed(original)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            set_global_seed(-1)
-
-    def test_default_seed_constant(self):
-        assert DEFAULT_SEED == 20210422
 
 
 class TestDeriveRng:
@@ -73,53 +48,3 @@ class TestDeriveRng:
         a = derive_rng(np.random.default_rng(5), "x").random(3)
         b = derive_rng(np.random.default_rng(5), "x").random(3)
         assert np.allclose(a, b)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_streams_differ(self):
-        streams = spawn_rngs(0, 3)
-        values = [s.random(4) for s in streams]
-        assert not np.allclose(values[0], values[1])
-        assert not np.allclose(values[1], values[2])
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, 0)
-
-
-class TestRngRegistry:
-    def test_get_is_cached(self):
-        registry = RngRegistry(seed=1)
-        assert registry.get("noise") is registry.get("noise")
-
-    def test_named_streams_are_independent(self):
-        registry = RngRegistry(seed=1)
-        a = registry.get("a").random(5)
-        b = registry.get("b").random(5)
-        assert not np.allclose(a, b)
-
-    def test_reset_restores_sequence(self):
-        registry = RngRegistry(seed=2)
-        first = registry.get("s").random(4)
-        registry.reset(["s"])
-        second = registry.get("s").random(4)
-        assert np.allclose(first, second)
-
-    def test_reset_all(self):
-        registry = RngRegistry(seed=3)
-        first = registry.get("x").random(2)
-        registry.get("y")
-        registry.reset()
-        assert np.allclose(first, registry.get("x").random(2))
-
-    def test_contains(self):
-        registry = RngRegistry(seed=4)
-        assert "z" not in registry
-        registry.get("z")
-        assert "z" in registry
-
-    def test_seed_property(self):
-        assert RngRegistry(seed=11).seed == 11
