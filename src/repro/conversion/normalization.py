@@ -14,11 +14,11 @@ Two pieces of the standard DNN-to-SNN conversion recipe live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Conv2D, Dense, Identity, Layer, ReLU
+from repro.nn.layers import Conv2D, Dense, Identity, ReLU
 from repro.nn.model import Sequential
 from repro.nn.norm import BatchNorm2D
 from repro.utils.logging import get_logger

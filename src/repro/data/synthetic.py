@@ -16,7 +16,7 @@ underlying dataset only sets the clean baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -18,7 +18,7 @@ a fixed jitter sigma hit them harder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import SIMULATORS

@@ -14,22 +14,28 @@ It exists for two reasons:
 
 One engine implements the dynamics, layer-outer/time-inner: because the
 network is strictly feed-forward and every synaptic transform acts on each
-time step independently, the time loop hoists *inside* each layer.  The
-layer's ``(T, batch, ...)`` drive tensor comes out of a handful of wide
-transform calls (time folded into the batch axis), the neurons advance over
-the window with a vectorised :meth:`~repro.snn.neurons.SpikingNeuron.advance`
-scan, and all-zero time rows are skipped before linear transforms.
+time step independently, the time loop hoists *inside* each layer.  Each
+layer's window is streamed in **time chunks** sized by one byte budget
+(:data:`TimeSteppedSimulator.FUSED_CHUNK_BYTES`): a chunk's drive comes out
+of one wide transform call (time folded into the batch axis), the neurons
+advance over it with a vectorised
+:meth:`~repro.snn.neurons.SpikingNeuron.advance` scan whose state carries
+across chunks, and only the chunk's occupied ``(step, sample)`` spike rows
+are kept.  Those rows are all the next layer reads: silent rows are never
+stored and never transformed, so no ``(T, batch, ...)`` array of a layer
+exists unless ``record_spikes`` asks for one.
 
 The engine schedules every layer by its **protocol window**: a layer cannot
 spike before its firing window opens, so for a ``linear`` transform every
 step before ``fire_start`` collapses into one call -- the PSC of those steps
 is summed, transformed once and seeds the membrane (integrate, then fire).
-Drive is materialised and neurons advanced only from ``fire_start`` to the
-end of the firing window (plus burst spill), assembled straight from the
-upstream train's occupied steps (event lists densify just that window).  A
-layer whose transform does not declare ``linear`` is integrated step by
-step from step 0.  The reference time-outer loop the engine is tested
-against, with the same collapse, lives in the test suite.
+Drive is assembled and neurons advanced only from ``fire_start`` to the
+end of the firing window (plus burst spill), chunk by chunk, from the
+upstream layer's occupied rows (the input train enters the same way, event
+lists densifying one chunk at a time).  A layer whose transform does not
+declare ``linear`` is integrated step by step from step 0.  The reference
+time-outer loop the engine is tested against, with the same collapse, lives
+in the test suite.
 
 Layers may carry **per-layer incoming kernels** and **firing/bias windows**
 (:class:`SimulatorLayer.in_kernel` / ``bias_stop``): this is how the
@@ -42,6 +48,7 @@ rate-coded construction (and its results) bit-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -154,7 +161,13 @@ class LayerFaultMask:
         fire_start: int = 0,
         fire_stop: Optional[int] = None,
     ) -> np.ndarray:
-        """Mask a whole window of emitted spikes (``(T, batch, *features)``)."""
+        """Mask a window of emitted spikes (``(T, batch, *features)``).
+
+        ``fire_start``/``fire_stop`` are counted from the window's first
+        step, so a run split into time chunks masks each chunk with the
+        firing window re-based onto it, and the stuck-at-fire steps are the
+        same as for the whole window at once.
+        """
         self._draw(spikes.shape[2:])
         num_steps = spikes.shape[0]
         out = spikes
@@ -200,6 +213,93 @@ class SimulationRecord:
     def total_spikes(self) -> int:
         """Total spikes across all recorded layers."""
         return int(sum(self.spike_counts.values()))
+
+
+class _SpikeRows:
+    """The spikes of one population as its occupied ``(step, sample)`` rows.
+
+    This is how spikes travel between the simulator's layers.  A row is the
+    ``(*features)`` count vector of one sample at one step; its global index
+    is ``step * batch + sample``.  Only rows with at least one spike are
+    kept, in blocks appended in step order (one per time chunk), each block
+    a sorted ``rows`` index array with its ``(len(rows), F)`` int16
+    ``counts``.  At the sparsities the codes produce, most rows of a hidden
+    layer are silent, so a layer's output costs a fraction of its dense
+    ``(T, batch, *features)`` window, and silent rows cost the next layer
+    nothing: the linear transform and the float64 PSC sums skip them
+    exactly.
+    """
+
+    def __init__(self, batch: int, features: Sequence[int]):
+        self.batch = int(batch)
+        self.features = tuple(int(size) for size in features)
+        self._blocks: List[tuple] = []
+        #: Last global row of each block, for bisecting a step window.
+        self._last_rows: List[int] = []
+        #: Total number of spikes.
+        self.total = 0
+
+    def append(self, spikes: np.ndarray, step: int) -> None:
+        """Keep the occupied rows of a ``(w, batch, *features)`` chunk that
+        starts at global step ``step``."""
+        flat = spikes.reshape(spikes.shape[0] * self.batch, -1)
+        # Counts are never negative, and a row maximum vectorises better
+        # than ``any``.
+        row_max = flat.max(axis=1, initial=0)
+        occupied = np.flatnonzero(row_max > 0)
+        if occupied.size:
+            # A fully occupied chunk is kept as it is (trains and emitted
+            # windows are never written after they are handed over).
+            counts = flat if occupied.size == flat.shape[0] else flat[occupied]
+            self._blocks.append((occupied + step * self.batch, counts))
+            self._last_rows.append(int(occupied[-1]) + step * self.batch)
+            # A 0/1 chunk is counted several times faster than it is summed.
+            binary = row_max.max() == 1
+            self.total += int(np.count_nonzero(counts) if binary else counts.sum())
+
+    def step_support(self) -> tuple:
+        """Smallest step window ``[lo, hi)`` holding every spike (``(0, 0)``
+        when silent)."""
+        if not self._blocks:
+            return 0, 0
+        return (
+            int(self._blocks[0][0][0]) // self.batch,
+            self._last_rows[-1] // self.batch + 1,
+        )
+
+    def segments(self, lo: int, hi: int):
+        """Yield ``(rows, counts)`` of the steps ``[lo, hi)``, one slice per
+        block (global row indices, counts shaped ``(n, *features)``)."""
+        row_lo, row_hi = lo * self.batch, hi * self.batch
+        for index in range(bisect_left(self._last_rows, row_lo), len(self._blocks)):
+            rows, counts = self._blocks[index]
+            if rows[0] >= row_hi:
+                break
+            start, stop = np.searchsorted(rows, (row_lo, row_hi))
+            if start < stop:
+                yield rows[start:stop], counts[start:stop].reshape(
+                    (-1,) + self.features
+                )
+
+    def window(self, lo: int, hi: int) -> tuple:
+        """``(rows, counts)`` of the steps ``[lo, hi)``, rows counted from
+        step ``lo``."""
+        parts = list(self.segments(lo, hi))
+        if not parts:
+            return np.empty(0, dtype=np.int64), np.empty((0,) + self.features, np.int16)
+        if len(parts) == 1:
+            rows, counts = parts[0]
+        else:
+            rows = np.concatenate([rows for rows, _ in parts])
+            counts = np.concatenate([counts for _, counts in parts])
+        return rows - lo * self.batch, counts
+
+    def dense(self, num_steps: int) -> np.ndarray:
+        """The ``(num_steps, batch, *features)`` count grid of these rows."""
+        grid = np.zeros((num_steps * self.batch,) + self.features, dtype=np.int16)
+        for rows, counts in self.segments(0, num_steps):
+            grid[rows] = counts
+        return grid.reshape((num_steps, self.batch) + self.features)
 
 
 class TimeSteppedSimulator:
@@ -272,6 +372,8 @@ class TimeSteppedSimulator:
         self.layer_kernel_supports: List[tuple] = [
             _kernel_support(kernel) for kernel in self.layer_kernels
         ]
+        #: ``(index, input features) -> (drive shape, dtype)`` per layer.
+        self._drive_specs: Dict[tuple, tuple] = {}
 
     def _check_kernel(self, kernel: np.ndarray) -> np.ndarray:
         kernel = np.asarray(kernel, dtype=np.float64)
@@ -294,10 +396,12 @@ class TimeSteppedSimulator:
         input_spikes:
             Spike trains of the input population covering
             ``(T, batch, features...)`` as produced by a coder's ``encode``
-            (either backend; event lists densify only the occupied steps).
+            (either backend; event lists densify one time chunk at a time).
         record_spikes:
             Keep the full spike trains of every hidden layer in the record
-            (memory heavy; meant for small validation runs and plots).
+            (memory heavy by design: each layer's occupied rows are
+            densified onto the whole ``(T, batch, ...)`` grid; meant for
+            small validation runs and plots).
         layer_faults:
             Optional persistent hardware-fault masks
             (:class:`LayerFaultMask`) keyed by spiking-layer name; each
@@ -311,13 +415,18 @@ class TimeSteppedSimulator:
         are infinite), so a ``linear`` layer integrates, then fires:
         ``a_lo = fire_start`` and :meth:`_integrated_membrane` seeds the
         membrane with one transform call per sample.  A transform that is
-        not ``linear`` is integrated step by step from ``a_lo = 0``.  Past
-        the last step with kernel support or bias the neuron advances on a
-        read-only zero drive with no transform call: all of a TTFS layer's
-        own window, all but the burst spill of a TTAS layer's.  Upstream
-        spikes arrive as a compact window (the input train's occupied steps
-        or the previous layer's firing window).  The readout never fires:
-        its potential is :meth:`_integrated_membrane` over the whole window.
+        not ``linear`` is integrated step by step from ``a_lo = 0``.
+
+        The window is streamed in **time chunks** of
+        :meth:`_chunk_steps` steps: each chunk's drive is assembled, the
+        neurons advance over it (their state carries ``step_index`` across
+        calls), the fault masks gate it and only its occupied ``(step,
+        sample)`` rows are kept (:class:`_SpikeRows`), which is all the next
+        layer reads.  Past the last step with kernel support or bias the
+        neuron advances on a read-only zero drive with no transform call:
+        all of a TTFS layer's own window, all but the burst spill of a TTAS
+        layer's.  The readout never fires: its potential is
+        :meth:`_integrated_membrane` over the whole window.
         """
         if input_spikes.num_steps != self.input_steps:
             raise ValueError(
@@ -326,15 +435,12 @@ class TimeSteppedSimulator:
             )
         if not input_spikes.population_shape:
             raise ValueError("input spike train must include a batch dimension")
-        lo, hi = input_spikes.step_support()
-        if hi > lo:
-            counts = np.asarray(input_spikes.window_counts(lo, hi))
-            win_lo = lo
-        else:
-            counts = np.zeros(
-                (0,) + tuple(input_spikes.population_shape), dtype=np.int16
-            )
-            win_lo = 0
+        batch, *features = input_spikes.population_shape
+        spikes = _SpikeRows(batch, features)
+        chunk = self._chunk_steps(batch, 2 * int(np.prod(spikes.features)))
+        for lo in range(0, input_spikes.num_steps, chunk):
+            hi = min(lo + chunk, input_spikes.num_steps)
+            spikes.append(np.asarray(input_spikes.window_counts(lo, hi)), lo)
         spike_counts: Dict[str, int] = {layer.name: 0 for layer in self.layers}
         recorded: Dict[str, SpikeTrainArray] = {}
         output_potential: Optional[np.ndarray] = None
@@ -342,14 +448,14 @@ class TimeSteppedSimulator:
         for index, layer in enumerate(self.layers):
             kernel = self.layer_kernels[index]
             k_lo, k_hi = self.layer_kernel_supports[index]
+            s_lo, s_hi = spikes.step_support()
             # Steps at which upstream spikes can drive the layer at all.
-            drive_lo = max(k_lo, win_lo)
-            drive_hi = min(k_hi, win_lo + counts.shape[0])
+            drive_lo, drive_hi = max(k_lo, s_lo), min(k_hi, s_hi)
             bias_hi = self._bias_rows(layer)
             if layer.neuron is None:
                 # The readout never fires: it integrates the whole window.
                 output_potential = self._integrated_membrane(
-                    layer, counts, kernel, win_lo, (drive_lo, drive_hi), bias_hi
+                    layer, spikes, kernel, (drive_lo, drive_hi), bias_hi
                 )
                 break
             fire_start = int(getattr(layer.neuron, "fire_start", 0))
@@ -367,51 +473,58 @@ class TimeSteppedSimulator:
                 last = max(drive_hi if drive_lo < drive_hi else 0, bias_hi)
                 live_hi = min(max(last, a_lo), a_hi)
 
-            membrane = drive = None
+            membrane = state = None
             if 0 < a_lo < a_hi:
                 membrane = self._integrated_membrane(
-                    layer, counts, kernel, win_lo,
+                    layer, spikes, kernel,
                     steps=(drive_lo, min(drive_hi, a_lo)),
                     bias_steps=min(bias_hi, a_lo),
                 )
-            if live_hi > a_lo:
-                drive = self._fused_layer_drive(
-                    layer, counts, kernel, (a_lo, live_hi), win_lo
-                )
-            if drive is not None:
-                shape = drive.shape[1:]
-            elif membrane is not None:
-                shape = membrane.shape
-            else:  # probe one zero row for the shape
-                probe = layer.transform(np.zeros((1,) + counts.shape[2:]))
-                shape = (counts.shape[1],) + np.shape(probe)[1:]
-            state = layer.neuron.init_state(shape)
-            if membrane is not None:
-                state.membrane[...] = membrane
-            state.step_index = a_lo
-            spikes = None if drive is None else layer.neuron.advance(state, drive)
-            if spikes is None or a_hi > live_hi:
-                # Nothing arrives: advance on a read-only zero view.
-                zero = np.broadcast_to(np.float32(0.0), (a_hi - live_hi,) + shape)
-                tail = layer.neuron.advance(state, zero)
-                spikes = tail if spikes is None else np.concatenate([spikes, tail])
             fault = layer_faults.get(layer.name) if layer_faults else None
-            if fault is not None:
-                spikes = fault.apply_window(
-                    spikes,
-                    fire_start - a_lo,
-                    None if fire_stop is None else int(fire_stop) - a_lo,
-                )
-            spike_counts[layer.name] += int(spikes.sum())
+            # A drive chunk holds float64 PSC rows of the upstream features;
+            # a zero-drive chunk only its own int16 spike rows.
+            chunk = self._chunk_steps(batch, 8 * int(np.prod(spikes.features)))
+            lo = a_lo
+            while lo < a_hi:
+                drive = None
+                if lo < live_hi:
+                    hi = min(lo + chunk, live_hi)
+                    drive = self._fused_layer_drive(index, spikes, kernel, (lo, hi))
+                if state is None:
+                    if drive is not None:
+                        shape = drive.shape[1:]
+                    elif membrane is not None:
+                        shape = membrane.shape
+                    else:
+                        shape = (batch,) + self._drive_spec(index, spikes)[0]
+                    state = layer.neuron.init_state(shape)
+                    if membrane is not None:
+                        state.membrane[...] = membrane
+                    state.step_index = a_lo
+                    emitted = _SpikeRows(batch, shape[1:])
+                if drive is None:  # nothing arrives: a read-only zero view
+                    if lo >= live_hi:
+                        tail = self._chunk_steps(batch, 2 * int(np.prod(shape[1:])))
+                        hi = min(lo + tail, a_hi)
+                    drive = np.broadcast_to(np.float32(0.0), (hi - lo,) + shape)
+                out = layer.neuron.advance(state, drive)
+                if fault is not None:
+                    # Re-based so the stuck gate sees global steps.
+                    out = fault.apply_window(
+                        out,
+                        fire_start - lo,
+                        None if fire_stop is None else int(fire_stop) - lo,
+                    )
+                emitted.append(out, lo)
+                lo = hi
+            if state is None:  # the window lies off the grid: never advanced
+                emitted = _SpikeRows(batch, self._drive_spec(index, spikes)[0])
+            spike_counts[layer.name] = emitted.total
             if record_spikes:
                 recorded[layer.name] = SpikeTrainArray(
-                    self._pad_window(spikes, a_lo), copy=False
+                    emitted.dense(self.num_steps), copy=False
                 )
-            # Rows before the firing window are all-zero; hand downstream
-            # only the window spikes can live in.
-            trim = min(max(fire_start - a_lo, 0), spikes.shape[0])
-            counts = spikes[trim:]
-            win_lo = a_lo + trim
+            spikes = emitted
 
         if output_potential is None:
             raise RuntimeError("simulation finished without reaching the readout layer")
@@ -427,148 +540,124 @@ class TimeSteppedSimulator:
 
     # -- per-layer fold ------------------------------------------------------
 
-    #: Upper bound on the folded input bytes handed to one synaptic-transform
-    #: call.  Folding the whole ``T * B`` window into one call maximises GEMM
-    #: width but -- for conv layers, whose im2col patch buffers are ~k*k times
-    #: the input -- spills the per-call working set out of the CPU caches and
-    #: goes DRAM-bound (measured: a 3x3 conv over 16x16x16 maps peaks at
-    #: ~128 folded rows and is 2x slower at 512).  Chunking the fold keeps
-    #: each call cache-resident while still amortising per-call overhead over
-    #: many time steps; rows are processed in blocks of this many input
-    #: bytes.
-    FUSED_CHUNK_BYTES = 4 << 20
+    #: Byte budget of one time chunk and of one synaptic-transform call: a
+    #: layer's window is streamed in chunks of as many steps as keep the
+    #: chunk's widest array within this many bytes -- the folded float64
+    #: PSC rows of a drive chunk (transformed in blocks of that many rows
+    #: when one step alone is larger), the int16 spike rows of a zero-drive
+    #: chunk or of an input-train chunk.  Folding time into the batch
+    #: amortises per-call overhead over many steps, but a whole-window fold
+    #: spills conv im2col patch buffers (~k*k times their input) out of the
+    #: CPU caches and holds ``(T, batch, ...)`` arrays per layer: faithful
+    #: Phase at T=1000 on 16 cifar10 bench images peaked at ~1 GB that way.  Measured on 2 CPUs (faithful Phase and Rate at T=32
+    #: and T=1000, 16 cifar10 bench images), 1, 2 and 4 MB run within noise
+    #: of each other, and 4 MB adds 10-15 MB to the T=32 peak.  2 MB is the
+    #: smallest budget that keeps a serving window -- 8 lanes x 32 steps of
+    #: 784-pixel mnist rows, 1.6 MB -- in one chunk per layer.
+    FUSED_CHUNK_BYTES = 2 << 20
 
-    #: Skip silent (step, sample) rows only when at least this fraction of
-    #: the window is silent: the gather/scatter around the transform costs a
-    #: pass over the surviving rows, which only pays off at real sparsity.
-    FUSED_SKIP_THRESHOLD = 0.2
+    def _chunk_steps(self, batch: int, row_bytes: int) -> int:
+        """Steps per time chunk: the most whose ``(step, sample)`` rows of
+        ``row_bytes`` each fit :data:`FUSED_CHUNK_BYTES` (at least one)."""
+        return max(1, self._block_rows(row_bytes) // batch)
+
+    def _block_rows(self, row_bytes: int) -> int:
+        """Rows of ``row_bytes`` each that fit :data:`FUSED_CHUNK_BYTES` (at
+        least one): the rows per synaptic-transform call."""
+        return max(1, self.FUSED_CHUNK_BYTES // max(row_bytes, 1))
+
+    def _drive_spec(self, index: int, spikes: _SpikeRows) -> tuple:
+        """Per-sample shape and dtype of layer ``index``'s drive.
+
+        Probed with one zero row, once per input feature shape, where no
+        transformed chunk gives them: a window that never advances, or a
+        chunk with bias rows but no spikes (its bias is added in the dtype
+        the transform returns).
+        """
+        key = (index, spikes.features)
+        spec = self._drive_specs.get(key)
+        if spec is None:
+            probe = np.asarray(self.layers[index].transform(
+                np.zeros((1,) + spikes.features, dtype=np.float64)
+            ))
+            spec = self._drive_specs[key] = (probe.shape[1:], probe.dtype)
+        return spec
 
     def _fused_layer_drive(
         self,
-        layer: SimulatorLayer,
-        counts: np.ndarray,
+        index: int,
+        spikes: _SpikeRows,
         kernel: np.ndarray,
         window: tuple,
-        counts_offset: int,
-    ) -> np.ndarray:
-        """One layer's drive over the global steps ``[w_lo, w_hi) = window``.
+    ) -> Optional[np.ndarray]:
+        """Layer ``index``'s ``(w_hi - w_lo, batch, ...)`` drive chunk over
+        the global steps ``[w_lo, w_hi) = window``; ``None`` where it is
+        exactly zero.
 
-        ``counts[0]`` is global step ``counts_offset``; steps outside the
-        supplied counts are silent.  ``kernel`` is indexed by global step.
-        Time is folded into the batch axis, so per-step transform calls
-        collapse into a handful of wide calls -- exact because every
-        transform acts on each (step, sample) row independently.  Three
-        fusions keep the fold off DRAM:
+        ``spikes`` holds the upstream layer's occupied ``(step, sample)``
+        rows; ``kernel`` is indexed by global step.  Time is folded into the
+        batch axis, so the chunk's rows go through one wide transform call
+        (or a few, in :data:`FUSED_CHUNK_BYTES` blocks of PSC rows) -- exact
+        because every transform acts on each row independently:
 
         * the per-step PSC kernel weights are applied as one broadcast
-          ``np.multiply(counts, kernel, dtype=float64)`` -- a single pass
-          that casts the int16 counts inside the ufunc instead of copying
-          them to float64 first -- per chunk, so the float64 PSC tensor
-          never materialises at window size (the full-window arrays are the
-          int16 spike counts coming in and the float32 drive going out),
-        * rows are processed in cache-sized blocks
-          (:data:`FUSED_CHUNK_BYTES`): conv im2col patch buffers are ~k*k
-          times their input, and a whole-window fold would spill them out of
-          cache and go memory-bound,
-        * when the transform is ``linear`` (maps zero to exactly zero),
-          silent (step, sample) rows are dropped before the transform and
-          receive the bare bias current after -- at the >90 % spike
-          sparsities the codes produce, most of the window costs nothing
-          beyond the occupancy scan.
+          ``np.multiply(counts, kernel, dtype=float64)`` per block, which
+          casts the int16 counts inside the ufunc; neither the float64 PSC
+          nor the drive ever exists beyond one chunk,
+        * when the transform is ``linear`` (maps zero to exactly zero), only
+          the occupied rows are transformed and the silent rows keep zero
+          drive -- at the >80 % silent-row fractions of the temporal
+          codes' hidden layers most of the window costs nothing, and a
+          chunk with neither spikes nor bias rows is ``None``.  A transform
+          that is not ``linear`` sees every row of the chunk.
 
-        The values are exact w.r.t. a time-outer per-step loop: each chunk
-        row sees ``transform(count * kernel[t])`` computed with the same
-        dtypes and operation order, and the step bias is added to
-        each biased time row exactly once afterwards.
+        The values are exact w.r.t. a time-outer per-step loop: each row
+        sees ``transform(count * kernel[t])`` computed with the same dtypes
+        and operation order, and the step bias is added to each biased time
+        row exactly once afterwards.
         """
+        layer = self.layers[index]
         w_lo, w_hi = window
-        batch = counts.shape[1]
-        population = counts.shape[2:]
+        batch = spikes.batch
         num_steps = w_hi - w_lo
-        c_lo = int(counts_offset)
-        c_hi = c_lo + counts.shape[0]
-        if c_lo <= w_lo and w_hi <= c_hi:
-            win_counts = counts[w_lo - c_lo : w_hi - c_lo]
-        else:
-            # Steps of the window not covered by the supplied counts are
-            # silent by construction (the upstream layer cannot emit there).
-            win_counts = np.zeros(
-                (num_steps,) + counts.shape[1:], dtype=counts.dtype
-            )
-            lo, hi = max(w_lo, c_lo), min(w_hi, c_hi)
-            if hi > lo:
-                win_counts[lo - w_lo : hi - w_lo] = counts[lo - c_lo : hi - c_lo]
-        total = num_steps * batch
-        flat_counts = win_counts.reshape((total,) + population)
-        #: Per folded row: the kernel weight of the step it came from.
-        row_kernel = np.repeat(kernel[w_lo:w_hi], batch).reshape(
-            (total,) + (1,) * len(population)
+        rows, counts = spikes.window(w_lo, w_hi)
+        bias_stop = max(min(self._bias_rows(layer), w_hi) - w_lo, 0)
+        if not getattr(layer.transform, "linear", False):
+            dense = np.zeros((num_steps * batch,) + spikes.features, dtype=counts.dtype)
+            dense[rows] = counts
+            rows, counts = np.arange(num_steps * batch), dense
+        elif rows.size == 0 and not bias_stop:
+            return None
+        #: Per row: the kernel weight of the step it came from.
+        row_kernel = kernel[w_lo + rows // batch].reshape(
+            (-1,) + (1,) * len(spikes.features)
         )
-
-        active = None
-        if getattr(layer.transform, "linear", False):
-            occupied = flat_counts.reshape(total, -1).any(axis=1)
-            silent_fraction = 1.0 - (np.count_nonzero(occupied) / total)
-            if silent_fraction >= self.FUSED_SKIP_THRESHOLD:
-                active = np.flatnonzero(occupied)
-
-        # float64 PSC rows are 8 bytes each; chunk on their size.
-        row_bytes = max(int(np.prod(population)) * 8, 1)
-        rows_per_chunk = max(1, self.FUSED_CHUNK_BYTES // row_bytes)
-
-        def transformed(rows) -> np.ndarray:
-            psc = np.multiply(flat_counts[rows], row_kernel[rows], dtype=np.float64)
-            return np.asarray(layer.transform(psc))
-
-        def finish(drive: np.ndarray) -> np.ndarray:
-            rows = drive.reshape((num_steps, batch) + drive.shape[1:])
+        block = self._block_rows(8 * int(np.prod(spikes.features)))
+        drive = None
+        for start in range(0, rows.size, block):
+            part = slice(start, start + block)
+            psc = np.multiply(counts[part], row_kernel[part], dtype=np.float64)
+            out = np.asarray(layer.transform(psc))
+            if drive is None:
+                # Silent rows carry zero drive: the transform of a zero PSC
+                # is zero.
+                drive = np.zeros((num_steps * batch,) + out.shape[1:], out.dtype)
+            drive[rows[part]] = out
+        if drive is None:  # bias rows, but no spikes to transform
+            shape, dtype = self._drive_spec(index, spikes)
+            drive = np.zeros((num_steps * batch,) + shape, dtype=dtype)
+        drive = drive.reshape((num_steps, batch) + drive.shape[1:])
+        if bias_stop:
             # One bias addition per biased time row -- the same single
             # ``transform + bias`` float add a per-step loop performs.
-            stop = max(min(self._bias_rows(layer), w_hi) - w_lo, 0)
-            if stop:
-                rows[:stop] += layer.step_bias
-            return rows
-
-        if active is not None and active.size == 0:
-            # Whole window silent: probe one zero row for the output shape;
-            # every row carries at most the bare bias current.
-            out = np.asarray(
-                layer.transform(np.zeros((1,) + population, dtype=np.float64))
-            )
-            drive = np.zeros((total,) + out.shape[1:], dtype=out.dtype)
-            return finish(drive)
-
-        if active is None:
-            # Dense window: contiguous slice chunks, no gather/scatter.
-            probe = transformed(slice(0, min(rows_per_chunk, total)))
-            drive = np.empty((total,) + probe.shape[1:], dtype=probe.dtype)
-            drive[:probe.shape[0]] = probe
-            chunks = [
-                slice(start, min(start + rows_per_chunk, total))
-                for start in range(rows_per_chunk, total, rows_per_chunk)
-            ]
-        else:
-            probe = transformed(active[:min(rows_per_chunk, active.size)])
-            drive = np.empty((total,) + probe.shape[1:], dtype=probe.dtype)
-            # Silent rows carry zero drive (the transform of a zero PSC is
-            # zero); their bias current, if any, is added in finish().
-            drive[...] = 0.0
-            drive[active[:probe.shape[0]]] = probe
-            chunks = [
-                active[start:start + rows_per_chunk]
-                for start in range(rows_per_chunk, active.size, rows_per_chunk)
-            ]
-
-        for rows in chunks:
-            drive[rows] = transformed(rows)
-        return finish(drive)
+            drive[:bias_stop] += layer.step_bias
+        return drive
 
     def _integrated_membrane(
         self,
         layer: SimulatorLayer,
-        counts: np.ndarray,
+        spikes: _SpikeRows,
         kernel: np.ndarray,
-        counts_offset: int,
         steps: tuple,
         bias_steps: int,
     ) -> np.ndarray:
@@ -577,17 +666,25 @@ class TimeSteppedSimulator:
 
         ``float64(transform(psc)) + bias_steps * float64(step_bias)`` with
         ``psc`` the float64 sum, in step order, of ``kernel[t] * counts[t]``
-        over the global steps ``[lo, hi) = steps`` (``counts[0]`` is step
-        ``counts_offset``).  Steps outside ``steps`` or with a zero kernel
-        weight contribute exact zeros and are skipped: adding ``0.0`` to a
-        sum that starts at ``+0.0`` changes no bit.
+        over the global steps ``[lo, hi) = steps``.  Silent rows, steps
+        outside ``steps`` and steps with a zero kernel weight contribute
+        exact zeros and are skipped: adding ``0.0`` to a sum that starts at
+        ``+0.0`` changes no bit.
         """
-        psc = np.zeros(counts.shape[1:], dtype=np.float64)
-        term = np.empty_like(psc)
-        for step in range(*steps):
-            if kernel[step]:
-                np.multiply(counts[step - counts_offset], kernel[step], out=term)
-                psc += term
+        batch = spikes.batch
+        psc = np.zeros((batch,) + spikes.features, dtype=np.float64)
+        buffer = np.empty_like(psc)
+        for rows, counts in spikes.segments(*steps):
+            row_steps = rows // batch
+            cuts = np.flatnonzero(np.diff(row_steps)) + 1
+            for lo, hi in zip([0, *cuts], [*cuts, rows.size]):
+                step = int(row_steps[lo])
+                if kernel[step]:
+                    term = np.multiply(counts[lo:hi], kernel[step], out=buffer[:hi - lo])
+                    if hi - lo == batch:  # every sample, in order
+                        psc += term
+                    else:
+                        psc[rows[lo:hi] - step * batch] += term
         membrane = np.asarray(layer.transform(psc), dtype=np.float64)
         if bias_steps > 0:
             membrane = membrane + bias_steps * np.asarray(
@@ -601,13 +698,3 @@ class TimeSteppedSimulator:
             return 0
         stop = self.num_steps if layer.bias_stop is None else int(layer.bias_stop)
         return max(min(stop, self.num_steps), 0)
-
-    def _pad_window(self, window: np.ndarray, offset: int) -> np.ndarray:
-        """Zero-pad a ``(w, B, ...)`` step window onto the full global grid."""
-        if offset == 0 and window.shape[0] == self.num_steps:
-            return window
-        full = np.zeros(
-            (self.num_steps,) + window.shape[1:], dtype=window.dtype
-        )
-        full[offset : offset + window.shape[0]] = window
-        return full

@@ -206,19 +206,6 @@ class SpikeTrainArray:
         )
 
     # -- window queries ------------------------------------------------------
-    def step_support(self) -> Tuple[int, int]:
-        """Smallest step window ``[lo, hi)`` containing every spike.
-
-        Returns ``(0, 0)`` for an empty train.  The window scheduler uses
-        this to materialise only the occupied slice of the time axis.
-        """
-        occupied = self.counts.reshape(self.num_steps, -1).any(axis=1)
-        if not occupied.any():
-            return 0, 0
-        lo = int(np.argmax(occupied))
-        hi = self.num_steps - int(np.argmax(occupied[::-1]))
-        return lo, hi
-
     def window_counts(
         self, start: int, stop: Optional[int] = None
     ) -> np.ndarray:
@@ -567,15 +554,6 @@ class SpikeEvents:
         return self
 
     # -- window queries ------------------------------------------------------
-    def step_support(self) -> Tuple[int, int]:
-        """Smallest step window ``[lo, hi)`` containing every spike.
-
-        O(events) min/max scan; returns ``(0, 0)`` for an empty train.
-        """
-        if self.times.size == 0:
-            return 0, 0
-        return int(self.times.min()), int(self.times.max()) + 1
-
     def window_counts(
         self, start: int, stop: Optional[int] = None
     ) -> np.ndarray:
@@ -583,8 +561,8 @@ class SpikeEvents:
 
         Event-native scatter into a ``(stop - start, *population_shape)``
         array: only the requested sub-window is ever densified, which is how
-        the window scheduler assembles a layer's drive straight from the
-        event lists without materialising the full ``(T, ...)`` grid.
+        the time-stepped simulator reads an event train one time chunk at a
+        time without materialising the full ``(T, ...)`` grid.
         ``stop=None`` means "until the end".  A slot holding more than
         :data:`MAX_SPIKE_COUNT` spikes raises instead of wrapping.
         """
@@ -593,11 +571,13 @@ class SpikeEvents:
         self._ensure_canonical()
         flat = np.zeros((width, self.num_neurons), dtype=np.int16)
         if width and self.times.size:
-            sel = (self.times >= start) & (self.times < stop)
-            counts = self.event_counts[sel]
+            # Canonical events are sorted by time: the window is one slice,
+            # found in O(log events), so a chunked read costs O(chunk).
+            lo, hi = np.searchsorted(self.times, (start, stop))
+            counts = self.event_counts[lo:hi]
             _check_fits_grid(counts)
             # Canonical events have unique (time, neuron) slots.
-            flat[self.times[sel] - start, self.neuron_indices[sel]] = counts
+            flat[self.times[lo:hi] - start, self.neuron_indices[lo:hi]] = counts
         return flat.reshape((width,) + self._population_shape)
 
     # -- transformations -----------------------------------------------------

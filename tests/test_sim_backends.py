@@ -32,7 +32,12 @@ from repro.nn.layers import AvgPool2D
 from repro.noise.faults import quantize_network
 from repro.noise.injector import NoiseInjector
 from repro.snn.neurons import IFNeuron, IntegrateFireOrBurstNeuron, TTFSNeuron
-from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
+from repro.snn.simulator import (
+    LayerFaultMask,
+    SimulatorLayer,
+    TimeSteppedSimulator,
+    _SpikeRows,
+)
 from repro.snn.spikes import SpikeTrainArray
 from repro.utils.config import ConfigError
 
@@ -330,8 +335,10 @@ class TestIntegrateThenFire:
                 if step < stop:
                     row = row + layer.step_bias
                 per_step = per_step + row.astype(np.float64)
+            rows = _SpikeRows(4, grid.shape[2:])
+            rows.append(grid, 0)
             collapsed = simulator._integrated_membrane(
-                layer, grid, kernel, 0, (0, start), bias_steps=stop
+                layer, rows, kernel, (0, start), bias_steps=stop
             )
             # Each of the `start` float32 rows is rounded once, relative to
             # the rows' magnitude; the collapsed call rounds once.
