@@ -76,6 +76,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.workloads import prepare_workload
 from repro.core.pipeline import SIMULATORS, NoiseRobustSNN
+from repro.coding.protocol import UnsupportedCoderError
 from repro.utils.config import ConfigError
 
 #: The ``figure`` and ``table`` subcommands' ``--name`` catalogues.
@@ -341,18 +342,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "eval_size", None) is not None and args.eval_size < 1:
+        parser.error(f"--eval-size must be >= 1, got {args.eval_size}")
     if args.command in _CATALOGUES:
         if args.shards is not None and args.shards < 1:
             parser.error(f"--shards must be >= 1, got {args.shards}")
         if args.retries < 0:
             parser.error(f"--retries must be >= 0, got {args.retries}")
-        try:
+    try:
+        if args.command in _CATALOGUES:
             output = _run_sweep(args, _family_options(parser, args))
-        except ConfigError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    else:
-        output = {"evaluate": _run_evaluate, "store": _run_store}[args.command](args)
+        else:
+            output = {"evaluate": _run_evaluate, "store": _run_store}[args.command](args)
+    except (ConfigError, UnsupportedCoderError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(output)
     return 0
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.coding.protocol import SimulationProtocol, UnsupportedCoderError
 from repro.snn.kernels import PSCKernel
-from repro.snn.neurons import SpikingNeuron
 from repro.snn.spikes import SpikeTrain, SpikeTrainArray
 from repro.utils.rng import RngLike, default_rng
 from repro.utils.validation import check_non_negative, check_positive
@@ -53,9 +52,9 @@ class NeuralCoder:
     suits their code -- a dense :class:`~repro.snn.spikes.SpikeTrainArray`
     for the window-filling codes (rate, phase, burst, which also implement
     :meth:`encode_classes`), :class:`~repro.snn.spikes.SpikeEvents` for the
-    sparse temporal codes (TTFS, TTAS) -- plus :meth:`make_neuron`, and
-    report their kernel through :attr:`kernel`; kernel-based decoding comes
-    for free from the base :meth:`decode`, which reads either.
+    sparse temporal codes (TTFS, TTAS) -- and report their kernel through
+    :attr:`kernel`; kernel-based decoding comes for free from the base
+    :meth:`decode`, which reads either.
     """
 
     #: Registry name of the coding scheme ("rate", "phase", ...).
@@ -174,15 +173,7 @@ class NeuralCoder:
         """Decode a train of :meth:`encode_classes` (the class-domain :meth:`decode`)."""
         return train.weighted_sum(self.decode_weights()[: train.num_steps])
 
-    def roundtrip(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Encode then decode (no noise): exposes the pure quantisation error."""
-        return self.decode(self.encode(values, rng=rng))
-
-    # -- neurons for the time-stepped simulator --------------------------------
-    def make_neuron(self, threshold: float) -> SpikingNeuron:
-        """Neuron model implementing this coding in the time-stepped simulator."""
-        raise NotImplementedError
-
+    # -- the time-stepped simulator ---------------------------------------------
     def simulation_protocol(
         self,
         num_hidden_interfaces: int,

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.coding.base import PeriodicCoder
 from repro.snn.kernels import BurstKernel, PSCKernel
-from repro.snn.neurons import IFNeuron, SpikingNeuron
 
 
 class BurstCoder(PeriodicCoder):
@@ -86,6 +85,3 @@ class BurstCoder(PeriodicCoder):
             pattern[k] = emit
             residual = residual - emit * slot_weights[k]
         return pattern
-
-    def make_neuron(self, threshold: float) -> SpikingNeuron:
-        return IFNeuron(threshold=threshold, reset="subtract", allow_multiple_spikes=True)

@@ -20,7 +20,7 @@ from repro.coding.protocol import (
     windowed_kernel,
 )
 from repro.snn.kernels import PhaseKernel, PSCKernel
-from repro.snn.neurons import IFNeuron, SpikingNeuron
+from repro.snn.neurons import IFNeuron
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -71,9 +71,6 @@ class PhaseCoder(PeriodicCoder):
             remainder = remainder - bit * weight
             bits[k] = bit
         return bits
-
-    def make_neuron(self, threshold: float) -> SpikingNeuron:
-        return IFNeuron(threshold=threshold, reset="subtract")
 
     def simulation_protocol(
         self,

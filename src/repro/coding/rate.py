@@ -16,7 +16,7 @@ import numpy as np
 from repro.coding.base import ClassCounts, NeuralCoder
 from repro.coding.protocol import InterfaceProtocol, SimulationProtocol
 from repro.snn.kernels import ConstantKernel, PSCKernel
-from repro.snn.neurons import IFNeuron, SpikingNeuron
+from repro.snn.neurons import IFNeuron
 from repro.snn.spikes import SpikeTrainArray
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative, check_positive
@@ -75,9 +75,6 @@ class RateCoder(NeuralCoder):
         spikes = np.diff(boundaries, axis=0).astype(np.int16)
         return SpikeTrainArray(spikes, copy=False)
 
-    def make_neuron(self, threshold: float) -> SpikingNeuron:
-        return IFNeuron(threshold=threshold, reset="subtract")
-
     def simulation_protocol(
         self,
         num_hidden_interfaces: int,
@@ -112,7 +109,7 @@ class RateCoder(NeuralCoder):
             layers.append(
                 InterfaceProtocol(
                     kernel=hidden_kernel,
-                    neuron=self.make_neuron(theta),
+                    neuron=IFNeuron(threshold=theta, reset="subtract"),
                     window=window,
                     bias_steps=steps,
                 )

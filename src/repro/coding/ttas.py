@@ -33,7 +33,7 @@ from repro.coding.protocol import (
 )
 from repro.coding.ttfs import TTFSCoder
 from repro.snn.kernels import ExponentialKernel, PSCKernel
-from repro.snn.neurons import IntegrateFireOrBurstNeuron, SpikingNeuron
+from repro.snn.neurons import IntegrateFireOrBurstNeuron
 from repro.snn.spikes import SpikeEvents
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_non_negative, check_positive
@@ -121,11 +121,6 @@ class TTASCoder(NeuralCoder):
     def decode(self, train) -> np.ndarray:
         # C_A * sum over burst spikes of the exponential kernel value.
         return self.scale_factor * train.weighted_sum(self.decode_weights())
-
-    def make_neuron(self, threshold: float) -> SpikingNeuron:
-        return IntegrateFireOrBurstNeuron(
-            threshold=threshold, target_duration=self.target_duration, tau=self.tau
-        )
 
     def simulation_protocol(
         self,

@@ -25,7 +25,7 @@ from repro.coding.protocol import (
     sequential_window_protocol,
 )
 from repro.snn.kernels import ExponentialKernel, PSCKernel
-from repro.snn.neurons import SpikingNeuron, TTFSNeuron
+from repro.snn.neurons import TTFSNeuron
 from repro.snn.spikes import SpikeEvents
 from repro.utils.rng import RngLike
 from repro.utils.validation import (
@@ -95,9 +95,6 @@ class TTFSCoder(NeuralCoder):
         return SpikeEvents(
             times[active], active, None, self.num_steps, values.shape
         )
-
-    def make_neuron(self, threshold: float) -> SpikingNeuron:
-        return TTFSNeuron(threshold=threshold, tau=self.tau)
 
     def simulation_protocol(
         self,

@@ -1,12 +1,12 @@
 """DNN-to-SNN conversion.
 
 The paper configures deep SNNs by converting trained DNNs (Sec. III): the
-DNN's weights are reused as synaptic weights, batch normalisation is folded
-away, per-layer activation scales are collected on calibration data and the
-ReLU activations become spiking populations.
+DNN's weights are reused as synaptic weights, per-layer activation scales are
+collected on calibration data and the ReLU activations become spiking
+populations.
 
-* :mod:`repro.conversion.normalization` -- batch-norm folding, activation
-  collection and scale estimation,
+* :mod:`repro.conversion.normalization` -- activation collection and scale
+  estimation,
 * :mod:`repro.conversion.converter` -- the :class:`ConvertedSNN` object that
   the transport and time-stepped evaluators consume.
 """
@@ -14,8 +14,6 @@ ReLU activations become spiking populations.
 from repro.conversion.normalization import (
     ActivationStatistics,
     collect_activation_statistics,
-    fold_batch_norm,
-    fused_batch_norm_params,
 )
 from repro.conversion.converter import (
     ConversionError,
@@ -27,8 +25,6 @@ from repro.conversion.converter import (
 __all__ = [
     "ActivationStatistics",
     "collect_activation_statistics",
-    "fold_batch_norm",
-    "fused_batch_norm_params",
     "ConversionError",
     "ConvertedSNN",
     "NetworkSegment",

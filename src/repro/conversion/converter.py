@@ -3,8 +3,7 @@
 :func:`convert_dnn_to_snn` turns a trained :class:`repro.nn.model.Sequential`
 classifier into a :class:`ConvertedSNN`:
 
-* dropout becomes inert (inference mode), batch normalisation is folded into
-  the preceding layer,
+* dropout becomes inert (inference mode),
 * the network is cut into *segments* at every ReLU: the output of each
   segment is a non-negative activation map that a spiking population
   transmits to the next segment as a spike train,
@@ -27,10 +26,9 @@ import numpy as np
 from repro.conversion.normalization import (
     ActivationStatistics,
     collect_activation_statistics,
-    fold_batch_norm,
     spiking_point_indices,
 )
-from repro.nn.layers import Dropout, Identity, Layer, MaxPool2D, ReLU
+from repro.nn.layers import Dropout, Layer
 from repro.nn.model import Sequential
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive
@@ -76,8 +74,7 @@ class NetworkSegment:
     def inference_layers(self) -> List[Layer]:
         """Segment layers with inference-inert ops removed (cached).
 
-        ``Identity`` placeholders left behind by batch-norm folding and
-        ``Dropout`` (inert outside training) are skipped, so the per-step hot
+        ``Dropout`` (inert outside training) is skipped, so the per-step hot
         path touches only layers that actually transform the activations.
         """
         compiled = getattr(self, "_compiled_layers", None)
@@ -85,7 +82,7 @@ class NetworkSegment:
             compiled = [
                 layer
                 for layer in self.layers
-                if not isinstance(layer, (Identity, Dropout))
+                if not isinstance(layer, Dropout)
             ]
             self._compiled_layers = compiled
         return compiled
@@ -126,27 +123,9 @@ class ConvertedSNN:
     input_scale: float
     statistics: Optional[ActivationStatistics] = None
     source_name: str = "model"
-    #: Whether batch normalisation was fused into the adjacent weighted
-    #: layers at conversion time (the fast inference path).
-    batch_norm_fused: bool = True
-
-    @property
-    def num_spiking_populations(self) -> int:
-        """Number of spike-encoded interfaces (input encoding included)."""
-        return 1 + sum(1 for segment in self.segments if segment.ends_with_spikes)
-
-    def activation_scales(self) -> List[float]:
-        """Scales of every spiking interface, input first."""
-        scales = [self.input_scale]
-        scales.extend(
-            segment.activation_scale
-            for segment in self.segments
-            if segment.ends_with_spikes
-        )
-        return scales
 
     def forward_analog(self, x: np.ndarray) -> np.ndarray:
-        """Reference analog forward pass (equivalent to the folded DNN)."""
+        """Reference analog forward pass (equivalent to the source DNN)."""
         out = x
         for segment in self.segments:
             out = segment.forward(out)
@@ -164,7 +143,7 @@ class ConvertedSNN:
         return (
             f"ConvertedSNN(source={self.source_name!r}, "
             f"segments={len(self.segments)}, "
-            f"spiking_populations={self.num_spiking_populations})"
+            f"spiking_segments={sum(s.ends_with_spikes for s in self.segments)})"
         )
 
 
@@ -173,7 +152,6 @@ def convert_dnn_to_snn(
     calibration_inputs: np.ndarray,
     percentile: float = 99.9,
     input_scale: Optional[float] = None,
-    fuse_batch_norm: bool = True,
     statistics: Optional[ActivationStatistics] = None,
 ) -> ConvertedSNN:
     """Convert a trained DNN classifier into a :class:`ConvertedSNN`.
@@ -181,10 +159,8 @@ def convert_dnn_to_snn(
     Parameters
     ----------
     model:
-        Trained network.  Supported layers: Conv2D, Dense, ReLU, AvgPool2D,
-        Flatten, Dropout (ignored at inference), BatchNorm2D (folded), and
-        Identity.  MaxPool2D is rejected, because max pooling has no
-        faithful spiking equivalent.
+        Trained network of Conv2D, Dense, ReLU, AvgPool2D, Flatten and
+        Dropout (ignored at inference) layers.
     calibration_inputs:
         Non-negative input batch used for activation-scale calibration.
     percentile:
@@ -192,17 +168,12 @@ def convert_dnn_to_snn(
     input_scale:
         Override for the input scale; by default the robust maximum of the
         calibration inputs (at least 1.0 for [0, 1] images).
-    fuse_batch_norm:
-        Fold batch normalisation into the adjacent Conv/Dense weights at
-        conversion time (default).  When disabled the batch-norm layers stay
-        in the segments as analog inference ops -- mathematically identical
-        but slower; kept for equivalence testing against the fused path.
     statistics:
         Pre-collected :class:`ActivationStatistics` (e.g. loaded from the
         result store's workload-conversion cache).  When given, the
         calibration forward passes are skipped and the provided scales are
         used verbatim -- the caller is responsible for the statistics
-        matching the (trained, folded) model; a spiking-point count mismatch
+        matching the trained model; a spiking-point count mismatch
         is rejected.
     """
     check_positive("percentile", percentile)
@@ -215,15 +186,9 @@ def convert_dnn_to_snn(
             "rescale the data to [0, 1] instead of mean/std normalisation"
         )
 
-    folded = fold_batch_norm(model) if fuse_batch_norm else model.copy()
-    for layer in folded.layers:
-        if isinstance(layer, MaxPool2D):
-            raise ConversionError(
-                "max pooling cannot be converted to a spiking layer; "
-                "rebuild the model with average pooling"
-            )
+    dnn = model.copy()
 
-    relu_indices = spiking_point_indices(folded)
+    relu_indices = spiking_point_indices(dnn)
     if not relu_indices:
         raise ConversionError("the network has no ReLU layers to convert into spikes")
 
@@ -231,7 +196,7 @@ def convert_dnn_to_snn(
     if statistics is None:
         CONVERSION_COUNTERS["calibrations"] += 1
         statistics = collect_activation_statistics(
-            folded, calibration_inputs, percentile=percentile
+            dnn, calibration_inputs, percentile=percentile
         )
     elif len(statistics.scales) != len(relu_indices):
         raise ConversionError(
@@ -242,7 +207,7 @@ def convert_dnn_to_snn(
     segments: List[NetworkSegment] = []
     start = 0
     for segment_index, relu_index in enumerate(relu_indices):
-        segment_layers = folded.layers[start:relu_index + 1]
+        segment_layers = dnn.layers[start:relu_index + 1]
         segments.append(
             NetworkSegment(
                 layers=segment_layers,
@@ -252,7 +217,7 @@ def convert_dnn_to_snn(
             )
         )
         start = relu_index + 1
-    tail_layers = folded.layers[start:]
+    tail_layers = dnn.layers[start:]
     if tail_layers:
         segments.append(
             NetworkSegment(
@@ -276,7 +241,6 @@ def convert_dnn_to_snn(
         input_scale=float(input_scale),
         statistics=statistics,
         source_name=model.name,
-        batch_norm_fused=bool(fuse_batch_norm),
     )
     logger.debug("converted %s: %s", model.name, converted)
     return converted

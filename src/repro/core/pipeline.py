@@ -177,12 +177,6 @@ class NoiseRobustSNN:
         """The converted network inside the servable artifact."""
         return self.servable.network
 
-    @network.setter
-    def network(self, value) -> None:
-        # Swapping the network swaps the artifact: the memoised coders of
-        # the old network must not leak onto the new one.
-        self.servable = ServableModel.wrap(value)
-
     # -- construction -------------------------------------------------------------
     @classmethod
     def from_dnn(
@@ -196,7 +190,6 @@ class NoiseRobustSNN:
         scaling_mode: str = "inverse",
         percentile: float = 99.9,
         simulator: str = "transport",
-        fuse_batch_norm: bool = True,
         **coder_kwargs,
     ) -> "NoiseRobustSNN":
         """Convert a trained DNN and wrap it in a noise-robust SNN pipeline.
@@ -225,15 +218,11 @@ class NoiseRobustSNN:
             ``"transport"`` (fast activation-transport evaluation, default)
             or ``"timestep"`` (faithful membrane simulation; every coding
             with a per-layer temporal protocol -- rate, phase, ttfs, ttas).
-        fuse_batch_norm:
-            Fold batch normalisation into the adjacent weighted layers at
-            conversion time (default; see :func:`convert_dnn_to_snn`).
         coder_kwargs:
             Extra keyword arguments forwarded to the coder constructor.
         """
         network = convert_dnn_to_snn(
-            model, calibration_inputs, percentile=percentile,
-            fuse_batch_norm=fuse_batch_norm,
+            model, calibration_inputs, percentile=percentile
         )
         if target_duration is not None:
             coder_kwargs["target_duration"] = int(target_duration)
@@ -283,10 +272,6 @@ class NoiseRobustSNN:
         if not self.weight_scaling_enabled:
             return WeightScaling.disabled()
         return WeightScaling(mode=self.scaling_mode)
-
-    def analog_accuracy(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """Accuracy of the underlying analog (converted, folded) network."""
-        return self.network.analog_accuracy(np.asarray(x, dtype=np.float32), labels)
 
     # -- evaluation ----------------------------------------------------------------
     def evaluate(

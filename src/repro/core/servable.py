@@ -136,8 +136,9 @@ class ServableModel:
         decode weights on first use), so handing one instance to many
         threads is safe and keeps those caches warm across requests.
         """
+        cache_key = ("coder", coding, int(num_steps), _freeze_kwargs(coder_kwargs))
         try:
-            cache_key = ("coder", coding, int(num_steps), _freeze_kwargs(coder_kwargs))
+            hash(cache_key)
         except TypeError:
             # Unhashable kwarg (exotic caller): fall back to a fresh coder.
             return create_coder(coding, num_steps=int(num_steps), **coder_kwargs)

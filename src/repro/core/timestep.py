@@ -59,11 +59,11 @@ class _SegmentTransform:
     calls it with time folded into the batch, ``(T * batch, ...)`` rows, and
     every row's result equals a per-step ``(batch, ...)`` call because every
     analog layer treats rows independently.
-    """
 
-    #: Conv, dense and average pooling minus the bias are linear, and the
-    #: zero-input output *is* the subtracted bias image: ``transform(0) == 0``.
-    linear = True
+    Conv, dense and average pooling minus the bias are linear, and the
+    zero-input output *is* the subtracted bias image: ``transform(0) == 0``,
+    as the simulator requires of every transform.
+    """
 
     def __init__(
         self,
@@ -113,8 +113,8 @@ class _SegmentTransform:
 
 
 def _strip_trailing_relu(segment: NetworkSegment) -> List[Layer]:
-    # Inference-inert layers (folded-BN Identity placeholders, Dropout) are
-    # dropped up front so the per-step transform only runs real compute.
+    # Inference-inert layers (Dropout) are dropped up front so the per-step
+    # transform only runs real compute.
     layers = list(segment.inference_layers())
     if layers and isinstance(layers[-1], ReLU):
         layers = layers[:-1]

@@ -24,9 +24,6 @@ segment's weights, equivalent to ``W' = C W`` with unscaled bias).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
 
 from repro.utils.config import validate_choice
 from repro.utils.validation import check_non_negative, check_probability
@@ -64,11 +61,6 @@ class WeightScaling:
         """A policy that never scales (the "no WS" baselines of the paper)."""
         return cls(mode="none")
 
-    @property
-    def enabled(self) -> bool:
-        """True when this policy actually scales weights."""
-        return self.mode != "none"
-
     def factor(self, deletion_probability: float) -> float:
         """Scale factor ``C`` for an expected deletion probability ``p``."""
         p = check_probability("deletion_probability", deletion_probability)
@@ -81,19 +73,3 @@ class WeightScaling:
         else:  # proportional
             factor = 1.0 + self.alpha * p
         return float(min(factor, self.max_factor))
-
-    def factors(self, deletion_probabilities: List[float]) -> List[float]:
-        """Vectorised :meth:`factor` over a sweep of deletion probabilities."""
-        return [self.factor(p) for p in deletion_probabilities]
-
-    def scale_weights(self, weights: np.ndarray, deletion_probability: float) -> np.ndarray:
-        """Return ``C * weights`` -- the literal ``W' = C W`` of the paper."""
-        return np.asarray(weights) * self.factor(deletion_probability)
-
-    def describe(self) -> str:
-        """Short label used in figure legends ("+WS" / "")."""
-        if not self.enabled:
-            return "no scaling"
-        if self.mode == "inverse":
-            return "WS (C = 1/(1-p))"
-        return f"WS (C = 1 + {self.alpha:g} p)"

@@ -67,29 +67,6 @@ class Dataset:
         """Shape of a single image as ``(C, H, W)``."""
         return tuple(self.x.shape[1:])  # type: ignore[return-value]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """Return a new dataset containing only ``indices`` (in order)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            x=self.x[indices], y=self.y[indices],
-            num_classes=self.num_classes, name=self.name,
-        )
-
-    def take(self, count: int) -> "Dataset":
-        """Return the first ``count`` samples (clamped to the dataset size)."""
-        count = int(min(max(count, 0), len(self)))
-        return self.subset(np.arange(count))
-
-    def shuffled(self, rng: RngLike = None) -> "Dataset":
-        """Return a copy with samples in random order."""
-        generator = default_rng(rng)
-        order = generator.permutation(len(self))
-        return self.subset(order)
-
-    def class_counts(self) -> np.ndarray:
-        """Return a length-``num_classes`` array of per-class sample counts."""
-        return np.bincount(self.y, minlength=self.num_classes)
-
     def iter_batches(
         self, batch_size: int, shuffle: bool = False, rng: RngLike = None
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

@@ -44,15 +44,6 @@ class BatchLoader:
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
         self._rng = default_rng(rng)
-        self._epoch = 0
-
-    def __len__(self) -> int:
-        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
-
-    @property
-    def epoch(self) -> int:
-        """Number of completed epochs (full passes over the dataset)."""
-        return self._epoch
 
     def __iter__(self) -> Iterator[Batch]:
         n = len(self.dataset)
@@ -62,4 +53,3 @@ class BatchLoader:
         for start in range(0, n, self.batch_size):
             idx = order[start:start + self.batch_size]
             yield self.dataset.x[idx], self.dataset.y[idx]
-        self._epoch += 1

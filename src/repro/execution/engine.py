@@ -139,13 +139,6 @@ class CellFailure:
     remote_traceback: str = ""
     attempts: int = 1
 
-    def to_error(self) -> CellEvaluationError:
-        """Reconstruct the exception this failure swallowed."""
-        return CellEvaluationError(
-            self.dataset, self.method, self.noise_kind, self.level,
-            self.message, self.remote_traceback, self.attempts,
-        )
-
 
 @dataclass
 class ExecutionStats:
@@ -169,40 +162,17 @@ class ExecutionStats:
     evaluated_shards: int = 0
     shard_store_hits: int = 0
 
-    def as_dict(self) -> Dict[str, Union[str, int]]:
-        return {
-            "executor": self.executor,
-            "total_cells": self.total_cells,
-            "evaluated_cells": self.evaluated_cells,
-            "store_hits": self.store_hits,
-            "store_writes": self.store_writes,
-            "failed_cells": self.failed_cells,
-            "sharded_cells": self.sharded_cells,
-            "evaluated_shards": self.evaluated_shards,
-            "shard_store_hits": self.shard_store_hits,
-        }
-
 
 @dataclass
 class PlanEvaluation:
     """Results of a batch of plans, in plan order, plus statistics.
 
     Under fault-tolerant execution a slot may hold a :class:`CellFailure`
-    instead of an :class:`~repro.core.pipeline.EvaluationResult`; use
-    :attr:`failures` to enumerate them.
+    instead of an :class:`~repro.core.pipeline.EvaluationResult`.
     """
 
     results: List[Union[EvaluationResult, CellFailure]]
     stats: ExecutionStats = field(default_factory=lambda: ExecutionStats("serial"))
-
-    @property
-    def failures(self) -> List[Tuple[int, CellFailure]]:
-        """The failed cells, as (plan index, failure) pairs."""
-        return [
-            (index, result)
-            for index, result in enumerate(self.results)
-            if isinstance(result, CellFailure)
-        ]
 
 
 def register_workload(ref: WorkloadRef, workload: "PreparedWorkload") -> None:

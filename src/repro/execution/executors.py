@@ -65,10 +65,9 @@ def resolve_worker_count(max_workers: Optional[int] = 1) -> int:
 class Executor:
     """Protocol for sweep executors: map with bounded parallelism.
 
-    Subclasses must override at least one of :meth:`map` /
-    :meth:`map_unordered`; each default is implemented in terms of the
-    other (serial backends naturally provide ``map``, pooled backends
-    provide completion-ordered ``map_unordered``).
+    The engine consumes :meth:`map_unordered`.  The serial backend provides
+    an in-order ``map``, which the default ``map_unordered`` wraps; the
+    pooled backends provide completion-ordered ``map_unordered`` directly.
 
     Executors are reusable across dispatches: the pooled backends keep their
     worker pool warm between ``map``/``map_unordered`` calls (amortising the
@@ -90,38 +89,6 @@ class Executor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def submit(self, fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
-        """Run ``fn(*args, **kwargs)`` and return a :class:`Future`.
-
-        The future-shaped entry point the serving scheduler dispatches
-        micro-batches through: unlike :meth:`map`, callers get their result
-        handle immediately and demultiplex completions themselves.  The
-        default runs inline (a serial executor has no worker tier) and
-        returns an already-resolved future; the pooled backends submit onto
-        their warm pool.
-        """
-        future: Future[R] = Future()
-        if not future.set_running_or_notify_cancel():  # pragma: no cover
-            return future
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as error:  # noqa: BLE001 - delivered via future
-            future.set_exception(error)
-        return future
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
-        """Yield ``fn(item)`` for every item, in the order given.
-
-        Default: a reorder buffer over :meth:`map_unordered`.
-        """
-        buffered = {}
-        next_index = 0
-        for index, result in self.map_unordered(fn, items):
-            buffered[index] = result
-            while next_index in buffered:
-                yield buffered.pop(next_index)
-                next_index += 1
-
     def map_unordered(
         self, fn: Callable[[T], R], items: Sequence[T]
     ) -> Iterator[Tuple[int, R]]:
@@ -131,8 +98,8 @@ class Executor:
         moment they exist (not head-of-line blocked behind slower items), so
         every finished cell can be persisted to the result store immediately
         and an interrupted run never loses completed work.  The default
-        wraps :meth:`map`; the pooled backends override it with true
-        completion order.
+        wraps a subclass's in-order ``map``; the pooled backends override it
+        with true completion order.
         """
         for index, result in enumerate(self.map(fn, items)):
             yield index, result

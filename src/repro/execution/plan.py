@@ -117,6 +117,8 @@ class CellPlan:
     schema: ClassVar[int]
 
     def __post_init__(self) -> None:
+        if self.eval_size is not None and int(self.eval_size) < 1:
+            raise ValueError(f"eval_size must be >= 1 or None, got {self.eval_size}")
         if (self.sample_start is None) != (self.sample_stop is None):
             raise ValueError(
                 "sample_start and sample_stop must be set together "
@@ -469,16 +471,18 @@ def network_fingerprint(workload: PreparedWorkload) -> str:
 
     Hashes the :class:`~repro.conversion.converter.ConvertedSNN` -- every
     segment layer's parameter tensors plus the conversion identity
-    (activation scales, input scale, batch-norm fusing) -- rather than the
-    source DNN, so two workloads collide only when their *evaluations* are
-    identical.  In particular, the same trained model converted differently
-    (e.g. ``fuse_batch_norm=False``) fingerprints differently.
+    (activation scales, input scale) -- rather than the source DNN, so two
+    workloads collide only when their *evaluations* are identical.  In
+    particular, the same trained model converted differently (e.g. with
+    another scale ``percentile``) fingerprints differently.
     """
     network = workload.network
     digest = hashlib.sha256()
     digest.update(
         f"{workload.dataset_name}:{workload.scale.name}:"
-        f"bn_fused={network.batch_norm_fused}:"
+        # Conversions once could leave batch norm unfolded; every
+        # fingerprint stored since hashes this literal, so it stays.
+        "bn_fused=True:"
         f"input_scale={float(network.input_scale)!r}".encode("utf-8")
     )
     for segment in network.segments:
@@ -489,11 +493,6 @@ def network_fingerprint(workload: PreparedWorkload) -> str:
         for layer_index, layer in enumerate(segment.layers):
             digest.update(f"{layer_index}:{type(layer).__name__}".encode("utf-8"))
             tensors = dict(getattr(layer, "params", {}))
-            for stat in ("running_mean", "running_var"):
-                # Unfused batch-norm layers carry their statistics outside
-                # params, and those statistics change the evaluation.
-                if hasattr(layer, stat):
-                    tensors[stat] = getattr(layer, stat)
             for name in sorted(tensors):
                 array = np.ascontiguousarray(tensors[name])
                 digest.update(name.encode("utf-8"))

@@ -78,9 +78,6 @@ class StoreStats:
     misses: int = 0
     writes: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "writes": self.writes}
-
 
 @dataclass
 class ResultStore:
@@ -96,22 +93,6 @@ class ResultStore:
 
     def __contains__(self, fingerprint: str) -> bool:
         return os.path.exists(self.path_for(fingerprint))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.fingerprints())
-
-    def fingerprints(self) -> Iterator[str]:
-        """Iterate over every stored fingerprint."""
-        cells = os.path.join(self.root, "cells")
-        if not os.path.isdir(cells):
-            return
-        for shard in sorted(os.listdir(cells)):
-            shard_dir = os.path.join(cells, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    yield name[: -len(".json")]
 
     # -- access --------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[EvaluationResult]:
@@ -460,7 +441,7 @@ class ResultStore:
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ResultStore(root={self.root!r}, stats={self.stats.as_dict()})"
+        return f"ResultStore(root={self.root!r}, stats={self.stats})"
 
 
 def resolve_store(store) -> Optional[ResultStore]:

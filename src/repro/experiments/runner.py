@@ -133,9 +133,6 @@ class SweepResult:
                 return curve
         raise KeyError(f"no curve labelled {label!r}; have {[c.label for c in self.curves]}")
 
-    def labels(self) -> List[str]:
-        return [curve.label for curve in self.curves]
-
 
 def _assemble_sweep(
     config: AnySweepConfig,

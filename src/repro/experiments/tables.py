@@ -76,12 +76,6 @@ class TableResult:
     def rows_for(self, dataset: str) -> List[TableRow]:
         return [row for row in self.rows if row.dataset == dataset]
 
-    def row(self, dataset: str, method: str) -> TableRow:
-        for candidate in self.rows_for(dataset):
-            if candidate.method == method:
-                return candidate
-        raise KeyError(f"no row for ({dataset!r}, {method!r})")
-
 
 def _nanmean(values: Sequence[float]) -> float:
     """Mean over the finite entries; NaN when none are finite.

@@ -78,6 +78,8 @@ class PreparedWorkload:
 
     def evaluation_slice(self, size: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Return the (images, labels) slice used for noisy evaluations."""
+        if size is not None and int(size) < 1:
+            raise ValueError(f"eval size must be >= 1 or None, got {size}")
         count = size if size is not None else self.scale.eval_size
         count = int(min(count, len(self.data.test)))
         return self.data.test.x[:count], self.data.test.y[:count]
@@ -128,7 +130,7 @@ def _cache_path(cache_dir: str, dataset: str, scale: ExperimentScale, seed: int)
 
 
 def _model_weights_hash(model: Sequential) -> str:
-    """Stable hash of a model's trained parameters (and norm statistics)."""
+    """Stable hash of a model's trained parameters."""
     digest = hashlib.sha256()
     for name, array in sorted(model.state_dict().items()):
         array = np.ascontiguousarray(array)
@@ -146,14 +148,13 @@ def conversion_key(
     weights_hash: str,
     calibration_size: int,
     percentile: float = 99.9,
-    fuse_batch_norm: bool = True,
 ) -> str:
     """Content address of a workload's conversion products.
 
     Covers everything the conversion depends on: the workload identity
     (dataset, scale, seed -- which determine the calibration data), the
     trained weights actually converted, and the conversion parameters
-    (calibration-slice size, scale percentile, batch-norm fusing) -- so
+    (calibration-slice size, scale percentile) -- so
     neither a retrained network nor a change to how conversions are
     computed can silently read a stale cached conversion.
     """
@@ -165,7 +166,9 @@ def conversion_key(
             "weights": weights_hash,
             "calibration_size": int(calibration_size),
             "percentile": float(percentile),
-            "fuse_batch_norm": bool(fuse_batch_norm),
+            # Conversions once could skip batch-norm folding; every key
+            # stored since hashes this literal, so it stays.
+            "fuse_batch_norm": True,
         },
         sort_keys=True,
         separators=(",", ":"),

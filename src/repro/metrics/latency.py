@@ -15,7 +15,7 @@ percentiles (which would systematically understate the tail).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -51,17 +51,6 @@ class LatencySummary:
     p90: float
     p99: float
     max: float
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict view for benchmark reports and smoke-test printouts."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "max": self.max,
-        }
 
 
 def latency_summary(samples: Samples) -> LatencySummary:

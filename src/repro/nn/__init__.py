@@ -7,9 +7,8 @@ explicit forward/backward passes, losses, optimisers, a ``Sequential``
 container, VGG-style model builders and a small training loop.
 
 Only the pieces needed by the conversion pipeline are implemented -- ReLU
-convolutional networks with pooling, dropout and batch normalisation -- but
-each piece is fully functional (training actually converges) rather than a
-stub.
+convolutional networks with average pooling and dropout -- but each piece is
+fully functional (training actually converges) rather than a stub.
 """
 
 from repro.nn.initializers import he_normal, zeros_init
@@ -19,12 +18,9 @@ from repro.nn.layers import (
     Dense,
     Dropout,
     Flatten,
-    Identity,
     Layer,
-    MaxPool2D,
     ReLU,
 )
-from repro.nn.norm import BatchNorm2D
 from repro.nn.losses import CrossEntropyLoss, softmax
 from repro.nn.optimizers import SGD, Optimizer
 from repro.nn.model import Sequential
@@ -40,15 +36,12 @@ __all__ = [
     "he_normal",
     "zeros_init",
     "Layer",
-    "Identity",
     "Dense",
     "Conv2D",
-    "MaxPool2D",
     "AvgPool2D",
     "Flatten",
     "ReLU",
     "Dropout",
-    "BatchNorm2D",
     "CrossEntropyLoss",
     "softmax",
     "Optimizer",

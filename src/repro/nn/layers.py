@@ -61,25 +61,8 @@ class Layer:
         for key, value in self.params.items():
             self.grads[key] = np.zeros_like(value)
 
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars in this layer."""
-        return int(sum(p.size for p in self.params.values()))
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class Identity(Layer):
-    """Pass-through layer, useful as a placeholder in model surgery."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output
 
 
 class Dense(Layer):
@@ -239,35 +222,6 @@ def _check_fold_geometry(kernel_h: int, kernel_w: int, stride: int) -> None:
         )
 
 
-def _pad_image(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(
-        x, [(0, 0), (0, 0), (padding, padding), (padding, padding)], mode="constant"
-    )
-
-
-def im2col(
-    x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
-    """Unfold image patches into a 2-D matrix.
-
-    Returns ``(columns, out_h, out_w)`` where ``columns`` has shape
-    ``(N * out_h * out_w, C * kernel_h * kernel_w)``; columns are ordered
-    ``(channel, ky, kx)``.  A zero-copy window view plus one vectorised
-    pack: no intermediate 6-D buffer is materialised, and the final
-    ``reshape`` is the single gather the GEMM needs.
-    """
-    n, c, h, w = x.shape
-    out_h, out_w = _unfold_geometry(h, w, kernel_h, kernel_w, stride, padding)
-    img = _pad_image(x, padding)
-    windows = sliding_window_view(img, (kernel_h, kernel_w), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    # (n, c, out_h, out_w, kh, kw) view -> one pack copy into GEMM layout.
-    columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, -1)
-    return columns, out_h, out_w
-
-
 def col2im(
     columns: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -276,7 +230,8 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`: fold columns back into an image tensor.
+    """Fold ``(rows, C*kh*kw)`` columns, ordered ``(channel, ky, kx)``, back
+    into an NCHW image tensor.
 
     Overlapping patch contributions are summed (the adjoint of the unfold,
     i.e. the gradient fold-back).  Raises ``ValueError`` when the stride
@@ -384,13 +339,6 @@ class Conv2D(Layer):
         self.zero_grads()
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Spatial output shape for a single-image input shape ``(C, H, W)``."""
-        _, h, w = input_shape
-        out_h = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
-        out_w = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
-        return (self.out_channels, out_h, out_w)
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
@@ -472,8 +420,13 @@ def _pairwise_sum(terms: List[np.ndarray]) -> np.ndarray:
     return total
 
 
-class _Pool2D(Layer):
-    """Shared plumbing for max and average pooling."""
+class AvgPool2D(Layer):
+    """Average pooling -- the pooling of the conversion-friendly networks.
+
+    The forward pass sums the ``k*k`` strided views ``x[:, :, ky::s, kx::s]``
+    (no patch matrix) in NumPy's pairwise order, then divides by ``k*k``:
+    bit for bit the mean over an unfolded ``k*k`` axis.
+    """
 
     def __init__(
         self,
@@ -488,13 +441,6 @@ class _Pool2D(Layer):
         check_positive("stride", self.stride)
         self._cache: Optional[Tuple] = None
 
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Spatial output shape for a single-image input shape ``(C, H, W)``."""
-        c, h, w = input_shape
-        out_h = (h - self.pool_size) // self.stride + 1
-        out_w = (w - self.pool_size) // self.stride + 1
-        return (c, out_h, out_w)
-
     def _fit(self, h: int, w: int) -> Tuple[int, int]:
         """``(out_h, out_w)`` of an ``h x w`` map; refuses a pool that does not fit."""
         out_h = (h - self.pool_size) // self.stride + 1
@@ -504,48 +450,6 @@ class _Pool2D(Layer):
                 f"{self.name}: pool size {self.pool_size} does not fit input {h}x{w}"
             )
         return out_h, out_w
-
-
-class MaxPool2D(_Pool2D):
-    """Max pooling.  Used by standard VGG; note that DNN-to-SNN conversion
-    pipelines usually prefer average pooling (see :func:`repro.nn.vgg.build_vgg`)."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        out_h, out_w = self._fit(h, w)
-        columns, _, _ = im2col(x, self.pool_size, self.pool_size, self.stride, 0)
-        # columns: (N*out_h*out_w, C*k*k) -> (N*out_h*out_w, C, k*k)
-        columns = columns.reshape(-1, c, self.pool_size * self.pool_size)
-        max_idx = columns.argmax(axis=2)
-        out = columns.max(axis=2)
-        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        self._cache = (max_idx, x.shape, out_h, out_w) if training else None
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward(training=True)")
-        max_idx, input_shape, out_h, out_w = self._cache
-        n, c, _, _ = input_shape
-        k2 = self.pool_size * self.pool_size
-        grad = grad_output.transpose(0, 2, 3, 1).reshape(-1, c)
-        grad_cols = np.zeros((grad.shape[0], c, k2), dtype=grad_output.dtype)
-        rows = np.arange(grad.shape[0])[:, None]
-        cols = np.arange(c)[None, :]
-        grad_cols[rows, cols, max_idx] = grad
-        grad_cols = grad_cols.reshape(grad.shape[0], c * k2)
-        return col2im(
-            grad_cols, input_shape, self.pool_size, self.pool_size, self.stride, 0
-        )
-
-
-class AvgPool2D(_Pool2D):
-    """Average pooling -- the pooling used by the conversion-friendly VGG variants.
-
-    The forward pass sums the ``k*k`` strided views ``x[:, :, ky::s, kx::s]``
-    (no patch matrix) in NumPy's pairwise order, then divides by ``k*k``:
-    bit for bit the mean over an unfolded ``k*k`` axis.
-    """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         _, _, h, w = x.shape

@@ -59,6 +59,3 @@ class CrossEntropyLoss:
             raise RuntimeError("backward called before forward")
         probs, targets = self._cache
         return ((probs - targets) / probs.shape[0]).astype(np.float32)
-
-    def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        return self.forward(logits, labels)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -47,45 +47,6 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
-    def predict(self, x: np.ndarray, batch_size: int = 128) -> np.ndarray:
-        """Batched inference returning raw logits."""
-        outputs = []
-        for start in range(0, x.shape[0], batch_size):
-            outputs.append(self.forward(x[start:start + batch_size], training=False))
-        return np.concatenate(outputs, axis=0) if outputs else np.empty((0,))
-
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
-
-    # -- introspection ---------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __iter__(self) -> Iterator[Layer]:
-        return iter(self.layers)
-
-    def __getitem__(self, index: int) -> Layer:
-        return self.layers[index]
-
-    def trainable_layers(self) -> List[Layer]:
-        """Layers owning parameters, in order."""
-        return [layer for layer in self.layers if layer.has_params]
-
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return sum(layer.num_parameters() for layer in self.layers)
-
-    def summary(self) -> str:
-        """Human-readable architecture summary."""
-        lines = [f"Sequential(name={self.name!r})"]
-        for index, layer in enumerate(self.layers):
-            lines.append(
-                f"  [{index:2d}] {type(layer).__name__:<12s} "
-                f"name={layer.name:<16s} params={layer.num_parameters()}"
-            )
-        lines.append(f"  total parameters: {self.num_parameters()}")
-        return "\n".join(lines)
-
     def zero_grads(self) -> None:
         """Reset gradients in every layer."""
         for layer in self.layers:
@@ -94,14 +55,11 @@ class Sequential:
 
     # -- persistence -----------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Flatten all parameters (and batch-norm running stats) into one dict."""
+        """Flatten all parameters into one dict."""
         state: Dict[str, np.ndarray] = {}
         for index, layer in enumerate(self.layers):
             for key, value in layer.params.items():
                 state[f"layer{index}.{key}"] = value.copy()
-            for stat in ("running_mean", "running_var"):
-                if hasattr(layer, stat):
-                    state[f"layer{index}.{stat}"] = getattr(layer, stat).copy()
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
@@ -118,10 +76,6 @@ class Sequential:
                         f"shape mismatch for {full_key}: expected {expected}, got {actual}"
                     )
                 layer.params[key] = state[full_key].astype(np.float32).copy()
-            for stat in ("running_mean", "running_var"):
-                full_key = f"layer{index}.{stat}"
-                if hasattr(layer, stat) and full_key in state:
-                    setattr(layer, stat, state[full_key].astype(np.float32).copy())
 
     def save(self, path: str) -> str:
         """Save the model parameters to an ``.npz`` archive."""
@@ -134,9 +88,8 @@ class Sequential:
     def copy(self) -> "Sequential":
         """Deep copy of the architecture and parameters.
 
-        The copy shares no arrays with the original, so conversion-time weight
-        surgery (batch-norm folding, weight scaling) never mutates the trained
-        DNN.
+        The copy shares no arrays with the original, so conversion never
+        mutates the trained DNN.
         """
         import copy as _copy
 

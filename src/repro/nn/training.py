@@ -31,17 +31,11 @@ class TrainingResult:
         Per-epoch averages measured on the training stream.
     test_accuracy:
         Per-epoch accuracy on the held-out set (empty when no test set given).
-    epochs:
-        Number of completed epochs.
     """
 
     train_loss: List[float] = field(default_factory=list)
     train_accuracy: List[float] = field(default_factory=list)
     test_accuracy: List[float] = field(default_factory=list)
-
-    @property
-    def epochs(self) -> int:
-        return len(self.train_loss)
 
     @property
     def final_test_accuracy(self) -> float:

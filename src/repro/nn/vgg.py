@@ -10,9 +10,8 @@ between stages, a small dense head, ReLU everywhere, dropout in the head):
 * ``"vgg7"``    -- a lighter variant,
 * ``"vgg_micro"`` -- a tiny network used by unit/integration tests.
 
-Conversion-friendliness means: ReLU activations only, average pooling by
-default (max pooling is hard to express with spiking neurons), biases kept,
-optional batch normalisation (folded at conversion time).
+Conversion-friendliness means: ReLU activations only, average pooling (max
+pooling has no faithful spiking equivalent), biases kept.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ from repro.nn.layers import (
     Dropout,
     Flatten,
     Layer,
-    MaxPool2D,
     ReLU,
 )
-from repro.nn.norm import BatchNorm2D
 from repro.nn.model import Sequential
 from repro.utils.rng import RngLike, derive_rng
 from repro.utils.validation import check_positive
@@ -51,8 +48,6 @@ def build_vgg(
     num_classes: int,
     dense_units: Sequence[int] = (128,),
     dropout: float = 0.3,
-    batch_norm: bool = False,
-    pooling: str = "avg",
     rng: RngLike = None,
     name: Optional[str] = None,
 ) -> Sequential:
@@ -71,13 +66,8 @@ def build_vgg(
     dense_units:
         Hidden dense-layer widths of the classifier head.
     dropout:
-        Dropout probability used in the head (and after each stage when
-        ``batch_norm`` is off).  The paper relies on dropout-trained DNNs for
-        TTFS robustness, so the default is non-zero.
-    batch_norm:
-        Insert ``BatchNorm2D`` after every convolution.
-    pooling:
-        ``"avg"`` (conversion-friendly, default) or ``"max"``.
+        Dropout probability used in the head.  The paper relies on
+        dropout-trained DNNs for TTFS robustness, so the default is non-zero.
     rng:
         Seed or generator for weight initialisation.
     """
@@ -92,8 +82,6 @@ def build_vgg(
         plan = list(config)
         model_name = name or "vgg_custom"
     check_positive("num_classes", num_classes)
-    if pooling not in ("avg", "max"):
-        raise ValueError(f"pooling must be 'avg' or 'max', got {pooling!r}")
 
     channels, height, width = input_shape
     layers: List[Layer] = []
@@ -101,8 +89,7 @@ def build_vgg(
     layer_rng = derive_rng(rng, "vgg-init")
     for item in plan:
         if item == "P":
-            pool: Layer = AvgPool2D(2) if pooling == "avg" else MaxPool2D(2)
-            layers.append(pool)
+            layers.append(AvgPool2D(2))
             height //= 2
             width //= 2
             continue
@@ -111,8 +98,6 @@ def build_vgg(
             Conv2D(in_channels, out_channels, kernel_size=3, stride=1, padding=1,
                    rng=layer_rng)
         )
-        if batch_norm:
-            layers.append(BatchNorm2D(out_channels))
         layers.append(ReLU())
         in_channels = out_channels
     if height < 1 or width < 1:

@@ -41,13 +41,6 @@ class SpikeNoise:
         """Return a noisy version of ``train`` (the input is left untouched)."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Short human-readable description used in table/figure captions."""
-        return self.name
-
-    def __call__(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
-        return self.apply(train, rng=rng)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -60,6 +53,3 @@ class IdentityNoise(SpikeNoise):
 
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         return train.view()
-
-    def describe(self) -> str:
-        return "clean"

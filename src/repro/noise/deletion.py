@@ -27,12 +27,5 @@ class DeletionNoise(SpikeNoise):
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         return train.delete_spikes(self.probability, rng=rng)
 
-    def expected_survival(self) -> float:
-        """Expected fraction of spikes (and hence PSC) that survives."""
-        return 1.0 - self.probability
-
-    def describe(self) -> str:
-        return f"deletion(p={self.probability:g})"
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DeletionNoise(probability={self.probability})"

@@ -73,9 +73,6 @@ class DeadNeuronNoise(SpikeNoise):
         dead = generator.random(size=_feature_shape(train)) < self.fraction
         return train.mask_neurons(~dead)
 
-    def describe(self) -> str:
-        return f"dead(f={self.fraction:g})"
-
 
 class StuckAtFireNoise(SpikeNoise):
     """Stuck-at-fire fault: a fraction of neurons spikes at every step.
@@ -103,9 +100,6 @@ class StuckAtFireNoise(SpikeNoise):
         stuck = generator.random(size=_feature_shape(train)) < self.fraction
         return train.force_firing(stuck, window=self.window)
 
-    def describe(self) -> str:
-        return f"stuck(f={self.fraction:g})"
-
 
 class BurstErrorNoise(SpikeNoise):
     """Correlated burst error: one contiguous time window is dropped.
@@ -131,9 +125,6 @@ class BurstErrorNoise(SpikeNoise):
         generator = default_rng(rng)
         start = int(generator.integers(0, num_steps - width + 1))
         return train.drop_window(start, start + width)
-
-    def describe(self) -> str:
-        return f"burst_error(f={self.fraction:g})"
 
 
 class WeightQuantizationNoise:
@@ -161,9 +152,6 @@ class WeightQuantizationNoise:
             return weights.copy()
         step = limit / float(2 ** (self.bits - 1))
         return (np.round(weights / step) * step).astype(weights.dtype)
-
-    def describe(self) -> str:
-        return f"quantization(bits={self.bits})"
 
 
 def quantize_network(network: "ConvertedSNN", bits: int) -> "ConvertedSNN":
@@ -203,5 +191,4 @@ def quantize_network(network: "ConvertedSNN", bits: int) -> "ConvertedSNN":
         input_scale=network.input_scale,
         statistics=network.statistics,
         source_name=network.source_name,
-        batch_norm_fused=network.batch_norm_fused,
     )

@@ -130,10 +130,5 @@ class NoiseInjector(SpikeNoise):
         # enough to keep the returned train distinct from the argument.
         return result if result is not train else train.view()
 
-    def describe(self) -> str:
-        if not self.models:
-            return "clean"
-        return " + ".join(model.describe() for model in self.models)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NoiseInjector({self.models!r})"

@@ -37,8 +37,5 @@ class JitterNoise(SpikeNoise):
     def apply(self, train: SpikeTrain, rng: RngLike = None) -> SpikeTrain:
         return train.jitter_spikes(self.sigma, rng=rng)
 
-    def describe(self) -> str:
-        return f"jitter(sigma={self.sigma:g})"
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"JitterNoise(sigma={self.sigma})"

@@ -62,7 +62,3 @@ class GaussianWeightNoise:
     def reset(self) -> None:
         """Discard cached fixed-pattern perturbations."""
         self._cached.clear()
-
-    def describe(self) -> str:
-        kind = "static" if self.static else "dynamic"
-        return f"weight-noise(std={self.relative_std:g}, {kind})"

@@ -79,14 +79,6 @@ class RegistryStats:
     loads: int = 0
     evictions: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "loads": self.loads,
-            "evictions": self.evictions,
-        }
-
 
 class _InFlightLoad:
     """One deduplicated load: the owner publishes, the rest wait."""
@@ -141,22 +133,6 @@ class ModelRegistry:
         self._token_keys: Dict[tuple, str] = {}
         #: dedup of concurrent loads, keyed by fingerprint or source token.
         self._inflight: Dict[object, _InFlightLoad] = {}
-
-    # -- introspection ------------------------------------------------------------
-    @property
-    def store(self) -> Optional[ResultStore]:
-        """The conversion load-through store (``None`` when disabled)."""
-        return self._store
-
-    def resident_keys(self) -> list:
-        """Fingerprints currently resident, least recent first."""
-        with self._lock:
-            return list(self._resident)
-
-    def resident_bytes(self) -> int:
-        """Total resident model bytes."""
-        with self._lock:
-            return sum(m.resident_bytes() for m in self._resident.values())
 
     # -- loading ------------------------------------------------------------------
     def register(
@@ -259,16 +235,8 @@ class ModelRegistry:
                 key[:12], model.resident_bytes(), self.max_bytes,
             )
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._resident
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._resident)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ModelRegistry(resident={len(self)}, "
-            f"stats={self.stats.as_dict()})"
+            f"ModelRegistry(resident={len(self._resident)}, "
+            f"stats={self.stats})"
         )

@@ -56,14 +56,6 @@ class SchedulerStats:
             return 0.0
         return self.batched_samples / self.batches
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "batched_samples": self.batched_samples,
-            "mean_batch_size": self.mean_batch_size,
-        }
-
 
 class _Queue:
     """Requests of one (model fingerprint, spec, sample shape), in arrival order.
@@ -230,5 +222,5 @@ class MicroBatchScheduler:
         return (
             f"MicroBatchScheduler(max_batch={self.max_batch}, "
             f"max_workers={self.max_workers}, "
-            f"stats={self.stats.as_dict()})"
+            f"stats={self.stats})"
         )

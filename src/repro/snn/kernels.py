@@ -27,10 +27,6 @@ class PSCKernel:
         """Return the length-``num_steps`` array of per-step spike weights."""
         raise NotImplementedError
 
-    def weight_at(self, step: int, num_steps: int) -> float:
-        """Weight of a single spike arriving at ``step``."""
-        return float(self.weights(num_steps)[step])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 

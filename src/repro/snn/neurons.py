@@ -111,16 +111,10 @@ class SpikingNeuron:
 
         Returns the ``(T, *population)`` int16 spike array and leaves
         ``state`` exactly as ``T`` successive :meth:`step` calls would.  The
-        default is that step loop (exact by construction, elementwise numpy
-        per iteration -- no synaptic transforms inside); the models override
-        it with the same loop done in place on preallocated buffers, which
-        skips the per-step allocations of :meth:`step`.
+        models implement it as that step loop done in place on preallocated
+        buffers, which skips the per-step allocations of :meth:`step`.
         """
-        drive = np.asarray(drive)
-        spikes = np.empty(drive.shape, dtype=np.int16)
-        for t in range(drive.shape[0]):
-            spikes[t] = self.step(state, drive[t])
-        return spikes
+        raise NotImplementedError
 
 
 class IFNeuron(SpikingNeuron):
@@ -134,10 +128,6 @@ class IFNeuron(SpikingNeuron):
         ``"subtract"`` (reset by subtraction, default -- the conversion
         literature's choice because it preserves the residual potential) or
         ``"zero"`` (hard reset).
-    allow_multiple_spikes:
-        When True a neuron whose membrane exceeds ``k * threshold`` emits
-        ``k`` spikes in the same step (used by burst-capable layers); when
-        False at most one spike per step is emitted.
     threshold_schedule:
         Optional 1-D array of *absolute* per-step thresholds, applied
         periodically (``theta(t) = schedule[t mod len(schedule)]``).  This is
@@ -155,7 +145,6 @@ class IFNeuron(SpikingNeuron):
         self,
         threshold: float = 1.0,
         reset: str = "subtract",
-        allow_multiple_spikes: bool = False,
         threshold_schedule: Optional[np.ndarray] = None,
         fire_start: int = 0,
         fire_stop: Optional[int] = None,
@@ -165,7 +154,6 @@ class IFNeuron(SpikingNeuron):
             raise ValueError(f"reset must be 'subtract' or 'zero', got {reset!r}")
         self.threshold = float(threshold)
         self.reset = reset
-        self.allow_multiple_spikes = bool(allow_multiple_spikes)
         if threshold_schedule is None:
             self.threshold_schedule = None
         else:
@@ -205,10 +193,6 @@ class IFNeuron(SpikingNeuron):
         theta = self.threshold_at(state.step_index)
         if not self._fireable(state.step_index):
             spikes = np.zeros(state.membrane.shape, dtype=np.int16)
-        elif self.allow_multiple_spikes:
-            spikes = np.floor_divide(
-                np.maximum(state.membrane, 0.0), theta
-            ).astype(np.int16)
         else:
             spikes = (state.membrane >= theta).astype(np.int16)
         if self.reset == "subtract":
@@ -227,8 +211,7 @@ class IFNeuron(SpikingNeuron):
         subtraction/zeroing is masked in place (``x - theta`` where a spike
         fired, exactly the value ``step``'s ``x - 1 * theta`` produces), and
         the ``fired`` flag -- an OR over the window -- is folded into one
-        pass at the end.  ``allow_multiple_spikes`` falls back to the
-        default step loop.
+        pass at the end.
 
         The same loop serves the scheduled / windowed variants: the per-step
         threshold comes from :meth:`threshold_at` (a scalar, exactly the
@@ -239,8 +222,6 @@ class IFNeuron(SpikingNeuron):
         num_steps = drive.shape[0]
         if num_steps == 0:
             return np.zeros(drive.shape, dtype=np.int16)
-        if self.allow_multiple_spikes:
-            return super().advance(state, drive)
         spikes = np.empty(drive.shape, dtype=np.int16)
         membrane = state.membrane
         start_step = state.step_index

@@ -26,16 +26,14 @@ stored and never transformed, so no ``(T, batch, ...)`` array of a layer
 exists unless ``record_spikes`` asks for one.
 
 The engine schedules every layer by its **protocol window**: a layer cannot
-spike before its firing window opens, so for a ``linear`` transform every
-step before ``fire_start`` collapses into one call -- the PSC of those steps
-is summed, transformed once and seeds the membrane (integrate, then fire).
-Drive is assembled and neurons advanced only from ``fire_start`` to the
-end of the firing window (plus burst spill), chunk by chunk, from the
-upstream layer's occupied rows (the input train enters the same way, event
-lists densifying one chunk at a time).  A layer whose transform does not
-declare ``linear`` is integrated step by step from step 0.  The reference
-time-outer loop the engine is tested against, with the same collapse, lives
-in the test suite.
+spike before its firing window opens, so every step before ``fire_start``
+collapses into one call -- the PSC of those steps is summed, transformed
+once and seeds the membrane (integrate, then fire).  Drive is assembled and
+neurons advanced only from ``fire_start`` to the end of the firing window
+(plus burst spill), chunk by chunk, from the upstream layer's occupied rows
+(the input train enters the same way, event lists densifying one chunk at a
+time).  The reference time-outer loop the engine is tested against, with the
+same collapse, lives in the test suite.
 
 Layers may carry **per-layer incoming kernels** and **firing/bias windows**
 (:class:`SimulatorLayer.in_kernel` / ``bias_stop``): this is how the
@@ -74,9 +72,11 @@ def _kernel_support(kernel: np.ndarray) -> tuple:
 
 #: A synaptic transform maps an instantaneous post-synaptic-current vector of
 #: the previous layer to the input current of this layer (i.e. applies
-#: ``W x + b_step`` for dense layers, the convolution for conv layers, ...).
-#: ``linear = True`` on a transform promises linearity up to float rounding
-#: and ``transform(0) == 0`` exactly (see :meth:`TimeSteppedSimulator.run`).
+#: ``W x`` for dense layers, the convolution for conv layers, ...; the bias
+#: enters as :attr:`SimulatorLayer.step_bias`).  Every transform is linear up
+#: to float rounding and maps zero to exactly zero: the simulator sums PSC
+#: over steps before transforming it once, and never transforms a silent row
+#: (see :meth:`TimeSteppedSimulator.run`).
 SynapticTransform = Callable[[np.ndarray], np.ndarray]
 
 
@@ -412,10 +412,9 @@ class TimeSteppedSimulator:
         a_hi)``, up to the end of its firing window plus the burst spill of
         ``target_duration - 1`` steps.  No neuron model spikes or subtracts
         before ``fire_start`` (IF is not fireable, the TTFS/IFB thresholds
-        are infinite), so a ``linear`` layer integrates, then fires:
-        ``a_lo = fire_start`` and :meth:`_integrated_membrane` seeds the
-        membrane with one transform call per sample.  A transform that is
-        not ``linear`` is integrated step by step from ``a_lo = 0``.
+        are infinite), so a layer integrates, then fires: ``a_lo =
+        fire_start`` and :meth:`_integrated_membrane` seeds the membrane with
+        one transform call per sample.
 
         The window is streamed in **time chunks** of
         :meth:`_chunk_steps` steps: each chunk's drive is assembled, the
@@ -464,14 +463,11 @@ class TimeSteppedSimulator:
             # A burst started on the window's last step keeps spilling.
             spill = max(int(getattr(layer.neuron, "target_duration", 1)) - 1, 0)
             a_hi = min(fire_hi + spill, self.num_steps)
-            linear = getattr(layer.transform, "linear", False)
-            a_lo = min(fire_start if linear else 0, a_hi)
-            # A linear layer's drive is exactly zero past its last kernel
-            # support and bias row: from live_hi on it needs no transform.
-            live_hi = a_hi
-            if linear:
-                last = max(drive_hi if drive_lo < drive_hi else 0, bias_hi)
-                live_hi = min(max(last, a_lo), a_hi)
+            a_lo = min(fire_start, a_hi)
+            # The drive is exactly zero past the last kernel support and
+            # bias row: from live_hi on it needs no transform.
+            last = max(drive_hi if drive_lo < drive_hi else 0, bias_hi)
+            live_hi = min(max(last, a_lo), a_hi)
 
             membrane = state = None
             if 0 < a_lo < a_hi:
@@ -604,12 +600,11 @@ class TimeSteppedSimulator:
           ``np.multiply(counts, kernel, dtype=float64)`` per block, which
           casts the int16 counts inside the ufunc; neither the float64 PSC
           nor the drive ever exists beyond one chunk,
-        * when the transform is ``linear`` (maps zero to exactly zero), only
-          the occupied rows are transformed and the silent rows keep zero
-          drive -- at the >80 % silent-row fractions of the temporal
-          codes' hidden layers most of the window costs nothing, and a
-          chunk with neither spikes nor bias rows is ``None``.  A transform
-          that is not ``linear`` sees every row of the chunk.
+        * only the occupied rows are transformed and the silent rows keep
+          zero drive (a transform maps zero to exactly zero) -- at the
+          >80 % silent-row fractions of the temporal codes' hidden layers
+          most of the window costs nothing, and a chunk with neither spikes
+          nor bias rows is ``None``.
 
         The values are exact w.r.t. a time-outer per-step loop: each row
         sees ``transform(count * kernel[t])`` computed with the same dtypes
@@ -622,11 +617,7 @@ class TimeSteppedSimulator:
         num_steps = w_hi - w_lo
         rows, counts = spikes.window(w_lo, w_hi)
         bias_stop = max(min(self._bias_rows(layer), w_hi) - w_lo, 0)
-        if not getattr(layer.transform, "linear", False):
-            dense = np.zeros((num_steps * batch,) + spikes.features, dtype=counts.dtype)
-            dense[rows] = counts
-            rows, counts = np.arange(num_steps * batch), dense
-        elif rows.size == 0 and not bias_stop:
+        if rows.size == 0 and not bias_stop:
             return None
         #: Per row: the kernel weight of the step it came from.
         row_kernel = kernel[w_lo + rows // batch].reshape(

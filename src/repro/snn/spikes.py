@@ -176,14 +176,6 @@ class SpikeTrainArray:
         """Total number of spikes in the window."""
         return int(self.counts.sum())
 
-    def occupied_slots(self) -> int:
-        """Number of ``(step, neuron)`` slots that carry at least one spike."""
-        return int(np.count_nonzero(self.counts))
-
-    def copy(self) -> "SpikeTrainArray":
-        """Deep copy."""
-        return SpikeTrainArray(self.counts.copy(), copy=False)
-
     def view(self) -> "SpikeTrainArray":
         """New wrapper sharing this train's buffer (trains are immutable)."""
         return SpikeTrainArray(self.counts, copy=False)
@@ -525,13 +517,6 @@ class SpikeEvents:
         """Number of ``(step, neuron)`` slots that carry at least one spike."""
         self._ensure_canonical()
         return int(self.times.size)
-
-    def copy(self) -> "SpikeEvents":
-        """Deep copy."""
-        return SpikeEvents(
-            self.times.copy(), self.neuron_indices.copy(), self.event_counts.copy(),
-            self._num_steps, self._population_shape, _canonical=self._canonical,
-        )
 
     def view(self) -> "SpikeEvents":
         """New wrapper sharing this train's buffers (trains are immutable)."""

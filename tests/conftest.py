@@ -7,6 +7,8 @@ per test module.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,12 @@ def numeric_gradient(func, array, epsilon=1e-4):
         flat[index] = original
         grad_flat[index] = (plus - minus) / (2 * epsilon)
     return grad
+
+
+
+def stored_fingerprints(store):
+    """Fingerprints of every cell document in ``store``, sorted."""
+    return sorted(path.stem for path in Path(store.root, "cells").glob("*/*.json"))
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ small enough to check by eye:
   -- the channels-first unfold as one strided copy per kernel offset, the
   fold-back into a stride-slack buffer, and the convolution as one GEMM
   over those columns.  Production (:mod:`repro.nn.layers`) packs patches
-  through a zero-copy window view and convolves channels-last; columns and
-  folds must agree bit for bit, conv outputs to float rounding.
+  through a zero-copy window view and convolves channels-last; folds must
+  agree bit for bit, conv outputs to float rounding.
 * :func:`avg_pool2d` -- average pooling as ``mean`` over the unfolded
   window axis.  Production (:class:`repro.nn.layers.AvgPool2D`) sums
   strided views in NumPy's pairwise order without unfolding; outputs must
@@ -16,7 +16,7 @@ small enough to check by eye:
 * :func:`run_stepped` -- the time-outer/layer-inner simulator loop: one
   synaptic transform call per hidden layer per time step from its firing
   window on, and one call on the summed PSC of the steps before it (a
-  linear layer integrates, then fires; the readout only integrates).
+  hidden layer integrates, then fires; the readout only integrates).
   Production (:meth:`repro.snn.simulator.TimeSteppedSimulator.run`) folds
   time into the batch and schedules each layer by its protocol window;
   with the same membrane formula and the same float64 step-order PSC sum,
@@ -27,6 +27,8 @@ small enough to check by eye:
   Production (:class:`repro.snn.spikes.SpikeTrainArray`) visits only the
   occupied slots; counts (dtype included) and events must agree bit for
   bit.
+* :func:`roundtrip` -- encode then decode with no noise: the clean value a
+  coder transmits, which the noise and coding tests measure errors against.
 """
 
 import numpy as np
@@ -119,12 +121,10 @@ def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None)
     """Simulate ``simulator``'s layers one time step at a time.
 
     A layer integrates, then fires.  The readout never fires, and a hidden
-    layer with a ``linear`` transform cannot spike before its
-    ``fire_start``.  Until then its PSC rows are summed in float64 in step
-    order; at ``fire_start`` (the readout: at the end of the window) its
-    membrane is :func:`_integrated` over that sum.  Every later step adds
-    ``transform(psc) + step_bias``.  A hidden transform that is not
-    ``linear`` is stepped from step 0.
+    layer cannot spike before its ``fire_start``.  Until then its PSC rows
+    are summed in float64 in step order; at ``fire_start`` (the readout: at
+    the end of the window) its membrane is :func:`_integrated` over that
+    sum.  Every later step adds ``transform(psc) + step_bias``.
     """
     num_steps = simulator.num_steps
     counts = input_spikes.to_dense().counts
@@ -141,9 +141,8 @@ def run_stepped(simulator, input_spikes, record_spikes=False, layer_faults=None)
     for step in range(num_steps):
         psc = grid[step].astype(np.float64) * kernels[0][step]
         for index, layer in enumerate(simulator.layers):
-            start = num_steps if layer.neuron is None else 0
-            if layer.neuron is not None and getattr(layer.transform, "linear", False):
-                start = getattr(layer.neuron, "fire_start", 0)
+            start = (num_steps if layer.neuron is None
+                     else getattr(layer.neuron, "fire_start", 0))
             if step < start:
                 psc_sums[index] = psc_sums.get(index, 0.0) + psc
                 if layer.neuron is None:
@@ -217,3 +216,8 @@ def events_from_dense(counts):
         times, neurons, flat[times, neurons].astype(np.int64),
         counts.shape[0], counts.shape[1:], _canonical=True,
     )
+
+
+def roundtrip(coder, values, rng=None):
+    """Encode then decode with no noise: the coder's pure quantisation error."""
+    return coder.decode(coder.encode(values, rng=rng))

@@ -134,6 +134,19 @@ class TestPerturbationSpaces:
         moved = space.random_move(train, np.random.default_rng(1))
         assert moved.total_spikes() == train.total_spikes()
 
+    def test_shift_on_empty_train_proposes_nothing(self):
+        empty = toy_train(times=(), neurons=(), counts=())
+        space = ShiftSpace(delta=2)
+        assert space.candidates(empty, np.random.default_rng(0), 8) == []
+        assert space.random_move(empty, np.random.default_rng(0)) == empty
+
+    def test_shift_without_room_in_the_window_keeps_the_train(self):
+        # A one-step window leaves no in-window shift for any spike.
+        train = toy_train(times=(0,), neurons=(1,), counts=(1,), num_steps=1)
+        space = ShiftSpace(delta=2)
+        assert space.candidates(train, np.random.default_rng(0), 8) == []
+        assert space.random_move(train, np.random.default_rng(0)) == train
+
     def test_shift_candidates_actually_move_a_spike(self):
         train = toy_train()
         candidates = ShiftSpace(delta=1).candidates(
@@ -254,6 +267,13 @@ class TestGreedyDriver:
         # A subsampled bad round proves nothing: all 3 budget rounds ran.
         assert outcome.candidates_scored == 1 + 3 * (4 + 1)
 
+    def test_an_empty_space_ends_the_search_early(self):
+        empty = toy_train(times=(), neurons=(), counts=())
+        outcome = greedy_attack(empty, DeleteSpace(), 5, spike_count_margin, rng=0)
+        assert outcome.train == empty
+        assert outcome.moves == 0
+        assert outcome.candidates_scored == 1  # the clean train only
+
     def test_same_rng_reproduces_the_same_attack(self):
         train = wide_train()
         first = greedy_attack(
@@ -284,6 +304,15 @@ class TestBeamDriver:
         )
         assert outcome.moves == 0
         assert outcome.train == as_events(train)
+
+    def test_an_empty_space_ends_the_search_early(self):
+        empty = toy_train(times=(), neurons=(), counts=())
+        outcome = beam_attack(
+            empty, DeleteSpace(), 5, spike_count_margin, rng=0, beam_width=2
+        )
+        assert outcome.train == empty
+        assert outcome.moves == 0
+        assert outcome.candidates_scored == 1
 
     def test_budget_zero_and_width_validation(self):
         train = toy_train()
@@ -321,6 +350,20 @@ class TestSearchDispatch:
             max_candidates=4,
         )
         assert direct.train == routed.train and direct.margin == routed.margin
+
+    def test_beam_dispatch_matches_direct_call(self):
+        train = wide_train()
+        direct = beam_attack(
+            train, ShiftSpace(delta=3), 2, spike_count_margin, rng=5,
+            beam_width=3, max_candidates=6,
+        )
+        routed = run_attack_search(
+            train, "shift", "beam", 2, spike_count_margin, rng=5,
+            shift_delta=3, beam_width=3, max_candidates=6,
+        )
+        assert direct.train == routed.train
+        assert direct.margin == routed.margin
+        assert direct.candidates_scored == routed.candidates_scored
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="search"):
@@ -799,7 +842,7 @@ class TestAdversarialReporting:
                 result = run_figure(
                     "adv-delete", "mnist", workload=tiny_workload, **common
                 )
-                labels = result.labels()
+                labels = [c.label for c in result.curves]
             else:
                 result = run_table(
                     "adv-delete", ("mnist",),

@@ -1,24 +1,21 @@
-"""Equivalence suite for the analog (im2col/conv) path.
+"""Equivalence suite for the analog (conv/pooling) path.
 
-Production must compute the same unfold/fold/convolution as the naive
-oracles in :mod:`oracles`: bit-identical columns (same element order feeds
-the same GEMM), and forward/backward conv outputs that agree to
-float-rounding (the fused channels-last path reorders the GEMM reduction,
-which only moves the last bits).  Also covers the fused-BN conversion path
-and the batched simulator readout.
+Production must compute the same fold/convolution/pooling as the naive
+oracles in :mod:`oracles`: a bit-identical fold-back, and forward/backward
+conv outputs that agree to float-rounding (the fused channels-last path
+reorders the GEMM reduction, which only moves the last bits).  Also covers
+the converted segments' inference layers and the batched simulator readout.
 """
 
 import numpy as np
 import oracles
 import pytest
 
-from repro.conversion import convert_dnn_to_snn, fused_batch_norm_params
+from repro.conversion import convert_dnn_to_snn
 from repro.nn import build_vgg
 from repro.nn import layers as nn_layers
-from repro.nn.layers import AvgPool2D, Conv2D, MaxPool2D, col2im, im2col
-from repro.nn.norm import BatchNorm2D
+from repro.nn.layers import AvgPool2D, Conv2D, Dropout, col2im
 from repro.snn.simulator import SimulatorLayer, TimeSteppedSimulator
-from repro.snn.spikes import SpikeTrainArray
 
 # Odd shapes, padding variants, stride > 1 and non-square kernels.
 UNFOLD_CASES = [
@@ -34,15 +31,6 @@ UNFOLD_CASES = [
 
 
 class TestIm2ColEquivalence:
-    @pytest.mark.parametrize("case", UNFOLD_CASES)
-    def test_columns_bit_identical(self, case, rng):
-        n, c, h, w, kh, kw, stride, padding = case
-        x = rng.random((n, c, h, w)).astype(np.float32)
-        loop_cols, oh_l, ow_l = oracles.im2col(x, kh, kw, stride, padding)
-        strided_cols, oh_s, ow_s = im2col(x, kh, kw, stride, padding)
-        assert (oh_l, ow_l) == (oh_s, ow_s)
-        assert np.array_equal(loop_cols, strided_cols)
-
     @pytest.mark.parametrize("case", UNFOLD_CASES)
     def test_fold_back_bit_identical(self, case, rng):
         n, c, h, w, kh, kw, stride, padding = case
@@ -60,7 +48,7 @@ class TestIm2ColEquivalence:
         with pytest.raises(ValueError):
             oracles.im2col(x, 5, 5, 1, 0)
         with pytest.raises(ValueError):
-            im2col(x, 5, 5, 1, 0)
+            col2im(np.zeros((1, 25), dtype=np.float32), x.shape, 5, 5, 1, 0)
 
 
 class TestCol2ImValidation:
@@ -75,7 +63,7 @@ class TestCol2ImValidation:
 
     def test_stride_equal_kernel_is_supported(self, rng):
         x = rng.random((1, 2, 4, 4)).astype(np.float32)
-        cols, _, _ = im2col(x, 2, 2, 2, 0)
+        cols, _, _ = oracles.im2col(x, 2, 2, 2, 0)
         restored = col2im(cols, x.shape, 2, 2, 2, 0)
         assert np.allclose(restored, x)
 
@@ -148,21 +136,6 @@ class TestPoolingEquivalence:
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("pool,stride", [(2, None), (3, 2), (2, 2)])
-    def test_max_pool_forward_backward_identical(self, pool, stride, rng,
-                                                 monkeypatch):
-        layer = MaxPool2D(pool, stride=stride)
-        x = rng.random((2, 3, 9, 9)).astype(np.float32)
-        results = []
-        for unfold in (None, oracles):
-            if unfold is not None:
-                monkeypatch.setattr(nn_layers, "im2col", unfold.im2col)
-                monkeypatch.setattr(nn_layers, "col2im", unfold.col2im)
-            out = layer.forward(x, training=True)
-            results.append((out, layer.backward(np.ones_like(out))))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
-
-    @pytest.mark.parametrize("pool,stride", [(2, None), (3, 2), (2, 2)])
     def test_avg_pool_backward_identical(self, pool, stride, rng, monkeypatch):
         layer = AvgPool2D(pool, stride=stride)
         x = rng.random((2, 3, 9, 9)).astype(np.float32)
@@ -175,92 +148,16 @@ class TestPoolingEquivalence:
         assert np.array_equal(grads[0], grads[1])
 
 
-class TestFusedBatchNorm:
-    @staticmethod
-    def _bn_model(rng_seed=0):
-        model = build_vgg("vgg_micro", input_shape=(3, 8, 8), num_classes=4,
-                          batch_norm=True, rng=rng_seed)
-        # Give the batch-norm layers non-trivial running statistics.
-        generator = np.random.default_rng(7)
-        for layer in model.layers:
-            if isinstance(layer, BatchNorm2D):
-                c = layer.num_features
-                layer.running_mean = generator.normal(0.1, 0.2, c).astype(np.float32)
-                layer.running_var = generator.uniform(0.5, 2.0, c).astype(np.float32)
-                layer.params["gamma"] = generator.uniform(0.8, 1.2, c).astype(np.float32)
-                layer.params["beta"] = generator.normal(0.0, 0.1, c).astype(np.float32)
-        return model
-
-    def test_fused_params_match_bn_transform(self, rng):
-        weight = rng.normal(0.0, 0.1, (4, 3, 3, 3)).astype(np.float32)
-        bias = rng.normal(0.0, 0.1, 4).astype(np.float32)
-        gamma = rng.uniform(0.5, 1.5, 4).astype(np.float32)
-        beta = rng.normal(0.0, 0.2, 4).astype(np.float32)
-        mean = rng.normal(0.0, 0.3, 4).astype(np.float32)
-        var = rng.uniform(0.5, 2.0, 4).astype(np.float32)
-        fused_w, fused_b = fused_batch_norm_params(
-            weight, bias, gamma, beta, mean, var, 1e-5
-        )
-        conv = Conv2D(3, 4, kernel_size=3, stride=1, padding=1, rng=0)
-        conv.params["weight"] = weight
-        conv.params["bias"] = bias
-        x = rng.random((2, 3, 6, 6)).astype(np.float32)
-        raw = conv.forward(x)
-        scale = gamma / np.sqrt(var + 1e-5)
-        expected = (raw - mean[None, :, None, None]) * scale[None, :, None, None] \
-            + beta[None, :, None, None]
-        conv.params["weight"] = fused_w
-        conv.params["bias"] = fused_b
-        fused = conv.forward(x)
-        assert np.allclose(fused, expected, atol=1e-5)
-
-    def test_dense_layout_supported(self, rng):
-        weight = rng.normal(0.0, 0.1, (6, 4)).astype(np.float32)
-        fused_w, fused_b = fused_batch_norm_params(
-            weight, None,
-            np.ones(4, np.float32), np.zeros(4, np.float32),
-            np.zeros(4, np.float32), np.ones(4, np.float32), 1e-5,
-        )
-        assert fused_w.shape == (6, 4)
-        assert fused_b.shape == (4,)
-
-    def test_unsupported_rank_rejected(self):
-        with pytest.raises(ValueError):
-            fused_batch_norm_params(
-                np.zeros((2, 2, 2)), None,
-                np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), 1e-5,
-            )
-
-    def test_fused_vs_unfused_conversion(self, rng):
-        model = self._bn_model()
-        calibration = rng.random((16, 3, 8, 8)).astype(np.float32)
-        fused = convert_dnn_to_snn(model, calibration, fuse_batch_norm=True)
-        unfused = convert_dnn_to_snn(model, calibration, fuse_batch_norm=False)
-        assert fused.batch_norm_fused
-        assert not unfused.batch_norm_fused
-        # The unfused network keeps BatchNorm2D layers in its segments.
-        has_bn = any(
-            isinstance(layer, BatchNorm2D)
-            for segment in unfused.segments for layer in segment.layers
-        )
-        assert has_bn
-        x = rng.random((4, 3, 8, 8)).astype(np.float32)
-        logits_fused = fused.forward_analog(x)
-        logits_unfused = unfused.forward_analog(x)
-        assert np.allclose(logits_fused, logits_unfused, atol=1e-4)
-        scales_fused = np.asarray(fused.activation_scales())
-        scales_unfused = np.asarray(unfused.activation_scales())
-        assert np.allclose(scales_fused, scales_unfused, rtol=1e-3)
-
+class TestInferenceLayers:
     def test_compiled_segments_skip_inert_layers(self, rng):
-        from repro.nn.layers import Dropout, Identity
-
-        model = self._bn_model()
+        model = build_vgg("vgg_micro", input_shape=(3, 8, 8), num_classes=4,
+                          dropout=0.3, rng=0)
+        assert any(isinstance(layer, Dropout) for layer in model.layers)
         calibration = rng.random((8, 3, 8, 8)).astype(np.float32)
         converted = convert_dnn_to_snn(model, calibration)
         for segment in converted.segments:
             compiled = segment.inference_layers()
-            assert not any(isinstance(l, (Identity, Dropout)) for l in compiled)
+            assert not any(isinstance(l, Dropout) for l in compiled)
         x = rng.random((2, 3, 8, 8)).astype(np.float32)
         assert converted.forward_analog(x).shape == (2, 4)
 

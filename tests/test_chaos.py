@@ -31,6 +31,7 @@ from repro.execution import (
 from repro.execution.plan import evaluate_plan as real_evaluate_plan
 from repro.experiments import prepare_workload
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
+from tests.conftest import stored_fingerprints
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -61,6 +62,12 @@ def _compile(config, workload, eval_size=10):
     ref = WorkloadRef.from_sweep_config(config, use_cache=False)
     plans = build_sweep_plans(config, eval_size=eval_size, use_cache=False)
     return ref, plans
+
+
+
+def _failures(evaluation):
+    """The failed cells of ``evaluation``, as (plan index, failure) pairs."""
+    return [(i, r) for i, r in enumerate(evaluation.results) if isinstance(r, CellFailure)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +104,7 @@ class TestWorkerKill:
         assert sentinel.exists()  # the kill actually happened
         assert evaluation.stats.failed_cells == 0
         assert all(isinstance(r, EvaluationResult) for r in evaluation.results)
-        assert len(list(store.fingerprints())) == len(plans)
+        assert len(stored_fingerprints(store)) == len(plans)
 
         # Resume: every cell must be served from the store, none re-run.
         monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
@@ -142,7 +149,7 @@ class TestWorkerKill:
         assert evaluation.stats.sharded_cells == len(plans)
         assert all(isinstance(r, EvaluationResult) for r in evaluation.results)
         # Every cell merged and persisted; no shard documents left behind.
-        assert len(list(store.fingerprints())) == len(plans)
+        assert len(stored_fingerprints(store)) == len(plans)
         assert store.shard_stats()["shard_docs"] == 0
 
         # Resume: merged cell documents serve everything, no shard re-runs.
@@ -232,7 +239,7 @@ class TestTransientFailures:
         )
         assert evaluation.stats.failed_cells == 1
         assert evaluation.stats.evaluated_cells == len(plans) - 1
-        failures = evaluation.failures
+        failures = _failures(evaluation)
         assert len(failures) == 1
         index, failure = failures[0]
         assert plans[index].method_label == "TTFS"
@@ -241,10 +248,6 @@ class TestTransientFailures:
         # The formatted remote traceback crossed the boundary intact.
         assert "Traceback" in failure.remote_traceback
         assert "ValueError" in failure.remote_traceback
-        # Reconstructing the swallowed error keeps the cell identity.
-        error = failure.to_error()
-        assert error.method == "TTFS"
-        assert "after 3 attempts" in str(error)
 
     def test_holes_render_explicitly_in_reports(self, chaos_workload, monkeypatch):
         from repro.experiments import run_sweep
@@ -286,7 +289,7 @@ class TestTransientFailures:
             retries=1, retry_backoff=0.001,
         )
         assert first.stats.failed_cells == 1
-        assert len(list(store.fingerprints())) == len(plans) - 1
+        assert len(stored_fingerprints(store)) == len(plans) - 1
 
         monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
         healed = evaluate_plans(
@@ -321,7 +324,7 @@ class TestCorruptStore:
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
         evaluate_plans(plans, store=store, workloads={ref: chaos_workload})
-        victim = store.path_for(next(iter(store.fingerprints())))
+        victim = store.path_for(stored_fingerprints(store)[0])
         with open(victim, "w", encoding="utf-8") as handle:
             handle.write('{"version": 1, "result": {"accur')  # truncated write
 
@@ -362,7 +365,7 @@ class TestFaultToleranceKnobs:
         evaluation = evaluate_plans(
             plans, workloads={ref: chaos_workload}, retries=3, retry_backoff=0.001,
         )
-        (_, failure), = evaluation.failures
+        (_, failure), = _failures(evaluation)
         assert failure.attempts == 4
 
     def test_cell_failure_is_picklable(self):

@@ -279,6 +279,15 @@ class TestClassJitter:
         assert np.array_equal(jittered.counts, clean.counts)
         assert generator.bit_generator.state == state
 
+    @pytest.mark.parametrize("coder", PERIODIC_CODERS[:2], ids=lambda c: c.name)
+    def test_zero_sigma_returns_the_counts_and_draws_nothing(self, coder):
+        clean = coder.encode_classes(self.values()[:500])
+        generator = np.random.default_rng(5)
+        state = generator.bit_generator.state
+        jittered = clean.jitter_spikes(0.0, rng=generator)
+        assert np.array_equal(jittered.counts, clean.counts)
+        assert generator.bit_generator.state == state
+
 
 # -- equality in distribution -------------------------------------------------------
 class TestDistributionalEquivalence:

@@ -47,3 +47,59 @@ class TestCliParser:
         assert exit_code == 0
         assert "SNN accuracy" in captured.out
         assert "spikes per sample" in captured.out
+
+
+    def test_evaluate_ttas_takes_its_duration(self, capsys, monkeypatch):
+        import repro.cli as cli_module
+
+        built = []
+        original = cli_module.NoiseRobustSNN
+
+        def recording(*args, **kwargs):
+            built.append(kwargs["coder_kwargs"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "NoiseRobustSNN", recording)
+        exit_code = main([
+            "evaluate", "--dataset", "mnist", "--coding", "ttas", "--duration", "2",
+            "--scale", "test", "--eval-size", "8",
+        ])
+        assert exit_code == 0
+        assert built == [{"target_duration": 2}]
+        assert "coding             : ttas (t_a=2)" in capsys.readouterr().out
+
+
+class TestCliRefusals:
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    @pytest.mark.parametrize("entry", [
+        ["evaluate", "--dataset", "mnist"],
+        ["figure", "--name", "fig2", "--dataset", "mnist"],
+        ["table", "--name", "table1", "--datasets", "mnist"],
+    ])
+    def test_non_positive_eval_size_is_a_usage_error(self, entry, size, capsys,
+                                                     monkeypatch):
+        import repro.cli as cli_module
+        import repro.experiments.runner as runner_module
+
+        def no_workload(*_, **__):
+            raise AssertionError("a refused run must not prepare a workload")
+
+        monkeypatch.setattr(cli_module, "prepare_workload", no_workload)
+        monkeypatch.setattr(runner_module, "prepare_workload", no_workload)
+        with pytest.raises(SystemExit) as raised:
+            main([*entry, "--scale", "test", "--eval-size", size])
+        assert raised.value.code == 2
+        assert f"--eval-size must be >= 1, got {size}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--dataset", "foo"], "unknown dataset 'foo'"),
+        (["--dataset", "mnist", "--coding", "burst", "--simulator", "timestep"],
+         "cannot faithfully model burst"),
+    ])
+    def test_evaluate_config_errors_print_one_line(self, flags, message, capsys):
+        exit_code = main(["evaluate", "--scale", "test", "--eval-size", "8", *flags])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err

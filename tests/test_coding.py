@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import roundtrip
+
 from repro.coding import (
     CODER_NAMES,
     BurstCoder,
@@ -13,7 +15,6 @@ from repro.coding import (
     available_coders,
     create_coder,
 )
-from repro.coding.base import NeuralCoder
 from repro.snn.neurons import IFNeuron, IntegrateFireOrBurstNeuron, TTFSNeuron
 
 ALL_CODERS = [
@@ -29,15 +30,15 @@ ALL_CODERS = [
 class TestCommonCoderBehaviour:
     def test_roundtrip_error_bounded(self, coder):
         values = np.linspace(0.05, 1.0, 40)
-        decoded = coder.roundtrip(values)
+        decoded = roundtrip(coder, values)
         assert np.all(np.abs(decoded - values) < 0.12)
 
     def test_zero_maps_to_zero(self, coder):
-        decoded = coder.roundtrip(np.zeros(5))
+        decoded = roundtrip(coder, np.zeros(5))
         assert np.allclose(decoded, 0.0, atol=1e-9)
 
     def test_out_of_range_values_saturate(self, coder):
-        decoded = coder.roundtrip(np.array([1.5, -0.2]))
+        decoded = roundtrip(coder, np.array([1.5, -0.2]))
         assert decoded[0] <= 1.0 + 1e-6
         assert decoded[1] == 0.0
 
@@ -48,7 +49,7 @@ class TestCommonCoderBehaviour:
 
     def test_decode_monotone_in_value(self, coder):
         values = np.array([0.1, 0.4, 0.8])
-        decoded = coder.roundtrip(values)
+        decoded = roundtrip(coder, values)
         assert decoded[0] <= decoded[1] <= decoded[2]
 
     def test_expected_spike_count_matches_encode(self, coder):
@@ -88,14 +89,15 @@ class TestRateCoder:
         assert np.allclose(coder.decode(jittered), coder.decode(train))
 
     def test_neuron_type(self):
-        assert isinstance(RateCoder(32).make_neuron(1.0), IFNeuron)
+        neuron = RateCoder(32).simulation_protocol(1, 1.0).layers[1].neuron
+        assert isinstance(neuron, IFNeuron)
 
 
 class TestPhaseCoder:
     def test_binary_fraction_exact(self):
         coder = PhaseCoder(num_steps=16, period=8)
         values = np.array([0.5, 0.25, 0.75])
-        assert np.allclose(coder.roundtrip(values), values, atol=1e-6)
+        assert np.allclose(roundtrip(coder, values), values, atol=1e-6)
 
     def test_pattern_repeats_every_period(self):
         coder = PhaseCoder(num_steps=16, period=8)
@@ -150,7 +152,7 @@ class TestBurstCoder:
         ).mean()
         burst_err = np.abs(
             burst.decode(burst.encode(values).jitter_spikes(2.0, rng=0))
-            - burst.roundtrip(values)
+            - roundtrip(burst, values)
         ).mean()
         rate_err = np.abs(
             rate.decode(rate.encode(values).jitter_spikes(2.0, rng=0)) - 0.6
@@ -183,7 +185,7 @@ class TestTTFSCoder:
         coder = TTFSCoder(num_steps=32)
         values = np.full(500, 0.7)
         decoded = coder.decode(coder.encode(values).delete_spikes(0.5, rng=0))
-        clean = coder.roundtrip(np.array([0.7]))[0]
+        clean = roundtrip(coder, np.array([0.7]))[0]
         near_zero = np.isclose(decoded, 0.0, atol=1e-9)
         near_full = np.isclose(decoded, clean, rtol=1e-6)
         assert np.all(near_zero | near_full)
@@ -191,7 +193,7 @@ class TestTTFSCoder:
 
     def test_jitter_multiplies_by_exponential_factor(self):
         coder = TTFSCoder(num_steps=16)
-        clean = coder.roundtrip(np.array([0.5]))[0]
+        clean = roundtrip(coder, np.array([0.5]))[0]
         train = coder.encode(np.array([0.5])).to_dense()
         shifted = train.counts.copy()
         time = int(np.flatnonzero(train.counts[:, 0])[0])
@@ -209,7 +211,17 @@ class TestTTFSCoder:
             TTFSCoder(num_steps=16, min_value=1.0)
 
     def test_neuron_type(self):
-        assert isinstance(TTFSCoder(16).make_neuron(1.0), TTFSNeuron)
+        neuron = TTFSCoder(16).simulation_protocol(1, 1.0).layers[1].neuron
+        assert isinstance(neuron, TTFSNeuron)
+
+    def test_one_step_window(self):
+        # log(1 / min_value) / (T - 1) is undefined at T = 1; the kernel
+        # falls back to tau = 1, so a value fires on step 0 or not at all.
+        coder = TTFSCoder(num_steps=1)
+        assert coder.tau == 1.0
+        train = coder.encode(np.array([0.9, 0.5, 0.01]))
+        assert train.to_dense().counts.tolist() == [[1, 0, 0]]
+        assert coder.decode(train).tolist() == [1.0, 0.0, 0.0]
 
 
 class TestTTASCoder:
@@ -224,7 +236,7 @@ class TestTTASCoder:
         values = np.linspace(0.05, 1.0, 20)
         ttas = TTASCoder(num_steps=32, target_duration=1)
         ttfs = TTFSCoder(num_steps=32)
-        assert np.allclose(ttas.roundtrip(values), ttfs.roundtrip(values))
+        assert np.allclose(roundtrip(ttas, values), roundtrip(ttfs, values))
 
     def test_scale_factor_is_inverse_burst_gain(self):
         coder = TTASCoder(num_steps=32, target_duration=5)
@@ -237,13 +249,13 @@ class TestTTASCoder:
         values = np.linspace(0.1, 0.9, 9)
         ttas = TTASCoder(num_steps=64, target_duration=5)
         ttfs = TTFSCoder(num_steps=64)
-        assert np.allclose(ttas.roundtrip(values), ttfs.roundtrip(values), atol=1e-6)
+        assert np.allclose(roundtrip(ttas, values), roundtrip(ttfs, values), atol=1e-6)
 
     def test_deletion_is_graded_not_all_or_none(self):
         coder = TTASCoder(num_steps=32, target_duration=5)
         values = np.full(300, 0.7)
         decoded = coder.decode(coder.encode(values).delete_spikes(0.4, rng=0))
-        clean = coder.roundtrip(np.array([0.7]))[0]
+        clean = roundtrip(coder, np.array([0.7]))[0]
         intermediate = (decoded > 0.1 * clean) & (decoded < 0.9 * clean)
         assert intermediate.mean() > 0.3
 
@@ -253,11 +265,11 @@ class TestTTASCoder:
         ttas = TTASCoder(num_steps=16, target_duration=5)
         ttfs_err = np.abs(
             ttfs.decode(ttfs.encode(values).jitter_spikes(2.0, rng=0))
-            - ttfs.roundtrip(values)
+            - roundtrip(ttfs, values)
         ).mean()
         ttas_err = np.abs(
             ttas.decode(ttas.encode(values).jitter_spikes(2.0, rng=0))
-            - ttas.roundtrip(values)
+            - roundtrip(ttas, values)
         ).mean()
         assert ttas_err < ttfs_err
 
@@ -266,7 +278,7 @@ class TestTTASCoder:
             TTASCoder(num_steps=8, target_duration=9)
 
     def test_neuron_type_and_duration(self):
-        neuron = TTASCoder(16, target_duration=4).make_neuron(1.0)
+        neuron = TTASCoder(16, target_duration=4).simulation_protocol(1, 1.0).layers[1].neuron
         assert isinstance(neuron, IntegrateFireOrBurstNeuron)
         assert neuron.target_duration == 4
 

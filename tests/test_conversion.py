@@ -1,4 +1,4 @@
-"""Tests for DNN-to-SNN conversion (batch-norm folding, calibration, segmentation)."""
+"""Tests for DNN-to-SNN conversion (calibration, segmentation)."""
 
 import numpy as np
 import pytest
@@ -8,56 +8,10 @@ from repro.conversion import (
     ConversionError,
     collect_activation_statistics,
     convert_dnn_to_snn,
-    fold_batch_norm,
 )
 from repro.conversion.converter import CONVERSION_COUNTERS
-from repro.nn import Sequential, build_mlp, build_vgg
-from repro.nn.layers import Dense, Flatten, Identity, ReLU
-from repro.nn.norm import BatchNorm2D
-
-
-class TestFoldBatchNorm:
-    def _train_bn_model(self):
-        model = build_vgg("vgg_micro", (1, 12, 12), 4, batch_norm=True, rng=0,
-                          dropout=0.0)
-        x = np.random.default_rng(0).random((32, 1, 12, 12)).astype(np.float32)
-        # a few training-mode passes populate the running statistics
-        for _ in range(5):
-            model.forward(x, training=True)
-        return model, x
-
-    def test_folding_preserves_inference_output(self):
-        model, x = self._train_bn_model()
-        folded = fold_batch_norm(model)
-        assert np.allclose(model.forward(x), folded.forward(x), atol=1e-3)
-
-    def test_folded_model_has_no_batch_norm(self):
-        model, _ = self._train_bn_model()
-        folded = fold_batch_norm(model)
-        assert not any(isinstance(layer, BatchNorm2D) for layer in folded.layers)
-        assert any(isinstance(layer, Identity) for layer in folded.layers)
-
-    def test_original_model_untouched(self):
-        model, _ = self._train_bn_model()
-        before = model.layers[0].params["weight"].copy()
-        fold_batch_norm(model)
-        assert np.allclose(model.layers[0].params["weight"], before)
-
-    def test_model_without_bn_unchanged_output(self):
-        model = build_mlp(16, [8], 3, rng=0)
-        x = np.random.default_rng(0).random((4, 1, 4, 4)).astype(np.float32)
-        folded = fold_batch_norm(model)
-        assert np.allclose(model.forward(x), folded.forward(x))
-
-    def test_unfoldable_bn_raises(self):
-        model = Sequential([Flatten(), BatchNorm2D(4)])
-        with pytest.raises(ValueError):
-            fold_batch_norm(model)
-
-    def test_leading_bn_raises(self):
-        model = Sequential([BatchNorm2D(1), Flatten(), Dense(16, 4, rng=0)])
-        with pytest.raises(ValueError, match="first layer"):
-            fold_batch_norm(model)
+from repro.nn import Sequential
+from repro.nn.layers import Dense, Flatten, ReLU
 
 
 class TestActivationStatistics:
@@ -68,7 +22,7 @@ class TestActivationStatistics:
     def test_one_scale_per_relu(self, trained_mlp, mnist_split):
         stats = collect_activation_statistics(trained_mlp, mnist_split.train.x[:64])
         relu_count = sum(isinstance(l, ReLU) for l in trained_mlp.layers)
-        assert len(stats) == relu_count
+        assert len(stats.scales) == relu_count
         assert all(scale > 0 for scale in stats.scales)
 
     def test_percentile_monotonicity(self, trained_mlp, mnist_split):
@@ -95,7 +49,6 @@ class TestConvertDnnToSnn:
         spiking_segments = [s for s in converted_mlp.segments if s.ends_with_spikes]
         assert len(spiking_segments) == relu_count
         assert not converted_mlp.segments[-1].ends_with_spikes
-        assert converted_mlp.num_spiking_populations == relu_count + 1
 
     def test_analog_forward_matches_dnn(self, converted_mlp, trained_mlp, mnist_split):
         x = mnist_split.test.x[:16]
@@ -111,8 +64,10 @@ class TestConvertDnnToSnn:
         assert abs(dnn_acc - snn_acc) < 1e-9
 
     def test_activation_scales_positive(self, converted_mlp):
-        assert all(scale > 0 for scale in converted_mlp.activation_scales())
-        assert len(converted_mlp.activation_scales()) == converted_mlp.num_spiking_populations
+        scales = [converted_mlp.input_scale] + [
+            s.activation_scale for s in converted_mlp.segments if s.ends_with_spikes
+        ]
+        assert all(scale > 0 for scale in scales)
 
     def test_conv_network_conversion(self, converted_cnn, trained_cnn, cifar_split):
         x = cifar_split.test.x[:8]
@@ -128,15 +83,21 @@ class TestConvertDnnToSnn:
         with pytest.raises(ConversionError):
             convert_dnn_to_snn(trained_mlp, np.zeros((0, 1, 28, 28), dtype=np.float32))
 
-    def test_max_pooling_rejected_by_default(self, cifar_split):
-        model = build_vgg("vgg_micro", cifar_split.image_shape, 10, pooling="max", rng=0)
-        with pytest.raises(ConversionError):
-            convert_dnn_to_snn(model, cifar_split.train.x[:8])
-
     def test_network_without_relu_rejected(self):
         model = Sequential([Flatten(), Dense(16, 4, rng=0)])
         with pytest.raises(ConversionError):
             convert_dnn_to_snn(model, np.random.default_rng(0).random((4, 1, 4, 4)).astype(np.float32))
+
+    def test_network_ending_in_relu_reads_out_its_last_population(self):
+        model = Sequential([Flatten(), Dense(16, 8, rng=0), ReLU(),
+                            Dense(8, 4, rng=1), ReLU()])
+        calibration = np.random.default_rng(0).random((8, 1, 4, 4)).astype(np.float32)
+        converted = convert_dnn_to_snn(model, calibration)
+        assert [s.ends_with_spikes for s in converted.segments] == [True, False]
+        x = np.random.default_rng(1).random((3, 1, 4, 4)).astype(np.float32)
+        np.testing.assert_allclose(
+            converted.forward_analog(x), model.forward(x), rtol=1e-5, atol=1e-6
+        )
 
     def test_input_scale_override(self, trained_mlp, mnist_split):
         converted = convert_dnn_to_snn(

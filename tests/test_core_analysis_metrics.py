@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import roundtrip
+
 from repro.coding import RateCoder, TTASCoder, TTFSCoder
 from repro.core.analysis import activation_distribution, decoded_samples
 from repro.metrics import area_under_accuracy_curve, energy_proxy
@@ -14,7 +16,7 @@ def expected_activation_ratio(coder, values, deletion_probability, trials, rng):
     """Empirical ``E[A'] / A`` of ``values`` under deletion noise."""
     generator = default_rng(rng)
     noise = DeletionNoise(deletion_probability)
-    clean_sum = float(coder.roundtrip(values).sum())
+    clean_sum = float(roundtrip(coder, values).sum())
     clean_train = coder.encode(values)
     totals = [
         float(coder.decode(noise.apply(clean_train, rng=derive_rng(generator, "trial", t))).sum())
@@ -28,7 +30,7 @@ def all_or_none_fraction(coder, value, deletion_probability, trials, rng, tolera
     samples = decoded_samples(
         coder, value, DeletionNoise(deletion_probability), trials=trials, rng=rng
     )
-    relative = samples / float(coder.roundtrip(np.array([value])).reshape(-1)[0])
+    relative = samples / float(roundtrip(coder, np.array([value])).reshape(-1)[0])
     return float(np.mean(relative <= tolerance)), float(np.mean(relative >= 1.0 - tolerance))
 
 

@@ -57,29 +57,6 @@ class TestDataset:
         with pytest.raises(ValueError, match="image shape"):
             DatasetSplit(train=make_dataset(), test=test)
 
-    def test_subset_and_take(self):
-        ds = make_dataset()
-        sub = ds.subset(np.array([0, 2, 4]))
-        assert len(sub) == 3
-        assert np.array_equal(sub.y, ds.y[[0, 2, 4]])
-        assert len(ds.take(5)) == 5
-        assert len(ds.take(1000)) == len(ds)
-
-    def test_shuffled_preserves_pairs(self):
-        ds = make_dataset()
-        shuffled = ds.shuffled(rng=1)
-        # every (x, y) pair of the shuffle must exist in the original
-        for i in range(len(shuffled)):
-            matches = np.where(
-                np.all(np.isclose(ds.x, shuffled.x[i]), axis=(1, 2, 3))
-            )[0]
-            assert shuffled.y[i] in ds.y[matches]
-
-    def test_class_counts(self):
-        ds = make_dataset(n=20, num_classes=4)
-        assert ds.class_counts().sum() == 20
-        assert ds.class_counts().shape == (4,)
-
     def test_iter_batches_covers_everything(self):
         ds = make_dataset()
         total = sum(x.shape[0] for x, _ in ds.iter_batches(6))
@@ -148,17 +125,6 @@ class TestSyntheticGenerators:
 
 
 class TestBatchLoader:
-    def test_batch_loader_length(self):
-        ds = make_dataset(n=23)
-        assert len(BatchLoader(ds, batch_size=5)) == 5
-
-    def test_batch_loader_epoch_counter(self):
-        ds = make_dataset(n=6)
-        loader = BatchLoader(ds, batch_size=3)
-        list(loader)
-        list(loader)
-        assert loader.epoch == 2
-
     def test_unshuffled_batches_follow_dataset_order(self):
         ds = make_dataset(n=7)
         batches = list(BatchLoader(ds, batch_size=3))

@@ -11,7 +11,6 @@ from repro.core.pipeline import EvaluationResult
 from repro.execution import (
     CellEvaluationError,
     EvaluationPlan,
-    ProcessExecutor,
     ResultStore,
     SerialExecutor,
     ThreadExecutor,
@@ -35,6 +34,7 @@ from repro.experiments.config import (
 from repro.experiments.runner import MethodCurve
 from repro.experiments.tables import table2_jitter
 from repro.utils.validation import level_index
+from tests.conftest import stored_fingerprints
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,7 @@ class TestPlans:
             "e5b8e81aaaeda2e53981873edb39ce2ea3d4eb5c5018b157cfcecadd8ff9f7ae"
         )
 
-    def test_plans_reject_malformed_axes(self):
+    def test_plans_reject_malformed_axes(self, tiny_workload):
         # A typo'd noise kind would otherwise run as a clean cell (every
         # level falls to 0.0) stored under the typo's fingerprint.
         plan = build_sweep_plans(tiny_config())[0]
@@ -184,6 +184,18 @@ class TestPlans:
         # ZeroDivisionError.
         with pytest.raises(ValueError, match="batch_size"):
             replace(plan, batch_size=0)
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="eval_size must be >= 1"):
+                replace(plan, eval_size=size)
+            with pytest.raises(ValueError, match="eval size must be >= 1"):
+                tiny_workload.evaluation_slice(size)
+
+    def test_plans_reject_non_positive_quant_bits(self):
+        plan = build_sweep_plans(tiny_config())[0]
+        assert replace(plan, quant_bits=1).quant_bits == 1
+        for bits in (0, -4):
+            with pytest.raises(ValueError, match="quant_bits must be >= 1"):
+                replace(plan, quant_bits=bits)
 
     def test_network_fingerprint_covers_conversion(self, tiny_workload):
         # The same trained model converted differently must not alias in
@@ -193,13 +205,41 @@ class TestPlans:
         from repro.conversion.converter import convert_dnn_to_snn
 
         calibration = tiny_workload.data.train.x[:64]
-        unfused = dataclasses.replace(
+        other = dataclasses.replace(
             tiny_workload,
             network=convert_dnn_to_snn(
-                tiny_workload.model, calibration, fuse_batch_norm=False
+                tiny_workload.model, calibration, percentile=99.0
             ),
         )
-        assert network_fingerprint(unfused) != network_fingerprint(tiny_workload)
+        assert network_fingerprint(other) != network_fingerprint(tiny_workload)
+
+    def test_network_fingerprint_pinned(self):
+        # A hand-built network (fixed arrays, no training) hashes to the
+        # digest stored fingerprints were written with, ``bn_fused=True``
+        # literal included.
+        from types import SimpleNamespace
+
+        from repro.conversion.converter import ConvertedSNN, NetworkSegment
+        from repro.nn.layers import Dense, ReLU
+
+        hidden, head = Dense(4, 3, rng=0), Dense(3, 2, rng=0)
+        hidden.params["weight"] = np.arange(12, dtype=np.float32).reshape(4, 3) / 16
+        hidden.params["bias"] = np.array([0.25, -0.5, 0.125], dtype=np.float32)
+        head.params["weight"] = -np.arange(6, dtype=np.float32).reshape(3, 2) / 8
+        head.params["bias"] = np.zeros(2, dtype=np.float32)
+        network = ConvertedSNN(
+            segments=[
+                NetworkSegment([hidden, ReLU()], ends_with_spikes=True,
+                               activation_scale=1.5, index=0),
+                NetworkSegment([head], ends_with_spikes=False, index=1),
+            ],
+            input_scale=2.0,
+            source_name="hand-built",
+        )
+        workload = SimpleNamespace(dataset_name="mnist", scale=TEST_SCALE, network=network)
+        assert network_fingerprint(workload) == (
+            "44d4e79c2cc9faa0b7b9d9e1f8cb0dd71be13d152c4a098e78f55878a88aea8f"
+        )
 
     def test_evaluate_plan_is_deterministic(self, tiny_workload):
         plan = build_sweep_plans(tiny_config(), eval_size=10)[1]
@@ -501,7 +541,7 @@ def test_run_settings_ignore_the_environment(tiny_workload, tmp_path, monkeypatc
     assert evaluation.stats.store_writes == 0
     assert evaluation.stats.sharded_cells == 0
     registry = ModelRegistry()
-    assert registry.store is None
+    assert registry._store is None
     assert registry.max_bytes is None
     with MicroBatchScheduler(registry, max_workers=1) as scheduler:
         assert scheduler.max_batch == 8
@@ -531,22 +571,43 @@ class TestExecutors:
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("gpu")
 
-    def test_map_preserves_order(self):
-        items = list(range(12))
-        for executor in (SerialExecutor(), ThreadExecutor(4)):
-            assert list(executor.map(_square, items)) == [i * i for i in items]
-
-    def test_process_map_preserves_order(self):
-        assert list(ProcessExecutor(2).map(_square, range(6))) == [
-            i * i for i in range(6)
-        ]
-
     def test_map_unordered_yields_on_completion(self):
         # Item 0 sleeps; every other item is instant, so with >1 worker the
         # slow item must come back last -- completion order, not submission.
         pairs = list(ThreadExecutor(4).map_unordered(_slow_first, range(8)))
         assert sorted(pairs) == [(i, i * i) for i in range(8)]
         assert pairs[-1][0] == 0
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_empty_dispatch_starts_no_pool(self, backend):
+        executor = resolve_executor(backend, 2)
+        assert list(executor.map_unordered(_square, [])) == []
+        assert executor._pool is None
+
+    def test_one_thread_pool_runs_in_the_calling_thread(self):
+        import threading
+
+        executor = ThreadExecutor(1)
+        threads = list(executor.map_unordered(_thread_id, range(3)))
+        assert threads == [(i, threading.get_ident()) for i in range(3)]
+        assert executor._pool is None
+
+    def test_submit_replaces_a_broken_pool(self):
+        with ThreadExecutor(2) as executor:
+            first = executor.submit(_square, 3)
+            assert first.result(timeout=30) == 9
+            broken = executor._pool
+            broken._broken = "a worker died"  # what a killed worker leaves
+            assert executor.submit(_square, 4).result(timeout=30) == 16
+            assert executor._pool is not broken
+
+    def test_submit_replaces_a_pool_shut_down_under_it(self):
+        with ThreadExecutor(2) as executor:
+            executor.submit(_square, 1).result(timeout=30)
+            stale = executor._pool
+            stale.shutdown(wait=True)
+            assert executor.submit(_square, 5).result(timeout=30) == 25
+            assert executor._pool is not stale
 
     def test_map_unordered_serial_indexing(self):
         assert list(SerialExecutor().map_unordered(_square, [3, 5])) == [
@@ -568,7 +629,7 @@ class TestExecutors:
                 config, workload=tiny_workload, eval_size=12,
                 executor=executor, max_workers=3,
             )
-            assert candidate.labels() == reference.labels()
+            assert [c.label for c in candidate.curves] == [c.label for c in reference.curves]
             assert candidate.stats.executor == executor
             for ref_curve, cand_curve in zip(reference.curves, candidate.curves):
                 assert cand_curve.accuracies == ref_curve.accuracies
@@ -618,7 +679,7 @@ class TestResultStore:
         config = tiny_config()
         store = ResultStore(str(tmp_path))
         run_sweep(config, workload=tiny_workload, eval_size=12, store=store)
-        fingerprints = list(store.fingerprints())
+        fingerprints = stored_fingerprints(store)
         assert len(fingerprints) == 4
 
         # Simulate an interrupted run: drop two of the four cell documents.
@@ -632,7 +693,7 @@ class TestResultStore:
         assert counting.evaluated == 2
         assert resumed.stats.store_hits == 2
         assert resumed.stats.evaluated_cells == 2
-        assert sorted(store.fingerprints()) == sorted(fingerprints)
+        assert stored_fingerprints(store) == sorted(fingerprints)
 
     def test_fingerprint_change_invalidates_store(self, tiny_workload, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -648,7 +709,7 @@ class TestResultStore:
         )
         assert counting.evaluated == 4
         assert rerun.stats.store_hits == 0
-        assert len(list(store.fingerprints())) == 8
+        assert len(stored_fingerprints(store)) == 8
 
     @pytest.mark.parametrize("payload", [
         "{not json",                                    # truncated write
@@ -660,7 +721,7 @@ class TestResultStore:
         run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, store=store
         )
-        victim = store.path_for(next(iter(store.fingerprints())))
+        victim = store.path_for(stored_fingerprints(store)[0])
         with open(victim, "w", encoding="utf-8") as handle:
             handle.write(payload)
         counting = CountingExecutor()
@@ -695,7 +756,7 @@ class TestResultStore:
                 tiny_config(), workload=tiny_workload, eval_size=12,
                 store=store, executor="thread", max_workers=4,
             )
-        assert len(list(store.fingerprints())) == 3  # the three fast cells
+        assert len(stored_fingerprints(store)) == 3  # the three fast cells
 
     def test_store_shared_between_figure_and_table_cells(self, tiny_workload, tmp_path):
         # Identical (dataset, method, level, backends) cells share one
@@ -716,7 +777,7 @@ class TestResultStore:
             store=store,
         )
         assert len(table.rows_for("mnist")) == 4
-        assert len(list(store.fingerprints())) == 8  # nothing re-stored twice
+        assert len(stored_fingerprints(store)) == 8  # nothing re-stored twice
 
     def test_resolve_store(self, tmp_path):
         assert resolve_store(None) is None
@@ -827,6 +888,46 @@ class TestEngine:
         ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0, use_cache=False)
         register_workload(ref, tiny_workload)
         assert workload_for(ref) is tiny_workload
+
+    def test_workload_for_prepares_a_missing_workload_once(
+        self, tiny_workload, monkeypatch
+    ):
+        import repro.experiments.workloads as workloads_module
+        from repro.execution import workload_for
+
+        calls = []
+
+        def counting(dataset, **kwargs):
+            calls.append((dataset, kwargs))
+            return tiny_workload
+
+        monkeypatch.setattr(workloads_module, "prepare_workload", counting)
+        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=4321,
+                          cache_dir="/nonexistent", use_cache=False)
+        assert workload_for(ref) is tiny_workload
+        assert workload_for(ref) is tiny_workload
+        assert calls == [("mnist", dict(scale=TEST_SCALE, seed=4321,
+                                        cache_dir="/nonexistent", use_cache=False))]
+
+    def test_a_cell_error_raised_by_the_plan_is_not_rewrapped(self, tiny_workload):
+        from types import SimpleNamespace
+
+        from repro.execution.engine import execute_cell
+
+        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+        register_workload(ref, tiny_workload)
+        original = CellEvaluationError("mnist", "TTFS", "deletion", 0.5, "inner")
+
+        def evaluate(workload):
+            raise original
+
+        plan = SimpleNamespace(
+            workload=ref, evaluate=evaluate, dataset="other",
+            method_label="RATE", noise_kind="jitter", level=1.0,
+        )
+        with pytest.raises(CellEvaluationError) as excinfo:
+            execute_cell(plan)
+        assert excinfo.value is original
 
     def test_workload_registry_is_bounded(self, tiny_workload):
         from repro.execution.engine import (
@@ -1009,6 +1110,20 @@ class TestCliPlumbing:
         result = run_sweep(config, workload=tiny_workload, eval_size=8)
         assert result.config.batch_size == 8
 
+    @pytest.mark.parametrize("argv,options", [
+        (["figure", "--name", "fig2", "--batch-size", "8"], {"batch_size": 8}),
+        (["table", "--name", "table1", "--batch-size", "4"], {"batch_size": 4}),
+        (["figure", "--name", "adv-delete", "--budgets", "0", "2"], {"budgets": [0, 2]}),
+        (["table", "--name", "adv-shift", "--attack-search", "beam", "--budgets", "1"],
+         {"budgets": [1], "search": "beam"}),
+        (["figure", "--name", "fig2"], {}),
+    ])
+    def test_family_flags_reach_the_sweep_options(self, argv, options):
+        from repro.cli import _family_options, build_parser
+
+        parser = build_parser()
+        assert _family_options(parser, parser.parse_args(argv)) == options
+
     @pytest.mark.parametrize("command,name,flag,value", [
         pytest.param("figure", "adv-delete", "--batch-size", "8", id="figure"),
         pytest.param("table", "adv-delete", "--batch-size", "8", id="table"),
@@ -1033,6 +1148,12 @@ class TestCliPlumbing:
 def _square(value: int) -> int:
     """Module-level so the process executor can pickle it by reference."""
     return value * value
+
+
+def _thread_id(value: int) -> int:
+    import threading
+
+    return threading.get_ident()
 
 
 def _slow_first(value: int) -> int:

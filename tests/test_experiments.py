@@ -1,5 +1,8 @@
 """Tests for the experiment harness (configs, workloads, runner, figures, tables, reporting)."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.experiments import (
     SweepConfig,
     dataset_config,
     figure5_activation_distribution,
+    format_activation_distributions,
     format_figure_series,
     format_table_rows,
     prepare_workload,
@@ -85,11 +89,117 @@ def tiny_workload():
     return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
 
 
+@pytest.fixture()
+def workload_warnings():
+    """Capture WARNING records of the workload logger (repro does not propagate)."""
+    records = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            records.append(record.getMessage())
+
+    logger = logging.getLogger("repro.experiments.workloads")
+    handler = Capture(level=logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestWorkloadFaults:
+    """The weight cache and the conversion store are accelerators: a stale
+    or failing one costs time, never a different network."""
+
+    def test_stale_weight_cache_is_retrained_and_replaced(
+        self, tiny_workload, tmp_path, workload_warnings
+    ):
+        from repro.execution import network_fingerprint
+        from repro.experiments.workloads import _cache_path
+        from repro.utils.serialization import save_arrays
+
+        cache_file = _cache_path(str(tmp_path), "mnist", TEST_SCALE, 0)
+        save_arrays(cache_file, {"layer9.weight": np.zeros(3, dtype=np.float32)})
+        retrained = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                     cache_dir=str(tmp_path), use_cache=True)
+        assert any("stale cache" in message for message in workload_warnings)
+        assert network_fingerprint(retrained) == network_fingerprint(tiny_workload)
+        workload_warnings.clear()
+        prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                         cache_dir=str(tmp_path), use_cache=True)
+        assert workload_warnings == []
+
+    def test_malformed_stored_conversion_is_recomputed(
+        self, tiny_workload, tmp_path, workload_warnings
+    ):
+        from repro.execution import ResultStore, network_fingerprint
+
+        store = ResultStore(str(tmp_path / "store"))
+        key = tiny_workload.conversion_key
+        store.put_workload_conversion(key, {
+            "scales": ["not a number"], "percentile": 99.9,
+            "input_scale": 1.0, "dnn_accuracy": 0.5,
+        })
+        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                    use_cache=False, store=store)
+        assert any("malformed stored conversion" in m for m in workload_warnings)
+        assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
+        assert prepared.dnn_accuracy == tiny_workload.dnn_accuracy
+        # The recomputed conversion overwrote the bad document.
+        expected = tiny_workload.servable_model().conversion_payload()["scales"]
+        assert store.get_workload_conversion(key)["scales"] == expected
+
+    def test_failed_conversion_store_write_is_a_warning(
+        self, tiny_workload, tmp_path, monkeypatch, workload_warnings
+    ):
+        from repro.execution import ResultStore, network_fingerprint
+
+        monkeypatch.setattr(
+            ResultStore, "put_workload_conversion",
+            lambda self, *a, **k: (_ for _ in ()).throw(OSError("disk full")),
+        )
+        store = ResultStore(str(tmp_path / "store"))
+        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                    use_cache=False, store=store)
+        assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
+        assert any("store write failed" in m for m in workload_warnings)
+
+
+class TestProvidedWorkloads:
+    def test_a_workload_of_another_dataset_is_refused(self, tiny_workload):
+        wrong = dataclasses.replace(tiny_workload, dataset_name="cifar10")
+        config = SweepConfig(
+            dataset="mnist", methods=(MethodSpec(coding="ttfs"),),
+            noise_kind="deletion", levels=(0.0,), scale=TEST_SCALE,
+        )
+        with pytest.raises(ValueError, match="dataset 'cifar10' != 'mnist'"):
+            run_sweep(config, workload=wrong, eval_size=8)
+
+    def test_hand_built_workload_is_refused_for_spawned_workers(
+        self, tiny_workload, monkeypatch
+    ):
+        import multiprocessing
+
+        hand_built = dataclasses.replace(tiny_workload, seed=None)
+        config = SweepConfig(
+            dataset="mnist", methods=(MethodSpec(coding="ttfs"),),
+            noise_kind="deletion", levels=(0.0,), scale=TEST_SCALE,
+        )
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: "spawn")
+        with pytest.raises(ValueError, match="hand-built workload"):
+            run_sweep(config, workload=hand_built, eval_size=8,
+                      executor="process", max_workers=2)
+        # Threads share the workload object whatever the start method.
+        result = run_sweep(config, workload=hand_built, eval_size=8,
+                           executor="thread", max_workers=2)
+        assert len(result.curves) == 1
+
+
 class TestWorkloadAndRunner:
     def test_prepare_workload_structure(self, tiny_workload):
         assert tiny_workload.dataset_name == "mnist"
         assert 0.0 <= tiny_workload.dnn_accuracy <= 1.0
-        assert tiny_workload.network.num_spiking_populations >= 2
+        assert any(s.ends_with_spikes for s in tiny_workload.network.segments)
         x, y = tiny_workload.evaluation_slice(8)
         assert x.shape[0] == 8 and y.shape[0] == 8
 
@@ -112,7 +222,7 @@ class TestWorkloadAndRunner:
             seed=0,
         )
         result = run_sweep(config, workload=tiny_workload, eval_size=12)
-        assert result.labels() == ["TTFS", "TTAS(3)+WS"]
+        assert [c.label for c in result.curves] == ["TTFS", "TTAS(3)+WS"]
         for curve in result.curves:
             assert len(curve.accuracies) == 2
             assert len(curve.spike_counts) == 2
@@ -147,7 +257,7 @@ class TestWorkloadAndRunner:
         parallel = run_sweep(
             config, workload=tiny_workload, eval_size=12, max_workers=4
         )
-        assert serial.labels() == parallel.labels()
+        assert [c.label for c in serial.curves] == [c.label for c in parallel.curves]
         for s, p in zip(serial.curves, parallel.curves):
             assert s.accuracies == p.accuracies
             assert s.spike_counts == p.spike_counts
@@ -174,10 +284,8 @@ class TestWorkloadAndRunner:
         assert isinstance(table, TableResult)
         methods = {row.method for row in table.rows_for("mnist")}
         assert methods == {"Phase", "Burst", "TTFS", "TTAS(3)"}
-        row = table.row("mnist", "TTFS")
+        row, = (r for r in table.rows_for("mnist") if r.method == "TTFS")
         assert len(row.accuracies) == 2
-        with pytest.raises(KeyError):
-            table.row("mnist", "Rate")
 
 
 class TestFiguresAndReporting:
@@ -220,3 +328,36 @@ class TestFiguresAndReporting:
         assert "Rate+WS" in text
         assert "Clean" in text
         assert "Spikes per sample" in text
+
+    def test_spike_table_lists_only_rows_with_counts(self):
+        # Table II rows carry no spike counts; mixed with Table I rows, only
+        # the counted rows enter the spikes table, and holes render as --.
+        def row(method, accuracies, spikes=()):
+            return TableRow(dataset="mnist", method=method, levels=[0.0, 0.5],
+                            accuracies=accuracies, average_accuracy=0.5,
+                            spike_counts=list(spikes), average_spikes=1500.0)
+
+        table = TableResult(name="Table X", noise_kind="deletion", levels=[0.0, 0.5], rows=[
+            row("TTFS", [0.9, float("nan")], spikes=[1000.0, 2000.0]),
+            row("Phase", [0.8, 0.7]),
+        ])
+        accuracy, spikes = format_table_rows(table).split("Spikes per sample:")
+        assert "Phase" in accuracy and "   --" in accuracy
+        assert "Phase" not in spikes
+        assert "1,000" in spikes and "2,000" in spikes and "1,500" in spikes
+
+    def test_format_activation_distributions(self):
+        from repro.core.analysis import ActivationDistribution
+
+        dist = ActivationDistribution(
+            bin_edges=np.array([0.0, 0.5, 1.0]), counts=np.array([1, 3]),
+            clean_value=1.0, mean=0.625, std=0.25,
+        )
+        lines = format_activation_distributions({"rate": dist}, "Fig. 5B").splitlines()
+        assert lines == [
+            "# Fig. 5B",
+            "rate: clean A=1.00 mean A'=0.625 std=0.250",
+            "   0.00 | ########## 25.0%",
+            "   0.50 | ############################## 75.0%",
+        ]
+        assert format_activation_distributions({}) == ""

@@ -1,15 +1,12 @@
-"""Extra integration coverage: figure entry points, batch-norm conversion path, CLI figure command.
+"""Extra integration coverage: figure entry points and the CLI figure command.
 
 The figure functions are normally exercised by the benchmark harness; these
 tests run them at the tiny TEST_SCALE so the full code path (workload
 preparation -> sweep -> curves) is also covered by ``pytest tests/``.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import NoiseRobustSNN
-from repro.data import synthetic_cifar10
 from repro.experiments.config import TEST_SCALE
 from repro.experiments.figures import (
     figure2_deletion,
@@ -18,7 +15,6 @@ from repro.experiments.figures import (
     figure7_deletion_comparison,
 )
 from repro.experiments.workloads import prepare_workload
-from repro.nn import build_vgg, train_classifier
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +29,7 @@ class TestFigureEntryPoints:
             dataset="cifar10", levels=(0.0, 0.8), scale=TEST_SCALE,
             workload=tiny_cifar_workload, eval_size=12,
         )
-        assert result.labels() == ["Rate", "Phase", "Burst", "TTFS"]
+        assert [c.label for c in result.curves] == ["Rate", "Phase", "Burst", "TTFS"]
         for curve in result.curves:
             assert len(curve.accuracies) == 2
             # deletion cannot create spikes
@@ -52,7 +48,7 @@ class TestFigureEntryPoints:
             dataset="cifar10", levels=(0.0, 2.0), scale=TEST_SCALE,
             workload=tiny_cifar_workload, eval_size=8, ttas_durations=(1, 4),
         )
-        assert result.labels() == ["TTFS", "TTAS(1)", "TTAS(4)"]
+        assert [c.label for c in result.curves] == ["TTFS", "TTAS(1)", "TTAS(4)"]
         # TTAS(4) uses more spikes than TTAS(1) (burst cost).
         assert (result.curve("TTAS(4)").spikes_per_sample[0]
                 > result.curve("TTAS(1)").spikes_per_sample[0])
@@ -62,41 +58,10 @@ class TestFigureEntryPoints:
             dataset="cifar10", levels=(0.0, 0.5), scale=TEST_SCALE,
             workload=tiny_cifar_workload, eval_size=8, ttas_duration=3,
         )
-        labels = result.labels()
+        labels = [c.label for c in result.curves]
         assert "Rate" in labels and "Rate+WS" in labels
         assert "TTAS(3)+WS" in labels
         assert len(labels) == 9
-
-
-class TestBatchNormConversionPipeline:
-    def test_bn_trained_cnn_converts_and_evaluates(self):
-        """Full path: train a batch-norm CNN, fold, convert, evaluate under noise."""
-        data = synthetic_cifar10(train_size=160, test_size=48, rng=1, image_size=12)
-        model = build_vgg("vgg_micro", data.image_shape, data.num_classes,
-                          batch_norm=True, dropout=0.1, rng=0)
-        train_classifier(model, data.train, data.test, epochs=2, batch_size=32,
-                         learning_rate=0.05, rng=1)
-        snn = NoiseRobustSNN.from_dnn(
-            model, data.train.x[:32], coding="ttas", target_duration=3,
-            num_steps=12, weight_scaling=True,
-        )
-        clean = snn.evaluate(data.test.x[:24], data.test.y[:24], rng=0)
-        noisy = snn.evaluate(data.test.x[:24], data.test.y[:24], deletion=0.5, rng=0)
-        assert 0.0 <= noisy.accuracy <= clean.accuracy + 0.25
-        assert clean.total_spikes > 0
-
-    def test_analog_accuracy_matches_original_bn_model(self):
-        data = synthetic_cifar10(train_size=120, test_size=40, rng=2, image_size=12)
-        model = build_vgg("vgg_micro", data.image_shape, data.num_classes,
-                          batch_norm=True, dropout=0.0, rng=0)
-        train_classifier(model, data.train, epochs=1, batch_size=32,
-                         learning_rate=0.05, rng=1)
-        snn = NoiseRobustSNN.from_dnn(model, data.train.x[:24], coding="rate",
-                                      num_steps=16)
-        x = data.test.x[:16]
-        original = model.forward(x).argmax(axis=1)
-        folded = snn.network.forward_analog(x).argmax(axis=1)
-        assert np.array_equal(original, folded)
 
 
 class TestCliFigureCommand:

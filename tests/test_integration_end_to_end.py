@@ -13,7 +13,6 @@ the *shape* of the paper's findings rather than absolute numbers:
 6. temporal codes use far fewer spikes than rate coding.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import NoiseRobustSNN
@@ -44,7 +43,7 @@ class TestCleanConversion:
         x, y = eval_slice
         pipeline = mlp_pipelines(coding)
         result = pipeline.evaluate(x, y, rng=0)
-        analog = pipeline.analog_accuracy(x, y)
+        analog = pipeline.network.analog_accuracy(x, y)
         assert result.accuracy >= analog - 0.15
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, Dropout, Flatten, Identity, ReLU
+from repro.nn.layers import Dense, Dropout, Flatten, ReLU
 from tests.conftest import numeric_gradient
 
 
@@ -71,9 +71,6 @@ class TestDense:
         layer = Dense(3, 2, use_bias=False, rng=0)
         assert "bias" not in layer.params
 
-    def test_num_parameters(self):
-        assert Dense(4, 3, rng=0).num_parameters() == 4 * 3 + 3
-
 
 class TestReLU:
     def test_clips_negative(self):
@@ -106,19 +103,6 @@ class TestFlatten:
     def test_backward_requires_forward(self):
         with pytest.raises(RuntimeError, match="before forward"):
             Flatten().backward(np.zeros((2, 12), dtype=np.float32))
-
-    def test_call_is_forward(self):
-        x = np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2)
-        assert np.array_equal(Flatten()(x), Flatten().forward(x))
-
-
-class TestIdentity:
-    def test_passthrough(self):
-        x = np.ones((2, 3))
-        layer = Identity()
-        assert layer.forward(x) is x
-        assert layer.backward(x) is x
-        assert not layer.has_params
 
 
 class TestDropout:

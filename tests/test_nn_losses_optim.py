@@ -70,13 +70,6 @@ class TestSoftmaxAndLosses:
         with pytest.raises(ValueError, match="2-D"):
             CrossEntropyLoss().forward(np.zeros(4), np.array([0]))
 
-    def test_call_is_forward(self):
-        logits = np.random.default_rng(0).normal(size=(5, 3))
-        labels = np.array([0, 1, 2, 1, 0])
-        assert CrossEntropyLoss()(logits, labels) == CrossEntropyLoss().forward(
-            logits, labels
-        )
-
 
 class QuadraticProblem:
     """Minimise ||W x - y||^2 for a fixed batch -- used to test optimisers."""

@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 import threading
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.serving import (
     serve_batch,
     serve_single,
 )
+from tests.conftest import stored_fingerprints
 
 
 @pytest.fixture()
@@ -106,6 +108,12 @@ class TestServableModel:
         coder_c = servable.coder("rate", 32)
         assert coder_a is coder_b
         assert coder_c is not coder_a
+
+    def test_coder_with_an_unhashable_kwarg_is_built_fresh(self, servable):
+        first = servable.coder("ttas", 8, target_duration=np.array(3))
+        second = servable.coder("ttas", 8, target_duration=np.array(3))
+        assert first is not second
+        assert first.target_duration == second.target_duration == 3
 
 
 class TestRequestSpec:
@@ -218,7 +226,7 @@ def fake_registry(monkeypatch, converted_mlp):
 class TestRegistry:
     def test_register_then_get_hits(self, fake_registry):
         key = fake_registry.register("mnist", seed=0)
-        assert key in fake_registry
+        assert key in fake_registry._resident
         model = fake_registry.get(key)
         assert model.key == key
         assert fake_registry.stats.loads == 1
@@ -237,16 +245,9 @@ class TestRegistry:
     def test_stats_as_dict(self, fake_registry):
         key = fake_registry.register("mnist", seed=0)
         fake_registry.get(key)
-        assert fake_registry.stats.as_dict() == {
+        assert dataclasses.asdict(fake_registry.stats) == {
             "hits": 1, "misses": 0, "loads": 1, "evictions": 0,
         }
-
-    def test_resident_bytes_sums_resident_models(self, fake_registry):
-        assert fake_registry.resident_bytes() == 0
-        keys = [fake_registry.register("mnist", seed=seed) for seed in (0, 1)]
-        assert fake_registry.resident_bytes() == sum(
-            fake_registry.get(key).resident_bytes() for key in keys
-        )
 
     def test_failed_load_is_raised_and_not_cached(self, monkeypatch, converted_mlp):
         loads = []
@@ -262,10 +263,88 @@ class TestRegistry:
         registry = ModelRegistry(store=False)
         with pytest.raises(RuntimeError, match="disk full"):
             registry.register("mnist", seed=0)
-        assert len(registry) == 0 and registry.stats.loads == 0
+        assert len(registry._resident) == 0 and registry.stats.loads == 0
         key = registry.register("mnist", seed=0)
-        assert registry.resident_keys() == [key]
+        assert list(registry._resident) == [key]
         assert registry.stats.loads == 1
+
+    def test_waiting_registration_gets_the_owners_load_error(
+        self, monkeypatch, converted_mlp
+    ):
+        # The second registration of a workload waits on the first one's
+        # load; when that load fails, the waiter raises the same error
+        # instead of hanging or loading a second time.
+        from repro.serving import registry as registry_module
+
+        started, waiting = threading.Event(), threading.Event()
+        calls = []
+
+        def failing(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+            calls.append(seed)
+            started.set()
+            assert waiting.wait(timeout=30)
+            raise RuntimeError("disk full")
+
+        original_wait = registry_module._InFlightLoad.wait
+
+        def signalling_wait(inflight):
+            waiting.set()
+            return original_wait(inflight)
+
+        monkeypatch.setattr("repro.serving.registry.prepare_workload", failing)
+        monkeypatch.setattr(registry_module._InFlightLoad, "wait", signalling_wait)
+        registry = ModelRegistry(store=False)
+        errors = []
+
+        def register():
+            try:
+                registry.register("mnist", seed=0)
+            except RuntimeError as error:
+                errors.append(error)
+
+        owner = threading.Thread(target=register)
+        owner.start()
+        assert started.wait(timeout=30)
+        waiter = threading.Thread(target=register)
+        waiter.start()
+        owner.join(timeout=30)
+        waiter.join(timeout=30)
+        assert [str(error) for error in errors] == ["disk full", "disk full"]
+        assert calls == [0]
+        assert len(registry._resident) == 0 and not registry._inflight
+
+    def test_racing_reloads_under_two_tokens_keep_one_artifact(self, fake_registry):
+        # An evicted model reloads through its fingerprint (get) and through
+        # its source (register) at once: the second load to land serves the
+        # first one's artifact, so both callers hold the same object.
+        fake_registry.max_bytes = 1
+        key = fake_registry.register("mnist", seed=0)
+        fake_registry.register("mnist", seed=1)
+        assert key not in fake_registry._resident
+        from repro.serving import registry as registry_module
+
+        both_loading = threading.Barrier(2)
+        original_load = registry_module.ModelSource.load
+
+        def gated_load(source, store):
+            both_loading.wait(timeout=30)
+            return original_load(source, store)
+
+        results = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(registry_module.ModelSource, "load", gated_load)
+            threads = [
+                threading.Thread(target=lambda: results.update(get=fake_registry.get(key))),
+                threading.Thread(target=lambda: results.update(
+                    register=fake_registry.register("mnist", seed=0))),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert results["register"] == key
+        assert results["get"] is fake_registry._resident[key]
+        assert fake_registry.stats.loads == 3  # seeds 0 and 1, then one reload
 
     def test_concurrent_registration_loads_once_per_model(self, fake_registry):
         seeds = [0, 1, 2]
@@ -303,13 +382,13 @@ class TestRegistry:
     def test_lru_eviction_spares_most_recent(self, fake_registry):
         fake_registry.max_bytes = 1  # smaller than any model: keep 1 resident
         keys = [fake_registry.register("mnist", seed=seed) for seed in range(3)]
-        assert len(fake_registry) == 1
-        assert fake_registry.resident_keys() == [keys[-1]]
+        assert len(fake_registry._resident) == 1
+        assert list(fake_registry._resident) == [keys[-1]]
         assert fake_registry.stats.evictions == 2
         # Evicted keys stay servable through their recorded source.
         model = fake_registry.get(keys[0])
         assert model.key == keys[0]
-        assert fake_registry.resident_keys() == [keys[0]]
+        assert list(fake_registry._resident) == [keys[0]]
 
     def test_lru_racing_lookups(self, fake_registry):
         fake_registry.max_bytes = 1
@@ -338,7 +417,7 @@ class TestRegistry:
         assert not errors
         # Thrashing a 1-model budget across 3 keys evicts, but never
         # corrupts: at most one model remains resident.
-        assert len(fake_registry) == 1
+        assert len(fake_registry._resident) == 1
 
 
 class TestRegistryLoadThrough:
@@ -441,10 +520,10 @@ class TestScheduler:
 
     def test_fresh_stats_report_no_batches(self, fake_registry):
         with MicroBatchScheduler(fake_registry) as scheduler:
-            assert scheduler.stats.as_dict() == {
+            assert dataclasses.asdict(scheduler.stats) == {
                 "requests": 0, "batches": 0, "batched_samples": 0,
-                "mean_batch_size": 0.0,
             }
+            assert scheduler.stats.mean_batch_size == 0.0
 
     def test_submit_builds_the_spec_from_keywords(self, fake_registry, samples):
         key = fake_registry.register("mnist", seed=0)
@@ -542,10 +621,10 @@ class TestIdleDispatch:
             )
         assert [rows for _, rows in gate.batches] == [1, 8, 3]
         assert [f.result().batch_size for f in futures] == [1] + [8] * 8 + [3] * 3
-        assert scheduler.stats.as_dict() == {
+        assert dataclasses.asdict(scheduler.stats) == {
             "requests": 12, "batches": 3, "batched_samples": 12,
-            "mean_batch_size": 4.0,
         }
+        assert scheduler.stats.mean_batch_size == 4.0
 
     def test_oldest_queue_is_served_first(self, fake_registry, samples, gate):
         key = fake_registry.register("mnist", seed=0)
@@ -700,6 +779,19 @@ class TestPullLoopFailures:
         assert queued[1].cancelled()
         assert [rows for _, rows in gate.batches] == [1, 2]
 
+    def test_fully_cancelled_batch_is_skipped(self, fake_registry, samples, gate):
+        key = fake_registry.register("mnist", seed=0)
+        with MicroBatchScheduler(fake_registry, max_workers=1) as scheduler:
+            held = gate.hold(scheduler, key, samples[0])
+            queued = [scheduler.submit(key, x, spec=TRANSPORT) for x in samples[1:4]]
+            assert all(future.cancel() for future in queued)
+            gate.release.set()
+            _assert_served_solo(fake_registry, key, [(samples[0], TRANSPORT)], [held])
+            # The worker skipped the cancelled batch and still serves.
+            later = scheduler.submit(key, samples[4], spec=TRANSPORT)
+            _assert_served_solo(fake_registry, key, [(samples[4], TRANSPORT)], [later])
+        assert [rows for _, rows in gate.batches] == [1, 1]
+
     def test_malformed_sample_fails_alone(self, fake_registry, samples, gate):
         # Queues key on sample shape: the 28x5 slice never shares a batch
         # (and its stack) with the well-formed image queued next to it.
@@ -768,12 +860,6 @@ class TestLatencySummary:
     def test_empty_pool_raises(self):
         with pytest.raises(ValueError):
             latency_summary([])
-
-    def test_as_dict_round_trip(self):
-        summary = latency_summary([1.0, 2.0, 3.0])
-        payload = summary.as_dict()
-        assert payload["count"] == 3
-        assert set(payload) >= {"count", "mean", "p50", "p90", "p99", "max"}
 
 
 @pytest.fixture()
@@ -872,7 +958,7 @@ class TestShardDocuments:
         store = ResultStore(str(tmp_path / "store"))
         store.put_shard(self.CELL, self.SHARD, _result(0.75))
         assert store.get_shard(self.CELL, self.SHARD) == _result(0.75)
-        assert store.stats.as_dict() == {"hits": 1, "misses": 0, "writes": 1}
+        assert dataclasses.asdict(store.stats) == {"hits": 1, "misses": 0, "writes": 1}
 
     def test_unreadable_document_degrades_to_miss(self, tmp_path, store_warnings):
         store = ResultStore(str(tmp_path / "store"))
@@ -896,8 +982,134 @@ class TestShardDocuments:
             handle.write("not a prefix directory")
         with open(os.path.join(cells, "ab", "notes.txt"), "w", encoding="utf-8") as handle:
             handle.write("not a cell document")
-        assert list(store.fingerprints()) == [self.CELL]
-        assert len(store) == 1
+        assert stored_fingerprints(store) == [self.CELL]
+        assert len(stored_fingerprints(store)) == 1
+
+
+def _failing(monkeypatch, module, name, path):
+    """Make ``module.name(path, ...)`` raise ``PermissionError`` for ``path``."""
+    original = getattr(module, name)
+
+    def wrapper(target, *args, **kwargs):
+        if os.fspath(target) == path:
+            raise PermissionError(13, "Permission denied", path)
+        return original(target, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestStoreFilesystemErrors:
+    """Inventory and collection degrade to warnings on filesystem errors:
+    the store is an accelerator, and gc is safe to run again."""
+
+    CELL = "ab" + "1" * 62
+    OTHER = "cd" + "2" * 62
+
+    def _sharded(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        for prefix in ("01", "02"):
+            store.put_shard(self.CELL, prefix + "0" * 62, _result(samples=2))
+        return store
+
+    def test_unlistable_shard_directory_deletes_nothing(
+        self, tmp_path, monkeypatch, store_warnings
+    ):
+        store = self._sharded(tmp_path)
+        directory = store.shard_dir_for(self.CELL)
+        _failing(monkeypatch, os, "listdir", directory)
+        assert store.delete_shards(self.CELL) == 0
+        monkeypatch.undo()
+        assert len(os.listdir(directory)) == 2
+        assert any(directory in record.getMessage() for record in store_warnings)
+
+    def test_unremovable_shard_document_is_kept_and_reported(
+        self, tmp_path, monkeypatch, store_warnings
+    ):
+        store = self._sharded(tmp_path)
+        stuck = store.shard_path_for(self.CELL, "01" + "0" * 62)
+        _failing(monkeypatch, os, "unlink", stuck)
+        assert store.delete_shards(self.CELL) == 1
+        monkeypatch.undo()
+        # The directory stays with the document it could not remove.
+        assert os.listdir(store.shard_dir_for(self.CELL)) == [os.path.basename(stuck)]
+        assert any(stuck in record.getMessage() for record in store_warnings)
+
+    def test_shard_inventory_skips_stray_files(self, tmp_path):
+        store = self._sharded(tmp_path)
+        shards = os.path.join(store.root, "shards")
+        with open(os.path.join(shards, "README"), "w", encoding="utf-8") as handle:
+            handle.write("not a prefix directory")
+        with open(os.path.join(shards, "ab", "notes.txt"), "w", encoding="utf-8") as handle:
+            handle.write("not a cell directory")
+        assert list(store.shard_cells()) == [self.CELL]
+        assert store.shard_stats()["shard_docs"] == 2
+
+    def test_shard_stats_skip_an_unlistable_cell(self, tmp_path, monkeypatch):
+        store = self._sharded(tmp_path)
+        store.put_shard(self.OTHER, "03" + "0" * 62, _result(samples=2))
+        _failing(monkeypatch, os, "listdir", store.shard_dir_for(self.CELL))
+        assert store.shard_stats() == {
+            "shard_cells": 1, "shard_docs": 1, "orphaned_shard_docs": 0,
+        }
+
+    def test_workload_document_without_a_conversion_mapping_is_a_miss(
+        self, tmp_path, store_warnings
+    ):
+        store = ResultStore(str(tmp_path / "store"))
+        key = "ab" + "0" * 62
+        path = store.workload_path_for(key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"version": 1, "conversion": [1.0, 2.0]}, handle)
+        assert store.get_workload_conversion(key) is None
+        assert store.workload_stats()["orphaned_workload_docs"] == 1
+        assert any(path in record.getMessage() for record in store_warnings)
+
+    def test_workload_inventory_skips_stray_files(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        key = "ab" + "0" * 62
+        store.put_workload_conversion(key, {
+            "scales": [1.0], "percentile": 99.9,
+            "input_scale": 1.0, "dnn_accuracy": 0.5,
+        })
+        workloads = os.path.join(store.root, "workloads")
+        with open(os.path.join(workloads, "README"), "w", encoding="utf-8") as handle:
+            handle.write("not a prefix directory")
+        with open(os.path.join(workloads, "ab", "notes.txt"), "w", encoding="utf-8") as handle:
+            handle.write("not a conversion document")
+        assert list(store.workload_documents()) == [store.workload_path_for(key)]
+        assert store.workload_stats()["workload_docs"] == 1
+        assert store.gc_orphaned_workloads() == 0
+
+    def test_workload_stats_skip_an_unreadable_size(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path / "store"))
+        keys = ["ab" + "0" * 62, "cd" + "0" * 62]
+        for key in keys:
+            store.put_workload_conversion(key, {
+                "scales": [1.0], "percentile": 99.9,
+                "input_scale": 1.0, "dnn_accuracy": 0.5,
+            })
+        readable = os.path.getsize(store.workload_path_for(keys[1]))
+        _failing(monkeypatch, os.path, "getsize", store.workload_path_for(keys[0]))
+        stats = store.workload_stats()
+        assert stats["workload_docs"] == 1
+        assert stats["workload_bytes"] == readable
+
+    def test_unremovable_orphaned_workload_is_reported(
+        self, tmp_path, monkeypatch, store_warnings
+    ):
+        store = ResultStore(str(tmp_path / "store"))
+        path = store.workload_path_for("ab" + "0" * 62)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{truncated")
+        _failing(monkeypatch, os, "unlink", path)
+        assert store.gc_orphaned_workloads() == 0
+        assert os.path.exists(path)
+        assert any(
+            "cannot remove" in record.getMessage() and path in record.getMessage()
+            for record in store_warnings
+        )
 
 
 class TestStoreGcCommand:
@@ -917,6 +1129,21 @@ class TestStoreGcCommand:
             "0", "0 (0 orphaned)", "0 document(s)", "0 bytes",
             "0 (0 orphaned)", "0 document(s)", "0 bytes",
         ]
+
+    def test_reclaimed_bytes_count_only_shard_documents(self, tmp_path, capsys):
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(self.MERGED, _result())
+        shard = "01" + "0" * 62
+        store.put_shard(self.MERGED, shard, _result(samples=2))
+        shard_bytes = os.path.getsize(store.shard_path_for(self.MERGED, shard))
+        stray = os.path.join(store.shard_dir_for(self.MERGED), "notes.txt")
+        with open(stray, "w", encoding="utf-8") as handle:
+            handle.write("not a shard document" * 10)
+        report = self._gc(store.root, capsys)
+        # gc removes the whole orphaned directory, but reports only the
+        # shard documents' bytes.
+        assert report[3] == f"{shard_bytes:,} bytes"
+        assert not os.path.exists(store.shard_dir_for(self.MERGED))
 
     def test_collects_orphans_and_keeps_live_documents(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path / "store"))

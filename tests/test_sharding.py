@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.pipeline import EvaluationResult
 from repro.execution import (
+    CellFailure,
     EvaluationPlan,
     ResultStore,
     SerialExecutor,
@@ -41,6 +42,7 @@ from repro.execution.engine import network_hash_for
 from repro.execution.plan import evaluate_plan as real_evaluate_plan
 from repro.experiments import prepare_workload, run_sweep
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
+from tests.conftest import stored_fingerprints
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +277,7 @@ class TestShardStore:
         assert first.stats.sharded_cells == len(plans)
         assert first.stats.evaluated_shards == 3 * len(plans)
         # Every cell merged and persisted; no shard documents remain.
-        assert len(list(store.fingerprints())) == len(plans)
+        assert len(stored_fingerprints(store)) == len(plans)
         assert store.shard_stats() == {
             "shard_cells": 0, "shard_docs": 0, "orphaned_shard_docs": 0,
         }
@@ -289,6 +291,27 @@ class TestShardStore:
         assert counting.evaluated == 0
         assert second.stats.store_hits == len(plans)
         assert _same_results(first.results, second.results)
+
+    def test_unwritable_shard_store_degrades_to_warning(
+        self, tiny_workload, tmp_path, monkeypatch
+    ):
+        # A failed shard write costs only resume granularity: the cell still
+        # merges, is persisted and equals the unsharded result.
+        config = tiny_config(methods=(MethodSpec(coding="ttfs"),), levels=(0.5,))
+        ref, plans = _compile(config)
+        reference = evaluate_plans(plans, workloads={ref: tiny_workload})
+        monkeypatch.setattr(
+            ResultStore, "put_shard",
+            lambda self, *a, **k: (_ for _ in ()).throw(OSError("disk full")),
+        )
+        store = ResultStore(str(tmp_path))
+        sharded = evaluate_plans(
+            plans, store=store, workloads={ref: tiny_workload}, shards=3,
+        )
+        assert sharded.stats.evaluated_shards == 3
+        assert sharded.stats.store_writes == 1  # the merged cell only
+        assert len(stored_fingerprints(store)) == 1
+        assert _same_results(reference.results, sharded.results)
 
     def test_partial_shard_resume_reruns_no_completed_shard(
         self, tiny_workload, tmp_path
@@ -422,8 +445,9 @@ class TestShardFailures:
         )
         # One hole for the TTFS cell, the TTAS cell unharmed.
         assert evaluation.stats.failed_cells == 1
-        assert len(evaluation.failures) == 1
-        index, failure = evaluation.failures[0]
+        (index, failure), = [
+            (i, r) for i, r in enumerate(evaluation.results) if isinstance(r, CellFailure)
+        ]
         assert plans[index].method_label == "TTFS"
         assert "bad shard" in failure.message
         assert isinstance(evaluation.results[1 - index], EvaluationResult)

@@ -25,8 +25,7 @@ from repro.core import build_time_stepped_simulator
 from repro.experiments.config import BENCH_SCALE, TEST_SCALE
 from repro.experiments.workloads import prepare_workload
 from repro.serving.inference import RequestSpec, serve_batch
-from repro.snn.neurons import IFNeuron
-from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
+from repro.snn.simulator import LayerFaultMask, TimeSteppedSimulator
 from repro.snn.spikes import SpikeTrainArray
 
 BATCH = 4
@@ -132,35 +131,6 @@ class TestChunkBoundariesAreInvisible:
         expected = run_stepped(simulator, train, record_spikes=True)
         assert_bit_identical(expected, simulator.run(train, record_spikes=True))
 
-    def test_non_linear_transform(self, monkeypatch, budget, rng):
-        # Affine transforms declare no ``linear``: every row of every chunk,
-        # silent ones included, goes through them from step 0.
-        monkeypatch.setattr(TimeSteppedSimulator, "FUSED_CHUNK_BYTES", BUDGETS[budget])
-        num_steps, sizes = 24, (6, 5, 4, 3)
-        weights = [rng.normal(0.0, 0.6, size=pair) for pair in zip(sizes, sizes[1:])]
-        offsets = [rng.uniform(0.0, 0.05, size=size) for size in sizes[1:]]
-
-        def affine(index):
-            return lambda psc: psc @ weights[index] + offsets[index]
-
-        simulator = TimeSteppedSimulator(
-            [
-                SimulatorLayer(affine(0), IFNeuron(0.3, fire_start=3), "hidden0"),
-                SimulatorLayer(affine(1), IFNeuron(0.3), "hidden1",
-                               step_bias=rng.normal(0.0, 0.01, size=(1, 4))),
-                SimulatorLayer(affine(2), None, "readout"),
-            ],
-            num_steps,
-            input_kernel=np.full(num_steps, 1.0 / num_steps),
-            hidden_kernel=np.full(num_steps, 0.3),
-        )
-        values = rng.random((3, 6))
-        values[:, 0] = 0.0
-        train = RateCoder(num_steps=num_steps).encode(values)
-        expected = run_stepped(simulator, train, record_spikes=True)
-        assert expected.total_spikes() > 0
-        assert_bit_identical(expected, simulator.run(train, record_spikes=True))
-
 
 def test_long_window_peak_is_a_fraction_of_one_dense_drive():
     """Faithful Phase at T=512 on the test-scale cifar10 net, 8 images.
@@ -197,7 +167,6 @@ class _CountingTransform:
 
     def __init__(self, transform, calls):
         self.transform = transform
-        self.linear = getattr(transform, "linear", False)
         self.calls = calls
 
     def __call__(self, psc):

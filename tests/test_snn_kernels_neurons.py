@@ -7,7 +7,6 @@ from repro.snn.kernels import BurstKernel, ConstantKernel, ExponentialKernel, Ph
 from repro.snn.neurons import (
     IFNeuron,
     IntegrateFireOrBurstNeuron,
-    NeuronState,
     TTFSNeuron,
 )
 from repro.snn.thresholds import EMPIRICAL_THRESHOLDS, empirical_threshold
@@ -50,7 +49,7 @@ class TestKernels:
 
     def test_weight_at(self):
         kernel = ExponentialKernel(tau=3.0)
-        assert abs(kernel.weight_at(3, 10) - np.exp(-1.0)) < 1e-12
+        assert abs(kernel.weights(10)[3] - np.exp(-1.0)) < 1e-12
 
 
 class TestIFNeuron:
@@ -80,13 +79,6 @@ class TestIFNeuron:
             totals += neuron.step(state, np.array([0.1, 0.3]))
         assert abs(totals[0] - 10) <= 1
         assert abs(totals[1] - 30) <= 1
-
-    def test_multiple_spikes_mode(self):
-        neuron = IFNeuron(threshold=1.0, allow_multiple_spikes=True)
-        state = neuron.init_state((1,))
-        spikes = neuron.step(state, np.array([3.4]))
-        assert spikes[0] == 3
-        assert np.allclose(state.membrane, [0.4])
 
     def test_invalid_reset(self):
         with pytest.raises(ValueError):

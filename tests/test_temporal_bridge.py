@@ -272,6 +272,22 @@ class TestSimulationProtocols:
             ])
 
 
+    @pytest.mark.parametrize("num_steps,encode_steps,input_neuron,message", [
+        (0, 0, None, "must be positive"),
+        (8, 0, None, "must be positive"),
+        (8, 8, IFNeuron(1.0), "interface 0 is the input encoding"),
+    ])
+    def test_protocol_rejects_empty_windows_and_a_spiking_input(
+        self, num_steps, encode_steps, input_neuron, message
+    ):
+        from repro.coding import InterfaceProtocol, SimulationProtocol
+
+        with pytest.raises(ValueError, match=message):
+            SimulationProtocol(num_steps=num_steps, encode_steps=encode_steps, layers=[
+                InterfaceProtocol(kernel=np.zeros(8), neuron=input_neuron),
+            ])
+
+
 def old_style_rate_simulator(network, coder, batch_input_shape, threshold,
                              kernel_scale=1.0):
     """The pre-protocol rate-only bridge, reconstructed verbatim.

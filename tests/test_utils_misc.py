@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.utils.config import ConfigError, as_dict, validate_choice
+from repro.utils.config import ConfigError, validate_choice
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 from repro.utils.validation import (
@@ -49,23 +49,6 @@ class TestConfigHelpers:
     def test_validate_choice_rejects(self):
         with pytest.raises(ConfigError):
             validate_choice("mode", "c", ["a", "b"])
-
-    def test_as_dict_on_dataclass(self):
-        from repro.experiments.config import MethodSpec
-
-        d = as_dict(MethodSpec(coding="rate"))
-        assert d["coding"] == "rate"
-
-    def test_as_dict_on_mapping(self):
-        assert as_dict({"k": 1}) == {"k": 1}
-
-    def test_as_dict_on_plain_object(self):
-        class Settings:
-            def __init__(self):
-                self.steps = 8
-                self.coding = "ttfs"
-
-        assert as_dict(Settings()) == {"steps": 8, "coding": "ttfs"}
 
 
 class TestSerialization:
