@@ -187,10 +187,6 @@ EXEMPT: Dict[Tuple[str, str], str] = {
     ("src/repro/core/analysis.py", "ActivationDistribution.probabilities"): _BENCHMARKS,
     ("src/repro/core/analysis.py", "decoded_samples"): _BENCHMARKS,
     ("src/repro/core/analysis.py", "activation_distribution"): _BENCHMARKS,
-    ("src/repro/core/servable.py", "ServableModel.resident_bytes"):
-        "sizes models for the ModelRegistry(max_bytes=) LRU budget, which no entry point sets",
-    ("src/repro/core/servable.py", "ServableModel.resident_bytes.measure"):
-        "sizes models for the ModelRegistry(max_bytes=) LRU budget, which no entry point sets",
     ("src/repro/execution/attack.py", "AttackPlan.axis_label"): _CELL_LOG,
     ("src/repro/execution/attack.py", "find_attack_train"): _BENCHMARKS,
     ("src/repro/execution/engine.py", "CellEvaluationError.__init__"):
@@ -214,9 +210,10 @@ EXEMPT: Dict[Tuple[str, str], str] = {
     ("src/repro/noise/weights.py", "GaussianWeightNoise.perturb"): _BENCHMARKS,
     ("src/repro/noise/weights.py", "GaussianWeightNoise.reset"): _BENCHMARKS,
     ("src/repro/serving/registry.py", "_InFlightLoad.fail"):
-        "safety code: hands a failed model load to every request waiting on it",
+        "safety code: hands a failed model load to every registration waiting on it",
     ("src/repro/serving/registry.py", "_InFlightLoad.wait"):
-        "a request for a model that is still loading waits here; the entry points load first",
+        "a concurrent register of a workload that is still loading waits here; "
+        "the entry points register each workload once",
     ("src/repro/snn/neurons.py", "IFNeuron.step"): _ORACLE,
     ("src/repro/snn/neurons.py", "TTFSNeuron.step"): _ORACLE,
     ("src/repro/snn/simulator.py", "_SpikeRows.dense"):

@@ -42,8 +42,9 @@ faithful correspondence -- filter it out of a figure with ``--methods``; the
 ``adv-*`` names drop it with a warning and transfer-evaluate the found
 attacks there).  ``--retries N`` retries a failing cell up to N times with
 backoff; a cell that still fails renders as an explicit ``--`` hole instead
-of aborting the sweep.  ``--shards`` below 1 and ``--retries`` below 0 are
-usage errors.
+of aborting the sweep.  An out-of-range number (``--shards`` or
+``--batch-size`` below 1, ``--retries`` or a budget below 0, a noise level
+outside its range) is a usage error, refused before anything runs.
 
 ``evaluate`` runs a single noise condition through the end-to-end pipeline,
 including the fault models (``--dead/--stuck/--burst-error``) and the
@@ -55,6 +56,7 @@ workload conversion documents, and reports the bytes reclaimed per section.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -338,17 +340,44 @@ def _run_store(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _check_ranges(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse out-of-range numeric flags as usage errors, before any work."""
     if getattr(args, "eval_size", None) is not None and args.eval_size < 1:
         parser.error(f"--eval-size must be >= 1, got {args.eval_size}")
+    if getattr(args, "batch_size", None) is not None and args.batch_size < 1:
+        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.command in _CATALOGUES:
         if args.shards is not None and args.shards < 1:
             parser.error(f"--shards must be >= 1, got {args.shards}")
         if args.retries < 0:
             parser.error(f"--retries must be >= 0, got {args.retries}")
+        for budget in args.budgets or ():
+            if budget < 0:
+                parser.error(f"--budgets must be >= 0, got {budget}")
+    if args.command != "evaluate":
+        return
+    for flag in ("deletion", "dead", "stuck", "burst_error"):
+        value = getattr(args, flag)
+        if not 0.0 <= value <= 1.0:
+            parser.error(f"--{flag.replace('_', '-')} must lie in [0, 1], got {value}")
+    if not 0.0 <= args.jitter < math.inf:
+        parser.error(f"--jitter must be a finite number >= 0, got {args.jitter}")
+    if args.quant_bits is not None and args.quant_bits < 1:
+        parser.error(f"--quant-bits must be >= 1, got {args.quant_bits}")
+    if args.coding == "ttas":
+        window = _scale_from_name(args.scale).time_steps_for("ttas")
+        if not 1 <= args.duration <= window:
+            parser.error(
+                f"--duration must lie in [1, {window}] (the ttas window), "
+                f"got {args.duration}"
+            )
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_ranges(parser, args)
     try:
         if args.command in _CATALOGUES:
             output = _run_sweep(args, _family_options(parser, args))

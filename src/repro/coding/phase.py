@@ -126,7 +126,6 @@ class PhaseCoder(PeriodicCoder):
                     ),
                     neuron=IFNeuron(
                         threshold=theta,
-                        reset="subtract",
                         threshold_schedule=schedule,
                         fire_start=start,
                         fire_stop=stop,

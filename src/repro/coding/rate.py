@@ -109,7 +109,7 @@ class RateCoder(NeuralCoder):
             layers.append(
                 InterfaceProtocol(
                     kernel=hidden_kernel,
-                    neuron=IFNeuron(threshold=theta, reset="subtract"),
+                    neuron=IFNeuron(threshold=theta),
                     window=window,
                     bias_steps=steps,
                 )

@@ -17,6 +17,10 @@ from repro.nn.layers import ReLU
 from repro.nn.model import Sequential
 from repro.utils.validation import check_positive, check_probability
 
+#: Lower bound on every activation scale, so dead units cannot yield zero.
+MINIMUM_SCALE = 1e-3
+
+
 @dataclass
 class ActivationStatistics:
     """Per-spiking-point activation statistics collected on calibration data.
@@ -51,7 +55,6 @@ def collect_activation_statistics(
     calibration_inputs: np.ndarray,
     percentile: float = 99.9,
     batch_size: int = 64,
-    minimum_scale: float = 1e-3,
 ) -> ActivationStatistics:
     """Collect post-ReLU activation statistics on calibration data.
 
@@ -65,12 +68,12 @@ def collect_activation_statistics(
         Robust-maximum percentile used as the activation scale.
     batch_size:
         Calibration is run in batches of this size to bound memory.
-    minimum_scale:
-        Lower bound on every scale so dead units cannot yield zero.
+
+    Every scale is at least :data:`MINIMUM_SCALE`, so dead units cannot
+    yield zero.
     """
     check_probability("percentile/100", percentile / 100.0)
     check_positive("batch_size", batch_size)
-    check_positive("minimum_scale", minimum_scale)
     calibration_inputs = np.asarray(calibration_inputs, dtype=np.float32)
     if calibration_inputs.ndim < 2:
         raise ValueError("calibration inputs must be a batch of samples")
@@ -90,7 +93,7 @@ def collect_activation_statistics(
     maxima: List[float] = []
     for index in relu_indices:
         values = np.concatenate(collected[index]) if collected[index] else np.zeros(1)
-        scales.append(max(float(np.percentile(values, percentile)), minimum_scale))
+        scales.append(max(float(np.percentile(values, percentile)), MINIMUM_SCALE))
         means.append(float(values.mean()))
         maxima.append(float(values.max()))
     return ActivationStatistics(

@@ -151,7 +151,6 @@ class NoiseRobustSNN:
         coding: str = "ttas",
         num_steps: int = 64,
         weight_scaling: bool = True,
-        scaling_mode: str = "inverse",
         coder_kwargs: Optional[Dict] = None,
         simulator: str = "transport",
     ):
@@ -167,7 +166,6 @@ class NoiseRobustSNN:
         self.num_steps = int(num_steps)
         self.coder_kwargs = dict(coder_kwargs or {})
         self.weight_scaling_enabled = bool(weight_scaling)
-        self.scaling_mode = scaling_mode
         #: Evaluation simulator: fast activation transport (default) or the
         #: faithful time-stepped membrane simulation.
         self.simulator = simulator
@@ -187,7 +185,6 @@ class NoiseRobustSNN:
         num_steps: int = 64,
         target_duration: Optional[int] = None,
         weight_scaling: bool = True,
-        scaling_mode: str = "inverse",
         percentile: float = 99.9,
         simulator: str = "transport",
         **coder_kwargs,
@@ -208,9 +205,7 @@ class NoiseRobustSNN:
         target_duration:
             Burst duration ``t_a`` (TTAS only).
         weight_scaling:
-            Enable the weight-scaling compensation.
-        scaling_mode:
-            ``"inverse"`` or ``"proportional"`` (see
+            Enable the weight-scaling compensation (the inverse rule of
             :class:`repro.core.weight_scaling.WeightScaling`).
         percentile:
             Activation-scale percentile for conversion.
@@ -231,7 +226,6 @@ class NoiseRobustSNN:
             coding=coding,
             num_steps=num_steps,
             weight_scaling=weight_scaling,
-            scaling_mode=scaling_mode,
             coder_kwargs=coder_kwargs,
             simulator=simulator,
         )
@@ -249,7 +243,6 @@ class NoiseRobustSNN:
             coding=plan.method.coding,
             num_steps=plan.num_steps,
             weight_scaling=plan.method.weight_scaling,
-            scaling_mode=plan.scaling_mode,
             coder_kwargs=plan.method.coder_kwargs(),
             simulator=plan.simulator,
         )
@@ -271,7 +264,7 @@ class NoiseRobustSNN:
         """Instantiate the configured weight-scaling policy."""
         if not self.weight_scaling_enabled:
             return WeightScaling.disabled()
-        return WeightScaling(mode=self.scaling_mode)
+        return WeightScaling()
 
     # -- evaluation ----------------------------------------------------------------
     def evaluate(
@@ -280,7 +273,6 @@ class NoiseRobustSNN:
         labels: Optional[np.ndarray] = None,
         deletion: float = 0.0,
         jitter: float = 0.0,
-        expected_deletion: Optional[float] = None,
         batch_size: int = 16,
         rng: RngLike = None,
         dead: float = 0.0,
@@ -298,11 +290,9 @@ class NoiseRobustSNN:
         deletion:
             Spike-deletion probability ``p``.
         jitter:
-            Spike-jitter standard deviation ``sigma`` (time steps).
-        expected_deletion:
-            Deletion probability assumed by weight scaling; defaults to the
-            actual ``deletion`` (the paper scales for the noise level it
-            evaluates).
+            Spike-jitter standard deviation ``sigma`` (time steps).  Weight
+            scaling assumes the actual ``deletion`` (the paper scales for
+            the noise level it evaluates).
         batch_size:
             Evaluation batch size (both simulators).
         rng:
@@ -345,9 +335,8 @@ class NoiseRobustSNN:
             dead_fraction=dead, stuck_fraction=stuck,
         )
         scaling = self.make_weight_scaling()
-        assumed = deletion if expected_deletion is None else expected_deletion
         evaluator = make_evaluator(
-            self.simulator, network, self.make_coder(), noise, scaling, assumed,
+            self.simulator, network, self.make_coder(), noise, scaling, deletion,
             dead=dead, stuck=stuck,
         )
         result = evaluator.evaluate(
@@ -360,7 +349,7 @@ class NoiseRobustSNN:
             coding=self.coding,
             deletion=float(deletion),
             jitter=float(jitter),
-            weight_scaling_factor=scaling.factor(assumed),
+            weight_scaling_factor=scaling.factor(deletion),
             num_samples=result.num_samples,
         )
 

@@ -28,8 +28,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-import numpy as np
-
 from repro.coding.base import NeuralCoder
 from repro.coding.registry import create_coder
 from repro.conversion.converter import ConvertedSNN
@@ -57,7 +55,8 @@ class ServableModel:
         addressed by in the registry and the result store; ``None`` for
         hand-built networks that never touch either.
     dataset / scale_name / seed:
-        Workload identity, when known (registry reload needs it).
+        Workload identity, when known (recorded in
+        :meth:`conversion_payload`).
     dnn_accuracy:
         Analog reference accuracy of the source DNN (upper bound of every
         SNN evaluation); ``None`` when never measured.
@@ -146,24 +145,6 @@ class ServableModel:
             cache_key,
             lambda: create_coder(coding, num_steps=int(num_steps), **coder_kwargs),
         )
-
-    # -- inventory -----------------------------------------------------------------
-    def resident_bytes(self) -> int:
-        """Approximate resident size: every parameter tensor of the network.
-
-        The LRU budget of the model registry is expressed in these bytes.
-        Memoised -- the walk touches every layer -- and stable, since the
-        network is frozen by contract.
-        """
-        def measure() -> int:
-            total = 0
-            for segment in self.network.segments:
-                for layer in segment.layers:
-                    for array in getattr(layer, "params", {}).values():
-                        total += int(np.asarray(array).nbytes)
-            return total
-
-        return self.cached(("resident_bytes",), measure)
 
     # -- store round-trip ----------------------------------------------------------
     def conversion_payload(self) -> Dict[str, Any]:

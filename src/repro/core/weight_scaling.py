@@ -11,9 +11,8 @@ Two factor rules are provided:
 
 * ``"inverse"`` (default): ``C = 1 / (1 - p)``, the exact inverse of the
   expected loss,
-* ``"proportional"``: ``C = 1 + alpha * p``, the simpler rule the paper
-  describes as "proportional to the deletion probability" (alpha = 1 by
-  default).
+* ``"proportional"``: ``C = 1 + p``, the simpler rule the paper describes
+  as "proportional to the deletion probability" (unit slope).
 
 Because spikes carry the activations but biases are injected as constant
 currents, the scaling applies to spike-borne PSC only -- which is how the
@@ -40,20 +39,16 @@ class WeightScaling:
     ----------
     mode:
         One of ``"inverse"``, ``"proportional"``, ``"none"``.
-    alpha:
-        Slope of the proportional rule (ignored by the other modes).
     max_factor:
         Upper bound on the scale factor; ``1/(1-p)`` diverges as p -> 1 and
         real hardware cannot scale weights arbitrarily.
     """
 
     mode: str = "inverse"
-    alpha: float = 1.0
     max_factor: float = 10.0
 
     def __post_init__(self) -> None:
         validate_choice("mode", self.mode, FACTOR_MODES)
-        check_non_negative("alpha", self.alpha)
         check_non_negative("max_factor", self.max_factor)
 
     @classmethod
@@ -71,5 +66,5 @@ class WeightScaling:
                 return self.max_factor
             factor = 1.0 / (1.0 - p)
         else:  # proportional
-            factor = 1.0 + self.alpha * p
+            factor = 1.0 + p
         return float(min(factor, self.max_factor))

@@ -90,17 +90,16 @@ class AttackPlan(CellPlan):
         Encoding window length ``T`` (resolved from the scale and coding).
     search:
         Attack driver ("greedy" / "beam" / "random").
-    shift_delta / beam_width / max_candidates:
-        Search-space knobs (see :mod:`repro.noise.adversarial`).
+    max_candidates:
+        Candidates scored per search step (see
+        :mod:`repro.noise.adversarial`, whose defaults set the shift
+        distance and the beam width).
     evaluator:
         Where accuracy is measured: ``"transport"`` (same evaluator that
         scored the search) or ``"timestep"`` (transfer evaluation on the
         faithful simulator).
     eval_size:
         Number of attacked samples (``None`` = the scale's default).
-    scaling_mode:
-        Weight-scaling mode; attacks carry no deletion expectation, so the
-        factor is always evaluated at ``expected_deletion=0``.
     sample_start / sample_stop:
         Sample-shard bounds over the cell's evaluation slice.  Unlike noise
         shards these need no batch alignment: every sample's search derives
@@ -117,12 +116,9 @@ class AttackPlan(CellPlan):
     seed: int
     num_steps: int
     search: str = "greedy"
-    shift_delta: int = 2
-    beam_width: int = 4
     max_candidates: int = 64
     evaluator: str = "transport"
     eval_size: Optional[int] = None
-    scaling_mode: str = "inverse"
     sample_start: Optional[int] = None
     sample_stop: Optional[int] = None
 
@@ -143,11 +139,10 @@ class AttackPlan(CellPlan):
         if int(self.budget) < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         object.__setattr__(self, "budget", int(self.budget))
-        for knob in ("shift_delta", "beam_width", "max_candidates"):
-            if int(getattr(self, knob)) < 1:
-                raise ValueError(
-                    f"{knob} must be >= 1, got {getattr(self, knob)}"
-                )
+        if int(self.max_candidates) < 1:
+            raise ValueError(
+                f"max_candidates must be >= 1, got {self.max_candidates}"
+            )
         super().__post_init__()
 
     # -- identity ------------------------------------------------------------------
@@ -217,6 +212,9 @@ class AttackPlan(CellPlan):
         payload["method"]["label"] = None
         payload["budget"] = int(self.budget)
         payload["cell_kind"] = "attack"
+        # Stored fingerprints hash run_attack_search's default shift and beam.
+        payload["shift_delta"] = 2
+        payload["beam_width"] = 4
         return payload
 
 
@@ -239,7 +237,7 @@ class _AttackContext:
         # Attacks carry no deletion expectation: the scaling factor
         # compensates at the clean operating point.
         scaling = (
-            WeightScaling(mode=plan.scaling_mode)
+            WeightScaling()
             if plan.method.weight_scaling else WeightScaling.disabled()
         )
         self.scorer = ActivationTransportSimulator(
@@ -296,8 +294,6 @@ class _AttackContext:
             self.plan.budget,
             self.margin_scorer(absolute, label),
             rng=derive_rng_at(self.search_root, "sample", absolute),
-            shift_delta=self.plan.shift_delta,
-            beam_width=self.plan.beam_width,
             max_candidates=self.plan.max_candidates,
         )
 
@@ -404,8 +400,6 @@ def build_attack_plans(
             seed=config.seed,
             num_steps=config.scale.time_steps_for(method.coding),
             search=config.search,
-            shift_delta=config.shift_delta,
-            beam_width=config.beam_width,
             max_candidates=config.max_candidates,
             evaluator=config.evaluator,
             eval_size=eval_size,

@@ -157,19 +157,15 @@ class _PoolExecutor(Executor):
         """Submit one call onto the warm pool and return its future.
 
         A pool broken by an earlier dispatch (killed worker) is discarded
-        and respawned before submitting, so a long-lived serving scheduler
-        keeps accepting work across worker crashes -- the same recovery
-        contract :meth:`map_unordered` gives sweeps.
+        and respawned, so a long-lived serving scheduler keeps accepting
+        work across worker crashes -- the same recovery contract
+        :meth:`map_unordered` gives sweeps.
         """
-        pool = self._warm_pool()
-        if getattr(pool, "_broken", False):
-            self.close()
-            pool = self._warm_pool()
         try:
-            return pool.submit(fn, *args, **kwargs)
+            return self._warm_pool().submit(fn, *args, **kwargs)
         except (BrokenExecutor, RuntimeError):
-            # Broke (or shut down under us) between the check and the
-            # submit: respawn once and retry; a second failure propagates.
+            # Both stdlib pools refuse work once broken (or shut down under
+            # us): respawn once and retry; a second failure propagates.
             self.close()
             return self._warm_pool().submit(fn, *args, **kwargs)
 

@@ -257,6 +257,8 @@ class CellPlan:
         payload["spike_backend"] = None
         payload["analog_backend"] = None
         payload["sim_backend"] = "fused" if self.simulator == "timestep" else None
+        # Stored fingerprints hash the weight-scaling rule, always inverse.
+        payload["scaling_mode"] = "inverse"
         payload["workload"] = {
             "dataset": self.workload.dataset,
             "scale": asdict(self.workload.scale),
@@ -323,8 +325,6 @@ class EvaluationPlan(CellPlan):
         the per-interface RNG streams advance per batch, so a different
         batch size yields a different (equally valid) noise realisation.
         It is also the shard unit.
-    scaling_mode:
-        Weight-scaling mode ("inverse" or "proportional").
     simulator:
         Evaluation simulator of the cell: ``"transport"`` (fast
         activation-transport, default) or ``"timestep"`` (faithful
@@ -355,15 +355,9 @@ class EvaluationPlan(CellPlan):
     num_steps: int
     eval_size: Optional[int] = None
     batch_size: int = 16
-    scaling_mode: str = "inverse"
     simulator: str = "transport"
     sample_start: Optional[int] = None
     sample_stop: Optional[int] = None
-    #: Finite-precision synapse ablation: quantise every weight tensor of
-    #: the evaluated network to this many bits (``None`` = full precision).
-    #: A ``None`` value is dropped from :meth:`describe`, so full-precision
-    #: plans keep their pre-existing fingerprints.
-    quant_bits: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.noise_kind not in NOISE_KINDS:
@@ -372,10 +366,6 @@ class EvaluationPlan(CellPlan):
             )
         if int(self.batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.quant_bits is not None and int(self.quant_bits) < 1:
-            raise ValueError(
-                f"quant_bits must be >= 1 or None, got {self.quant_bits}"
-            )
         super().__post_init__()
 
     @property
@@ -401,10 +391,6 @@ class EvaluationPlan(CellPlan):
 
     def describe(self) -> dict:
         payload = super().describe()
-        if payload["quant_bits"] is None:
-            # Full-precision plans keep the exact pre-quantization payload,
-            # so every result stored before the field existed stays valid.
-            del payload["quant_bits"]
         payload["level"] = float(self.level)
         return payload
 
@@ -556,6 +542,5 @@ def evaluate_plan(plan: EvaluationPlan, workload: PreparedWorkload) -> Evaluatio
         batch_size=plan.batch_size,
         rng=plan.noise_rng(),
         sample_offset=start,
-        quant_bits=plan.quant_bits,
         **noise_levels,
     )

@@ -392,9 +392,6 @@ TABLE3_FAULT_LEVELS: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.4)
 #: of single-spike moves the adversary may chain; 0 is the clean point).
 BENCH_ATTACK_BUDGETS: Tuple[int, ...] = (0, 1, 2, 4, 8)
 
-#: Default maximum time-step displacement of one ``shift`` move.
-DEFAULT_SHIFT_DELTA = 2
-
 #: Default number of one-move candidates scored per search step.
 DEFAULT_MAX_CANDIDATES = 64
 
@@ -421,18 +418,13 @@ class AttackSweepConfig:
         The coder configurations attacked (one per curve).
     attack_kind:
         Perturbation space: ``"delete"`` (remove spikes), ``"shift"`` (move
-        spikes by up to ``shift_delta`` steps) or ``"insert"`` (force extra
-        spikes).
+        spikes by up to 2 steps) or ``"insert"`` (force extra spikes).
     budgets:
         Perturbation budgets on the x-axis -- the maximum number of
         single-spike moves per sample (integers; 0 = clean).
     search:
         Attack driver: ``"greedy"`` / ``"beam"`` (scored searches) or
         ``"random"`` (the matched-budget unscored baseline).
-    shift_delta:
-        Maximum displacement of one shift move (``shift`` kind only).
-    beam_width:
-        Beam width (``beam`` search only).
     max_candidates:
         Candidates scored per search step (caps the per-sample cost).
     evaluator:
@@ -451,8 +443,6 @@ class AttackSweepConfig:
     scale: ExperimentScale = BENCH_SCALE
     seed: int = 0
     search: str = "greedy"
-    shift_delta: int = DEFAULT_SHIFT_DELTA
-    beam_width: int = 4
     max_candidates: int = DEFAULT_MAX_CANDIDATES
     evaluator: str = "transport"
 
@@ -470,8 +460,6 @@ class AttackSweepConfig:
                 raise ConfigError(
                     f"attack budgets are move counts (integers), got {budget!r}"
                 )
-        check_positive("shift_delta", self.shift_delta)
-        check_positive("beam_width", self.beam_width)
         check_positive("max_candidates", self.max_candidates)
         if self.evaluator == "timestep":
             # Transfer evaluation needs the faithful simulator, whose

@@ -97,16 +97,16 @@ class MethodCurve:
         """Accuracy at a specific noise level (float-tolerant lookup)."""
         return self.accuracies[level_index(self.levels, level)]
 
-    def average_accuracy(self, exclude_clean: bool = True) -> float:
-        """Mean accuracy over levels (the tables' "Avg." column excludes clean).
+    def average_accuracy(self) -> float:
+        """Mean accuracy over the noisy levels.
 
-        NaN entries -- holes left by cells that failed under fault-tolerant
+        The clean level is excluded unless it is the only one.  NaN
+        entries -- holes left by cells that failed under fault-tolerant
         execution -- are excluded from the mean; a curve with no finite
         entries averages to NaN.
         """
         pairs = list(zip(self.levels, self.accuracies))
-        if exclude_clean:
-            pairs = [(lvl, acc) for lvl, acc in pairs if lvl != 0.0] or pairs
+        pairs = [(lvl, acc) for lvl, acc in pairs if lvl != 0.0] or pairs
         finite = [acc for _, acc in pairs if not np.isnan(acc)]
         if not finite:
             return float("nan")
@@ -399,7 +399,7 @@ def run_sweep(
 #: batch size, attack sweeps the budgets and the attack search.
 _NOISE_OPTIONS: Tuple[str, ...] = ("batch_size",)
 _ATTACK_OPTIONS: Tuple[str, ...] = (
-    "budgets", "search", "shift_delta", "beam_width", "max_candidates",
+    "budgets", "search", "max_candidates",
 )
 
 

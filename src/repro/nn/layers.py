@@ -72,8 +72,6 @@ class Dense(Layer):
     ----------
     in_features / out_features:
         Input and output dimensionality.
-    use_bias:
-        Include an additive bias term (default True).
     rng:
         Seed or generator for weight initialisation.
     """
@@ -82,7 +80,6 @@ class Dense(Layer):
         self,
         in_features: int,
         out_features: int,
-        use_bias: bool = True,
         rng: RngLike = None,
         name: Optional[str] = None,
     ):
@@ -91,10 +88,8 @@ class Dense(Layer):
         check_positive("out_features", out_features)
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.use_bias = bool(use_bias)
         self.params["weight"] = he_normal((self.in_features, self.out_features), rng)
-        if self.use_bias:
-            self.params["bias"] = zeros_init((self.out_features,))
+        self.params["bias"] = zeros_init((self.out_features,))
         self.zero_grads()
         self._cache_x: Optional[np.ndarray] = None
 
@@ -105,18 +100,14 @@ class Dense(Layer):
                 f"got {x.shape}"
             )
         self._cache_x = x if training else None
-        out = x @ self.params["weight"]
-        if self.use_bias:
-            out = out + self.params["bias"]
-        return out
+        return x @ self.params["weight"] + self.params["bias"]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache_x is None:
             raise RuntimeError(f"{self.name}: backward called before forward(training=True)")
         x = self._cache_x
         self.grads["weight"] = x.T @ grad_output
-        if self.use_bias:
-            self.grads["bias"] = grad_output.sum(axis=0)
+        self.grads["bias"] = grad_output.sum(axis=0)
         return grad_output @ self.params["weight"].T
 
 
@@ -302,8 +293,6 @@ class Conv2D(Layer):
         Square kernel side length.
     stride, padding:
         Standard convolution hyper-parameters.
-    use_bias:
-        Include a per-output-channel bias.
     """
 
     def __init__(
@@ -313,7 +302,6 @@ class Conv2D(Layer):
         kernel_size: int = 3,
         stride: int = 1,
         padding: int = 1,
-        use_bias: bool = True,
         rng: RngLike = None,
         name: Optional[str] = None,
     ):
@@ -329,13 +317,11 @@ class Conv2D(Layer):
         self.kernel_size = int(kernel_size)
         self.stride = int(stride)
         self.padding = int(padding)
-        self.use_bias = bool(use_bias)
         weight_shape = (
             self.out_channels, self.in_channels, self.kernel_size, self.kernel_size
         )
         self.params["weight"] = he_normal(weight_shape, rng)
-        if self.use_bias:
-            self.params["bias"] = zeros_init((self.out_channels,))
+        self.params["bias"] = zeros_init((self.out_channels,))
         self.zero_grads()
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
@@ -361,8 +347,7 @@ class Conv2D(Layer):
             -1, self.out_channels
         )
         out = columns @ weight_matrix
-        if self.use_bias:
-            out += self.params["bias"]
+        out += self.params["bias"]
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         self._cache = (columns, x.shape) if training else None
         return out
@@ -372,8 +357,7 @@ class Conv2D(Layer):
             raise RuntimeError(f"{self.name}: backward called before forward(training=True)")
         columns, input_shape = self._cache
         grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        if self.use_bias:
-            self.grads["bias"] = grad_matrix.sum(axis=0)
+        self.grads["bias"] = grad_matrix.sum(axis=0)
         k = self.kernel_size
         # Columns (and therefore gradients) live in the fused channels-last
         # (ky, kx, c) layout.

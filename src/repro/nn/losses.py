@@ -21,20 +21,12 @@ class CrossEntropyLoss:
     gradient with respect to the logits (already averaged over the batch).
     """
 
-    def __init__(self, label_smoothing: float = 0.0):
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError(f"label_smoothing must lie in [0, 1), got {label_smoothing}")
-        self.label_smoothing = float(label_smoothing)
+    def __init__(self):
         self._cache: Tuple[np.ndarray, np.ndarray] = None  # type: ignore[assignment]
 
     def _target_distribution(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
         one_hot = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
         one_hot[np.arange(labels.shape[0]), labels] = 1.0
-        if self.label_smoothing > 0:
-            one_hot = (
-                one_hot * (1.0 - self.label_smoothing)
-                + self.label_smoothing / num_classes
-            )
         return one_hot
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:

@@ -47,23 +47,19 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional (Nesterov) momentum."""
+    """Stochastic gradient descent with optional (heavy-ball) momentum."""
 
     def __init__(
         self,
         learning_rate: float = 0.01,
         momentum: float = 0.0,
-        nesterov: bool = False,
         weight_decay: float = 0.0,
     ):
         super().__init__(learning_rate, weight_decay)
         check_non_negative("momentum", momentum)
         if momentum >= 1.0:
             raise ValueError(f"momentum must be < 1, got {momentum}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
         self._velocity: Dict[Tuple[int, str], np.ndarray] = {}
 
     def _update(
@@ -76,9 +72,6 @@ class SGD(Optimizer):
                 velocity = np.zeros_like(param)
             velocity = self.momentum * velocity - self.learning_rate * grad
             self._velocity[key] = velocity
-            if self.nesterov:
-                param += self.momentum * velocity - self.learning_rate * grad
-            else:
-                param += velocity
+            param += velocity
         else:
             param -= self.learning_rate * grad

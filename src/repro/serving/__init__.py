@@ -8,8 +8,7 @@ inference service in three layers:
   deterministic batch evaluation over a frozen
   :class:`~repro.core.servable.ServableModel`,
 * :mod:`repro.serving.registry` -- :class:`ModelRegistry`, the thread-safe
-  fingerprint -> artifact cache with result-store load-through and a
-  resident-bytes LRU,
+  fingerprint -> artifact map with result-store load-through,
 * :mod:`repro.serving.scheduler` -- :class:`MicroBatchScheduler`, which
   dispatches a single-sample submission at once when a worker of its warm
   thread tier is idle, and coalesces requests that arrive while every
@@ -37,7 +36,6 @@ from repro.serving.inference import (
 )
 from repro.serving.registry import (
     ModelRegistry,
-    ModelSource,
     RegistryStats,
 )
 from repro.serving.scheduler import (
@@ -52,7 +50,6 @@ __all__ = [
     "serve_batch",
     "serve_single",
     "ModelRegistry",
-    "ModelSource",
     "RegistryStats",
     "MicroBatchScheduler",
     "SchedulerStats",

@@ -80,8 +80,7 @@ class MicroBatchScheduler:
     ----------
     registry:
         The :class:`~repro.serving.registry.ModelRegistry` models are
-        resolved from at dispatch time (keeping a hot model's LRU slot
-        warm with every batch).
+        resolved from at dispatch time.
     max_batch:
         Samples per batch cap (default 8).
         ``max_batch=1`` disables coalescing -- the sequential-singles

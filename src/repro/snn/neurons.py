@@ -8,7 +8,7 @@ Three models are provided:
 
 * :class:`IFNeuron` -- the classic integrate-and-fire neuron used by
   rate/phase/burst conversion SNNs, with reset-by-subtraction (soft reset,
-  the variant shown to preserve conversion accuracy) or reset-to-zero.
+  the variant shown to preserve conversion accuracy).
 * :class:`TTFSNeuron` -- fires exactly once (time-to-first-spike coding) and
   then stays silent; supports the exponentially decaying dynamic threshold of
   T2FSNN.
@@ -118,16 +118,16 @@ class SpikingNeuron:
 
 
 class IFNeuron(SpikingNeuron):
-    """Integrate-and-fire neuron with configurable reset.
+    """Integrate-and-fire neuron with reset by subtraction.
+
+    A spike subtracts the threshold from the membrane, which keeps the
+    residual potential -- the conversion literature's choice because it
+    preserves conversion accuracy.
 
     Parameters
     ----------
     threshold:
         Firing threshold ``theta``.
-    reset:
-        ``"subtract"`` (reset by subtraction, default -- the conversion
-        literature's choice because it preserves the residual potential) or
-        ``"zero"`` (hard reset).
     threshold_schedule:
         Optional 1-D array of *absolute* per-step thresholds, applied
         periodically (``theta(t) = schedule[t mod len(schedule)]``).  This is
@@ -144,16 +144,12 @@ class IFNeuron(SpikingNeuron):
     def __init__(
         self,
         threshold: float = 1.0,
-        reset: str = "subtract",
         threshold_schedule: Optional[np.ndarray] = None,
         fire_start: int = 0,
         fire_stop: Optional[int] = None,
     ):
         check_positive("threshold", threshold)
-        if reset not in ("subtract", "zero"):
-            raise ValueError(f"reset must be 'subtract' or 'zero', got {reset!r}")
         self.threshold = float(threshold)
-        self.reset = reset
         if threshold_schedule is None:
             self.threshold_schedule = None
         else:
@@ -195,10 +191,7 @@ class IFNeuron(SpikingNeuron):
             spikes = np.zeros(state.membrane.shape, dtype=np.int16)
         else:
             spikes = (state.membrane >= theta).astype(np.int16)
-        if self.reset == "subtract":
-            state.membrane -= spikes * theta
-        else:
-            state.membrane = np.where(spikes > 0, 0.0, state.membrane)
+        state.membrane -= spikes * theta
         state.fired |= spikes > 0
         state.step_index += 1
         return spikes
@@ -208,7 +201,7 @@ class IFNeuron(SpikingNeuron):
 
         The time loop all three models share (see the module docstring):
         spikes are cast into a preallocated window tensor, the threshold
-        subtraction/zeroing is masked in place (``x - theta`` where a spike
+        subtraction is masked in place (``x - theta`` where a spike
         fired, exactly the value ``step``'s ``x - 1 * theta`` produces), and
         the ``fired`` flag -- an OR over the window -- is folded into one
         pass at the end.
@@ -225,7 +218,6 @@ class IFNeuron(SpikingNeuron):
         spikes = np.empty(drive.shape, dtype=np.int16)
         membrane = state.membrane
         start_step = state.step_index
-        subtract = self.reset == "subtract"
         crossed = np.empty(membrane.shape, dtype=bool)
         for t in range(num_steps):
             np.add(membrane, drive[t], out=membrane)
@@ -235,16 +227,13 @@ class IFNeuron(SpikingNeuron):
             threshold = self.threshold_at(start_step + t)
             np.greater_equal(membrane, threshold, out=crossed)
             spikes[t] = crossed
-            if subtract:
-                np.subtract(membrane, threshold, out=membrane, where=crossed)
-            else:
-                np.copyto(membrane, 0.0, where=crossed)
+            np.subtract(membrane, threshold, out=membrane, where=crossed)
         state.fired |= spikes.any(axis=0)
         state.step_index += num_steps
         return spikes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"IFNeuron(threshold={self.threshold}, reset={self.reset!r})"
+        return f"IFNeuron(threshold={self.threshold})"
 
 
 class TTFSNeuron(SpikingNeuron):

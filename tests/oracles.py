@@ -77,8 +77,7 @@ def conv2d(layer, x):
     k = layer.kernel_size
     columns, out_h, out_w = im2col(x, k, k, layer.stride, layer.padding)
     out = columns @ layer.params["weight"].reshape(layer.out_channels, -1).T
-    if layer.use_bias:
-        out = out + layer.params["bias"]
+    out = out + layer.params["bias"]
     return out.reshape(x.shape[0], out_h, out_w, -1).transpose(0, 3, 1, 2)
 
 

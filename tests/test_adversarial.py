@@ -401,10 +401,6 @@ class TestAttackPlanValidation:
             make_plan(budget=-1)
         with pytest.raises(ValueError, match="max_candidates"):
             make_plan(max_candidates=0)
-        with pytest.raises(ValueError, match="beam_width"):
-            make_plan(beam_width=0)
-        with pytest.raises(ValueError, match="shift_delta"):
-            make_plan(shift_delta=0)
 
     def test_shard_bounds_validated(self):
         with pytest.raises(ValueError, match="together"):
@@ -470,6 +466,18 @@ class TestAttackPlanFingerprints:
         assert payload["analog_backend"] is None and payload["sim_backend"] is None
         transfer = make_plan(evaluator="timestep").describe()
         assert transfer["sim_backend"] == "fused"
+
+    def test_retired_knobs_keep_their_stored_values(self):
+        # shift_delta, beam_width and scaling_mode were plan fields; the
+        # payload keeps the values every stored cell ran with, which are
+        # the search's own defaults.
+        import inspect
+
+        payload = make_plan(search="beam", attack_kind="shift").describe()
+        defaults = inspect.signature(run_attack_search).parameters
+        assert payload["shift_delta"] == defaults["shift_delta"].default == 2
+        assert payload["beam_width"] == defaults["beam_width"].default == 4
+        assert payload["scaling_mode"] == "inverse"
 
     def test_cosmetic_labels_share_one_stored_result(self):
         plain = make_plan()

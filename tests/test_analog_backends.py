@@ -76,37 +76,35 @@ class TestCol2ImValidation:
 
 class TestConv2DEquivalence:
     CONV_CASES = [
-        # (kernel, stride, padding, use_bias)
-        (3, 1, 1, True),
-        (3, 2, 1, True),
-        (2, 1, 0, False),
-        (2, 2, 0, True),
-        (3, 3, 2, True),
-        (1, 1, 0, True),
+        # (kernel, stride, padding)
+        (3, 1, 1),
+        (3, 2, 1),
+        (2, 1, 0),
+        (2, 2, 0),
+        (3, 3, 2),
+        (1, 1, 0),
     ]
 
     @staticmethod
-    def _float64_conv(kernel, stride, padding, use_bias):
+    def _float64_conv(kernel, stride, padding):
         layer = Conv2D(3, 5, kernel_size=kernel, stride=stride, padding=padding,
-                       use_bias=use_bias, rng=0)
+                       rng=0)
         for key in layer.params:
             layer.params[key] = layer.params[key].astype(np.float64)
         return layer
 
     @pytest.mark.parametrize("case", CONV_CASES)
     def test_forward_backward_float64(self, case, rng):
-        kernel, stride, padding, use_bias = case
-        layer = self._float64_conv(kernel, stride, padding, use_bias)
+        kernel, stride, padding = case
+        layer = self._float64_conv(kernel, stride, padding)
         x = rng.random((2, 3, 9, 9))
         out = layer.forward(x, training=True)
         grad = rng.random(out.shape)
         grad_in = layer.backward(grad)
         expected_grads = oracles.conv2d_backward(layer, x, grad)
         assert np.allclose(out, oracles.conv2d(layer, x), rtol=1e-10, atol=1e-12)
-        actual_grads = (grad_in, layer.grads["weight"], layer.grads.get("bias"))
+        actual_grads = (grad_in, layer.grads["weight"], layer.grads["bias"])
         for a, b in zip(actual_grads, expected_grads):
-            if a is None:  # no bias parameter, no bias gradient
-                continue
             assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_forward_float32_tolerance(self, rng):

@@ -265,10 +265,8 @@ class TestTransientFailures:
         curve = result.curve("TTFS")
         assert np.isnan(curve.accuracy_at(0.3))
         assert not np.isnan(curve.accuracy_at(0.0))
-        # The only noisy level is the hole, so the noisy average is NaN --
-        # but averaging over the finite levels still works.
+        # The only noisy level is the hole, so the noisy average is NaN.
         assert np.isnan(curve.average_accuracy())
-        assert not np.isnan(curve.average_accuracy(exclude_clean=False))
         rendered = format_figure_series(result)
         assert "--" in rendered
 

@@ -38,6 +38,18 @@ class TestActivationStatistics:
         stats = collect_activation_statistics(trained_mlp, mnist_split.train.x[:64])
         assert all(m >= s for m, s in zip(stats.maxima, stats.scales))
 
+    def test_dead_units_get_the_minimum_scale(self):
+        from repro.conversion.normalization import MINIMUM_SCALE
+
+        dense = Dense(4, 3, rng=0)
+        dense.params["bias"][:] = -1.0
+        dense.params["weight"][:] = 0.0
+        stats = collect_activation_statistics(
+            Sequential([dense, ReLU()]), np.ones((8, 4), dtype=np.float32)
+        )
+        assert stats.scales == [MINIMUM_SCALE]
+        assert stats.maxima == [0.0]
+
     def test_sample_size_recorded(self, trained_mlp, mnist_split):
         stats = collect_activation_statistics(trained_mlp, mnist_split.train.x[:48])
         assert stats.sample_size == 48

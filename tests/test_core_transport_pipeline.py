@@ -130,14 +130,6 @@ class TestNoiseRobustSNNPipeline:
         result = snn.evaluate(x, np.zeros(4, dtype=np.int64), deletion=0.5, rng=0)
         assert abs(result.weight_scaling_factor - 2.0) < 1e-12
 
-    def test_expected_deletion_override(self, converted_mlp):
-        snn = NoiseRobustSNN(converted_mlp, coding="rate", num_steps=16,
-                             weight_scaling=True)
-        x = np.zeros((2, 1, 28, 28), dtype=np.float32)
-        result = snn.evaluate(x, np.zeros(2, dtype=np.int64), deletion=0.5,
-                              expected_deletion=0.2, rng=0)
-        assert abs(result.weight_scaling_factor - 1.25) < 1e-12
-
     def test_ttas_pipeline_with_duration(self, trained_mlp, mnist_split):
         snn = NoiseRobustSNN.from_dnn(
             trained_mlp, mnist_split.train.x[:32], coding="ttas",

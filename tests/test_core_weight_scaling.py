@@ -13,13 +13,14 @@ class TestFactorRules:
         assert abs(scaling.factor(0.8) - 5.0) < 1e-12
 
     def test_proportional_rule(self):
-        scaling = WeightScaling(mode="proportional", alpha=1.0)
+        scaling = WeightScaling(mode="proportional")
         assert abs(scaling.factor(0.5) - 1.5) < 1e-12
         assert abs(scaling.factor(0.9) - 1.9) < 1e-12
 
-    def test_proportional_alpha(self):
-        scaling = WeightScaling(mode="proportional", alpha=2.0)
-        assert abs(scaling.factor(0.5) - 2.0) < 1e-12
+    def test_proportional_rule_is_capped(self):
+        scaling = WeightScaling(mode="proportional", max_factor=1.5)
+        assert scaling.factor(0.4) == pytest.approx(1.4)
+        assert scaling.factor(0.9) == 1.5
 
     def test_disabled_policy(self):
         scaling = WeightScaling.disabled()

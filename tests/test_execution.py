@@ -91,6 +91,14 @@ class TestPlans:
         expected = derive_rng(0, "noise", "TTFS", 0.5)
         assert plan.noise_rng().integers(0, 2**31) == expected.integers(0, 2**31)
 
+    def test_retired_knobs_keep_the_stored_payload(self):
+        # scaling_mode was a plan field (always "inverse") and quant_bits
+        # was dropped from the payload when unset; stored cells hash both
+        # that way.
+        payload = build_sweep_plans(tiny_config())[0].describe()
+        assert payload["scaling_mode"] == "inverse"
+        assert "quant_bits" not in payload
+
     def test_fingerprint_sensitivity(self, tiny_workload):
         network_hash = network_fingerprint(tiny_workload)
         base = build_sweep_plans(tiny_config())[0]
@@ -189,13 +197,6 @@ class TestPlans:
                 replace(plan, eval_size=size)
             with pytest.raises(ValueError, match="eval size must be >= 1"):
                 tiny_workload.evaluation_slice(size)
-
-    def test_plans_reject_non_positive_quant_bits(self):
-        plan = build_sweep_plans(tiny_config())[0]
-        assert replace(plan, quant_bits=1).quant_bits == 1
-        for bits in (0, -4):
-            with pytest.raises(ValueError, match="quant_bits must be >= 1"):
-                replace(plan, quant_bits=bits)
 
     def test_network_fingerprint_covers_conversion(self, tiny_workload):
         # The same trained model converted differently must not alias in
@@ -542,7 +543,6 @@ def test_run_settings_ignore_the_environment(tiny_workload, tmp_path, monkeypatc
     assert evaluation.stats.sharded_cells == 0
     registry = ModelRegistry()
     assert registry._store is None
-    assert registry.max_bytes is None
     with MicroBatchScheduler(registry, max_workers=1) as scheduler:
         assert scheduler.max_batch == 8
         assert scheduler.max_workers == 1
@@ -600,6 +600,39 @@ class TestExecutors:
             broken._broken = "a worker died"  # what a killed worker leaves
             assert executor.submit(_square, 4).result(timeout=30) == 16
             assert executor._pool is not broken
+
+    def test_map_unordered_salvages_results_finished_before_a_break(
+        self, monkeypatch
+    ):
+        # A break surfaces before a future that had already finished: that
+        # result is still handed back once, and only the broken item is
+        # resubmitted (until the respawn budget runs out).
+        from concurrent.futures import BrokenExecutor, wait
+
+        import repro.execution.executors as executors_module
+
+        def in_submission_order(futures):
+            futures = list(futures)
+            wait(futures)
+            yield from futures
+
+        calls = []
+
+        def breaking(value):
+            calls.append(value)
+            if value is None:
+                raise BrokenExecutor("a worker died")
+            return value * value
+
+        monkeypatch.setattr(executors_module, "as_completed", in_submission_order)
+        results = []
+        with ThreadExecutor(2) as executor:
+            with pytest.raises(BrokenExecutor, match="a worker died"):
+                for index, value in executor.map_unordered(breaking, [None, 3]):
+                    results.append((index, value))
+        assert results == [(1, 9)]
+        assert calls.count(3) == 1
+        assert calls.count(None) == 1 + executor.max_pool_respawns
 
     def test_submit_replaces_a_pool_shut_down_under_it(self):
         with ThreadExecutor(2) as executor:

@@ -238,7 +238,18 @@ class TestWorkloadAndRunner:
             spike_counts=[100, 90, 60], spikes_per_sample=[10, 9, 6],
         )
         assert curve.average_accuracy() == pytest.approx(0.6)
-        assert curve.average_accuracy(exclude_clean=False) == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("levels,accuracies,average", [
+        ([0.0], [0.9], 0.9),  # a clean-only curve averages its clean point
+        ([0.0, 0.2, 0.5], [0.9, float("nan"), 0.4], 0.4),  # holes are skipped
+    ])
+    def test_method_curve_average_edge_cases(self, levels, accuracies, average):
+        curve = MethodCurve(
+            method=MethodSpec(coding="rate"), levels=levels,
+            accuracies=accuracies, spike_counts=[0] * len(levels),
+            spikes_per_sample=[0.0] * len(levels),
+        )
+        assert curve.average_accuracy() == pytest.approx(average)
 
     def test_parallel_sweep_identical_to_serial(self, tiny_workload):
         config = SweepConfig(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, Dropout, Flatten, ReLU
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, ReLU
 from tests.conftest import numeric_gradient
 
 
@@ -67,9 +67,20 @@ class TestDense:
         layer.backward(grad_out)
         assert np.allclose(layer.grads["bias"], 6.0)
 
-    def test_no_bias_option(self):
-        layer = Dense(3, 2, use_bias=False, rng=0)
-        assert "bias" not in layer.params
+
+@pytest.mark.parametrize("make,x", [
+    (lambda: Dense(3, 2, rng=0), np.ones((4, 3), dtype=np.float32)),
+    (lambda: Conv2D(2, 3, rng=0), np.ones((4, 2, 5, 5), dtype=np.float32)),
+], ids=["dense", "conv2d"])
+def test_weight_layers_always_learn_a_bias(make, x):
+    layer = make()
+    assert set(layer.params) == {"weight", "bias"}
+    out = layer.forward(x, training=True)
+    layer.params["bias"] += 1.0
+    assert np.allclose(layer.forward(x, training=True) - out, 1.0)
+    layer.backward(np.ones_like(out))
+    assert layer.grads["bias"].shape == layer.params["bias"].shape
+    assert np.allclose(layer.grads["bias"], out.size / out.shape[1])
 
 
 class TestReLU:

@@ -45,13 +45,6 @@ class TestSoftmaxAndLosses:
         numeric = numeric_gradient(value, logits)
         assert np.allclose(grad, numeric, atol=1e-4)
 
-    def test_label_smoothing_increases_loss_on_confident_predictions(self):
-        logits = np.array([[15.0, 0.0, 0.0]])
-        labels = np.array([0])
-        plain = CrossEntropyLoss().forward(logits, labels)
-        smoothed = CrossEntropyLoss(label_smoothing=0.1).forward(logits, labels)
-        assert smoothed > plain
-
     def test_cross_entropy_shape_validation(self):
         loss = CrossEntropyLoss()
         with pytest.raises(ValueError):
@@ -60,11 +53,6 @@ class TestSoftmaxAndLosses:
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             CrossEntropyLoss().backward()
-
-    @pytest.mark.parametrize("smoothing", [-0.1, 1.0, 1.5])
-    def test_label_smoothing_range_validated(self, smoothing):
-        with pytest.raises(ValueError, match="label_smoothing"):
-            CrossEntropyLoss(label_smoothing=smoothing)
 
     def test_logits_must_be_2d(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -93,7 +81,6 @@ class TestOptimizers:
     @pytest.mark.parametrize("optimizer", [
         SGD(learning_rate=0.5),
         SGD(learning_rate=0.2, momentum=0.9),
-        SGD(learning_rate=0.2, momentum=0.9, nesterov=True),
     ])
     def test_optimizers_reduce_loss(self, optimizer):
         problem = QuadraticProblem()
@@ -103,6 +90,17 @@ class TestOptimizers:
             optimizer.step([problem.layer])
         final = problem.loss_and_grads()
         assert final < initial * 0.1
+
+    def test_momentum_is_heavy_ball(self):
+        # v <- m v - lr g; p <- p + v, with the velocity kept per parameter.
+        layer = Dense(2, 1, rng=0)
+        start = layer.params["weight"].copy()
+        layer.grads = {"weight": np.ones_like(start)}
+        optimizer = SGD(learning_rate=0.1, momentum=0.5)
+        optimizer.step([layer])
+        assert np.allclose(layer.params["weight"], start - 0.1)
+        optimizer.step([layer])
+        assert np.allclose(layer.params["weight"], start - 0.1 - 0.15)
 
     def test_weight_decay_shrinks_weights(self):
         layer = Dense(4, 4, rng=0)
@@ -139,8 +137,6 @@ class TestOptimizers:
             SGD(learning_rate=0.0)
         with pytest.raises(ValueError):
             SGD(learning_rate=0.1, momentum=1.5)
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.1, nesterov=True)
 
 
 class TestInitializers:

@@ -3,9 +3,8 @@
 The three contracts under test:
 
 * the :class:`ModelRegistry` is safe under racing lookups -- N threads
-  registering/getting M models perform exactly one load per model, never
-  observe a torn artifact, and LRU eviction under a byte budget keeps every
-  key servable,
+  registering/getting M models perform exactly one load per model and
+  never observe a torn artifact,
 * :func:`serve_batch` is bit-identical to :func:`serve_single`, row for
   row, on both evaluators (the fixed-compute-lanes guarantee), including
   when requests ride through the :class:`MicroBatchScheduler` under
@@ -84,11 +83,6 @@ class TestServableModel:
         second = servable.cached("memo-key", factory)
         assert first is second
         assert len(calls) == 1
-
-    def test_resident_bytes_positive_and_stable(self, servable):
-        size = servable.resident_bytes()
-        assert size > 0
-        assert servable.resident_bytes() == size
 
     def test_conversion_payload_fields(self, servable):
         payload = servable.conversion_payload()
@@ -242,12 +236,42 @@ class TestRegistry:
         with pytest.raises(KeyError):
             fake_registry.get("not-a-fingerprint")
 
+    def test_key_of_a_registration_in_flight_is_unknown(
+        self, monkeypatch, converted_mlp
+    ):
+        # get() never loads: until register() returns a fingerprint, a
+        # lookup of it raises KeyError instead of waiting on the load.
+        from repro.experiments.config import BENCH_SCALE
+        from repro.experiments.workloads import conversion_key
+
+        loading, release = threading.Event(), threading.Event()
+
+        def slow(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+            loading.set()
+            assert release.wait(timeout=30)
+            return _fake_prepare(dataset, scale, seed, converted_mlp, [],
+                                 threading.Lock())
+
+        monkeypatch.setattr("repro.serving.registry.prepare_workload", slow)
+        registry = ModelRegistry(store=False)
+        keys = []
+        owner = threading.Thread(
+            target=lambda: keys.append(registry.register("mnist", seed=0)))
+        owner.start()
+        assert loading.wait(timeout=30)
+        key = conversion_key("mnist", BENCH_SCALE, 0, "fake-mnist-0",
+                             calibration_size=64)
+        with pytest.raises(KeyError, match="unknown model fingerprint"):
+            registry.get(key)
+        release.set()
+        owner.join(timeout=30)
+        assert keys == [key]
+        assert registry.get(key).key == key
+
     def test_stats_as_dict(self, fake_registry):
         key = fake_registry.register("mnist", seed=0)
         fake_registry.get(key)
-        assert dataclasses.asdict(fake_registry.stats) == {
-            "hits": 1, "misses": 0, "loads": 1, "evictions": 0,
-        }
+        assert dataclasses.asdict(fake_registry.stats) == {"hits": 1, "loads": 1}
 
     def test_failed_load_is_raised_and_not_cached(self, monkeypatch, converted_mlp):
         loads = []
@@ -313,38 +337,72 @@ class TestRegistry:
         assert calls == [0]
         assert len(registry._resident) == 0 and not registry._inflight
 
-    def test_racing_reloads_under_two_tokens_keep_one_artifact(self, fake_registry):
-        # An evicted model reloads through its fingerprint (get) and through
-        # its source (register) at once: the second load to land serves the
-        # first one's artifact, so both callers hold the same object.
-        fake_registry.max_bytes = 1
-        key = fake_registry.register("mnist", seed=0)
-        fake_registry.register("mnist", seed=1)
-        assert key not in fake_registry._resident
-        from repro.serving import registry as registry_module
-
+    def test_racing_registrations_under_two_tokens_keep_one_artifact(
+        self, monkeypatch, converted_mlp
+    ):
+        # Two workload tokens (here: two weight-cache dirs) that convert to
+        # one fingerprint load at once: the second load to land serves the
+        # first one's artifact, so the registry holds one model.
+        loads = []
+        lock = threading.Lock()
         both_loading = threading.Barrier(2)
-        original_load = registry_module.ModelSource.load
 
-        def gated_load(source, store):
+        def gated(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
             both_loading.wait(timeout=30)
-            return original_load(source, store)
+            return _fake_prepare(dataset, scale, seed, converted_mlp, loads, lock)
 
-        results = {}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(registry_module.ModelSource, "load", gated_load)
-            threads = [
-                threading.Thread(target=lambda: results.update(get=fake_registry.get(key))),
-                threading.Thread(target=lambda: results.update(
-                    register=fake_registry.register("mnist", seed=0))),
-            ]
-            for thread in threads:
+        monkeypatch.setattr("repro.serving.registry.prepare_workload", gated)
+        registry = ModelRegistry(store=False)
+        keys = []
+        threads = [
+            threading.Thread(target=lambda d=cache_dir: keys.append(
+                registry.register("mnist", seed=0, cache_dir=d)))
+            for cache_dir in (None, "elsewhere")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(loads) == 2 and len(set(keys)) == 1
+        assert list(registry._resident) == keys[:1]
+        assert registry.stats.loads == 1
+        # Each token now resolves to the resident artifact without loading.
+        assert registry.register("mnist", seed=0, cache_dir="elsewhere") == keys[0]
+        assert len(loads) == 2
+
+    def test_lookups_racing_registrations_see_whole_models(self, fake_registry):
+        # Readers on more threads than cores, under forced thread switches:
+        # no torn model, and no lost update of the hit counter.
+        first = fake_registry.register("mnist", seed=0)
+        errors: list = []
+        readers_count = (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(readers_count + 1)
+
+        def reader():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(50):
+                    model = fake_registry.get(first)
+                    assert model.key == first and model.network is not None
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        readers = [threading.Thread(target=reader) for _ in range(readers_count)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers:
                 thread.start()
-            for thread in threads:
+            barrier.wait(timeout=10)
+            later = [fake_registry.register("mnist", seed=seed) for seed in (1, 2)]
+            for thread in readers:
                 thread.join(timeout=30)
-        assert results["register"] == key
-        assert results["get"] is fake_registry._resident[key]
-        assert fake_registry.stats.loads == 3  # seeds 0 and 1, then one reload
+            assert not any(thread.is_alive() for thread in readers)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
+        assert set(fake_registry._resident) == {first, *later}
+        assert fake_registry.stats.hits == readers_count * 50
 
     def test_concurrent_registration_loads_once_per_model(self, fake_registry):
         seeds = [0, 1, 2]
@@ -360,7 +418,6 @@ class TestRegistry:
                 # No torn reads: the artifact is always fully constructed.
                 assert model.key == key
                 assert model.network is not None
-                assert model.resident_bytes() > 0
                 keys[seed] = key
             except BaseException as error:  # pragma: no cover - surfaced below
                 errors.append(error)
@@ -378,47 +435,6 @@ class TestRegistry:
         assert len(fake_registry.test_loads) == len(seeds)
         assert len(set(keys.values())) == len(seeds)
         assert fake_registry.stats.loads == len(seeds)
-
-    def test_lru_eviction_spares_most_recent(self, fake_registry):
-        fake_registry.max_bytes = 1  # smaller than any model: keep 1 resident
-        keys = [fake_registry.register("mnist", seed=seed) for seed in range(3)]
-        assert len(fake_registry._resident) == 1
-        assert list(fake_registry._resident) == [keys[-1]]
-        assert fake_registry.stats.evictions == 2
-        # Evicted keys stay servable through their recorded source.
-        model = fake_registry.get(keys[0])
-        assert model.key == keys[0]
-        assert list(fake_registry._resident) == [keys[0]]
-
-    def test_lru_racing_lookups(self, fake_registry):
-        fake_registry.max_bytes = 1
-        keys = [fake_registry.register("mnist", seed=seed) for seed in range(3)]
-        errors: list = []
-        barrier = threading.Barrier(12)
-
-        def worker(key):
-            try:
-                barrier.wait(timeout=10)
-                for _ in range(5):
-                    model = fake_registry.get(key)
-                    assert model.key == key
-                    assert model.resident_bytes() > 0
-            except BaseException as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=worker, args=(key,))
-            for key in keys for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        # Thrashing a 1-model budget across 3 keys evicts, but never
-        # corrupts: at most one model remains resident.
-        assert len(fake_registry._resident) == 1
-
 
 class TestRegistryLoadThrough:
     def test_restart_reuses_stored_conversion(self, tmp_path):
@@ -808,18 +824,15 @@ class TestPullLoopFailures:
             )
         assert [rows for _, rows in gate.batches] == [1, 1, 1]
 
-    def test_eviction_racing_dispatch(self, fake_registry, samples):
-        # A one-model byte budget over three keys: every dispatch of a key
-        # that is not resident reloads it, evicting the model another
-        # worker may be serving from.
-        fake_registry.max_bytes = 1
+    def test_racing_dispatch_across_models(self, fake_registry, samples):
+        # Four clients interleave requests for three models on two workers:
+        # every result matches its model's single-request reference.
         keys = [fake_registry.register("mnist", seed=seed) for seed in range(3)]
         references = {}
         for key in keys:
             servable = fake_registry.get(key)
             for i, x in enumerate(samples):
                 references[(key, i)] = serve_single(servable, TRANSPORT, x).logits
-        evictions = fake_registry.stats.evictions
         futures: dict = {}
         with MicroBatchScheduler(fake_registry, max_workers=2) as scheduler:
             def client(c):
@@ -837,7 +850,7 @@ class TestPullLoopFailures:
                 result = future.result(timeout=60)
                 assert np.array_equal(result.logits, references[(key, i)])
         assert len(futures) == 4 * len(samples)
-        assert fake_registry.stats.evictions > evictions
+        assert fake_registry.stats.loads == len(keys)
 
 
 class TestLatencySummary:
@@ -1129,6 +1142,34 @@ class TestStoreGcCommand:
             "0", "0 (0 orphaned)", "0 document(s)", "0 bytes",
             "0 (0 orphaned)", "0 document(s)", "0 bytes",
         ]
+
+    def test_unsizable_shard_document_is_left_out_of_the_count(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(self.MERGED, _result())
+        shards = [prefix + "0" * 62 for prefix in ("01", "02")]
+        for shard in shards:
+            store.put_shard(self.MERGED, shard, _result(samples=2))
+        counted = os.path.getsize(store.shard_path_for(self.MERGED, shards[1]))
+        _failing(monkeypatch, os.path, "getsize",
+                 store.shard_path_for(self.MERGED, shards[0]))
+        report = self._gc(store.root, capsys)
+        assert report[2:4] == ["2 document(s)", f"{counted:,} bytes"]
+        assert not os.path.exists(store.shard_dir_for(self.MERGED))
+
+    def test_unlistable_shard_directory_is_left_out_of_the_count(
+        self, tmp_path, capsys, monkeypatch, store_warnings
+    ):
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(self.MERGED, _result())
+        store.put_shard(self.MERGED, "01" + "0" * 62, _result(samples=2))
+        directory = store.shard_dir_for(self.MERGED)
+        _failing(monkeypatch, os, "listdir", directory)
+        report = self._gc(store.root, capsys)
+        assert report[2:4] == ["0 document(s)", "0 bytes"]
+        monkeypatch.undo()
+        assert len(os.listdir(directory)) == 1
 
     def test_reclaimed_bytes_count_only_shard_documents(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path / "store"))

@@ -44,7 +44,6 @@ from tests.conftest import stored_fingerprints
 
 NEURON_FACTORIES = {
     "if-subtract": lambda: IFNeuron(0.3),
-    "if-zero": lambda: IFNeuron(0.3, reset="zero"),
     "ttfs": lambda: TTFSNeuron(0.6, tau=9.0),
     "ttfs-static": lambda: TTFSNeuron(0.6),
     "ifb": lambda: IntegrateFireOrBurstNeuron(0.4, target_duration=3, tau=7.0),
@@ -880,11 +879,9 @@ def _windowed_simulator(draw_seed, num_steps, num_hidden):
             stop = start + 1  # single-step window
         else:
             stop = start + int(rng.integers(1, num_steps))
-        kind = ("if", "if-zero", "ttfs", "ifb")[int(rng.integers(0, 4))]
+        kind = ("if", "ttfs", "ifb")[int(rng.integers(0, 3))]
         if kind == "if":
             neuron = IFNeuron(0.3, fire_start=start, fire_stop=stop)
-        elif kind == "if-zero":
-            neuron = IFNeuron(0.3, reset="zero", fire_start=start, fire_stop=stop)
         elif kind == "ttfs":
             neuron = TTFSNeuron(0.6, tau=9.0, fire_start=start, fire_stop=stop)
         else:

@@ -60,16 +60,10 @@ class TestIFNeuron:
         assert np.array_equal(spikes, [0, 1, 1])
 
     def test_subtract_reset_preserves_residual(self):
-        neuron = IFNeuron(threshold=1.0, reset="subtract")
+        neuron = IFNeuron(threshold=1.0)
         state = neuron.init_state((1,))
         neuron.step(state, np.array([1.6]))
         assert np.allclose(state.membrane, [0.6])
-
-    def test_zero_reset_clears_membrane(self):
-        neuron = IFNeuron(threshold=1.0, reset="zero")
-        state = neuron.init_state((1,))
-        neuron.step(state, np.array([1.6]))
-        assert np.allclose(state.membrane, [0.0])
 
     def test_rate_proportional_to_input(self):
         neuron = IFNeuron(threshold=1.0)
@@ -79,10 +73,6 @@ class TestIFNeuron:
             totals += neuron.step(state, np.array([0.1, 0.3]))
         assert abs(totals[0] - 10) <= 1
         assert abs(totals[1] - 30) <= 1
-
-    def test_invalid_reset(self):
-        with pytest.raises(ValueError):
-            IFNeuron(reset="decay")
 
     def test_negative_input_never_fires(self):
         neuron = IFNeuron(threshold=0.5)

@@ -60,7 +60,6 @@ WINDOWED_FACTORIES = {
         1.2, threshold_schedule=1.2 * 2.0 ** -(1.0 + np.arange(4)),
         fire_start=4, fire_stop=20,
     ),
-    "if-zero-windowed": lambda: IFNeuron(0.3, reset="zero", fire_start=2, fire_stop=18),
 }
 
 
@@ -315,7 +314,7 @@ def old_style_rate_simulator(network, coder, batch_input_shape, threshold,
         bias_image = transform.bias_image(current_shape)
         step_bias = transform.step_bias(current_shape, coder.num_steps)
         neuron = (
-            IFNeuron(threshold=threshold, reset="subtract")
+            IFNeuron(threshold=threshold)
             if segment.ends_with_spikes else None
         )
         layers.append(SimulatorLayer(
