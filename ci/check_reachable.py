@@ -196,8 +196,6 @@ EXEMPT: Dict[Tuple[str, str], str] = {
     ("src/repro/execution/plan.py", "CellPlan.cell_id"): _CELL_LOG,
     ("src/repro/execution/plan.py", "CellPlan.cell_plan"): "find_attack_train support: " + _BENCHMARKS,
     ("src/repro/execution/plan.py", "EvaluationPlan.axis_label"): _CELL_LOG,
-    ("src/repro/execution/store.py", "ResultStore.__contains__"):
-        "store gc asks it for each cell that still has shard documents; a finished run leaves none",
     ("src/repro/experiments/figures.py", "figure5_activation_distribution"): _BENCHMARKS,
     ("src/repro/experiments/reporting.py", "format_activation_distributions"): _BENCHMARKS,
     ("src/repro/experiments/runner.py", "_workers_cannot_see"):

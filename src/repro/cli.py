@@ -43,8 +43,9 @@ faithful correspondence -- filter it out of a figure with ``--methods``; the
 attacks there).  ``--retries N`` retries a failing cell up to N times with
 backoff; a cell that still fails renders as an explicit ``--`` hole instead
 of aborting the sweep.  An out-of-range number (``--shards`` or
-``--batch-size`` below 1, ``--retries`` or a budget below 0, a noise level
-outside its range) is a usage error, refused before anything runs.
+``--batch-size`` below 1, ``--max-workers``, ``--retries`` or a budget
+below 0, a noise level outside its range) is a usage error, refused before
+anything runs.
 
 ``evaluate`` runs a single noise condition through the end-to-end pipeline,
 including the fault models (``--dead/--stuck/--burst-error``) and the
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -294,48 +294,20 @@ def _run_evaluate(args: argparse.Namespace) -> str:
 
 
 def _run_store(args: argparse.Namespace) -> str:
-    """The ``store`` maintenance subcommand (currently: ``gc``).
-
-    Collects both orphan classes: shard documents whose merged cell exists
-    (sweep leftovers) and conversion documents in ``workloads/`` that are
-    truncated/corrupt beyond serving (serving leftovers), reporting
-    reclaimed bytes per section.
-    """
+    """The ``store`` maintenance subcommand (currently: ``gc``)."""
     store = ResultStore(args.result_store)
-    stats = store.shard_stats()
-    # Sum the orphaned documents' sizes *before* collecting them -- the
-    # bytes are unaccountable afterwards.
-    reclaimable = 0
-    for cell in store.shard_cells():
-        if cell not in store:
-            continue  # live in-flight shards; gc will not touch them
-        directory = store.shard_dir_for(cell)
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            continue
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                reclaimable += os.path.getsize(os.path.join(directory, name))
-            except OSError:
-                pass
-    removed = store.gc_orphaned_shards()
-    workload_stats = store.workload_stats()
-    workload_reclaimable = workload_stats["orphaned_workload_bytes"]
-    workload_removed = store.gc_orphaned_workloads()
+    report = store.gc()
     lines = [
         f"result store       : {store.root}",
-        f"cells with shards  : {stats['shard_cells']}",
-        f"shard documents    : {stats['shard_docs']} "
-        f"({stats['orphaned_shard_docs']} orphaned)",
-        f"collected          : {removed} document(s)",
-        f"reclaimed          : {reclaimable:,} bytes",
-        f"workload documents : {workload_stats['workload_docs']} "
-        f"({workload_stats['orphaned_workload_docs']} orphaned)",
-        f"collected          : {workload_removed} document(s)",
-        f"reclaimed          : {workload_reclaimable:,} bytes",
+        f"cells with shards  : {report['shard_cells']}",
+        f"shard documents    : {report['shard_docs']} "
+        f"({report['orphaned_shard_docs']} orphaned)",
+        f"collected          : {report['collected_shard_docs']} document(s)",
+        f"reclaimed          : {report['reclaimed_shard_bytes']:,} bytes",
+        f"workload documents : {report['workload_docs']} "
+        f"({report['orphaned_workload_docs']} orphaned)",
+        f"collected          : {report['collected_workload_docs']} document(s)",
+        f"reclaimed          : {report['reclaimed_workload_bytes']:,} bytes",
     ]
     return "\n".join(lines)
 
@@ -347,6 +319,8 @@ def _check_ranges(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if getattr(args, "batch_size", None) is not None and args.batch_size < 1:
         parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.command in _CATALOGUES:
+        if args.max_workers is not None and args.max_workers < 0:
+            parser.error(f"--max-workers must be >= 0, got {args.max_workers}")
         if args.shards is not None and args.shards < 1:
             parser.error(f"--shards must be >= 1, got {args.shards}")
         if args.retries < 0:

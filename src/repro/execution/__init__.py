@@ -53,7 +53,6 @@ from repro.execution.plan import (
 )
 from repro.execution.store import (
     ResultStore,
-    StoreStats,
     resolve_store,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "resolve_worker_count",
     "EXECUTOR_NAMES",
     "ResultStore",
-    "StoreStats",
     "resolve_store",
     "CellEvaluationError",
     "CellFailure",

@@ -11,12 +11,14 @@ tables, benchmarks, CLI) funnels through.  Given a list of
    ``shards=``, or automatically when a dispatch has fewer cells than pool
    workers), so a single cell can use the whole pool,
 4. fans the resulting work items out over the selected executor backend,
-5. persists each freshly evaluated cell -- and each shard of a sharded
-   cell -- to the store *as it completes*, so an interrupted run resumes
-   from the cells (and shards) already done,
-6. merges shard results back into whole-cell results (bit-identical to the
-   unsharded evaluation; see :mod:`repro.execution.plan`) and returns them
-   in plan order together with execution statistics.
+5. completes every pending cell through one loop: a cell is a list of
+   1..n shard plans (a whole cell is a one-shard cell), each shard of a
+   multi-shard cell is persisted to the store *as it completes*, and a
+   cell whose last shard lands is merged (bit-identical to the unsharded
+   evaluation; see :mod:`repro.execution.plan`) and persisted through
+   :meth:`~repro.execution.store.ResultStore.put`, so an interrupted run
+   resumes from the cells (and shards) already done,
+6. returns the results in plan order together with execution statistics.
 
 Worker processes do not share the parent's memory (unless forked): the
 module-level :func:`execute_cell` rebuilds workloads from the plans'
@@ -265,20 +267,19 @@ RETRY_BACKOFF_CAP = 5.0
 
 
 def evaluate_cell_tolerant(
-    plan: CellPlan,
-    retries: int = 0,
-    backoff: float = RETRY_BACKOFF_BASE,
+    plan: CellPlan, retries: int = 0
 ) -> Union[EvaluationResult, CellFailure]:
     """Fault-tolerant work item: retry with capped exponential backoff.
 
-    Transient failures are retried up to ``retries`` times; a cell that
-    exhausts the budget returns a :class:`CellFailure` instead of raising,
-    so one bad cell degrades the sweep to an explicit hole rather than
-    aborting the whole run.  Module-level and configured via
-    :func:`functools.partial`, hence picklable for the process backend.
+    Transient failures are retried up to ``retries`` times, the first after
+    :data:`RETRY_BACKOFF_BASE` seconds; a cell that exhausts the budget
+    returns a :class:`CellFailure` instead of raising, so one bad cell
+    degrades the sweep to an explicit hole rather than aborting the whole
+    run.  Module-level and configured via :func:`functools.partial`, hence
+    picklable for the process backend.
     """
     attempts = max(int(retries), 0) + 1
-    delay = float(backoff)
+    delay = RETRY_BACKOFF_BASE
     last: Optional[CellEvaluationError] = None
     for attempt in range(1, attempts + 1):
         try:
@@ -326,17 +327,37 @@ def _auto_shard_count(backend: Executor, pending: int) -> int:
 
 
 @dataclass
-class _ShardedCell:
-    """In-flight bookkeeping of one cell split into sample shards."""
+class _PendingCell:
+    """In-flight bookkeeping of one pending cell: 1..n shard plans.
 
-    plans: List[CellPlan]
-    results: List[Optional[EvaluationResult]]
-    cell_fingerprint: Optional[str] = None
-    fingerprints: Optional[List[str]] = None
+    A whole cell is a one-shard cell whose only plan is the cell itself;
+    ``fingerprint`` is the cell's (``None`` without a store) and
+    ``shard_fingerprints`` are set only for a multi-shard cell with a
+    store.
+    """
+
+    index: int
+    plan: CellPlan
+    shards: List[CellPlan]
+    fingerprint: Optional[str] = None
+    shard_fingerprints: Optional[List[str]] = None
+    results: List[Optional[EvaluationResult]] = field(init=False)
     failed: bool = False
 
-    def completed(self) -> bool:
-        return all(result is not None for result in self.results)
+    def __post_init__(self) -> None:
+        self.results = [None] * len(self.shards)
+
+    @property
+    def sharded(self) -> bool:
+        return len(self.shards) > 1
+
+    def merged(self) -> Optional[EvaluationResult]:
+        """The cell result once every shard landed, else ``None``."""
+        if any(result is None for result in self.results):
+            return None
+        if not self.sharded:
+            return self.results[0]
+        return merge_shard_results(self.results)
 
 
 def evaluate_plans(
@@ -346,7 +367,6 @@ def evaluate_plans(
     store: Union[ResultStore, str, None, bool] = None,
     workloads: Optional[Dict[WorkloadRef, "PreparedWorkload"]] = None,
     retries: Optional[int] = 0,
-    retry_backoff: float = RETRY_BACKOFF_BASE,
     shards: Optional[int] = None,
 ) -> PlanEvaluation:
     """Evaluate a batch of plans through the executor + store machinery.
@@ -376,8 +396,6 @@ def evaluate_plans(
         exponential backoff and a cell exhausting the budget comes back as
         a :class:`CellFailure` slot (counted in ``stats.failed_cells``)
         instead of aborting the batch.
-    retry_backoff:
-        First retry delay in seconds (doubles per attempt; tests shrink it).
     shards:
         Sample shards per pending cell (``None`` = the automatic
         heuristic: shard only when a pooled dispatch has fewer cells than
@@ -408,153 +426,92 @@ def evaluate_plans(
     pinned = dict(workloads or {})
     _BATCH_WORKLOADS.update(pinned)
     try:
-        pending: List[int] = []
-        fingerprints: Dict[int, str] = {}
-        if result_store is not None:
-            for index, plan in enumerate(plans):
+        pending: List[Tuple[int, Optional[str]]] = []
+        for index, plan in enumerate(plans):
+            fingerprint = None
+            if result_store is not None:
                 fingerprint = plan.fingerprint(network_hash_for(plan.workload))
-                fingerprints[index] = fingerprint
                 cached = result_store.get(fingerprint)
                 if cached is not None:
                     results[index] = cached
                     stats.store_hits += 1
-                else:
-                    pending.append(index)
-            if stats.store_hits:
-                logger.info(
-                    "result store: %d/%d cells served from %s",
-                    stats.store_hits, len(plans), result_store.root,
-                )
-        else:
-            pending = list(range(len(plans)))
-
-        if pending:
-            shard_count = (
-                int(shards) if shards is not None
-                else _auto_shard_count(backend, len(pending))
-            )
-            # Work items are cells, or -- for cells split into sample
-            # shards -- the individual shards; ``work_targets`` maps each
-            # item back to its (plan index, shard slot) so completions can
-            # be routed.  Fault tolerance wraps whatever the work item is,
-            # so a sharded cell retries and fails at shard granularity
-            # automatically.
-            work_plans: List[CellPlan] = []
-            work_targets: List[Tuple[int, Optional[int]]] = []
-            sharded: Dict[int, _ShardedCell] = {}
-            for index in pending:
-                plan = plans[index]
-                cell_shards = plan.shards(shard_count) if shard_count > 1 else [plan]
-                if len(cell_shards) <= 1:
-                    work_plans.append(plan)
-                    work_targets.append((index, None))
                     continue
+            pending.append((index, fingerprint))
+        if stats.store_hits:
+            logger.info(
+                "result store: %d/%d cells served from %s",
+                stats.store_hits, len(plans), result_store.root,
+            )
+
+        shard_count = (
+            int(shards) if shards is not None
+            else _auto_shard_count(backend, len(pending))
+        )
+        # Every pending cell is a list of 1..n shard plans; the work items
+        # are the shards not yet stored, and ``work_targets`` maps each back
+        # to its (cell, shard slot).  Fault tolerance wraps whatever the
+        # work item is, so a sharded cell retries and fails per shard.
+        work_plans: List[CellPlan] = []
+        work_targets: List[Tuple[_PendingCell, int]] = []
+        for index, fingerprint in pending:
+            plan = plans[index]
+            cell = _PendingCell(index, plan, plan.shards(shard_count), fingerprint)
+            if cell.sharded:
                 stats.sharded_cells += 1
-                cell_fp = fingerprints.get(index)
-                state = _ShardedCell(
-                    plans=cell_shards,
-                    results=[None] * len(cell_shards),
-                    cell_fingerprint=cell_fp,
-                )
-                if result_store is not None and cell_fp is not None:
+                if fingerprint is not None:
                     total = plan.effective_eval_size()
-                    state.fingerprints = [
-                        shard_fingerprint(cell_fp, *shard.sample_range(), total)
-                        for shard in cell_shards
+                    cell.shard_fingerprints = [
+                        shard_fingerprint(fingerprint, *shard.sample_range(), total)
+                        for shard in cell.shards
                     ]
                     # Resume at shard granularity: shards persisted by an
-                    # interrupted earlier run are served from disk and only
-                    # the remainder is dispatched.
-                    for slot, shard in enumerate(cell_shards):
-                        cached = result_store.get_shard(
-                            cell_fp, state.fingerprints[slot]
-                        )
-                        if cached is not None:
-                            state.results[slot] = cached
-                            stats.shard_store_hits += 1
-                if state.completed():
-                    # Every shard was already stored: the cell is a store
-                    # hit assembled from shard documents.
-                    merged = merge_shard_results(state.results)
-                    results[index] = merged
-                    stats.store_hits += 1
-                    if _store_result(result_store, cell_fp, merged, plan):
-                        stats.store_writes += 1
-                    result_store.delete_shards(cell_fp)
-                    continue
-                sharded[index] = state
-                for slot, shard in enumerate(cell_shards):
-                    if state.results[slot] is None:
-                        work_plans.append(shard)
-                        work_targets.append((index, slot))
-
-            # Completion order, not submission order: each finished cell
-            # (or shard) is persisted the moment it exists, so a run killed
-            # while a slow item is in flight never loses faster items that
-            # already finished.
-            if retries:
-                work = partial(
-                    evaluate_cell_tolerant, retries=retries, backoff=retry_backoff,
-                )
-            else:
-                work = execute_cell
-            evaluated = backend.map_unordered(work, work_plans)
-            for position, result in evaluated:
-                index, slot = work_targets[position]
-                if slot is None:
-                    results[index] = result
-                    if isinstance(result, CellFailure):
-                        stats.failed_cells += 1
-                        logger.warning(
-                            "cell %s failed after %d attempt(s); recording a "
-                            "hole: %s", plans[index].cell_id(), result.attempts,
-                            result.message,
-                        )
-                        continue
-                    stats.evaluated_cells += 1
-                    if result_store is not None and _store_result(
-                        result_store, fingerprints[index], result, plans[index]
-                    ):
-                        stats.store_writes += 1
-                    continue
-                state = sharded[index]
-                if isinstance(result, CellFailure):
-                    # The first failing shard takes the whole cell's slot;
-                    # siblings still run (and persist, for resume) but the
-                    # cell renders as one hole.
-                    if not state.failed:
-                        state.failed = True
-                        stats.failed_cells += 1
-                        results[index] = result
-                        logger.warning(
-                            "shard %s failed after %d attempt(s); recording "
-                            "a hole for the cell: %s",
-                            state.plans[slot].cell_id(), result.attempts,
-                            result.message,
-                        )
-                    continue
-                state.results[slot] = result
-                stats.evaluated_shards += 1
-                if (
-                    result_store is not None
-                    and state.fingerprints is not None
-                    and _store_shard_result(
-                        result_store, state.cell_fingerprint,
-                        state.fingerprints[slot], result, state.plans[slot],
-                    )
-                ):
-                    stats.store_writes += 1
-                if state.failed or not state.completed():
-                    continue
-                merged = merge_shard_results(state.results)
+                    # interrupted earlier run are served from disk.
+                    for slot, key in enumerate(cell.shard_fingerprints):
+                        cell.results[slot] = result_store.get_shard(fingerprint, key)
+                        stats.shard_store_hits += cell.results[slot] is not None
+            merged = cell.merged()
+            if merged is not None:
+                # Every shard was already stored: a store hit assembled
+                # from shard documents.
                 results[index] = merged
+                stats.store_hits += 1
+                stats.store_writes += _persist(result_store, cell, merged)
+                continue
+            for slot, shard in enumerate(cell.shards):
+                if cell.results[slot] is None:
+                    work_plans.append(shard)
+                    work_targets.append((cell, slot))
+
+        # Completion order, not submission order: each finished shard (and
+        # each cell it completes) is persisted the moment it exists, so a
+        # run killed while a slow item is in flight never loses faster
+        # items that already finished.
+        work = partial(evaluate_cell_tolerant, retries=retries) if retries else execute_cell
+        for position, result in backend.map_unordered(work, work_plans):
+            cell, slot = work_targets[position]
+            if isinstance(result, CellFailure):
+                # The first failing shard takes the whole cell's slot;
+                # siblings still run (and persist, for resume) but the cell
+                # renders as one hole.
+                if not cell.failed:
+                    cell.failed = True
+                    stats.failed_cells += 1
+                    results[cell.index] = result
+                    logger.warning(
+                        "%s failed after %d attempt(s); recording a hole for "
+                        "the cell: %s", cell.shards[slot].cell_id(),
+                        result.attempts, result.message,
+                    )
+                continue
+            cell.results[slot] = result
+            if cell.sharded:
+                stats.evaluated_shards += 1
+                stats.store_writes += _persist(result_store, cell, result, slot)
+            merged = None if cell.failed else cell.merged()
+            if merged is not None:
+                results[cell.index] = merged
                 stats.evaluated_cells += 1
-                if result_store is not None and state.cell_fingerprint is not None:
-                    if _store_result(
-                        result_store, state.cell_fingerprint, merged, plans[index]
-                    ):
-                        stats.store_writes += 1
-                    result_store.delete_shards(state.cell_fingerprint)
+                stats.store_writes += _persist(result_store, cell, merged)
     finally:
         for ref in pinned:
             _BATCH_WORKLOADS.pop(ref, None)
@@ -563,48 +520,38 @@ def evaluate_plans(
     return PlanEvaluation(results=list(results), stats=stats)
 
 
-def _store_result(
-    result_store: ResultStore,
-    fingerprint: str,
+def _persist(
+    result_store: Optional[ResultStore],
+    cell: _PendingCell,
     result: EvaluationResult,
-    plan: CellPlan,
-) -> bool:
-    """Persist one cell; an unwritable store degrades to a warning.
+    slot: Optional[int] = None,
+) -> int:
+    """Persist one shard (``slot``) or the whole cell; 1 when written.
 
-    The store is an accelerator, never a correctness dependency: a full
-    disk or read-only mount must not abort a sweep whose results already
-    exist in memory (the read path likewise degrades unreadable documents
-    to misses).
+    A merged multi-shard cell then deletes its shard documents.  The store
+    is an accelerator, never a correctness dependency: a full disk or
+    read-only mount degrades to a warning and must not abort a sweep whose
+    results already exist in memory (the read path likewise degrades
+    unreadable documents to misses).  A cell write that fails keeps its
+    shard documents, so the next run still resumes from them.
     """
+    if result_store is None:
+        return 0
+    plan = cell.plan if slot is None else cell.shards[slot]
     try:
-        result_store.put(fingerprint, result, plan.describe())
-        return True
+        if slot is None:
+            result_store.put(cell.fingerprint, result, plan.describe())
+        else:
+            result_store.put_shard(
+                cell.fingerprint, cell.shard_fingerprints[slot], result,
+                dict(plan.describe(), shard=list(plan.sample_range())),
+            )
     except OSError as error:
         logger.warning(
             "result store write failed for %s (%s); continuing without "
-            "persisting this cell", plan.cell_id(), error,
+            "persisting it", plan.cell_id(), error,
         )
-        return False
-
-
-def _store_shard_result(
-    result_store: ResultStore,
-    cell_fingerprint: str,
-    fingerprint: str,
-    result: EvaluationResult,
-    plan: CellPlan,
-) -> bool:
-    """Persist one shard result; same degradation contract as cells."""
-    start, stop = plan.sample_range()
-    try:
-        result_store.put_shard(
-            cell_fingerprint, fingerprint, result,
-            dict(plan.describe(), shard=[start, stop]),
-        )
-        return True
-    except OSError as error:
-        logger.warning(
-            "shard store write failed for %s (%s); continuing without "
-            "persisting this shard", plan.cell_id(), error,
-        )
-        return False
+        return 0
+    if slot is None and cell.sharded:
+        result_store.delete_shards(cell.fingerprint)
+    return 1

@@ -51,15 +51,16 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 def resolve_worker_count(max_workers: Optional[int] = 1) -> int:
     """Resolve a worker count for the pooled executors.
 
-    ``None`` means 1 (serial); 0 or a negative value means "one worker per
-    CPU".  Explicit values are honoured as given -- note that the sweep is
-    CPU-bound numpy, so more workers than physical cores oversubscribes and
-    can *slow the sweep down*; prefer 0 over guessing a count.
+    ``None`` means 1 (serial); 0 means "one worker per CPU"; a negative
+    count raises :class:`ValueError`.  Explicit values are honoured as
+    given -- note that the sweep is CPU-bound numpy, so more workers than
+    physical cores oversubscribes and can *slow the sweep down*; prefer 0
+    over guessing a count.
     """
     max_workers = 1 if max_workers is None else int(max_workers)
-    if max_workers <= 0:
-        max_workers = os.cpu_count() or 1
-    return max_workers
+    if max_workers < 0:
+        raise ValueError(f"max_workers must be >= 0, got {max_workers}")
+    return max_workers or os.cpu_count() or 1
 
 
 class Executor:

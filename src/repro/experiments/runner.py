@@ -98,19 +98,24 @@ class MethodCurve:
         return self.accuracies[level_index(self.levels, level)]
 
     def average_accuracy(self) -> float:
-        """Mean accuracy over the noisy levels.
+        """Mean accuracy over the noisy levels (see :func:`noisy_level_mean`)."""
+        return noisy_level_mean(self.levels, self.accuracies)
 
-        The clean level is excluded unless it is the only one.  NaN
-        entries -- holes left by cells that failed under fault-tolerant
-        execution -- are excluded from the mean; a curve with no finite
-        entries averages to NaN.
-        """
-        pairs = list(zip(self.levels, self.accuracies))
-        pairs = [(lvl, acc) for lvl, acc in pairs if lvl != 0.0] or pairs
-        finite = [acc for _, acc in pairs if not np.isnan(acc)]
-        if not finite:
-            return float("nan")
-        return float(np.mean(finite))
+
+def noisy_level_mean(levels: Sequence[float], values: Sequence[float]) -> float:
+    """Mean of a curve's ``values`` over its noisy levels.
+
+    The clean level (0) is excluded unless it is the only one.  NaN entries
+    -- holes left by cells that failed under fault-tolerant execution -- are
+    excluded from the mean, so one failed cell degrades an average instead
+    of poisoning it; with no finite entry the mean is NaN.
+    :meth:`MethodCurve.average_accuracy` and the tables' "Avg." columns
+    both use this rule.
+    """
+    pairs = list(zip(levels, values))
+    pairs = [(level, value) for level, value in pairs if level != 0.0] or pairs
+    finite = [value for _, value in pairs if not np.isnan(value)]
+    return float(np.mean(finite)) if finite else float("nan")
 
 
 @dataclass

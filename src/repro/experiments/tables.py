@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.experiments.config import (
     BENCH_ATTACK_BUDGETS,
     TABLE1_DELETION_LEVELS,
@@ -35,7 +33,7 @@ from repro.experiments.config import (
     all_codings_ws,
     coding_methods,
 )
-from repro.experiments.runner import MethodCurve, SweepSpec, run_spec
+from repro.experiments.runner import MethodCurve, SweepSpec, noisy_level_mean, run_spec
 from repro.experiments.workloads import PreparedWorkload
 
 
@@ -77,36 +75,17 @@ class TableResult:
         return [row for row in self.rows if row.dataset == dataset]
 
 
-def _nanmean(values: Sequence[float]) -> float:
-    """Mean over the finite entries; NaN when none are finite.
-
-    Holes (NaN cells left by fault-tolerant execution) are excluded so one
-    failed cell degrades the "Avg." column gracefully instead of poisoning
-    it to NaN outright.
-    """
-    finite = [value for value in values if not np.isnan(value)]
-    return float(np.mean(finite)) if finite else float("nan")
-
-
 def _curve_to_row(dataset: str, curve: MethodCurve, include_spikes: bool) -> TableRow:
-    noisy = [
-        (level, acc, sps)
-        for level, acc, sps in zip(curve.levels, curve.accuracies, curve.spikes_per_sample)
-        if level != 0.0
-    ]
-    average_accuracy = _nanmean([acc for _, acc, _ in noisy]) if noisy else float("nan")
     row = TableRow(
         dataset=dataset,
         method=curve.label,
         levels=list(curve.levels),
         accuracies=list(curve.accuracies),
-        average_accuracy=average_accuracy,
+        average_accuracy=curve.average_accuracy(),
     )
     if include_spikes:
         row.spike_counts = list(curve.spikes_per_sample)
-        row.average_spikes = (
-            _nanmean([sps for _, _, sps in noisy]) if noisy else float("nan")
-        )
+        row.average_spikes = noisy_level_mean(curve.levels, curve.spikes_per_sample)
     return row
 
 

@@ -39,6 +39,18 @@ def stored_fingerprints(store):
     return sorted(path.stem for path in Path(store.root, "cells").glob("*/*.json"))
 
 
+@pytest.fixture
+def fast_retries(monkeypatch):
+    """Shrink the engine's first retry delay so retried cells barely sleep.
+
+    The engine reads the constant at call time, so this reaches serial and
+    thread workers (and process workers forked after it is set).
+    """
+    from repro.execution import engine
+
+    monkeypatch.setattr(engine, "RETRY_BACKOFF_BASE", 0.001)
+
+
 @pytest.fixture(scope="session")
 def mnist_split():
     """Small synthetic-MNIST split shared by the whole session."""

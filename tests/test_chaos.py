@@ -33,6 +33,8 @@ from repro.experiments import prepare_workload
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
 from tests.conftest import stored_fingerprints
 
+pytestmark = pytest.mark.usefixtures("fast_retries")
+
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="worker-kill chaos relies on fork inheriting the monkeypatched engine",
@@ -150,7 +152,7 @@ class TestWorkerKill:
         assert all(isinstance(r, EvaluationResult) for r in evaluation.results)
         # Every cell merged and persisted; no shard documents left behind.
         assert len(stored_fingerprints(store)) == len(plans)
-        assert store.shard_stats()["shard_docs"] == 0
+        assert store.gc()["shard_docs"] == 0
 
         # Resume: merged cell documents serve everything, no shard re-runs.
         monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
@@ -218,7 +220,7 @@ class TestTransientFailures:
         ref, plans = _compile(config, chaos_workload)
         evaluation = evaluate_plans(
             plans, workloads={ref: chaos_workload},
-            retries=3, retry_backoff=0.001,
+            retries=3,
         )
         assert attempts["count"] == 3  # two failures, then success
         assert evaluation.stats.failed_cells == 0
@@ -235,7 +237,7 @@ class TestTransientFailures:
         ref, plans = _compile(config, chaos_workload)
         evaluation = evaluate_plans(
             plans, workloads={ref: chaos_workload},
-            retries=2, retry_backoff=0.001,
+            retries=2,
         )
         assert evaluation.stats.failed_cells == 1
         assert evaluation.stats.evaluated_cells == len(plans) - 1
@@ -284,7 +286,7 @@ class TestTransientFailures:
         ref, plans = _compile(config, chaos_workload)
         first = evaluate_plans(
             plans, store=store, workloads={ref: chaos_workload},
-            retries=1, retry_backoff=0.001,
+            retries=1,
         )
         assert first.stats.failed_cells == 1
         assert len(stored_fingerprints(store)) == len(plans) - 1
@@ -292,7 +294,7 @@ class TestTransientFailures:
         monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
         healed = evaluate_plans(
             plans, store=store, workloads={ref: chaos_workload},
-            retries=1, retry_backoff=0.001,
+            retries=1,
         )
         assert healed.stats.store_hits == len(plans) - 1
         assert healed.stats.evaluated_cells == 1
@@ -322,7 +324,7 @@ class TestCorruptStore:
         config = chaos_config()
         ref, plans = _compile(config, chaos_workload)
         evaluate_plans(plans, store=store, workloads={ref: chaos_workload})
-        victim = store.path_for(stored_fingerprints(store)[0])
+        victim = store._path("cells", stored_fingerprints(store)[0])
         with open(victim, "w", encoding="utf-8") as handle:
             handle.write('{"version": 1, "result": {"accur')  # truncated write
 
@@ -361,7 +363,7 @@ class TestFaultToleranceKnobs:
             with pytest.raises(CellEvaluationError):
                 evaluate_plans(plans, workloads={ref: chaos_workload}, retries=retries)
         evaluation = evaluate_plans(
-            plans, workloads={ref: chaos_workload}, retries=3, retry_backoff=0.001,
+            plans, workloads={ref: chaos_workload}, retries=3,
         )
         (_, failure), = _failures(evaluation)
         assert failure.attempts == 4
@@ -392,7 +394,7 @@ class TestFaultToleranceKnobs:
         try:
             evaluation = evaluate_plans(
                 plans, executor=executor, workloads={ref: chaos_workload},
-                retries=1, retry_backoff=0.001,
+                retries=1,
             )
         finally:
             executor.close()

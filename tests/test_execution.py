@@ -463,6 +463,7 @@ def test_cli_refuses_bad_counts_before_preparing_a_workload(monkeypatch, capsys)
     counts = (
         (["--shards", "0"], "--shards must be >= 1, got 0"),
         (["--retries", "-1"], "--retries must be >= 0, got -1"),
+        (["--max-workers", "-1"], "--max-workers must be >= 0, got -1"),
     )
     for entry in entries:
         for flags, message in counts:
@@ -717,7 +718,7 @@ class TestResultStore:
 
         # Simulate an interrupted run: drop two of the four cell documents.
         for fingerprint in fingerprints[:2]:
-            os.unlink(store.path_for(fingerprint))
+            os.unlink(store._path("cells", fingerprint))
         counting = CountingExecutor()
         resumed = run_sweep(
             config, workload=tiny_workload, eval_size=12, store=store,
@@ -754,7 +755,7 @@ class TestResultStore:
         run_sweep(
             tiny_config(), workload=tiny_workload, eval_size=12, store=store
         )
-        victim = store.path_for(stored_fingerprints(store)[0])
+        victim = store._path("cells", stored_fingerprints(store)[0])
         with open(victim, "w", encoding="utf-8") as handle:
             handle.write(payload)
         counting = CountingExecutor()
@@ -830,7 +831,7 @@ class TestResultStore:
         fingerprint = "ab" + "0" * 62
         path = store.put(fingerprint, result, {"note": "layout"})
         assert path == os.path.join(str(tmp_path), "cells", "ab", f"{fingerprint}.json")
-        assert fingerprint in store
+        assert store.get(fingerprint) is not None
         assert store.get(fingerprint) == result
 
 

@@ -27,7 +27,7 @@ from repro.experiments.config import (
     ExperimentScale,
 )
 from repro.experiments.runner import MethodCurve
-from repro.experiments.tables import TableResult, TableRow, table2_jitter
+from repro.experiments.tables import TableResult, TableRow, run_table, table2_jitter
 from repro.utils.config import ConfigError
 
 
@@ -285,7 +285,8 @@ class TestWorkloadAndRunner:
         assert resolve_worker_count(3) == 3
         assert resolve_worker_count(2) == 2
         assert resolve_worker_count(0) == (os.cpu_count() or 1)
-        assert resolve_worker_count(-1) == (os.cpu_count() or 1)
+        with pytest.raises(ValueError, match="max_workers must be >= 0, got -1"):
+            resolve_worker_count(-1)
 
     def test_table2_on_tiny_workload(self, tiny_workload):
         table = table2_jitter(
@@ -297,6 +298,21 @@ class TestWorkloadAndRunner:
         assert methods == {"Phase", "Burst", "TTFS", "TTAS(3)"}
         row, = (r for r in table.rows_for("mnist") if r.method == "TTFS")
         assert len(row.accuracies) == 2
+
+    def test_clean_only_table_row_averages_its_clean_point(self, tiny_workload):
+        # The "Avg." columns follow MethodCurve.average_accuracy's rule: the
+        # clean level counts when it is the only level.
+        table = run_table(
+            "table1", ("mnist",), levels=(0.0,), scale=TEST_SCALE,
+            workloads={"mnist": tiny_workload}, eval_size=8,
+        )
+        assert table.rows
+        for row in table.rows:
+            assert row.average_accuracy == row.accuracies[0]
+            assert row.average_spikes == row.spike_counts[0]
+        cells = [cell.strip() for line in format_table_rows(table).splitlines()
+                 for cell in line.split("|")]
+        assert "--" not in cells
 
 
 class TestFiguresAndReporting:

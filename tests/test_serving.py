@@ -896,7 +896,7 @@ def store_warnings():
 class TestWorkloadDocuments:
     def _store_with_doc(self, tmp_path, content):
         store = ResultStore(str(tmp_path / "store"))
-        path = store.workload_path_for("ab" + "0" * 62)
+        path = store._path("workloads", "ab" + "0" * 62)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
@@ -937,15 +937,15 @@ class TestWorkloadDocuments:
             "input_scale": 1.0, "dnn_accuracy": 0.5,
         }
         store.put_workload_conversion("cd" + "0" * 62, good)
-        stats = store.workload_stats()
-        assert stats["workload_docs"] == 2
-        assert stats["orphaned_workload_docs"] == 1
-        assert stats["orphaned_workload_bytes"] == os.path.getsize(path)
-        assert store.gc_orphaned_workloads() == 1
+        size = os.path.getsize(path)
+        report = store.gc()
+        assert report["workload_docs"] == 2
+        assert report["orphaned_workload_docs"] == report["collected_workload_docs"] == 1
+        assert report["reclaimed_workload_bytes"] == size
         assert not os.path.exists(path)
         # The healthy document survives.
         assert store.get_workload_conversion("cd" + "0" * 62) is not None
-        assert store.workload_stats()["orphaned_workload_docs"] == 0
+        assert store.gc()["orphaned_workload_docs"] == 0
 
 
 def _result(accuracy=0.5, samples=4):
@@ -961,7 +961,7 @@ class TestShardDocuments:
     SHARD = "cd" + "2" * 62
 
     def _write(self, store, content):
-        path = store.shard_path_for(self.CELL, self.SHARD)
+        path = store._path("shards", self.CELL, self.SHARD)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
@@ -971,20 +971,17 @@ class TestShardDocuments:
         store = ResultStore(str(tmp_path / "store"))
         store.put_shard(self.CELL, self.SHARD, _result(0.75))
         assert store.get_shard(self.CELL, self.SHARD) == _result(0.75)
-        assert dataclasses.asdict(store.stats) == {"hits": 1, "misses": 0, "writes": 1}
 
     def test_unreadable_document_degrades_to_miss(self, tmp_path, store_warnings):
         store = ResultStore(str(tmp_path / "store"))
         path = self._write(store, '{"result": {"accur')
         assert store.get_shard(self.CELL, self.SHARD) is None
-        assert store.stats.misses == 1
         assert any(path in record.getMessage() for record in store_warnings)
 
     def test_malformed_document_degrades_to_miss(self, tmp_path, store_warnings):
         store = ResultStore(str(tmp_path / "store"))
         path = self._write(store, json.dumps({"plan": {}}))
         assert store.get_shard(self.CELL, self.SHARD) is None
-        assert store.stats.misses == 1
         assert any(path in record.getMessage() for record in store_warnings)
 
     def test_fingerprints_skip_stray_files(self, tmp_path):
@@ -1028,7 +1025,7 @@ class TestStoreFilesystemErrors:
         self, tmp_path, monkeypatch, store_warnings
     ):
         store = self._sharded(tmp_path)
-        directory = store.shard_dir_for(self.CELL)
+        directory = store._path("shards", self.CELL, ext="")
         _failing(monkeypatch, os, "listdir", directory)
         assert store.delete_shards(self.CELL) == 0
         monkeypatch.undo()
@@ -1039,12 +1036,12 @@ class TestStoreFilesystemErrors:
         self, tmp_path, monkeypatch, store_warnings
     ):
         store = self._sharded(tmp_path)
-        stuck = store.shard_path_for(self.CELL, "01" + "0" * 62)
+        stuck = store._path("shards", self.CELL, "01" + "0" * 62)
         _failing(monkeypatch, os, "unlink", stuck)
         assert store.delete_shards(self.CELL) == 1
         monkeypatch.undo()
         # The directory stays with the document it could not remove.
-        assert os.listdir(store.shard_dir_for(self.CELL)) == [os.path.basename(stuck)]
+        assert os.listdir(store._path("shards", self.CELL, ext="")) == [os.path.basename(stuck)]
         assert any(stuck in record.getMessage() for record in store_warnings)
 
     def test_shard_inventory_skips_stray_files(self, tmp_path):
@@ -1054,28 +1051,28 @@ class TestStoreFilesystemErrors:
             handle.write("not a prefix directory")
         with open(os.path.join(shards, "ab", "notes.txt"), "w", encoding="utf-8") as handle:
             handle.write("not a cell directory")
-        assert list(store.shard_cells()) == [self.CELL]
-        assert store.shard_stats()["shard_docs"] == 2
+        report = store.gc()
+        assert (report["shard_cells"], report["shard_docs"]) == (1, 2)
 
-    def test_shard_stats_skip_an_unlistable_cell(self, tmp_path, monkeypatch):
+    def test_gc_skips_an_unlistable_cell(self, tmp_path, monkeypatch):
         store = self._sharded(tmp_path)
         store.put_shard(self.OTHER, "03" + "0" * 62, _result(samples=2))
-        _failing(monkeypatch, os, "listdir", store.shard_dir_for(self.CELL))
-        assert store.shard_stats() == {
-            "shard_cells": 1, "shard_docs": 1, "orphaned_shard_docs": 0,
-        }
+        _failing(monkeypatch, os, "listdir", store._path("shards", self.CELL, ext=""))
+        report = store.gc()
+        assert (report["shard_cells"], report["shard_docs"]) == (1, 1)
+        assert report["orphaned_shard_docs"] == 0
 
     def test_workload_document_without_a_conversion_mapping_is_a_miss(
         self, tmp_path, store_warnings
     ):
         store = ResultStore(str(tmp_path / "store"))
         key = "ab" + "0" * 62
-        path = store.workload_path_for(key)
+        path = store._path("workloads", key)
         os.makedirs(os.path.dirname(path))
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"version": 1, "conversion": [1.0, 2.0]}, handle)
         assert store.get_workload_conversion(key) is None
-        assert store.workload_stats()["orphaned_workload_docs"] == 1
+        assert store.gc()["orphaned_workload_docs"] == 1
         assert any(path in record.getMessage() for record in store_warnings)
 
     def test_workload_inventory_skips_stray_files(self, tmp_path):
@@ -1086,38 +1083,41 @@ class TestStoreFilesystemErrors:
             "input_scale": 1.0, "dnn_accuracy": 0.5,
         })
         workloads = os.path.join(store.root, "workloads")
-        with open(os.path.join(workloads, "README"), "w", encoding="utf-8") as handle:
-            handle.write("not a prefix directory")
-        with open(os.path.join(workloads, "ab", "notes.txt"), "w", encoding="utf-8") as handle:
-            handle.write("not a conversion document")
-        assert list(store.workload_documents()) == [store.workload_path_for(key)]
-        assert store.workload_stats()["workload_docs"] == 1
-        assert store.gc_orphaned_workloads() == 0
+        strays = [os.path.join(workloads, "README"),
+                  os.path.join(workloads, "ab", "notes.txt")]
+        for stray in strays:
+            with open(stray, "w", encoding="utf-8") as handle:
+                handle.write("not a conversion document")
+        report = store.gc()
+        assert report["workload_docs"] == 1
+        assert report["collected_workload_docs"] == 0
+        assert all(os.path.exists(stray) for stray in strays)
 
-    def test_workload_stats_skip_an_unreadable_size(self, tmp_path, monkeypatch):
+    def test_gc_counts_an_unsizable_workload_without_its_bytes(
+        self, tmp_path, monkeypatch
+    ):
         store = ResultStore(str(tmp_path / "store"))
-        keys = ["ab" + "0" * 62, "cd" + "0" * 62]
-        for key in keys:
-            store.put_workload_conversion(key, {
-                "scales": [1.0], "percentile": 99.9,
-                "input_scale": 1.0, "dnn_accuracy": 0.5,
-            })
-        readable = os.path.getsize(store.workload_path_for(keys[1]))
-        _failing(monkeypatch, os.path, "getsize", store.workload_path_for(keys[0]))
-        stats = store.workload_stats()
-        assert stats["workload_docs"] == 1
-        assert stats["workload_bytes"] == readable
+        paths = [store._path("workloads", prefix + "0" * 62) for prefix in ("ab", "cd")]
+        for path in paths:
+            os.makedirs(os.path.dirname(path))
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("{truncated")
+        readable = os.path.getsize(paths[1])
+        _failing(monkeypatch, os.path, "getsize", paths[0])
+        report = store.gc()
+        assert report["orphaned_workload_docs"] == report["collected_workload_docs"] == 2
+        assert report["reclaimed_workload_bytes"] == readable
 
     def test_unremovable_orphaned_workload_is_reported(
         self, tmp_path, monkeypatch, store_warnings
     ):
         store = ResultStore(str(tmp_path / "store"))
-        path = store.workload_path_for("ab" + "0" * 62)
+        path = store._path("workloads", "ab" + "0" * 62)
         os.makedirs(os.path.dirname(path))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{truncated")
         _failing(monkeypatch, os, "unlink", path)
-        assert store.gc_orphaned_workloads() == 0
+        assert store.gc()["collected_workload_docs"] == 0
         assert os.path.exists(path)
         assert any(
             "cannot remove" in record.getMessage() and path in record.getMessage()
@@ -1151,12 +1151,12 @@ class TestStoreGcCommand:
         shards = [prefix + "0" * 62 for prefix in ("01", "02")]
         for shard in shards:
             store.put_shard(self.MERGED, shard, _result(samples=2))
-        counted = os.path.getsize(store.shard_path_for(self.MERGED, shards[1]))
+        counted = os.path.getsize(store._path("shards", self.MERGED, shards[1]))
         _failing(monkeypatch, os.path, "getsize",
-                 store.shard_path_for(self.MERGED, shards[0]))
+                 store._path("shards", self.MERGED, shards[0]))
         report = self._gc(store.root, capsys)
         assert report[2:4] == ["2 document(s)", f"{counted:,} bytes"]
-        assert not os.path.exists(store.shard_dir_for(self.MERGED))
+        assert not os.path.exists(store._path("shards", self.MERGED, ext=""))
 
     def test_unlistable_shard_directory_is_left_out_of_the_count(
         self, tmp_path, capsys, monkeypatch, store_warnings
@@ -1164,7 +1164,7 @@ class TestStoreGcCommand:
         store = ResultStore(str(tmp_path / "store"))
         store.put(self.MERGED, _result())
         store.put_shard(self.MERGED, "01" + "0" * 62, _result(samples=2))
-        directory = store.shard_dir_for(self.MERGED)
+        directory = store._path("shards", self.MERGED, ext="")
         _failing(monkeypatch, os, "listdir", directory)
         report = self._gc(store.root, capsys)
         assert report[2:4] == ["0 document(s)", "0 bytes"]
@@ -1176,15 +1176,15 @@ class TestStoreGcCommand:
         store.put(self.MERGED, _result())
         shard = "01" + "0" * 62
         store.put_shard(self.MERGED, shard, _result(samples=2))
-        shard_bytes = os.path.getsize(store.shard_path_for(self.MERGED, shard))
-        stray = os.path.join(store.shard_dir_for(self.MERGED), "notes.txt")
+        shard_bytes = os.path.getsize(store._path("shards", self.MERGED, shard))
+        stray = os.path.join(store._path("shards", self.MERGED, ext=""), "notes.txt")
         with open(stray, "w", encoding="utf-8") as handle:
             handle.write("not a shard document" * 10)
         report = self._gc(store.root, capsys)
         # gc removes the whole orphaned directory, but reports only the
         # shard documents' bytes.
         assert report[3] == f"{shard_bytes:,} bytes"
-        assert not os.path.exists(store.shard_dir_for(self.MERGED))
+        assert not os.path.exists(store._path("shards", self.MERGED, ext=""))
 
     def test_collects_orphans_and_keeps_live_documents(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path / "store"))
@@ -1192,7 +1192,7 @@ class TestStoreGcCommand:
         for prefix in ("01", "02"):
             store.put_shard(self.MERGED, prefix + "0" * 62, _result(samples=2))
         store.put_shard(self.LIVE, "03" + "0" * 62, _result(samples=2))
-        corrupt = store.workload_path_for("aa" + "0" * 62)
+        corrupt = store._path("workloads", "aa" + "0" * 62)
         os.makedirs(os.path.dirname(corrupt), exist_ok=True)
         with open(corrupt, "w", encoding="utf-8") as handle:
             handle.write("{truncated")
@@ -1201,7 +1201,7 @@ class TestStoreGcCommand:
             "input_scale": 1.0, "dnn_accuracy": 0.5,
         })
         shard_bytes = sum(
-            os.path.getsize(store.shard_path_for(self.MERGED, prefix + "0" * 62))
+            os.path.getsize(store._path("shards", self.MERGED, prefix + "0" * 62))
             for prefix in ("01", "02")
         )
         corrupt_bytes = os.path.getsize(corrupt)
@@ -1210,7 +1210,7 @@ class TestStoreGcCommand:
             "2", "3 (2 orphaned)", "2 document(s)", f"{shard_bytes:,} bytes",
             "2 (1 orphaned)", "1 document(s)", f"{corrupt_bytes:,} bytes",
         ]
-        assert self.MERGED in store
+        assert store.get(self.MERGED) is not None
         assert store.get_shard(self.LIVE, "03" + "0" * 62) == _result(samples=2)
         assert not os.path.exists(corrupt)
         assert store.get_workload_conversion("bb" + "0" * 62) is not None

@@ -44,6 +44,8 @@ from repro.experiments import prepare_workload, run_sweep
 from repro.experiments.config import TEST_SCALE, MethodSpec, SweepConfig
 from tests.conftest import stored_fingerprints
 
+pytestmark = pytest.mark.usefixtures("fast_retries")
+
 
 @pytest.fixture(scope="module")
 def tiny_workload():
@@ -255,7 +257,7 @@ class TestShardBitIdentity:
         tolerant = evaluate_plans(
             plans, executor="thread", max_workers=2, store=False,
             workloads={ref: tiny_workload}, shards=2,
-            retries=2, retry_backoff=0.001,
+            retries=2,
         )
         assert tolerant.stats.failed_cells == 0
         assert _same_results(reference.results, tolerant.results)
@@ -278,9 +280,7 @@ class TestShardStore:
         assert first.stats.evaluated_shards == 3 * len(plans)
         # Every cell merged and persisted; no shard documents remain.
         assert len(stored_fingerprints(store)) == len(plans)
-        assert store.shard_stats() == {
-            "shard_cells": 0, "shard_docs": 0, "orphaned_shard_docs": 0,
-        }
+        assert store.gc()["shard_cells"] == 0
 
         # An unsharded re-run is served entirely from the merged cell docs.
         counting = CountingExecutor()
@@ -312,6 +312,36 @@ class TestShardStore:
         assert sharded.stats.store_writes == 1  # the merged cell only
         assert len(stored_fingerprints(store)) == 1
         assert _same_results(reference.results, sharded.results)
+
+    def test_unwritable_cell_keeps_its_shards_for_resume(
+        self, tiny_workload, tmp_path, monkeypatch
+    ):
+        # A merged cell whose document cannot be written keeps its shard
+        # documents, so the next run resumes from them instead of
+        # re-evaluating the cell.
+        config = tiny_config(methods=(MethodSpec(coding="ttfs"),), levels=(0.5,))
+        ref, plans = _compile(config)
+        store = ResultStore(str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ResultStore, "put",
+                lambda self, *a, **k: (_ for _ in ()).throw(OSError("disk full")),
+            )
+            first = evaluate_plans(
+                plans, store=store, workloads={ref: tiny_workload}, shards=3,
+            )
+        assert first.stats.store_writes == 3  # the shards only
+        assert stored_fingerprints(store) == []
+        counting = CountingExecutor()
+        resumed = evaluate_plans(
+            plans, store=store, workloads={ref: tiny_workload},
+            executor=counting, shards=3,
+        )
+        assert counting.evaluated == 0
+        assert resumed.stats.shard_store_hits == 3
+        assert _same_results(first.results, resumed.results)
+        assert len(stored_fingerprints(store)) == 1
+        assert store.gc()["shard_docs"] == 0
 
     def test_partial_shard_resume_reruns_no_completed_shard(
         self, tiny_workload, tmp_path
@@ -347,8 +377,8 @@ class TestShardStore:
             plans, store=False, workloads={ref: tiny_workload}
         )
         assert _same_results(unsharded.results, resumed.results)
-        assert cell_fp in store
-        assert store.shard_stats()["shard_docs"] == 0
+        assert store.get(cell_fp) is not None
+        assert store.gc()["shard_docs"] == 0
 
     def test_fully_cached_shards_merge_without_evaluating(
         self, tiny_workload, tmp_path
@@ -376,8 +406,8 @@ class TestShardStore:
         assert evaluation.stats.store_hits == 1
         assert evaluation.stats.evaluated_cells == 0
         assert evaluation.stats.shard_store_hits == 3
-        assert cell_fp in store
-        assert store.shard_stats()["shard_docs"] == 0
+        assert store.get(cell_fp) is not None
+        assert store.gc()["shard_docs"] == 0
 
     def test_orphaned_shard_docs_are_reported_and_collected(
         self, tiny_workload, tmp_path
@@ -399,24 +429,20 @@ class TestShardStore:
                 shard_fingerprint(cell_fp, *shard.sample_range(), total),
                 evaluate_plan(shard, tiny_workload),
             )
-        assert store.shard_stats() == {
-            "shard_cells": 1, "shard_docs": 2, "orphaned_shard_docs": 2,
-        }
-        assert store.gc_orphaned_shards() == 2
-        assert store.shard_stats() == {
-            "shard_cells": 0, "shard_docs": 0, "orphaned_shard_docs": 0,
-        }
+        report = store.gc()
+        assert (report["shard_cells"], report["shard_docs"]) == (1, 2)
+        assert report["orphaned_shard_docs"] == report["collected_shard_docs"] == 2
+        assert store.gc()["shard_cells"] == 0
         # Live (un-merged) shard docs are inventory, not orphans.
-        os.unlink(store.path_for(cell_fp))
+        os.unlink(store._path("cells", cell_fp))
         store.put_shard(
             cell_fp,
             shard_fingerprint(cell_fp, *shard_plans[0].sample_range(), total),
             evaluate_plan(shard_plans[0], tiny_workload),
         )
-        assert store.shard_stats() == {
-            "shard_cells": 1, "shard_docs": 1, "orphaned_shard_docs": 0,
-        }
-        assert store.gc_orphaned_shards() == 0
+        report = store.gc()
+        assert (report["shard_cells"], report["shard_docs"]) == (1, 1)
+        assert report["orphaned_shard_docs"] == report["collected_shard_docs"] == 0
 
     def test_delete_shards_of_unknown_cell_is_a_noop(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -441,7 +467,7 @@ class TestShardFailures:
         store = ResultStore(str(tmp_path))
         evaluation = evaluate_plans(
             plans, store=store, workloads={ref: tiny_workload},
-            shards=3, retries=1, retry_backoff=0.001,
+            shards=3, retries=1,
         )
         # One hole for the TTFS cell, the TTAS cell unharmed.
         assert evaluation.stats.failed_cells == 1
@@ -454,16 +480,16 @@ class TestShardFailures:
         # The failed cell has no merged document, but its completed sibling
         # shards persisted for resume; the healthy cell merged and GC'd.
         cell_fp = plans[index].fingerprint(network_hash_for(ref))
-        assert cell_fp not in store
-        assert store.shard_stats() == {
-            "shard_cells": 1, "shard_docs": 2, "orphaned_shard_docs": 0,
-        }
+        assert store.get(cell_fp) is None
+        report = store.gc()
+        assert (report["shard_cells"], report["shard_docs"]) == (1, 2)
+        assert report["orphaned_shard_docs"] == 0
 
         # Healed re-run: the two surviving shards are hits, one re-runs.
         monkeypatch.setattr(EvaluationPlan, "evaluate", real_evaluate_plan)
         healed = evaluate_plans(
             plans, store=store, workloads={ref: tiny_workload},
-            shards=3, retries=1, retry_backoff=0.001,
+            shards=3, retries=1,
         )
         assert healed.stats.failed_cells == 0
         assert healed.stats.store_hits == 1  # the healthy cell's document

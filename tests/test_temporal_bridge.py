@@ -470,7 +470,7 @@ class TestConversionStoreBack:
         store.put_workload_conversion(key, payload)
         assert store.get_workload_conversion(key) == payload
         # Corrupt document degrades to a miss, never an error.
-        path = store.workload_path_for(key)
+        path = store._path("workloads", key)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
         assert store.get_workload_conversion(key) is None
