@@ -15,7 +15,7 @@ from repro.coding import TTASCoder
 from repro.core import ActivationTransportSimulator
 from repro.experiments.config import BENCH_SCALE
 from repro.experiments.reporting import render_markdown_table
-from repro.noise import JitterNoise
+from repro.noise import NoiseInjector
 
 MIN_VALUES = (0.2, 0.05, 0.02, 0.005)
 
@@ -37,7 +37,7 @@ def test_ablation_ttas_kernel_resolution(benchmark, workloads):
                 x, y, rng=SEED
             ).accuracy
             noisy = ActivationTransportSimulator(
-                workload.network, coder, noise=JitterNoise(2.0)
+                workload.network, coder, noise=NoiseInjector(jitter=2.0)
             ).evaluate(x, y, rng=SEED).accuracy
             results[min_value] = (clean, noisy, coder.tau)
         return results

@@ -14,7 +14,7 @@ from repro.coding import RateCoder
 from repro.core import ActivationTransportSimulator, WeightScaling
 from repro.experiments.config import BENCH_SCALE
 from repro.experiments.reporting import render_markdown_table
-from repro.noise import DeletionNoise
+from repro.noise import NoiseInjector
 
 LEVELS = (0.2, 0.5, 0.8)
 
@@ -24,9 +24,8 @@ def _accuracy(workload, scaling, level):
     simulator = ActivationTransportSimulator(
         workload.network,
         RateCoder(num_steps=BENCH_SCALE.rate_time_steps),
-        noise=DeletionNoise(level),
+        noise=NoiseInjector(deletion=level),
         weight_scaling=scaling,
-        expected_deletion=level,
     )
     return simulator.evaluate(x, y, rng=SEED).accuracy
 

@@ -202,8 +202,6 @@ EXEMPT: Dict[Tuple[str, str], str] = {
         "input check: refuses a hand-built workload on spawned process workers",
     ("src/repro/experiments/tables.py", "TableResult.rows_for"): _BENCHMARKS,
     ("src/repro/metrics/robustness.py", "area_under_accuracy_curve"): _BENCHMARKS,
-    ("src/repro/noise/injector.py", "NoiseInjector.time_free"):
-        "keeps the SpikeNoise contract: without it an injector inherits time_free = False",
     ("src/repro/noise/weights.py", "GaussianWeightNoise.__init__"): _BENCHMARKS,
     ("src/repro/noise/weights.py", "GaussianWeightNoise.perturb"): _BENCHMARKS,
     ("src/repro/noise/weights.py", "GaussianWeightNoise.reset"): _BENCHMARKS,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.coding.base import NeuralCoder
-from repro.noise.base import SpikeNoise
+from repro.noise.injector import NoiseInjector
 from repro.utils.rng import RngLike, default_rng, derive_rng
 from repro.utils.validation import check_positive
 
@@ -49,7 +49,7 @@ class ActivationDistribution:
 def decoded_samples(
     coder: NeuralCoder,
     value: float,
-    noise: SpikeNoise,
+    noise: NoiseInjector,
     trials: int = 200,
     rng: RngLike = None,
 ) -> np.ndarray:
@@ -65,7 +65,7 @@ def decoded_samples(
 def activation_distribution(
     coder: NeuralCoder,
     value: float,
-    noise: SpikeNoise,
+    noise: NoiseInjector,
     trials: int = 500,
     bins: int = 20,
     rng: RngLike = None,

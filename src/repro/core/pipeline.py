@@ -28,11 +28,9 @@ from repro.core.timestep import TimestepEvaluator
 from repro.core.transport import ActivationTransportSimulator, BatchEvaluator
 from repro.core.weight_scaling import WeightScaling
 from repro.nn.model import Sequential
-from repro.noise.base import SpikeNoise
 from repro.noise.faults import quantize_network
 from repro.noise.injector import NoiseInjector
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_non_negative, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (execution -> pipeline)
     from repro.execution.plan import EvaluationPlan
@@ -48,28 +46,22 @@ def make_evaluator(
     simulator: str,
     network: ConvertedSNN,
     coder: NeuralCoder,
-    noise: Optional[SpikeNoise] = None,
+    noise: NoiseInjector = NoiseInjector(),
     weight_scaling: Optional[WeightScaling] = None,
-    expected_deletion: float = 0.0,
     threshold: Optional[float] = None,
-    dead: float = 0.0,
-    stuck: float = 0.0,
 ) -> BatchEvaluator:
     """The evaluator of one simulator name -- the only place that picks one.
 
-    ``threshold``, ``dead`` and ``stuck`` configure the faithful
-    simulator's hidden neurons; the transport evaluator has no neurons and
-    sees dead/stuck faults through ``noise`` alone.
+    ``threshold`` configures the faithful simulator's hidden neurons, which
+    also carry the noise's dead/stuck faults; the transport evaluator has
+    no neurons and sees those faults on its interface trains alone.
     """
     if simulator == "timestep":
         return TimestepEvaluator(
-            network, coder, noise, weight_scaling, expected_deletion,
-            threshold=threshold, dead=dead, stuck=stuck,
+            network, coder, noise, weight_scaling, threshold=threshold
         )
     if simulator == "transport":
-        return ActivationTransportSimulator(
-            network, coder, noise, weight_scaling, expected_deletion
-        )
+        return ActivationTransportSimulator(network, coder, noise, weight_scaling)
     raise ValueError(f"simulator must be one of {SIMULATORS}, got {simulator!r}")
 
 
@@ -292,7 +284,8 @@ class NoiseRobustSNN:
         jitter:
             Spike-jitter standard deviation ``sigma`` (time steps).  Weight
             scaling assumes the actual ``deletion`` (the paper scales for
-            the noise level it evaluates).
+            the noise level it evaluates).  Every level is validated by
+            :class:`~repro.noise.injector.NoiseInjector`.
         batch_size:
             Evaluation batch size (both simulators).
         rng:
@@ -316,28 +309,21 @@ class NoiseRobustSNN:
         quant_bits:
             Finite-precision synapse ablation: quantise every weight tensor
             to this many bits (uniform symmetric,
-            :class:`repro.noise.faults.WeightQuantizationNoise`) on a *copy*
-            of the network before evaluating.  Deterministic -- consumes no
+            :func:`repro.noise.faults.quantize_network`) on a *copy* of the
+            network before evaluating.  Deterministic -- consumes no
             RNG stream -- and supported on both evaluators; ``None`` = full
             precision.
         """
-        check_probability("deletion", deletion)
-        check_non_negative("jitter", jitter)
-        check_probability("dead", dead)
-        check_probability("stuck", stuck)
-        check_probability("burst_error", burst_error)
+        noise = NoiseInjector(
+            deletion=deletion, jitter=jitter, burst_error=burst_error,
+            dead=dead, stuck=stuck,
+        )
         network = self.network
         if quant_bits is not None:
             network = quantize_network(network, int(quant_bits))
-        noise = NoiseInjector.from_levels(
-            deletion_probability=deletion, jitter_sigma=jitter,
-            burst_error_fraction=burst_error,
-            dead_fraction=dead, stuck_fraction=stuck,
-        )
-        scaling = self.make_weight_scaling()
         evaluator = make_evaluator(
-            self.simulator, network, self.make_coder(), noise, scaling, deletion,
-            dead=dead, stuck=stuck,
+            self.simulator, network, self.make_coder(), noise,
+            self.make_weight_scaling(),
         )
         result = evaluator.evaluate(
             x, labels, batch_size=batch_size, rng=rng, sample_offset=sample_offset
@@ -347,9 +333,9 @@ class NoiseRobustSNN:
             total_spikes=result.total_spikes,
             spikes_per_sample=result.spikes_per_sample,
             coding=self.coding,
-            deletion=float(deletion),
-            jitter=float(jitter),
-            weight_scaling_factor=scaling.factor(deletion),
+            deletion=noise.deletion,
+            jitter=noise.jitter,
+            weight_scaling_factor=evaluator.scale_factor,
             num_samples=result.num_samples,
         )
 

@@ -40,7 +40,7 @@ from repro.conversion.converter import ConvertedSNN, NetworkSegment
 from repro.core.transport import BatchEvaluator
 from repro.core.weight_scaling import WeightScaling
 from repro.nn.layers import Layer, ReLU
-from repro.noise.base import SpikeNoise
+from repro.noise.injector import NoiseInjector
 from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
 from repro.snn.spikes import SpikeTrain
 from repro.utils.rng import RngLike, default_rng, derive_rng
@@ -231,8 +231,8 @@ class TimestepEvaluator(BatchEvaluator):
     IF, TTFS or IFB, per the coder's protocol) advanced through real
     membrane/threshold/reset dynamics, not an activation transport.
     ``threshold`` overrides the hidden neurons' firing threshold (default:
-    the coder's empirical one); ``dead`` / ``stuck`` are the fractions of
-    broken neuron circuits in every spiking layer.
+    the coder's empirical one); the noise's ``dead`` / ``stuck`` levels are
+    also the fractions of broken neuron circuits in every spiking layer.
 
     Faithfulness caveats, stated rather than hidden:
 
@@ -242,7 +242,8 @@ class TimestepEvaluator(BatchEvaluator):
     * noise corrupts the *input* spike train; the hidden-layer trains are
       generated by the neuron dynamics themselves, so per-interface
       re-encoding noise -- the transport model -- does not apply.  The
-      exception is the persistent circuit faults (``dead`` / ``stuck``):
+      exception is the persistent circuit faults (the noise's ``dead`` /
+      ``stuck`` levels):
       a broken neuron circuit corrupts its *own* output spikes, so those
       masks are drawn per spiking layer and applied to the emitted spikes
       inside the simulator, gated by each layer's protocol fire window,
@@ -264,17 +265,12 @@ class TimestepEvaluator(BatchEvaluator):
         self,
         network: ConvertedSNN,
         coder: NeuralCoder,
-        noise: Optional[SpikeNoise] = None,
+        noise: NoiseInjector = NoiseInjector(),
         weight_scaling: Optional[WeightScaling] = None,
-        expected_deletion: float = 0.0,
         threshold: Optional[float] = None,
-        dead: float = 0.0,
-        stuck: float = 0.0,
     ):
-        super().__init__(network, coder, noise, weight_scaling, expected_deletion)
+        super().__init__(network, coder, noise, weight_scaling)
         self.threshold = threshold
-        self.dead = float(dead)
-        self.stuck = float(stuck)
         self._simulators: Dict[Tuple[int, ...], TimeSteppedSimulator] = {}
 
     def _simulator(self, sample_shape: Tuple[int, ...]) -> TimeSteppedSimulator:
@@ -300,7 +296,7 @@ class TimestepEvaluator(BatchEvaluator):
 
         Draws from ``rng`` in a fixed order: the input encode
         (``("encode", 0)``), the input noise (``("noise", 0)``, when a
-        noise model is set), then one dead/stuck mask per spiking layer
+        noise level is set), then one dead/stuck mask per spiking layer
         (``("fault", i)``, when a fault fraction is set).  An injected
         ``input_train`` skips the encode and the input noise.  The logits
         are the readout's output potentials; interface ``i`` counts the
@@ -314,7 +310,7 @@ class TimestepEvaluator(BatchEvaluator):
                 x / self.network.input_scale,
                 rng=derive_rng(generator, "encode", 0),
             )
-            if self.noise is not None:
+            if not self.noise.is_clean:
                 train = self.noise.apply(train, rng=derive_rng(generator, "noise", 0))
         else:
             simulator = self._simulator(input_train.population_shape[1:])
@@ -323,13 +319,13 @@ class TimestepEvaluator(BatchEvaluator):
             layer.name for layer in simulator.layers if layer.neuron is not None
         ]
         layer_faults = None
-        if self.dead > 0.0 or self.stuck > 0.0:
+        if self.noise.dead > 0.0 or self.noise.stuck > 0.0:
             # One persistent mask per spiking layer per batch, on streams
             # keyed like the transport evaluator's per-interface noise.
             layer_faults = {
                 name: LayerFaultMask(
-                    dead_fraction=self.dead,
-                    stuck_fraction=self.stuck,
+                    dead_fraction=self.noise.dead,
+                    stuck_fraction=self.noise.stuck,
                     rng=derive_rng(generator, "fault", interface),
                 )
                 for interface, name in enumerate(spiking_layers, start=1)

@@ -5,10 +5,10 @@ spiking interface the (non-negative) activations are
 
 1. normalised by the interface's calibration scale,
 2. encoded into spike trains by the chosen coder,
-3. corrupted by the noise model -- transmission noise (deletion, jitter)
-   and/or hardware faults (dead neurons, stuck-at-firing, burst errors;
-   :mod:`repro.noise.faults`) -- every model drawing from its own RNG
-   stream derived per interface,
+3. corrupted by the noise -- one :class:`~repro.noise.injector.NoiseInjector`
+   of transmission noise (deletion, jitter) and hardware faults (dead
+   neurons, stuck-at-firing, burst errors), every non-zero level drawing
+   from its own RNG stream derived per interface,
 4. decoded back into post-synaptic current,
 5. multiplied by the weight-scaling factor ``C``,
 6. pushed through the next analog segment.
@@ -24,12 +24,13 @@ and deletion and dead-neuron faults act on each spike or neuron without
 looking at its step.  So when the coder has a class encoding (rate: one
 class; phase: one per oscillator phase; burst: one per burst slot), no
 input train is injected and the noise
-:attr:`~repro.noise.base.SpikeNoise.acts_on_classes`, steps 2-4 run on a
+:attr:`~repro.noise.injector.NoiseInjector.acts_on_classes` (no burst
+error, no stuck-at-fire, and not both deletion and jitter), steps 2-4 run on a
 ``(K, batch, ...)`` train of per-class spike counts instead of the
 ``(T, batch, ...)`` grid: O(K*N) instead of O(T*N) work and memory.  The
 train goes through the same ``noise.apply``: a dead-neuron mask is drawn
 over the feature axes exactly as for the time grid, and deletion thins each
-class count binomially.  Jitter qualifies when it comes first,
+class count binomially.  Jitter qualifies without deletion,
 on the coder's clean encoding, whose spike steps are known
 (:meth:`~repro.coding.base.NeuralCoder.jitter_classes`): rate returns the
 counts unchanged and draws nothing, since clipping keeps every spike and
@@ -81,7 +82,7 @@ import numpy as np
 from repro.coding.base import NeuralCoder
 from repro.conversion.converter import ConvertedSNN
 from repro.core.weight_scaling import WeightScaling
-from repro.noise.base import SpikeNoise
+from repro.noise.injector import NoiseInjector
 from repro.snn.spikes import SpikeTrain
 from repro.utils.rng import RngLike, default_rng, derive_rng, derive_rng_at, stream_root
 from repro.utils.validation import check_non_negative, check_positive
@@ -138,34 +139,29 @@ class BatchEvaluator:
     coder:
         Neural coder used at every spiking interface.
     noise:
-        Optional spike-train noise model.
+        The spike noise of every transmission (default: clean).
     weight_scaling:
-        Optional weight-scaling policy; its factor is computed from
-        ``expected_deletion`` (the deployment-time estimate of the deletion
-        probability, normally set equal to the actual noise level as in the
-        paper).
-    expected_deletion:
-        Deletion probability the weight scaling should compensate for.
+        Optional weight-scaling policy; its factor compensates the noise's
+        own deletion level, as in the paper, which scales for the noise
+        level it evaluates.
     """
 
     def __init__(
         self,
         network: ConvertedSNN,
         coder: NeuralCoder,
-        noise: Optional[SpikeNoise] = None,
+        noise: NoiseInjector = NoiseInjector(),
         weight_scaling: Optional[WeightScaling] = None,
-        expected_deletion: float = 0.0,
     ):
         self.network = network
         self.coder = coder
         self.noise = noise
         self.weight_scaling = weight_scaling or WeightScaling.disabled()
-        self.expected_deletion = float(expected_deletion)
 
     @property
     def scale_factor(self) -> float:
         """Weight-scaling factor ``C`` in effect for this evaluator."""
-        return self.weight_scaling.factor(self.expected_deletion)
+        return self.weight_scaling.factor(self.noise.deletion)
 
     @staticmethod
     def _check_batch(
@@ -280,7 +276,7 @@ class ActivationTransportSimulator(BatchEvaluator):
         An injected ``input_train`` replaces the normalise/encode/noise
         chain of the input interface only; deeper interfaces behave as
         usual.  Without it, a coder with a class encoding under noise that
-        :attr:`~repro.noise.base.SpikeNoise.acts_on_classes` runs every
+        :attr:`~repro.noise.injector.NoiseInjector.acts_on_classes` runs every
         interface on per-class spike counts (the class path of the module
         docstring).
 
@@ -293,7 +289,7 @@ class ActivationTransportSimulator(BatchEvaluator):
         class_path = (
             input_train is None
             and self.coder.has_class_encoding
-            and (self.noise is None or self.noise.acts_on_classes)
+            and self.noise.acts_on_classes
         )
 
         activations = x
@@ -311,7 +307,7 @@ class ActivationTransportSimulator(BatchEvaluator):
                         normalised,
                         rng=derive_rng(generator, "encode", interface_index),
                     )
-                if self.noise is not None:
+                if not self.noise.is_clean:
                     train = self.noise.apply(
                         train, rng=derive_rng(generator, "noise", interface_index)
                     )
@@ -335,9 +331,8 @@ def evaluate_transport(
     coder: NeuralCoder,
     x: np.ndarray,
     labels: Optional[np.ndarray] = None,
-    noise: Optional[SpikeNoise] = None,
+    noise: NoiseInjector = NoiseInjector(),
     weight_scaling: Optional[WeightScaling] = None,
-    expected_deletion: float = 0.0,
     batch_size: int = 16,
     rng: RngLike = None,
     keep_logits: bool = False,
@@ -349,9 +344,7 @@ def evaluate_transport(
     loop: every input is an explicit argument and the return value depends
     on nothing else.
     """
-    return ActivationTransportSimulator(
-        network, coder, noise, weight_scaling, expected_deletion
-    ).evaluate(
+    return ActivationTransportSimulator(network, coder, noise, weight_scaling).evaluate(
         x, labels, batch_size=batch_size, rng=rng, keep_logits=keep_logits,
         sample_offset=sample_offset,
     )

@@ -222,6 +222,30 @@ def all_codings_ws(ttas_duration: int = 5) -> List[MethodSpec]:
     return coding_methods(ttas_durations=(ttas_duration,), weight_scaling=True)
 
 
+def _check_timestep_support(
+    methods: Sequence[MethodSpec], field: str, label: str = ""
+) -> None:
+    """Refuse methods whose coding has no faithful per-layer protocol.
+
+    Per-capability validation: each coding scheme declares whether it has
+    one, and why (not).  ``field`` names the config field that chose the
+    timestep simulator; ``label`` tags each refused coding.
+    """
+    from repro.coding.registry import timestep_support
+
+    problems = []
+    for coding in sorted({m.coding for m in methods}):
+        supported, note = timestep_support(coding)
+        if not supported:
+            problems.append(f"{coding}{label}: {note}")
+    if problems:
+        raise ConfigError(
+            f"the timestep {field} cannot faithfully model every requested "
+            "method -- " + "; ".join(problems) + " -- drop those method(s) "
+            f"(e.g. restrict the sweep with --methods) or use {field}='transport'"
+        )
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """A full noise sweep: dataset, methods, noise axis and levels.
@@ -279,22 +303,7 @@ class SweepConfig:
         check_positive("batch_size", self.batch_size)
         validate_choice("simulator", self.simulator, SIMULATORS)
         if self.simulator == "timestep":
-            # Per-capability validation: each coding scheme declares whether
-            # it has a faithful per-layer protocol, and why (not).
-            from repro.coding.registry import timestep_support
-
-            problems = []
-            for coding in sorted({m.coding for m in self.methods}):
-                supported, note = timestep_support(coding)
-                if not supported:
-                    problems.append(f"{coding}: {note}")
-            if problems:
-                raise ConfigError(
-                    "the timestep simulator cannot faithfully model every "
-                    "requested method -- " + "; ".join(problems) + " -- "
-                    "drop those method(s) (e.g. restrict the sweep with "
-                    "--methods) or use simulator='transport'"
-                )
+            _check_timestep_support(self.methods, "simulator")
 
     def build_plans(self, eval_size: Optional[int] = None, use_cache: bool = True) -> list:
         """Compile the sweep into its (method x level) noise-cell plans."""
@@ -378,7 +387,7 @@ BENCH_JITTER_LEVELS: Tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0)
 TABLE1_DELETION_LEVELS: Tuple[float, ...] = (0.0, 0.2, 0.5, 0.8)
 TABLE2_JITTER_LEVELS: Tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
 
-#: Hardware-fault noise axes (extension; see :mod:`repro.noise.faults`).
+#: Hardware-fault noise axes (extension; see :mod:`repro.noise.injector`).
 FAULT_NOISE_KINDS: Tuple[str, ...] = NOISE_KINDS[2:]
 
 #: Fault fractions swept by the hardware-fault robustness curves.
@@ -462,22 +471,10 @@ class AttackSweepConfig:
                 )
         check_positive("max_candidates", self.max_candidates)
         if self.evaluator == "timestep":
-            # Transfer evaluation needs the faithful simulator, whose
-            # per-capability check each coding declares by name.
-            from repro.coding.registry import timestep_support
-
-            problems = []
-            for coding in sorted({m.coding for m in self.methods}):
-                supported, note = timestep_support(coding)
-                if not supported:
-                    problems.append(f"{coding} (transfer evaluation): {note}")
-            if problems:
-                raise ConfigError(
-                    "the adversarial attack engine cannot handle every "
-                    "requested method -- " + "; ".join(problems) + " -- drop "
-                    "those method(s) (e.g. restrict the sweep with --methods) "
-                    "or use evaluator='transport'"
-                )
+            # Transfer evaluation runs on the faithful simulator.
+            _check_timestep_support(
+                self.methods, "evaluator", label=" (transfer evaluation)"
+            )
 
     def build_plans(self, eval_size: Optional[int] = None, use_cache: bool = True) -> list:
         """Compile the sweep into its (method x budget) attack-cell plans."""

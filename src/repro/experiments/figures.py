@@ -19,9 +19,9 @@ Figure inventory (paper -> catalogue name -> bound function):
 * Fig. 8  rate/phase/burst/TTFS/TTAS(10) vs jitter              -> ``fig8`` -> :func:`figure8_jitter_comparison`
 
 Beyond the paper, ``fault-dead`` / ``fault-stuck`` / ``fault-burst`` sweep
-the hardware-fault models of :mod:`repro.noise.faults`, and ``adv-delete`` /
-``adv-shift`` / ``adv-insert`` pair a budgeted attacker's worst case with the
-matched random baseline per coding; :func:`run_figure` runs them by name.
+the hardware-fault levels of :class:`~repro.noise.injector.NoiseInjector`,
+and ``adv-delete`` / ``adv-shift`` / ``adv-insert`` pair a budgeted
+attacker's worst case with the matched random baseline per coding; :func:`run_figure` runs them by name.
 Fig. 5B is not a sweep and keeps its own function.
 """
 
@@ -44,7 +44,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import SweepResult, SweepSpec, run_spec
 from repro.experiments.workloads import PreparedWorkload
-from repro.noise.deletion import DeletionNoise
+from repro.noise.injector import NoiseInjector
 
 #: Default dataset of the figures (the paper plots CIFAR-10).
 _CIFAR10 = ("cifar10",)
@@ -146,7 +146,7 @@ def figure5_activation_distribution(
     paper (continuous around ``(1-p)A`` for rate-like codes, all-or-none for
     TTFS, bimodal towards 0 and A for TTAS).
     """
-    noise = DeletionNoise(deletion_probability)
+    noise = NoiseInjector(deletion=deletion_probability)
     distributions: Dict[str, ActivationDistribution] = {}
     specs = {
         "rate": create_coder("rate", num_steps=num_steps),

@@ -6,7 +6,7 @@ accuracy and spike counts at deletion probabilities {clean, 0.2, 0.5, 0.8}
 plus their average.  Table II reports accuracy under jitter sigma
 {clean, 1, 2, 3} for phase/burst/TTFS/TTAS without weight scaling.  The
 ``table3-*`` entries extend the layout to the hardware-fault models (dead
-neurons / stuck-at-firing / burst errors) of :mod:`repro.noise.faults`, and
+neurons / stuck-at-firing / burst errors) of :mod:`repro.noise.injector`, and
 the ``adv-*`` entries hold two rows per coding: a budgeted attacker's worst
 case and the matched random baseline, over attack-budget columns.
 

@@ -3,13 +3,14 @@
 The paper models the dynamic noise of analog neuromorphic hardware as noisy
 *output spikes* rather than noisy parameters (Sec. II-B): spikes are deleted
 with probability ``p`` or shifted in time by quantised Gaussian jitter with
-standard deviation ``sigma``.  This package implements exactly those two
-transforms plus a composite injector and, as extensions, the parametric
-weight-noise model used by earlier work for comparison and a family of
-structured hardware-fault models (dead neurons, stuck-at-fire neurons,
-correlated burst errors, weight quantization) in :mod:`repro.noise.faults`,
-and the budgeted worst-case spike-timing perturbation spaces and attack
-search drivers of :mod:`repro.noise.adversarial`.
+standard deviation ``sigma``.  :class:`NoiseInjector` is the one spike-noise
+value: those two levels plus, as extensions, three structured hardware
+faults (correlated burst errors, dead neurons, stuck-at-fire neurons),
+applied in one fixed order.  Also extensions: the parametric weight-noise
+model used by earlier work for comparison (:mod:`repro.noise.weights`),
+weight quantisation (:func:`quantize_network`), and the budgeted worst-case
+spike-timing perturbation spaces and attack search drivers of
+:mod:`repro.noise.adversarial`.
 """
 
 from repro.noise.adversarial import (
@@ -28,28 +29,11 @@ from repro.noise.adversarial import (
     run_attack_search,
     stack_trains,
 )
-from repro.noise.base import IdentityNoise, SpikeNoise
-from repro.noise.deletion import DeletionNoise
-from repro.noise.faults import (
-    BurstErrorNoise,
-    DeadNeuronNoise,
-    StuckAtFireNoise,
-    WeightQuantizationNoise,
-    quantize_network,
-)
-from repro.noise.jitter import JitterNoise
+from repro.noise.faults import quantize_network
 from repro.noise.injector import NoiseInjector
 from repro.noise.weights import GaussianWeightNoise
 
 __all__ = [
-    "SpikeNoise",
-    "IdentityNoise",
-    "DeletionNoise",
-    "JitterNoise",
-    "BurstErrorNoise",
-    "DeadNeuronNoise",
-    "StuckAtFireNoise",
-    "WeightQuantizationNoise",
     "quantize_network",
     "NoiseInjector",
     "GaussianWeightNoise",

@@ -432,8 +432,6 @@ class TimeSteppedSimulator:
                 f"input spike train has {input_spikes.num_steps} steps, "
                 f"simulator expects {self.input_steps}"
             )
-        if not input_spikes.population_shape:
-            raise ValueError("input spike train must include a batch dimension")
         batch, *features = input_spikes.population_shape
         spikes = _SpikeRows(batch, features)
         chunk = self._chunk_steps(batch, 2 * int(np.prod(spikes.features)))

@@ -98,16 +98,13 @@ def _broadcast_population_mask(
 
 
 def _resolve_window(
-    window: Optional[Tuple[int, Optional[int]]], num_steps: int
+    start: int, stop: Optional[int], num_steps: int
 ) -> Tuple[int, int]:
-    """Clip a ``(start, stop)`` step window to ``[0, num_steps]``.
+    """Clip a ``[start, stop)`` step window to ``[0, num_steps]``.
 
-    ``window=None`` means the whole train; ``stop=None`` means "until the
-    end" (mirrors the neuron fire-window convention).
+    ``stop=None`` means "until the end" (mirrors the neuron fire-window
+    convention).
     """
-    if window is None:
-        return 0, num_steps
-    start, stop = window
     start = max(int(start), 0)
     stop = num_steps if stop is None else min(int(stop), num_steps)
     return start, max(stop, start)
@@ -207,7 +204,7 @@ class SpikeTrainArray:
         view of the underlying buffer -- treat it as read-only.
         ``stop=None`` means "until the end".
         """
-        start, stop = _resolve_window((start, stop), self.num_steps)
+        start, stop = _resolve_window(start, stop, self.num_steps)
         return self.counts[start:stop]
 
     # -- transformations -----------------------------------------------------
@@ -319,23 +316,17 @@ class SpikeTrainArray:
             np.where(keep, self.counts, np.int16(0)), copy=False
         )
 
-    def force_firing(
-        self,
-        mask: np.ndarray,
-        window: Optional[Tuple[int, Optional[int]]] = None,
-    ) -> "SpikeTrainArray":
+    def force_firing(self, mask: np.ndarray) -> "SpikeTrainArray":
         """Return a train where masked neurons emit exactly one spike per step.
 
-        Within ``window`` (default: the whole train) every neuron where
-        ``mask`` is ``True`` has its count replaced by 1 -- the stuck-at-fire
-        hardware fault.  Steps outside the window keep their original spikes.
+        Every neuron where ``mask`` is ``True`` has its count replaced by 1
+        at every step -- the stuck-at-fire hardware fault.
         """
         mask = _broadcast_population_mask(mask, self.population_shape)
-        start, stop = _resolve_window(window, self.num_steps)
-        if not mask.any() or start >= stop:
+        if not mask.any():
             return self.view()
         out = self.counts.copy()
-        out[start:stop] = np.where(mask, np.int16(1), out[start:stop])
+        np.copyto(out, 1, where=mask)
         return SpikeTrainArray(out, copy=False)
 
     def drop_window(self, start: int, stop: int) -> "SpikeTrainArray":
@@ -345,7 +336,7 @@ class SpikeTrainArray:
         spikes are dropped together in one contiguous time window instead of
         independently.
         """
-        start, stop = _resolve_window((start, stop), self.num_steps)
+        start, stop = _resolve_window(start, stop, self.num_steps)
         if start >= stop:
             return self.view()
         out = self.counts.copy()
@@ -469,10 +460,11 @@ class SpikeEvents:
         counts: np.ndarray,
         num_neurons: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sort events by (time, neuron) and coalesce duplicate slots."""
-        if times.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
+        """Sort events by (time, neuron) and coalesce duplicate slots.
+
+        Never called on an empty train: one with no events is canonical
+        when it is built.
+        """
         linear = times * num_neurons + neuron_indices
         order = np.argsort(linear, kind="stable")
         linear = linear[order]
@@ -551,7 +543,7 @@ class SpikeEvents:
         ``stop=None`` means "until the end".  A slot holding more than
         :data:`MAX_SPIKE_COUNT` spikes raises instead of wrapping.
         """
-        start, stop = _resolve_window((start, stop), self._num_steps)
+        start, stop = _resolve_window(start, stop, self._num_steps)
         width = stop - start
         self._ensure_canonical()
         flat = np.zeros((width, self.num_neurons), dtype=np.int16)
@@ -662,36 +654,27 @@ class SpikeEvents:
             self._num_steps, self._population_shape, _canonical=self._canonical,
         )
 
-    def force_firing(
-        self,
-        mask: np.ndarray,
-        window: Optional[Tuple[int, Optional[int]]] = None,
-    ) -> "SpikeEvents":
+    def force_firing(self, mask: np.ndarray) -> "SpikeEvents":
         """Return a train where masked neurons emit exactly one spike per step.
 
-        Original events of stuck neurons inside ``window`` are discarded and
-        replaced by a regular one-spike-per-step grid (see the dense
-        counterpart for the fault semantics).
+        Original events of stuck neurons are discarded and replaced by a
+        regular one-spike-per-step grid (see the dense counterpart for the
+        fault semantics).
         """
         mask = _broadcast_population_mask(mask, self._population_shape)
-        start, stop = _resolve_window(window, self._num_steps)
-        if not mask.any() or start >= stop:
+        if not mask.any():
             return self.view()
         mask_flat = np.broadcast_to(mask, self._population_shape).ravel()
         forced = np.flatnonzero(mask_flat)
-        sel = (
-            ~mask_flat[self.neuron_indices]
-            | (self.times < start)
-            | (self.times >= stop)
-        )
-        width = stop - start
+        sel = ~mask_flat[self.neuron_indices]
+        steps = self._num_steps
         return SpikeEvents(
             np.concatenate(
-                [self.times[sel], np.repeat(np.arange(start, stop), forced.size)]
+                [self.times[sel], np.repeat(np.arange(steps), forced.size)]
             ),
-            np.concatenate([self.neuron_indices[sel], np.tile(forced, width)]),
+            np.concatenate([self.neuron_indices[sel], np.tile(forced, steps)]),
             np.concatenate(
-                [self.event_counts[sel], np.ones(width * forced.size, dtype=np.int64)]
+                [self.event_counts[sel], np.ones(steps * forced.size, dtype=np.int64)]
             ),
             self._num_steps, self._population_shape,
         )
@@ -701,7 +684,7 @@ class SpikeEvents:
 
         O(events) filter (see the dense counterpart for the fault semantics).
         """
-        start, stop = _resolve_window((start, stop), self._num_steps)
+        start, stop = _resolve_window(start, stop, self._num_steps)
         if start >= stop:
             return self.view()
         sel = (self.times < start) | (self.times >= stop)

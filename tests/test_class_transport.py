@@ -20,6 +20,8 @@ instead of the ``(T, batch, ...)`` grid.  This suite checks
   case outside it still does.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -27,15 +29,7 @@ from repro.coding import BurstCoder, PhaseCoder, RateCoder
 from repro.coding.base import ClassCounts, NeuralCoder, PeriodicCoder
 from repro.core.timestep import TimestepEvaluator
 from repro.core.transport import ActivationTransportSimulator
-from repro.noise import (
-    BurstErrorNoise,
-    DeadNeuronNoise,
-    DeletionNoise,
-    IdentityNoise,
-    JitterNoise,
-    NoiseInjector,
-    StuckAtFireNoise,
-)
+from repro.noise import NoiseInjector
 from repro.snn.spikes import SpikeTrainArray
 
 WINDOW_CODERS = [
@@ -59,10 +53,10 @@ def per_neuron(train):
     return train.to_dense().counts.sum(axis=0)
 
 
-class TimedIdentity(IdentityNoise):
-    """A no-op that declares itself time-resolved, forcing the time grid."""
+class TimedIdentity(NoiseInjector):
+    """Clean noise that refuses the class path, forcing the time grid."""
 
-    time_free = False
+    acts_on_classes = False
 
 
 # -- two-sample tests (numpy only) -----------------------------------------------
@@ -156,29 +150,20 @@ def test_rate_decode_at_paper_window_within_float32_sum_bound():
     assert np.abs(classes - exact).max() <= 2.0**-23
 
 
-def test_time_free_declarations():
-    assert DeletionNoise(0.2).time_free and DeadNeuronNoise(0.2).time_free
-    assert IdentityNoise().time_free
-    for model in (JitterNoise(1.0), BurstErrorNoise(0.2), StuckAtFireNoise(0.2)):
-        assert not model.time_free
-    assert NoiseInjector.from_levels(deletion_probability=0.3, dead_fraction=0.1).time_free
-    assert NoiseInjector.from_levels().time_free
-    assert not NoiseInjector.from_levels(deletion_probability=0.3, jitter_sigma=1.0).time_free
-
-
 def test_class_path_routing_rule():
-    # Time-free, or jitter first and only time-free models after it.
-    assert JitterNoise(1.0).acts_on_classes
-    assert DeletionNoise(0.2).acts_on_classes and IdentityNoise().acts_on_classes
-    assert not BurstErrorNoise(0.2).acts_on_classes
-    assert not StuckAtFireNoise(0.2).acts_on_classes
+    # No burst error, no stuck-at-fire, and not both deletion and jitter.
     qualifies = [
-        NoiseInjector.from_levels(),
+        NoiseInjector(),
+        NoiseInjector(deletion=0.2),
+        NoiseInjector(dead=0.2),
+        NoiseInjector(jitter=1.0),
         NoiseInjector.from_levels(deletion_probability=0.3, dead_fraction=0.1),
         NoiseInjector.from_levels(jitter_sigma=1.0),
         NoiseInjector.from_levels(jitter_sigma=1.0, dead_fraction=0.1),
     ]
     keeps_grid = [
+        NoiseInjector(burst_error=0.2),
+        NoiseInjector(stuck=0.2),
         NoiseInjector.from_levels(deletion_probability=0.3, jitter_sigma=1.0),
         NoiseInjector.from_levels(jitter_sigma=1.0, burst_error_fraction=0.1),
         NoiseInjector.from_levels(jitter_sigma=1.0, stuck_fraction=0.1),
@@ -213,11 +198,12 @@ class TestClassJitter:
         return np.random.default_rng(0).random(self.population)
 
     def dense_folded(self, coder, sigma, seed=1):
-        train = JitterNoise(sigma).apply(coder.encode(self.values()), rng=seed)
+        train = NoiseInjector(jitter=sigma).apply(coder.encode(self.values()), rng=seed)
         return fold(train.counts, coder.period)
 
     def classes(self, coder, sigma, seed=2):
-        return JitterNoise(sigma).apply(coder.encode_classes(self.values()), rng=seed).counts
+        noise = NoiseInjector(jitter=sigma)
+        return noise.apply(coder.encode_classes(self.values()), rng=seed).counts
 
     def landing_totals(self, coder, counts):
         """Spikes landing in each class, split by whether the neuron fired
@@ -352,7 +338,7 @@ class TestDistributionalEquivalence:
 
 
 # -- routing and exactness through the evaluator --------------------------------------
-def simulator(network, coder, noise=None):
+def simulator(network, coder, noise=NoiseInjector()):
     return ActivationTransportSimulator(
         network=network, coder=coder, noise=noise
     )
@@ -446,7 +432,7 @@ class TestRouting:
         x = mnist_split.test.x[:8]
         train = coder.encode(x / converted_mlp.input_scale)
         encodes = self._forbid_classes(monkeypatch)
-        logits, spikes = simulator(converted_mlp, coder, DeletionNoise(0.2)).forward(
+        logits, spikes = simulator(converted_mlp, coder, NoiseInjector(deletion=0.2)).forward(
             None, rng=0, input_train=train
         )
         assert logits.shape[0] == 8
@@ -485,12 +471,11 @@ class TestRouting:
         return encodes
 
 
+@dataclass(frozen=True)
 class RecordingInjector(NoiseInjector):
     """A noise injector that logs every train it corrupts."""
 
-    def __init__(self, models):
-        super().__init__(models)
-        self.log = []
+    log: list = field(default_factory=list, compare=False)
 
     def apply(self, train, rng=None):
         noisy = super().apply(train, rng=rng)
@@ -525,7 +510,7 @@ class TestEvaluatorClassJitter:
         self, converted_mlp, mnist_split, coder
     ):
         x = mnist_split.test.x[:16]
-        noise = RecordingInjector([JitterNoise(2.0)])
+        noise = RecordingInjector(jitter=2.0)
         _, spikes = simulator(converted_mlp, coder, noise).forward(x, rng=0)
         assert len(noise.log) == len(spikes)
         for index, (clean, jittered) in enumerate(noise.log):

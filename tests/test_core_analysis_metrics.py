@@ -8,14 +8,14 @@ from oracles import roundtrip
 from repro.coding import RateCoder, TTASCoder, TTFSCoder
 from repro.core.analysis import activation_distribution, decoded_samples
 from repro.metrics import area_under_accuracy_curve, energy_proxy
-from repro.noise import DeletionNoise
+from repro.noise import NoiseInjector
 from repro.utils.rng import default_rng, derive_rng
 
 
 def expected_activation_ratio(coder, values, deletion_probability, trials, rng):
     """Empirical ``E[A'] / A`` of ``values`` under deletion noise."""
     generator = default_rng(rng)
-    noise = DeletionNoise(deletion_probability)
+    noise = NoiseInjector(deletion=deletion_probability)
     clean_sum = float(roundtrip(coder, values).sum())
     clean_train = coder.encode(values)
     totals = [
@@ -28,7 +28,8 @@ def expected_activation_ratio(coder, values, deletion_probability, trials, rng):
 def all_or_none_fraction(coder, value, deletion_probability, trials, rng, tolerance=0.1):
     """Fractions of noisy decodings of ``value`` that fall to ~0 or stay at ~A."""
     samples = decoded_samples(
-        coder, value, DeletionNoise(deletion_probability), trials=trials, rng=rng
+        coder, value, NoiseInjector(deletion=deletion_probability), trials=trials,
+        rng=rng,
     )
     relative = samples / float(roundtrip(coder, np.array([value])).reshape(-1)[0])
     return float(np.mean(relative <= tolerance)), float(np.mean(relative >= 1.0 - tolerance))
@@ -65,7 +66,7 @@ class TestAnalysis:
 
     def test_activation_distribution_histogram(self):
         dist = activation_distribution(
-            RateCoder(64), 0.8, DeletionNoise(0.4), trials=200, bins=10, rng=0
+            RateCoder(64), 0.8, NoiseInjector(deletion=0.4), trials=200, bins=10, rng=0
         )
         assert dist.counts.sum() == 200
         assert abs(dist.probabilities.sum() - 1.0) < 1e-9
@@ -73,12 +74,12 @@ class TestAnalysis:
         assert dist.clean_value == 0.8
 
     def test_decoded_samples_shape(self):
-        samples = decoded_samples(TTFSCoder(16), 0.5, DeletionNoise(0.3), trials=50, rng=0)
+        samples = decoded_samples(TTFSCoder(16), 0.5, NoiseInjector(deletion=0.3), trials=50, rng=0)
         assert samples.shape == (50,)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            activation_distribution(RateCoder(16), 0.5, DeletionNoise(0.2), bins=0)
+            activation_distribution(RateCoder(16), 0.5, NoiseInjector(deletion=0.2), bins=0)
 
 
 class TestSpikeMetrics:

@@ -6,7 +6,7 @@ import pytest
 from repro.coding import RateCoder, TTASCoder, TTFSCoder
 from repro.core import ActivationTransportSimulator, NoiseRobustSNN, WeightScaling
 from repro.core.transport import TransportResult
-from repro.noise import DeletionNoise, JitterNoise
+from repro.noise import NoiseInjector
 
 
 class TestTransportSimulator:
@@ -34,7 +34,7 @@ class TestTransportSimulator:
             converted_mlp, RateCoder(num_steps=32)
         ).evaluate(x, y, rng=0)
         noisy = ActivationTransportSimulator(
-            converted_mlp, RateCoder(num_steps=32), noise=DeletionNoise(0.8)
+            converted_mlp, RateCoder(num_steps=32), noise=NoiseInjector(deletion=0.8)
         ).evaluate(x, y, rng=0)
         assert noisy.total_spikes < clean.total_spikes
         assert noisy.accuracy <= clean.accuracy
@@ -43,18 +43,18 @@ class TestTransportSimulator:
         x, y = mnist_split.test.x[:60], mnist_split.test.y[:60]
         coder = RateCoder(num_steps=32)
         without = ActivationTransportSimulator(
-            converted_mlp, coder, noise=DeletionNoise(0.7)
+            converted_mlp, coder, noise=NoiseInjector(deletion=0.7)
         ).evaluate(x, y, rng=0)
         with_ws = ActivationTransportSimulator(
-            converted_mlp, coder, noise=DeletionNoise(0.7),
-            weight_scaling=WeightScaling(), expected_deletion=0.7,
+            converted_mlp, coder, noise=NoiseInjector(deletion=0.7),
+            weight_scaling=WeightScaling(),
         ).evaluate(x, y, rng=0)
         assert with_ws.accuracy >= without.accuracy
 
     def test_scale_factor_property(self, converted_mlp):
         simulator = ActivationTransportSimulator(
             converted_mlp, RateCoder(16),
-            weight_scaling=WeightScaling(), expected_deletion=0.5,
+            noise=NoiseInjector(deletion=0.5), weight_scaling=WeightScaling(),
         )
         assert abs(simulator.scale_factor - 2.0) < 1e-12
 
@@ -79,7 +79,7 @@ class TestTransportSimulator:
         coder = RateCoder(num_steps=32)
         clean = ActivationTransportSimulator(converted_mlp, coder).evaluate(x, y, rng=0)
         jitter = ActivationTransportSimulator(
-            converted_mlp, coder, noise=JitterNoise(3.0)
+            converted_mlp, coder, noise=NoiseInjector(jitter=3.0)
         ).evaluate(x, y, rng=0)
         assert abs(jitter.accuracy - clean.accuracy) <= 0.05
 
@@ -92,7 +92,7 @@ class TestTransportSimulator:
 
     def test_deterministic_given_seed(self, converted_mlp, mnist_split):
         simulator = ActivationTransportSimulator(
-            converted_mlp, TTFSCoder(16), noise=DeletionNoise(0.5)
+            converted_mlp, TTFSCoder(16), noise=NoiseInjector(deletion=0.5)
         )
         x, y = mnist_split.test.x[:20], mnist_split.test.y[:20]
         a = simulator.evaluate(x, y, rng=5)

@@ -1,7 +1,8 @@
 """Tests for the hardware-fault noise models and their evaluator routing.
 
-Covers the fault models of :mod:`repro.noise.faults` (dead neurons,
-stuck-at-firing, burst errors, weight quantization), the injector wiring,
+Covers the fault levels of :class:`~repro.noise.injector.NoiseInjector`
+(dead neurons, stuck-at-firing, burst errors), weight quantization
+(:func:`~repro.noise.faults.quantize_network`), the injector wiring,
 the faithful simulator's per-layer fault masks, and the acceptance
 requirement that fault curves run end-to-end on *both* evaluators with
 matching degradation trends.
@@ -10,13 +11,9 @@ matching degradation trends.
 import numpy as np
 import pytest
 
-from repro.noise import (
-    BurstErrorNoise,
-    DeadNeuronNoise,
-    NoiseInjector,
-    StuckAtFireNoise,
-    WeightQuantizationNoise,
-)
+from repro.conversion.converter import ConvertedSNN, NetworkSegment
+from repro.nn.layers import Dense
+from repro.noise import NoiseInjector, quantize_network
 from repro.snn.simulator import LayerFaultMask
 from repro.snn.spikes import SpikeTrainArray
 
@@ -37,11 +34,11 @@ def batched_train(seed=0, shape=(20, 4, 25), p=0.3):
 class TestDeadNeuronNoise:
     def test_zero_fraction_is_identity(self):
         train = dense_train()
-        assert DeadNeuronNoise(0.0).apply(train, rng=0) == train
+        assert NoiseInjector(dead=0.0).apply(train, rng=0) == train
 
     def test_dead_neurons_are_silent_at_every_step(self):
         train = dense_train(p=0.8)
-        noisy = DeadNeuronNoise(0.5).apply(train, rng=1)
+        noisy = NoiseInjector(dead=0.5).apply(train, rng=1)
         silenced = (noisy.counts.sum(axis=0) == 0) & (train.counts.sum(axis=0) > 0)
         assert silenced.any()
         # A neuron is either untouched or silent at *all* steps -- the mask
@@ -51,36 +48,36 @@ class TestDeadNeuronNoise:
 
     def test_mask_is_persistent_and_deterministic(self):
         train = dense_train()
-        a = DeadNeuronNoise(0.4).apply(train, rng=7)
-        b = DeadNeuronNoise(0.4).apply(train, rng=7)
+        a = NoiseInjector(dead=0.4).apply(train, rng=7)
+        b = NoiseInjector(dead=0.4).apply(train, rng=7)
         assert a == b
 
     def test_batch_axis_shares_the_mask(self):
         # All samples of a batch run on the same physical chip, so the same
         # neurons must be dead for each of them.
         train = batched_train(p=1.0)  # every neuron spikes every step
-        noisy = DeadNeuronNoise(0.5).apply(train, rng=2)
+        noisy = NoiseInjector(dead=0.5).apply(train, rng=2)
         per_sample_dead = noisy.counts.sum(axis=0) == 0  # (batch, features)
         for sample in range(1, per_sample_dead.shape[0]):
             assert np.array_equal(per_sample_dead[sample], per_sample_dead[0])
 
     def test_dense_events_bit_identical(self):
         train = dense_train()
-        dense = DeadNeuronNoise(0.4).apply(train, rng=3)
-        events = DeadNeuronNoise(0.4).apply(train.to_events(), rng=3)
+        dense = NoiseInjector(dead=0.4).apply(train, rng=3)
+        events = NoiseInjector(dead=0.4).apply(train.to_events(), rng=3)
         assert events.to_dense() == dense
 
     def test_input_not_mutated(self):
         train = dense_train()
         before = train.counts.copy()
-        DeadNeuronNoise(0.9).apply(train, rng=0)
+        NoiseInjector(dead=0.9).apply(train, rng=0)
         assert np.array_equal(train.counts, before)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DeadNeuronNoise(1.5)
-        with pytest.raises(ValueError):
-            DeadNeuronNoise(-0.1)
+        with pytest.raises(ValueError, match="dead"):
+            NoiseInjector(dead=1.5)
+        with pytest.raises(ValueError, match="dead"):
+            NoiseInjector(dead=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +86,11 @@ class TestDeadNeuronNoise:
 class TestStuckAtFireNoise:
     def test_zero_fraction_is_identity(self):
         train = dense_train()
-        assert StuckAtFireNoise(0.0).apply(train, rng=0) == train
+        assert NoiseInjector(stuck=0.0).apply(train, rng=0) == train
 
     def test_stuck_neurons_fire_once_per_step(self):
         train = dense_train(p=0.0)  # completely silent input
-        noisy = StuckAtFireNoise(0.5).apply(train, rng=1)
+        noisy = NoiseInjector(stuck=0.5).apply(train, rng=1)
         stuck = noisy.counts.sum(axis=0) > 0
         assert stuck.any()
         assert np.array_equal(
@@ -102,26 +99,17 @@ class TestStuckAtFireNoise:
         # Non-stuck neurons keep their (here: empty) activity.
         assert not noisy.counts[:, ~stuck].any()
 
-    def test_window_limits_forced_firing(self):
-        train = dense_train(p=0.0)
-        noisy = StuckAtFireNoise(1.0, window=(5, 10)).apply(train, rng=0)
-        assert noisy.counts[:5].sum() == 0
-        assert noisy.counts[10:].sum() == 0
-        assert np.array_equal(
-            noisy.counts[5:10], np.ones_like(noisy.counts[5:10])
-        )
-
     def test_overrides_existing_activity(self):
         # A stuck neuron emits exactly one spike per step even where the
         # original train had bursts (counts > 1).
         counts = np.full((8, 6), 3, dtype=np.int16)
-        noisy = StuckAtFireNoise(1.0).apply(SpikeTrainArray(counts), rng=0)
+        noisy = NoiseInjector(stuck=1.0).apply(SpikeTrainArray(counts), rng=0)
         assert np.array_equal(noisy.counts, np.ones_like(counts))
 
     def test_dense_events_bit_identical(self):
         train = dense_train()
-        dense = StuckAtFireNoise(0.3).apply(train, rng=5)
-        events = StuckAtFireNoise(0.3).apply(train.to_events(), rng=5)
+        dense = NoiseInjector(stuck=0.3).apply(train, rng=5)
+        events = NoiseInjector(stuck=0.3).apply(train.to_events(), rng=5)
         assert events.to_dense() == dense
 
 
@@ -131,11 +119,11 @@ class TestStuckAtFireNoise:
 class TestBurstErrorNoise:
     def test_zero_fraction_is_identity(self):
         train = dense_train()
-        assert BurstErrorNoise(0.0).apply(train, rng=0) == train
+        assert NoiseInjector(burst_error=0.0).apply(train, rng=0) == train
 
     def test_contiguous_window_dropped(self):
         train = dense_train(p=1.0)
-        noisy = BurstErrorNoise(0.25).apply(train, rng=4)
+        noisy = NoiseInjector(burst_error=0.25).apply(train, rng=4)
         dropped = np.flatnonzero(noisy.counts.sum(axis=1) == 0)
         assert dropped.size == round(0.25 * train.num_steps)
         assert np.array_equal(dropped, np.arange(dropped[0], dropped[-1] + 1))
@@ -144,51 +132,62 @@ class TestBurstErrorNoise:
 
     def test_full_fraction_silences_everything(self):
         train = dense_train(p=0.9)
-        assert BurstErrorNoise(1.0).apply(train, rng=0).total_spikes() == 0
+        assert NoiseInjector(burst_error=1.0).apply(train, rng=0).total_spikes() == 0
 
     def test_dense_events_bit_identical(self):
         train = dense_train()
-        dense = BurstErrorNoise(0.4).apply(train, rng=6)
-        events = BurstErrorNoise(0.4).apply(train.to_events(), rng=6)
+        dense = NoiseInjector(burst_error=0.4).apply(train, rng=6)
+        events = NoiseInjector(burst_error=0.4).apply(train.to_events(), rng=6)
         assert events.to_dense() == dense
 
 
 # ---------------------------------------------------------------------------
 # Weight quantization
 # ---------------------------------------------------------------------------
+def network_with(weights):
+    """A one-segment converted network whose only weight tensor is ``weights``."""
+    layer = Dense(*weights.shape, rng=0)
+    layer.params["weight"] = weights
+    segment = NetworkSegment(layers=[layer], ends_with_spikes=False, index=0)
+    return ConvertedSNN(segments=[segment], input_scale=1.0)
+
+
+def quantised(weights, bits):
+    """``weights`` as :func:`quantize_network` stores them at ``bits``."""
+    return quantize_network(network_with(weights), bits).segments[0].layers[0].params["weight"]
+
+
 class TestWeightQuantization:
     def test_quantization_grid(self):
         rng = np.random.default_rng(0)
         weights = rng.normal(size=(32, 16)).astype(np.float32)
         bits = 4
-        quantised = WeightQuantizationNoise(bits).perturb(weights)
+        quantised_weights = quantised(weights, bits)
         step = np.max(np.abs(weights)) / 2 ** (bits - 1)
-        levels = np.unique(np.round(quantised / step))
+        levels = np.unique(np.round(quantised_weights / step))
         assert len(levels) <= 2 ** bits + 1
-        assert np.max(np.abs(quantised - weights)) <= step / 2 + 1e-6
-        assert quantised.dtype == weights.dtype
+        assert np.max(np.abs(quantised_weights - weights)) <= step / 2 + 1e-6
+        assert quantised_weights.dtype == weights.dtype
 
     def test_deterministic_and_pure(self):
-        weights = np.linspace(-1.0, 1.0, 11)
-        model = WeightQuantizationNoise(3)
+        weights = np.linspace(-1.0, 1.0, 11).reshape(11, 1)
         before = weights.copy()
-        a = model.perturb(weights)
-        b = model.perturb(weights)
+        a = quantised(weights, 3)
+        b = quantised(weights, 3)
         assert np.array_equal(a, b)
         assert np.array_equal(weights, before)
 
     def test_high_precision_is_near_identity(self):
-        weights = np.random.default_rng(1).normal(size=64)
-        quantised = WeightQuantizationNoise(16).perturb(weights)
-        assert np.allclose(quantised, weights, atol=1e-3)
+        weights = np.random.default_rng(1).normal(size=(64, 1))
+        assert np.allclose(quantised(weights, 16), weights, atol=1e-3)
 
     def test_zero_tensor(self):
         zeros = np.zeros((4, 4))
-        assert np.array_equal(WeightQuantizationNoise(4).perturb(zeros), zeros)
+        assert np.array_equal(quantised(zeros, 4), zeros)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightQuantizationNoise(0)
+        with pytest.raises(ValueError, match="bits"):
+            quantize_network(network_with(np.ones((2, 2))), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +199,9 @@ class TestInjectorFaults:
             deletion_probability=0.1, burst_error_fraction=0.2,
             dead_fraction=0.3, stuck_fraction=0.4,
         )
-        assert [m.name for m in injector.models] == [
-            "deletion", "burst_error", "dead", "stuck"
-        ]
+        assert injector == NoiseInjector(
+            deletion=0.1, burst_error=0.2, dead=0.3, stuck=0.4
+        )
 
     def test_fault_only_injector(self):
         injector = NoiseInjector.from_levels(dead_fraction=0.5)
@@ -255,7 +254,7 @@ class TestLayerFaultMask:
     def test_stuck_overrides_dead(self):
         # Fractions of 1.0 make every neuron both dead and stuck.  Stuck is
         # applied after dead -- the same composition order the transport
-        # injector uses (from_levels appends dead before stuck) -- so both
+        # injector uses (COMPOSITION_ORDER puts dead before stuck) -- so both
         # evaluators agree that a dead-and-stuck circuit still fires.
         mask = LayerFaultMask(dead_fraction=1.0, stuck_fraction=1.0, rng=0)
         spikes = np.ones((1, 2, 3))

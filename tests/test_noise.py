@@ -1,4 +1,4 @@
-"""Tests for the noise models (deletion, jitter, composite, weight noise)."""
+"""Tests for the spike-noise value (deletion, jitter, composition) and weight noise."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,11 @@ import pytest
 from oracles import roundtrip
 
 from repro.coding import RateCoder, TTFSCoder
-from repro.noise import (
-    DeletionNoise,
-    GaussianWeightNoise,
-    IdentityNoise,
-    JitterNoise,
-    NoiseInjector,
-)
+from repro.noise import GaussianWeightNoise, NoiseInjector
+from repro.noise import injector as injector_module
+from repro.noise.injector import COMPOSITION_ORDER
 from repro.snn.spikes import SpikeTrainArray
+from repro.utils.rng import derive_rng
 
 
 def dense_train(seed=0, shape=(20, 100), p=0.3):
@@ -24,7 +21,7 @@ def dense_train(seed=0, shape=(20, 100), p=0.3):
 class TestIdentityNoise:
     def test_returns_equal_copy(self):
         train = dense_train()
-        clean = IdentityNoise().apply(train, rng=0)
+        clean = NoiseInjector().apply(train, rng=0)
         assert clean == train
         assert clean is not train
 
@@ -32,18 +29,18 @@ class TestIdentityNoise:
 class TestDeletionNoise:
     def test_survival_rate(self):
         train = dense_train(p=0.5)
-        noisy = DeletionNoise(0.4).apply(train, rng=0)
+        noisy = NoiseInjector(deletion=0.4).apply(train, rng=0)
         ratio = noisy.total_spikes() / train.total_spikes()
         assert abs(ratio - 0.6) < 0.05
 
     def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            DeletionNoise(1.2)
+        with pytest.raises(ValueError, match="deletion"):
+            NoiseInjector(deletion=1.2)
 
     def test_does_not_mutate_input(self):
         train = dense_train()
         before = train.total_spikes()
-        DeletionNoise(0.9).apply(train, rng=0)
+        NoiseInjector(deletion=0.9).apply(train, rng=0)
         assert train.total_spikes() == before
 
     def test_reduces_expected_activation_to_one_minus_p(self):
@@ -51,7 +48,7 @@ class TestDeletionNoise:
         coder = RateCoder(num_steps=64)
         values = np.random.default_rng(0).random(500)
         train = coder.encode(values)
-        noisy = DeletionNoise(0.3).apply(train, rng=1)
+        noisy = NoiseInjector(deletion=0.3).apply(train, rng=1)
         ratio = coder.decode(noisy).sum() / coder.decode(train).sum()
         assert abs(ratio - 0.7) < 0.03
 
@@ -59,22 +56,22 @@ class TestDeletionNoise:
 class TestJitterNoise:
     def test_preserves_count_in_clip_mode(self):
         train = dense_train()
-        noisy = JitterNoise(2.0).apply(train, rng=0)
+        noisy = NoiseInjector(jitter=2.0).apply(train, rng=0)
         assert noisy.total_spikes() == train.total_spikes()
 
     def test_zero_sigma_is_identity(self):
         train = dense_train()
-        assert JitterNoise(0.0).apply(train, rng=0) == train
+        assert NoiseInjector(jitter=0.0).apply(train, rng=0) == train
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            JitterNoise(-1.0)
+        with pytest.raises(ValueError, match="jitter"):
+            NoiseInjector(jitter=-1.0)
 
     def test_ttfs_value_perturbed(self):
         coder = TTFSCoder(num_steps=16)
         values = np.full(300, 0.5)
         train = coder.encode(values)
-        noisy = JitterNoise(2.0).apply(train, rng=0)
+        noisy = NoiseInjector(jitter=2.0).apply(train, rng=0)
         errors = np.abs(coder.decode(noisy) - roundtrip(coder, values))
         assert errors.mean() > 0.02
 
@@ -82,12 +79,13 @@ class TestJitterNoise:
 class TestNoiseInjector:
     def test_from_levels_builds_expected_models(self):
         injector = NoiseInjector.from_levels(deletion_probability=0.3, jitter_sigma=1.0)
-        names = [m.name for m in injector.models]
-        assert names == ["deletion", "jitter"]
+        assert injector == NoiseInjector(deletion=0.3, jitter=1.0)
+        assert (injector.burst_error, injector.dead, injector.stuck) == (0.0, 0.0, 0.0)
 
     def test_from_levels_clean(self):
         injector = NoiseInjector.from_levels()
-        assert [m.name for m in injector.models] == ["clean"]
+        assert injector == NoiseInjector() and injector.is_clean
+        assert not NoiseInjector(stuck=0.1).is_clean
         train = dense_train()
         assert injector.apply(train, rng=0) == train
 
@@ -103,12 +101,16 @@ class TestNoiseInjector:
         assert injector.apply(train, rng=7) == injector.apply(train, rng=7)
 
     def test_adding_model_does_not_change_other_stream(self):
-        # The deletion realisation must be identical whether or not jitter is
-        # also applied (independent derived streams).
+        # The deletion realisation must be identical whether or not a later
+        # level is also set (independent derived streams): adding dead
+        # neurons only silences whole neurons of the deletion-only train.
         train = dense_train(p=0.4)
-        deletion_only = NoiseInjector([DeletionNoise(0.5)]).apply(train, rng=3)
-        both = NoiseInjector([DeletionNoise(0.5), JitterNoise(0.0)]).apply(train, rng=3)
-        assert deletion_only == both
+        deletion_only = NoiseInjector(deletion=0.5).apply(train, rng=3).counts
+        both = NoiseInjector(deletion=0.5, dead=0.3).apply(train, rng=3).counts
+        alive = both.sum(axis=0) > 0
+        assert 0 < alive.sum() < alive.size
+        assert np.array_equal(both[:, alive], deletion_only[:, alive])
+        assert not both[:, ~alive].any()
 
 
 class TestCompositionOrder:
@@ -122,22 +124,35 @@ class TestCompositionOrder:
         stuck_fraction=0.1,
     )
 
-    def test_from_levels_follows_composition_order(self):
-        from repro.noise.injector import COMPOSITION_ORDER
+    @staticmethod
+    def streams(monkeypatch, injector):
+        """The ``(name, position)`` stream keys ``apply`` derives, in order."""
+        keys = []
 
+        def recording(rng, *tags):
+            keys.append(tags)
+            return derive_rng(rng, *tags)
+
+        monkeypatch.setattr(injector_module, "derive_rng", recording)
+        injector.apply(dense_train(), rng=0)
+        return [name for name, _ in keys], [position for _, position in keys]
+
+    def test_from_levels_follows_composition_order(self, monkeypatch):
         injector = NoiseInjector.from_levels(**self.ALL_LEVELS)
-        assert tuple(m.name for m in injector.models) == COMPOSITION_ORDER
+        names, positions = self.streams(monkeypatch, injector)
+        assert tuple(names) == COMPOSITION_ORDER
+        assert positions == list(range(len(COMPOSITION_ORDER)))
 
-    def test_order_is_stable_under_partial_levels(self):
-        # Disabling models must drop them without reordering the survivors.
-        from repro.noise.injector import COMPOSITION_ORDER
-
+    def test_order_is_stable_under_partial_levels(self, monkeypatch):
+        # Unset levels drop out without reordering the rest, and positions
+        # count only the levels that are set.
         injector = NoiseInjector.from_levels(
             jitter_sigma=1.0, stuck_fraction=0.1, deletion_probability=0.2
         )
-        names = tuple(m.name for m in injector.models)
-        assert names == ("deletion", "jitter", "stuck")
-        assert names == tuple(n for n in COMPOSITION_ORDER if n in names)
+        names, positions = self.streams(monkeypatch, injector)
+        assert names == ["deletion", "jitter", "stuck"]
+        assert tuple(names) == tuple(n for n in COMPOSITION_ORDER if n in names)
+        assert positions == [0, 1, 2]
 
     def test_full_stack_deterministic(self):
         train = dense_train(p=0.4)
@@ -182,13 +197,15 @@ class TestCompositionOrder:
     def test_order_matters(self):
         # Sanity check that the contract is not vacuous: swapping deletion
         # and stuck-at-fire changes the realisation (stuck spikes would be
-        # re-deleted), so the frozen order is load-bearing.
-        from repro.noise import DeletionNoise, StuckAtFireNoise
-
+        # re-deleted), so the frozen order is load-bearing.  The swapped
+        # order is applied by hand, on the streams it would be keyed by.
         train = dense_train(seed=9, p=0.5)
-        forward = NoiseInjector([DeletionNoise(0.5), StuckAtFireNoise(0.3)])
-        swapped = NoiseInjector([StuckAtFireNoise(0.3), DeletionNoise(0.5)])
-        assert forward.apply(train, rng=4) != swapped.apply(train, rng=4)
+        forward = NoiseInjector(deletion=0.5, stuck=0.3).apply(train, rng=4)
+        stuck = derive_rng(4, "stuck", 0).random(size=train.population_shape) < 0.3
+        swapped = train.force_firing(stuck).delete_spikes(
+            0.5, rng=derive_rng(4, "deletion", 1)
+        )
+        assert forward != swapped
 
 
 class TestWeightNoise:

@@ -512,8 +512,7 @@ class TestEvaluateTimestep:
         scaled = TimestepEvaluator(
             converted_mlp, coder,
             noise=NoiseInjector.from_levels(deletion_probability=0.5),
-            weight_scaling=WeightScaling(mode="inverse"),
-            expected_deletion=0.5, threshold=0.1,
+            weight_scaling=WeightScaling(mode="inverse"), threshold=0.1,
         ).evaluate(x, rng=0)
         unscaled = TimestepEvaluator(
             converted_mlp, coder,
@@ -581,7 +580,6 @@ class TestEvaluateTimestep:
         direct = TimestepEvaluator(
             quantize_network(converted_mlp, 3), PhaseCoder(num_steps=16),
             noise=NoiseInjector.from_levels(deletion_probability=0.2),
-            expected_deletion=0.2,
         ).evaluate(x, y, rng=0)
         assert result.accuracy == direct.accuracy
         assert result.total_spikes == direct.total_spikes

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from repro.coding import BurstCoder, PhaseCoder, RateCoder, TTASCoder, TTFSCoder
 from repro.coding.base import NeuralCoder
 from repro.core.transport import ActivationTransportSimulator
-from repro.noise import DeletionNoise, IdentityNoise, NoiseInjector
+from repro.noise import NoiseInjector
 from repro.snn.spikes import MAX_SPIKE_COUNT, SpikeEvents, SpikeTrainArray
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -176,9 +176,6 @@ def _as_backend(train, backend):
 NOOP_FAULTS = {
     "mask_keeps_everyone": lambda t: t.mask_neurons(np.ones(t.population_shape, bool)),
     "force_nobody": lambda t: t.force_firing(np.zeros(t.population_shape, bool)),
-    "force_in_empty_window": lambda t: t.force_firing(
-        np.ones(t.population_shape, bool), window=(3, 3)
-    ),
     "drop_empty_window": lambda t: t.drop_window(4, 4),
 }
 
@@ -351,13 +348,13 @@ class TestNoiseProtocol:
 
     def test_identity_noise_returns_distinct_view(self):
         events = random_train().to_events()
-        clean = IdentityNoise().apply(events, rng=0)
+        clean = NoiseInjector().apply(events, rng=0)
         assert clean == events
         assert clean is not events
 
     def test_deletion_noise_statistics_match_dense(self):
         dense = random_train(seed=2, shape=(30, 300), p=0.5)
-        noise = DeletionNoise(0.4)
+        noise = NoiseInjector(deletion=0.4)
         dense_ratio = noise.apply(dense, rng=0).total_spikes() / dense.total_spikes()
         events_ratio = (
             noise.apply(dense.to_events(), rng=0).total_spikes()
@@ -373,7 +370,6 @@ class TestTransportParity:
         return ActivationTransportSimulator(
             network=converted_mlp,
             coder=TTASCoder(num_steps=8, target_duration=3),
-            noise=None,
         )
 
     def test_sparse_logits_match_dense_logits_at_noise_zero(
