@@ -5,10 +5,12 @@
 # mnist workloads (seeds 0 and 1) on a temporary result store + weight
 # cache: 64 concurrent mixed-evaluator requests (transport and timestep)
 # ride the micro-batching scheduler and every response must be
-# bit-identical to its single-sample reference.  Then the "restart": a
-# fresh registry over the same store resolves both fingerprints through
-# the stored conversion documents -- the calibration counter must not move,
-# proving an eviction or process restart costs a weight load, never a
+# bit-identical to its single-sample reference.  Then two "restarts": a
+# fresh registry with no store over the same weight cache resolves both
+# fingerprints through the conversion documents kept beside the weights,
+# and, once the cache's copies are deleted, a fresh registry over the same
+# store does so through the stored ones -- the calibration counter must not
+# move, proving an eviction or process restart costs a weight load, never a
 # re-conversion.
 #
 # Run from the repository root: bash ci/smoke_serving.sh
@@ -20,6 +22,8 @@ CACHE="${REPRO_SMOKE_CACHE:-/tmp/repro-ci-serving-cache}"
 rm -rf "$STORE" "$CACHE"
 
 python - "$STORE" "$CACHE" <<'EOF'
+import os
+import shutil
 import sys
 import threading
 import time
@@ -103,9 +107,24 @@ assert scheduler.stats.requests == REQUESTS
 assert scheduler.stats.mean_batch_size > 1.0, \
     "concurrent load should coalesce into multi-sample batches"
 
+# Registry restart with no store: a fresh instance over the same weight
+# cache must resolve both fingerprints from the conversion documents kept
+# beside the weights, with zero new calibration passes.
+storeless = ModelRegistry()
+storeless_keys = [
+    storeless.register("mnist", scale=TEST_SCALE, seed=seed,
+                       cache_dir=cache_dir)
+    for seed in (0, 1)
+]
+assert storeless_keys == keys, "a store-less restart must reproduce the fingerprints"
+assert CONVERSION_COUNTERS["calibrations"] == calibrations, \
+    "a store-less restart must read the conversion from the weight cache"
+
 # Registry restart: a fresh instance over the same store must resolve both
 # fingerprints from the stored conversion documents with zero new
-# calibration passes.
+# calibration passes.  The weight cache's copies are dropped first, so only
+# the store can serve this restart.
+shutil.rmtree(os.path.join(cache_dir, "workloads"))
 restarted = ModelRegistry(store=ResultStore(store_dir))
 restarted_keys = [
     restarted.register("mnist", scale=TEST_SCALE, seed=seed,
@@ -126,5 +145,5 @@ print(f"serving smoke: {REQUESTS} mixed-evaluator requests over 2 models "
       f"bit-identical (mean batch {scheduler.stats.mean_batch_size:.1f}, "
       f"p50 {summary.p50 * 1e3:.1f}ms / p90 {summary.p90 * 1e3:.1f}ms / "
       f"p99 {summary.p99 * 1e3:.1f}ms), "
-      f"restart load-through with 0 re-calibrations")
+      f"restart load-through with and without a store, 0 re-calibrations")
 EOF

@@ -109,7 +109,10 @@ def _texture_prototype(
     and a class-dependent colour tint, producing images whose discriminative
     structure is both spectral and spatial.
     """
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float32) / size
+    # float32 coordinates, widened to float64 before they meet the float64
+    # draws below: NumPy 1 would otherwise compute in float32 and NumPy 2 in
+    # float64, and the data would depend on the NumPy version.
+    ys, xs = (np.mgrid[0:size, 0:size].astype(np.float32) / size).astype(np.float64)
     orientation = rng.uniform(0, np.pi)
     frequency = rng.uniform(2.0, 6.0)
     phase = rng.uniform(0, 2 * np.pi)
@@ -160,20 +163,34 @@ def _render_samples(
     config: SyntheticImageConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Render one perturbed sample per label from class prototypes."""
+    """Render one perturbed sample per label from class prototypes.
+
+    Each sample is its class prototype circularly shifted by a random
+    ``(dy, dx)`` (the ``np.roll`` of both spatial axes, done for the whole
+    batch as one gather), scaled by a random amplitude and overlaid with
+    Gaussian noise.
+    """
     n = labels.shape[0]
     channels, size = prototypes.shape[1], prototypes.shape[2]
-    images = np.empty((n, channels, size, size), dtype=np.float32)
     shifts = rng.integers(-config.max_shift, config.max_shift + 1, size=(n, 2))
     amplitudes = 1.0 + rng.uniform(
         -config.amplitude_jitter, config.amplitude_jitter, size=n
     )
-    noise = rng.normal(0.0, config.noise_std, size=images.shape).astype(np.float32)
-    for i in range(n):
-        proto = prototypes[labels[i]]
-        shifted = np.roll(proto, shift=tuple(shifts[i]), axis=(1, 2))
-        images[i] = shifted * amplitudes[i]
-    images += noise
+    noise = rng.normal(0.0, config.noise_std, size=(n, channels, size, size))
+    pixels = np.arange(size)
+    rows = (pixels - shifts[:, :1]) % size
+    cols = (pixels - shifts[:, 1:]) % size
+    images = prototypes[
+        labels[:, None, None, None],
+        np.arange(channels)[None, :, None, None],
+        rows[:, None, :, None],
+        cols[:, None, None, :],
+    ]
+    # float32 pixels times float64 amplitudes in float64, rounded back to
+    # float32 (the loop is named, so no NumPy version picks another).
+    np.multiply(images, amplitudes[:, None, None, None], out=images,
+                dtype=np.float64, casting="unsafe")
+    images += noise.astype(np.float32)
     return np.clip(images, 0.0, 1.0)
 
 

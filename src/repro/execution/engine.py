@@ -76,8 +76,8 @@ WORKLOAD_REGISTRY_LIMIT = 8
 #: moment; workers of a *warm* pool serving a later batch (or spawn-started
 #: workers) do not see entries pinned afterwards and fall back to
 #: :func:`workload_for`, which rebuilds deterministically from the
-#: reference (served from the trained-weight cache) and memoises per
-#: process -- slower on first touch, never different.
+#: reference (weights and conversion served from the trained-weight cache)
+#: and memoises per process -- slower on first touch, never different.
 _BATCH_WORKLOADS: Dict[WorkloadRef, "PreparedWorkload"] = {}
 
 #: Cached network fingerprints, keyed by workload reference (hashing the

@@ -18,10 +18,14 @@ scale::
   deleted.  A killed sharded run therefore resumes at shard granularity.
 * **Workloads** hold the deterministic products of preparing a workload
   that are expensive to recompute but tiny to persist (activation scales,
-  input scale, analog DNN accuracy), keyed by a fingerprint over (dataset,
-  scale, seed, trained weights).  With the conversion cached, a re-run
+  input scale, analog DNN accuracy), keyed by
+  :func:`repro.experiments.workloads.conversion_key` over the dataset,
+  every scale field, the seed, the trained weights' hash, the calibration
+  size and the scale percentile.  With the conversion cached, a re-run
   skips the calibration forward passes and the analog accuracy
-  evaluation.
+  evaluation.  ``prepare_workload`` keeps this document in the caller's
+  store and in a store rooted at the trained-weight cache directory, so
+  a run without a store finds it beside the weights.
 
 Every document goes through one path builder (:meth:`ResultStore._path`),
 one writer (:meth:`ResultStore._write`: atomic, temp file + rename, so a

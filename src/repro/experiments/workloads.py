@@ -2,9 +2,10 @@
 
 Every figure and table of the paper evaluates noise on a *fixed* trained
 network; training it is the expensive part.  :func:`prepare_workload` builds
-(or loads from an on-disk cache) the trained model and its converted SNN for
-a dataset at a given scale, so the nine benchmark targets share the same
-preparation instead of retraining per figure.
+(or loads from an on-disk cache, together with the conversion products) the
+trained model and its converted SNN for a dataset at a given scale, so the
+nine benchmark targets share the same preparation instead of retraining or
+recalibrating per figure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.conversion.converter import ConvertedSNN, convert_dnn_to_snn
 from repro.conversion.normalization import ActivationStatistics
 from repro.core.servable import ServableModel
 from repro.data.datasets import DatasetSplit
-from repro.data.synthetic import load_dataset
+from repro.data.synthetic import load_dataset, synthetic_cifar10, synthetic_cifar100
 from repro.execution.store import ResultStore
 from repro.experiments.config import (
     BENCH_SCALE,
@@ -176,6 +177,40 @@ def conversion_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _workload_data(config: DatasetConfig, scale: ExperimentScale, rng) -> DatasetSplit:
+    """The synthetic train/test split of a workload."""
+    if config.name == "mnist":
+        return load_dataset(
+            config.name, train_size=scale.train_size, test_size=scale.test_size, rng=rng,
+        )
+    # The CIFAR stand-ins accept the scale's (reduced) spatial size.
+    factory = synthetic_cifar10 if config.name == "cifar10" else synthetic_cifar100
+    return factory(
+        train_size=scale.train_size, test_size=scale.test_size, rng=rng,
+        image_size=scale.image_size,
+    )
+
+
+def _restore_conversion(
+    model: Sequential, calibration: np.ndarray, conversion: dict
+) -> Tuple[ConvertedSNN, float]:
+    """The network and DNN accuracy of a stored conversion, uncalibrated."""
+    statistics = ActivationStatistics(
+        scales=[float(v) for v in conversion["scales"]],
+        percentile=float(conversion["percentile"]),
+        means=[float(v) for v in conversion.get("means", [])],
+        maxima=[float(v) for v in conversion.get("maxima", [])],
+        sample_size=int(conversion.get("sample_size", 0)),
+    )
+    network = convert_dnn_to_snn(
+        model,
+        calibration,
+        statistics=statistics,
+        input_scale=float(conversion["input_scale"]),
+    )
+    return network, float(conversion["dnn_accuracy"])
+
+
 def prepare_workload(
     dataset: str,
     scale: ExperimentScale = BENCH_SCALE,
@@ -199,41 +234,31 @@ def prepare_workload(
         Directory for the trained-weight cache; defaults to
         ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-snn``.
     use_cache:
-        Load/store trained weights from the cache (training is the dominant
-        cost of every benchmark, so this is on by default).
+        Load/store trained weights and their conversion document from the
+        cache (training is the dominant cost of every benchmark, so this is
+        on by default).  Off, nothing is read from or written to
+        ``cache_dir``.
     store:
-        Optional :class:`~repro.execution.store.ResultStore`: the
-        conversion products (activation scales, input scale, analog DNN
-        accuracy) are served from / stored back into its ``workloads/``
-        section, keyed by (dataset, scale, seed, trained-weights hash) --
-        so first-run multi-dataset tables stop re-running the calibration
-        forward passes and the accuracy evaluation in the parent on every
-        invocation.  The cached floats round-trip exactly, hence the
-        rebuilt network fingerprints identically and cell results keep
-        aliasing correctly.
+        Optional :class:`~repro.execution.store.ResultStore` for the
+        conversion document.
+
+    The conversion document holds the conversion products (activation
+    scales, input scale, analog DNN accuracy) under :func:`conversion_key`,
+    which covers the dataset, every scale field, the seed, the trained
+    weights' hash, the calibration size and the scale percentile.  It is
+    read from ``store``, then from the weight cache (a
+    :class:`~repro.execution.store.ResultStore` rooted at ``cache_dir``,
+    when ``use_cache``), and written back to each of the two that missed
+    it.  A hit skips the calibration forward passes and the accuracy
+    evaluation; a missing, unreadable or malformed document is recomputed.
+    The cached floats round-trip exactly, hence the rebuilt network
+    fingerprints identically and cell results keep aliasing correctly.
+    The key does not cover the data generator's code:
+    ``tests/test_data.py`` pins its output, so a change to it shows there.
     """
     config = dataset_config(dataset)
     rng = derive_rng(seed, "workload", dataset, scale.name)
-
-    if config.name == "mnist":
-        data = load_dataset(
-            config.name,
-            train_size=scale.train_size,
-            test_size=scale.test_size,
-            rng=derive_rng(rng, "data"),
-        )
-    else:
-        # The CIFAR stand-ins accept the scale's (reduced) spatial size.
-        from repro.data.synthetic import synthetic_cifar10, synthetic_cifar100
-
-        factory = synthetic_cifar10 if config.name == "cifar10" else synthetic_cifar100
-        data = factory(
-            train_size=scale.train_size,
-            test_size=scale.test_size,
-            rng=derive_rng(rng, "data"),
-            image_size=scale.image_size,
-        )
-
+    data = _workload_data(config, scale, derive_rng(rng, "data"))
     model = _build_model(config, data, scale, derive_rng(rng, "init"))
 
     cache_dir = cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
@@ -269,36 +294,28 @@ def prepare_workload(
         config.name, scale, int(seed), _model_weights_hash(model),
         calibration_size=int(calibration.shape[0]),
     )
-    conversion: Optional[dict] = None
-    if store is not None:
-        conversion = store.get_workload_conversion(key)
-    if conversion is not None:
-        try:
-            statistics = ActivationStatistics(
-                scales=[float(v) for v in conversion["scales"]],
-                percentile=float(conversion["percentile"]),
-                means=[float(v) for v in conversion.get("means", [])],
-                maxima=[float(v) for v in conversion.get("maxima", [])],
-                sample_size=int(conversion.get("sample_size", 0)),
-            )
-            network = convert_dnn_to_snn(
-                model,
-                calibration,
-                statistics=statistics,
-                input_scale=float(conversion["input_scale"]),
-            )
-            dnn_accuracy = float(conversion["dnn_accuracy"])
-            logger.info(
-                "reused stored conversion for %s/%s (seed %d)",
-                config.name, scale.name, seed,
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            logger.warning(
-                "ignoring malformed stored conversion for %s (%s)",
-                config.name, error,
-            )
-            conversion = None
-    if conversion is None:
+    stores = [store] if store is not None else []
+    if use_cache:
+        stores.append(ResultStore(cache_dir))
+    network: Optional[ConvertedSNN] = None
+    missed = []
+    for source in stores:
+        conversion = source.get_workload_conversion(key)
+        if conversion is not None:
+            try:
+                network, dnn_accuracy = _restore_conversion(model, calibration, conversion)
+                logger.info(
+                    "reused stored conversion for %s/%s (seed %d) from %s",
+                    config.name, scale.name, seed, source.root,
+                )
+                break
+            except (KeyError, TypeError, ValueError) as error:
+                logger.warning(
+                    "ignoring malformed stored conversion for %s in %s (%s)",
+                    config.name, source.root, error,
+                )
+        missed.append(source)
+    if network is None:
         dnn_accuracy = evaluate_accuracy(model, data.test)
         network = convert_dnn_to_snn(model, calibration)
     prepared = PreparedWorkload(
@@ -311,18 +328,18 @@ def prepare_workload(
         seed=int(seed),
         conversion_key=key,
     )
-    if conversion is None and store is not None:
+    for target in missed:
         try:
             # The store-back document is the servable artifact's payload --
             # the exact shape `get_workload_conversion` reads back above.
-            store.put_workload_conversion(
+            target.put_workload_conversion(
                 key, prepared.servable_model().conversion_payload()
             )
         except OSError as error:
             # The store is an accelerator, never a correctness
             # dependency (same contract as cell writes).
             logger.warning(
-                "workload-conversion store write failed for %s (%s)",
-                config.name, error,
+                "workload-conversion store write failed for %s in %s (%s)",
+                config.name, target.root, error,
             )
     return prepared

@@ -6,8 +6,8 @@ so :func:`build_vgg` builds a family of conversion-friendly VGG variants
 between stages, a small dense head, ReLU everywhere, dropout in the head):
 
 * ``"vgg16"``   -- the full paper architecture (available, but heavy),
-* ``"vgg9"``    -- the default "deep" network used in the reproduction benches,
-* ``"vgg7"``    -- a lighter variant,
+* ``"vgg7"``    -- the network of the CIFAR workloads at every scale
+  (:class:`repro.experiments.config.DatasetConfig`),
 * ``"vgg_micro"`` -- a tiny network used by unit/integration tests.
 
 Conversion-friendliness means: ReLU activations only, average pooling (max
@@ -36,7 +36,6 @@ from repro.utils.validation import check_positive
 VGG_CONFIGS: Dict[str, List[Union[int, str]]] = {
     "vgg16": [64, 64, "P", 128, 128, "P", 256, 256, 256, "P",
               512, 512, 512, "P", 512, 512, 512, "P"],
-    "vgg9": [32, 32, "P", 64, 64, "P", 128, 128, "P"],
     "vgg7": [16, 32, "P", 32, 64, "P"],
     "vgg_micro": [8, "P", 16, "P"],
 }
@@ -56,9 +55,8 @@ def build_vgg(
     Parameters
     ----------
     config:
-        Either a named config (``"vgg16"``, ``"vgg9"``, ``"vgg7"``,
-        ``"vgg_micro"``) or an explicit list of channel counts and ``"P"``
-        pooling markers.
+        Either a named config (``"vgg16"``, ``"vgg7"``, ``"vgg_micro"``) or
+        an explicit list of channel counts and ``"P"`` pooling markers.
     input_shape:
         Image shape ``(C, H, W)``.
     num_classes:

@@ -6,9 +6,10 @@ The registry maps conversion fingerprints
 :meth:`ModelRegistry.register`, which loads through
 :func:`prepare_workload`: the trained weights come from the weight cache
 and the conversion products from the
-:class:`~repro.execution.store.ResultStore` ``workloads/`` section, so a
-registry restart costs a weight load and a couple of matrix rebuilds, never
-a re-calibration.  Every registered model stays resident for the
+:class:`~repro.execution.store.ResultStore` ``workloads/`` section of the
+registry's store or, without one, of the weight cache, so a registry
+restart costs a weight load and a couple of matrix rebuilds, never a
+re-calibration.  Every registered model stays resident for the
 registry's lifetime.
 
 Concurrency contract (exercised by ``tests/test_serving.py``):

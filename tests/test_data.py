@@ -1,5 +1,7 @@
 """Tests for the dataset substrate (containers, synthetic generators, loaders)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from repro.data import (
     synthetic_cifar100,
     synthetic_mnist,
 )
+from repro.experiments.config import BENCH_SCALE, TEST_SCALE, dataset_config
+from repro.experiments.workloads import _workload_data
+from repro.utils.rng import derive_rng
 
 
 def make_dataset(n=20, num_classes=4):
@@ -122,6 +127,67 @@ class TestSyntheticGenerators:
         assert split.name == "synthetic-mnist"
         with pytest.raises(ValueError):
             load_dataset("imagenet")
+
+
+#: SHA-256 of ``x`` (float32) and ``y`` (int64) of each split the workloads
+#: build, at seed 0.  The weight cache and the conversion document are keyed
+#: by dataset, scale and seed, not by the generator's code, so a generator
+#: change that moves these digests must also invalidate those caches.  They
+#: hold on NumPy 1 and 2 alike only while the generator names every float64
+#: promotion (NumPy 1 computes a float64 scalar times a float32 array in
+#: float32, NumPy 2 in float64).
+GOLDEN_SPLIT_DIGESTS = {
+    ("test", "mnist", "train"): (
+        "22d2ce0ad01b8d358d1ceb1be12ddca73e1191267874676fb8d6e5888ffa2ca0",
+        "304cf4eb1abe959331acb2f1c7c35157471dd50846236cbd15124baebbbb8bc3",
+    ),
+    ("test", "mnist", "test"): (
+        "9d7c9e6bcd77535974aee14ec0a70bb1d237d3922ed16d1c74c136ec4ac0c5d7",
+        "656f1053172d597dfeccd41dc3bcf49191fcbb8f8fd63ad3eb10289fc5d96d5f",
+    ),
+    ("test", "cifar10", "train"): (
+        "30a6908fb0ce838de00208db38500538acd565019cfda78875add5e1082a254a",
+        "a5ef23217917783725458e4a2bb16d2c8a0341c68f3a4d7d98a4dc9c59c995db",
+    ),
+    ("test", "cifar10", "test"): (
+        "85fcc5aefe2b9e73ad38e15f0d032f4072d7e64f02ae625a4c24bf228806b5ea",
+        "6c5efff3e76eb10c84e205c0c0168ae1574c496903a983047a3ddeeca1384bb3",
+    ),
+    ("bench", "mnist", "train"): (
+        "31bc1d67d364c8b21a58637fecd6292bc559fee8eaf1be2b56d553bf2d967230",
+        "4533d457e65c2e9dbe31beae82e342baad7802ddb8ff01e0e3416d4bd2bd28e7",
+    ),
+    ("bench", "mnist", "test"): (
+        "f4c52a94d757878f23b16e4d5eb37482e0202bb1a0115d999f77848edeb7a1af",
+        "fefb5ae82920a94d22d752ee58e51c2ae53314de7ce5ba9bdb4fa44d2583da3b",
+    ),
+    ("bench", "cifar10", "train"): (
+        "b070666cc04a8ec22cbc7dc7c0810aefb52347ce279c5bf042a785cb84da9ee3",
+        "e69278ec217efdda1c02fb7efce93b6ee9b3324e713cdd366e520d3e52929418",
+    ),
+    ("bench", "cifar10", "test"): (
+        "8028b35e179a68919bd858e6e1029ac076c8fd1b86953595b9d40a3068d16124",
+        "0dc3a3615209b46daa0160953b90925695d10666034100a5f0acc1dc029a6387",
+    ),
+}
+
+
+def _sha256(array, dtype):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("scale", [TEST_SCALE, BENCH_SCALE], ids=lambda s: s.name)
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_workload_splits_are_bit_identical(self, dataset, scale):
+        # The derivation of prepare_workload's data stream.
+        rng = derive_rng(0, "workload", dataset, scale.name)
+        split = _workload_data(dataset_config(dataset), scale, derive_rng(rng, "data"))
+        for part in ("train", "test"):
+            data = getattr(split, part)
+            assert data.x.dtype == np.float32
+            assert (_sha256(data.x, np.float32), _sha256(data.y, np.int64)) == \
+                GOLDEN_SPLIT_DIGESTS[(scale.name, dataset, part)], part
 
 
 class TestBatchLoader:

@@ -89,22 +89,31 @@ def tiny_workload():
     return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
 
 
-@pytest.fixture()
-def workload_warnings():
-    """Capture WARNING records of the workload logger (repro does not propagate)."""
+def _captured_warnings(name):
+    """Capture WARNING records of one repro logger (repro does not propagate)."""
     records = []
 
     class Capture(logging.Handler):
         def emit(self, record):
             records.append(record.getMessage())
 
-    logger = logging.getLogger("repro.experiments.workloads")
+    logger = logging.getLogger(name)
     handler = Capture(level=logging.WARNING)
     logger.addHandler(handler)
     try:
         yield records
     finally:
         logger.removeHandler(handler)
+
+
+@pytest.fixture()
+def workload_warnings():
+    yield from _captured_warnings("repro.experiments.workloads")
+
+
+@pytest.fixture()
+def store_warnings():
+    yield from _captured_warnings("repro.execution.store")
 
 
 class TestWorkloadFaults:
@@ -149,6 +158,22 @@ class TestWorkloadFaults:
         expected = tiny_workload.servable_model().conversion_payload()["scales"]
         assert store.get_workload_conversion(key)["scales"] == expected
 
+    def test_stored_conversion_is_used_without_the_cache(self, tiny_workload, tmp_path):
+        from repro.conversion.converter import CONVERSION_COUNTERS
+        from repro.execution import ResultStore, network_fingerprint
+
+        store = ResultStore(str(tmp_path / "store"))
+        store.put_workload_conversion(
+            tiny_workload.conversion_key,
+            tiny_workload.servable_model().conversion_payload(),
+        )
+        before = CONVERSION_COUNTERS["calibrations"]
+        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                    use_cache=False, store=store)
+        assert CONVERSION_COUNTERS["calibrations"] == before
+        assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
+        assert prepared.dnn_accuracy == tiny_workload.dnn_accuracy
+
     def test_failed_conversion_store_write_is_a_warning(
         self, tiny_workload, tmp_path, monkeypatch, workload_warnings
     ):
@@ -163,6 +188,76 @@ class TestWorkloadFaults:
                                     use_cache=False, store=store)
         assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
         assert any("store write failed" in m for m in workload_warnings)
+
+
+class TestConversionInWeightCache:
+    """Without a store, the conversion document lives beside the trained
+    weights: a warm set-up loads both and skips calibration."""
+
+    def test_second_prepare_reuses_the_cached_conversion(self, tmp_path):
+        from repro.conversion.converter import CONVERSION_COUNTERS
+        from repro.execution import network_fingerprint
+
+        before = CONVERSION_COUNTERS["calibrations"]
+        first = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                 cache_dir=str(tmp_path))
+        second = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                  cache_dir=str(tmp_path))
+        assert CONVERSION_COUNTERS["calibrations"] == before + 1
+        assert second.conversion_key == first.conversion_key
+        assert network_fingerprint(second) == network_fingerprint(first)
+        assert [s.activation_scale for s in second.network.segments] == [
+            s.activation_scale for s in first.network.segments
+        ]
+        assert second.network.input_scale == first.network.input_scale
+        assert second.dnn_accuracy == first.dnn_accuracy
+
+    def test_use_cache_off_writes_nothing(self, tmp_path):
+        prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                         cache_dir=str(tmp_path), use_cache=False)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_truncated_cached_conversion_is_rewritten(
+        self, tmp_path, store_warnings
+    ):
+        from repro.conversion.converter import CONVERSION_COUNTERS
+        from repro.execution import ResultStore
+
+        first = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                 cache_dir=str(tmp_path))
+        cache = ResultStore(str(tmp_path))
+        path = cache._path("workloads", first.conversion_key)
+        assert path.startswith(str(tmp_path / "workloads"))
+        with open(path, "rb") as handle:
+            content = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(content[: len(content) // 2])
+        before = CONVERSION_COUNTERS["calibrations"]
+        again = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                 cache_dir=str(tmp_path))
+        assert CONVERSION_COUNTERS["calibrations"] == before + 1
+        assert any(path in message for message in store_warnings)
+        assert again.dnn_accuracy == first.dnn_accuracy
+        stored = cache.get_workload_conversion(first.conversion_key)
+        assert stored == first.servable_model().conversion_payload()
+
+    def test_worker_rebuild_from_warm_cache_does_not_calibrate(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool worker that cannot inherit the parent's workload."""
+        from repro.conversion.converter import CONVERSION_COUNTERS
+        from repro.execution import WorkloadRef, engine, network_fingerprint
+
+        warm = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                cache_dir=str(tmp_path))
+        monkeypatch.setattr(engine, "_WORKLOAD_REGISTRY", {})
+        monkeypatch.setattr(engine, "_BATCH_WORKLOADS", {})
+        before = CONVERSION_COUNTERS["calibrations"]
+        rebuilt = engine.workload_for(WorkloadRef(
+            dataset="mnist", scale=TEST_SCALE, seed=0, cache_dir=str(tmp_path),
+        ))
+        assert CONVERSION_COUNTERS["calibrations"] == before
+        assert network_fingerprint(rebuilt) == network_fingerprint(warm)
 
 
 class TestProvidedWorkloads:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 import sys
 import threading
 import dataclasses
@@ -447,6 +448,8 @@ class TestRegistryLoadThrough:
         key = first.register(
             "mnist", scale=TEST_SCALE, seed=0, cache_dir=cache_dir
         )
+        # Only the store may serve the restart: drop the weight cache's copy.
+        shutil.rmtree(os.path.join(cache_dir, "workloads"))
         calibrations_before = CONVERSION_COUNTERS["calibrations"]
         second = ModelRegistry(store=ResultStore(store_dir))
         key_again = second.register(
