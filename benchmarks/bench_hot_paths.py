@@ -39,6 +39,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import threading
 import time
 from typing import Callable, Dict
@@ -123,11 +124,9 @@ def bench_cell_sharding(repeats: int) -> Dict[str, Dict[str, float]]:
         batch_size=SHARD_CELL["batch_size"],
         simulator="timestep",
     )
-    workload = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                                use_cache=False)
-    ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-    plans = build_sweep_plans(config, eval_size=SHARD_CELL["eval_size"],
-                              use_cache=False)
+    workload = prepare_workload("mnist", scale=TEST_SCALE, seed=0)
+    ref = WorkloadRef.from_sweep_config(config)
+    plans = build_sweep_plans(config, eval_size=SHARD_CELL["eval_size"])
     # The process backend forks; registering in the parent hands every
     # worker the trained workload through copy-on-write memory.
     register_workload(ref, workload)
@@ -199,10 +198,8 @@ def bench_adversarial_search(repeats: int) -> Dict[str, Dict[str, float]]:
     from repro.experiments.workloads import prepare_workload
 
     cfg = ADVERSARIAL_SHAPE
-    workload = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                                use_cache=False)
-    ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0,
-                      use_cache=False)
+    workload = prepare_workload("mnist", scale=TEST_SCALE, seed=0)
+    ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0)
     cases = {
         "ttfs": MethodSpec(coding="ttfs"),
         "ttas3": MethodSpec(coding="ttas", target_duration=3),
@@ -281,8 +278,8 @@ def bench_serving(repeats: int) -> Dict[str, Dict[str, float]]:
     )
 
     cfg = SERVING_SHAPE
-    registry = ModelRegistry(store=False)
-    key = registry.register("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    registry = ModelRegistry()
+    key = registry.register("mnist", scale=TEST_SCALE, seed=0)
     servable = registry.get(key)
     images = load_dataset("mnist", rng=0).test.x
 
@@ -400,20 +397,24 @@ def main(argv=None) -> int:
     parser.add_argument("--output", required=True, help="JSON output path")
     args = parser.parse_args(argv)
 
-    report = {
-        "config": {"repeats": args.repeats},
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        },
-        "results": {
-            "cell_sharding": bench_cell_sharding(args.repeats),
-            "adversarial_search": bench_adversarial_search(args.repeats),
-            "serving": bench_serving(args.repeats),
-        },
-    }
+    with tempfile.TemporaryDirectory(prefix="repro-hot-paths-") as cache:
+        # A private weight cache: the workload is trained afresh and the
+        # user's cache is neither read nor written.
+        os.environ["REPRO_CACHE_DIR"] = cache
+        report = {
+            "config": {"repeats": args.repeats},
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "machine": platform.machine(),
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            },
+            "results": {
+                "cell_sharding": bench_cell_sharding(args.repeats),
+                "adversarial_search": bench_adversarial_search(args.repeats),
+                "serving": bench_serving(args.repeats),
+            },
+        }
     results = report["results"]
     report["summary"] = {
         "cell_sharding_speedup":

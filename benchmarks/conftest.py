@@ -42,7 +42,7 @@ class WorkloadPool:
     def get(self, dataset: str) -> PreparedWorkload:
         if dataset not in self._pool:
             self._pool[dataset] = prepare_workload(
-                dataset, scale=BENCH_SCALE, seed=SEED, use_cache=True
+                dataset, scale=BENCH_SCALE, seed=SEED
             )
         return self._pool[dataset]
 

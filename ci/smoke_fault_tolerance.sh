@@ -13,9 +13,11 @@ set -euo pipefail
 export PYTHONPATH="${PYTHONPATH:-src}"
 STORE="${REPRO_SMOKE_STORE:-/tmp/repro-ci-faultstore}"
 CHAOS_STORE="${REPRO_SMOKE_CHAOS_STORE:-/tmp/repro-ci-chaos-store}"
-rm -rf "$STORE" "$CHAOS_STORE" /tmp/repro-ci-kill-sentinel
+# The chaos sweep trains its workload in a private weight cache.
+CHAOS_CACHE="${REPRO_SMOKE_CHAOS_CACHE:-/tmp/repro-ci-chaos-cache}"
+rm -rf "$STORE" "$CHAOS_STORE" "$CHAOS_CACHE" /tmp/repro-ci-kill-sentinel
 
-python - <<'EOF'
+REPRO_CACHE_DIR="$CHAOS_CACHE" python - <<'EOF'
 import multiprocessing, os, signal, sys
 
 from repro.core.pipeline import EvaluationResult
@@ -46,10 +48,9 @@ config = SweepConfig(
     methods=(MethodSpec(coding="ttfs"), MethodSpec(coding="rate")),
     noise_kind="stuck", levels=(0.0, 0.2), scale=TEST_SCALE, seed=0,
 )
-workload = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                            use_cache=False)
-ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-plans = build_sweep_plans(config, eval_size=8, use_cache=False)
+workload = prepare_workload("mnist", scale=TEST_SCALE, seed=0)
+ref = WorkloadRef.from_sweep_config(config)
+plans = build_sweep_plans(config, eval_size=8)
 store = ResultStore(os.environ.get("REPRO_SMOKE_CHAOS_STORE",
                                    "/tmp/repro-ci-chaos-store"))
 with ProcessExecutor(2) as executor:

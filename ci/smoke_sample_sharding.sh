@@ -10,8 +10,8 @@
 # i.e. no cell was re-evaluated and sharding changed nothing the store can
 # see.  In between, `repro store gc` runs on a dirty store: one orphaned
 # shard document (a copy of a merged cell's document under that cell's
-# shard directory) and one truncated conversion document must each be
-# collected with a non-zero byte count, and a second gc collects nothing.
+# shard directory) must be collected with a non-zero byte count, and a
+# second gc collects nothing.
 #
 # Run from the repository root: bash ci/smoke_sample_sharding.sh
 set -euo pipefail
@@ -30,15 +30,12 @@ cell="$(find "$STORE/cells" -name '*.json' | sort | head -n 1)"
 fp="$(basename "$cell" .json)"
 mkdir -p "$STORE/shards/${fp:0:2}/$fp"
 cp "$cell" "$STORE/shards/${fp:0:2}/$fp/$fp.json"
-conversion="$(find "$STORE/workloads" -name '*.json' | sort | head -n 1)"
-mkdir -p "$STORE/workloads/00"
-head -c 40 "$conversion" > "$STORE/workloads/00/$(printf '0%.0s' {1..64}).json"
 report="$(python -m repro store gc --result-store "$STORE")"
 echo "$report"
-test "$(grep -c '^collected          : 1 document(s)$' <<< "$report")" -eq 2
-test "$(grep '^reclaimed' <<< "$report" | grep -vc ': 0 bytes$')" -eq 2
+test "$(grep -c '^collected          : 1 document(s)$' <<< "$report")" -eq 1
+test "$(grep '^reclaimed' <<< "$report" | grep -vc ': 0 bytes$')" -eq 1
 report="$(python -m repro store gc --result-store "$STORE")"
-test "$(grep -c '^collected          : 0 document(s)$' <<< "$report")" -eq 2
+test "$(grep -c '^collected          : 0 document(s)$' <<< "$report")" -eq 1
 
 touch "$STORE/sentinel"
 python -m repro figure --name fig2 --dataset mnist \
@@ -46,5 +43,5 @@ python -m repro figure --name fig2 --dataset mnist \
   --result-store "$STORE"
 test "$(find "$STORE/cells" -name '*.json' -newer "$STORE/sentinel" | wc -l)" -eq 0
 echo "sample-sharding smoke: 20 cells sharded 2-way, 0 shard docs left," \
-  "gc collected 1 orphaned shard and 1 truncated conversion," \
+  "gc collected 1 orphaned shard," \
   "unsharded resume re-ran 0 cells"

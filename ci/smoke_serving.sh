@@ -2,14 +2,12 @@
 # Request-shaped serving smoke run.
 #
 # In-process service over a model registry with two registered test-scale
-# mnist workloads (seeds 0 and 1) on a temporary result store + weight
-# cache: 64 concurrent mixed-evaluator requests (transport and timestep)
-# ride the micro-batching scheduler and every response must be
-# bit-identical to its single-sample reference.  Then two "restarts": a
-# fresh registry with no store over the same weight cache resolves both
-# fingerprints through the conversion documents kept beside the weights,
-# and, once the cache's copies are deleted, a fresh registry over the same
-# store does so through the stored ones -- the calibration counter must not
+# mnist workloads (seeds 0 and 1) on a temporary weight cache: 64
+# concurrent mixed-evaluator requests (transport and timestep) ride the
+# micro-batching scheduler and every response must be bit-identical to its
+# single-sample reference.  Then a "restart": a fresh registry over the
+# same weight cache resolves both fingerprints through the conversion
+# documents kept beside the weights -- the calibration counter must not
 # move, proving an eviction or process restart costs a weight load, never a
 # re-conversion.
 #
@@ -17,13 +15,10 @@
 set -euo pipefail
 
 export PYTHONPATH="${PYTHONPATH:-src}"
-STORE="${REPRO_SMOKE_STORE:-/tmp/repro-ci-serving-store}"
 CACHE="${REPRO_SMOKE_CACHE:-/tmp/repro-ci-serving-cache}"
-rm -rf "$STORE" "$CACHE"
+rm -rf "$CACHE"
 
-python - "$STORE" "$CACHE" <<'EOF'
-import os
-import shutil
+python - "$CACHE" <<'EOF'
 import sys
 import threading
 import time
@@ -32,7 +27,6 @@ import numpy as np
 
 from repro.conversion.converter import CONVERSION_COUNTERS
 from repro.data.synthetic import load_dataset
-from repro.execution.store import ResultStore
 from repro.experiments.config import TEST_SCALE
 from repro.metrics import latency_summary
 from repro.serving import (
@@ -42,11 +36,11 @@ from repro.serving import (
     serve_single,
 )
 
-store_dir, cache_dir = sys.argv[1], sys.argv[2]
+cache_dir = sys.argv[1]
 REQUESTS = 64
 CLIENTS = 16
 
-registry = ModelRegistry(store=ResultStore(store_dir))
+registry = ModelRegistry()
 keys = [
     registry.register("mnist", scale=TEST_SCALE, seed=seed,
                       cache_dir=cache_dir)
@@ -107,25 +101,10 @@ assert scheduler.stats.requests == REQUESTS
 assert scheduler.stats.mean_batch_size > 1.0, \
     "concurrent load should coalesce into multi-sample batches"
 
-# Registry restart with no store: a fresh instance over the same weight
-# cache must resolve both fingerprints from the conversion documents kept
-# beside the weights, with zero new calibration passes.
-storeless = ModelRegistry()
-storeless_keys = [
-    storeless.register("mnist", scale=TEST_SCALE, seed=seed,
-                       cache_dir=cache_dir)
-    for seed in (0, 1)
-]
-assert storeless_keys == keys, "a store-less restart must reproduce the fingerprints"
-assert CONVERSION_COUNTERS["calibrations"] == calibrations, \
-    "a store-less restart must read the conversion from the weight cache"
-
-# Registry restart: a fresh instance over the same store must resolve both
-# fingerprints from the stored conversion documents with zero new
-# calibration passes.  The weight cache's copies are dropped first, so only
-# the store can serve this restart.
-shutil.rmtree(os.path.join(cache_dir, "workloads"))
-restarted = ModelRegistry(store=ResultStore(store_dir))
+# Registry restart: a fresh instance over the same weight cache must
+# resolve both fingerprints from the conversion documents kept beside the
+# weights, with zero new calibration passes.
+restarted = ModelRegistry()
 restarted_keys = [
     restarted.register("mnist", scale=TEST_SCALE, seed=seed,
                        cache_dir=cache_dir)
@@ -133,7 +112,7 @@ restarted_keys = [
 ]
 assert restarted_keys == keys, "restart must reproduce the fingerprints"
 assert CONVERSION_COUNTERS["calibrations"] == calibrations, \
-    "restart load-through must not re-run calibration"
+    "restart must read the conversion from the weight cache"
 for key, spec, sample in requests[:4]:
     again = serve_single(restarted.get(key), spec, sample)
     reference = serve_single(registry.get(key), spec, sample)
@@ -145,5 +124,5 @@ print(f"serving smoke: {REQUESTS} mixed-evaluator requests over 2 models "
       f"bit-identical (mean batch {scheduler.stats.mean_batch_size:.1f}, "
       f"p50 {summary.p50 * 1e3:.1f}ms / p90 {summary.p90 * 1e3:.1f}ms / "
       f"p99 {summary.p99 * 1e3:.1f}ms), "
-      f"restart load-through with and without a store, 0 re-calibrations")
+      f"restart load-through from the weight cache, 0 re-calibrations")
 EOF

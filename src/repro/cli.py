@@ -50,8 +50,8 @@ anything runs.
 ``evaluate`` runs a single noise condition through the end-to-end pipeline,
 including the fault models (``--dead/--stuck/--burst-error``) and the
 finite-precision synapse ablation (``--quant-bits``).  ``store gc`` removes
-orphaned shard documents left behind by killed runs plus unreadable
-workload conversion documents, and reports the bytes reclaimed per section.
+orphaned shard documents left behind by killed runs and reports the bytes
+reclaimed.
 """
 
 from __future__ import annotations
@@ -211,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store.add_argument("action", choices=("gc",),
                        help="gc: remove orphaned shard documents (shards "
-                            "whose cell already has a merged document) and "
-                            "orphaned workload conversion documents "
-                            "(truncated/corrupt beyond serving), reporting "
-                            "the bytes reclaimed per section")
+                            "whose cell already has a merged document), "
+                            "reporting the bytes reclaimed")
     store.add_argument("--result-store", required=True, metavar="DIR",
                        help="store directory")
     return parser
@@ -304,10 +302,6 @@ def _run_store(args: argparse.Namespace) -> str:
         f"({report['orphaned_shard_docs']} orphaned)",
         f"collected          : {report['collected_shard_docs']} document(s)",
         f"reclaimed          : {report['reclaimed_shard_bytes']:,} bytes",
-        f"workload documents : {report['workload_docs']} "
-        f"({report['orphaned_workload_docs']} orphaned)",
-        f"collected          : {report['collected_workload_docs']} document(s)",
-        f"reclaimed          : {report['reclaimed_workload_bytes']:,} bytes",
     ]
     return "\n".join(lines)
 

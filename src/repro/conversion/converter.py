@@ -170,7 +170,7 @@ def convert_dnn_to_snn(
         calibration inputs (at least 1.0 for [0, 1] images).
     statistics:
         Pre-collected :class:`ActivationStatistics` (e.g. loaded from the
-        result store's workload-conversion cache).  When given, the
+        conversion document beside the trained weights).  When given, the
         calibration forward passes are skipped and the provided scales are
         used verbatim -- the caller is responsible for the statistics
         matching the trained model; a spiking-point count mismatch

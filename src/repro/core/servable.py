@@ -1,9 +1,9 @@
 """Immutable servable artifact shared by the pipeline and the serving layer.
 
 A :class:`ServableModel` freezes everything that is fixed at conversion time
--- the converted network, its calibration scales, the conversion fingerprint
-and the analog reference accuracy -- and memoises the derived objects that
-are expensive to rebuild per request (coders and evaluator instances).  One instance can be shared by any number
+-- the converted network (with its calibration scales) and the conversion
+fingerprint -- and memoises the derived objects that are expensive to
+rebuild per request (coders and evaluator instances).  One instance can be shared by any number
 of threads:
 
 * the frozen fields never change after construction,
@@ -15,11 +15,10 @@ of threads:
 
 Both :class:`repro.core.pipeline.NoiseRobustSNN` and the serving subsystem
 (:mod:`repro.serving`) consume the same artifact, so a model loaded once
-serves sweeps and request traffic alike.  The conversion-time state
-round-trips through the :class:`~repro.execution.store.ResultStore`
-``workloads/`` section via :meth:`conversion_payload` -- the exact document
-shape :func:`repro.experiments.workloads.prepare_workload` has always
-persisted, keyed by the same conversion fingerprints.
+serves sweeps and request traffic alike.  The conversion products are
+persisted beside the trained weights by
+:func:`repro.experiments.workloads.prepare_workload`, under the same
+conversion fingerprint the artifact is addressed by.
 """
 
 from __future__ import annotations
@@ -52,22 +51,11 @@ class ServableModel:
     key:
         The conversion fingerprint
         (:func:`repro.experiments.workloads.conversion_key`) the artifact is
-        addressed by in the registry and the result store; ``None`` for
-        hand-built networks that never touch either.
-    dataset / scale_name / seed:
-        Workload identity, when known (recorded in
-        :meth:`conversion_payload`).
-    dnn_accuracy:
-        Analog reference accuracy of the source DNN (upper bound of every
-        SNN evaluation); ``None`` when never measured.
+        addressed by in the registry; ``None`` for hand-built networks.
     """
 
     network: ConvertedSNN
     key: Optional[str] = None
-    dataset: Optional[str] = None
-    scale_name: Optional[str] = None
-    seed: Optional[int] = None
-    dnn_accuracy: Optional[float] = None
     _cache: Dict[Hashable, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -80,7 +68,7 @@ class ServableModel:
 
     # -- construction ------------------------------------------------------------
     @classmethod
-    def wrap(cls, network, **metadata) -> "ServableModel":
+    def wrap(cls, network) -> "ServableModel":
         """Coerce a network into a servable; existing servables pass through.
 
         The pass-through matters: it keeps one memo cache per artifact alive
@@ -94,7 +82,7 @@ class ServableModel:
                 f"expected a ConvertedSNN or ServableModel, got "
                 f"{type(network).__name__}"
             )
-        return cls(network=network, **metadata)
+        return cls(network=network)
 
     # -- thread-safe memoisation ---------------------------------------------------
     def cached(self, key: Hashable, factory: Callable[[], Any]) -> Any:
@@ -145,39 +133,6 @@ class ServableModel:
             cache_key,
             lambda: create_coder(coding, num_steps=int(num_steps), **coder_kwargs),
         )
-
-    # -- store round-trip ----------------------------------------------------------
-    def conversion_payload(self) -> Dict[str, Any]:
-        """The workload-conversion document body of this artifact.
-
-        Identical in shape (and bit-for-bit in float values) to what
-        :func:`repro.experiments.workloads.prepare_workload` has always
-        written to the store's ``workloads/`` section, so existing documents
-        keep loading and new ones keep fingerprinting identically.
-        """
-        statistics = self.network.statistics
-        if statistics is None:
-            raise ValueError(
-                "cannot build a conversion payload without activation "
-                "statistics (hand-built network?)"
-            )
-        payload: Dict[str, Any] = {
-            "scales": [float(v) for v in statistics.scales],
-            "percentile": float(statistics.percentile),
-            "means": [float(v) for v in statistics.means],
-            "maxima": [float(v) for v in statistics.maxima],
-            "sample_size": int(statistics.sample_size),
-            "input_scale": float(self.network.input_scale),
-        }
-        if self.dataset is not None:
-            payload["dataset"] = self.dataset
-        if self.scale_name is not None:
-            payload["scale"] = self.scale_name
-        if self.seed is not None:
-            payload["seed"] = int(self.seed)
-        if self.dnn_accuracy is not None:
-            payload["dnn_accuracy"] = float(self.dnn_accuracy)
-        return payload
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         short = (self.key or "unkeyed")[:12]

@@ -216,7 +216,6 @@ def workload_for(ref: WorkloadRef) -> "PreparedWorkload":
                 scale=ref.scale,
                 seed=ref.seed,
                 cache_dir=ref.cache_dir,
-                use_cache=ref.use_cache,
             )
             register_workload(ref, workload)
     return workload

@@ -74,19 +74,16 @@ class WorkloadRef:
     dataset: str
     scale: "ExperimentScale"
     seed: int
-    use_cache: bool = True
     cache_dir: Optional[str] = None
 
     @classmethod
     def from_sweep_config(
-        cls, config: "SweepConfig", use_cache: bool = True,
-        cache_dir: Optional[str] = None,
+        cls, config: "SweepConfig", cache_dir: Optional[str] = None,
     ) -> "WorkloadRef":
         return cls(
             dataset=config.dataset,
             scale=config.scale,
             seed=config.seed,
-            use_cache=use_cache,
             cache_dir=cache_dir,
         )
 
@@ -239,9 +236,9 @@ class CellPlan:
     def describe(self) -> dict:
         """Canonical JSON-serialisable description of the cell.
 
-        Only result-affecting fields are included: the workload's cache
-        knobs (``use_cache``, ``cache_dir``) change where trained weights
-        are stored, never what they are, and ``eval_size`` is normalised to
+        Only result-affecting fields are included: the workload's
+        ``cache_dir`` changes where trained weights are stored, never what
+        they are, and ``eval_size`` is normalised to
         its effective value -- so equivalent evaluations fingerprint (and
         cache) identically.  Shard bounds are excluded: the description is
         the *cell's* canonical form, shared by every shard of the cell, and
@@ -491,7 +488,6 @@ def network_fingerprint(workload: PreparedWorkload) -> str:
 def build_sweep_plans(
     config: SweepConfig,
     eval_size: Optional[int] = None,
-    use_cache: bool = True,
     cache_dir: Optional[str] = None,
 ) -> List[EvaluationPlan]:
     """Compile a :class:`SweepConfig` into its (method x level) cell plans.
@@ -499,7 +495,7 @@ def build_sweep_plans(
     Cells are ordered method-major, matching the curve assembly in
     :mod:`repro.experiments.runner`.
     """
-    ref = WorkloadRef.from_sweep_config(config, use_cache=use_cache, cache_dir=cache_dir)
+    ref = WorkloadRef.from_sweep_config(config, cache_dir=cache_dir)
     return [
         EvaluationPlan(
             workload=ref,

@@ -1,12 +1,11 @@
 """Content-addressed on-disk store for evaluated sweep cells.
 
-The store keeps three kinds of small JSON document, each fanned out over
+The store keeps two kinds of small JSON document, each fanned out over
 two-hex-digit prefix directories to keep directory listings cheap at
 scale::
 
     <root>/cells/<fp[:2]>/<fp>.json
     <root>/shards/<cell_fp[:2]>/<cell_fp>/<shard_fp>.json
-    <root>/workloads/<key[:2]>/<key>.json
 
 * **Cells** hold one evaluated sweep cell, keyed by the plan fingerprint
   (see :meth:`repro.execution.plan.EvaluationPlan.fingerprint` -- it covers
@@ -16,16 +15,12 @@ scale::
   workers, under the *cell's* fingerprint, until every shard has landed and
   the merged cell document is written; the shard documents are then
   deleted.  A killed sharded run therefore resumes at shard granularity.
-* **Workloads** hold the deterministic products of preparing a workload
-  that are expensive to recompute but tiny to persist (activation scales,
-  input scale, analog DNN accuracy), keyed by
-  :func:`repro.experiments.workloads.conversion_key` over the dataset,
-  every scale field, the seed, the trained weights' hash, the calibration
-  size and the scale percentile.  With the conversion cached, a re-run
-  skips the calibration forward passes and the analog accuracy
-  evaluation.  ``prepare_workload`` keeps this document in the caller's
-  store and in a store rooted at the trained-weight cache directory, so
-  a run without a store finds it beside the weights.
+
+A workload's conversion products live beside its trained weights, not here
+(:func:`repro.experiments.workloads.prepare_workload`).  A store written
+before that move keeps resuming, since no cell reads the conversion
+document; its ``workloads/`` directory is no longer read and can be deleted
+by hand.
 
 Every document goes through one path builder (:meth:`ResultStore._path`),
 one writer (:meth:`ResultStore._write`: atomic, temp file + rename, so a
@@ -33,8 +28,8 @@ killed run never leaves a half-written document) and one reader
 (:meth:`ResultStore._read`): a missing document is a silent miss, and an
 unreadable or malformed one is a miss with a warning naming the file, so a
 corrupt store can only cost a re-evaluation, never correctness.
-:meth:`ResultStore.gc` is the one inventory: it counts every section and
-collects what can never be served again.
+:meth:`ResultStore.gc` is the one inventory: it counts the shard documents
+and collects those that can never be served again.
 
 Because the key is a content address, the store gives three properties for
 free:
@@ -52,7 +47,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.pipeline import EvaluationResult
 from repro.utils.logging import get_logger
@@ -60,31 +55,8 @@ from repro.utils.serialization import load_json, save_json
 
 logger = get_logger("execution.store")
 
-T = TypeVar("T")
-
 #: Store format version, embedded in every document; bump on layout changes.
 STORE_VERSION = 1
-
-#: Payload fields a conversion document must carry to be servable --
-#: exactly what :func:`repro.experiments.workloads.prepare_workload` needs
-#: to rebuild the network without re-running calibration.
-_REQUIRED_WORKLOAD_FIELDS = ("scales", "percentile", "input_scale", "dnn_accuracy")
-
-
-def _result(document) -> EvaluationResult:
-    """The result of a cell or shard document."""
-    return EvaluationResult.from_dict(document["result"])
-
-
-def _conversion(document) -> dict:
-    """The payload of a conversion document, with every required field."""
-    payload = document["conversion"]
-    if not isinstance(payload, dict):
-        raise TypeError("conversion is not a mapping")
-    for name in _REQUIRED_WORKLOAD_FIELDS:
-        if name not in payload:
-            raise KeyError(name)
-    return payload
 
 
 def _size(path: str) -> int:
@@ -115,7 +87,7 @@ def _remove(path: str) -> int:
 
 @dataclass
 class ResultStore:
-    """Content-addressed JSON store of cell, shard and conversion documents."""
+    """Content-addressed JSON store of cell and shard documents."""
 
     root: str
 
@@ -125,12 +97,12 @@ class ResultStore:
 
         ``("cells", fp)`` is a cell document, ``("shards", cell, shard)`` a
         shard document and ``("shards", cell, ext="")`` its cell's shard
-        directory, ``("workloads", key)`` a conversion document.
+        directory.
         """
         return os.path.join(self.root, section, keys[0][:2], *keys) + ext
 
-    def _read(self, path: str, parse: Callable[[dict], T]) -> Optional[T]:
-        """Load and parse one document; ``None`` (a miss) when unusable.
+    def _read(self, path: str) -> Optional[EvaluationResult]:
+        """The result of one document; ``None`` (a miss) when unusable.
 
         A missing document is a silent miss.  A truncated, non-JSON or
         malformed one (e.g. from a crash predating atomic writes) is a miss
@@ -145,7 +117,7 @@ class ResultStore:
             logger.warning("ignoring unreadable store document %s (%s)", path, error)
             return None
         try:
-            return parse(document)
+            return EvaluationResult.from_dict(document["result"])
         except (KeyError, TypeError, ValueError) as error:
             logger.warning("ignoring malformed store document %s (%s)", path, error)
             return None
@@ -158,7 +130,7 @@ class ResultStore:
     # -- cells ---------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[EvaluationResult]:
         """Load a stored cell result; ``None`` (a miss) when absent or unusable."""
-        return self._read(self._path("cells", fingerprint), _result)
+        return self._read(self._path("cells", fingerprint))
 
     def put(
         self,
@@ -177,9 +149,7 @@ class ResultStore:
         self, cell_fingerprint: str, shard_fingerprint: str
     ) -> Optional[EvaluationResult]:
         """Load a stored shard result; ``None`` (a miss) when absent or unusable."""
-        return self._read(
-            self._path("shards", cell_fingerprint, shard_fingerprint), _result
-        )
+        return self._read(self._path("shards", cell_fingerprint, shard_fingerprint))
 
     def put_shard(
         self,
@@ -223,36 +193,20 @@ class ResultStore:
             pass  # non-empty (a remove failed) or already gone
         return removed
 
-    # -- workload conversions --------------------------------------------------
-    def get_workload_conversion(self, key: str) -> Optional[dict]:
-        """Load a stored conversion payload; ``None`` (a miss) when absent or
-        unusable (unreadable, or missing a field ``prepare_workload`` needs)."""
-        return self._read(self._path("workloads", key), _conversion)
-
-    def put_workload_conversion(self, key: str, payload: dict) -> str:
-        """Persist a conversion payload atomically; returns the path written."""
-        return self._write(
-            self._path("workloads", key), {"key": key, "conversion": dict(payload)}
-        )
-
     # -- inventory -----------------------------------------------------------------
     def gc(self) -> Dict[str, int]:
-        """Count every shard and conversion document and collect the orphans.
+        """Count every shard document and collect the orphans.
 
         A shard document is *orphaned* once its cell's merged document
         exists (a run died between the cell write and the shard cleanup);
-        its whole directory is removed, stray files included.  A conversion
-        document is orphaned when :meth:`get_workload_conversion` would
-        refuse to serve it.  Live shards of an unmerged cell and servable
-        conversions are never touched, so gc is safe to run any time.
-        Reclaimed bytes are the orphaned ``.json`` documents' sizes, taken
-        before removal.
+        its whole directory is removed, stray files included.  Live shards
+        of an unmerged cell are never touched, so gc is safe to run any
+        time.  Reclaimed bytes are the orphaned ``.json`` documents' sizes,
+        taken before removal.
         """
         counts = dict.fromkeys((
             "shard_cells", "shard_docs", "orphaned_shard_docs",
             "collected_shard_docs", "reclaimed_shard_bytes",
-            "workload_docs", "orphaned_workload_docs",
-            "collected_workload_docs", "reclaimed_workload_bytes",
         ), 0)
         for cell, directory in self._entries("shards"):
             try:
@@ -269,15 +223,6 @@ class ResultStore:
                 _size(os.path.join(directory, name)) for name in documents
             )
             counts["collected_shard_docs"] += self.delete_shards(cell)
-        for name, path in self._entries("workloads"):
-            if not name.endswith(".json"):
-                continue
-            counts["workload_docs"] += 1
-            if self._read(path, _conversion) is not None:
-                continue
-            counts["orphaned_workload_docs"] += 1
-            counts["reclaimed_workload_bytes"] += _size(path)
-            counts["collected_workload_docs"] += _remove(path)
         return counts
 
     def _entries(self, section: str) -> Iterator[Tuple[str, str]]:

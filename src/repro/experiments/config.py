@@ -305,11 +305,11 @@ class SweepConfig:
         if self.simulator == "timestep":
             _check_timestep_support(self.methods, "simulator")
 
-    def build_plans(self, eval_size: Optional[int] = None, use_cache: bool = True) -> list:
+    def build_plans(self, eval_size: Optional[int] = None) -> list:
         """Compile the sweep into its (method x level) noise-cell plans."""
         from repro.execution.plan import build_sweep_plans
 
-        return build_sweep_plans(self, eval_size=eval_size, use_cache=use_cache)
+        return build_sweep_plans(self, eval_size=eval_size)
 
 
 class ScaleWindowError(ConfigError):
@@ -476,11 +476,11 @@ class AttackSweepConfig:
                 self.methods, "evaluator", label=" (transfer evaluation)"
             )
 
-    def build_plans(self, eval_size: Optional[int] = None, use_cache: bool = True) -> list:
+    def build_plans(self, eval_size: Optional[int] = None) -> list:
         """Compile the sweep into its (method x budget) attack-cell plans."""
         from repro.execution.attack import build_attack_plans
 
-        return build_attack_plans(self, eval_size=eval_size, use_cache=use_cache)
+        return build_attack_plans(self, eval_size=eval_size)
 
     @property
     def noise_kind(self) -> str:

@@ -251,7 +251,6 @@ def run_sweeps(
     configs: Sequence[AnySweepConfig],
     workloads: Optional[Dict[str, PreparedWorkload]] = None,
     eval_size: Optional[int] = None,
-    use_cache: bool = True,
     max_workers: Optional[int] = 1,
     executor: Union[str, Executor, None] = None,
     store: Union[ResultStore, str, None, bool] = None,
@@ -280,8 +279,6 @@ def run_sweeps(
         figures in the benchmark harness); prepared on demand otherwise.
     eval_size:
         Override the number of evaluation images (all configs).
-    use_cache:
-        Forwarded to :func:`prepare_workload` for workloads built here.
     max_workers:
         Worker count for the pooled executor backends; see
         :func:`~repro.execution.executors.resolve_worker_count` for the
@@ -315,15 +312,13 @@ def run_sweeps(
     # returning; a caller-provided Executor instance keeps its pool warm
     # across calls and stays the caller's responsibility to close.
     owns_backend = not isinstance(executor, Executor)
-    # Resolve the store once: workload preparation reads/writes its
-    # conversion cache, and the engine serves/persists cell results on it.
     result_store = resolve_store(store)
     prepared: Dict[WorkloadRef, PreparedWorkload] = {}
     plans = []
     spans: List[int] = []
     refs: List[WorkloadRef] = []
     for config in configs:
-        ref = WorkloadRef.from_sweep_config(config, use_cache=use_cache)
+        ref = WorkloadRef.from_sweep_config(config)
         provided = (workloads or {}).get(config.dataset)
         if provided is not None:
             _check_workload_matches(provided, config)
@@ -347,7 +342,6 @@ def run_sweeps(
         if ref not in prepared:
             workload = provided or prepare_workload(
                 config.dataset, scale=config.scale, seed=config.seed,
-                use_cache=use_cache, store=result_store,
             )
             prepared[ref] = workload
             # Seed the process-local registry so serial/thread backends (and
@@ -355,7 +349,7 @@ def run_sweeps(
             register_workload(ref, workload)
         config_plans = [
             replace(plan, workload=ref)
-            for plan in config.build_plans(eval_size=eval_size, use_cache=use_cache)
+            for plan in config.build_plans(eval_size=eval_size)
         ]
         spans.append(len(config_plans))
         plans.extend(config_plans)

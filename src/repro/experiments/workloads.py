@@ -13,17 +13,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.conversion.converter import ConvertedSNN, convert_dnn_to_snn
+from repro.conversion.converter import ConversionError, ConvertedSNN, convert_dnn_to_snn
 from repro.conversion.normalization import ActivationStatistics
 from repro.core.servable import ServableModel
 from repro.data.datasets import DatasetSplit
 from repro.data.synthetic import load_dataset, synthetic_cifar10, synthetic_cifar100
-from repro.execution.store import ResultStore
 from repro.experiments.config import (
     BENCH_SCALE,
     DatasetConfig,
@@ -35,6 +35,7 @@ from repro.nn.training import evaluate_accuracy, train_classifier
 from repro.nn.vgg import build_mlp, build_vgg
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_rng
+from repro.utils.serialization import load_json, save_json
 
 logger = get_logger("experiments.workloads")
 
@@ -72,9 +73,9 @@ class PreparedWorkload:
     #: Seed the workload was prepared with; ``None`` for hand-built
     #: workloads (the sweep engine then cannot verify seed consistency).
     seed: Optional[int] = None
-    #: Conversion fingerprint of the network (the ``workloads/`` store key
-    #: and the serving registry's model address); ``None`` for hand-built
-    #: workloads.
+    #: Conversion fingerprint of the network (the name of its conversion
+    #: document in the weight cache and the serving registry's model
+    #: address); ``None`` for hand-built workloads.
     conversion_key: Optional[str] = None
 
     def evaluation_slice(self, size: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -94,14 +95,7 @@ class PreparedWorkload:
         """
         servable = getattr(self, "_servable", None)
         if servable is None:
-            servable = ServableModel(
-                network=self.network,
-                key=self.conversion_key,
-                dataset=self.dataset_name,
-                scale_name=self.scale.name,
-                seed=self.seed,
-                dnn_accuracy=float(self.dnn_accuracy),
-            )
+            servable = ServableModel(network=self.network, key=self.conversion_key)
             self._servable = servable
         return servable
 
@@ -191,6 +185,11 @@ def _workload_data(config: DatasetConfig, scale: ExperimentScale, rng) -> Datase
     )
 
 
+def _conversion_path(cache_dir: str, key: str) -> str:
+    """Where a workload's conversion document sits beside the trained weights."""
+    return os.path.join(cache_dir, "workloads", key[:2], f"{key}.json")
+
+
 def _restore_conversion(
     model: Sequential, calibration: np.ndarray, conversion: dict
 ) -> Tuple[ConvertedSNN, float]:
@@ -211,14 +210,38 @@ def _restore_conversion(
     return network, float(conversion["dnn_accuracy"])
 
 
+def _write_conversion(path: str, prepared: PreparedWorkload) -> None:
+    """Persist a workload's conversion products atomically at ``path``.
+
+    The exact floats :func:`_restore_conversion` reads back, so a restored
+    network fingerprints identically to the calibrated one.
+    """
+    statistics = prepared.network.statistics
+    conversion = {
+        "scales": [float(v) for v in statistics.scales],
+        "percentile": float(statistics.percentile),
+        "means": [float(v) for v in statistics.means],
+        "maxima": [float(v) for v in statistics.maxima],
+        "sample_size": int(statistics.sample_size),
+        "input_scale": float(prepared.network.input_scale),
+        "dataset": prepared.dataset_name,
+        "scale": prepared.scale.name,
+        "seed": int(prepared.seed),
+        "dnn_accuracy": float(prepared.dnn_accuracy),
+    }
+    save_json(
+        path,
+        {"version": 1, "key": prepared.conversion_key, "conversion": conversion},
+        atomic=True,
+    )
+
+
 def prepare_workload(
     dataset: str,
     scale: ExperimentScale = BENCH_SCALE,
     seed: int = 0,
     cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     verbose: bool = False,
-    store: Optional[ResultStore] = None,
 ) -> PreparedWorkload:
     """Generate data, train (or load) the DNN and convert it to an SNN.
 
@@ -231,30 +254,26 @@ def prepare_workload(
     seed:
         Seed controlling data generation, initialisation and training order.
     cache_dir:
-        Directory for the trained-weight cache; defaults to
+        Directory of the trained-weight cache; defaults to
         ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-snn``.
-    use_cache:
-        Load/store trained weights and their conversion document from the
-        cache (training is the dominant cost of every benchmark, so this is
-        on by default).  Off, nothing is read from or written to
-        ``cache_dir``.
-    store:
-        Optional :class:`~repro.execution.store.ResultStore` for the
-        conversion document.
 
-    The conversion document holds the conversion products (activation
-    scales, input scale, analog DNN accuracy) under :func:`conversion_key`,
-    which covers the dataset, every scale field, the seed, the trained
-    weights' hash, the calibration size and the scale percentile.  It is
-    read from ``store``, then from the weight cache (a
-    :class:`~repro.execution.store.ResultStore` rooted at ``cache_dir``,
-    when ``use_cache``), and written back to each of the two that missed
-    it.  A hit skips the calibration forward passes and the accuracy
-    evaluation; a missing, unreadable or malformed document is recomputed.
-    The cached floats round-trip exactly, hence the rebuilt network
-    fingerprints identically and cell results keep aliasing correctly.
-    The key does not cover the data generator's code:
+    The cache holds the trained weights
+    (``<cache_dir>/<dataset>-<scale>-seed<seed>-weights.npz``) and, beside
+    them, the conversion document
+    (``<cache_dir>/workloads/<key[:2]>/<key>.json``): the conversion
+    products (activation scales, input scale, analog DNN accuracy) under
+    :func:`conversion_key`, which covers the dataset, every scale field,
+    the seed, the trained weights' hash, the calibration size and the scale
+    percentile.  A cached document skips the calibration forward passes and
+    the accuracy evaluation; the cached floats round-trip exactly, hence
+    the rebuilt network fingerprints identically and cell results keep
+    aliasing correctly.  The key does not cover the data generator's code:
     ``tests/test_data.py`` pins its output, so a change to it shows there.
+
+    The cache is an accelerator, never a correctness dependency.  A missing
+    file is a silent miss; an unreadable or malformed one is a miss with a
+    warning naming the file, and is recomputed and rewritten.  Both files
+    are written atomically, and a failed write is a warning.
     """
     config = dataset_config(dataset)
     rng = derive_rng(seed, "workload", dataset, scale.name)
@@ -264,12 +283,12 @@ def prepare_workload(
     cache_dir = cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
     cache_file = _cache_path(cache_dir, config.name, scale, seed)
     loaded = False
-    if use_cache and os.path.exists(cache_file):
+    if os.path.exists(cache_file):
         try:
             model.load(cache_file)
             loaded = True
             logger.info("loaded cached weights from %s", cache_file)
-        except (KeyError, ValueError) as error:
+        except (EOFError, KeyError, OSError, ValueError, zipfile.BadZipFile) as error:
             logger.warning("ignoring stale cache %s (%s)", cache_file, error)
     if not loaded:
         train_classifier(
@@ -282,40 +301,32 @@ def prepare_workload(
             rng=derive_rng(rng, "train"),
             verbose=verbose,
         )
-        if use_cache:
-            os.makedirs(cache_dir, exist_ok=True)
+        try:
             model.save(cache_file)
             logger.info("cached trained weights at %s", cache_file)
+        except OSError as error:
+            logger.warning("weight cache write failed at %s (%s)", cache_file, error)
 
     calibration = data.train.x[: min(128, len(data.train))]
-    # The fingerprint is computed store-or-not: it is also the workload's
-    # address in the serving model registry.
+    # The fingerprint is also the workload's address in the serving model
+    # registry.
     key = conversion_key(
         config.name, scale, int(seed), _model_weights_hash(model),
         calibration_size=int(calibration.shape[0]),
     )
-    stores = [store] if store is not None else []
-    if use_cache:
-        stores.append(ResultStore(cache_dir))
+    path = _conversion_path(cache_dir, key)
     network: Optional[ConvertedSNN] = None
-    missed = []
-    for source in stores:
-        conversion = source.get_workload_conversion(key)
-        if conversion is not None:
-            try:
-                network, dnn_accuracy = _restore_conversion(model, calibration, conversion)
-                logger.info(
-                    "reused stored conversion for %s/%s (seed %d) from %s",
-                    config.name, scale.name, seed, source.root,
-                )
-                break
-            except (KeyError, TypeError, ValueError) as error:
-                logger.warning(
-                    "ignoring malformed stored conversion for %s in %s (%s)",
-                    config.name, source.root, error,
-                )
-        missed.append(source)
-    if network is None:
+    try:
+        network, dnn_accuracy = _restore_conversion(
+            model, calibration, load_json(path)["conversion"]
+        )
+        logger.info("reused cached conversion from %s", path)
+    except FileNotFoundError:
+        pass
+    except (ConversionError, KeyError, OSError, TypeError, ValueError) as error:
+        logger.warning("ignoring unusable conversion document %s (%s)", path, error)
+    calibrated = network is None
+    if calibrated:
         dnn_accuracy = evaluate_accuracy(model, data.test)
         network = convert_dnn_to_snn(model, calibration)
     prepared = PreparedWorkload(
@@ -328,18 +339,9 @@ def prepare_workload(
         seed=int(seed),
         conversion_key=key,
     )
-    for target in missed:
+    if calibrated:
         try:
-            # The store-back document is the servable artifact's payload --
-            # the exact shape `get_workload_conversion` reads back above.
-            target.put_workload_conversion(
-                key, prepared.servable_model().conversion_payload()
-            )
+            _write_conversion(path, prepared)
         except OSError as error:
-            # The store is an accelerator, never a correctness
-            # dependency (same contract as cell writes).
-            logger.warning(
-                "workload-conversion store write failed for %s in %s (%s)",
-                config.name, target.root, error,
-            )
+            logger.warning("conversion document write failed at %s (%s)", path, error)
     return prepared

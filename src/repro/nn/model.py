@@ -63,19 +63,27 @@ class Sequential:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters previously produced by :meth:`state_dict`."""
-        for index, layer in enumerate(self.layers):
-            for key in layer.params:
-                full_key = f"layer{index}.{key}"
-                if full_key not in state:
-                    raise KeyError(f"missing parameter {full_key} in state dict")
-                expected = layer.params[key].shape
-                actual = state[full_key].shape
-                if expected != actual:
-                    raise ValueError(
-                        f"shape mismatch for {full_key}: expected {expected}, got {actual}"
-                    )
-                layer.params[key] = state[full_key].astype(np.float32).copy()
+        """Load parameters previously produced by :meth:`state_dict`.
+
+        Every parameter is checked before any is replaced, so a state dict
+        that does not fit leaves the model as it was.
+        """
+        params = [
+            (layer.params, key, f"layer{index}.{key}")
+            for index, layer in enumerate(self.layers)
+            for key in layer.params
+        ]
+        for own, key, full_key in params:
+            if full_key not in state:
+                raise KeyError(f"missing parameter {full_key} in state dict")
+            expected = own[key].shape
+            actual = state[full_key].shape
+            if expected != actual:
+                raise ValueError(
+                    f"shape mismatch for {full_key}: expected {expected}, got {actual}"
+                )
+        for own, key, full_key in params:
+            own[key] = state[full_key].astype(np.float32).copy()
 
     def save(self, path: str) -> str:
         """Save the model parameters to an ``.npz`` archive."""

@@ -8,7 +8,7 @@ inference service in three layers:
   deterministic batch evaluation over a frozen
   :class:`~repro.core.servable.ServableModel`,
 * :mod:`repro.serving.registry` -- :class:`ModelRegistry`, the thread-safe
-  fingerprint -> artifact map with result-store load-through,
+  fingerprint -> artifact map with weight-cache load-through,
 * :mod:`repro.serving.scheduler` -- :class:`MicroBatchScheduler`, which
   dispatches a single-sample submission at once when a worker of its warm
   thread tier is idle, and coalesces requests that arrive while every
@@ -18,7 +18,7 @@ Quick start::
 
     from repro.serving import ModelRegistry, MicroBatchScheduler, RequestSpec
 
-    registry = ModelRegistry(store="/var/cache/repro-store")
+    registry = ModelRegistry()
     key = registry.register("mnist", scale=TEST_SCALE, seed=0)
     with MicroBatchScheduler(registry) as scheduler:
         spec = RequestSpec.create(evaluator="transport", coding="rate",

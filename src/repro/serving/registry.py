@@ -1,16 +1,13 @@
-"""Thread-safe model registry with store load-through.
+"""Thread-safe model registry with weight-cache load-through.
 
 The registry maps conversion fingerprints
 (:func:`repro.experiments.workloads.conversion_key`) to resident
 :class:`~repro.core.servable.ServableModel` artifacts.  Models enter through
 :meth:`ModelRegistry.register`, which loads through
-:func:`prepare_workload`: the trained weights come from the weight cache
-and the conversion products from the
-:class:`~repro.execution.store.ResultStore` ``workloads/`` section of the
-registry's store or, without one, of the weight cache, so a registry
-restart costs a weight load and a couple of matrix rebuilds, never a
-re-calibration.  Every registered model stays resident for the
-registry's lifetime.
+:func:`prepare_workload`: the trained weights and the conversion document
+beside them both come from the weight cache, so a registry restart costs a
+weight load and a couple of matrix rebuilds, never a re-calibration.
+Every registered model stays resident for the registry's lifetime.
 
 Concurrency contract (exercised by ``tests/test_serving.py``):
 
@@ -28,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.servable import ServableModel
-from repro.execution.store import resolve_store
 from repro.experiments.config import BENCH_SCALE, ExperimentScale
 from repro.experiments.workloads import prepare_workload
 
@@ -71,13 +67,12 @@ class ModelRegistry:
     Parameters
     ----------
     store:
-        Conversion load-through target (a :class:`ResultStore`, a path,
-        or ``None`` / ``False`` for off) -- the same convention as every
-        other store consumer.
+        Accepted and unread: conversion documents live in the weight
+        cache only.  ``perfbench/workloads.py`` still passes
+        ``store=False``; the argument goes once it stops.
     """
 
     def __init__(self, store=None):
-        self._store = resolve_store(store)
         self.stats = RegistryStats()
         self._lock = threading.RLock()
         #: key -> resident artifact.
@@ -92,7 +87,6 @@ class ModelRegistry:
         dataset: str,
         scale: ExperimentScale = BENCH_SCALE,
         seed: int = 0,
-        use_cache: bool = True,
         cache_dir: Optional[str] = None,
     ) -> str:
         """Load a workload's model into the registry; returns its fingerprint.
@@ -101,7 +95,7 @@ class ModelRegistry:
         workload perform one load, and a workload registered before is a
         plain hit.
         """
-        token = (dataset, scale.name, int(seed), bool(use_cache), cache_dir)
+        token = (dataset, scale.name, int(seed), cache_dir)
         with self._lock:
             key = self._token_keys.get(token)
             if key is not None:
@@ -116,7 +110,6 @@ class ModelRegistry:
         try:
             model = prepare_workload(
                 dataset, scale=scale, seed=int(seed), cache_dir=cache_dir,
-                use_cache=use_cache, store=self._store,
             ).servable_model()
         except BaseException as error:
             with self._lock:

@@ -39,6 +39,20 @@ def stored_fingerprints(store):
     return sorted(path.stem for path in Path(store.root, "cells").glob("*/*.json"))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def weight_cache(tmp_path_factory):
+    """One temporary weight cache for the whole session.
+
+    ``REPRO_CACHE_DIR`` points every workload prepared without an explicit
+    ``cache_dir`` (CLI runs and pool workers included) here, so the suite
+    never reads or writes the user's cache, and each workload trains once.
+    """
+    path = tmp_path_factory.mktemp("weight-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(path))
+        yield path
+
+
 @pytest.fixture
 def fast_retries(monkeypatch):
     """Shrink the engine's first retry delay so retried cells barely sleep.

@@ -67,7 +67,7 @@ from dataclasses import replace
 
 @pytest.fixture(scope="module")
 def tiny_workload():
-    return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    return prepare_workload("mnist", scale=TEST_SCALE, seed=0)
 
 
 def toy_train(times=(0, 2, 5), neurons=(1, 2, 0), counts=(2, 1, 1),
@@ -375,7 +375,7 @@ class TestSearchDispatch:
 # ---------------------------------------------------------------------------
 # AttackPlan: validation, identity, sharding, fingerprints
 # ---------------------------------------------------------------------------
-REF = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+REF = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0)
 
 
 def make_plan(**overrides):
@@ -559,7 +559,7 @@ def attack_config(**overrides):
 
 
 def _compile_attack(config, eval_size=6):
-    plans = build_attack_plans(config, eval_size=eval_size, use_cache=False)
+    plans = build_attack_plans(config, eval_size=eval_size)
     return plans[0].workload, plans
 
 

@@ -43,7 +43,7 @@ fork_only = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def chaos_workload():
-    return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    return prepare_workload("mnist", scale=TEST_SCALE, seed=0)
 
 
 def chaos_config(**overrides):
@@ -61,8 +61,8 @@ def chaos_config(**overrides):
 
 
 def _compile(config, workload, eval_size=10):
-    ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-    plans = build_sweep_plans(config, eval_size=eval_size, use_cache=False)
+    ref = WorkloadRef.from_sweep_config(config)
+    plans = build_sweep_plans(config, eval_size=eval_size)
     return ref, plans
 
 
@@ -136,8 +136,8 @@ class TestWorkerKill:
         monkeypatch.setattr(EvaluationPlan, "evaluate", killer_evaluate_plan)
         store = ResultStore(str(tmp_path / "store"))
         config = chaos_config(batch_size=4)
-        ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-        plans = build_sweep_plans(config, eval_size=10, use_cache=False)
+        ref = WorkloadRef.from_sweep_config(config)
+        plans = build_sweep_plans(config, eval_size=10)
         executor = ProcessExecutor(2)
         try:
             evaluation = evaluate_plans(

@@ -39,7 +39,7 @@ from tests.conftest import stored_fingerprints
 
 @pytest.fixture(scope="module")
 def tiny_workload():
-    return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    return prepare_workload("mnist", scale=TEST_SCALE, seed=0)
 
 
 def tiny_config(**overrides):
@@ -116,12 +116,11 @@ class TestPlans:
         assert base.fingerprint("deadbeef") != base.fingerprint(network_hash)
 
     def test_fingerprint_ignores_non_result_knobs(self, tiny_workload):
-        # Cache knobs change where weights live, never what the result is;
+        # The cache directory changes where weights live, never what the result is;
         # eval_size=None and its explicit resolution are the same evaluation.
         network_hash = network_fingerprint(tiny_workload)
         base = build_sweep_plans(tiny_config())[0]
         same = [
-            build_sweep_plans(tiny_config(), use_cache=False)[0],
             build_sweep_plans(tiny_config(), cache_dir="/tmp/elsewhere")[0],
             build_sweep_plans(tiny_config(), eval_size=TEST_SCALE.eval_size)[0],
         ]
@@ -535,15 +534,14 @@ def test_run_settings_ignore_the_environment(tiny_workload, tmp_path, monkeypatc
     assert resolve_executor().name == "serial"
     assert resolve_store(None) is None
     config = tiny_config(methods=(MethodSpec(coding="ttfs"),))
-    ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-    plans = build_sweep_plans(config, eval_size=8, use_cache=False)
+    ref = WorkloadRef.from_sweep_config(config)
+    plans = build_sweep_plans(config, eval_size=8)
     evaluation = evaluate_plans(plans, workloads={ref: tiny_workload})
     assert evaluation.stats.executor == "serial"
     assert evaluation.stats.evaluated_cells == len(plans)
     assert evaluation.stats.store_writes == 0
     assert evaluation.stats.sharded_cells == 0
     registry = ModelRegistry()
-    assert registry._store is None
     with MicroBatchScheduler(registry, max_workers=1) as scheduler:
         assert scheduler.max_batch == 8
         assert scheduler.max_workers == 1
@@ -919,7 +917,7 @@ class TestEngine:
     def test_workload_registry_round_trip(self, tiny_workload):
         from repro.execution import workload_for
 
-        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0)
         register_workload(ref, tiny_workload)
         assert workload_for(ref) is tiny_workload
 
@@ -937,18 +935,18 @@ class TestEngine:
 
         monkeypatch.setattr(workloads_module, "prepare_workload", counting)
         ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=4321,
-                          cache_dir="/nonexistent", use_cache=False)
+                          cache_dir="/nonexistent")
         assert workload_for(ref) is tiny_workload
         assert workload_for(ref) is tiny_workload
         assert calls == [("mnist", dict(scale=TEST_SCALE, seed=4321,
-                                        cache_dir="/nonexistent", use_cache=False))]
+                                        cache_dir="/nonexistent"))]
 
     def test_a_cell_error_raised_by_the_plan_is_not_rewrapped(self, tiny_workload):
         from types import SimpleNamespace
 
         from repro.execution.engine import execute_cell
 
-        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0)
         register_workload(ref, tiny_workload)
         original = CellEvaluationError("mnist", "TTFS", "deletion", 0.5, "inner")
 
@@ -995,8 +993,8 @@ class TestEngine:
         _WORKLOAD_REGISTRY.clear()
         try:
             config = tiny_config()
-            ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-            plans = build_sweep_plans(config, eval_size=10, use_cache=False)
+            ref = WorkloadRef.from_sweep_config(config)
+            plans = build_sweep_plans(config, eval_size=10)
             evaluation = evaluate_plans(plans, workloads={ref: tiny_workload})
             assert evaluation.stats.evaluated_cells == len(plans)
         finally:
@@ -1050,8 +1048,8 @@ class TestFaultSweepDeterminism:
         # with a retry budget (and no failures) matches the plain path.
         config = tiny_config(noise_kind="stuck", levels=(0.0, 0.2))
         plain = run_sweep(config, workload=tiny_workload, eval_size=12)
-        ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-        plans = build_sweep_plans(config, eval_size=12, use_cache=False)
+        ref = WorkloadRef.from_sweep_config(config)
+        plans = build_sweep_plans(config, eval_size=12)
         tolerant = evaluate_plans(
             plans, workloads={ref: tiny_workload}, retries=2
         )

@@ -1,7 +1,9 @@
 """Tests for the experiment harness (configs, workloads, runner, figures, tables, reporting)."""
 
 import dataclasses
+import json
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -86,7 +88,7 @@ class TestConfig:
 
 @pytest.fixture(scope="module")
 def tiny_workload():
-    return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    return prepare_workload("mnist", scale=TEST_SCALE, seed=0)
 
 
 def _captured_warnings(name):
@@ -111,14 +113,9 @@ def workload_warnings():
     yield from _captured_warnings("repro.experiments.workloads")
 
 
-@pytest.fixture()
-def store_warnings():
-    yield from _captured_warnings("repro.execution.store")
-
-
 class TestWorkloadFaults:
-    """The weight cache and the conversion store are accelerators: a stale
-    or failing one costs time, never a different network."""
+    """The weight cache is an accelerator: a stale, torn or unwritable one
+    costs time, never a different network."""
 
     def test_stale_weight_cache_is_retrained_and_replaced(
         self, tiny_workload, tmp_path, workload_warnings
@@ -130,77 +127,150 @@ class TestWorkloadFaults:
         cache_file = _cache_path(str(tmp_path), "mnist", TEST_SCALE, 0)
         save_arrays(cache_file, {"layer9.weight": np.zeros(3, dtype=np.float32)})
         retrained = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                                     cache_dir=str(tmp_path), use_cache=True)
+                                     cache_dir=str(tmp_path))
         assert any("stale cache" in message for message in workload_warnings)
         assert network_fingerprint(retrained) == network_fingerprint(tiny_workload)
         workload_warnings.clear()
         prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                         cache_dir=str(tmp_path), use_cache=True)
+                         cache_dir=str(tmp_path))
         assert workload_warnings == []
 
-    def test_malformed_stored_conversion_is_recomputed(
+    def test_partly_fitting_weight_cache_is_retrained_from_scratch(
         self, tiny_workload, tmp_path, workload_warnings
     ):
-        from repro.execution import ResultStore, network_fingerprint
+        """A cache whose first layers fit must not seed the retraining."""
+        from repro.execution import network_fingerprint
+        from repro.experiments.workloads import _cache_path
+        from repro.utils.serialization import save_arrays
 
-        store = ResultStore(str(tmp_path / "store"))
-        key = tiny_workload.conversion_key
-        store.put_workload_conversion(key, {
-            "scales": ["not a number"], "percentile": 99.9,
-            "input_scale": 1.0, "dnn_accuracy": 0.5,
-        })
-        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                                    use_cache=False, store=store)
-        assert any("malformed stored conversion" in m for m in workload_warnings)
-        assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
-        assert prepared.dnn_accuracy == tiny_workload.dnn_accuracy
-        # The recomputed conversion overwrote the bad document.
-        expected = tiny_workload.servable_model().conversion_payload()["scales"]
-        assert store.get_workload_conversion(key)["scales"] == expected
+        state = {name: value + 1.0
+                 for name, value in tiny_workload.model.state_dict().items()}
+        last = sorted(state)[-1]
+        state[last] = np.zeros(3, dtype=np.float32)
+        save_arrays(_cache_path(str(tmp_path), "mnist", TEST_SCALE, 0), state)
+        retrained = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                     cache_dir=str(tmp_path))
+        assert any("stale cache" in message for message in workload_warnings)
+        assert network_fingerprint(retrained) == network_fingerprint(tiny_workload)
 
-    def test_stored_conversion_is_used_without_the_cache(self, tiny_workload, tmp_path):
-        from repro.conversion.converter import CONVERSION_COUNTERS
-        from repro.execution import ResultStore, network_fingerprint
-
-        store = ResultStore(str(tmp_path / "store"))
-        store.put_workload_conversion(
-            tiny_workload.conversion_key,
-            tiny_workload.servable_model().conversion_payload(),
-        )
-        before = CONVERSION_COUNTERS["calibrations"]
-        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                                    use_cache=False, store=store)
-        assert CONVERSION_COUNTERS["calibrations"] == before
-        assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
-        assert prepared.dnn_accuracy == tiny_workload.dnn_accuracy
-
-    def test_failed_conversion_store_write_is_a_warning(
-        self, tiny_workload, tmp_path, monkeypatch, workload_warnings
+    @pytest.mark.parametrize("kept", [0.5, 0.0], ids=["truncated", "empty"])
+    def test_torn_weight_archive_is_retrained_and_rewritten(
+        self, tiny_workload, tmp_path, workload_warnings, kept
     ):
-        from repro.execution import ResultStore, network_fingerprint
+        """A training run killed mid-save must not break later set-ups."""
+        from repro.execution import network_fingerprint
+        from repro.experiments.workloads import _cache_path
+        from repro.utils.serialization import load_arrays
 
-        monkeypatch.setattr(
-            ResultStore, "put_workload_conversion",
-            lambda self, *a, **k: (_ for _ in ()).throw(OSError("disk full")),
+        cache_file = _cache_path(str(tmp_path), "mnist", TEST_SCALE, 0)
+        prepare_workload("mnist", scale=TEST_SCALE, seed=0, cache_dir=str(tmp_path))
+        with open(cache_file, "rb") as handle:
+            content = handle.read()
+        with open(cache_file, "wb") as handle:
+            handle.write(content[: int(len(content) * kept)])
+        retrained = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                     cache_dir=str(tmp_path))
+        assert any(
+            "stale cache" in message and cache_file in message
+            for message in workload_warnings
         )
-        store = ResultStore(str(tmp_path / "store"))
+        assert network_fingerprint(retrained) == network_fingerprint(tiny_workload)
+        rewritten = load_arrays(cache_file)
+        expected = tiny_workload.model.state_dict()
+        assert sorted(rewritten) == sorted(expected)
+        assert all(np.array_equal(rewritten[name], expected[name]) for name in expected)
+        workload_warnings.clear()
+        prepare_workload("mnist", scale=TEST_SCALE, seed=0, cache_dir=str(tmp_path))
+        assert workload_warnings == []
+
+    def test_unwritable_cache_still_prepares(
+        self, tiny_workload, tmp_path, workload_warnings
+    ):
+        from repro.execution import network_fingerprint
+
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a file where the cache directory should be")
         prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                                    use_cache=False, store=store)
+                                    cache_dir=str(blocker / "cache"))
         assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
-        assert any("store write failed" in m for m in workload_warnings)
+        assert prepared.dnn_accuracy == tiny_workload.dnn_accuracy
+        assert any("weight cache write failed" in m for m in workload_warnings)
+        assert any("conversion document write failed" in m for m in workload_warnings)
+
+
+#: A conversion document as the weight cache holds it, for the test-scale
+#: mnist MLP (two hidden ReLU layers); ``{key}`` is the workload's real
+#: conversion key.  Caches written since the document moved beside the
+#: weights hold exactly this shape, so it must keep being served.
+CONVERSION_DOCUMENT = """{{
+  "version": 1,
+  "key": "{key}",
+  "conversion": {{
+    "scales": [
+      1.5,
+      2.25
+    ],
+    "percentile": 99.9,
+    "means": [
+      0.5,
+      0.75
+    ],
+    "maxima": [
+      2.0,
+      3.0
+    ],
+    "sample_size": 128,
+    "input_scale": 1.0,
+    "dataset": "mnist",
+    "scale": "test",
+    "seed": 0,
+    "dnn_accuracy": 0.875
+  }}
+}}
+"""
+
+
+def _conversion_file(cache_dir, key):
+    return os.path.join(str(cache_dir), "workloads", key[:2], f"{key}.json")
+
+
+def _damage_conversion(path, damage):
+    """Replace the cached conversion document at ``path`` by a broken one."""
+    if damage == "absent":
+        os.unlink(path)
+        return
+    with open(path, encoding="utf-8") as handle:
+        content = handle.read()
+    if damage == "truncated":
+        content = content[: len(content) // 2]
+    else:
+        document = json.loads(content)
+        if damage == "missing-field":
+            del document["conversion"]["input_scale"]
+        elif damage == "wrong-length":  # scales of another architecture
+            document["conversion"]["scales"].append(1.0)
+        else:  # non-mapping
+            document["conversion"] = [1.0, 2.0]
+        content = json.dumps(document)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(content)
 
 
 class TestConversionInWeightCache:
-    """Without a store, the conversion document lives beside the trained
-    weights: a warm set-up loads both and skips calibration."""
+    """The conversion document lives beside the trained weights: a warm
+    set-up loads both and skips calibration."""
 
-    def test_second_prepare_reuses_the_cached_conversion(self, tmp_path):
+    def test_second_prepare_reuses_the_cached_conversion(
+        self, tmp_path, workload_warnings
+    ):
         from repro.conversion.converter import CONVERSION_COUNTERS
         from repro.execution import network_fingerprint
 
         before = CONVERSION_COUNTERS["calibrations"]
         first = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
                                  cache_dir=str(tmp_path))
+        # A cold cache is a silent miss.
+        assert workload_warnings == []
         second = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
                                   cache_dir=str(tmp_path))
         assert CONVERSION_COUNTERS["calibrations"] == before + 1
@@ -211,35 +281,164 @@ class TestConversionInWeightCache:
         ]
         assert second.network.input_scale == first.network.input_scale
         assert second.dnn_accuracy == first.dnn_accuracy
+        # Other trained weights have another key, hence a miss.
+        other = prepare_workload("mnist", scale=TEST_SCALE, seed=1,
+                                 cache_dir=str(tmp_path))
+        assert other.conversion_key != first.conversion_key
+        assert CONVERSION_COUNTERS["calibrations"] == before + 2
 
-    def test_use_cache_off_writes_nothing(self, tmp_path):
-        prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                         cache_dir=str(tmp_path), use_cache=False)
-        assert list(tmp_path.iterdir()) == []
-
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "missing-field", "wrong-length", "non-mapping", "absent"],
+    )
     def test_truncated_cached_conversion_is_rewritten(
-        self, tmp_path, store_warnings
+        self, tmp_path, workload_warnings, damage
     ):
         from repro.conversion.converter import CONVERSION_COUNTERS
-        from repro.execution import ResultStore
 
         first = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
                                  cache_dir=str(tmp_path))
-        cache = ResultStore(str(tmp_path))
-        path = cache._path("workloads", first.conversion_key)
-        assert path.startswith(str(tmp_path / "workloads"))
+        path = _conversion_file(tmp_path, first.conversion_key)
         with open(path, "rb") as handle:
             content = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(content[: len(content) // 2])
+        _damage_conversion(path, damage)
         before = CONVERSION_COUNTERS["calibrations"]
         again = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
                                  cache_dir=str(tmp_path))
         assert CONVERSION_COUNTERS["calibrations"] == before + 1
-        assert any(path in message for message in store_warnings)
+        # A broken document is a miss with one warning naming the file; an
+        # absent one is a silent miss.
+        warned = [message for message in workload_warnings if path in message]
+        assert len(warned) == (0 if damage == "absent" else 1)
         assert again.dnn_accuracy == first.dnn_accuracy
-        stored = cache.get_workload_conversion(first.conversion_key)
-        assert stored == first.servable_model().conversion_payload()
+        with open(path, "rb") as handle:
+            assert handle.read() == content
+
+    def test_unreadable_conversion_document_is_a_warned_miss(
+        self, tiny_workload, tmp_path, workload_warnings
+    ):
+        """A document path that cannot be read or replaced (here a
+        directory) costs a calibration and two warnings, never the run."""
+        from repro.execution import network_fingerprint
+
+        path = _conversion_file(tmp_path, tiny_workload.conversion_key)
+        os.makedirs(path)
+        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                    cache_dir=str(tmp_path))
+        assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
+        assert any("ignoring unusable conversion document" in m and path in m
+                   for m in workload_warnings)
+        assert any("conversion document write failed" in m and path in m
+                   for m in workload_warnings)
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
+    def test_racing_cold_prepares_agree(self, tiny_workload, tmp_path):
+        """Two processes' worth of set-up on one cold cache: both finish,
+        and the files they leave are whole."""
+        import threading
+
+        from repro.execution import network_fingerprint
+
+        prepared, errors = [], []
+
+        def prepare():
+            try:
+                prepared.append(prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                                 cache_dir=str(tmp_path)))
+            except BaseException as error:  # pragma: no cover - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=prepare) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        expected = network_fingerprint(tiny_workload)
+        assert [network_fingerprint(w) for w in prepared] == [expected, expected]
+        leftovers = [p.name for p in tmp_path.rglob("*.tmp")]
+        assert leftovers == []
+        warm = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                cache_dir=str(tmp_path))
+        assert network_fingerprint(warm) == expected
+
+    def test_failed_conversion_write_is_a_warning(
+        self, tiny_workload, tmp_path, monkeypatch, workload_warnings
+    ):
+        from repro.execution import network_fingerprint
+        from repro.experiments import workloads
+
+        def failing(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(workloads, "save_json", failing)
+        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                    cache_dir=str(tmp_path))
+        assert network_fingerprint(prepared) == network_fingerprint(tiny_workload)
+        assert any(
+            "conversion document write failed" in m and "disk full" in m
+            for m in workload_warnings
+        )
+        assert not (tmp_path / "workloads").exists()
+
+    def test_literal_document_is_served(self, tiny_workload, tmp_path):
+        """A document of the pinned format beside the weights is read as is."""
+        from repro.conversion.converter import CONVERSION_COUNTERS
+        from repro.experiments.workloads import _cache_path
+
+        tiny_workload.model.save(_cache_path(str(tmp_path), "mnist", TEST_SCALE, 0))
+        key = tiny_workload.conversion_key
+        path = _conversion_file(tmp_path, key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(CONVERSION_DOCUMENT.format(key=key))
+        before = CONVERSION_COUNTERS["calibrations"]
+        served = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                  cache_dir=str(tmp_path))
+        assert CONVERSION_COUNTERS["calibrations"] == before
+        assert served.conversion_key == key
+        assert [s.activation_scale for s in served.network.segments
+                if s.ends_with_spikes] == [1.5, 2.25]
+        assert served.network.input_scale == 1.0
+        assert served.dnn_accuracy == 0.875
+
+    def test_cold_prepare_writes_the_literal_shape(self, tmp_path):
+        """Same path, same keys in the same order, same value types."""
+        prepared = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
+                                    cache_dir=str(tmp_path))
+        key = prepared.conversion_key
+        with open(_conversion_file(tmp_path, key), encoding="utf-8") as handle:
+            written = json.load(handle)
+        literal = json.loads(CONVERSION_DOCUMENT.format(key=key))
+
+        def shape(value):
+            if isinstance(value, dict):
+                return [(name, shape(item)) for name, item in value.items()]
+            if isinstance(value, list):
+                return [shape(item) for item in value]
+            return type(value).__name__
+
+        assert shape(written) == shape(literal)
+        assert written["key"] == key
+        assert written["conversion"]["dnn_accuracy"] == prepared.dnn_accuracy
+
+    def test_a_sweep_store_holds_no_conversion(self, tmp_path, monkeypatch):
+        """One home: the document goes beside the weights, never into the
+        result store of the sweep that prepared the workload."""
+        from repro.execution import ResultStore
+        from tests.conftest import stored_fingerprints
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "weights"))
+        store = ResultStore(str(tmp_path / "store"))
+        config = SweepConfig(
+            dataset="mnist", methods=(MethodSpec(coding="ttfs"),),
+            noise_kind="deletion", levels=(0.0,), scale=TEST_SCALE,
+        )
+        run_sweep(config, eval_size=4, store=store)
+        assert sorted(os.listdir(store.root)) == ["cells"]
+        assert len(stored_fingerprints(store)) == 1
+        documents = list((tmp_path / "weights" / "workloads").glob("*/*.json"))
+        assert len(documents) == 1
 
     def test_worker_rebuild_from_warm_cache_does_not_calibrate(
         self, tmp_path, monkeypatch
@@ -300,9 +499,9 @@ class TestWorkloadAndRunner:
 
     def test_workload_cache_roundtrip(self, tmp_path):
         first = prepare_workload("mnist", scale=TEST_SCALE, seed=1,
-                                 cache_dir=str(tmp_path), use_cache=True)
+                                 cache_dir=str(tmp_path))
         second = prepare_workload("mnist", scale=TEST_SCALE, seed=1,
-                                  cache_dir=str(tmp_path), use_cache=True)
+                                  cache_dir=str(tmp_path))
         assert abs(first.dnn_accuracy - second.dnn_accuracy) < 1e-9
 
     def test_run_noise_sweep_structure(self, tiny_workload):

@@ -269,7 +269,7 @@ def fault_workload():
     from repro.experiments import prepare_workload
     from repro.experiments.config import TEST_SCALE
 
-    return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    return prepare_workload("mnist", scale=TEST_SCALE, seed=0)
 
 
 class TestFaultCurvesBothEvaluators:

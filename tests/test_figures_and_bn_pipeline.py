@@ -20,7 +20,7 @@ from repro.experiments.workloads import prepare_workload
 @pytest.fixture(scope="module")
 def tiny_cifar_workload():
     """One tiny CIFAR workload shared by all figure-path tests."""
-    return prepare_workload("cifar10", scale=TEST_SCALE, seed=3, use_cache=False)
+    return prepare_workload("cifar10", scale=TEST_SCALE, seed=3)
 
 
 class TestFigureEntryPoints:

@@ -121,7 +121,7 @@ class TestEfficiencyClaims:
 class TestConvSweepEndToEnd:
     def test_full_sweep_on_tiny_cnn(self):
         """Exercise the whole harness (data, training, conversion, sweep) at test scale."""
-        workload = prepare_workload("cifar10", scale=TEST_SCALE, seed=0, use_cache=False)
+        workload = prepare_workload("cifar10", scale=TEST_SCALE, seed=0)
         config = SweepConfig(
             dataset="cifar10",
             methods=(MethodSpec(coding="rate", weight_scaling=True),

@@ -61,6 +61,17 @@ class TestSequential:
         with pytest.raises(KeyError, match="layer1.bias"):
             build_mlp(6, [4], 2, rng=1).load_state_dict(state)
 
+    def test_a_state_dict_that_does_not_fit_changes_nothing(self):
+        model = build_mlp(6, [4, 3], 2, rng=0)
+        before = model.state_dict()
+        state = {name: value + 1.0 for name, value in before.items()}
+        last = sorted(state)[-1]
+        state[last] = np.zeros(7, dtype=np.float32)
+        with pytest.raises(ValueError, match=last):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert all(np.array_equal(after[name], before[name]) for name in before)
+
     def test_save_and_load(self, tmp_path):
         model = build_mlp(6, [4], 2, rng=0)
         path = model.save(str(tmp_path / "weights"))

@@ -9,8 +9,8 @@ The three contracts under test:
   row, on both evaluators (the fixed-compute-lanes guarantee), including
   when requests ride through the :class:`MicroBatchScheduler` under
   concurrent load,
-* corrupt ``workloads/`` conversion documents degrade to misses with a
-  warning naming the file, and ``store gc`` reclaims exactly those bytes.
+* corrupt shard documents degrade to misses with a warning naming the
+  file, and ``store gc`` reclaims exactly the orphaned shards' bytes.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-import shutil
 import sys
 import threading
 import dataclasses
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,10 +45,7 @@ from tests.conftest import stored_fingerprints
 @pytest.fixture()
 def servable(converted_mlp):
     """The session MLP wrapped as a servable artifact."""
-    return ServableModel(
-        network=converted_mlp, key="test-mlp", dataset="mnist",
-        scale_name="test", seed=0, dnn_accuracy=0.9,
-    )
+    return ServableModel(network=converted_mlp, key="test-mlp")
 
 
 @pytest.fixture()
@@ -84,18 +79,6 @@ class TestServableModel:
         second = servable.cached("memo-key", factory)
         assert first is second
         assert len(calls) == 1
-
-    def test_conversion_payload_fields(self, servable):
-        payload = servable.conversion_payload()
-        for field in ("scales", "percentile", "input_scale", "dnn_accuracy"):
-            assert field in payload
-        assert payload["dataset"] == "mnist"
-        assert payload["seed"] == 0
-
-    def test_conversion_payload_needs_statistics(self, converted_mlp):
-        hand_built = ServableModel(network=replace(converted_mlp, statistics=None))
-        with pytest.raises(ValueError, match="activation statistics"):
-            hand_built.conversion_payload()
 
     def test_coder_memoised_per_spec(self, servable):
         coder_a = servable.coder("rate", 16)
@@ -194,10 +177,7 @@ def _fake_prepare(dataset, scale, seed, converted, loads, lock, delay=0.0):
                 dataset, scale, int(seed), f"fake-{dataset}-{seed}",
                 calibration_size=64,
             )
-            return ServableModel(
-                network=converted, key=key, dataset=dataset,
-                scale_name=scale.name, seed=int(seed), dnn_accuracy=0.5,
-            )
+            return ServableModel(network=converted, key=key)
 
     return _Workload()
 
@@ -208,12 +188,12 @@ def fake_registry(monkeypatch, converted_mlp):
     loads = []
     lock = threading.Lock()
 
-    def fake(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+    def fake(dataset, scale, seed, cache_dir, **kwargs):
         return _fake_prepare(dataset, scale, seed, converted_mlp, loads, lock,
                              delay=0.005)
 
     monkeypatch.setattr("repro.serving.registry.prepare_workload", fake)
-    registry = ModelRegistry(store=False)
+    registry = ModelRegistry()
     registry.test_loads = loads
     return registry
 
@@ -247,14 +227,14 @@ class TestRegistry:
 
         loading, release = threading.Event(), threading.Event()
 
-        def slow(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+        def slow(dataset, scale, seed, cache_dir, **kwargs):
             loading.set()
             assert release.wait(timeout=30)
             return _fake_prepare(dataset, scale, seed, converted_mlp, [],
                                  threading.Lock())
 
         monkeypatch.setattr("repro.serving.registry.prepare_workload", slow)
-        registry = ModelRegistry(store=False)
+        registry = ModelRegistry()
         keys = []
         owner = threading.Thread(
             target=lambda: keys.append(registry.register("mnist", seed=0)))
@@ -279,13 +259,13 @@ class TestRegistry:
         lock = threading.Lock()
         failures = [RuntimeError("disk full")]
 
-        def flaky(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+        def flaky(dataset, scale, seed, cache_dir, **kwargs):
             if failures:
                 raise failures.pop()
             return _fake_prepare(dataset, scale, seed, converted_mlp, loads, lock)
 
         monkeypatch.setattr("repro.serving.registry.prepare_workload", flaky)
-        registry = ModelRegistry(store=False)
+        registry = ModelRegistry()
         with pytest.raises(RuntimeError, match="disk full"):
             registry.register("mnist", seed=0)
         assert len(registry._resident) == 0 and registry.stats.loads == 0
@@ -304,7 +284,7 @@ class TestRegistry:
         started, waiting = threading.Event(), threading.Event()
         calls = []
 
-        def failing(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+        def failing(dataset, scale, seed, cache_dir, **kwargs):
             calls.append(seed)
             started.set()
             assert waiting.wait(timeout=30)
@@ -318,7 +298,7 @@ class TestRegistry:
 
         monkeypatch.setattr("repro.serving.registry.prepare_workload", failing)
         monkeypatch.setattr(registry_module._InFlightLoad, "wait", signalling_wait)
-        registry = ModelRegistry(store=False)
+        registry = ModelRegistry()
         errors = []
 
         def register():
@@ -348,12 +328,12 @@ class TestRegistry:
         lock = threading.Lock()
         both_loading = threading.Barrier(2)
 
-        def gated(dataset, scale, seed, cache_dir, use_cache, store, **kwargs):
+        def gated(dataset, scale, seed, cache_dir, **kwargs):
             both_loading.wait(timeout=30)
             return _fake_prepare(dataset, scale, seed, converted_mlp, loads, lock)
 
         monkeypatch.setattr("repro.serving.registry.prepare_workload", gated)
-        registry = ModelRegistry(store=False)
+        registry = ModelRegistry()
         keys = []
         threads = [
             threading.Thread(target=lambda d=cache_dir: keys.append(
@@ -439,19 +419,17 @@ class TestRegistry:
 
 class TestRegistryLoadThrough:
     def test_restart_reuses_stored_conversion(self, tmp_path):
-        """A fresh registry over the same store re-serves without recalibrating."""
+        """A fresh registry over the same weight cache re-serves without
+        recalibrating."""
         from repro.experiments.config import TEST_SCALE
 
-        store_dir = str(tmp_path / "store")
         cache_dir = str(tmp_path / "weights")
-        first = ModelRegistry(store=ResultStore(store_dir))
+        first = ModelRegistry()
         key = first.register(
             "mnist", scale=TEST_SCALE, seed=0, cache_dir=cache_dir
         )
-        # Only the store may serve the restart: drop the weight cache's copy.
-        shutil.rmtree(os.path.join(cache_dir, "workloads"))
         calibrations_before = CONVERSION_COUNTERS["calibrations"]
-        second = ModelRegistry(store=ResultStore(store_dir))
+        second = ModelRegistry()
         key_again = second.register(
             "mnist", scale=TEST_SCALE, seed=0, cache_dir=cache_dir
         )
@@ -464,6 +442,16 @@ class TestRegistryLoadThrough:
         original = serve_batch(first.get(key), TRANSPORT, sample)[0]
         reloaded = serve_batch(model, TRANSPORT, sample)[0]
         assert np.array_equal(original.logits, reloaded.logits)
+
+    def test_store_argument_is_accepted_and_unread(self, tmp_path):
+        from repro.experiments.config import TEST_SCALE
+
+        store_dir = tmp_path / "store"
+        for store in (False, str(store_dir)):
+            registry = ModelRegistry(store=store)
+            registry.register("mnist", scale=TEST_SCALE, seed=0,
+                              cache_dir=str(tmp_path / "weights"))
+        assert not store_dir.exists()
 
 
 class TestScheduler:
@@ -896,61 +884,6 @@ def store_warnings():
         logger.removeHandler(handler)
 
 
-class TestWorkloadDocuments:
-    def _store_with_doc(self, tmp_path, content):
-        store = ResultStore(str(tmp_path / "store"))
-        path = store._path("workloads", "ab" + "0" * 62)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        return store, path
-
-    def test_truncated_document_degrades_to_miss(self, tmp_path, store_warnings):
-        store, path = self._store_with_doc(tmp_path, '{"version": 1, "conv')
-        assert store.get_workload_conversion("ab" + "0" * 62) is None
-        assert any(path in record.getMessage() for record in store_warnings)
-
-    def test_missing_field_degrades_to_miss(self, tmp_path, store_warnings):
-        document = {"version": 1, "conversion": {"scales": [1.0]}}
-        store, path = self._store_with_doc(tmp_path, json.dumps(document))
-        assert store.get_workload_conversion("ab" + "0" * 62) is None
-        assert any(path in record.getMessage() for record in store_warnings)
-
-    def test_absent_document_is_silent_miss(self, tmp_path, store_warnings):
-        store = ResultStore(str(tmp_path / "store"))
-        assert store.get_workload_conversion("cd" + "0" * 62) is None
-        assert not store_warnings
-
-    def test_round_trip(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        payload = {
-            "scales": [1.0, 2.0], "percentile": 99.9,
-            "input_scale": 1.5, "dnn_accuracy": 0.87,
-        }
-        key = "ef" + "0" * 62
-        store.put_workload_conversion(key, payload)
-        loaded = store.get_workload_conversion(key)
-        assert loaded["scales"] == [1.0, 2.0]
-        assert loaded["input_scale"] == 1.5
-
-    def test_stats_and_gc_reclaim_orphans(self, tmp_path):
-        store, path = self._store_with_doc(tmp_path, "not json at all")
-        good = {
-            "scales": [1.0], "percentile": 99.9,
-            "input_scale": 1.0, "dnn_accuracy": 0.5,
-        }
-        store.put_workload_conversion("cd" + "0" * 62, good)
-        size = os.path.getsize(path)
-        report = store.gc()
-        assert report["workload_docs"] == 2
-        assert report["orphaned_workload_docs"] == report["collected_workload_docs"] == 1
-        assert report["reclaimed_workload_bytes"] == size
-        assert not os.path.exists(path)
-        # The healthy document survives.
-        assert store.get_workload_conversion("cd" + "0" * 62) is not None
-        assert store.gc()["orphaned_workload_docs"] == 0
-
-
 def _result(accuracy=0.5, samples=4):
     return EvaluationResult(
         accuracy=accuracy, total_spikes=10 * samples, spikes_per_sample=10.0,
@@ -1065,68 +998,6 @@ class TestStoreFilesystemErrors:
         assert (report["shard_cells"], report["shard_docs"]) == (1, 1)
         assert report["orphaned_shard_docs"] == 0
 
-    def test_workload_document_without_a_conversion_mapping_is_a_miss(
-        self, tmp_path, store_warnings
-    ):
-        store = ResultStore(str(tmp_path / "store"))
-        key = "ab" + "0" * 62
-        path = store._path("workloads", key)
-        os.makedirs(os.path.dirname(path))
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"version": 1, "conversion": [1.0, 2.0]}, handle)
-        assert store.get_workload_conversion(key) is None
-        assert store.gc()["orphaned_workload_docs"] == 1
-        assert any(path in record.getMessage() for record in store_warnings)
-
-    def test_workload_inventory_skips_stray_files(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        key = "ab" + "0" * 62
-        store.put_workload_conversion(key, {
-            "scales": [1.0], "percentile": 99.9,
-            "input_scale": 1.0, "dnn_accuracy": 0.5,
-        })
-        workloads = os.path.join(store.root, "workloads")
-        strays = [os.path.join(workloads, "README"),
-                  os.path.join(workloads, "ab", "notes.txt")]
-        for stray in strays:
-            with open(stray, "w", encoding="utf-8") as handle:
-                handle.write("not a conversion document")
-        report = store.gc()
-        assert report["workload_docs"] == 1
-        assert report["collected_workload_docs"] == 0
-        assert all(os.path.exists(stray) for stray in strays)
-
-    def test_gc_counts_an_unsizable_workload_without_its_bytes(
-        self, tmp_path, monkeypatch
-    ):
-        store = ResultStore(str(tmp_path / "store"))
-        paths = [store._path("workloads", prefix + "0" * 62) for prefix in ("ab", "cd")]
-        for path in paths:
-            os.makedirs(os.path.dirname(path))
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write("{truncated")
-        readable = os.path.getsize(paths[1])
-        _failing(monkeypatch, os.path, "getsize", paths[0])
-        report = store.gc()
-        assert report["orphaned_workload_docs"] == report["collected_workload_docs"] == 2
-        assert report["reclaimed_workload_bytes"] == readable
-
-    def test_unremovable_orphaned_workload_is_reported(
-        self, tmp_path, monkeypatch, store_warnings
-    ):
-        store = ResultStore(str(tmp_path / "store"))
-        path = store._path("workloads", "ab" + "0" * 62)
-        os.makedirs(os.path.dirname(path))
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{truncated")
-        _failing(monkeypatch, os, "unlink", path)
-        assert store.gc()["collected_workload_docs"] == 0
-        assert os.path.exists(path)
-        assert any(
-            "cannot remove" in record.getMessage() and path in record.getMessage()
-            for record in store_warnings
-        )
-
 
 class TestStoreGcCommand:
     MERGED = "ab" + "1" * 62
@@ -1143,7 +1014,6 @@ class TestStoreGcCommand:
     def test_empty_store_has_nothing_to_collect(self, tmp_path, capsys):
         assert self._gc(str(tmp_path / "store"), capsys) == [
             "0", "0 (0 orphaned)", "0 document(s)", "0 bytes",
-            "0 (0 orphaned)", "0 document(s)", "0 bytes",
         ]
 
     def test_unsizable_shard_document_is_left_out_of_the_count(
@@ -1189,34 +1059,37 @@ class TestStoreGcCommand:
         assert report[3] == f"{shard_bytes:,} bytes"
         assert not os.path.exists(store._path("shards", self.MERGED, ext=""))
 
+    def test_a_workloads_directory_of_an_older_store_is_left_alone(
+        self, tmp_path, capsys
+    ):
+        """Stores written while conversions lived there keep resuming."""
+        store = ResultStore(str(tmp_path / "store"))
+        store.put(self.MERGED, _result())
+        old = os.path.join(store.root, "workloads", "aa", "aa" + "0" * 62 + ".json")
+        os.makedirs(os.path.dirname(old))
+        with open(old, "w", encoding="utf-8") as handle:
+            handle.write("{truncated")
+        assert self._gc(store.root, capsys) == [
+            "0", "0 (0 orphaned)", "0 document(s)", "0 bytes",
+        ]
+        assert os.path.exists(old)
+        assert store.get(self.MERGED) == _result()
+
     def test_collects_orphans_and_keeps_live_documents(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path / "store"))
         store.put(self.MERGED, _result())
         for prefix in ("01", "02"):
             store.put_shard(self.MERGED, prefix + "0" * 62, _result(samples=2))
         store.put_shard(self.LIVE, "03" + "0" * 62, _result(samples=2))
-        corrupt = store._path("workloads", "aa" + "0" * 62)
-        os.makedirs(os.path.dirname(corrupt), exist_ok=True)
-        with open(corrupt, "w", encoding="utf-8") as handle:
-            handle.write("{truncated")
-        store.put_workload_conversion("bb" + "0" * 62, {
-            "scales": [1.0], "percentile": 99.9,
-            "input_scale": 1.0, "dnn_accuracy": 0.5,
-        })
         shard_bytes = sum(
             os.path.getsize(store._path("shards", self.MERGED, prefix + "0" * 62))
             for prefix in ("01", "02")
         )
-        corrupt_bytes = os.path.getsize(corrupt)
 
         assert self._gc(store.root, capsys) == [
             "2", "3 (2 orphaned)", "2 document(s)", f"{shard_bytes:,} bytes",
-            "2 (1 orphaned)", "1 document(s)", f"{corrupt_bytes:,} bytes",
         ]
         assert store.get(self.MERGED) is not None
         assert store.get_shard(self.LIVE, "03" + "0" * 62) == _result(samples=2)
-        assert not os.path.exists(corrupt)
-        assert store.get_workload_conversion("bb" + "0" * 62) is not None
         # Nothing is left to collect on a second run.
-        again = self._gc(store.root, capsys)
-        assert again[2] == again[5] == "0 document(s)"
+        assert self._gc(store.root, capsys)[2] == "0 document(s)"

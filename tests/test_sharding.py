@@ -49,7 +49,7 @@ pytestmark = pytest.mark.usefixtures("fast_retries")
 
 @pytest.fixture(scope="module")
 def tiny_workload():
-    return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    return prepare_workload("mnist", scale=TEST_SCALE, seed=0)
 
 
 def tiny_config(**overrides):
@@ -68,8 +68,8 @@ def tiny_config(**overrides):
 
 def _compile(config, eval_size=12, batch_size=4):
     config = replace(config, batch_size=batch_size)
-    ref = WorkloadRef.from_sweep_config(config, use_cache=False)
-    plans = build_sweep_plans(config, eval_size=eval_size, use_cache=False)
+    ref = WorkloadRef.from_sweep_config(config)
+    plans = build_sweep_plans(config, eval_size=eval_size)
     return ref, plans
 
 

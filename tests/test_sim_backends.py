@@ -659,7 +659,7 @@ class TestSweepIntegrationConfig:
 def tiny_rate_workload():
     from repro.experiments import prepare_workload
 
-    return prepare_workload("mnist", scale=TEST_SCALE, seed=0, use_cache=False)
+    return prepare_workload("mnist", scale=TEST_SCALE, seed=0)
 
 
 def rate_sweep_config(simulator):

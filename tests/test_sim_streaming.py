@@ -140,7 +140,7 @@ def test_long_window_peak_is_a_fraction_of_one_dense_drive():
     such window; streaming in chunks and passing only occupied rows keeps
     the peak under half of it.
     """
-    workload = prepare_workload("cifar10", scale=TEST_SCALE, seed=0, use_cache=False)
+    workload = prepare_workload("cifar10", scale=TEST_SCALE, seed=0)
     x = workload.data.test.x[:8]
     coder = PhaseCoder(num_steps=512)
     simulator = build_time_stepped_simulator(
@@ -190,7 +190,7 @@ def test_serving_timestep_request_is_one_chunk_per_layer(monkeypatch):
         return simulator
 
     monkeypatch.setattr(timestep, "build_time_stepped_simulator", counting_build)
-    workload = prepare_workload("mnist", scale=BENCH_SCALE, seed=0, use_cache=False)
+    workload = prepare_workload("mnist", scale=BENCH_SCALE, seed=0)
     spec = RequestSpec.create(evaluator="timestep", coding="rate", num_steps=32)
     lane = workload.data.test.x[:spec.lanes]
     for _ in range(2):

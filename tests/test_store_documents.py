@@ -1,11 +1,11 @@
 """The result store's on-disk format, pinned by literal documents.
 
-One cell, one shard and one conversion document are written here as the
-literal JSON a store holds, at their literal paths.  Each must read back
-through the public getters, and each ``put*`` must write the same parsed
-JSON at the same path -- so a store written by an earlier version keeps
-resuming, and a conversion document keeps being served instead of being
-silently recomputed.
+One cell and one shard document are written here as the literal JSON a
+store holds, at their literal paths.  Each must read back through the
+public getters, and each ``put*`` must write the same parsed JSON at the
+same path -- so a store written by an earlier version keeps resuming.
+(The conversion document lives beside the trained weights; its format is
+pinned in ``tests/test_experiments.py``.)
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.execution.store import ResultStore
 
 CELL = "ab" + "1" * 62
 SHARD = "cd" + "2" * 62
-KEY = "ef" + "3" * 62
 
 CELL_DOCUMENT = """{
   "version": 1,
@@ -68,26 +67,10 @@ SHARD_DOCUMENT = """{
 }
 """
 
-CONVERSION_DOCUMENT = """{
-  "version": 1,
-  "key": "ef33333333333333333333333333333333333333333333333333333333333333",
-  "conversion": {
-    "scales": [1.5, 2.25, 3.0],
-    "percentile": 99.9,
-    "input_scale": 1.0,
-    "dnn_accuracy": 0.875,
-    "means": [0.5, 0.75, 1.0],
-    "maxima": [2.0, 3.0, 4.0],
-    "sample_size": 128
-  }
-}
-"""
-
 #: (document, path under the store root) of each kind.
 DOCUMENTS = {
     "cell": (CELL_DOCUMENT, os.path.join("cells", "ab", f"{CELL}.json")),
     "shard": (SHARD_DOCUMENT, os.path.join("shards", "ab", CELL, f"{SHARD}.json")),
-    "conversion": (CONVERSION_DOCUMENT, os.path.join("workloads", "ef", f"{KEY}.json")),
 }
 
 
@@ -103,9 +86,7 @@ def _plant(root, kind):
 def _read(store, kind):
     if kind == "cell":
         return store.get(CELL)
-    if kind == "shard":
-        return store.get_shard(CELL, SHARD)
-    return store.get_workload_conversion(KEY)
+    return store.get_shard(CELL, SHARD)
 
 
 def _put(store, kind, document):
@@ -113,12 +94,10 @@ def _put(store, kind, document):
         return store.put(
             CELL, EvaluationResult.from_dict(document["result"]), document["plan"]
         )
-    if kind == "shard":
-        return store.put_shard(
-            CELL, SHARD, EvaluationResult.from_dict(document["result"]),
-            document["plan"],
-        )
-    return store.put_workload_conversion(KEY, document["conversion"])
+    return store.put_shard(
+        CELL, SHARD, EvaluationResult.from_dict(document["result"]),
+        document["plan"],
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
@@ -126,11 +105,8 @@ def test_literal_document_reads_back(tmp_path, kind):
     root = str(tmp_path / "store")
     document, _ = _plant(root, kind)
     loaded = _read(ResultStore(root), kind)
-    if kind == "conversion":
-        assert loaded == document["conversion"]
-    else:
-        assert loaded == EvaluationResult.from_dict(document["result"])
-        assert loaded.as_dict() == document["result"]
+    assert loaded == EvaluationResult.from_dict(document["result"])
+    assert loaded.as_dict() == document["result"]
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))

@@ -10,8 +10,7 @@ Covers the coder-aware layer-window refactor end to end:
   bit for bit,
 * simulator == stepped oracle (:func:`oracles.run_stepped`) for every
   temporal coder the bridge accepts,
-* transport-vs-timestep degradation-trend comparison per method,
-* the workload conversion store-back.
+* transport-vs-timestep degradation-trend comparison per method.
 """
 
 import numpy as np
@@ -37,7 +36,6 @@ from repro.core.timestep import (
     build_time_stepped_simulator,
 )
 from repro.core.transport import evaluate_transport
-from repro.execution.store import ResultStore
 from repro.noise.injector import NoiseInjector
 from repro.snn.neurons import (
     IFNeuron,
@@ -459,60 +457,3 @@ class TestTransportVsTimestepTrend:
         assert transport_noisy.accuracy <= transport_clean.accuracy + 0.1
         # Deletion removes input charge, hence spikes, on the faithful path.
         assert faithful_noisy.total_spikes < faithful_clean.total_spikes
-
-
-class TestConversionStoreBack:
-    def test_roundtrip_and_degradation(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        payload = {"scales": [1.0, 2.0], "input_scale": 1.0,
-                   "percentile": 99.9, "dnn_accuracy": 0.9}
-        key = "ab" + "0" * 62
-        store.put_workload_conversion(key, payload)
-        assert store.get_workload_conversion(key) == payload
-        # Corrupt document degrades to a miss, never an error.
-        path = store._path("workloads", key)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
-        assert store.get_workload_conversion(key) is None
-        assert store.get_workload_conversion("ff" + "0" * 62) is None
-
-    def test_prepare_workload_reuses_stored_conversion(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.conversion import converter as converter_module
-        from repro.execution.plan import network_fingerprint
-        from repro.experiments.config import TEST_SCALE
-        from repro.experiments.workloads import prepare_workload
-
-        calls = {"count": 0}
-        original = converter_module.collect_activation_statistics
-
-        def counting(*args, **kwargs):
-            calls["count"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(
-            converter_module, "collect_activation_statistics", counting
-        )
-        store = ResultStore(str(tmp_path / "store"))
-        cache_dir = str(tmp_path / "weights")
-        first = prepare_workload(
-            "mnist", scale=TEST_SCALE, seed=0, cache_dir=cache_dir,
-            store=store,
-        )
-        assert calls["count"] == 1
-        second = prepare_workload(
-            "mnist", scale=TEST_SCALE, seed=0, cache_dir=cache_dir,
-            store=store,
-        )
-        # Conversion served from the store: no calibration re-run, and the
-        # rebuilt network fingerprints identically (exact float round-trip).
-        assert calls["count"] == 1
-        assert network_fingerprint(first) == network_fingerprint(second)
-        assert first.dnn_accuracy == second.dnn_accuracy
-        # A different seed (different trained weights) misses the cache.
-        prepare_workload(
-            "mnist", scale=TEST_SCALE, seed=1, cache_dir=cache_dir,
-            store=store,
-        )
-        assert calls["count"] == 2

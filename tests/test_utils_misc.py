@@ -2,6 +2,7 @@
 
 import logging
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -101,6 +102,43 @@ class TestSerialization:
         save_json(path, {"v": 2}, atomic=True)
         assert load_json(path) == {"v": 2}
         assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_array_write_replaces_archive(self, tmp_path):
+        path = os.path.join(tmp_path, "weights.npz")
+        save_arrays(path, {"w": np.zeros(2)})
+        save_arrays(path, {"w": np.ones(2)})
+        assert np.array_equal(load_arrays(path)["w"], np.ones(2))
+        assert os.listdir(tmp_path) == ["weights.npz"]
+
+    def test_failed_array_write_keeps_old_archive_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = os.path.join(tmp_path, "weights.npz")
+        save_arrays(path, {"w": np.arange(4)})
+
+        def torn(handle, **arrays):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("killed mid-save")
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="killed mid-save"):
+            save_arrays(path, {"w": np.zeros(4)})
+        monkeypatch.undo()
+        assert np.array_equal(load_arrays(path)["w"], np.arange(4))
+        assert os.listdir(tmp_path) == ["weights.npz"]
+
+    def test_atomic_writes_take_their_mode_from_the_umask(self, tmp_path):
+        """A weight cache shared through group permissions stays readable."""
+        archive = os.path.join(tmp_path, "weights.npz")
+        document = os.path.join(tmp_path, "doc.json")
+        previous = os.umask(0o027)
+        try:
+            save_arrays(archive, {"w": np.arange(2)})
+            save_json(document, {"v": 1}, atomic=True)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(archive).st_mode) == 0o640
+        assert stat.S_IMODE(os.stat(document).st_mode) == 0o640
 
     def test_failed_atomic_write_keeps_old_document_and_no_temp_file(self, tmp_path):
         path = os.path.join(tmp_path, "doc.json")
