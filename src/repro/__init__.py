@@ -16,11 +16,11 @@ contribution:
 
 Quick start::
 
-    from repro.data import synthetic_cifar10
+    from repro.data import load_dataset
     from repro.nn import build_vgg, train_classifier
     from repro.core import NoiseRobustSNN
 
-    data = synthetic_cifar10(train_size=800, test_size=200, rng=0)
+    data = load_dataset("cifar10", train_size=800, test_size=200, rng=0)
     model = build_vgg("vgg7", data.image_shape, data.num_classes, rng=0)
     train_classifier(model, data.train, data.test, epochs=5)
 

@@ -209,8 +209,12 @@ class NeuralCoder:
     # -- shared helpers ----------------------------------------------------------
     @staticmethod
     def _normalise(values: np.ndarray) -> np.ndarray:
-        """Clip values into the representable range [0, 1] (saturation)."""
-        return np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+        """Clip values into the representable range [0, 1] (saturation).
+
+        One fresh float64 array: the clip widens as it writes (float32
+        input converts exactly), and never aliases a float64 input.
+        """
+        return np.clip(values, 0.0, 1.0, dtype=np.float64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(num_steps={self.num_steps})"

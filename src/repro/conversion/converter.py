@@ -149,7 +149,7 @@ class ConvertedSNN:
 
 def convert_dnn_to_snn(
     model: Sequential,
-    calibration_inputs: np.ndarray,
+    calibration_inputs: Optional[np.ndarray],
     percentile: float = 99.9,
     input_scale: Optional[float] = None,
     statistics: Optional[ActivationStatistics] = None,
@@ -162,7 +162,9 @@ def convert_dnn_to_snn(
         Trained network of Conv2D, Dense, ReLU, AvgPool2D, Flatten and
         Dropout (ignored at inference) layers.
     calibration_inputs:
-        Non-negative input batch used for activation-scale calibration.
+        Non-negative input batch used for activation-scale calibration;
+        ``None`` when both ``statistics`` and ``input_scale`` are given,
+        which need no calibration data.
     percentile:
         Robust-maximum percentile for the activation scales.
     input_scale:
@@ -177,14 +179,21 @@ def convert_dnn_to_snn(
         is rejected.
     """
     check_positive("percentile", percentile)
-    calibration_inputs = np.asarray(calibration_inputs, dtype=np.float32)
-    if calibration_inputs.size == 0:
-        raise ConversionError("calibration data must contain at least one sample")
-    if float(calibration_inputs.min()) < 0.0:
-        raise ConversionError(
-            "network inputs must be non-negative for spike encoding; "
-            "rescale the data to [0, 1] instead of mean/std normalisation"
-        )
+    if calibration_inputs is None:
+        if statistics is None or input_scale is None:
+            raise ConversionError(
+                "conversion without calibration data needs both statistics "
+                "and input_scale"
+            )
+    else:
+        calibration_inputs = np.asarray(calibration_inputs, dtype=np.float32)
+        if calibration_inputs.size == 0:
+            raise ConversionError("calibration data must contain at least one sample")
+        if float(calibration_inputs.min()) < 0.0:
+            raise ConversionError(
+                "network inputs must be non-negative for spike encoding; "
+                "rescale the data to [0, 1] instead of mean/std normalisation"
+            )
 
     dnn = model.copy()
 

@@ -39,7 +39,7 @@ from repro.coding.base import NeuralCoder
 from repro.conversion.converter import ConvertedSNN, NetworkSegment
 from repro.core.transport import BatchEvaluator
 from repro.core.weight_scaling import WeightScaling
-from repro.nn.layers import Layer, ReLU
+from repro.nn.layers import Conv2D, Layer, ReLU
 from repro.noise.injector import NoiseInjector
 from repro.snn.simulator import LayerFaultMask, SimulatorLayer, TimeSteppedSimulator
 from repro.snn.spikes import SpikeTrain
@@ -106,6 +106,23 @@ class _SegmentTransform:
         np.subtract(out, self.bias_image(scaled.shape), out=out)
         out /= self.output_scale
         return out
+
+    def row_bytes(self, features: Tuple[int, ...]) -> int:
+        """Bytes per input row of the widest array one call makes.
+
+        The candidates are the float64 PSC row handed in, its float32 copy,
+        each layer's output and a conv's padded image and im2col pack; the
+        simulator sizes its transform calls by the widest
+        (:attr:`~repro.snn.simulator.SimulatorLayer.row_bytes`).
+        """
+        row = np.zeros((1,) + tuple(features), dtype=np.float32)
+        widest = 2 * row.nbytes  # the float64 PSC row
+        for layer in self.layers:
+            if isinstance(layer, Conv2D):
+                widest = max(widest, layer.workspace_bytes(row.shape[1:], row.itemsize))
+            row = layer.forward(row, training=False)
+            widest = max(widest, row.nbytes)
+        return widest
 
     def step_bias(self, input_shape: Tuple[int, ...], num_steps: int) -> np.ndarray:
         """Constant per-step bias current (singleton batch axis, broadcasts)."""
@@ -207,6 +224,7 @@ def build_time_stepped_simulator(
                 step_bias=transform.step_bias(current_shape, bias_steps),
                 in_kernel=protocol.layers[interface].kernel,
                 bias_stop=bias_steps,
+                row_bytes=transform.row_bytes(current_shape[1:]),
             )
         )
         current_shape = current_shape[:1] + bias_image.shape[1:]

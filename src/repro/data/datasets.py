@@ -2,14 +2,14 @@
 
 A :class:`Dataset` is an immutable pair of image tensor ``x`` with shape
 ``(N, C, H, W)`` and integer label vector ``y`` with shape ``(N,)``.  A
-:class:`DatasetSplit` groups a train and a test dataset together with
-metadata (name, number of classes, image shape).
+:class:`DatasetSplit` groups a train and a test dataset (the train split
+optional) together with metadata (name, number of classes, image shape).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -82,13 +82,20 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """A train/test pair with shared metadata."""
+    """A train/test pair with shared metadata.
 
-    train: Dataset
+    ``train`` is ``None`` where only the test split was rendered (a
+    prepared workload evaluates on the test split alone); the metadata
+    reads the test split.
+    """
+
+    train: Optional[Dataset]
     test: Dataset
     name: str = field(default="dataset")
 
     def __post_init__(self) -> None:
+        if self.train is None:
+            return
         if self.train.num_classes != self.test.num_classes:
             raise ValueError(
                 "train and test disagree on num_classes: "
@@ -103,9 +110,9 @@ class DatasetSplit:
     @property
     def num_classes(self) -> int:
         """Number of classes shared by both splits."""
-        return self.train.num_classes
+        return self.test.num_classes
 
     @property
     def image_shape(self) -> Tuple[int, int, int]:
         """Image shape ``(C, H, W)`` shared by both splits."""
-        return self.train.image_shape
+        return self.test.image_shape

@@ -15,7 +15,7 @@ underlying dataset only sets the clean baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -65,7 +65,7 @@ class SyntheticImageConfig:
 
 
 def _stroke_prototype(
-    cls: int, size: int, rng: np.random.Generator
+    cls: int, config: SyntheticImageConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Render a digit-like stroke prototype for class ``cls``.
 
@@ -74,6 +74,7 @@ def _stroke_prototype(
     blur.  The combination is derived from a class-seeded generator so the
     prototypes are stable across calls.
     """
+    size = config.image_size
     canvas = np.zeros((size, size), dtype=np.float32)
     num_segments = 3 + int(rng.integers(0, 3))
     for _ in range(num_segments):
@@ -100,7 +101,7 @@ def _stroke_prototype(
 
 
 def _texture_prototype(
-    cls: int, size: int, channels: int, rng: np.random.Generator
+    cls: int, config: SyntheticImageConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Render a textured shape prototype for class ``cls`` (CIFAR stand-in).
 
@@ -109,6 +110,7 @@ def _texture_prototype(
     and a class-dependent colour tint, producing images whose discriminative
     structure is both spectral and spatial.
     """
+    size, channels = config.image_size, config.channels
     # float32 coordinates, widened to float64 before they meet the float64
     # draws below: NumPy 1 would otherwise compute in float32 and NumPy 2 in
     # float64, and the data would depend on the NumPy version.
@@ -194,41 +196,101 @@ def _render_samples(
     return np.clip(images, 0.0, 1.0)
 
 
-def _build_split(
-    config: SyntheticImageConfig,
+@dataclass(frozen=True)
+class SyntheticSource:
+    """A synthetic dataset ready to render: class prototypes and split seeds.
+
+    Both split seeds are drawn when the source is made (train first), so
+    each split renders the same pixels whether or not the other split is
+    ever rendered: a caller that needs only the test split skips the
+    training render entirely.
+    """
+
+    config: SyntheticImageConfig
+    name: str
+    prototypes: np.ndarray
+    #: Seed of each split's generator, keyed ``"train"`` and ``"test"``.
+    seeds: Dict[str, int]
+
+    def render(self, split: str) -> Dataset:
+        """Render the ``"train"`` or ``"test"`` split."""
+        rng = np.random.default_rng(self.seeds[split])
+        size = getattr(self.config, f"{split}_size")
+        labels = rng.permutation(np.arange(size) % self.config.num_classes)
+        images = _render_samples(self.prototypes, labels, self.config, rng)
+        return Dataset(
+            x=images, y=labels, num_classes=self.config.num_classes, name=self.name
+        )
+
+    def split(self) -> DatasetSplit:
+        """Both splits, rendered."""
+        return DatasetSplit(
+            train=self.render("train"), test=self.render("test"), name=self.name
+        )
+
+
+#: Each stand-in's default rendering and its class-prototype renderer.
+_STAND_INS = {
+    "synthetic-mnist": (
+        SyntheticImageConfig(
+            num_classes=10, image_size=28, channels=1, train_size=2000,
+            test_size=400, noise_std=0.08, max_shift=2,
+        ),
+        _stroke_prototype,
+    ),
+    "synthetic-cifar10": (
+        SyntheticImageConfig(
+            num_classes=10, image_size=32, channels=3, train_size=2000,
+            test_size=400, noise_std=0.06, max_shift=3,
+        ),
+        _texture_prototype,
+    ),
+    "synthetic-cifar100": (
+        SyntheticImageConfig(
+            num_classes=100, image_size=32, channels=3, train_size=4000,
+            test_size=800, noise_std=0.05, max_shift=2,
+        ),
+        _texture_prototype,
+    ),
+}
+
+
+def synthetic_source(
     name: str,
-    prototype_fn,
-    rng: np.random.Generator,
-) -> DatasetSplit:
-    """Generate prototypes and render train/test splits."""
-    prototypes = np.stack(
-        [
-            prototype_fn(
-                cls,
-                config.image_size,
-                np.random.default_rng(stable_hash(f"{name}-{cls}")),
-            )
-            for cls in range(config.num_classes)
-        ]
-    )
-    if prototypes.ndim == 3:  # grayscale prototype fn returns (H, W)
+    train_size: Optional[int] = None,
+    test_size: Optional[int] = None,
+    rng: RngLike = None,
+    image_size: Optional[int] = None,
+) -> SyntheticSource:
+    """The stand-in ``name``, unrendered: its prototypes and split seeds.
+
+    Accepted names: ``"mnist"``, ``"cifar10"``, ``"cifar100"`` (and their
+    ``"synthetic-"``-prefixed aliases).  A size left ``None`` keeps the
+    stand-in's default.
+    """
+    key = name.lower()
+    if not key.startswith("synthetic-"):
+        key = f"synthetic-{key}"
+    if key not in _STAND_INS:
+        raise ValueError(
+            f"unknown dataset {name!r}; available: mnist, cifar10, cifar100 "
+            "(optionally prefixed 'synthetic-')"
+        )
+    default, prototype = _STAND_INS[key]
+    sizes = {"train_size": train_size, "test_size": test_size, "image_size": image_size}
+    config = replace(default, **{k: v for k, v in sizes.items() if v is not None})
+    prototypes = np.stack([
+        prototype(cls, config, np.random.default_rng(stable_hash(f"{key}-{cls}")))
+        for cls in range(config.num_classes)
+    ])
+    if prototypes.ndim == 3:  # grayscale prototypes are (H, W)
         prototypes = prototypes[:, None, :, :]
-
-    def make(split_size: int, split_rng: np.random.Generator) -> Dataset:
-        labels = np.arange(split_size) % config.num_classes
-        labels = split_rng.permutation(labels)
-        images = _render_samples(prototypes, labels, config, split_rng)
-        return Dataset(x=images, y=labels, num_classes=config.num_classes, name=name)
-
-    train_rng, test_rng = (
-        np.random.default_rng(rng.integers(0, 2**31)),
-        np.random.default_rng(rng.integers(0, 2**31)),
-    )
-    return DatasetSplit(
-        train=make(config.train_size, train_rng),
-        test=make(config.test_size, test_rng),
-        name=name,
-    )
+    generator = default_rng(rng)
+    seeds = {
+        "train": int(generator.integers(0, 2**31)),
+        "test": int(generator.integers(0, 2**31)),
+    }
+    return SyntheticSource(config=config, name=key, prototypes=prototypes, seeds=seeds)
 
 
 def synthetic_mnist(
@@ -238,76 +300,7 @@ def synthetic_mnist(
     image_size: int = 28,
 ) -> DatasetSplit:
     """Generate the MNIST stand-in: 10 classes of 1x28x28 stroke glyphs."""
-    config = SyntheticImageConfig(
-        num_classes=10,
-        image_size=image_size,
-        channels=1,
-        train_size=train_size,
-        test_size=test_size,
-        noise_std=0.08,
-        max_shift=2,
-    )
-
-    def proto(cls: int, size: int, proto_rng: np.random.Generator) -> np.ndarray:
-        return _stroke_prototype(cls, size, proto_rng)
-
-    return _build_split(config, "synthetic-mnist", proto, default_rng(rng))
-
-
-def synthetic_cifar10(
-    train_size: int = 2000,
-    test_size: int = 400,
-    rng: RngLike = None,
-    image_size: int = 32,
-) -> DatasetSplit:
-    """Generate the CIFAR-10 stand-in: 10 classes of 3x32x32 textured shapes."""
-    config = SyntheticImageConfig(
-        num_classes=10,
-        image_size=image_size,
-        channels=3,
-        train_size=train_size,
-        test_size=test_size,
-        noise_std=0.06,
-        max_shift=3,
-    )
-
-    def proto(cls: int, size: int, proto_rng: np.random.Generator) -> np.ndarray:
-        return _texture_prototype(cls, size, 3, proto_rng)
-
-    return _build_split(config, "synthetic-cifar10", proto, default_rng(rng))
-
-
-def synthetic_cifar100(
-    train_size: int = 4000,
-    test_size: int = 800,
-    rng: RngLike = None,
-    image_size: int = 32,
-) -> DatasetSplit:
-    """Generate the CIFAR-100 stand-in: 100 classes of 3x32x32 textured shapes."""
-    config = SyntheticImageConfig(
-        num_classes=100,
-        image_size=image_size,
-        channels=3,
-        train_size=train_size,
-        test_size=test_size,
-        noise_std=0.05,
-        max_shift=2,
-    )
-
-    def proto(cls: int, size: int, proto_rng: np.random.Generator) -> np.ndarray:
-        return _texture_prototype(cls, size, 3, proto_rng)
-
-    return _build_split(config, "synthetic-cifar100", proto, default_rng(rng))
-
-
-_DATASET_FACTORIES = {
-    "mnist": synthetic_mnist,
-    "synthetic-mnist": synthetic_mnist,
-    "cifar10": synthetic_cifar10,
-    "synthetic-cifar10": synthetic_cifar10,
-    "cifar100": synthetic_cifar100,
-    "synthetic-cifar100": synthetic_cifar100,
-}
+    return synthetic_source("mnist", train_size, test_size, rng, image_size).split()
 
 
 def load_dataset(
@@ -315,21 +308,7 @@ def load_dataset(
     train_size: Optional[int] = None,
     test_size: Optional[int] = None,
     rng: RngLike = None,
+    image_size: Optional[int] = None,
 ) -> DatasetSplit:
-    """Load a synthetic dataset by name.
-
-    Accepted names: ``"mnist"``, ``"cifar10"``, ``"cifar100"`` (and their
-    ``"synthetic-"``-prefixed aliases).
-    """
-    key = name.lower()
-    if key not in _DATASET_FACTORIES:
-        raise ValueError(
-            f"unknown dataset {name!r}; available: {sorted(set(_DATASET_FACTORIES))}"
-        )
-    factory = _DATASET_FACTORIES[key]
-    kwargs: Dict[str, object] = {"rng": rng}
-    if train_size is not None:
-        kwargs["train_size"] = train_size
-    if test_size is not None:
-        kwargs["test_size"] = test_size
-    return factory(**kwargs)  # type: ignore[arg-type]
+    """Both splits of a synthetic dataset, rendered (see :func:`synthetic_source`)."""
+    return synthetic_source(name, train_size, test_size, rng, image_size).split()

@@ -379,7 +379,6 @@ def evaluate_attack_plan(
 def build_attack_plans(
     config: "AttackSweepConfig",
     eval_size: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> List[AttackPlan]:
     """Compile an attack sweep config into its (method x budget) cell plans.
 
@@ -387,7 +386,7 @@ def build_attack_plans(
     sweeps use -- which is what lets the runner fold attack results with the
     same code path.
     """
-    ref = WorkloadRef.from_sweep_config(config, cache_dir=cache_dir)
+    ref = WorkloadRef.from_sweep_config(config)
     return [
         AttackPlan(
             workload=ref,

@@ -211,12 +211,7 @@ def workload_for(ref: WorkloadRef) -> "PreparedWorkload":
                 "preparing workload %s/%s (seed %d) in process",
                 ref.dataset, ref.scale.name, ref.seed,
             )
-            workload = prepare_workload(
-                ref.dataset,
-                scale=ref.scale,
-                seed=ref.seed,
-                cache_dir=ref.cache_dir,
-            )
+            workload = prepare_workload(ref.dataset, scale=ref.scale, seed=ref.seed)
             register_workload(ref, workload)
     return workload
 

@@ -68,24 +68,17 @@ class WorkloadRef:
     deterministic in ``(dataset, scale, seed)``, so this triple *is* the
     workload for planning purposes: a worker process that does not hold the
     prepared object can rebuild an identical one from the reference (loading
-    trained weights from the on-disk cache when available).
+    trained weights from the weight cache, ``REPRO_CACHE_DIR``, when
+    available).
     """
 
     dataset: str
     scale: "ExperimentScale"
     seed: int
-    cache_dir: Optional[str] = None
 
     @classmethod
-    def from_sweep_config(
-        cls, config: "SweepConfig", cache_dir: Optional[str] = None,
-    ) -> "WorkloadRef":
-        return cls(
-            dataset=config.dataset,
-            scale=config.scale,
-            seed=config.seed,
-            cache_dir=cache_dir,
-        )
+    def from_sweep_config(cls, config: "SweepConfig") -> "WorkloadRef":
+        return cls(dataset=config.dataset, scale=config.scale, seed=config.seed)
 
 
 _Plan = TypeVar("_Plan", bound="CellPlan")
@@ -236,11 +229,9 @@ class CellPlan:
     def describe(self) -> dict:
         """Canonical JSON-serialisable description of the cell.
 
-        Only result-affecting fields are included: the workload's
-        ``cache_dir`` changes where trained weights are stored, never what
-        they are, and ``eval_size`` is normalised to
-        its effective value -- so equivalent evaluations fingerprint (and
-        cache) identically.  Shard bounds are excluded: the description is
+        Only result-affecting fields are included, and ``eval_size`` is
+        normalised to its effective value -- so equivalent evaluations
+        fingerprint (and cache) identically.  Shard bounds are excluded: the description is
         the *cell's* canonical form, shared by every shard of the cell, and
         shard identity enters only through :func:`shard_fingerprint`.
         Families extend it with their own normalisations.
@@ -488,14 +479,13 @@ def network_fingerprint(workload: PreparedWorkload) -> str:
 def build_sweep_plans(
     config: SweepConfig,
     eval_size: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> List[EvaluationPlan]:
     """Compile a :class:`SweepConfig` into its (method x level) cell plans.
 
     Cells are ordered method-major, matching the curve assembly in
     :mod:`repro.experiments.runner`.
     """
-    ref = WorkloadRef.from_sweep_config(config, cache_dir=cache_dir)
+    ref = WorkloadRef.from_sweep_config(config)
     return [
         EvaluationPlan(
             workload=ref,

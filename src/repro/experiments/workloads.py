@@ -22,8 +22,8 @@ import numpy as np
 from repro.conversion.converter import ConversionError, ConvertedSNN, convert_dnn_to_snn
 from repro.conversion.normalization import ActivationStatistics
 from repro.core.servable import ServableModel
-from repro.data.datasets import DatasetSplit
-from repro.data.synthetic import load_dataset, synthetic_cifar10, synthetic_cifar100
+from repro.data.datasets import Dataset, DatasetSplit
+from repro.data.synthetic import SyntheticSource, synthetic_source
 from repro.experiments.config import (
     BENCH_SCALE,
     DatasetConfig,
@@ -53,7 +53,9 @@ class PreparedWorkload:
     dataset_name:
         Name of the dataset ("mnist", "cifar10", "cifar100").
     data:
-        The train/test split used (synthetic stand-in).
+        The synthetic stand-in's test split, with ``train`` set to
+        ``None``: the training split is rendered only while the network is
+        trained or calibrated, and dropped afterwards.
     model:
         The trained DNN.
     network:
@@ -171,17 +173,13 @@ def conversion_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _workload_data(config: DatasetConfig, scale: ExperimentScale, rng) -> DatasetSplit:
-    """The synthetic train/test split of a workload."""
-    if config.name == "mnist":
-        return load_dataset(
-            config.name, train_size=scale.train_size, test_size=scale.test_size, rng=rng,
-        )
-    # The CIFAR stand-ins accept the scale's (reduced) spatial size.
-    factory = synthetic_cifar10 if config.name == "cifar10" else synthetic_cifar100
-    return factory(
-        train_size=scale.train_size, test_size=scale.test_size, rng=rng,
-        image_size=scale.image_size,
+def _workload_source(config: DatasetConfig, scale: ExperimentScale, rng) -> SyntheticSource:
+    """The synthetic data of a workload, unrendered."""
+    # The MNIST stand-in keeps its 28 px; the CIFAR stand-ins take the
+    # scale's (reduced) spatial size.
+    image_size = None if config.name == "mnist" else scale.image_size
+    return synthetic_source(
+        config.name, scale.train_size, scale.test_size, rng, image_size
     )
 
 
@@ -190,9 +188,7 @@ def _conversion_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, "workloads", key[:2], f"{key}.json")
 
 
-def _restore_conversion(
-    model: Sequential, calibration: np.ndarray, conversion: dict
-) -> Tuple[ConvertedSNN, float]:
+def _restore_conversion(model: Sequential, conversion: dict) -> Tuple[ConvertedSNN, float]:
     """The network and DNN accuracy of a stored conversion, uncalibrated."""
     statistics = ActivationStatistics(
         scales=[float(v) for v in conversion["scales"]],
@@ -203,7 +199,7 @@ def _restore_conversion(
     )
     network = convert_dnn_to_snn(
         model,
-        calibration,
+        None,
         statistics=statistics,
         input_scale=float(conversion["input_scale"]),
     )
@@ -270,6 +266,11 @@ def prepare_workload(
     aliasing correctly.  The key does not cover the data generator's code:
     ``tests/test_data.py`` pins its output, so a change to it shows there.
 
+    Only the test split is rendered up front.  The training split is
+    rendered only to train the weights or to calibrate the conversion (a
+    cold set-up); a warm set-up, which finds both files, never renders it.
+    Either way the returned ``data`` carries the test split alone.
+
     The cache is an accelerator, never a correctness dependency.  A missing
     file is a silent miss; an unreadable or malformed one is a miss with a
     warning naming the file, and is recomputed and rewritten.  Both files
@@ -277,8 +278,12 @@ def prepare_workload(
     """
     config = dataset_config(dataset)
     rng = derive_rng(seed, "workload", dataset, scale.name)
-    data = _workload_data(config, scale, derive_rng(rng, "data"))
+    # One data stream, both split seeds drawn up front: the training split
+    # renders the same pixels whenever it is needed.
+    source = _workload_source(config, scale, derive_rng(rng, "data"))
+    data = DatasetSplit(train=None, test=source.render("test"), name=source.name)
     model = _build_model(config, data, scale, derive_rng(rng, "init"))
+    train: Optional[Dataset] = None
 
     cache_dir = cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
     cache_file = _cache_path(cache_dir, config.name, scale, seed)
@@ -291,9 +296,10 @@ def prepare_workload(
         except (EOFError, KeyError, OSError, ValueError, zipfile.BadZipFile) as error:
             logger.warning("ignoring stale cache %s (%s)", cache_file, error)
     if not loaded:
+        train = source.render("train")
         train_classifier(
             model,
-            data.train,
+            train,
             data.test,
             epochs=scale.train_epochs,
             batch_size=32 if config.architecture == "vgg" else 64,
@@ -307,19 +313,17 @@ def prepare_workload(
         except OSError as error:
             logger.warning("weight cache write failed at %s (%s)", cache_file, error)
 
-    calibration = data.train.x[: min(128, len(data.train))]
+    calibration_size = min(128, scale.train_size)
     # The fingerprint is also the workload's address in the serving model
     # registry.
     key = conversion_key(
         config.name, scale, int(seed), _model_weights_hash(model),
-        calibration_size=int(calibration.shape[0]),
+        calibration_size=calibration_size,
     )
     path = _conversion_path(cache_dir, key)
     network: Optional[ConvertedSNN] = None
     try:
-        network, dnn_accuracy = _restore_conversion(
-            model, calibration, load_json(path)["conversion"]
-        )
+        network, dnn_accuracy = _restore_conversion(model, load_json(path)["conversion"])
         logger.info("reused cached conversion from %s", path)
     except FileNotFoundError:
         pass
@@ -327,8 +331,10 @@ def prepare_workload(
         logger.warning("ignoring unusable conversion document %s (%s)", path, error)
     calibrated = network is None
     if calibrated:
+        if train is None:
+            train = source.render("train")
         dnn_accuracy = evaluate_accuracy(model, data.test)
-        network = convert_dnn_to_snn(model, calibration)
+        network = convert_dnn_to_snn(model, train.x[:calibration_size])
     prepared = PreparedWorkload(
         dataset_name=config.name,
         data=data,

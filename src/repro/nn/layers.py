@@ -352,6 +352,16 @@ class Conv2D(Layer):
         self._cache = (columns, x.shape) if training else None
         return out
 
+    def workspace_bytes(self, image_shape: Tuple[int, int, int], itemsize: int) -> int:
+        """Bytes per input image of the widest array :meth:`forward` makes
+        before its output: the padded NHWC image or the im2col pack, for
+        ``(C, H, W)`` images of ``itemsize``-byte elements."""
+        c, h, w = image_shape
+        k, padding = self.kernel_size, self.padding
+        out_h, out_w = _unfold_geometry(h, w, k, k, self.stride, padding)
+        pixels = max((h + 2 * padding) * (w + 2 * padding), out_h * out_w * k * k)
+        return int(itemsize) * c * pixels
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward called before forward(training=True)")

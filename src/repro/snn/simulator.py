@@ -108,6 +108,12 @@ class SimulatorLayer:
         (``None`` = every step).  Temporal protocols use this to deliver a
         segment's full analog bias before -- or while -- its consumer layer
         fires, instead of trickling it over windows the layer never reads.
+    row_bytes:
+        Bytes per input row of the widest array one ``transform`` call
+        makes (its copies, layer outputs and conv im2col packs); ``None``
+        counts the float64 PSC row alone.  Each transform call of a drive
+        chunk takes as many rows as keep that array within
+        :data:`TimeSteppedSimulator.FUSED_CHUNK_BYTES`.
     """
 
     transform: SynapticTransform
@@ -116,6 +122,7 @@ class SimulatorLayer:
     step_bias: Optional[np.ndarray] = None
     in_kernel: Optional[np.ndarray] = None
     bias_stop: Optional[int] = None
+    row_bytes: Optional[int] = None
 
 
 @dataclass
@@ -534,20 +541,25 @@ class TimeSteppedSimulator:
 
     # -- per-layer fold ------------------------------------------------------
 
-    #: Byte budget of one time chunk and of one synaptic-transform call: a
+    #: Byte budget of one time chunk and of one synaptic-transform call.  A
     #: layer's window is streamed in chunks of as many steps as keep the
-    #: chunk's widest array within this many bytes -- the folded float64
-    #: PSC rows of a drive chunk (transformed in blocks of that many rows
-    #: when one step alone is larger), the int16 spike rows of a zero-drive
-    #: chunk or of an input-train chunk.  Folding time into the batch
-    #: amortises per-call overhead over many steps, but a whole-window fold
-    #: spills conv im2col patch buffers (~k*k times their input) out of the
-    #: CPU caches and holds ``(T, batch, ...)`` arrays per layer: faithful
-    #: Phase at T=1000 on 16 cifar10 bench images peaked at ~1 GB that way.  Measured on 2 CPUs (faithful Phase and Rate at T=32
-    #: and T=1000, 16 cifar10 bench images), 1, 2 and 4 MB run within noise
-    #: of each other, and 4 MB adds 10-15 MB to the T=32 peak.  2 MB is the
-    #: smallest budget that keeps a serving window -- 8 lanes x 32 steps of
-    #: 784-pixel mnist rows, 1.6 MB -- in one chunk per layer.
+    #: chunk's rows within this many bytes: the folded float64 PSC rows of a
+    #: drive chunk, the int16 spike rows of a zero-drive chunk or of an
+    #: input-train chunk.  Each transform call of a drive chunk takes as
+    #: many rows as keep the widest array the call makes within it
+    #: (:attr:`SimulatorLayer.row_bytes`): a 3x3 conv's float32 im2col pack
+    #: is 4.5x its float64 PSC row (27.6 KB per row at bench cifar10's
+    #: first layer, 147 KB at its second), so calls sized by the PSC rows
+    #: alone built 9.4 MB packs there.  Folding time into the batch amortises
+    #: per-call overhead over many steps, but a whole-window fold spills
+    #: conv im2col patch buffers (~k*k times their input) out of the CPU
+    #: caches and holds ``(T, batch, ...)`` arrays per layer: faithful
+    #: Phase at T=1000 on 16 cifar10 bench images peaked at ~1 GB that way.
+    #: Measured on 2 CPUs (faithful Phase and Rate at T=32 and T=1000, 16
+    #: cifar10 bench images), 1, 2 and 4 MB run within noise of each other,
+    #: and 4 MB adds 10-15 MB to the T=32 peak.  2 MB is the smallest budget
+    #: that keeps a serving window -- 8 lanes x 32 steps of 784-pixel mnist
+    #: rows, 1.6 MB -- in one chunk and one transform call per layer.
     FUSED_CHUNK_BYTES = 2 << 20
 
     def _chunk_steps(self, batch: int, row_bytes: int) -> int:
@@ -591,7 +603,8 @@ class TimeSteppedSimulator:
         ``spikes`` holds the upstream layer's occupied ``(step, sample)``
         rows; ``kernel`` is indexed by global step.  Time is folded into the
         batch axis, so the chunk's rows go through one wide transform call
-        (or a few, in :data:`FUSED_CHUNK_BYTES` blocks of PSC rows) -- exact
+        (or a few, in :data:`FUSED_CHUNK_BYTES` blocks of the call's widest
+        array: the PSC rows or the wider ``layer.row_bytes``) -- exact
         because every transform acts on each row independently:
 
         * the per-step PSC kernel weights are applied as one broadcast
@@ -621,7 +634,9 @@ class TimeSteppedSimulator:
         row_kernel = kernel[w_lo + rows // batch].reshape(
             (-1,) + (1,) * len(spikes.features)
         )
-        block = self._block_rows(8 * int(np.prod(spikes.features)))
+        block = self._block_rows(
+            max(8 * int(np.prod(spikes.features)), layer.row_bytes or 0)
+        )
         drive = None
         for start in range(0, rows.size, block):
             part = slice(start, start + block)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.conversion import convert_dnn_to_snn
-from repro.data import synthetic_cifar10, synthetic_mnist
+from repro.data import load_dataset, synthetic_mnist
 from repro.nn import build_mlp, build_vgg, train_classifier
 
 
@@ -74,7 +74,7 @@ def mnist_split():
 @pytest.fixture(scope="session")
 def cifar_split():
     """Small synthetic-CIFAR-10 split (reduced 16x16 images) for conv tests."""
-    return synthetic_cifar10(train_size=200, test_size=60, rng=0, image_size=16)
+    return load_dataset("cifar10", train_size=200, test_size=60, rng=0, image_size=16)
 
 
 @pytest.fixture(scope="session")

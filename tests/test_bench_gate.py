@@ -349,6 +349,22 @@ class TestMainExitCodes:
         assert gate.main(args[2:] + ["--min-serving-speedup", "1.5"]) == 0
         capsys.readouterr()
 
+    def test_missing_parent_micro_report_skips_only_the_micro_rows(
+        self, tmp_path, capsys
+    ):
+        # bench_ab.sh leaves the parent's report out when the change edits
+        # the micro script: the perfbench pairs are still judged.
+        args = self.sides(tmp_path)
+        (tmp_path / "parent" / gate.HOT_PATHS).unlink()
+        assert gate.main(args) == 0
+        out = capsys.readouterr().out
+        assert "micro comparison skipped" in out and "micro row" not in out
+        slow = self.sides(tmp_path / "slow",
+                          change_runs=[result_line(scaled(samples_per_s=0.5))] * 3)
+        (tmp_path / "slow" / "parent" / gate.HOT_PATHS).unlink()
+        assert gate.main(slow) == 1
+        assert "samples_per_s" in capsys.readouterr().out
+
     def test_bad_tolerance_exits_two(self, tmp_path, capsys):
         assert gate.main(self.sides(tmp_path) + ["--tolerance", "-1"]) == 2
         capsys.readouterr()

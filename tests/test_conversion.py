@@ -1,5 +1,7 @@
 """Tests for DNN-to-SNN conversion (calibration, segmentation)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,45 @@ class TestConvertDnnToSnn:
         assert [s.activation_scale for s in reused.segments] == [
             s.activation_scale for s in converted_mlp.segments
         ]
+
+    def test_statistics_and_input_scale_need_no_calibration_images(
+        self, trained_mlp, converted_mlp
+    ):
+        from repro.execution import network_fingerprint
+        from repro.experiments.config import TEST_SCALE
+
+        def fingerprint(network):
+            return network_fingerprint(SimpleNamespace(
+                network=network, dataset_name="mnist", scale=TEST_SCALE
+            ))
+
+        calibrations = CONVERSION_COUNTERS["calibrations"]
+        bare = convert_dnn_to_snn(
+            trained_mlp, None, statistics=converted_mlp.statistics,
+            input_scale=converted_mlp.input_scale,
+        )
+        assert CONVERSION_COUNTERS["calibrations"] == calibrations
+        assert fingerprint(bare) == fingerprint(converted_mlp)
+
+    @pytest.mark.parametrize("given", ["neither", "statistics", "input_scale"])
+    def test_no_calibration_images_needs_statistics_and_input_scale(
+        self, trained_mlp, converted_mlp, given
+    ):
+        kwargs = {
+            "statistics": converted_mlp.statistics,
+            "input_scale": converted_mlp.input_scale,
+        }
+        kwargs = {name: value for name, value in kwargs.items() if name == given}
+        with pytest.raises(ConversionError, match="needs both statistics"):
+            convert_dnn_to_snn(trained_mlp, None, **kwargs)
+
+    def test_negative_inputs_rejected_with_statistics(self, trained_mlp, converted_mlp):
+        with pytest.raises(ConversionError, match="non-negative"):
+            convert_dnn_to_snn(
+                trained_mlp, -np.ones((4, 1, 28, 28), dtype=np.float32),
+                statistics=converted_mlp.statistics,
+                input_scale=converted_mlp.input_scale,
+            )
 
     def test_provided_statistics_must_cover_every_spiking_point(
         self, trained_mlp, mnist_split

@@ -10,12 +10,10 @@ from repro.data import (
     Dataset,
     DatasetSplit,
     load_dataset,
-    synthetic_cifar10,
-    synthetic_cifar100,
     synthetic_mnist,
 )
 from repro.experiments.config import BENCH_SCALE, TEST_SCALE, dataset_config
-from repro.experiments.workloads import _workload_data
+from repro.experiments.workloads import _workload_source, prepare_workload
 from repro.utils.rng import derive_rng
 
 
@@ -82,21 +80,21 @@ class TestSyntheticGenerators:
         assert split.num_classes == 10
 
     def test_cifar10_shapes(self):
-        split = synthetic_cifar10(train_size=30, test_size=10, rng=0)
+        split = load_dataset("cifar10", train_size=30, test_size=10, rng=0)
         assert split.train.x.shape == (30, 3, 32, 32)
         assert split.num_classes == 10
 
     def test_cifar100_has_100_classes(self):
-        split = synthetic_cifar100(train_size=200, test_size=100, rng=0)
+        split = load_dataset("cifar100", train_size=200, test_size=100, rng=0)
         assert split.num_classes == 100
         assert split.train.y.max() == 99
 
     def test_custom_image_size(self):
-        split = synthetic_cifar10(train_size=10, test_size=5, rng=0, image_size=16)
+        split = load_dataset("cifar10", train_size=10, test_size=5, rng=0, image_size=16)
         assert split.train.image_shape == (3, 16, 16)
 
     def test_values_in_unit_interval(self):
-        split = synthetic_cifar10(train_size=20, test_size=5, rng=0)
+        split = load_dataset("cifar10", train_size=20, test_size=5, rng=0)
         assert split.train.x.min() >= 0.0
         assert split.train.x.max() <= 1.0
 
@@ -180,14 +178,55 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("scale", [TEST_SCALE, BENCH_SCALE], ids=lambda s: s.name)
     @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
     def test_workload_splits_are_bit_identical(self, dataset, scale):
-        # The derivation of prepare_workload's data stream.
+        # The derivation of prepare_workload's data stream, rendered as its
+        # paths render it: the test split alone (a warm set-up), then the
+        # train split after it (a cold set-up).
         rng = derive_rng(0, "workload", dataset, scale.name)
-        split = _workload_data(dataset_config(dataset), scale, derive_rng(rng, "data"))
-        for part in ("train", "test"):
-            data = getattr(split, part)
+        source = _workload_source(dataset_config(dataset), scale, derive_rng(rng, "data"))
+        for part in ("test", "train"):
+            data = source.render(part)
             assert data.x.dtype == np.float32
             assert (_sha256(data.x, np.float32), _sha256(data.y, np.int64)) == \
                 GOLDEN_SPLIT_DIGESTS[(scale.name, dataset, part)], part
+
+
+class TestWorkloadRenders:
+    """``prepare_workload`` renders the training split only to train or to
+    calibrate, from the same data stream as the pinned digests."""
+
+    def test_warm_set_up_renders_the_test_split_alone(self, tmp_path, monkeypatch):
+        import repro.data.synthetic as synthetic
+
+        cold = prepare_workload("mnist", scale=TEST_SCALE, seed=0, cache_dir=str(tmp_path))
+        rendered = []
+        render = synthetic._render_samples
+
+        def counting(prototypes, labels, *args):
+            rendered.append(labels.shape[0])
+            return render(prototypes, labels, *args)
+
+        monkeypatch.setattr(synthetic, "_render_samples", counting)
+        warm = prepare_workload("mnist", scale=TEST_SCALE, seed=0, cache_dir=str(tmp_path))
+        assert rendered == [TEST_SCALE.test_size]
+        assert warm.data.train is None and cold.data.train is None
+        assert (_sha256(warm.data.test.x, np.float32), _sha256(warm.data.test.y, np.int64)) \
+            == GOLDEN_SPLIT_DIGESTS[("test", "mnist", "test")]
+        assert warm.conversion_key == cold.conversion_key
+
+    def test_cold_set_up_trains_on_the_pinned_train_split(self, tmp_path, monkeypatch):
+        import repro.experiments.workloads as workloads
+
+        trained_on = []
+        train = workloads.train_classifier
+
+        def recording(model, train_split, *args, **kwargs):
+            trained_on.append((_sha256(train_split.x, np.float32),
+                               _sha256(train_split.y, np.int64)))
+            return train(model, train_split, *args, **kwargs)
+
+        monkeypatch.setattr(workloads, "train_classifier", recording)
+        prepare_workload("mnist", scale=TEST_SCALE, seed=0, cache_dir=str(tmp_path))
+        assert trained_on == [GOLDEN_SPLIT_DIGESTS[("test", "mnist", "train")]]
 
 
 class TestBatchLoader:

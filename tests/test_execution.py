@@ -116,16 +116,11 @@ class TestPlans:
         assert base.fingerprint("deadbeef") != base.fingerprint(network_hash)
 
     def test_fingerprint_ignores_non_result_knobs(self, tiny_workload):
-        # The cache directory changes where weights live, never what the result is;
         # eval_size=None and its explicit resolution are the same evaluation.
         network_hash = network_fingerprint(tiny_workload)
         base = build_sweep_plans(tiny_config())[0]
-        same = [
-            build_sweep_plans(tiny_config(), cache_dir="/tmp/elsewhere")[0],
-            build_sweep_plans(tiny_config(), eval_size=TEST_SCALE.eval_size)[0],
-        ]
-        for variant in same:
-            assert variant.fingerprint(network_hash) == base.fingerprint(network_hash)
+        same = build_sweep_plans(tiny_config(), eval_size=TEST_SCALE.eval_size)[0]
+        assert same.fingerprint(network_hash) == base.fingerprint(network_hash)
         # ... but a genuinely different eval size is a different result.
         smaller = build_sweep_plans(tiny_config(), eval_size=8)[0]
         assert smaller.fingerprint(network_hash) != base.fingerprint(network_hash)
@@ -204,7 +199,8 @@ class TestPlans:
 
         from repro.conversion.converter import convert_dnn_to_snn
 
-        calibration = tiny_workload.data.train.x[:64]
+        # A prepared workload keeps no training split: calibrate on test images.
+        calibration = tiny_workload.data.test.x[:64]
         other = dataclasses.replace(
             tiny_workload,
             network=convert_dnn_to_snn(
@@ -934,12 +930,10 @@ class TestEngine:
             return tiny_workload
 
         monkeypatch.setattr(workloads_module, "prepare_workload", counting)
-        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=4321,
-                          cache_dir="/nonexistent")
+        ref = WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=4321)
         assert workload_for(ref) is tiny_workload
         assert workload_for(ref) is tiny_workload
-        assert calls == [("mnist", dict(scale=TEST_SCALE, seed=4321,
-                                        cache_dir="/nonexistent"))]
+        assert calls == [("mnist", dict(scale=TEST_SCALE, seed=4321))]
 
     def test_a_cell_error_raised_by_the_plan_is_not_rewrapped(self, tiny_workload):
         from types import SimpleNamespace

@@ -441,20 +441,18 @@ class TestConversionInWeightCache:
         assert len(documents) == 1
 
     def test_worker_rebuild_from_warm_cache_does_not_calibrate(
-        self, tmp_path, monkeypatch
+        self, weight_cache, monkeypatch
     ):
-        """A pool worker that cannot inherit the parent's workload."""
+        """A pool worker that cannot inherit the parent's workload finds
+        the weights and the conversion in ``REPRO_CACHE_DIR``."""
         from repro.conversion.converter import CONVERSION_COUNTERS
         from repro.execution import WorkloadRef, engine, network_fingerprint
 
-        warm = prepare_workload("mnist", scale=TEST_SCALE, seed=0,
-                                cache_dir=str(tmp_path))
+        warm = prepare_workload("mnist", scale=TEST_SCALE, seed=0)
         monkeypatch.setattr(engine, "_WORKLOAD_REGISTRY", {})
         monkeypatch.setattr(engine, "_BATCH_WORKLOADS", {})
         before = CONVERSION_COUNTERS["calibrations"]
-        rebuilt = engine.workload_for(WorkloadRef(
-            dataset="mnist", scale=TEST_SCALE, seed=0, cache_dir=str(tmp_path),
-        ))
+        rebuilt = engine.workload_for(WorkloadRef(dataset="mnist", scale=TEST_SCALE, seed=0))
         assert CONVERSION_COUNTERS["calibrations"] == before
         assert network_fingerprint(rebuilt) == network_fingerprint(warm)
 

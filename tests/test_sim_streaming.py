@@ -10,7 +10,8 @@ sized by ``FUSED_CHUNK_BYTES`` and hands the next layer only its occupied
 * memory is bounded -- a long window peaks well below one layer's dense
   ``(T, batch, ...)`` drive;
 * the serving request shape still runs as one chunk per layer, i.e. one
-  transform call per layer window.
+  transform call per layer window, while no transform call of a bench conv
+  net builds an im2col pack beyond the budget.
 """
 
 import tracemalloc
@@ -21,9 +22,13 @@ from oracles import run_stepped
 
 import repro.core.timestep as timestep
 from repro.coding import PhaseCoder, RateCoder, TTASCoder, TTFSCoder
+from repro.conversion import convert_dnn_to_snn
 from repro.core import build_time_stepped_simulator
-from repro.experiments.config import BENCH_SCALE, TEST_SCALE
+from repro.data import load_dataset
+from repro.experiments.config import BENCH_SCALE, TEST_SCALE, dataset_config
 from repro.experiments.workloads import prepare_workload
+from repro.nn import build_vgg
+from repro.nn.layers import Conv2D
 from repro.serving.inference import RequestSpec, serve_batch
 from repro.snn.simulator import LayerFaultMask, TimeSteppedSimulator
 from repro.snn.spikes import SpikeTrainArray
@@ -199,3 +204,39 @@ def test_serving_timestep_request_is_one_chunk_per_layer(monkeypatch):
     for name, rows in calls.items():
         assert len(rows) == 2, (name, rows)
         assert max(rows) <= spec.num_steps * spec.lanes
+
+
+def test_bench_conv_transform_calls_keep_their_im2col_packs_in_budget(monkeypatch):
+    """Faithful Rate on the bench cifar10 architecture, the `sweep-timestep`
+    cell shape (16 images, T=32): no transform call's im2col pack -- rows x
+    out_h*out_w*k*k*C float32 -- exceeds ``FUSED_CHUNK_BYTES``.  Calls sized
+    by their float64 PSC rows alone took up to 336 rows at the first layer,
+    a 9.3 MB pack."""
+    data = load_dataset("cifar10", train_size=10, test_size=16, rng=0,
+                        image_size=BENCH_SCALE.image_size)
+    model = build_vgg(dataset_config("cifar10").vgg_config, data.image_shape,
+                      data.num_classes, rng=0)
+    network = convert_dnn_to_snn(model, data.test.x)
+    coder = RateCoder(num_steps=BENCH_SCALE.rate_time_steps)
+    simulator = build_time_stepped_simulator(
+        network, coder, batch_input_shape=data.test.x.shape
+    )
+    train = coder.encode(data.test.x / network.input_scale, rng=0)
+
+    packs = []
+    forward = Conv2D.forward
+
+    def recording(layer, x, training=False):
+        n, channels, h, w = x.shape
+        k, stride, padding = layer.kernel_size, layer.stride, layer.padding
+        out_h = (h + 2 * padding - k) // stride + 1
+        out_w = (w + 2 * padding - k) // stride + 1
+        packs.append((n, n * out_h * out_w * k * k * channels * x.itemsize))
+        return forward(layer, x, training)
+
+    monkeypatch.setattr(Conv2D, "forward", recording)
+    record = simulator.run(train)
+    assert record.total_spikes() > 0
+    assert max(rows for rows, _ in packs) > 1  # calls still fold many rows
+    widest = max(size for _, size in packs)
+    assert widest <= TimeSteppedSimulator.FUSED_CHUNK_BYTES, widest
